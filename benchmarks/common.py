@@ -12,27 +12,19 @@ size (40-host Clos, ~1-2k arrivals, seconds per run); export
 
 from __future__ import annotations
 
-import json
 import os
 import platform
-from pathlib import Path
 
 from repro.experiments.config import MacroConfig, full_scale_config
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0", "false")
 
-#: Machine-readable artifact for regression tracking, shared by the perf
-#: and service benchmarks and gated by ``repro bench-compare``.
-ARTIFACT = Path(__file__).resolve().parent / "BENCH_perf_simulator.json"
-
 
 def environment_fingerprint() -> dict:
     """Where these numbers were measured (python / platform / CPU).
 
-    Written into the BENCH artifact as the ``environment`` section so
-    ``repro bench-compare`` can warn when a baseline and a current
-    artifact come from different machines — cross-machine wall-clock
-    diffs are not regressions.
+    ``benchmarks/e2e/run.py`` keys its ledger rows with it: wall-clock
+    numbers from different machines are not comparable.
     """
     return {
         "python": platform.python_version(),
@@ -65,18 +57,3 @@ def emit(title: str, body: str) -> None:
     """Print one benchmark's report block."""
     bar = "=" * max(len(title), 40)
     print(f"\n{bar}\n{title}\n{bar}\n{body}\n")
-
-
-def update_artifact(section: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into the shared JSON artifact."""
-    try:
-        existing = json.loads(ARTIFACT.read_text(encoding="utf-8"))
-    except (FileNotFoundError, json.JSONDecodeError):
-        existing = {}
-    if "benchmark" in existing:  # pre-campaign single-section layout
-        existing = {existing.pop("benchmark"): existing}
-    existing[section] = payload
-    existing["environment"] = environment_fingerprint()
-    ARTIFACT.write_text(
-        json.dumps(existing, indent=2) + "\n", encoding="utf-8"
-    )

@@ -20,7 +20,6 @@ Examples::
     python -m repro status /tmp/campaign/                  # render + stall check
     python -m repro report /tmp/m.json --prometheus
     python -m repro report /tmp/m.json --json
-    python -m repro bench-compare baseline.json current.json --max-regress 20%
     python -m repro serve examples/service_diurnal.json --status /tmp/svc/
 """
 
@@ -60,9 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="additional subcommands (each has its own --help): "
                "'status DIR' renders a campaign health file with stall "
                "detection; 'report METRICS.json [--prometheus|--json]' "
-               "renders a saved metrics snapshot; 'bench-compare BASE.json "
-               "CUR.json' gates on perf regressions between BENCH "
-               "artifacts; 'explain DIR' prints the causal blame breakdown "
+               "renders a saved metrics snapshot; "
+               "'explain DIR' prints the causal blame breakdown "
                "of a --causal trace; 'trace export DIR' converts a causal "
                "trace to Chrome/Perfetto JSON; 'serve SCENARIO.json' runs "
                "an open-loop streaming placement session; "
@@ -760,41 +758,6 @@ def run_trace_cli(argv) -> int:
     return 0
 
 
-def run_bench_compare_cli(argv) -> int:
-    """``repro bench-compare``: per-cell perf diff of two BENCH artifacts."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench-compare",
-        description="Diff two BENCH artifacts and fail on perf "
-                    "regressions beyond the threshold.",
-    )
-    parser.add_argument("baseline", help="reference BENCH artifact (JSON)")
-    parser.add_argument("current", help="freshly measured BENCH artifact")
-    from repro.benchgate import parse_max_regress
-
-    parser.add_argument(
-        "--max-regress", type=parse_max_regress, default=0.2,
-        metavar="FRACTION",
-        help="allowed regression, e.g. '20%%' or 0.2 (default: 20%%)",
-    )
-    args = parser.parse_args(argv)
-    from repro.benchgate import (
-        compare_artifacts,
-        load_artifact,
-        render_comparison,
-    )
-
-    try:
-        baseline = load_artifact(args.baseline)
-        current = load_artifact(args.current)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot load artifact: {exc}")
-    comparison = compare_artifacts(
-        baseline, current, max_regress=args.max_regress
-    )
-    print(render_comparison(comparison, max_regress=args.max_regress))
-    return 0 if comparison.ok else 1
-
-
 def run_serve_cli(argv) -> int:
     """``repro serve``: one open-loop serving session from a scenario."""
     parser = argparse.ArgumentParser(
@@ -1286,7 +1249,6 @@ _SUBCOMMANDS = {
     "status": run_status_cli,
     "campaign-worker": run_campaign_worker_cli,
     "report": run_report_cli,
-    "bench-compare": run_bench_compare_cli,
     "faults": run_faults_cli,
     "explain": run_explain_cli,
     "trace": run_trace_cli,

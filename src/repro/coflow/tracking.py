@@ -36,23 +36,9 @@ class CoflowTracker:
         self._next_id = 0
         self._listeners: List = []
         fabric.add_completion_listener(self._on_flow_done)
-        if telemetry is None:
-            from repro.telemetry import NULL_TELEMETRY
-
-            telemetry = NULL_TELEMETRY
-        self._trace = telemetry.trace
-        # Causal tracer (None when disabled): ties each sealed coflow and
-        # its completion to the task trace that created it.
-        self._causal = telemetry.causal if telemetry.causal.active else None
-        reg = telemetry.registry
-        if reg.enabled:
-            self._ctr_submitted = reg.counter("coflow.coflows_submitted")
-            self._ctr_completed = reg.counter("coflow.coflows_completed")
-            self._hist_cct = reg.histogram("coflow.cct_seconds")
-        else:
-            self._ctr_submitted = None
-            self._ctr_completed = None
-            self._hist_cct = None
+        self._probe = (
+            telemetry.attach("coflow_tracker") if telemetry is not None else None
+        )
 
     def add_completion_listener(self, listener) -> None:
         """Register ``listener(coflow, record)`` fired at each coflow CCT."""
@@ -116,27 +102,9 @@ class CoflowTracker:
         """Mark the coflow complete-on-submission and, if all of its flows
         already finished (e.g. all were host-local), record it now."""
         coflow.seal()
-        if self._ctr_submitted is not None:
-            self._ctr_submitted.inc()
-        if self._trace.active:
-            self._trace.emit(
-                "coflow_arrival",
-                coflow.arrival_time,
-                {
-                    "coflow_id": coflow.coflow_id,
-                    "num_flows": len(coflow.flows),
-                    "total_size": coflow.total_size,
-                    "tag": coflow.tag,
-                },
-            )
-        if self._causal is not None:
-            self._causal.on_coflow(
-                coflow.arrival_time,
-                coflow.coflow_id,
-                tag=coflow.tag,
-                flows=[flow.flow_id for flow in coflow.flows],
-                total=coflow.total_size,
-            )
+        probe = self._probe
+        if probe is not None:
+            probe.on_coflow(coflow.arrival_time, coflow)
         if coflow.finished:
             if coflow.completion_time is None:
                 coflow.completion_time = self._fabric.engine.now
@@ -178,28 +146,8 @@ class CoflowTracker:
             tag=coflow.tag,
         )
         self._records.append(record)
-        if self._ctr_completed is not None:
-            self._ctr_completed.inc()
-            self._hist_cct.observe(record.cct)
-        if self._trace.active:
-            self._trace.emit(
-                "coflow_completion",
-                record.completion_time,
-                {
-                    "coflow_id": record.coflow_id,
-                    "num_flows": record.num_flows,
-                    "total_size": record.total_size,
-                    "cct": record.cct,
-                    "optimal_cct": record.optimal_cct,
-                    "tag": record.tag,
-                },
-            )
-        if self._causal is not None:
-            self._causal.on_coflow_done(
-                record.completion_time,
-                record.coflow_id,
-                cct=record.cct,
-                optimal=record.optimal_cct,
-            )
+        probe = self._probe
+        if probe is not None:
+            probe.on_coflow_done(record.completion_time, record)
         for listener in self._listeners:
             listener(coflow, record)

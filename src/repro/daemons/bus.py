@@ -52,25 +52,7 @@ class MessageBus:
         self._controller: Optional[Handler] = None
         self._messages_dropped = 0
         self._delay_accrued = 0.0
-        if telemetry is None:
-            from repro.telemetry import NULL_TELEMETRY
-
-            telemetry = NULL_TELEMETRY
-        self._trace = telemetry.trace
-        # Causal tracer (None when disabled): attributes control messages
-        # and drops to the task whose placement triggered them.
-        self._causal = telemetry.causal if telemetry.causal.active else None
-        reg = telemetry.registry
-        if reg.enabled:
-            self._ctr_messages = reg.counter("bus.messages_sent")
-            self._ctr_calls = reg.counter("bus.calls")
-            self._ctr_dropped = reg.counter("bus.messages_dropped")
-            self._timer = reg.timer("bus")
-        else:
-            self._ctr_messages = None
-            self._ctr_calls = None
-            self._ctr_dropped = None
-            self._timer = None
+        self._probe = telemetry.attach("bus") if telemetry is not None else None
 
     @property
     def engine(self) -> Engine:
@@ -103,21 +85,12 @@ class MessageBus:
         self._down_hosts.add(host)
 
     def _drop(self, host: NodeId, payload: Any, reason: str) -> None:
+        """Account one message that went out and was lost."""
+        self._messages_sent += 1
         self._messages_dropped += 1
-        if self._ctr_dropped is not None:
-            self._ctr_dropped.inc()
-        if self._causal is not None:
-            self._causal.note_bus_drop()
-        if self._trace.active:
-            self._trace.emit(
-                "bus_drop",
-                self._engine.now,
-                {
-                    "host": host,
-                    "type": type(payload).__name__,
-                    "reason": reason,
-                },
-            )
+        probe = self._probe
+        if probe is not None:
+            probe.note_bus_drop(self._engine.now, host, payload, reason)
 
     def call(self, host: NodeId, payload: Any) -> Any:
         """Send ``payload`` to the daemon at ``host`` and return its reply.
@@ -129,60 +102,29 @@ class MessageBus:
         synchronous in the fluid model — not to simulated time.
         """
         if host in self._down_hosts:
-            self._messages_sent += 1
             self._drop(host, payload, "host_down")
             raise DaemonUnreachable(f"host {host!r} is down")
         handler = self._endpoints.get(host)
         if handler is None:
             raise DaemonError(f"no daemon registered at {host!r}")
         if self._fault_model is not None:
-            self._messages_sent += 1  # the request went out regardless
             if self._fault_model.should_drop(message_kind(payload)):
                 self._drop(host, payload, "loss_window")
                 raise MessageDropped(
                     f"request to {host!r} lost in a fault-plan loss window"
                 )
-            self._messages_sent += 1
             self._delay_accrued += self._fault_model.message_delay()
-            self._calls += 1
-            if self._causal is not None:
-                self._causal.note_bus_message()
-            if self._trace.active:
-                self._trace.emit(
-                    "bus_message",
-                    self._engine.now,
-                    {
-                        "host": host,
-                        "type": type(payload).__name__,
-                        "latency": self._rtt,
-                    },
-                )
-            if self._ctr_messages is not None:
-                self._ctr_messages.inc(2)
-                self._ctr_calls.inc()
-                with self._timer.time():
-                    return handler(payload)
-            return handler(payload)
         self._messages_sent += 2
         self._calls += 1
-        if self._causal is not None:
-            self._causal.note_bus_message()
-        if self._trace.active:
-            self._trace.emit(
-                "bus_message",
-                self._engine.now,
-                {
-                    "host": host,
-                    "type": type(payload).__name__,
-                    "latency": self._rtt,
-                },
-            )
-        if self._ctr_messages is not None:
-            self._ctr_messages.inc(2)
-            self._ctr_calls.inc()
-            with self._timer.time():
-                return handler(payload)
-        return handler(payload)
+        probe = self._probe
+        span = None
+        if probe is not None:
+            probe.note_bus_message(self._engine.now, host, payload, self._rtt)
+            span = probe.enter_bus_handler()
+        reply = handler(payload)
+        if span is not None:
+            probe.exit_bus_handler(span)
+        return reply
 
     def push(self, host: NodeId, payload: Any) -> bool:
         """One-way message from ``host``'s daemon to the controller.
@@ -194,9 +136,6 @@ class MessageBus:
         """
         if self._controller is None:
             raise DaemonError("no controller endpoint registered")
-        self._messages_sent += 1
-        if self._ctr_messages is not None:
-            self._ctr_messages.inc()
         if host in self._down_hosts:
             self._drop(host, payload, "host_down")
             return False
@@ -206,16 +145,10 @@ class MessageBus:
                 self._drop(host, payload, "loss_window")
                 return False
             delay = self._fault_model.message_delay()
-        if self._trace.active:
-            self._trace.emit(
-                "bus_push",
-                self._engine.now,
-                {
-                    "host": host,
-                    "type": type(payload).__name__,
-                    "delay": delay,
-                },
-            )
+        self._messages_sent += 1
+        probe = self._probe
+        if probe is not None:
+            probe.on_bus_push(self._engine.now, host, payload, delay)
         handler = self._controller
         self._engine.schedule(
             delay, lambda: handler(payload), label="bus-push"
@@ -252,3 +185,5 @@ class MessageBus:
         """Zero the accounting counters (e.g. between benchmark phases)."""
         self._messages_sent = 0
         self._calls = 0
+        self._messages_dropped = 0
+        self._delay_accrued = 0.0

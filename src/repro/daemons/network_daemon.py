@@ -57,21 +57,15 @@ class NetworkDaemon:
             coflow_predictor: CCT model for coflow placement requests.
             bin_boundaries: when given, predictions use the compressed
                 (histogram) state of §5.2 instead of exact per-flow state.
-            telemetry: accounts predictor wall time when enabled.
+            telemetry: accounts the wall time of prediction requests
+                arriving through :meth:`handle` when enabled.
         """
         self._host = host
         self._fabric = fabric
         self._flow_predictor = flow_predictor
         self._coflow_predictor = coflow_predictor
-        self._timer_predict = (
-            telemetry.registry.timer("predictor")
-            if telemetry is not None and telemetry.registry.enabled
-            else None
-        )
-        self._prof = (
-            telemetry.profiler
-            if telemetry is not None and telemetry.profiler.enabled
-            else None
+        self._probe = (
+            telemetry.attach("network_daemon") if telemetry is not None else None
         )
         topo = fabric.topology
         self._uplink: Link = topo.host_uplink(host)
@@ -101,14 +95,24 @@ class NetworkDaemon:
     def handle(self, payload) -> PredictionReply:
         """Dispatch a control-plane request (the bus handler)."""
         if isinstance(payload, FlowPredictionRequest):
-            return self.predict_flow(payload.size, payload.direction)
-        if isinstance(payload, CoflowPredictionRequest):
-            return self.predict_coflow(
+            coflow = False
+        elif isinstance(payload, CoflowPredictionRequest):
+            coflow = True
+        elif isinstance(payload, LinkStateRequest):
+            return self.link_state(payload.direction)
+        else:
+            raise DaemonError(f"unknown request type {type(payload).__name__}")
+        probe = self._probe
+        span = probe.enter_predict(coflow) if probe is not None else None
+        if coflow:
+            reply = self.predict_coflow(
                 payload.total_size, payload.size_on_link, payload.direction
             )
-        if isinstance(payload, LinkStateRequest):
-            return self.link_state(payload.direction)
-        raise DaemonError(f"unknown request type {type(payload).__name__}")
+        else:
+            reply = self.predict_flow(payload.size, payload.direction)
+        if span is not None:
+            probe.exit_predict(span)
+        return reply
 
     # ------------------------------------------------------------------
     # Predictions
@@ -140,18 +144,6 @@ class NetworkDaemon:
 
     def predict_flow(self, size: float, direction: str = "in") -> PredictionReply:
         """Predicted FCT of a new flow on this node's edge link."""
-        if self._prof is not None:
-            with self._prof.span("predictor.fct"):
-                return self._timed_predict_flow(size, direction)
-        return self._timed_predict_flow(size, direction)
-
-    def _timed_predict_flow(self, size: float, direction: str) -> PredictionReply:
-        if self._timer_predict is not None:
-            with self._timer_predict.time():
-                return self._predict_flow(size, direction)
-        return self._predict_flow(size, direction)
-
-    def _predict_flow(self, size: float, direction: str) -> PredictionReply:
         link = self._downlink if direction == "in" else self._uplink
         compressed = (
             self._compressed_down if direction == "in" else self._compressed_up
@@ -204,24 +196,6 @@ class NetworkDaemon:
             raise DaemonError(
                 f"daemon at {self._host!r} has no coflow predictor"
             )
-        if self._prof is not None:
-            with self._prof.span("predictor.cct"):
-                return self._timed_predict_coflow(
-                    total_size, size_on_link, direction
-                )
-        return self._timed_predict_coflow(total_size, size_on_link, direction)
-
-    def _timed_predict_coflow(
-        self, total_size: float, size_on_link: float, direction: str
-    ) -> PredictionReply:
-        if self._timer_predict is not None:
-            with self._timer_predict.time():
-                return self._predict_coflow(total_size, size_on_link, direction)
-        return self._predict_coflow(total_size, size_on_link, direction)
-
-    def _predict_coflow(
-        self, total_size: float, size_on_link: float, direction: str
-    ) -> PredictionReply:
         link = self._downlink if direction == "in" else self._uplink
         state = coflow_link_state(self._fabric, link.link_id)
         # Score with objective (2): the coflow's own CCT on this link plus

@@ -65,6 +65,18 @@ class PlacementDecision:
     used_stale_fallback: bool = False
 
 
+def _flow_task(request: PlacementRequest) -> dict:
+    """What a flow decision is about, as ``_choose`` takes it."""
+    return dict(
+        kind="flow",
+        tag=request.tag,
+        size=request.size,
+        load=request.size,
+        data_node=request.data_node,
+        candidates=request.candidates,
+    )
+
+
 class TaskPlacementDaemon:
     """The global controller of Figure 4."""
 
@@ -120,21 +132,11 @@ class TaskPlacementDaemon:
         self._fault_model = None
         self._stale_fallbacks = 0
         self._query_failures = 0
-        if telemetry is None:
-            from repro.telemetry import NULL_TELEMETRY
-
-            telemetry = NULL_TELEMETRY
-        self._decision_log = telemetry.decisions
-        # Causal tracer (None when disabled): joins decisions to the open
-        # task trace so `repro explain` can flag stale-state placements.
-        self._causal = telemetry.causal if telemetry.causal.active else None
-        reg = telemetry.registry
-        if reg.enabled:
-            self._ctr_stale = reg.counter("placement.stale_fallbacks")
-            self._ctr_query_fail = reg.counter("placement.query_failures")
-        else:
-            self._ctr_stale = None
-            self._ctr_query_fail = None
+        self._probe = (
+            telemetry.attach("placement_daemon")
+            if telemetry is not None
+            else None
+        )
         self._engine = bus.engine
 
     # ------------------------------------------------------------------
@@ -197,46 +199,58 @@ class TaskPlacementDaemon:
             return False
         return not any(self._state_is_fresh(h) for h in known)
 
-    def _degraded_place(
+    def _choose(
         self,
-        size: float,
-        candidates: Sequence[NodeId],
+        hosts: Sequence[NodeId],
+        scores: Optional[Sequence[float]],
         *,
         kind: str,
         tag: str,
+        size: float,
+        load: float,
         data_node: NodeId,
-        all_candidates: Sequence[NodeId],
+        candidates: Sequence[NodeId],
+        queried: Sequence[NodeId] = (),
+        fallback: bool = False,
     ) -> NodeId:
-        """Least-loaded placement over cached state, no daemon queries.
+        """Algorithm 1's tail, shared by every entry point: pick the
+        minimum-score host, update the cache optimistically with the
+        ``load`` it now carries, keep and report the decision.
 
-        The cached node state is the smallest residual size on the host
-        (inf = believed idle), so maximising it picks the least-loaded
-        host; ``pick_min`` over the negated state keeps the shared
-        deterministic tie-break.
+        With no usable prediction (``scores`` is None: the TTL policy
+        distrusts the cache; or every score is inf: every query was
+        lost) the pick degrades to least-loaded over cached state, no
+        daemon queries.  The cached node state is the smallest residual
+        size on the host (inf = believed idle), so maximising it picks
+        the least-loaded host; ``pick_min`` over the negated state keeps
+        the shared deterministic tie-break.
         """
-        hosts = list(candidates)
-        scores = [-self.cached_node_state(h) for h in hosts]
-        host = pick_min(hosts, scores, self._rng)
-        self._stale_fallbacks += 1
-        if self._ctr_stale is not None:
-            self._ctr_stale.inc()
-        self._note_placed(host, size)
-        self._record_decision(
-            PlacementDecision(
-                host=host,
-                predicted_time=-1.0,  # sentinel: no prediction was made
-                preferred_hosts=tuple(hosts),
-                queried_hosts=(),
-                used_fallback=True,
-                kind=kind,
-                tag=tag,
-                size=size,
-                candidate_scores=tuple(zip(hosts, scores)),
-                used_stale_fallback=True,
-            ),
-            data_node=data_node,
-            candidates=all_candidates,
+        hosts = list(hosts)
+        degraded = scores is None or not any(
+            score < float("inf") for score in scores
         )
+        if degraded:
+            scores = [-self.cached_node_state(h) for h in hosts]
+            self._stale_fallbacks += 1
+        host = pick_min(hosts, scores, self._rng)
+        self._note_placed(host, load)
+        decision = PlacementDecision(
+            host=host,
+            # -1.0 is the sentinel for "no prediction was made".
+            predicted_time=-1.0 if degraded else min(scores),
+            preferred_hosts=tuple(hosts),
+            queried_hosts=() if degraded else tuple(queried),
+            used_fallback=degraded or fallback,
+            kind=kind,
+            tag=tag,
+            size=load if degraded else size,
+            candidate_scores=tuple(zip(hosts, scores)),
+            used_stale_fallback=degraded,
+        )
+        self._decisions.append(decision)
+        probe = self._probe
+        if probe is not None:
+            probe.on_decision(self._engine.now, decision, data_node, candidates)
         return host
 
     def _try_call(self, host: NodeId, request):
@@ -246,8 +260,9 @@ class TaskPlacementDaemon:
             return self._bus.call(host, request)
         except (DaemonUnreachable, MessageDropped):
             self._query_failures += 1
-            if self._ctr_query_fail is not None:
-                self._ctr_query_fail.inc()
+            probe = self._probe
+            if probe is not None:
+                probe.on_query_failure()
             return None
 
     # ------------------------------------------------------------------
@@ -287,15 +302,9 @@ class TaskPlacementDaemon:
     def place_flow(self, request: PlacementRequest) -> NodeId:
         """Choose the host minimising the predicted FCT of the task's flow."""
         candidates = self._locality_filter(request.data_node, request.candidates)
+        task = _flow_task(request)
         if self._stale_candidates(candidates):
-            return self._degraded_place(
-                request.size,
-                candidates,
-                kind="flow",
-                tag=request.tag,
-                data_node=request.data_node,
-                all_candidates=request.candidates,
-            )
+            return self._choose(candidates, None, **task)
         preferred, fallback = self._preferred_hosts(request.size, candidates)
 
         source_time = 0.0
@@ -326,35 +335,9 @@ class TaskPlacementDaemon:
             queried.append(host)
             scores.append(max(reply.predicted_time, source_time))
 
-        if not any(score < float("inf") for score in scores):
-            # Every prediction was lost: place by cached load instead.
-            return self._degraded_place(
-                request.size,
-                preferred,
-                kind="flow",
-                tag=request.tag,
-                data_node=request.data_node,
-                all_candidates=request.candidates,
-            )
-        host = pick_min(preferred, scores, self._rng)
-        predicted = min(scores)
-        self._note_placed(host, request.size)
-        self._record_decision(
-            PlacementDecision(
-                host=host,
-                predicted_time=predicted,
-                preferred_hosts=tuple(preferred),
-                queried_hosts=tuple(queried),
-                used_fallback=fallback,
-                kind="flow",
-                tag=request.tag,
-                size=request.size,
-                candidate_scores=tuple(zip(preferred, scores)),
-            ),
-            data_node=request.data_node,
-            candidates=request.candidates,
+        return self._choose(
+            preferred, scores, queried=queried, fallback=fallback, **task
         )
-        return host
 
     # ------------------------------------------------------------------
     # Batched flow placement (streaming service)
@@ -405,17 +388,9 @@ class TaskPlacementDaemon:
 
         placements: List[NodeId] = []
         for request, hosts in zip(requests, filtered):
+            task = _flow_task(request)
             if self._stale_candidates(hosts):
-                placements.append(
-                    self._degraded_place(
-                        request.size,
-                        hosts,
-                        kind="flow",
-                        tag=request.tag,
-                        data_node=request.data_node,
-                        all_candidates=request.candidates,
-                    )
-                )
+                placements.append(self._choose(hosts, None, **task))
                 continue
             if self._use_node_state:
                 preferred = [
@@ -444,41 +419,15 @@ class TaskPlacementDaemon:
                     snap.link, snap.capacity, live_sizes[host]
                 )
                 scores.append(predictor.fct(request.size, state))
-            if not any(score < float("inf") for score in scores):
-                placements.append(
-                    self._degraded_place(
-                        request.size,
-                        preferred,
-                        kind="flow",
-                        tag=request.tag,
-                        data_node=request.data_node,
-                        all_candidates=request.candidates,
-                    )
-                )
-                continue
-            host = pick_min(preferred, scores, self._rng)
+            host = self._choose(
+                preferred, scores, queried=queried, fallback=fallback, **task
+            )
             # Optimistic within-batch update: the chosen host's snapshot
             # now carries this flow, so the rest of the batch doesn't
             # dog-pile onto one idle host.
             if host in live_sizes:
                 live_sizes[host].append(request.size)
                 live_state[host] = min(live_state[host], request.size)
-            self._note_placed(host, request.size)
-            self._record_decision(
-                PlacementDecision(
-                    host=host,
-                    predicted_time=min(scores),
-                    preferred_hosts=tuple(preferred),
-                    queried_hosts=tuple(queried),
-                    used_fallback=fallback,
-                    kind="flow",
-                    tag=request.tag,
-                    size=request.size,
-                    candidate_scores=tuple(zip(preferred, scores)),
-                ),
-                data_node=request.data_node,
-                candidates=request.candidates,
-            )
             placements.append(host)
         return placements
 
@@ -505,15 +454,16 @@ class TaskPlacementDaemon:
         if not candidates:
             raise PlacementError("place_coflow_flow needs candidates")
         filtered = self._locality_filter(data_node, candidates)
+        task = dict(
+            kind="coflow",
+            tag=tag,
+            size=flow_size,
+            load=coflow_total,
+            data_node=data_node,
+            candidates=candidates,
+        )
         if self._stale_candidates(filtered):
-            return self._degraded_place(
-                coflow_total,
-                filtered,
-                kind="coflow",
-                tag=tag,
-                data_node=data_node,
-                all_candidates=candidates,
-            )
+            return self._choose(filtered, None, **task)
         # Node state is at coflow granularity here: a host is preferred
         # when every coflow it carries is at least as large as this one.
         preferred, fallback = self._preferred_hosts(coflow_total, filtered)
@@ -537,33 +487,9 @@ class TaskPlacementDaemon:
             self._remember(reply)
             queried.append(host)
             scores.append(reply.predicted_time)
-        if not any(score < float("inf") for score in scores):
-            return self._degraded_place(
-                coflow_total,
-                preferred,
-                kind="coflow",
-                tag=tag,
-                data_node=data_node,
-                all_candidates=candidates,
-            )
-        host = pick_min(preferred, scores, self._rng)
-        self._note_placed(host, coflow_total)
-        self._record_decision(
-            PlacementDecision(
-                host=host,
-                predicted_time=min(scores),
-                preferred_hosts=tuple(preferred),
-                queried_hosts=tuple(queried),
-                used_fallback=fallback,
-                kind="coflow",
-                tag=tag,
-                size=flow_size,
-                candidate_scores=tuple(zip(preferred, scores)),
-            ),
-            data_node=data_node,
-            candidates=candidates,
+        return self._choose(
+            preferred, scores, queried=queried, fallback=fallback, **task
         )
-        return host
 
     def place_reducer(
         self,
@@ -630,69 +556,17 @@ class TaskPlacementDaemon:
                 default=0.0,
             )
             scores.append(max(reply.predicted_time, bottleneck))
-        if not any(score < float("inf") for score in scores):
-            return self._degraded_place(
-                total,
-                list(candidates),
-                kind="reducer",
-                tag=tag,
-                data_node=max(sources, key=lambda s: s[1])[0],
-                all_candidates=candidates,
-            )
-        host = pick_min(list(candidates), scores, self._rng)
-        self._note_placed(host, total)
-        self._record_decision(
-            PlacementDecision(
-                host=host,
-                predicted_time=min(scores),
-                preferred_hosts=tuple(candidates),
-                queried_hosts=tuple(candidates),
-                used_fallback=False,
-                kind="reducer",
-                tag=tag,
-                size=total,
-                candidate_scores=tuple(zip(candidates, scores)),
-            ),
+        return self._choose(
+            candidates,
+            scores,
+            kind="reducer",
+            tag=tag,
+            size=total,
+            load=total,
             data_node=max(sources, key=lambda s: s[1])[0],
             candidates=candidates,
+            queried=candidates,
         )
-        return host
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def _record_decision(
-        self,
-        decision: PlacementDecision,
-        *,
-        data_node: NodeId,
-        candidates: Sequence[NodeId],
-    ) -> None:
-        """Keep the decision and mirror it into the telemetry log."""
-        self._decisions.append(decision)
-        if self._causal is not None:
-            self._causal.on_decision(
-                self._engine.now,
-                chosen=decision.host,
-                predicted=decision.predicted_time,
-                fallback=decision.used_fallback,
-                stale=decision.used_stale_fallback,
-            )
-        if self._decision_log.active:
-            self._decision_log.record(
-                time=self._engine.now,
-                kind=decision.kind,
-                tag=decision.tag,
-                size=decision.size,
-                data_node=data_node,
-                candidates=candidates,
-                preferred=decision.preferred_hosts,
-                used_fallback=decision.used_fallback,
-                scores=decision.candidate_scores,
-                score_kind="predicted_time",
-                chosen=decision.host,
-                predicted_time=decision.predicted_time,
-            )
 
     # ------------------------------------------------------------------
     # Cache maintenance

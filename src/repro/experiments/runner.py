@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.coflow.tracking import CoflowTracker
 from repro.coflow.policies.registry import make_coflow_allocator
@@ -32,96 +33,6 @@ from repro.workloads.traces import CoflowArrival, TaskArrival, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - avoids an experiments<->telemetry cycle
     from repro.telemetry import Telemetry
-
-
-def _begin_run(
-    telemetry: Optional["Telemetry"],
-    fabric: NetworkFabric,
-    *,
-    placement: str,
-    network_policy: str,
-    tracker: Optional[CoflowTracker] = None,
-):
-    """Bind a run's context into the telemetry bundle.
-
-    Returns ``(telemetry, placement_timer, sampler)`` where ``telemetry``
-    is never None (the null bundle when disabled), ``placement_timer`` is
-    a wall-clock timer for the placement subsystem (or None), and
-    ``sampler`` is a :class:`TimelineSampler` when timeline collection was
-    requested.
-    """
-    if telemetry is None:
-        from repro.telemetry import NULL_TELEMETRY
-
-        telemetry = NULL_TELEMETRY
-    if telemetry.decisions.active:
-        telemetry.decisions.set_context(
-            placement=placement, network_policy=network_policy
-        )
-        if tracker is not None:
-            telemetry.decisions.bind_coflows(tracker)
-        else:
-            telemetry.decisions.bind(fabric)
-    if telemetry.trace.active:
-        telemetry.trace.emit(
-            "run_start",
-            fabric.engine.now,
-            {"placement": placement, "network_policy": network_policy},
-        )
-    if telemetry.causal.active:
-        telemetry.causal.begin_run(
-            fabric.engine.now,
-            placement=placement,
-            network_policy=network_policy,
-            capacities={
-                link.link_id: fabric.link_capacity(link.link_id)
-                for link in fabric.topology.links()
-            },
-        )
-    timer = (
-        telemetry.registry.timer("placement")
-        if telemetry.registry.enabled
-        else None
-    )
-    sampler = None
-    if telemetry.timeline_interval is not None:
-        from repro.metrics.timeline import TimelineSampler
-
-        topo = fabric.topology
-        sampler = TimelineSampler(
-            fabric,
-            interval=telemetry.timeline_interval,
-            watch_links=[topo.host_downlink(h).link_id for h in topo.hosts],
-        )
-    return telemetry, timer, sampler
-
-
-def _end_run(
-    telemetry: "Telemetry",
-    fabric: NetworkFabric,
-    sampler,
-    *,
-    placement: str,
-    network_policy: str,
-    records_len: int,
-) -> None:
-    if sampler is not None:
-        telemetry.timelines.append(
-            (f"{placement}/{network_policy}", sampler.samples)
-        )
-    if telemetry.trace.active:
-        telemetry.trace.emit(
-            "run_end",
-            fabric.engine.now,
-            {
-                "placement": placement,
-                "network_policy": network_policy,
-                "records": records_len,
-                "events_processed": fabric.engine.events_processed,
-            },
-        )
-    if telemetry.causal.active:
-        telemetry.causal.end_run(fabric.engine.now, records=records_len)
 
 
 @dataclass
@@ -157,6 +68,73 @@ def _candidate_pool(
         pool = rng.sample(pool, max_candidates)
         pool.sort()
     return tuple(pool)
+
+
+def _replay(
+    trace: Trace,
+    kind: str,
+    make_place_task: Callable[[object], Callable[[], None]],
+    size_and_data_node: Callable[[object], Tuple[float, NodeId]],
+    fabric: NetworkFabric,
+    policy,
+    injector,
+    probe,
+    *,
+    placement: str,
+    network_policy: str,
+    horizon: Optional[float],
+    tracker: Optional[CoflowTracker] = None,
+    predictions: Optional[Dict[str, float]] = None,
+) -> RunResult:
+    """The loop both replays share: open the run, schedule one placement
+    per arrival, run the network to empty (or ``horizon``), close the run."""
+    engine = fabric.engine
+    arrival_type = CoflowArrival if kind == "coflow" else TaskArrival
+    if probe is not None:
+        probe.begin_run(engine.now, placement, network_policy, fabric, tracker)
+
+    def arrival_callback(arrival):
+        place_task = make_place_task(arrival)
+        if probe is None:
+            return place_task
+
+        def on_arrival() -> None:
+            # Every task arrival opens a trace context: the placement
+            # decision, its control messages, and the spawned flows all
+            # attribute to this trace id.
+            size, data_node = size_and_data_node(arrival)
+            probe.begin_task(engine.now, arrival.tag, kind, size, data_node)
+            try:
+                place_task()
+            finally:
+                probe.end_task(engine.now)
+
+        return on_arrival
+
+    for arrival in trace.arrivals:
+        if not isinstance(arrival, arrival_type):
+            raise ConfigError(f"replay_{kind}_trace needs a {kind} trace")
+        engine.schedule_at(arrival.time, arrival_callback(arrival))
+    engine.run(until=horizon)
+    records = tracker.records if tracker is not None else fabric.records
+    if probe is not None:
+        probe.end_run(engine.now, len(records), engine.events_processed)
+
+    bus = getattr(policy, "bus", None)
+    daemon = getattr(policy, "daemon", None)
+    return RunResult(
+        placement=placement,
+        network_policy=network_policy,
+        records=records,
+        predictions=predictions if predictions is not None else {},
+        control_messages=bus.messages_sent if bus is not None else 0,
+        events_processed=engine.events_processed,
+        sim_duration=engine.now,
+        flows_aborted=fabric.flows_aborted,
+        flows_rerouted=fabric.flows_rerouted,
+        tasks_dropped=injector.tasks_dropped if injector is not None else 0,
+        stale_fallbacks=daemon.stale_fallbacks if daemon is not None else 0,
+    )
 
 
 def replay_flow_trace(
@@ -236,15 +214,11 @@ def replay_flow_trace(
         telemetry=telemetry,
     )
     injector = arm_faults(faults, fabric, policy, telemetry)
-    tele, place_timer, sampler = _begin_run(
-        telemetry, fabric, placement=placement, network_policy=network_policy
-    )
-    prof = tele.profiler if tele.profiler.enabled else None
-    causal = tele.causal if tele.causal.active else None
+    probe = telemetry.probe if telemetry is not None else None
     hosts = topology.hosts
     predictions: Dict[str, float] = {}
 
-    def make_arrival_callback(arrival: TaskArrival):
+    def make_place_task(arrival: TaskArrival):
         def place_task() -> None:
             candidates = _candidate_pool(
                 hosts,
@@ -277,86 +251,41 @@ def replay_flow_trace(
                 candidates=candidates,
                 tag=arrival.tag,
             )
-            if prof is not None:
-                with prof.span("placement.place"):
-                    if place_timer is not None:
-                        with place_timer.time():
-                            host = policy.place(request)
-                    else:
-                        host = policy.place(request)
-            elif place_timer is not None:
-                with place_timer.time():
-                    host = policy.place(request)
-            else:
-                host = policy.place(request)
+            span = probe.enter_place() if probe is not None else None
+            host = policy.place(request)
+            if span is not None:
+                probe.exit_place(span)
             policy.notify_placed(request, host)
-            if injector is not None:
-                try:
-                    fabric.submit(
-                        arrival.data_node, host, arrival.size, tag=arrival.tag
-                    )
-                except RoutingError:
-                    # A link failure partitioned data node from host
-                    # between placement and submission.
-                    injector.note_task_dropped(arrival.tag)
-                    return
-            else:
+            try:
                 fabric.submit(
                     arrival.data_node, host, arrival.size, tag=arrival.tag
                 )
+            except RoutingError:
+                if injector is None:
+                    raise
+                # A link failure partitioned data node from host
+                # between placement and submission.
+                injector.note_task_dropped(arrival.tag)
+                return
             daemon = getattr(policy, "daemon", None)
             if daemon is not None and daemon.decisions:
                 predictions[arrival.tag] = daemon.decisions[-1].predicted_time
 
-        if causal is None:
-            return place_task
+        return place_task
 
-        def on_arrival() -> None:
-            # Every task arrival opens a trace context: the placement
-            # decision, its control messages, and the spawned flow all
-            # attribute to this trace id.
-            causal.begin_task(
-                engine.now,
-                tag=arrival.tag,
-                kind="flow",
-                size=arrival.size,
-                data_node=arrival.data_node,
-            )
-            try:
-                place_task()
-            finally:
-                causal.end_task(engine.now)
-
-        return on_arrival
-
-    for arrival in trace.arrivals:
-        if not isinstance(arrival, TaskArrival):
-            raise ConfigError("replay_flow_trace needs a flow trace")
-        engine.schedule_at(arrival.time, make_arrival_callback(arrival))
-    engine.run(until=horizon)
-    _end_run(
-        tele,
+    return _replay(
+        trace,
+        "flow",
+        make_place_task,
+        lambda arrival: (arrival.size, arrival.data_node),
         fabric,
-        sampler,
+        policy,
+        injector,
+        probe,
         placement=placement,
         network_policy=network_policy,
-        records_len=len(fabric.records),
-    )
-
-    bus = getattr(policy, "bus", None)
-    daemon = getattr(policy, "daemon", None)
-    return RunResult(
-        placement=placement,
-        network_policy=network_policy,
-        records=fabric.records,
+        horizon=horizon,
         predictions=predictions,
-        control_messages=bus.messages_sent if bus is not None else 0,
-        events_processed=engine.events_processed,
-        sim_duration=engine.now,
-        flows_aborted=fabric.flows_aborted,
-        flows_rerouted=fabric.flows_rerouted,
-        tasks_dropped=injector.tasks_dropped if injector is not None else 0,
-        stale_fallbacks=daemon.stale_fallbacks if daemon is not None else 0,
     )
 
 
@@ -416,23 +345,16 @@ def replay_coflow_trace(
         telemetry=telemetry,
     )
     injector = arm_faults(faults, fabric, policy, telemetry)
-    tele, place_timer, sampler = _begin_run(
-        telemetry,
-        fabric,
-        placement=placement,
-        network_policy=network_policy,
-        tracker=tracker,
-    )
-    prof = tele.profiler if tele.profiler.enabled else None
-    causal = tele.causal if tele.causal.active else None
+    probe = telemetry.probe if telemetry is not None else None
     # The paper's minDist coflow adaptation keeps a coflow's flows in one
     # rack near the input data (Fig. 7 description).
-    rack_local = (
-        RackLocalCoflowPlacer(policy) if placement == "mindist" else None
-    )
+    if placement == "mindist":
+        place_coflow = RackLocalCoflowPlacer(policy).place_coflow
+    else:
+        place_coflow = partial(place_coflow_sequential, policy)
     hosts = topology.hosts
 
-    def make_arrival_callback(arrival: CoflowArrival):
+    def make_place_task(arrival: CoflowArrival):
         def place_task() -> None:
             sources = {node for node, _size in arrival.transfers}
             pool = [
@@ -448,85 +370,34 @@ def replay_coflow_trace(
                 if not pool:
                     injector.note_task_dropped(arrival.tag)
                     return
-            if rack_local is not None:
-                placer = lambda: rack_local.place_coflow(  # noqa: E731
-                    tracker, arrival.transfers, pool, tag=arrival.tag
-                )
-            else:
-                placer = lambda: place_coflow_sequential(  # noqa: E731
-                    policy,
-                    tracker,
-                    arrival.transfers,
-                    pool,
-                    tag=arrival.tag,
-                )
-            if injector is not None:
-                inner = placer
-
-                def placer() -> None:
-                    try:
-                        inner()
-                    except RoutingError:
-                        injector.note_task_dropped(arrival.tag)
-
-            if prof is not None:
-                with prof.span("placement.place"):
-                    if place_timer is not None:
-                        with place_timer.time():
-                            placer()
-                    else:
-                        placer()
-            elif place_timer is not None:
-                with place_timer.time():
-                    placer()
-            else:
-                placer()
-
-        if causal is None:
-            return place_task
-
-        def on_arrival() -> None:
-            causal.begin_task(
-                engine.now,
-                tag=arrival.tag,
-                kind="coflow",
-                size=sum(size for _node, size in arrival.transfers),
-                data_node=max(arrival.transfers, key=lambda ts: ts[1])[0],
-            )
+            span = probe.enter_place() if probe is not None else None
             try:
-                place_task()
-            finally:
-                causal.end_task(engine.now)
+                place_coflow(tracker, arrival.transfers, pool, tag=arrival.tag)
+            except RoutingError:
+                if injector is None:
+                    raise
+                injector.note_task_dropped(arrival.tag)
+            if span is not None:
+                probe.exit_place(span)
 
-        return on_arrival
+        return place_task
 
-    for arrival in trace.arrivals:
-        if not isinstance(arrival, CoflowArrival):
-            raise ConfigError("replay_coflow_trace needs a coflow trace")
-        engine.schedule_at(arrival.time, make_arrival_callback(arrival))
-    engine.run(until=horizon)
-    _end_run(
-        tele,
+    return _replay(
+        trace,
+        "coflow",
+        make_place_task,
+        lambda arrival: (
+            sum(size for _node, size in arrival.transfers),
+            max(arrival.transfers, key=lambda ts: ts[1])[0],
+        ),
         fabric,
-        sampler,
+        policy,
+        injector,
+        probe,
         placement=placement,
         network_policy=network_policy,
-        records_len=len(tracker.records),
-    )
-
-    bus = getattr(policy, "bus", None)
-    daemon = getattr(policy, "daemon", None)
-    return RunResult(
-        placement=placement,
-        network_policy=network_policy,
-        records=tracker.records,
-        control_messages=bus.messages_sent if bus is not None else 0,
-        events_processed=engine.events_processed,
-        sim_duration=engine.now,
-        flows_aborted=fabric.flows_aborted,
-        flows_rerouted=fabric.flows_rerouted,
-        tasks_dropped=injector.tasks_dropped if injector is not None else 0,
-        stale_fallbacks=daemon.stale_fallbacks if daemon is not None else 0,
+        horizon=horizon,
+        tracker=tracker,
     )
 
 

@@ -83,24 +83,9 @@ class FaultInjector:
         self._stale: List[StateStaleness] = [
             e for e in plan.events if isinstance(e, StateStaleness)
         ]
-        if telemetry is None:
-            from repro.telemetry import NULL_TELEMETRY
-
-            telemetry = NULL_TELEMETRY
-        self._trace = telemetry.trace
-        # Causal tracer (None when disabled): declares window events at
-        # arm time and records each point-fault application, so blame
-        # decomposition can bound fault-attributed loss to real windows.
-        self._causal = telemetry.causal if telemetry.causal.active else None
-        reg = telemetry.registry
-        if reg.enabled:
-            self._ctr_injected = reg.counter("faults.injected")
-            self._ctr_applied = reg.counter("faults.applied")
-            self._ctr_dropped_tasks = reg.counter("faults.tasks_dropped")
-        else:
-            self._ctr_injected = None
-            self._ctr_applied = None
-            self._ctr_dropped_tasks = None
+        self._probe = (
+            telemetry.attach("faults") if telemetry is not None else None
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -141,20 +126,19 @@ class FaultInjector:
             self._bus.install_fault_model(self)
         if self._stale and self._daemon is not None:
             self._daemon.set_fault_model(self)
-        if self._causal is not None:
+        probe = self._probe
+        if probe is not None:
+            # Window events are declared at arm time, so blame
+            # decomposition can bound fault-attributed loss to real windows.
+            probe.on_fault_plan(len(self._plan.events))
             for event in self._plan.window_events():
-                self._causal.on_window(self._engine.now, event.to_dict())
-        if self._ctr_injected is not None:
-            self._ctr_injected.inc(len(self._plan.events))
+                probe.on_window(self._engine.now, event.to_dict())
 
     def _apply(self, event: FaultEvent) -> None:
         self._applied += 1
-        if self._ctr_applied is not None:
-            self._ctr_applied.inc()
-        if self._trace.active:
-            self._trace.emit("fault_applied", self._engine.now, event.to_dict())
-        if self._causal is not None:
-            self._causal.on_fault(self._engine.now, event.to_dict())
+        probe = self._probe
+        if probe is not None:
+            probe.on_fault(self._engine.now, event.to_dict())
         if isinstance(event, LinkDown):
             self._fabric.fail_link(event.link)
         elif isinstance(event, LinkDegrade):
@@ -169,10 +153,9 @@ class FaultInjector:
     def note_task_dropped(self, tag: str) -> None:
         """Record an arrival the replay loop could not place (host down)."""
         self._tasks_dropped += 1
-        if self._ctr_dropped_tasks is not None:
-            self._ctr_dropped_tasks.inc()
-        if self._trace.active:
-            self._trace.emit("task_dropped", self._engine.now, {"tag": tag})
+        probe = self._probe
+        if probe is not None:
+            probe.on_task_dropped(self._engine.now, tag)
 
     # ------------------------------------------------------------------
     # Fault-model interface (consulted by bus and placement daemon)

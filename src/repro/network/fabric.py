@@ -104,42 +104,9 @@ class NetworkFabric:
             incremental = allocator.incremental_safe
         self._incremental = bool(incremental)
         self._shadow_verify = bool(shadow_verify)
-        # Telemetry hooks, pre-bound so the disabled path costs one
-        # attribute check per event (NullMetricsRegistry hands back
-        # shared no-op metrics, but we avoid even those on hot paths).
-        if telemetry is None:
-            from repro.telemetry import NULL_TELEMETRY
-
-            telemetry = NULL_TELEMETRY
-        self._trace = telemetry.trace
-        # Causal tracer (None when disabled): observes the flow lifecycle
-        # — submit, every rate change, reroute/abort, completion, capacity
-        # changes — without ever reading simulation state back mutably.
-        self._causal = telemetry.causal if telemetry.causal.active else None
-        # Span profiler (None when disabled): attributes recompute wall
-        # time to component expansion, the allocator itself, and the
-        # rate-map splice.  Wall-clock only — never simulation state.
-        self._prof = telemetry.profiler if telemetry.profiler.enabled else None
-        self._span_recompute = (
-            "fabric.recompute.scoped"
-            if self._incremental
-            else "fabric.recompute.full"
+        self._probe = (
+            telemetry.attach("fabric") if telemetry is not None else None
         )
-        self._span_alloc = f"alloc.{allocator.name}"
-        metrics_on = telemetry.registry.enabled
-        reg = telemetry.registry
-        self._ctr_submitted = reg.counter("fabric.flows_submitted") if metrics_on else None
-        self._ctr_completed = reg.counter("fabric.flows_completed") if metrics_on else None
-        self._ctr_full = reg.counter("fabric.recompute.full") if metrics_on else None
-        self._ctr_scoped = reg.counter("fabric.recompute.scoped") if metrics_on else None
-        self._hist_component = (
-            reg.histogram("fabric.recompute.component_flows") if metrics_on else None
-        )
-        self._hist_fct = reg.histogram("fabric.fct_seconds") if metrics_on else None
-        self._hist_fct_gap = reg.histogram("fabric.fct_gap") if metrics_on else None
-        self._timer_alloc = reg.timer("allocator") if metrics_on else None
-        self._ctr_aborted = reg.counter("fabric.flows_aborted") if metrics_on else None
-        self._ctr_rerouted = reg.counter("fabric.flows_rerouted") if metrics_on else None
         self._capacities: Dict[LinkId, float] = {
             link.link_id: link.capacity for link in topology.links()
         }
@@ -331,30 +298,10 @@ class NetworkFabric:
             self._optimal_on_submit[flow.flow_id] = 0.0
         if coflow is not None:
             coflow.attach_flow(flow)
-        if self._ctr_submitted is not None:
-            self._ctr_submitted.inc()
-        if self._trace.active:
-            self._trace.emit(
-                "flow_arrival",
-                self._engine.now,
-                {
-                    "flow_id": flow.flow_id,
-                    "src": src,
-                    "dst": dst,
-                    "size": size,
-                    "tag": tag,
-                    "local": flow.is_local,
-                },
-            )
-        if self._causal is not None:
-            self._causal.on_flow_submit(
-                self._engine.now,
-                flow.flow_id,
-                src=src,
-                dst=dst,
-                size=size,
-                path=flow.path,
-                optimal=self._optimal_on_submit[flow.flow_id],
+        probe = self._probe
+        if probe is not None:
+            probe.on_flow_submit(
+                self._engine.now, flow, self._optimal_on_submit[flow.flow_id]
             )
         if flow.is_local:
             # Data is already on the destination host: finishes instantly.
@@ -413,22 +360,10 @@ class NetworkFabric:
             )
         if link_id in self._failed_links:
             return
-        self._capacities[link_id] = self._capacities[link_id] * factor
-        if self._trace.active:
-            self._trace.emit(
-                "link_degrade",
-                self._engine.now,
-                {
-                    "link": link_id,
-                    "factor": factor,
-                    "capacity": self._capacities[link_id],
-                },
-            )
-        if self._causal is not None:
-            self._causal.on_capacity(
-                self._engine.now, link_id, self._capacities[link_id]
-            )
-        self._recompute((link_id,))
+        self._set_capacity(
+            link_id, self._capacities[link_id] * factor, (link_id,),
+            factor=factor,
+        )
 
     def fail_link(self, link_id: LinkId) -> None:
         """Permanently fail ``link_id``.
@@ -466,14 +401,28 @@ class NetworkFabric:
             else:
                 self._reroute_flow(flow, new_path.links)
                 dirty.update(flow.path)
-        if self._trace.active:
-            self._trace.emit(
-                "link_down", now, {"link": link_id, "victims": len(victims)}
+        self._set_capacity(
+            link_id, 0.0, tuple(sorted(dirty)), victims=len(victims)
+        )
+
+    def _set_capacity(
+        self,
+        link_id: LinkId,
+        capacity: float,
+        dirty_links: Sequence[LinkId],
+        *,
+        factor: Optional[float] = None,
+        victims: int = 0,
+    ) -> None:
+        """Apply a degraded (``factor``) or failed (``victims`` flows
+        evacuated) link's new capacity and re-share around it."""
+        self._capacities[link_id] = capacity
+        probe = self._probe
+        if probe is not None:
+            probe.on_capacity(
+                self._engine.now, link_id, capacity, factor, victims
             )
-        self._capacities[link_id] = 0.0
-        if self._causal is not None:
-            self._causal.on_capacity(now, link_id, 0.0)
-        self._recompute(tuple(sorted(dirty)))
+        self._recompute(dirty_links)
 
     def fail_host(self, host: NodeId) -> None:
         """Take ``host`` down: both its edge links fail.
@@ -486,8 +435,9 @@ class NetworkFabric:
         if host in self._down_hosts:
             return
         self._down_hosts.add(host)
-        if self._trace.active:
-            self._trace.emit("host_down", self._engine.now, {"host": host})
+        probe = self._probe
+        if probe is not None:
+            probe.on_host_down(self._engine.now, host)
         self.fail_link(self._topology.host_uplink(host).link_id)
         self.fail_link(self._topology.host_downlink(host).link_id)
 
@@ -500,16 +450,9 @@ class NetworkFabric:
         for link_id in new_links:
             self._by_link.setdefault(link_id, {})[flow_id] = flow
         self._flows_rerouted += 1
-        if self._ctr_rerouted is not None:
-            self._ctr_rerouted.inc()
-        if self._trace.active:
-            self._trace.emit(
-                "flow_reroute",
-                self._engine.now,
-                {"flow_id": flow_id, "tag": flow.tag, "path": list(new_links)},
-            )
-        if self._causal is not None:
-            self._causal.on_reroute(self._engine.now, flow_id, new_links)
+        probe = self._probe
+        if probe is not None:
+            probe.on_reroute(self._engine.now, flow)
 
     def _abort_flow(self, flow: Flow) -> None:
         """Drop a flow that lost its only path.
@@ -522,22 +465,9 @@ class NetworkFabric:
         self._optimal_on_submit.pop(flow.flow_id, None)
         self._drop_flow(flow)
         self._flows_aborted += 1
-        if self._ctr_aborted is not None:
-            self._ctr_aborted.inc()
-        if self._trace.active:
-            self._trace.emit(
-                "flow_abort",
-                self._engine.now,
-                {
-                    "flow_id": flow.flow_id,
-                    "tag": flow.tag,
-                    "remaining": flow.remaining,
-                },
-            )
-        if self._causal is not None:
-            self._causal.on_abort(
-                self._engine.now, flow.flow_id, flow.remaining
-            )
+        probe = self._probe
+        if probe is not None:
+            probe.on_abort(self._engine.now, flow)
 
     # ------------------------------------------------------------------
     # Internals: progress bookkeeping
@@ -588,33 +518,9 @@ class NetworkFabric:
             coflow_id=flow.coflow.coflow_id if flow.coflow is not None else None,
         )
         self._records.append(record)
-        if self._ctr_completed is not None:
-            self._ctr_completed.inc()
-            self._hist_fct.observe(record.fct)
-            if record.optimal_fct > 0:
-                # FCT stretch vs the contention-free optimum: the
-                # paper's headline ratio, live as a histogram so SLOs
-                # can bound its tail.
-                self._hist_fct_gap.observe(record.fct / record.optimal_fct)
-        if self._trace.active:
-            self._trace.emit(
-                "flow_completion",
-                self._engine.now,
-                {
-                    "flow_id": flow.flow_id,
-                    "tag": flow.tag,
-                    "size": flow.size,
-                    "fct": record.fct,
-                    "optimal_fct": record.optimal_fct,
-                },
-            )
-        if self._causal is not None:
-            self._causal.on_flow_done(
-                self._engine.now,
-                flow.flow_id,
-                fct=record.fct,
-                optimal=record.optimal_fct,
-            )
+        probe = self._probe
+        if probe is not None:
+            probe.on_flow_done(self._engine.now, record)
         if flow.coflow is not None:
             flow.coflow.note_flow_finished(flow, self._engine.now)
         for listener in self._listeners:
@@ -698,19 +604,9 @@ class NetworkFabric:
         two modes perform identical float arithmetic per component, which
         is what makes their outputs byte-comparable.
         """
-        prof = self._prof
-        if prof is None:
-            self._recompute_impl(dirty_links, None)
-            return
-        with prof.span(self._span_recompute):
-            self._recompute_impl(dirty_links, prof)
-
-    def _recompute_impl(
-        self,
-        dirty_links: Optional[Sequence[LinkId]],
-        prof,
-    ) -> None:
+        probe = self._probe
         now = self._engine.now
+        span = probe.enter_recompute(self._incremental) if probe is not None else None
         if dirty_links is None or not self._allocator.incremental_safe:
             comp_flows = [self._active[fid] for fid in sorted(self._active)]
             comp_links = {
@@ -718,11 +614,11 @@ class NetworkFabric:
                 for link_id, members in self._by_link.items()
                 if members
             }
-        elif prof is not None:
-            with prof.span("fabric.expand_component"):
-                comp_flows, comp_links = self._expand_component(dirty_links)
         else:
+            expand_span = probe.enter_expand() if probe is not None else None
             comp_flows, comp_links = self._expand_component(dirty_links)
+            if expand_span is not None:
+                probe.exit_expand(expand_span)
 
         # Invalidate the hints of every scope this recompute supersedes.
         for flow in comp_flows:
@@ -741,11 +637,22 @@ class NetworkFabric:
                 self._finish_flow(flow)
             else:
                 survivors.append(flow)
-        component_size = len(comp_flows)
-        comp_flows = survivors
-        if not comp_flows:
-            return
+        if survivors:
+            self._reallocate(survivors, comp_links, len(comp_flows), now)
+        if span is not None:
+            probe.exit_recompute(span)
 
+    def _reallocate(
+        self,
+        comp_flows: List[Flow],
+        comp_links: Set[LinkId],
+        component_size: int,
+        now: float,
+    ) -> None:
+        """Allocate the settled component, splice the rates in and
+        re-scope it (``component_size`` counts the flows that finished
+        while settling too)."""
+        probe = self._probe
         scoped = self._incremental
         if scoped:
             scope_flows = comp_flows
@@ -753,39 +660,24 @@ class NetworkFabric:
                 link_id: self._capacities[link_id]
                 for link_id in sorted(comp_links)
             }
-            if self._ctr_scoped is not None:
-                self._ctr_scoped.inc()
         else:
             scope_flows = [self._active[fid] for fid in sorted(self._active)]
             capacities = self._capacities
-            if self._ctr_full is not None:
-                self._ctr_full.inc()
-        if self._hist_component is not None:
-            self._hist_component.observe(component_size)
-
-        if prof is not None:
-            with prof.span(self._span_alloc):
-                rates = self._run_allocator(scope_flows, capacities)
-        else:
-            rates = self._run_allocator(scope_flows, capacities)
-
-        if self._trace.active:
-            self._trace.emit(
-                "rate_recompute",
-                now,
-                {
-                    "active_flows": len(self._active),
-                    "component_flows": component_size,
-                    "component_links": len(comp_links),
-                },
+        span = None
+        if probe is not None:
+            probe.on_recompute(
+                now, len(self._active), component_size, len(comp_links), scoped
             )
+            span = probe.enter_alloc(self._allocator.name)
+        rates = self._allocator.allocate(scope_flows, capacities)
+        if span is not None:
+            probe.exit_alloc(span)
 
         comp_ids = {flow.flow_id for flow in comp_flows}
-        if prof is not None:
-            with prof.span("fabric.splice"):
-                self._splice_rates(scope_flows, comp_ids, rates, now)
-        else:
-            self._splice_rates(scope_flows, comp_ids, rates, now)
+        span = probe.enter_splice() if probe is not None else None
+        self._splice_rates(scope_flows, comp_ids, rates, now)
+        if span is not None:
+            probe.exit_splice(span)
 
         if self._shadow_verify and scoped:
             self._verify_against_full(now)
@@ -805,15 +697,6 @@ class NetworkFabric:
             for flow in members:
                 self._scope_of[flow.flow_id] = scope
 
-    def _run_allocator(
-        self, scope_flows: Sequence[Flow], capacities: Dict[LinkId, float]
-    ):
-        """One allocator invocation under the subsystem wall-time timer."""
-        if self._timer_alloc is not None:
-            with self._timer_alloc.time():
-                return self._allocator.allocate(scope_flows, capacities)
-        return self._allocator.allocate(scope_flows, capacities)
-
     def _splice_rates(
         self,
         scope_flows: Sequence[Flow],
@@ -823,31 +706,30 @@ class NetworkFabric:
     ) -> None:
         """Apply a fresh rate map into the cached rates and reschedule
         the completion events of every flow whose rate changed."""
+        probe = self._probe
         progressed = False
         for flow in scope_flows:
             flow_id = flow.flow_id
             new_rate = rates.get(flow_id, 0.0)
-            old_rate = self._rates.get(flow_id, 0.0)
+            changed = new_rate != self._rates.get(flow_id, 0.0)
             if flow_id in comp_ids:
                 if new_rate > RATE_EPSILON:
                     progressed = True
-                self._rates[flow_id] = new_rate
-                if self._causal is not None and new_rate != old_rate:
-                    self._causal.on_rate(now, flow_id, new_rate)
-                if new_rate != old_rate or (
-                    new_rate > RATE_EPSILON
-                    and flow_id not in self._completion_events
-                ):
-                    self._reschedule_completion(flow, new_rate, now)
-            elif new_rate != old_rate:
+            elif changed:
                 # Full-mode reference only: the global allocator moved a
                 # flow outside the dirty component.  Apply it faithfully —
                 # a scoped run cannot see this, so the differential
                 # harness flags any policy for which it ever happens.
                 self._sync_flow(flow, now)
-                self._rates[flow_id] = new_rate
-                if self._causal is not None:
-                    self._causal.on_rate(now, flow_id, new_rate)
+            else:
+                continue
+            self._rates[flow_id] = new_rate
+            if changed and probe is not None:
+                probe.on_rate(now, flow_id, new_rate)
+            if changed or (
+                new_rate > RATE_EPSILON
+                and flow_id not in self._completion_events
+            ):
                 self._reschedule_completion(flow, new_rate, now)
         if not progressed:
             raise FlowError(

@@ -157,9 +157,13 @@ _LINK_NAMES: List[LinkId] = []
 
 
 def _flow_cols(flow: Flow) -> "object":
-    """The flow's path as a cached array of interned link ints."""
-    cols = getattr(flow, "_kernel_cols", None)
-    if cols is None:
+    """The flow's path as a cached array of interned link ints.
+
+    The cache is keyed on the path tuple's identity: a reroute swaps
+    ``flow.path`` and must not keep allocating on the old links.
+    """
+    cached = getattr(flow, "_kernel_cols", None)
+    if cached is None or cached[0] is not flow.path:
         intern = _LINK_INTERN
         ids = []
         for link_id in flow.path:
@@ -169,9 +173,9 @@ def _flow_cols(flow: Flow) -> "object":
                 intern[link_id] = gid
                 _LINK_NAMES.append(link_id)
             ids.append(gid)
-        cols = _np.asarray(ids, dtype=_np.intp)
-        flow._kernel_cols = cols
-    return cols
+        cached = (flow.path, _np.asarray(ids, dtype=_np.intp))
+        flow._kernel_cols = cached
+    return cached[1]
 
 
 def _water_fill_numpy(

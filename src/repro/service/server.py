@@ -313,10 +313,7 @@ class PlacementServer:
                 0.0,
                 placement="neat",
                 network_policy=scenario.network_policy,
-                capacities={
-                    link.link_id: link.capacity
-                    for link in topology.links()
-                },
+                fabric=fabric,
             )
         self.last_slo_engine = slo_engine
         self.last_rollups = store

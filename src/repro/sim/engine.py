@@ -43,15 +43,9 @@ class Engine:
         self._max_events = max_events
         self._events_processed = 0
         self._running = False
-        self._telemetry = telemetry
         self._events_reported = 0
-        # Pre-bound profiler (None when disabled) so the hot dispatch
-        # loop pays a single identity check per event.  Spans measure
-        # wall-clock only; they never touch simulation state.
-        self._prof = (
-            telemetry.profiler
-            if telemetry is not None and telemetry.profiler.enabled
-            else None
+        self._probe = (
+            telemetry.attach("engine") if telemetry is not None else None
         )
 
     # ------------------------------------------------------------------
@@ -137,15 +131,11 @@ class Engine:
                 f"exceeded max_events={self._max_events}; "
                 "likely a runaway event loop"
             )
-        prof = self._prof
-        if prof is not None:
-            # Per-event-type dispatch spans: scheduled callbacks carry a
-            # label ("fabric-completion", "fabric-hint", ...); unlabeled
-            # events (workload arrivals, ad-hoc callbacks) pool together.
-            with prof.span("engine.event." + (event.label or "unlabeled")):
-                event.callback()
-        else:
-            event.callback()
+        probe = self._probe
+        span = probe.enter_event(event.label) if probe is not None else None
+        event.callback()
+        if span is not None:
+            probe.exit_event(span)
         return True
 
     def run(self, until: Optional[float] = None) -> None:
@@ -170,36 +160,17 @@ class Engine:
                 self._clock.advance_to(until)
         finally:
             self._running = False
-            if self._telemetry is not None and self._telemetry.enabled:
-                self._report_stats()
-
-    def _report_stats(self) -> None:
-        """Publish engine-level stats at the end of each :meth:`run`."""
-        tele = self._telemetry
-        delta = self._events_processed - self._events_reported
-        self._events_reported = self._events_processed
-        registry = tele.registry
-        if registry.enabled:
-            registry.counter("engine.events_processed").inc(delta)
-            registry.gauge("engine.heap_high_water").set_max(
-                self.heap_high_water
-            )
-        if tele.trace.active:
-            tele.trace.emit(
-                "engine_run",
-                self.now,
-                {
-                    "events_processed": self._events_processed,
-                    "heap_high_water": self.heap_high_water,
-                    "pending": self.pending_events,
-                },
-            )
-        if tele.causal.active:
-            tele.causal.on_engine_stats(
-                self.now,
-                events_processed=self._events_processed,
-                heap_high_water=self.heap_high_water,
-            )
+            probe = self._probe
+            if probe is not None:
+                new_events = self._events_processed - self._events_reported
+                self._events_reported = self._events_processed
+                probe.on_engine_stats(
+                    self.now,
+                    self._events_processed,
+                    self.heap_high_water,
+                    self.pending_events,
+                    new_events,
+                )
 
     def __repr__(self) -> str:
         return (

@@ -2,7 +2,7 @@
 
 One :class:`Telemetry` object threads through the whole stack (engine,
 fabric, bus, daemons, placement policies, experiment runner) and bundles
-the three observability channels:
+the observability channels:
 
 * :attr:`Telemetry.registry` — counters / gauges / histograms / timers
   (:mod:`repro.telemetry.registry`);
@@ -15,9 +15,11 @@ the three observability channels:
 * :attr:`Telemetry.causal` — request-scoped causal traces with FCT/CCT
   blame decomposition (:mod:`repro.telemetry.causal`).
 
-Everything defaults to shared no-op singletons, so components take
-``telemetry: Optional[Telemetry] = None`` and pay a single attribute
-check when telemetry is off (:data:`NULL_TELEMETRY`).
+The enabled channels are composed into one :attr:`Telemetry.probe`
+(:mod:`repro.telemetry.probe`), the only thing the simulation core
+reports to; it is ``None`` when nothing is enabled, so components take
+``telemetry: Optional[Telemetry] = None`` and pay one ``is not None``
+branch per probe site when telemetry is off (:data:`NULL_TELEMETRY`).
 
 Quickstart (the bundle is a context manager; it closes its trace sink
 on exit, so nobody hand-closes ``tele.trace``)::
@@ -49,6 +51,7 @@ from repro.telemetry.registry import (
     Counter,
     Gauge,
     Histogram,
+    MetricsProbe,
     MetricsRegistry,
     NullMetricsRegistry,
     Timer,
@@ -60,15 +63,13 @@ from repro.telemetry.profiler import (
     SpanProfiler,
     render_profile,
 )
-from repro.telemetry.causal import (
-    NULL_CAUSAL,
-    CausalTracer,
-    NullCausalTracer,
-)
+from repro.telemetry.causal import NULL_CAUSAL, CausalTracer
+from repro.telemetry.probe import PROBE_POINTS, Probe
 from repro.telemetry.trace import (
     NULL_TRACE,
     JsonlTraceSink,
     RotatingJsonlTraceSink,
+    TraceProbe,
     TraceSink,
     read_rotated_trace,
     read_trace,
@@ -92,6 +93,8 @@ __all__ = [
     "Telemetry",
     "NULL_TELEMETRY",
     "create_telemetry",
+    "Probe",
+    "PROBE_POINTS",
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_REGISTRY",
@@ -106,7 +109,6 @@ __all__ = [
     "read_trace",
     "read_rotated_trace",
     "CausalTracer",
-    "NullCausalTracer",
     "NULL_CAUSAL",
     "DecisionLog",
     "DecisionRecord",
@@ -130,19 +132,50 @@ __all__ = [
 ]
 
 
+class _TimelineChannel:
+    """Probe channel attaching a fabric timeline sampler to every run."""
+
+    def __init__(self, interval: float, timelines: list) -> None:
+        self._interval = interval
+        self._timelines = timelines
+        self._label = ""
+        self._sampler = None
+
+    def begin_run(
+        self, t, placement, network_policy, fabric, tracker=None
+    ) -> None:
+        from repro.metrics.timeline import TimelineSampler
+
+        topo = fabric.topology
+        self._label = f"{placement}/{network_policy}"
+        self._sampler = TimelineSampler(
+            fabric,
+            interval=self._interval,
+            watch_links=[topo.host_downlink(h).link_id for h in topo.hosts],
+        )
+
+    def end_run(self, t, *_totals) -> None:
+        self._timelines.append((self._label, self._sampler.samples))
+        self._sampler = None  # it holds the fabric, which holds the probe
+
+
 class Telemetry:
-    """Bundle of the three telemetry channels plus timeline config.
+    """Bundle of the telemetry channels plus timeline config.
 
     Attributes:
         registry: metrics registry (no-op when telemetry is off).
         trace: structured event sink (no-op when telemetry is off).
         decisions: placement-decision log (no-op when telemetry is off).
         profiler: hierarchical wall-clock span profiler (no-op when off).
-        timeline_interval: when set, the experiment runner attaches a
+        causal: request-scoped causal tracer (inactive when off).
+        timeline_interval: when set, every replayed fabric gets a
             :class:`~repro.metrics.timeline.TimelineSampler` at this
-            sampling interval (seconds of sim time) to every replayed
-            fabric and appends ``(label, samples)`` to :attr:`timelines`.
+            sampling interval (seconds of sim time) and ``(label,
+            samples)`` is appended to :attr:`timelines`.
         timelines: collected ``(label, samples)`` pairs, one per run.
+        probe: the enabled channels composed into one
+            :class:`~repro.telemetry.probe.Probe`; ``None`` when nothing
+            is enabled.
     """
 
     __slots__ = (
@@ -153,6 +186,7 @@ class Telemetry:
         "causal",
         "timeline_interval",
         "timelines",
+        "probe",
     )
 
     def __init__(
@@ -174,6 +208,30 @@ class Telemetry:
         self.causal = causal if causal is not None else NULL_CAUSAL
         self.timeline_interval = timeline_interval
         self.timelines: List[Tuple[str, Sequence]] = []
+        # Fan-out order: the profiler first, so its spans enclose the
+        # other channels' timers.
+        channels: List[object] = []
+        if self.profiler.enabled:
+            channels.append(self.profiler)
+        if self.registry.enabled:
+            channels.append(MetricsProbe(self.registry))
+        if self.decisions.active:
+            channels.append(self.decisions)
+        if self.trace.active:
+            channels.append(TraceProbe(self.trace))
+        if self.causal.active:
+            channels.append(self.causal)
+        if timeline_interval is not None:
+            channels.append(_TimelineChannel(timeline_interval, self.timelines))
+        self.probe: Optional[Probe] = Probe(channels) if channels else None
+
+    def attach(self, component: str) -> Optional[Probe]:
+        """The probe a newly built ``component`` reports to (``None``:
+        telemetry is off), after telling the channels it exists."""
+        probe = self.probe
+        if probe is not None:
+            probe.on_attach(component)
+        return probe
 
     @property
     def enabled(self) -> bool:

@@ -58,7 +58,6 @@ from repro.telemetry.trace import _json_safe, read_trace
 
 __all__ = [
     "CausalTracer",
-    "NullCausalTracer",
     "NULL_CAUSAL",
     "FlowBlame",
     "CoflowBlame",
@@ -78,9 +77,9 @@ BLAME_COMPONENTS = ("serialization", "queueing", "contention", "fault")
 class CausalTracer:
     """Records the causal event stream for one or more runs.
 
-    All ``on_*`` hooks are purely observational; hot call sites pre-bind
-    the tracer (or ``None`` when inactive) so the disabled path costs a
-    single identity check, mirroring the trace/metrics idiom.
+    A probe channel (:mod:`repro.telemetry.probe`): every ``on_*`` /
+    ``note_*`` / ``begin_*`` / ``end_*`` method is a probe point and is
+    purely observational.
     """
 
     active = True
@@ -119,16 +118,16 @@ class CausalTracer:
     # Run boundaries
     # ------------------------------------------------------------------
     def begin_run(
-        self,
-        t: float,
-        *,
-        placement: str,
-        network_policy: str,
-        capacities: Dict[str, float],
+        self, t: float, placement: str, network_policy: str, fabric,
+        tracker=None,
     ) -> int:
         self._run += 1
         self._open = True
         self._current = None
+        capacities = {
+            link.link_id: fabric.link_capacity(link.link_id)
+            for link in fabric.topology.links()
+        }
         self._events.append(
             {
                 "ev": "run_start",
@@ -144,7 +143,7 @@ class CausalTracer:
             self._pending.clear()
         return self._run
 
-    def end_run(self, t: float, *, records: int) -> None:
+    def end_run(self, t: float, records: int, events_processed=None) -> None:
         self._open = False
         self._events.append(
             {"ev": "run_end", "t": t, "run": self._run, "records": records}
@@ -154,7 +153,7 @@ class CausalTracer:
     # Task (request) context
     # ------------------------------------------------------------------
     def begin_task(
-        self, t: float, *, tag: str, kind: str, size: float, data_node: str
+        self, t: float, tag: str, kind: str, size: float, data_node: str
     ) -> int:
         trace = self._next_trace
         self._next_trace += 1
@@ -188,62 +187,44 @@ class CausalTracer:
         )
         self._current = None
 
-    def note_bus_message(self) -> None:
+    def note_bus_message(self, t, host, payload, rtt) -> None:
         if self._current is not None:
             self._task_messages += 1
 
-    def note_bus_drop(self) -> None:
+    def note_bus_drop(self, t, host, payload, reason) -> None:
         if self._current is not None:
             self._task_dropped += 1
 
     # ------------------------------------------------------------------
     # Placement decisions
     # ------------------------------------------------------------------
-    def on_decision(
-        self,
-        t: float,
-        *,
-        chosen: str,
-        predicted: float,
-        fallback: bool,
-        stale: bool,
-    ) -> None:
+    def on_decision(self, t: float, decision, data_node, candidates) -> None:
         self._events.append(
             {
                 "ev": "decision",
                 "t": t,
                 "trace": self._current,
-                "chosen": chosen,
-                "predicted": predicted,
-                "fallback": fallback,
-                "stale": stale,
+                "chosen": decision.host,
+                "predicted": decision.predicted_time,
+                "fallback": decision.used_fallback,
+                "stale": decision.used_stale_fallback,
             }
         )
 
     # ------------------------------------------------------------------
     # Flow lifecycle (fabric hooks)
     # ------------------------------------------------------------------
-    def on_flow_submit(
-        self,
-        t: float,
-        flow_id: int,
-        *,
-        src: str,
-        dst: str,
-        size: float,
-        path: Sequence[str],
-        optimal: float,
-    ) -> None:
+    def on_flow_submit(self, t: float, flow, optimal: float) -> None:
         self._events.append(
             {
                 "ev": "flow",
                 "t": t,
                 "trace": self._current,
-                "flow": flow_id,
-                "src": src,
-                "dst": dst,
-                "size": size,
-                "path": list(path),
+                "flow": flow.flow_id,
+                "src": flow.src,
+                "dst": flow.dst,
+                "size": flow.size,
+                "path": list(flow.path),
                 "optimal": optimal,
             }
         )
@@ -253,30 +234,40 @@ class CausalTracer:
             {"ev": "rate", "t": t, "flow": flow_id, "rate": rate}
         )
 
-    def on_reroute(self, t: float, flow_id: int, path: Sequence[str]) -> None:
+    def on_reroute(self, t: float, flow) -> None:
         self._events.append(
-            {"ev": "reroute", "t": t, "flow": flow_id, "path": list(path)}
+            {
+                "ev": "reroute",
+                "t": t,
+                "flow": flow.flow_id,
+                "path": list(flow.path),
+            }
         )
 
-    def on_abort(self, t: float, flow_id: int, remaining: float) -> None:
+    def on_abort(self, t: float, flow) -> None:
         self._events.append(
-            {"ev": "abort", "t": t, "flow": flow_id, "remaining": remaining}
+            {
+                "ev": "abort",
+                "t": t,
+                "flow": flow.flow_id,
+                "remaining": flow.remaining,
+            }
         )
 
-    def on_flow_done(
-        self, t: float, flow_id: int, *, fct: float, optimal: float
-    ) -> None:
+    def on_flow_done(self, t: float, record) -> None:
         self._events.append(
             {
                 "ev": "done",
                 "t": t,
-                "flow": flow_id,
-                "fct": fct,
-                "optimal": optimal,
+                "flow": record.flow_id,
+                "fct": record.fct,
+                "optimal": record.optimal_fct,
             }
         )
 
-    def on_capacity(self, t: float, link: str, capacity: float) -> None:
+    def on_capacity(
+        self, t: float, link: str, capacity: float, factor=None, victims=0
+    ) -> None:
         self._events.append(
             {"ev": "cap", "t": t, "link": link, "capacity": capacity}
         )
@@ -284,37 +275,27 @@ class CausalTracer:
     # ------------------------------------------------------------------
     # Coflows
     # ------------------------------------------------------------------
-    def on_coflow(
-        self,
-        t: float,
-        coflow_id: int,
-        *,
-        tag: str,
-        flows: Sequence[int],
-        total: float,
-    ) -> None:
+    def on_coflow(self, t: float, coflow) -> None:
         self._events.append(
             {
                 "ev": "coflow",
                 "t": t,
                 "trace": self._current,
-                "coflow": coflow_id,
-                "tag": tag,
-                "flows": list(flows),
-                "total": total,
+                "coflow": coflow.coflow_id,
+                "tag": coflow.tag,
+                "flows": [flow.flow_id for flow in coflow.flows],
+                "total": coflow.total_size,
             }
         )
 
-    def on_coflow_done(
-        self, t: float, coflow_id: int, *, cct: float, optimal: float
-    ) -> None:
+    def on_coflow_done(self, t: float, record) -> None:
         self._events.append(
             {
                 "ev": "coflow_done",
                 "t": t,
-                "coflow": coflow_id,
-                "cct": cct,
-                "optimal": optimal,
+                "coflow": record.coflow_id,
+                "cct": record.cct,
+                "optimal": record.optimal_cct,
             }
         )
 
@@ -338,7 +319,8 @@ class CausalTracer:
     # Engine stats
     # ------------------------------------------------------------------
     def on_engine_stats(
-        self, t: float, *, events_processed: int, heap_high_water: int
+        self, t: float, events_processed: int, heap_high_water: int,
+        pending: int = 0, new_events: int = 0,
     ) -> None:
         self._events.append(
             {
@@ -362,70 +344,11 @@ class CausalTracer:
         return len(self._events)
 
 
-class NullCausalTracer(CausalTracer):
-    """Disabled tracer: every hook is a no-op (shared singleton)."""
-
-    active = False
-
-    def begin_run(self, t, *, placement, network_policy, capacities) -> int:
-        return -1
-
-    def end_run(self, t, *, records) -> None:
-        pass
-
-    def begin_task(self, t, *, tag, kind, size, data_node) -> int:
-        return -1
-
-    def end_task(self, t) -> None:
-        pass
-
-    def note_bus_message(self) -> None:
-        pass
-
-    def note_bus_drop(self) -> None:
-        pass
-
-    def on_decision(self, t, *, chosen, predicted, fallback, stale) -> None:
-        pass
-
-    def on_flow_submit(
-        self, t, flow_id, *, src, dst, size, path, optimal
-    ) -> None:
-        pass
-
-    def on_rate(self, t, flow_id, rate) -> None:
-        pass
-
-    def on_reroute(self, t, flow_id, path) -> None:
-        pass
-
-    def on_abort(self, t, flow_id, remaining) -> None:
-        pass
-
-    def on_flow_done(self, t, flow_id, *, fct, optimal) -> None:
-        pass
-
-    def on_capacity(self, t, link, capacity) -> None:
-        pass
-
-    def on_coflow(self, t, coflow_id, *, tag, flows, total) -> None:
-        pass
-
-    def on_coflow_done(self, t, coflow_id, *, cct, optimal) -> None:
-        pass
-
-    def on_fault(self, t, payload) -> None:
-        pass
-
-    def on_window(self, t, payload) -> None:
-        pass
-
-    def on_engine_stats(self, t, *, events_processed, heap_high_water) -> None:
-        pass
-
-
-#: Shared disabled tracer (the default everywhere).
-NULL_CAUSAL = NullCausalTracer()
+#: Shared disabled tracer (``Telemetry.causal`` when causal tracing is
+#: off).  Inactive tracers are never composed into a probe, so nothing
+#: reaches its hooks.
+NULL_CAUSAL = CausalTracer()
+NULL_CAUSAL.active = False
 
 
 def load_causal(path: str) -> List[Dict[str, object]]:

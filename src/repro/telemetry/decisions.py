@@ -124,6 +124,37 @@ class DecisionLog:
         )
 
     # ------------------------------------------------------------------
+    # Probe points (repro.telemetry.probe)
+    # ------------------------------------------------------------------
+    def begin_run(
+        self, t, placement, network_policy, fabric, tracker=None
+    ) -> None:
+        """Label the run and join its completions: a coflow run's
+        decisions share the coflow's CCT, a flow run's their flow's FCT."""
+        self.set_context(placement=placement, network_policy=network_policy)
+        if tracker is not None:
+            self.bind_coflows(tracker)
+        else:
+            self.bind(fabric)
+
+    def on_decision(self, t, decision, data_node, candidates) -> None:
+        """Mirror one NEAT placement-daemon decision into the log."""
+        self.record(
+            time=t,
+            kind=decision.kind,
+            tag=decision.tag,
+            size=decision.size,
+            data_node=data_node,
+            candidates=candidates,
+            preferred=decision.preferred_hosts,
+            used_fallback=decision.used_fallback,
+            scores=decision.candidate_scores,
+            score_kind=PREDICTED_TIME,
+            chosen=decision.host,
+            predicted_time=decision.predicted_time,
+        )
+
+    # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
     @property

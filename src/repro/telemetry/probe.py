@@ -1,0 +1,152 @@
+"""The probe: the one seam between the simulation core and telemetry.
+
+The core (engine, fabric, bus, daemons, coflow tracker, replay loops,
+fault injector) holds one handle and reports each event once::
+
+    probe = self._probe
+    if probe is not None:
+        probe.on_flow_done(now, record)
+
+A timed section brackets the production call with an ``enter_*`` /
+``exit_*`` pair, so with telemetry off it costs two branches and no
+context-manager entry::
+
+    span = probe.enter_alloc(name) if probe is not None else None
+    rates = allocator.allocate(flows, capacities)
+    if span is not None:
+        probe.exit_alloc(span)
+
+:data:`PROBE_POINTS` is the closed vocabulary (DESIGN.md §6 tabulates
+who emits each point and what every channel makes of it).  A *channel*
+is any object with methods named after probe points: the metrics and
+trace adapters, the causal tracer, the decision log and the span
+profiler.  :class:`Probe` binds each point straight to its subscriber's
+bound method when there is exactly one — a single-subscriber point
+costs one call — and to a fan-out otherwise; channels turn the typed
+arguments into their own records, counter names and span labels, and
+must never mutate what they are handed.  Probe points are called
+positionally (the fan-out forwards ``*args`` only).
+"""
+
+from __future__ import annotations
+
+from typing import Callable, List, Sequence
+
+__all__ = ["PROBE_POINTS", "Probe"]
+
+#: Plain events: called for effect, return value ignored.
+EVENTS = (
+    "on_attach",
+    "begin_run",
+    "end_run",
+    "begin_task",
+    "end_task",
+    "on_engine_stats",
+    "on_flow_submit",
+    "on_rate",
+    "on_recompute",
+    "on_flow_done",
+    "on_capacity",
+    "on_host_down",
+    "on_reroute",
+    "on_abort",
+    "on_coflow",
+    "on_coflow_done",
+    "note_bus_message",
+    "note_bus_drop",
+    "on_bus_push",
+    "on_query_failure",
+    "on_decision",
+    "on_fault_plan",
+    "on_window",
+    "on_fault",
+    "on_task_dropped",
+)
+
+#: Timed sections: ``enter_<name>(...)`` returns a token (never None) that
+#: the matching ``exit_<name>(token)`` consumes.
+TIMED = (
+    "event",
+    "recompute",
+    "expand",
+    "alloc",
+    "splice",
+    "bus_handler",
+    "predict",
+    "place",
+)
+
+PROBE_POINTS = EVENTS + tuple(
+    f"{edge}_{name}" for name in TIMED for edge in ("enter", "exit")
+)
+
+#: A channel method with one of these prefixes claims to be a probe point.
+_CLAIM_PREFIXES = ("on_", "enter_", "exit_", "begin_", "end_", "note_bus_")
+
+
+def _ignore(*args) -> None:
+    """A probe point nobody subscribed to."""
+
+
+def _fan_out(subscribers: List[Callable]) -> Callable:
+    if not subscribers:
+        return _ignore
+    if len(subscribers) == 1:
+        return subscribers[0]
+
+    def fan_out(*args) -> None:
+        for subscriber in subscribers:
+            subscriber(*args)
+
+    return fan_out
+
+
+def _fan_enter(enters: List[Callable]) -> Callable:
+    def enter(*args) -> list:
+        tokens = []
+        for enter_one in enters:
+            tokens.append(enter_one(*args))
+        return tokens
+
+    return enter
+
+
+def _fan_exit(exits: List[Callable]) -> Callable:
+    # Innermost first, so nested spans unwind in the order they opened.
+    ordered = tuple(reversed(tuple(enumerate(exits))))
+
+    def exit_(tokens: list) -> None:
+        for index, exit_one in ordered:
+            exit_one(tokens[index])
+
+    return exit_
+
+
+class Probe:
+    """Every probe point as a ready-to-call attribute."""
+
+    __slots__ = PROBE_POINTS
+
+    def __init__(self, channels: Sequence[object]) -> None:
+        for channel in channels:
+            for name in dir(channel):
+                if name.startswith(_CLAIM_PREFIXES) and name not in PROBE_POINTS:
+                    raise TypeError(
+                        f"{type(channel).__name__}.{name} is not a probe "
+                        "point; the closed set is repro.telemetry.probe."
+                        "PROBE_POINTS"
+                    )
+        for name in EVENTS:
+            setattr(
+                self,
+                name,
+                _fan_out([getattr(c, name) for c in channels if hasattr(c, name)]),
+            )
+        for name in TIMED:
+            timing = [c for c in channels if hasattr(c, f"enter_{name}")]
+            enters = [getattr(c, f"enter_{name}") for c in timing]
+            exits = [getattr(c, f"exit_{name}") for c in timing]
+            if len(timing) > 1:
+                enters, exits = [_fan_enter(enters)], [_fan_exit(exits)]
+            setattr(self, f"enter_{name}", _fan_out(enters))
+            setattr(self, f"exit_{name}", _fan_out(exits))

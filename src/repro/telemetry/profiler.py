@@ -21,9 +21,9 @@ JSONL trace — a profiled run produces byte-identical completion records
 and traces to an unprofiled one (asserted by the differential tests).
 
 Disabled cost: the shared :data:`NULL_PROFILER` answers ``enabled =
-False``; instrumented hot paths pre-bind ``profiler if profiler.enabled
-else None`` and guard with one ``is not None`` check, exactly like the
-metrics pattern, so the off path never allocates a context manager.
+False`` and is never composed into a probe
+(:mod:`repro.telemetry.probe`), so an unprofiled timed section costs
+two ``is not None`` branches and never enters a context manager.
 """
 
 from __future__ import annotations
@@ -63,20 +63,19 @@ class _SpanStats:
 class _Span:
     """One active span (context manager handed out by :meth:`span`)."""
 
-    __slots__ = ("_profiler", "_label", "_start")
+    __slots__ = ("_profiler", "_label", "_token")
 
     def __init__(self, profiler: "SpanProfiler", label: str) -> None:
         self._profiler = profiler
         self._label = label
-        self._start = 0.0
+        self._token = 0
 
     def __enter__(self) -> "_Span":
-        self._profiler._push(self._label)
-        self._start = perf_counter()
+        self._token = self._profiler.begin(self._label)
         return self
 
     def __exit__(self, *exc) -> None:
-        self._profiler._pop(perf_counter() - self._start)
+        self._profiler.end(self._token)
 
 
 class SpanProfiler:
@@ -95,9 +94,10 @@ class SpanProfiler:
 
     def __init__(self) -> None:
         self._stats: Dict[Tuple[str, ...], _SpanStats] = {}
-        # Each frame is [path, child_seconds]: the child accumulator rides
-        # on the stack so a parent still open when its children pop does
-        # not lose their time (its stats node is only created on pop).
+        # Each frame is [path, child_seconds, start]: the child
+        # accumulator rides on the stack so a parent still open when its
+        # children pop does not lose their time (its stats node is only
+        # created on pop).
         self._stack: List[list] = []
 
     # ------------------------------------------------------------------
@@ -107,20 +107,61 @@ class SpanProfiler:
         """Context manager timing one section under the current parent."""
         return _Span(self, label)
 
-    def _push(self, label: str) -> None:
-        parent = self._stack[-1][0] if self._stack else ()
-        self._stack.append([parent + (label,), 0.0])
+    def begin(self, label: str) -> int:
+        """Open a span under the current parent; returns its token."""
+        stack = self._stack
+        parent = stack[-1][0] if stack else ()
+        stack.append([parent + (label,), 0.0, perf_counter()])
+        return len(stack)
 
-    def _pop(self, elapsed: float) -> None:
-        path, child_seconds = self._stack.pop()
+    def end(self, token: int) -> None:
+        """Close the span :meth:`begin` opened with ``token``."""
+        now = perf_counter()
+        stack = self._stack
+        # Spans opened above this one and never closed were abandoned by
+        # an exception: drop them so the tree stays well nested.
+        del stack[token:]
+        path, child_seconds, start = stack.pop()
+        elapsed = now - start
         stats = self._stats.get(path)
         if stats is None:
             stats = self._stats[path] = _SpanStats()
         stats.calls += 1
         stats.inclusive += elapsed
         stats.child += child_seconds
-        if self._stack:
-            self._stack[-1][1] += elapsed
+        if stack:
+            stack[-1][1] += elapsed
+
+    # ------------------------------------------------------------------
+    # Probe points (repro.telemetry.probe): the span labels live here
+    # ------------------------------------------------------------------
+    def enter_event(self, label: str) -> int:
+        # Scheduled callbacks carry a label ("fabric-completion", ...);
+        # unlabeled events (workload arrivals, ad-hoc) pool together.
+        return self.begin("engine.event." + (label or "unlabeled"))
+
+    def enter_recompute(self, scoped: bool) -> int:
+        return self.begin(
+            "fabric.recompute.scoped" if scoped else "fabric.recompute.full"
+        )
+
+    def enter_expand(self) -> int:
+        return self.begin("fabric.expand_component")
+
+    def enter_alloc(self, allocator_name: str) -> int:
+        return self.begin("alloc." + allocator_name)
+
+    def enter_splice(self) -> int:
+        return self.begin("fabric.splice")
+
+    def enter_predict(self, coflow: bool) -> int:
+        return self.begin("predictor.cct" if coflow else "predictor.fct")
+
+    def enter_place(self) -> int:
+        return self.begin("placement.place")
+
+    exit_event = exit_recompute = exit_expand = exit_alloc = end
+    exit_splice = exit_predict = exit_place = end
 
     # ------------------------------------------------------------------
     # Introspection / export

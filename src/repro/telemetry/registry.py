@@ -14,10 +14,10 @@ Metrics carry two time dimensions:
   and never enter the deterministic trace.
 
 Disabled telemetry must cost (almost) nothing, so every class has a
-no-op twin and :data:`NULL_REGISTRY` hands out shared no-op instances;
-hot call sites additionally pre-bind their metric objects and guard on
-:attr:`MetricsRegistry.enabled` so the disabled path is a single
-attribute check.
+no-op twin and :data:`NULL_REGISTRY` hands out shared no-op instances.
+The simulation core never touches a registry: :class:`MetricsProbe`
+subscribes an enabled one to the probe (:mod:`repro.telemetry.probe`)
+and owns every metric name the core's events feed.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_REGISTRY",
+    "MetricsProbe",
     "merge_snapshots",
 ]
 
@@ -320,6 +321,153 @@ class NullMetricsRegistry(MetricsRegistry):
 
 #: Shared disabled registry (the default everywhere).
 NULL_REGISTRY = NullMetricsRegistry()
+
+
+#: Metrics a component owns from the moment it is built, so a snapshot
+#: shows them at zero (not absent) when nothing happened:
+#: component -> (registry accessor, metric names).
+_COMPONENT_METRICS = {
+    "fabric": (
+        ("counter", (
+            "fabric.flows_submitted", "fabric.flows_completed",
+            "fabric.flows_aborted", "fabric.flows_rerouted",
+            "fabric.recompute.full", "fabric.recompute.scoped",
+        )),
+        ("histogram", (
+            "fabric.recompute.component_flows", "fabric.fct_seconds",
+            "fabric.fct_gap",
+        )),
+        ("timer", ("allocator",)),
+    ),
+    "bus": (
+        ("counter", ("bus.messages_sent", "bus.calls", "bus.messages_dropped")),
+        ("timer", ("bus",)),
+    ),
+    "network_daemon": (("timer", ("predictor",)),),
+    "placement_daemon": (
+        ("counter", ("placement.stale_fallbacks", "placement.query_failures")),
+    ),
+    "coflow_tracker": (
+        ("counter", ("coflow.coflows_submitted", "coflow.coflows_completed")),
+        ("histogram", ("coflow.cct_seconds",)),
+    ),
+    "faults": (
+        ("counter", (
+            "faults.injected", "faults.applied", "faults.tasks_dropped",
+        )),
+    ),
+}
+
+
+def _timed(timer_name: str):
+    """An enter/exit probe-point pair accumulating into one timer."""
+
+    def enter(self, *args) -> float:
+        return time.perf_counter()
+
+    def exit_(self, start: float) -> None:
+        timer = self._timers[timer_name]
+        timer.calls += 1
+        timer.wall_seconds += time.perf_counter() - start
+
+    return enter, exit_
+
+
+class MetricsProbe:
+    """Probe channel feeding a :class:`MetricsRegistry`.
+
+    Every counter/histogram/timer name the simulation core produces is
+    spelled here and nowhere else.
+    """
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._registry = registry
+        self._counters = registry.counters_by_name()
+        self._histograms = registry.histograms_by_name()
+        self._timers = registry.timers_by_name()
+
+    def on_attach(self, component: str) -> None:
+        for accessor, names in _COMPONENT_METRICS.get(component, ()):
+            for name in names:
+                getattr(self._registry, accessor)(name)
+
+    def begin_run(self, t, *_context) -> None:
+        self._registry.timer("placement")
+
+    def on_engine_stats(
+        self, t, events_processed, heap_high_water, pending, new_events
+    ) -> None:
+        self._registry.counter("engine.events_processed").inc(new_events)
+        self._registry.gauge("engine.heap_high_water").set_max(heap_high_water)
+
+    def on_flow_submit(self, t, flow, optimal) -> None:
+        self._counters["fabric.flows_submitted"].value += 1
+
+    def on_reroute(self, t, flow) -> None:
+        self._counters["fabric.flows_rerouted"].value += 1
+
+    def on_abort(self, t, flow) -> None:
+        self._counters["fabric.flows_aborted"].value += 1
+
+    def on_flow_done(self, t, record) -> None:
+        self._counters["fabric.flows_completed"].value += 1
+        self._histograms["fabric.fct_seconds"].observe(record.fct)
+        if record.optimal_fct > 0:
+            # FCT stretch vs the contention-free optimum: the paper's
+            # headline ratio, live as a histogram so SLOs can bound its
+            # tail.
+            self._histograms["fabric.fct_gap"].observe(
+                record.fct / record.optimal_fct
+            )
+
+    def on_recompute(
+        self, t, active, component_flows, component_links, scoped
+    ) -> None:
+        self._counters[
+            "fabric.recompute.scoped" if scoped else "fabric.recompute.full"
+        ].value += 1
+        self._histograms["fabric.recompute.component_flows"].observe(
+            component_flows
+        )
+
+    def note_bus_message(self, t, host, payload, rtt) -> None:
+        self._counters["bus.messages_sent"].value += 2  # request + reply
+        self._counters["bus.calls"].value += 1
+
+    def note_bus_drop(self, t, host, payload, reason) -> None:
+        self._counters["bus.messages_sent"].value += 1  # it went out regardless
+        self._counters["bus.messages_dropped"].value += 1
+
+    def on_bus_push(self, t, host, payload, delay) -> None:
+        self._counters["bus.messages_sent"].value += 1
+
+    def on_query_failure(self) -> None:
+        self._counters["placement.query_failures"].value += 1
+
+    def on_decision(self, t, decision, data_node, candidates) -> None:
+        if decision.used_stale_fallback:
+            self._counters["placement.stale_fallbacks"].value += 1
+
+    def on_coflow(self, t, coflow) -> None:
+        self._counters["coflow.coflows_submitted"].value += 1
+
+    def on_coflow_done(self, t, record) -> None:
+        self._counters["coflow.coflows_completed"].value += 1
+        self._histograms["coflow.cct_seconds"].observe(record.cct)
+
+    def on_fault_plan(self, events: int) -> None:
+        self._counters["faults.injected"].value += events
+
+    def on_fault(self, t, payload) -> None:
+        self._counters["faults.applied"].value += 1
+
+    def on_task_dropped(self, t, tag) -> None:
+        self._counters["faults.tasks_dropped"].value += 1
+
+    enter_alloc, exit_alloc = _timed("allocator")
+    enter_bus_handler, exit_bus_handler = _timed("bus")
+    enter_predict, exit_predict = _timed("predictor")
+    enter_place, exit_place = _timed("placement")
 
 
 class SnapshotAccumulator:

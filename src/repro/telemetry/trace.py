@@ -1,10 +1,11 @@
 """Structured JSONL trace sink for DES lifecycle events.
 
 Every line is one JSON object with at least ``event`` (the record type)
-and ``t`` (simulation time).  Producers emit through
-:meth:`TraceSink.emit`, which is a no-op on the shared
-:data:`NULL_TRACE`; hot paths additionally guard on
-:attr:`TraceSink.active` so a disabled trace costs one attribute read.
+and ``t`` (simulation time).  The simulation core never builds a record:
+:class:`TraceProbe` subscribes an active sink to the probe
+(:mod:`repro.telemetry.probe`) and owns every payload below.  Other
+producers (the decision log, the serving loop) emit through
+:meth:`TraceSink.emit`, a no-op on the shared :data:`NULL_TRACE`.
 
 Determinism contract: with wall-clock stamping off (the default), two
 runs from the same seed produce **byte-identical** trace files.  Any
@@ -43,6 +44,7 @@ __all__ = [
     "JsonlTraceSink",
     "RotatingJsonlTraceSink",
     "NULL_TRACE",
+    "TraceProbe",
     "read_trace",
     "read_rotated_trace",
 ]
@@ -162,6 +164,18 @@ class JsonlTraceSink(TraceSink):
     def events_written(self) -> int:
         return self._events_written
 
+    def _line(
+        self, event: str, sim_time: float, fields: Optional[Mapping[str, object]]
+    ) -> str:
+        """One record serialised as its JSONL line."""
+        record = {"event": event, "t": sim_time}
+        if self._wall_clock:
+            record["wall"] = time.time()
+        if fields:
+            for key, value in fields.items():
+                record[key] = _json_safe(value)
+        return json.dumps(record, separators=(",", ":")) + "\n"
+
     def emit(
         self,
         event: str,
@@ -170,14 +184,7 @@ class JsonlTraceSink(TraceSink):
     ) -> None:
         if self._closed:
             return
-        record = {"event": event, "t": sim_time}
-        if self._wall_clock:
-            record["wall"] = time.time()
-        if fields:
-            for key, value in fields.items():
-                record[key] = _json_safe(value)
-        self._fp.write(json.dumps(record, separators=(",", ":")))
-        self._fp.write("\n")
+        self._fp.write(self._line(event, sim_time, fields))
         self._events_written += 1
 
     def close(self) -> None:
@@ -190,7 +197,7 @@ class JsonlTraceSink(TraceSink):
             self._fp.flush()
 
 
-class RotatingJsonlTraceSink(TraceSink):
+class RotatingJsonlTraceSink(JsonlTraceSink):
     """A :class:`JsonlTraceSink` that rotates by size, keeping backups.
 
     A thousand-cell campaign's traces outgrow any single file; this sink
@@ -205,8 +212,6 @@ class RotatingJsonlTraceSink(TraceSink):
     Read the whole set back with :func:`read_rotated_trace`.
     """
 
-    active = True
-
     def __init__(
         self,
         path: str,
@@ -219,19 +224,12 @@ class RotatingJsonlTraceSink(TraceSink):
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes!r}")
         if backups < 1:
             raise ValueError(f"backups must be >= 1, got {backups!r}")
+        super().__init__(path, wall_clock=wall_clock)
         self._path = path
         self._max_bytes = max_bytes
         self._backups = backups
-        self._wall_clock = wall_clock
-        self._fp: IO[str] = _open_trace_for_write(path)
         self._segment_bytes = 0
-        self._events_written = 0
         self._rotations = 0
-        self._closed = False
-
-    @property
-    def events_written(self) -> int:
-        return self._events_written
 
     @property
     def rotations(self) -> int:
@@ -261,13 +259,7 @@ class RotatingJsonlTraceSink(TraceSink):
     ) -> None:
         if self._closed:
             return
-        record = {"event": event, "t": sim_time}
-        if self._wall_clock:
-            record["wall"] = time.time()
-        if fields:
-            for key, value in fields.items():
-                record[key] = _json_safe(value)
-        line = json.dumps(record, separators=(",", ":")) + "\n"
+        line = self._line(event, sim_time, fields)
         # Rotate *before* writing when the record would overflow the
         # segment, so a record never straddles two files and rotation
         # points depend only on the byte stream (deterministic).
@@ -280,11 +272,165 @@ class RotatingJsonlTraceSink(TraceSink):
         self._segment_bytes += len(line)
         self._events_written += 1
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._fp.close()
+
+class TraceProbe:
+    """Probe channel writing the event vocabulary above into a sink."""
+
+    def __init__(self, sink: TraceSink) -> None:
+        self._emit = sink.emit
+        self._run: Dict[str, object] = {}
+
+    def begin_run(self, t, placement, network_policy, *_components) -> None:
+        self._run = {"placement": placement, "network_policy": network_policy}
+        self._emit("run_start", t, self._run)
+
+    def end_run(self, t, records, events_processed) -> None:
+        self._emit(
+            "run_end",
+            t,
+            {
+                **self._run,
+                "records": records,
+                "events_processed": events_processed,
+            },
+        )
+
+    def on_engine_stats(
+        self, t, events_processed, heap_high_water, pending, new_events
+    ) -> None:
+        self._emit(
+            "engine_run",
+            t,
+            {
+                "events_processed": events_processed,
+                "heap_high_water": heap_high_water,
+                "pending": pending,
+            },
+        )
+
+    def on_flow_submit(self, t, flow, optimal) -> None:
+        self._emit(
+            "flow_arrival",
+            t,
+            {
+                "flow_id": flow.flow_id,
+                "src": flow.src,
+                "dst": flow.dst,
+                "size": flow.size,
+                "tag": flow.tag,
+                "local": flow.is_local,
+            },
+        )
+
+    def on_recompute(
+        self, t, active, component_flows, component_links, scoped
+    ) -> None:
+        self._emit(
+            "rate_recompute",
+            t,
+            {
+                "active_flows": active,
+                "component_flows": component_flows,
+                "component_links": component_links,
+            },
+        )
+
+    def on_flow_done(self, t, record) -> None:
+        self._emit(
+            "flow_completion",
+            t,
+            {
+                "flow_id": record.flow_id,
+                "tag": record.tag,
+                "size": record.size,
+                "fct": record.fct,
+                "optimal_fct": record.optimal_fct,
+            },
+        )
+
+    def on_capacity(self, t, link, capacity, factor=None, victims=0) -> None:
+        if factor is None:
+            self._emit("link_down", t, {"link": link, "victims": victims})
+        else:
+            self._emit(
+                "link_degrade",
+                t,
+                {"link": link, "factor": factor, "capacity": capacity},
+            )
+
+    def on_host_down(self, t, host) -> None:
+        self._emit("host_down", t, {"host": host})
+
+    def on_reroute(self, t, flow) -> None:
+        self._emit(
+            "flow_reroute",
+            t,
+            {"flow_id": flow.flow_id, "tag": flow.tag, "path": list(flow.path)},
+        )
+
+    def on_abort(self, t, flow) -> None:
+        self._emit(
+            "flow_abort",
+            t,
+            {
+                "flow_id": flow.flow_id,
+                "tag": flow.tag,
+                "remaining": flow.remaining,
+            },
+        )
+
+    def on_coflow(self, t, coflow) -> None:
+        self._emit(
+            "coflow_arrival",
+            t,
+            {
+                "coflow_id": coflow.coflow_id,
+                "num_flows": len(coflow.flows),
+                "total_size": coflow.total_size,
+                "tag": coflow.tag,
+            },
+        )
+
+    def on_coflow_done(self, t, record) -> None:
+        self._emit(
+            "coflow_completion",
+            t,
+            {
+                "coflow_id": record.coflow_id,
+                "num_flows": record.num_flows,
+                "total_size": record.total_size,
+                "cct": record.cct,
+                "optimal_cct": record.optimal_cct,
+                "tag": record.tag,
+            },
+        )
+
+    def note_bus_message(self, t, host, payload, rtt) -> None:
+        self._emit(
+            "bus_message",
+            t,
+            {"host": host, "type": type(payload).__name__, "latency": rtt},
+        )
+
+    def note_bus_drop(self, t, host, payload, reason) -> None:
+        self._emit(
+            "bus_drop",
+            t,
+            {"host": host, "type": type(payload).__name__, "reason": reason},
+        )
+
+    def on_bus_push(self, t, host, payload, delay) -> None:
+        self._emit(
+            "bus_push",
+            t,
+            {"host": host, "type": type(payload).__name__, "delay": delay},
+        )
+
+    def on_fault(self, t, payload) -> None:
+        self._emit("fault_applied", t, payload)
+
+    def on_task_dropped(self, t, tag) -> None:
+        self._emit("task_dropped", t, {"tag": tag})
 
 
 def read_trace(path: str) -> List[Dict[str, object]]:

@@ -1,202 +1,19 @@
-"""Perf-regression gate and exporter tests (no real benchmarks run).
+"""Metrics-snapshot tooling tests: export, rendering, merging.
 
-Covers the benchgate diff semantics (direction-aware regressions,
-environment-fingerprint warnings, threshold parsing), the bench-compare
-CLI exit codes on synthetic artifacts, the Prometheus text exporter, the
-snapshot report renderer, and the merge_snapshots edge cases
-(heterogeneous kinds, empty, singleton).
+Covers the Prometheus text exporter, the snapshot report renderer, and
+the merge_snapshots edge cases (heterogeneous kinds, empty, singleton).
+(The file keeps its historical name so these test ids stay stable; the
+``bench-compare`` perf gate it once also covered was superseded by
+``benchmarks/e2e``.)
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.benchgate import (
-    compare_artifacts,
-    load_artifact,
-    parse_max_regress,
-    render_comparison,
-)
 from repro.telemetry import MetricsRegistry, merge_snapshots
 from repro.telemetry.prometheus import render_prometheus
 from repro.telemetry.report import render_snapshot
-
-BASELINE = {
-    "perf_fabric_event_throughput": {
-        "hosts": 32,
-        "wall_seconds": 0.10,
-        "events_per_second": 4000.0,
-    },
-    "incremental_allocation_speedup": {
-        "full_wall_seconds": 5.0,
-        "incremental_wall_seconds": 0.5,
-        "speedup": 10.0,
-    },
-    "environment": {"python": "3.11.7", "machine": "x86_64"},
-}
-
-
-def _current(**tweaks):
-    current = json.loads(json.dumps(BASELINE))
-    for dotted, value in tweaks.items():
-        section, key = dotted.split(":")
-        current[section][key] = value
-    return current
-
-
-# ----------------------------------------------------------------------
-# Diff semantics
-# ----------------------------------------------------------------------
-class TestCompareArtifacts:
-    def test_unchanged_artifact_is_clean(self):
-        result = compare_artifacts(BASELINE, _current(), max_regress=0.2)
-        assert result.ok
-        assert result.regressions == []
-        assert result.environment_mismatch == []
-        # config fields (hosts) are never compared
-        assert not any(d.metric == "hosts" for d in result.deltas)
-
-    def test_slower_wall_clock_regresses(self):
-        current = _current(**{"perf_fabric_event_throughput:wall_seconds": 0.15})
-        result = compare_artifacts(BASELINE, current, max_regress=0.2)
-        bad = result.regressions
-        assert [(d.section, d.metric) for d in bad] == [
-            ("perf_fabric_event_throughput", "wall_seconds")
-        ]
-        assert bad[0].regression == pytest.approx(0.5)
-
-    def test_lower_throughput_regresses(self):
-        current = _current(
-            **{"perf_fabric_event_throughput:events_per_second": 2000.0}
-        )
-        result = compare_artifacts(BASELINE, current, max_regress=0.2)
-        assert [d.metric for d in result.regressions] == ["events_per_second"]
-
-    def test_improvements_do_not_regress(self):
-        current = _current(
-            **{
-                "perf_fabric_event_throughput:wall_seconds": 0.05,
-                "incremental_allocation_speedup:speedup": 20.0,
-            }
-        )
-        assert compare_artifacts(BASELINE, current, max_regress=0.2).ok
-
-    def test_within_threshold_passes(self):
-        current = _current(**{"perf_fabric_event_throughput:wall_seconds": 0.119})
-        assert compare_artifacts(BASELINE, current, max_regress=0.2).ok
-
-    def test_environment_mismatch_warns_but_does_not_fail(self):
-        current = _current(**{"environment:python": "3.12.1"})
-        result = compare_artifacts(BASELINE, current, max_regress=0.2)
-        assert result.ok
-        assert any("python" in item for item in result.environment_mismatch)
-        text = render_comparison(result, max_regress=0.2)
-        assert "WARNING" in text and "fingerprints differ" in text
-
-    def test_missing_sections_are_notes_not_failures(self):
-        current = _current()
-        del current["incremental_allocation_speedup"]
-        current["brand_new_bench"] = {"wall_seconds": 1.0}
-        result = compare_artifacts(BASELINE, current, max_regress=0.2)
-        assert result.ok
-        assert any("only in baseline" in n for n in result.notes)
-        assert any("only in current" in n for n in result.notes)
-
-    def test_service_metric_directions(self):
-        # Streaming-service metrics: placements/sec is higher-better,
-        # decision latency (any *_decision_latency_seconds key) is
-        # lower-better.
-        base = {
-            "service_placements_per_second": {
-                "placements_per_second": 1000.0,
-            },
-            "service_p99_decision_latency": {
-                "p99_decision_latency_seconds": 0.001,
-            },
-        }
-        worse = json.loads(json.dumps(base))
-        worse["service_placements_per_second"]["placements_per_second"] = 500.0
-        worse["service_p99_decision_latency"][
-            "p99_decision_latency_seconds"
-        ] = 0.01
-        result = compare_artifacts(base, worse, max_regress=0.2)
-        assert sorted((d.section, d.direction) for d in result.regressions) == [
-            ("service_p99_decision_latency", "lower"),
-            ("service_placements_per_second", "higher"),
-        ]
-        better = json.loads(json.dumps(base))
-        better["service_placements_per_second"][
-            "placements_per_second"
-        ] = 2000.0
-        better["service_p99_decision_latency"][
-            "p99_decision_latency_seconds"
-        ] = 0.0001
-        assert compare_artifacts(base, better, max_regress=0.2).ok
-
-    def test_render_marks_regressions(self):
-        current = _current(**{"incremental_allocation_speedup:speedup": 2.0})
-        result = compare_artifacts(BASELINE, current, max_regress=0.2)
-        text = render_comparison(result, max_regress=0.2)
-        assert "!! incremental_allocation_speedup.speedup" in text
-        assert "1 metric(s) regressed" in text
-
-
-class TestParsing:
-    def test_parse_max_regress(self):
-        assert parse_max_regress("20%") == pytest.approx(0.2)
-        assert parse_max_regress("0.2") == pytest.approx(0.2)
-        assert parse_max_regress(" 5% ") == pytest.approx(0.05)
-        with pytest.raises(ValueError):
-            parse_max_regress("-1%")
-        with pytest.raises(ValueError):
-            parse_max_regress("fast")
-
-    def test_load_artifact_normalises_legacy_layout(self, tmp_path):
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(
-            json.dumps({"benchmark": "old_cell", "wall_seconds": 1.0})
-        )
-        assert load_artifact(str(legacy)) == {
-            "old_cell": {"wall_seconds": 1.0}
-        }
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2]")
-        with pytest.raises(ValueError):
-            load_artifact(str(bad))
-
-
-# ----------------------------------------------------------------------
-# CLI exit codes (the CI contract)
-# ----------------------------------------------------------------------
-class TestBenchCompareCli:
-    def write(self, tmp_path, name, payload):
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def test_exit_zero_on_unchanged(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        base = self.write(tmp_path, "base.json", BASELINE)
-        cur = self.write(tmp_path, "cur.json", _current())
-        assert main(["bench-compare", base, cur]) == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_exit_nonzero_on_regression(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        base = self.write(tmp_path, "base.json", BASELINE)
-        cur = self.write(
-            tmp_path, "cur.json",
-            _current(**{"perf_fabric_event_throughput:wall_seconds": 0.13}),
-        )
-        assert main(["bench-compare", base, cur, "--max-regress", "20%"]) == 1
-        assert "regressed" in capsys.readouterr().out
-        # a looser threshold lets the same slowdown through
-        capsys.readouterr()
-        assert main(["bench-compare", base, cur, "--max-regress", "50%"]) == 0
 
 
 # ----------------------------------------------------------------------

@@ -126,10 +126,7 @@ class TestAdditivity:
             0.0,
             placement="direct",
             network_policy="fair",
-            capacities={
-                link.link_id: fabric.link_capacity(link.link_id)
-                for link in fabric.topology.links()
-            },
+            fabric=fabric,
         )
         # Disjoint host pairs: no shared link, no contention, no faults.
         fabric.submit("h000", "h001", 2e8)
@@ -219,10 +216,7 @@ def faulted_coflow_tracer():
         0.0,
         placement="direct",
         network_policy="varys",
-        capacities={
-            link.link_id: fabric.link_capacity(link.link_id)
-            for link in fabric.topology.links()
-        },
+        fabric=fabric,
     )
     tracker.submit_coflow([("h000", "h001", 2e8)], tag="job-a")
     tracker.submit_coflow([("h002", "h001", 2e8)], tag="job-b")

@@ -12,7 +12,7 @@ from repro.daemons.messages import (
 )
 from repro.daemons.network_daemon import NetworkDaemon
 from repro.daemons.placement_daemon import TaskPlacementDaemon
-from repro.errors import DaemonError
+from repro.errors import DaemonError, DaemonUnreachable, MessageDropped
 from repro.network.fabric import NetworkFabric
 from repro.network.policies.registry import make_allocator
 from repro.coflow.tracking import CoflowTracker
@@ -21,6 +21,7 @@ from repro.placement.base import PlacementRequest
 from repro.predictor.compressed import exponential_bins
 from repro.predictor.registry import make_coflow_predictor, make_flow_predictor
 from repro.sim.engine import Engine
+from repro.telemetry import MetricsRegistry, Telemetry
 from repro.topology.fabrics import single_switch
 
 
@@ -62,8 +63,55 @@ class TestMessageBus:
         assert bus.messages_sent == 4
         assert bus.calls == 2
         assert bus.estimated_control_latency == pytest.approx(0.002)
+        bus.install_fault_model(_DelayThenLose(delay=0.25))
+        bus.call("h000", 3)  # delivered, 0.25 s delay accrued
+        with pytest.raises(MessageDropped):
+            bus.call("h000", 4)  # eaten by the loss window
+        assert bus.messages_dropped == 1
+        assert bus.estimated_control_latency == pytest.approx(0.253)
         bus.reset_counters()
-        assert bus.messages_sent == 0
+        assert bus.messages_sent == bus.calls == bus.messages_dropped == 0
+        assert bus.estimated_control_latency == 0.0
+
+    def test_counter_matches_property_under_faults(self):
+        """``bus.messages_sent`` (the registry counter) and
+        ``MessageBus.messages_sent`` count the same messages: a request
+        to a down host or eaten by a loss window went out too."""
+        engine, fabric = setup()
+        registry = MetricsRegistry()
+        bus = MessageBus(engine, telemetry=Telemetry(registry=registry))
+        bus.register("h000", lambda p: p)
+        bus.register("h001", lambda p: p)
+        bus.register_controller(lambda p: None)
+        bus.install_fault_model(_DelayThenLose(delay=0.0))
+        bus.call("h000", 1)  # delivered: request + reply
+        with pytest.raises(MessageDropped):
+            bus.call("h000", 2)  # message_loss: the request still went out
+        assert bus.push("h000", 3) is False  # lost push
+        bus.mark_host_down("h001")
+        with pytest.raises(DaemonUnreachable):
+            bus.call("h001", 4)  # host_down: the request still went out
+        assert bus.push("h001", 5) is False
+        counters = registry.as_dict()["counters"]
+        assert bus.messages_sent == 6
+        assert counters["bus.messages_sent"] == bus.messages_sent
+        assert counters["bus.messages_dropped"] == bus.messages_dropped == 4
+        assert counters["bus.calls"] == bus.calls == 1
+
+
+class _DelayThenLose:
+    """Fault model: delivers the first message, loses every later one."""
+
+    def __init__(self, delay: float) -> None:
+        self._delay = delay
+        self._seen = 0
+
+    def should_drop(self, kind: str) -> bool:
+        self._seen += 1
+        return self._seen > 1
+
+    def message_delay(self) -> float:
+        return self._delay
 
 
 class TestNetworkDaemon:

@@ -6,6 +6,11 @@ the regeneration command).  The simulator's completion records and JSONL
 trace must match the committed bytes exactly — under the Python backend
 *and* the numpy kernel backend, which locks the kernels' bit-identity
 contract to a fixed external artifact rather than only to each other.
+
+The *observed* corpus pins what the telemetry channels write for NEAT
+flow, coflow and faulted runs (trace, causal stream, decision log and
+registry snapshot): the proof that a change to how events reach the
+channels changed no output.
 """
 
 from __future__ import annotations
@@ -50,3 +55,19 @@ def test_golden_corpus_byte_identical(policy, backend, monkeypatch):
     assert trace_text == golden_trace, (
         f"{policy}/{backend}: JSONL trace diverges from the golden corpus"
     )
+
+
+@pytest.mark.parametrize("name", regen_goldens.OBSERVED)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_observed_corpus_byte_identical(name, backend, monkeypatch):
+    if backend == "numpy":
+        monkeypatch.setattr(kernels, "GROUP_CUTOFF", 1)
+    produced = regen_goldens.generate_observed(name, backend)
+    assert sorted(produced) == sorted(regen_goldens.OBSERVED_ARTIFACTS)
+    for suffix, text in produced.items():
+        golden = (GOLDEN_DIR / f"{name}.{suffix}").read_text(encoding="utf-8")
+        assert text == golden, (
+            f"{name}/{backend}: {suffix} diverges from the golden corpus; "
+            "if intentional, regenerate via `PYTHONPATH=src python "
+            f"tests/goldens/regen_goldens.py {name}` and review"
+        )

@@ -222,26 +222,25 @@ class TestProfilerDeterminism:
 # Disabled cost
 # ----------------------------------------------------------------------
 class TestProfilerDisabledOverhead:
-    def test_disabled_not_slower_than_enabled(self):
-        """Profiler-off must cost no more than profiler-on.
+    def test_disabled_profiler_is_not_composed(self):
+        """Profiler-off is structural (host-time claims live in
+        ``benchmarks/e2e``): the null profiler never joins the probe, so
+        a span-only site hands back no token and the run records nothing."""
+        tele = Telemetry(registry=MetricsRegistry(), profiler=NULL_PROFILER)
+        assert tele.probe.enter_event("fabric-hint") is None
+        assert tele.probe.enter_recompute(True) is None
+        # timed sites the registry also owns keep only its timer
+        assert isinstance(tele.probe.enter_alloc("fair"), float)
+        replay_small(tele)
+        assert NULL_PROFILER.paths() == []
+        assert Telemetry(profiler=NULL_PROFILER).probe is None
 
-        The true pre-instrumentation baseline is gone; the executable
-        check mirrors the telemetry one: the off path (a pre-bound None
-        guard per hot call) stays within noise of the on path (guards
-        plus real span bookkeeping).  min-of-N to suppress scheduler
-        noise.
-        """
-        def timed(profile: bool, repeats: int = 3) -> float:
-            best = float("inf")
-            for _ in range(repeats):
-                tele = Telemetry(
-                    profiler=SpanProfiler() if profile else None
-                )
-                start = time.perf_counter()
-                replay_small(tele)
-                best = min(best, time.perf_counter() - start)
-            return best
-
-        disabled = timed(False)
-        enabled = timed(True)
-        assert disabled <= enabled * 1.05 + 0.02
+    def test_abandoned_spans_do_not_corrupt_the_tree(self):
+        """An exception between enter and exit leaves a span open; the
+        next exit of an enclosing span drops it instead of mis-nesting."""
+        prof = SpanProfiler()
+        outer = prof.begin("outer")
+        prof.begin("abandoned")  # never ended
+        prof.end(outer)
+        assert prof.depth == 0
+        assert prof.paths() == [("outer",)]
