@@ -175,10 +175,10 @@ class MessageBus:
 
     @property
     def estimated_control_latency(self) -> float:
-        """Seconds of control latency a real deployment would have paid,
-        assuming calls to different daemons for one decision go out in
-        parallel (one RTT per placement round).  Fault-plan delay windows
-        add their per-call latency on top."""
+        """Serial upper bound on the control latency of a real deployment:
+        one RTT per call, as if no two queries of a decision overlapped
+        (sent in parallel they cost about one RTT per decision), plus the
+        per-call latency of fault-plan delay windows."""
         return self._calls * self._rtt + self._delay_accrued
 
     def reset_counters(self) -> None:

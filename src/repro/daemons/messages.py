@@ -9,6 +9,7 @@ caches for future preferred-host filtering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Tuple
 
 from repro.topology.base import NodeId
 
@@ -42,9 +43,9 @@ class CoflowPredictionRequest:
     direction: str = "in"
 
 
-@dataclass(frozen=True)
-class PredictionReply:
-    """A network daemon's answer.
+class PredictionReply(NamedTuple):
+    """A network daemon's answer (a named tuple: one is built per query,
+    the most frequent allocation of a NEAT decision).
 
     Attributes:
         host: the replying node.
@@ -81,8 +82,7 @@ class LinkStateRequest:
     direction: str = "in"
 
 
-@dataclass(frozen=True)
-class LinkStateReply:
+class LinkStateReply(NamedTuple):
     """A node daemon's edge-link snapshot.
 
     Attributes:
@@ -96,7 +96,7 @@ class LinkStateReply:
     host: NodeId
     link: str
     capacity: float
-    flow_sizes: tuple
+    flow_sizes: Tuple[float, ...]
     node_state: float
 
 

@@ -23,6 +23,7 @@ from repro.daemons.messages import (
     FlowPredictionRequest,
     LinkStateReply,
     LinkStateRequest,
+    NodeStateUpdate,
     PredictionReply,
 )
 from repro.errors import DaemonError
@@ -119,52 +120,42 @@ class NetworkDaemon:
     # ------------------------------------------------------------------
     def node_state(self) -> float:
         """Smallest residual flow size on this node (inf when idle)."""
-        flows = self._fabric.flows_at_host(self._host)
-        if not flows:
-            return float("inf")
-        return min(f.remaining for f in flows)
+        return self._fabric.host_edge_state(
+            self._host, self._downlink.link_id
+        )[1]
 
     def coflow_node_state(self) -> float:
         """Node state at coflow granularity: the smallest residual *total*
         size among coflows touching this node (bare flows count as
         singleton coflows).  Used by the preferred-host filter when the
         scheduling unit is the coflow."""
-        flows = self._fabric.flows_at_host(self._host)
-        if not flows:
-            return float("inf")
+        # flows_at_host syncs first, so a coflow's total is the same at each
+        # of its flows: sum it (O(flows in coflow)) once per coflow.
         totals = {}
-        for flow in flows:
-            if flow.coflow is None:
-                totals[("flow", flow.flow_id)] = flow.remaining
-            else:
-                totals[("coflow", flow.coflow.coflow_id)] = (
-                    flow.coflow.remaining_total
+        for flow in self._fabric.flows_at_host(self._host):
+            unit = flow.coflow or flow  # a bare flow is its own coflow
+            if unit not in totals:
+                totals[unit] = (
+                    flow.remaining if unit is flow else unit.remaining_total
                 )
-        return min(totals.values())
+        return min(totals.values(), default=float("inf"))
 
     def predict_flow(self, size: float, direction: str = "in") -> PredictionReply:
         """Predicted FCT of a new flow on this node's edge link."""
-        link = self._downlink if direction == "in" else self._uplink
-        compressed = (
-            self._compressed_down if direction == "in" else self._compressed_up
+        if direction == "in":
+            link, compressed = self._downlink, self._compressed_down
+        else:
+            link, compressed = self._uplink, self._compressed_up
+        sizes, node_state = self._fabric.host_edge_state(
+            self._host, link.link_id
         )
         if compressed is not None:
             predicted = compressed.fair_fct(size)
         else:
-            state = link_state_from_flows(
-                link.link_id,
-                link.capacity,
-                (
-                    f.remaining
-                    for f in self._fabric.flows_on_link(link.link_id)
-                ),
+            predicted = self._flow_predictor.fct(
+                size, link_state_from_flows(link.link_id, link.capacity, sizes)
             )
-            predicted = self._flow_predictor.fct(size, state)
-        return PredictionReply(
-            host=self._host,
-            predicted_time=predicted,
-            node_state=self.node_state(),
-        )
+        return PredictionReply(self._host, predicted, node_state)
 
     def link_state(self, direction: str = "in") -> LinkStateReply:
         """Snapshot of this node's edge link for controller-side scoring.
@@ -174,18 +165,15 @@ class NetworkDaemon:
         request in the batch against the same snapshot.
         """
         link = self._downlink if direction == "in" else self._uplink
-        sizes = tuple(
-            sorted(
-                f.remaining
-                for f in self._fabric.flows_on_link(link.link_id)
-            )
+        sizes, node_state = self._fabric.host_edge_state(
+            self._host, link.link_id
         )
         return LinkStateReply(
-            host=self._host,
-            link=link.link_id,
-            capacity=link.capacity,
-            flow_sizes=sizes,
-            node_state=self.node_state(),
+            self._host,
+            link.link_id,
+            link.capacity,
+            tuple(sorted(sizes)),
+            node_state,
         )
 
     def predict_coflow(
@@ -207,9 +195,7 @@ class NetworkDaemon:
             total_size, size_on_link, state
         )
         return PredictionReply(
-            host=self._host,
-            predicted_time=predicted,
-            node_state=self.coflow_node_state(),
+            self._host, predicted, self.coflow_node_state()
         )
 
     # ------------------------------------------------------------------
@@ -223,8 +209,6 @@ class NetworkDaemon:
         daemon's TTL fallback defends against.  Returns whether the bus
         accepted the message.
         """
-        from repro.daemons.messages import NodeStateUpdate
-
         return bus.push(
             self._host,
             NodeStateUpdate(host=self._host, node_state=self.node_state()),
@@ -233,21 +217,17 @@ class NetworkDaemon:
     # ------------------------------------------------------------------
     # Compressed-state maintenance (§5.2)
     # ------------------------------------------------------------------
-    def _touches_us(self, flow: Flow) -> bool:
-        return flow.src == self._host or flow.dst == self._host
-
+    # Listeners are registered in compressed mode only: both states exist.
     def _on_flow_arrival(self, flow: Flow) -> None:
-        if not self._touches_us(flow):
-            return
-        if flow.src == self._host and self._compressed_up is not None:
+        if flow.src == self._host:
             self._compressed_up.add_flow(flow.size)
-        if flow.dst == self._host and self._compressed_down is not None:
+        if flow.dst == self._host:
             self._compressed_down.add_flow(flow.size)
 
     def _on_flow_done(self, flow: Flow) -> None:
-        if not self._touches_us(flow) or flow.is_local:
-            return
-        if flow.src == self._host and self._compressed_up is not None:
+        if flow.is_local:
+            return  # never arrived: the fabric finishes it on submit
+        if flow.src == self._host:
             self._compressed_up.remove_flow(flow.size)
-        if flow.dst == self._host and self._compressed_down is not None:
+        if flow.dst == self._host:
             self._compressed_down.remove_flow(flow.size)

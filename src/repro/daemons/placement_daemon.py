@@ -19,8 +19,9 @@ optimistically so back-to-back decisions see their own effects.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.daemons.bus import MessageBus
 
@@ -32,12 +33,13 @@ from repro.daemons.messages import (
     LinkStateReply,
     LinkStateRequest,
     NodeStateUpdate,
-    PredictionReply,
 )
 from repro.errors import DaemonUnreachable, MessageDropped, PlacementError
 from repro.placement.base import PlacementRequest, pick_min
 from repro.predictor.state import link_state_from_flows
 from repro.topology.base import NodeId, Topology
+
+_INF = float("inf")
 
 
 @dataclass
@@ -59,7 +61,7 @@ class PlacementDecision:
     kind: str = "flow"
     tag: str = ""
     size: float = 0.0
-    candidate_scores: Tuple[Tuple[NodeId, float], ...] = field(default=())
+    candidate_scores: Tuple[Tuple[NodeId, float], ...] = ()
     #: True when the daemon skipped predictions entirely and placed by
     #: least-loaded cached state (stale snapshots or unreachable daemons).
     used_stale_fallback: bool = False
@@ -181,9 +183,6 @@ class TaskPlacementDaemon:
     # ------------------------------------------------------------------
     # Degraded operation (fault injection)
     # ------------------------------------------------------------------
-    def _state_is_fresh(self, host: NodeId) -> bool:
-        return self.state_age(host) <= self._state_ttl
-
     def _stale_candidates(self, candidates: Sequence[NodeId]) -> bool:
         """True when the TTL policy says predictions can't be trusted:
         we *have* state for some candidates but none of it is fresh.
@@ -197,7 +196,7 @@ class TaskPlacementDaemon:
         known = [h for h in candidates if h in self._state_seen_at]
         if not known:
             return False
-        return not any(self._state_is_fresh(h) for h in known)
+        return not any(self.state_age(h) <= self._state_ttl for h in known)
 
     def _choose(
         self,
@@ -226,18 +225,18 @@ class TaskPlacementDaemon:
         the shared deterministic tie-break.
         """
         hosts = list(hosts)
-        degraded = scores is None or not any(
-            score < float("inf") for score in scores
-        )
+        best = _INF if scores is None else min(scores)
+        degraded = not best < _INF
         if degraded:
-            scores = [-self.cached_node_state(h) for h in hosts]
+            cached = self._node_state_cache.get
+            scores = [-cached(h, _INF) for h in hosts]
             self._stale_fallbacks += 1
         host = pick_min(hosts, scores, self._rng)
         self._note_placed(host, load)
         decision = PlacementDecision(
             host=host,
             # -1.0 is the sentinel for "no prediction was made".
-            predicted_time=-1.0 if degraded else min(scores),
+            predicted_time=-1.0 if degraded else best,
             preferred_hosts=tuple(hosts),
             queried_hosts=() if degraded else tuple(queried),
             used_fallback=degraded or fallback,
@@ -253,17 +252,37 @@ class TaskPlacementDaemon:
             probe.on_decision(self._engine.now, decision, data_node, candidates)
         return host
 
-    def _try_call(self, host: NodeId, request):
-        """A bus call that degrades instead of propagating control-plane
-        faults: returns None when the host is down or the message lost."""
-        try:
-            return self._bus.call(host, request)
-        except (DaemonUnreachable, MessageDropped):
-            self._query_failures += 1
-            probe = self._probe
-            if probe is not None:
-                probe.on_query_failure()
-            return None
+    def _query(
+        self, hosts: Iterable[NodeId], requests: Iterable[Any]
+    ) -> Dict[NodeId, Any]:
+        """The round trips of one decision, shared by every entry point:
+        send each of ``hosts`` its request, in order, and return the
+        replies of those that answered, keyed by host in that order.
+
+        ``requests`` pairs up with ``hosts``; Algorithm 1 asks every
+        candidate the same question, which is ``repeat(request)``.  A
+        down host or a loss window costs the query, not the decision:
+        the failure is counted and the host left out.  Every reply
+        refreshes the node-state cache.
+        """
+        call = self._bus.call
+        cache = self._node_state_cache
+        seen_at = self._state_seen_at if self._state_ttl is not None else None
+        answers: Dict[NodeId, Any] = {}
+        for host, request in zip(hosts, requests):
+            try:
+                reply = call(host, request)
+            except (DaemonUnreachable, MessageDropped):
+                self._query_failures += 1
+                probe = self._probe
+                if probe is not None:
+                    probe.on_query_failure()
+                continue
+            cache[host] = reply.node_state
+            if seen_at is not None:
+                seen_at[host] = self._engine.now
+            answers[host] = reply
+        return answers
 
     # ------------------------------------------------------------------
     # Candidate filtering (Algorithm 1, lines 3-12)
@@ -287,11 +306,8 @@ class TaskPlacementDaemon:
         """Apply the node-state filter; returns (hosts, used_fallback)."""
         if not self._use_node_state:
             return list(candidates), False
-        preferred = [
-            host
-            for host in candidates
-            if self.cached_node_state(host) >= size
-        ]
+        cached = self._node_state_cache.get
+        preferred = [h for h in candidates if cached(h, _INF) >= size]
         if preferred:
             return preferred, False
         return list(candidates), True
@@ -301,42 +317,56 @@ class TaskPlacementDaemon:
     # ------------------------------------------------------------------
     def place_flow(self, request: PlacementRequest) -> NodeId:
         """Choose the host minimising the predicted FCT of the task's flow."""
-        candidates = self._locality_filter(request.data_node, request.candidates)
-        task = _flow_task(request)
-        if self._stale_candidates(candidates):
-            return self._choose(candidates, None, **task)
-        preferred, fallback = self._preferred_hosts(request.size, candidates)
+        return self._place_by_prediction(
+            self._locality_filter(request.data_node, request.candidates),
+            request.size,
+            FlowPredictionRequest(size=request.size, direction="in"),
+            _flow_task(request),
+            FlowPredictionRequest(size=request.size, direction="out")
+            if self._include_source_link
+            else None,
+        )
 
-        source_time = 0.0
-        if self._include_source_link and any(
-            host != request.data_node for host in preferred
-        ):
-            reply = self._try_call(
-                request.data_node,
-                FlowPredictionRequest(size=request.size, direction="out"),
-            )
-            if reply is not None:
-                self._remember(reply)
-                source_time = reply.predicted_time
-
-        scores: List[float] = []
-        queried: List[NodeId] = []
-        for host in preferred:
-            if host == request.data_node:
-                scores.append(0.0)  # full locality: no transfer at all
-                continue
-            reply = self._try_call(
-                host, FlowPredictionRequest(size=request.size, direction="in")
-            )
-            if reply is None:
-                scores.append(float("inf"))
-                continue
-            self._remember(reply)
-            queried.append(host)
-            scores.append(max(reply.predicted_time, source_time))
-
+    def _place_by_prediction(
+        self,
+        hosts: Sequence[NodeId],
+        state_size: float,
+        ask: Any,
+        task: dict,
+        source_ask: Any = None,
+    ) -> NodeId:
+        """Algorithm 1 from the node-state filter on, for the entry points
+        that score a host by one prediction on its edge link: keep the
+        hosts whose cached node state is at least ``state_size``, put the
+        one request ``ask`` to each, choose the minimum.  ``source_ask``,
+        when given, goes to the data node first: no transfer is then
+        predicted faster than its uplink."""
+        if self._stale_candidates(hosts):
+            return self._choose(hosts, None, **task)
+        preferred, fallback = self._preferred_hosts(state_size, hosts)
+        data_node = task["data_node"]
+        remote = [host for host in preferred if host != data_node]
+        uplink = (
+            self._query((data_node,), (source_ask,))
+            if source_ask is not None and remote
+            else None
+        )
+        answers = self._query(remote, repeat(ask))
+        answer = answers.get
+        scores = [
+            0.0  # full locality: no transfer at all
+            if host == data_node
+            else _INF  # the query was lost
+            if (reply := answer(host)) is None
+            else reply.predicted_time
+            for host in preferred
+        ]
+        if uplink:
+            # 0 stays 0: the local host makes no transfer.
+            floor = uplink[data_node].predicted_time
+            scores = [score and max(score, floor) for score in scores]
         return self._choose(
-            preferred, scores, queried=queried, fallback=fallback, **task
+            preferred, scores, queried=answers, fallback=fallback, **task
         )
 
     # ------------------------------------------------------------------
@@ -372,19 +402,10 @@ class TaskPlacementDaemon:
             for host in hosts:
                 if host != request.data_node:
                     wanted.add(host)
-        snapshots: Dict[NodeId, LinkStateReply] = {}
-        live_sizes: Dict[NodeId, List[float]] = {}
-        live_state: Dict[NodeId, float] = {}
-        for host in sorted(wanted):
-            reply = self._try_call(host, LinkStateRequest(direction="in"))
-            if reply is None:
-                continue
-            snapshots[host] = reply
-            live_sizes[host] = list(reply.flow_sizes)
-            live_state[host] = reply.node_state
-            self._node_state_cache[host] = reply.node_state
-            if self._state_ttl is not None:
-                self._state_seen_at[host] = self._engine.now
+        snapshots: Dict[NodeId, LinkStateReply] = self._query(
+            sorted(wanted), repeat(LinkStateRequest(direction="in"))
+        )
+        live_sizes = {h: list(r.flow_sizes) for h, r in snapshots.items()}
 
         placements: List[NodeId] = []
         for request, hosts in zip(requests, filtered):
@@ -392,33 +413,26 @@ class TaskPlacementDaemon:
             if self._stale_candidates(hosts):
                 placements.append(self._choose(hosts, None, **task))
                 continue
-            if self._use_node_state:
-                preferred = [
-                    h
-                    for h in hosts
-                    if live_state.get(h, self.cached_node_state(h))
-                    >= request.size
-                ]
-                fallback = not preferred
-                if fallback:
-                    preferred = list(hosts)
-            else:
-                preferred, fallback = list(hosts), False
-            scores: List[float] = []
-            queried: List[NodeId] = []
-            for host in preferred:
-                if host == request.data_node:
-                    scores.append(0.0)
-                    continue
-                snap = snapshots.get(host)
-                if snap is None:
-                    scores.append(float("inf"))
-                    continue
-                queried.append(host)
-                state = link_state_from_flows(
-                    snap.link, snap.capacity, live_sizes[host]
+            # The cache is as fresh as this batch's reads: _query stored
+            # every reply and _choose adds each placement optimistically.
+            preferred, fallback = self._preferred_hosts(request.size, hosts)
+            data_node = request.data_node
+            scores = [
+                0.0
+                if host == data_node
+                else _INF
+                if (snap := snapshots.get(host)) is None
+                else predictor.fct(
+                    request.size,
+                    link_state_from_flows(
+                        snap.link, snap.capacity, live_sizes[host]
+                    ),
                 )
-                scores.append(predictor.fct(request.size, state))
+                for host in preferred
+            ]
+            queried = [
+                h for h in preferred if h != data_node and h in snapshots
+            ]
             host = self._choose(
                 preferred, scores, queried=queried, fallback=fallback, **task
             )
@@ -427,7 +441,6 @@ class TaskPlacementDaemon:
             # dog-pile onto one idle host.
             if host in live_sizes:
                 live_sizes[host].append(request.size)
-                live_state[host] = min(live_state[host], request.size)
             placements.append(host)
         return placements
 
@@ -453,42 +466,22 @@ class TaskPlacementDaemon:
         """
         if not candidates:
             raise PlacementError("place_coflow_flow needs candidates")
-        filtered = self._locality_filter(data_node, candidates)
-        task = dict(
-            kind="coflow",
-            tag=tag,
-            size=flow_size,
-            load=coflow_total,
-            data_node=data_node,
-            candidates=candidates,
-        )
-        if self._stale_candidates(filtered):
-            return self._choose(filtered, None, **task)
         # Node state is at coflow granularity here: a host is preferred
         # when every coflow it carries is at least as large as this one.
-        preferred, fallback = self._preferred_hosts(coflow_total, filtered)
-        scores: List[float] = []
-        queried: List[NodeId] = []
-        for host in preferred:
-            if host == data_node:
-                scores.append(0.0)
-                continue
-            reply = self._try_call(
-                host,
-                CoflowPredictionRequest(
-                    total_size=coflow_total,
-                    size_on_link=flow_size,
-                    direction="in",
-                ),
-            )
-            if reply is None:
-                scores.append(float("inf"))
-                continue
-            self._remember(reply)
-            queried.append(host)
-            scores.append(reply.predicted_time)
-        return self._choose(
-            preferred, scores, queried=queried, fallback=fallback, **task
+        return self._place_by_prediction(
+            self._locality_filter(data_node, candidates),
+            coflow_total,
+            CoflowPredictionRequest(
+                total_size=coflow_total, size_on_link=flow_size, direction="in"
+            ),
+            dict(
+                kind="coflow",
+                tag=tag,
+                size=flow_size,
+                load=coflow_total,
+                data_node=data_node,
+                candidates=candidates,
+            ),
         )
 
     def place_reducer(
@@ -512,50 +505,49 @@ class TaskPlacementDaemon:
         total = sum(size for _node, size in sources)
 
         # Source uplink contributions are candidate-independent except for
-        # the bytes that become local; query once per distinct source.
-        uplink_times: Dict[NodeId, float] = {}
-        for node, size in sources:
-            if node not in uplink_times:
-                reply = self._try_call(
-                    node,
-                    CoflowPredictionRequest(
-                        total_size=total,
-                        size_on_link=sum(
-                            s for n, s in sources if n == node
-                        ),
-                        direction="out",
-                    ),
+        # the bytes that become local; query once per distinct source (a
+        # source that did not answer is asked again if it is listed again,
+        # and is otherwise scored without its uplink).
+        uplinks: Dict[NodeId, Any] = {}
+        for node, _size in sources:
+            if node not in uplinks:
+                request = CoflowPredictionRequest(
+                    total_size=total,
+                    size_on_link=sum(s for n, s in sources if n == node),
+                    direction="out",
                 )
-                if reply is None:
-                    continue  # unreachable source: score without its uplink
-                self._remember(reply)
-                uplink_times[node] = reply.predicted_time
-
-        scores: List[float] = []
-        for host in candidates:
-            incoming = sum(size for node, size in sources if node != host)
-            if incoming <= 0:
-                scores.append(0.0)
-                continue
-            reply = self._try_call(
-                host,
+                uplinks.update(self._query((node,), (request,)))
+        incoming = {
+            host: sum(size for node, size in sources if node != host)
+            for host in candidates
+        }
+        remote = [host for host in candidates if incoming[host] > 0]
+        answers = self._query(
+            remote,
+            [
                 CoflowPredictionRequest(
-                    total_size=total, size_on_link=incoming, direction="in"
-                ),
-            )
-            if reply is None:
-                scores.append(float("inf"))
-                continue
-            self._remember(reply)
-            bottleneck = max(
-                (
-                    t
-                    for node, t in uplink_times.items()
-                    if node != host
-                ),
-                default=0.0,
-            )
-            scores.append(max(reply.predicted_time, bottleneck))
+                    total_size=total,
+                    size_on_link=incoming[host],
+                    direction="in",
+                )
+                for host in remote
+            ],
+        )
+
+        def cct(host: NodeId) -> float:
+            """Bottleneck of the host's downlink and the other uplinks."""
+            times = [answers[host].predicted_time]
+            times += [r.predicted_time for n, r in uplinks.items() if n != host]
+            return max(times)
+
+        scores = [
+            0.0  # every byte is already here
+            if incoming[host] <= 0
+            else cct(host)
+            if host in answers
+            else _INF
+            for host in candidates
+        ]
         return self._choose(
             candidates,
             scores,
@@ -565,20 +557,15 @@ class TaskPlacementDaemon:
             load=total,
             data_node=max(sources, key=lambda s: s[1])[0],
             candidates=candidates,
-            queried=candidates,
+            queried=answers,
         )
 
     # ------------------------------------------------------------------
     # Cache maintenance
     # ------------------------------------------------------------------
-    def _remember(self, reply: PredictionReply) -> None:
-        self._node_state_cache[reply.host] = reply.node_state
-        if self._state_ttl is not None:
-            self._state_seen_at[reply.host] = self._engine.now
-
     def _note_placed(self, host: NodeId, size: float) -> None:
         """Optimistic cache update: the node now carries a flow of ``size``."""
-        current = self._node_state_cache.get(host, float("inf"))
+        current = self._node_state_cache.get(host, _INF)
         self._node_state_cache[host] = min(current, size)
 
     def note_task_finished(self, host: NodeId) -> None:

@@ -59,6 +59,8 @@ CompletionListener = Callable[[Flow, FlowRecord], None]
 #: decomposition violation shows up far above this.
 SHADOW_TOLERANCE = 1e-6
 
+_INF = float("inf")
+
 
 class _AllocScope:
     """One connected component of the flow-link sharing graph.
@@ -194,6 +196,27 @@ class NetworkFabric:
         for flow in members.values():
             self._sync_flow(flow, now)
         return list(members.values())
+
+    def host_edge_state(
+        self, host: NodeId, link_id: LinkId
+    ) -> Tuple[List[float], float]:
+        """A network daemon's read, in one pass over ``host``'s flows: the
+        residual sizes on ``link_id`` (in :meth:`flows_on_link` order) and
+        the node state of §5.1.1, the smallest residual size at the host
+        (inf when idle).  ``link_id`` must be an edge link of ``host``:
+        its flows all start or end there, so they are synced by the pass.
+        """
+        node_state = _INF
+        at_host = self._by_host.get(host)
+        if at_host:
+            now = self._engine.now
+            for flow in at_host.values():
+                self._sync_flow(flow, now)
+                if flow.remaining < node_state:
+                    node_state = flow.remaining
+        on_link = self._by_link.get(link_id)
+        sizes = [flow.remaining for flow in on_link.values()] if on_link else []
+        return sizes, node_state
 
     def current_rate(self, flow: Flow) -> float:
         """The flow's instantaneous allocated rate (bits/sec)."""

@@ -12,7 +12,7 @@ coflows; totals are residual) identical everywhere.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.network.fabric import NetworkFabric
 from repro.predictor.state import (
@@ -20,6 +20,7 @@ from repro.predictor.state import (
     CoflowOnLink,
     LinkState,
     link_state_from_flows,
+    unchecked,
 )
 from repro.topology.base import LinkId
 
@@ -42,29 +43,27 @@ def coflow_link_state(fabric: NetworkFabric, link_id: LinkId) -> CoflowLinkState
     flows become singleton coflows.
     """
     link = fabric.topology.link(link_id)
-    groups: Dict[Tuple, List[float]] = {}
+    groups: Dict[object, List[float]] = {}
+    # flows_on_link syncs before the loop, so a coflow's residual total is
+    # the same at each of its flows: sum it (O(flows in coflow)) once.
     for flow in fabric.flows_on_link(link_id):
-        if flow.coflow is None:
-            key = ("flow", flow.flow_id)
-            entry = groups.setdefault(
-                key, [flow.remaining, 0.0, flow.arrival_time]
+        unit = flow.coflow or flow  # a bare flow is its own coflow
+        entry = groups.get(unit)
+        if entry is None:
+            total = (
+                flow.remaining
+                if unit is flow
+                else max(unit.remaining_total, 1e-9)
             )
-        else:
-            key = ("coflow", flow.coflow.coflow_id)
-            entry = groups.setdefault(
-                key,
-                [
-                    max(flow.coflow.remaining_total, 1e-9),
-                    0.0,
-                    flow.coflow.arrival_time,
-                ],
-            )
+            entry = groups[unit] = [total, 0.0, unit.arrival_time]
         entry[1] += flow.remaining
+    # total > 0 and 0 < on-link <= total hold by construction here.
     return CoflowLinkState(
         link_id=link_id,
         capacity=link.capacity,
         coflows=tuple(
-            CoflowOnLink(
+            unchecked(
+                CoflowOnLink,
                 total_size=total,
                 size_on_link=min(on_link, total),
                 arrival_time=arrival,

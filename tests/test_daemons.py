@@ -288,3 +288,242 @@ class TestPlacementDaemonUnit:
         )
         # Prediction ignores the 9 Gb uplink backlog.
         assert no_src.decisions[-1].predicted_time == pytest.approx(1.0)
+
+
+    def test_source_link_floors_every_remote_score(self):
+        """With ``include_source_link`` no transfer is predicted faster
+        than the data node's uplink; the data node itself still scores 0
+        (it makes no transfer)."""
+        engine, fabric = setup()
+        daemon, bus = self.build(fabric, include_source_link=True)
+        fabric.submit("h000", "h003", 9e9)  # big load on the source uplink
+        chosen = daemon.place_flow(
+            PlacementRequest(
+                size=1e9, data_node="h000", candidates=("h001", "h000", "h002")
+            )
+        )
+        assert chosen == "h000"
+        # Fair on the uplink: (1 + min(9, 1)) Gb at 1 Gbps = 2 s > the 1 s
+        # an idle downlink predicts.
+        assert daemon.decisions[-1].candidate_scores == (
+            ("h001", 2.0), ("h000", 0.0), ("h002", 2.0)
+        )
+        assert bus.calls == 3  # the uplink, then the two remote candidates
+
+
+# ----------------------------------------------------------------------
+# The per-candidate query chain (one loop, four entry points)
+# ----------------------------------------------------------------------
+CANDIDATES = tuple(f"h{i:03d}" for i in range(1, 16))
+
+
+def neat_on(fabric, **kwargs):
+    from repro.placement.neat import build_neat
+
+    return build_neat(fabric, **kwargs)
+
+
+def busy_flow_fabric():
+    """The pinned 16-host fabric: h000 feeds flows of 1..8 Gb into
+    h001..h008, h009..h015 idle, clock stopped mid-flight at 0.1 s."""
+    engine, fabric = setup(hosts=16)
+    for i in range(1, 9):
+        fabric.submit("h000", f"h{i:03d}", 1e9 * i)
+    engine.run(until=0.1)
+    return engine, fabric
+
+
+def busy_coflow_fabric():
+    """Three five-mapper shuffles into h001, h006 and h011, mid-flight."""
+    engine, fabric = setup(hosts=16, coflow=True)
+    tracker = CoflowTracker(fabric)
+    for reducer in (1, 6, 11):
+        mappers = (0, reducer + 1, reducer + 2, reducer + 3, reducer + 4)
+        tracker.submit_coflow(
+            [(f"h{m:03d}", f"h{reducer:03d}", 1e9) for m in mappers]
+        )
+    engine.run(until=0.1)
+    return engine, fabric
+
+
+def calls_made(action) -> int:
+    """Python + C function calls ``action()`` makes (no wall clock)."""
+    import sys
+
+    count = 0
+
+    def profiler(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    sys.setprofile(profiler)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestQueryChain:
+    def test_a_drop_mid_decision_costs_that_host_only(self):
+        """A seeded loss window and a down host in the middle of one
+        decision: exactly those hosts score inf, the rest are still
+        queried in order, and the message counts, failure count and the
+        loss stream's position are the ones the pre-refactor daemon
+        produced on this plan (pinned there)."""
+        from repro.faults.injector import arm_faults
+        from repro.faults.plan import FaultPlan, HostDown, MessageLoss
+
+        engine, fabric = setup(hosts=16)
+        neat = neat_on(fabric)
+        plan = FaultPlan(
+            events=(
+                MessageLoss(start=0.0, p=0.25),
+                HostDown(time=0.05, host="h004"),
+            ),
+            seed=7,
+        )
+        injector = arm_faults(plan, fabric, neat)
+        for i in range(1, 9):
+            fabric.submit("h000", f"h{i:03d}", 1e9 * i)
+        engine.run(until=0.1)
+
+        chosen = neat.daemon.place_flow(
+            PlacementRequest(size=5e8, data_node="h000", candidates=CANDIDATES)
+        )
+        decision = neat.daemon.decisions[-1]
+        lost = ("h003", "h004", "h011")
+        assert chosen == "h009" and decision.predicted_time == 0.5
+        assert decision.preferred_hosts == CANDIDATES
+        assert decision.queried_hosts == tuple(
+            h for h in CANDIDATES if h not in lost
+        )
+        scores = dict(decision.candidate_scores)
+        assert [h for h in CANDIDATES if scores[h] == float("inf")] == list(lost)
+        assert neat.bus.calls == 12
+        assert neat.bus.messages_sent == 2 * 12 + 3
+        assert neat.bus.messages_dropped == 3
+        assert neat.daemon.query_failures == 3
+        # h004 is down, not lost: it consumed no draw.  14 draws so far.
+        assert injector._rng.random() == 0.3468439075625007
+
+    def test_reducer_reports_only_hosts_that_answered(self):
+        """``queried_hosts`` of a reducer decision lists neither the
+        candidate that needed no query (it already holds every byte) nor
+        the ones whose request the loss window ate."""
+        from repro.faults.injector import arm_faults
+        from repro.faults.plan import FaultPlan, MessageLoss
+
+        engine, fabric = setup(hosts=8, coflow=True)
+        neat = neat_on(fabric, coflow_predictor="tcf")
+        arm_faults(
+            FaultPlan(events=(MessageLoss(start=0.0, p=0.4),), seed=3),
+            fabric,
+            neat,
+        )
+        candidates = tuple(fabric.topology.hosts)
+        neat.daemon.place_reducer([("h000", 1e9)], candidates)
+        decision = neat.daemon.decisions[-1]
+        lost = [
+            h for h, s in decision.candidate_scores if s == float("inf")
+        ]
+        assert decision.host == "h000"  # full locality, never asked
+        assert 0 < len(lost) < len(candidates) - 1
+        assert decision.queried_hosts == tuple(
+            h for h in candidates if h != "h000" and h not in lost
+        )
+
+    @pytest.mark.parametrize("kind", ["flow", "coflow"])
+    def test_one_request_object_per_decision(self, kind):
+        """Algorithm 1 asks every candidate the same question: all the
+        queries of a decision carry the identical request object."""
+        engine, fabric = setup(hosts=16)
+        bus = MessageBus(engine)
+        seen = []
+
+        def endpoint(host):
+            def handle(payload):
+                seen.append(payload)
+                from repro.daemons.messages import PredictionReply
+
+                return PredictionReply(host, 1.0, float("inf"))
+
+            return handle
+
+        for host in fabric.topology.hosts:
+            bus.register(host, endpoint(host))
+        daemon = TaskPlacementDaemon(fabric.topology, bus)
+        if kind == "flow":
+            daemon.place_flow(
+                PlacementRequest(
+                    size=5e8, data_node="h000", candidates=CANDIDATES
+                )
+            )
+        else:
+            daemon.place_coflow_flow(5e8, 1e9, "h000", CANDIDATES)
+        assert len(seen) == len(CANDIDATES)
+        assert all(payload is seen[0] for payload in seen)
+
+    def test_calls_per_queried_candidate_stay_bounded(self):
+        """The structural guard on the host cost of a decision: function
+        calls (Python and C) per queried candidate, decision overhead
+        amortised over the 15 candidates of the pinned fabrics.  The
+        chain makes 25.7 per flow query and 62.9 per coflow query; the
+        one this replaced made 45.6 and 80.2."""
+        engine, fabric = busy_flow_fabric()
+        daemon = neat_on(fabric).daemon
+        request = PlacementRequest(
+            size=5e8, data_node="h000", candidates=CANDIDATES
+        )
+        calls = calls_made(lambda: daemon.place_flow(request))
+        assert daemon.decisions[-1].queried_hosts == CANDIDATES
+        assert calls / len(CANDIDATES) <= 33
+
+        engine, fabric = busy_coflow_fabric()
+        daemon = neat_on(fabric, coflow_predictor="tcf").daemon
+        calls = calls_made(
+            lambda: daemon.place_coflow_flow(5e8, 1e9, "h000", CANDIDATES)
+        )
+        assert daemon.decisions[-1].queried_hosts == CANDIDATES
+        assert calls / len(CANDIDATES) <= 76
+
+    def test_predict_coflow_reads_the_link_before_syncing_the_host(self):
+        """The order a CCT query touches the fabric in is part of its
+        answer: it syncs the flows on the edge link, reads the link state
+        (``Coflow.remaining_total`` then sees the coflow's *other* flows
+        as of their last sync), and only then syncs the rest of the
+        host's flows for the node state.  Syncing the whole host first,
+        as the flow path's one-pass read does, changes the score."""
+        from repro.predictor.fabric_state import coflow_link_state
+
+        def scenario():
+            engine, fabric = setup(hosts=4, coflow=True)
+            tracker = CoflowTracker(fabric)
+            # one coflow through h001 in both directions, one elsewhere
+            tracker.submit_coflow(
+                [("h000", "h001", 2e9), ("h001", "h002", 3e9)]
+            )
+            tracker.submit_coflow([("h003", "h001", 1e9)])
+            engine.run(until=0.3)
+            daemon = NetworkDaemon(
+                "h001",
+                fabric,
+                make_flow_predictor("fair"),
+                coflow_predictor=make_coflow_predictor("coflow-fair"),
+            )
+            return fabric, daemon
+
+        fabric, daemon = scenario()
+        reply = daemon.predict_coflow(4e9, 1e9, "in")
+
+        fabric, _ = scenario()
+        state = coflow_link_state(fabric, "sw0->h001")
+        expected = make_coflow_predictor("coflow-fair").link_objective(
+            4e9, 1e9, state
+        )
+        assert reply.predicted_time == expected
+
+        fabric, daemon = scenario()
+        fabric.flows_at_host("h001")  # the merged pass, made by hand
+        assert daemon.predict_coflow(4e9, 1e9, "in").predicted_time != expected

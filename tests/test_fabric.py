@@ -4,6 +4,7 @@ with hand-computed fluid-model results under every scheduling policy."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TopologyError
 from repro.network.fabric import NetworkFabric
@@ -201,3 +202,92 @@ class TestClosFabric:
         assert all(r.fct >= 0 for r in fabric.records)
         # Nothing beats the empty-network optimum.
         assert all(r.slowdown >= 1.0 - 1e-9 for r in fabric.records)
+
+
+# ----------------------------------------------------------------------
+# host_edge_state: the daemons' one-pass read
+# ----------------------------------------------------------------------
+def _clos():
+    return three_tier_clos(pods=2, racks_per_pod=2, hosts_per_rack=2, cores=2)
+
+
+_HOSTS = tuple(_clos().hosts)
+_FABRIC_LINKS = tuple(
+    sorted(link.link_id for link in _clos().links() if not link.is_edge)
+)
+
+_fabric_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("submit"),
+            st.sampled_from(_HOSTS),
+            st.sampled_from(_HOSTS),
+            st.floats(1e6, 4e9),
+        ),
+        st.tuples(st.just("advance"), st.floats(1e-4, 1.5)),
+        st.tuples(st.just("fail_link"), st.sampled_from(_FABRIC_LINKS)),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+def _driven(ops, policy):
+    """A fabric after ``ops``, stopped between events (so flows are
+    mid-flight and unsynced, as a placement query finds them)."""
+    engine = Engine()
+    fabric = NetworkFabric(engine, _clos(), make_allocator(policy))
+    for op in ops:
+        if op[0] == "submit":
+            if op[1] != op[2]:
+                fabric.submit(op[1], op[2], op[3])
+        elif op[0] == "advance":
+            engine.run(until=engine.now + op[1])
+        else:
+            fabric.fail_link(op[1])
+    return fabric
+
+
+def _progress(fabric):
+    return {
+        flow_id: (flow.remaining, flow.attained, fabric._synced_at[flow_id])
+        for flow_id, flow in fabric._active.items()
+    }
+
+
+@given(_fabric_ops, st.sampled_from(("fair", "srpt")))
+@settings(max_examples=60, deadline=None)
+def test_host_edge_state_equals_the_two_reads_it_replaced(ops, policy):
+    """``host_edge_state`` is ``flows_on_link`` + ``flows_at_host`` bit
+    for bit: the sizes and their order (which follows the link index,
+    not the host index: a reroute re-inserts a flow into the former
+    only), the node state, and what the call leaves behind in every
+    flow.  Both directions of every host, after arbitrary histories."""
+    one_pass, two_reads = _driven(ops, policy), _driven(ops, policy)
+    topology = one_pass.topology
+    for host in _HOSTS:
+        for link in (topology.host_downlink(host), topology.host_uplink(host)):
+            sizes, node_state = one_pass.host_edge_state(host, link.link_id)
+            on_link = [f.remaining for f in two_reads.flows_on_link(link.link_id)]
+            at_host = [f.remaining for f in two_reads.flows_at_host(host)]
+            assert sizes == on_link
+            assert node_state == (min(at_host) if at_host else float("inf"))
+            assert _progress(one_pass) == _progress(two_reads)
+
+
+def test_host_edge_state_orders_sizes_by_the_link_index_after_a_reroute():
+    """The explicit case behind the property above: once ``fail_link``
+    has rerouted the older of two flows into h000, the link index lists
+    it last while the host index still lists it first."""
+    engine = Engine()
+    fabric = NetworkFabric(engine, _clos(), make_allocator("fair"))
+    old = fabric.submit("h007", "h000", 3e9)
+    new = fabric.submit("h005", "h000", 1e9)
+    engine.run(until=0.5)
+    fabric.fail_link(old.path[1])
+    assert fabric.flows_rerouted >= 1
+    assert fabric.flows_at_host("h000") == [old, new]
+    assert fabric.flows_on_link("tor0->h000") == [new, old]
+    sizes, node_state = fabric.host_edge_state("h000", "tor0->h000")
+    assert sizes == [new.remaining, old.remaining]
+    assert node_state == new.remaining
