@@ -64,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
                "of a --causal trace; 'trace export DIR' converts a causal "
                "trace to Chrome/Perfetto JSON; 'serve SCENARIO.json' runs "
                "an open-loop streaming placement session; "
-               "'campaign-worker DIR' drains cells from a shared campaign "
-               "queue (see 'run --distributed').",
+               "'campaign-worker DIR' drains cells from a campaign queue "
+               "kept with 'run --distributed DIR'.",
     )
     parser.add_argument(
         "figure",
@@ -147,18 +147,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp = parser.add_argument_group(
         "campaign execution",
-        "parallelism and result caching for 'all' and 'run' (parallel and "
-        "serial execution produce byte-identical results)",
+        "workers and result caching for 'all' and 'run': every cell runs "
+        "through one lease queue, and the results are byte-identical for "
+        "every worker count",
     )
     camp.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for campaign cells (default: %(default)s; "
-             "1 runs serially in-process)",
+        help="workers for campaign cells (default: %(default)s): 1 runs "
+             "them in this process, N >= 2 starts N supervised worker "
+             "processes, 0 (with --distributed/--resume) starts none and "
+             "coordinates external 'python -m repro campaign-worker DIR' "
+             "processes",
     )
     camp.add_argument(
         "--cache-dir", default=".repro-cache", metavar="DIR",
         help="content-addressed result cache directory; already-computed "
-             "cells are served from it (default: %(default)s)",
+             "cells are served from it (default: %(default)s; a queue kept "
+             "with --distributed stores its results inside DIR instead)",
     )
     camp.add_argument(
         "--no-cache", action="store_true",
@@ -166,61 +171,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="kill and retry any cell exceeding this wall-clock budget "
-             "(needs --jobs > 1)",
+        help="kill the worker of any cell exceeding this wall-clock budget "
+             "and retry the cell on a fresh one (worker processes only: "
+             "--jobs >= 2)",
     )
     camp.add_argument(
         "--cell-retries", type=int, default=1, metavar="N",
-        help="extra attempts for a crashed/timed-out cell before it is "
-             "quarantined (default: %(default)s)",
+        help="extra attempts for a crashed/timed-out/raising cell before "
+             "it is quarantined (default: %(default)s)",
     )
     camp.add_argument(
         "--status", metavar="PATH", default=None, dest="status_path",
         help="append live per-cell health records (JSONL) here — a file, "
              "or a directory that gets status.jsonl; watch with "
-             "'python -m repro status PATH'",
+             "'python -m repro status PATH' (default with --distributed: "
+             "DIR/status.jsonl)",
     )
     camp.add_argument(
-        "--stream", action="store_true",
-        help="streaming aggregation: fold each cell's result into a "
-             "fixed-memory campaign aggregate as it lands instead of "
-             "holding every payload (byte-identical to the batch "
-             "aggregate; use for thousand-cell grids)",
-    )
-    dist = parser.add_argument_group(
-        "distributed campaigns ('run' only)",
-        "cells become claimable lease files in a shared queue directory; "
-        "add workers anywhere with 'python -m repro campaign-worker DIR'",
-    )
-    dist.add_argument(
         "--distributed", metavar="DIR", default=None,
-        help="seed DIR as a work queue and supervise it instead of "
-             "running in-process; results stream into a fixed-memory "
-             "aggregate, byte-identical to a serial run",
+        help="('run' only) keep the lease queue in DIR instead of a "
+             "temporary directory, so workers anywhere that share the "
+             "filesystem can join ('python -m repro campaign-worker DIR') "
+             "and a killed run can be resumed",
     )
-    dist.add_argument(
+    camp.add_argument(
         "--resume", metavar="DIR", default=None,
-        help="resume the campaign seeded in DIR: finished cells fold "
-             "straight from the queue's cache, the rest execute, and "
-             "the final aggregate is byte-identical to an uninterrupted "
-             "run (grid flags are ignored; the manifest is authoritative)",
+        help="('run' only) resume the campaign kept in DIR: finished "
+             "cells fold straight from disk, the rest execute, and the "
+             "final aggregate is byte-identical to an uninterrupted run "
+             "(grid flags are ignored; the manifest is authoritative)",
     )
-    dist.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="local worker processes for --distributed/--resume "
-             "(default: %(default)s; 0 coordinates external "
-             "campaign-worker processes only)",
+    camp.add_argument(
+        "--lease-ttl", type=float, default=30.0, metavar="SECONDS",
+        help="seconds of lease silence before an unsupervised worker's "
+             "cell counts as abandoned and may be stolen "
+             "(default: %(default)s)",
     )
-    dist.add_argument(
-        "--lease-ttl", type=float, default=None, metavar="SECONDS",
-        help="seconds of lease silence before a cell counts as abandoned "
-             "and may be stolen by another worker (default: 30)",
-    )
-    dist.add_argument(
+    camp.add_argument(
         "--aggregate-out", metavar="PATH", default=None,
-        help="write the campaign aggregate payload as canonical JSON "
-             "(works in every mode; identical bytes across serial, "
-             "parallel, distributed, and resumed runs)",
+        help="('run' only) write the campaign aggregate payload as "
+             "canonical JSON (identical bytes for every --jobs value, "
+             "external workers and resumed runs)",
     )
     sweep = parser.add_argument_group(
         "campaign sweep ('run' only)",
@@ -387,26 +378,41 @@ def _progress(line: str) -> None:
     print(line, file=sys.stderr, flush=True)
 
 
-def cache_from_args(args: argparse.Namespace):
-    """The CLI's result cache, or None under ``--no-cache``."""
-    if args.no_cache:
-        return None
-    from repro.campaign import ResultCache
-
-    return ResultCache(args.cache_dir)
-
-
-def status_from_args(args: argparse.Namespace):
-    """Resolved ``--status`` path (directories get status.jsonl)."""
-    if args.status_path is None:
-        return None
-    from repro.campaign import resolve_status_path
-
-    return resolve_status_path(args.status_path)
-
-
 def _csv(text, convert=str):
     return [convert(part) for part in text.split(",") if part.strip()]
+
+
+def _run_campaign_from_args(
+    campaign, args: argparse.Namespace, *, directory=None, resume=False
+):
+    """Run a campaign with the CLI's execution flags; None (after
+    printing the error) when the queue directory is unusable."""
+    from repro.campaign import ResultCache, resolve_status_path, run_campaign
+    from repro.errors import ConfigError
+
+    # A kept queue stores results inside its own directory, so workers
+    # on other machines find them.
+    cached = directory is None and not args.no_cache
+    try:
+        return run_campaign(
+            campaign,
+            jobs=args.jobs,
+            cache=ResultCache(args.cache_dir) if cached else None,
+            timeout=args.cell_timeout,
+            retries=args.cell_retries,
+            progress=_progress,
+            status_path=(
+                resolve_status_path(args.status_path)
+                if args.status_path is not None
+                else None
+            ),
+            lease_ttl=args.lease_ttl,
+            directory=directory,
+            resume=resume,
+        )
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def run_all_summary(args: argparse.Namespace) -> int:
@@ -415,25 +421,18 @@ def run_all_summary(args: argparse.Namespace) -> int:
     Runs as a ten-cell campaign: ``--jobs`` parallelises the figures and
     the content-addressed cache makes re-runs (near-)instant.
     """
-    from repro.campaign import build_all_campaign, run_campaign
+    from repro.campaign import build_all_campaign
 
     cfg = config_from_args(args, workload="hadoop")
     campaign = build_all_campaign(
         cfg, arrivals=args.arrivals, seed=args.seed
     )
-    cache = cache_from_args(args)
-    report = run_campaign(
-        campaign,
-        jobs=args.jobs,
-        cache=cache,
-        timeout=args.cell_timeout,
-        retries=args.cell_retries,
-        progress=_progress,
-        status_path=status_from_args(args),
-    )
-    for outcome in report.outcomes:
-        if outcome.payload is not None:
-            print(outcome.payload["line"])
+    report = _run_campaign_from_args(campaign, args)
+    if report is None:
+        return 2
+    for payload in report.payloads():
+        if payload is not None:
+            print(payload["line"])
     print(f"cache: {report.cache_stats}")
     failures = report.failure_report()
     if failures:
@@ -442,30 +441,13 @@ def run_all_summary(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_campaign_outputs(report, args: argparse.Namespace) -> int:
-    """Render a campaign report (batch or streaming) and write outputs."""
-    from repro.campaign import (
-        canonical_json,
-        render_aggregate,
-        render_campaign_report,
-    )
-
-    if report.aggregate is not None:
-        print(render_aggregate(report.aggregate))
-        print(f"cache: {report.cache_stats}")
-    else:
-        print(render_campaign_report(report))
-    if args.aggregate_out:
-        with open(args.aggregate_out, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(report.aggregate_payload()))
-            fh.write("\n")
-        print(f"aggregate written to {args.aggregate_out}")
-    return 1 if report.quarantined else 0
-
-
 def run_campaign_cli(args: argparse.Namespace) -> int:
     """``repro run``: a declarative seed x network x load sweep."""
-    from repro.campaign import flow_grid, run_campaign
+    from repro.campaign import (
+        canonical_json,
+        flow_grid,
+        render_campaign_report,
+    )
 
     if args.distributed and args.resume:
         print(
@@ -474,94 +456,58 @@ def run_campaign_cli(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.workers < 0:
-        print("error: --workers must be >= 0", file=sys.stderr)
-        return 2
 
     if args.resume:
-        from repro.campaign import run_distributed_campaign
-        from repro.errors import ConfigError
-
-        try:
-            report = run_distributed_campaign(
-                args.resume,
-                workers=args.workers,
-                retries=args.cell_retries,
-                resume=True,
-                progress=_progress,
-            )
-        except (ConfigError, RuntimeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return _emit_campaign_outputs(report, args)
-
-    base = config_from_args(args)
-    if args.state_ttl is not None or args.push_node_state:
-        base = replace(
-            base,
-            state_ttl=args.state_ttl,
-            push_node_state=args.push_node_state,
+        report = _run_campaign_from_args(
+            None, args, directory=args.resume, resume=True
         )
-    fault_axis = None
-    if args.faults:
-        from repro.errors import FaultError
-        from repro.faults import FaultPlan
-
-        try:
-            fault_axis = [FaultPlan.load(args.faults)]
-        except FaultError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    seeds = _csv(args.seeds, int) if args.seeds else None
-    networks = (
-        _csv(args.networks)
-        if args.networks
-        else [args.network or ("varys" if args.coflows else "fair")]
-    )
-    campaign = flow_grid(
-        name="cli-sweep",
-        base_config=base,
-        seeds=seeds,
-        repetitions=None if seeds else args.repetitions,
-        network_policies=networks,
-        loads=_csv(args.loads, float) if args.loads else None,
-        placements=tuple(_csv(args.placements)),
-        coflows=args.coflows,
-        faults=fault_axis,
-    )
-    if args.distributed:
-        from repro.campaign import DEFAULT_LEASE_TTL, run_distributed_campaign
-        from repro.errors import ConfigError
-
-        try:
-            report = run_distributed_campaign(
-                args.distributed,
-                campaign,
-                workers=args.workers,
-                retries=args.cell_retries,
-                lease_ttl=(
-                    args.lease_ttl
-                    if args.lease_ttl is not None
-                    else DEFAULT_LEASE_TTL
-                ),
-                progress=_progress,
+    else:
+        base = config_from_args(args)
+        if args.state_ttl is not None or args.push_node_state:
+            base = replace(
+                base,
+                state_ttl=args.state_ttl,
+                push_node_state=args.push_node_state,
             )
-        except (ConfigError, RuntimeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return _emit_campaign_outputs(report, args)
+        fault_axis = None
+        if args.faults:
+            from repro.errors import FaultError
+            from repro.faults import FaultPlan
 
-    report = run_campaign(
-        campaign,
-        jobs=args.jobs,
-        cache=cache_from_args(args),
-        timeout=args.cell_timeout,
-        retries=args.cell_retries,
-        progress=_progress,
-        status_path=status_from_args(args),
-        streaming=args.stream,
-    )
-    return _emit_campaign_outputs(report, args)
+            try:
+                fault_axis = [FaultPlan.load(args.faults)]
+            except FaultError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+        seeds = _csv(args.seeds, int) if args.seeds else None
+        networks = (
+            _csv(args.networks)
+            if args.networks
+            else [args.network or ("varys" if args.coflows else "fair")]
+        )
+        campaign = flow_grid(
+            name="cli-sweep",
+            base_config=base,
+            seeds=seeds,
+            repetitions=None if seeds else args.repetitions,
+            network_policies=networks,
+            loads=_csv(args.loads, float) if args.loads else None,
+            placements=tuple(_csv(args.placements)),
+            coflows=args.coflows,
+            faults=fault_axis,
+        )
+        report = _run_campaign_from_args(
+            campaign, args, directory=args.distributed
+        )
+    if report is None:
+        return 2
+    print(render_campaign_report(report))
+    if args.aggregate_out:
+        with open(args.aggregate_out, "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(report.aggregate_payload()))
+            fh.write("\n")
+        print(f"aggregate written to {args.aggregate_out}")
+    return 1 if report.quarantined else 0
 
 
 def run_status_cli(argv) -> int:
@@ -1365,8 +1311,13 @@ def main(argv=None) -> int:
             print(f"{name:6s} {FIGURES[name]}")
         return 0
 
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
+    if args.jobs < 0 or (
+        args.jobs == 0 and not (args.distributed or args.resume)
+    ):
+        parser.error(
+            "--jobs must be >= 1 (0 only with --distributed/--resume, "
+            "to coordinate external workers)"
+        )
 
     if args.trace_rotate_bytes is not None and args.trace_rotate_bytes < 1:
         parser.error("--trace-rotate-bytes must be >= 1")

@@ -1,24 +1,30 @@
-"""Parallel simulation-campaign orchestration with result caching.
+"""Simulation-campaign orchestration over a lease queue, with result caching.
 
 The campaign layer turns independent simulation runs — seed x placement
 policy x network policy x load x figure — into a declarative
 :class:`~repro.campaign.spec.Campaign` of
-:class:`~repro.campaign.spec.RunSpec` cells executed on a supervised
-process pool (:func:`~repro.campaign.executor.run_campaign`), with a
-content-addressed on-disk result cache
+:class:`~repro.campaign.spec.RunSpec` cells.  One entry point,
+:func:`~repro.campaign.executor.run_campaign`, runs them all: it seeds a
+:class:`~repro.campaign.queue.WorkQueue` of exclusive-create lease
+files, drains it with ``jobs`` workers (in-process, supervised worker
+processes, or external ``repro campaign-worker`` processes on any
+machine sharing the directory), and folds the results in cell-index
+order into one :class:`~repro.campaign.streaming.CampaignAggregate`.
+Results live in a content-addressed on-disk store
 (:class:`~repro.campaign.cache.ResultCache`) keyed by the canonical hash
 of each cell's full configuration.
 
 Guarantees the rest of the repo builds on:
 
-* **byte-identity** — ``jobs=N`` and ``jobs=1`` produce byte-identical
-  payloads (cells are pure functions of their spec; report order is
-  cell order, never completion order);
+* **byte-identity** — every ``jobs`` value, external workers and a
+  killed-then-resumed run produce byte-identical payloads and aggregate
+  (cells are pure functions of their spec; fold order is cell order,
+  never completion order);
 * **cache correctness** — a payload is reused only when every
   content-defining config field (and the package version) matches;
-* **supervision** — per-cell timeouts, bounded retries on fresh
-  workers, and quarantine with a failure report instead of a sunk
-  campaign.
+* **supervision** — per-cell timeouts, crash detection, bounded retries
+  on fresh workers, and quarantine with a failure report instead of a
+  sunk campaign.
 
 Quickstart::
 
@@ -33,21 +39,12 @@ Quickstart::
         campaign, jobs=4, cache=ResultCache(".repro-cache"),
     )
     print(render_campaign_report(report))
+    first = report.outcomes[0].payload    # read from the store on demand
 """
 
-from repro.campaign.aggregate import (
-    MacroSummary,
-    grid_aggregates,
-    render_campaign_report,
-)
 from repro.campaign.cache import CacheStats, ResultCache
-from repro.campaign.distributed import run_distributed_campaign
-from repro.campaign.executor import (
-    CampaignReport,
-    CellOutcome,
-    execute_cell,
-    run_campaign,
-)
+from repro.campaign.cells import execute_cell
+from repro.campaign.executor import run_campaign
 from repro.campaign.figures import build_all_campaign
 from repro.campaign.hashing import canonical_json, content_hash, spec_key
 from repro.campaign.queue import (
@@ -58,6 +55,12 @@ from repro.campaign.queue import (
     WorkQueue,
     run_worker,
 )
+from repro.campaign.report import (
+    CampaignReport,
+    CellOutcome,
+    MacroSummary,
+    render_campaign_report,
+)
 from repro.campaign.spec import (
     Campaign,
     RunSpec,
@@ -65,11 +68,7 @@ from repro.campaign.spec import (
     flow_grid,
     spec_from_json_dict,
 )
-from repro.campaign.streaming import (
-    CampaignAggregate,
-    StreamingStat,
-    render_aggregate,
-)
+from repro.campaign.streaming import CampaignAggregate, StreamingStat
 from repro.campaign.status import (
     DEFAULT_STALL_THRESHOLD,
     STATUS_FILENAME,
@@ -91,10 +90,8 @@ __all__ = [
     "Claim",
     "WorkerSummary",
     "run_worker",
-    "run_distributed_campaign",
     "CampaignAggregate",
     "StreamingStat",
-    "render_aggregate",
     "DEFAULT_LEASE_TTL",
     "MANIFEST_FILENAME",
     "canonical_json",
@@ -107,7 +104,6 @@ __all__ = [
     "execute_cell",
     "run_campaign",
     "MacroSummary",
-    "grid_aggregates",
     "render_campaign_report",
     "build_all_campaign",
     "StatusWriter",

@@ -24,6 +24,26 @@ from typing import Dict, Optional
 from repro.campaign.hashing import canonical_json
 
 
+def atomic_write_text(path, text: str, *, prefix: str = "") -> None:
+    """Write ``text`` plus a newline to ``path`` so that a reader sees
+    the old file or the whole new one, never a part (temp file in the
+    same directory, then ``os.replace``)."""
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path), prefix=prefix, suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/write accounting for one executor pass."""
@@ -49,14 +69,14 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def lookup(self, key: str) -> Optional[Dict[str, object]]:
-        """Return the cached payload for ``key``, or None on a miss."""
+    def read(self, key: str) -> Optional[Dict[str, object]]:
+        """The stored payload for ``key`` or None, outside the hit/miss
+        accounting (reports reading results back, not executor lookups)."""
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
         except FileNotFoundError:
-            self.stats.misses += 1
             return None
         except (json.JSONDecodeError, OSError):
             # Corrupt or unreadable blob: drop it and recompute.
@@ -64,33 +84,25 @@ class ResultCache:
                 os.remove(path)
             except OSError:
                 pass
-            self.stats.misses += 1
             return None
-        if not isinstance(payload, dict):
+        return payload if isinstance(payload, dict) else None
+
+    def lookup(self, key: str) -> Optional[Dict[str, object]]:
+        """Return the cached payload for ``key``, or None on a miss."""
+        payload = self.read(key)
+        if payload is None:
             self.stats.misses += 1
-            return None
-        self.stats.hits += 1
+        else:
+            self.stats.hits += 1
         return payload
 
     def store(self, key: str, payload: Dict[str, object]) -> None:
         """Atomically persist one payload under ``key``."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        blob = canonical_json(payload)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=f".{key[:8]}.", suffix=".tmp"
+        atomic_write_text(
+            path, canonical_json(payload), prefix=f".{key[:8]}."
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(blob)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
         self.stats.writes += 1
 
     def __len__(self) -> int:

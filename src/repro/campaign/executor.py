@@ -1,460 +1,168 @@
-"""Supervised campaign execution: process pool, cache, retries, quarantine.
+"""The one campaign entry point: a supervisor over the lease queue.
 
-:func:`run_campaign` executes every cell of a :class:`Campaign` and
-returns a :class:`CampaignReport` whose outcomes are ordered by *cell
-index*, never by completion order — so a parallel run reports exactly
-what a serial run reports.
+:func:`run_campaign` seeds (or reopens) a
+:class:`~repro.campaign.queue.WorkQueue`, drains it with ``jobs``
+workers and folds finished cells **in cell-index order** into the one
+:class:`~repro.campaign.streaming.CampaignAggregate`.  The supervisor
+only ever looks at the next unfolded index, so out-of-order completions
+wait on disk (done marker + result blob), not in memory, and the
+aggregate is byte-identical for every worker count, for external
+``repro campaign-worker`` processes, and for a killed-then-resumed run:
+cells are pure functions of their spec, the fold order is fixed, and
+nothing run-shaped (ok-vs-cached, attempts, worker ids, wall time)
+enters the aggregate payload.
 
-Supervision model (the part a bare ``ProcessPoolExecutor.map`` lacks):
-
-* **cache short-circuit** — cells whose content hash is already in the
-  :class:`~repro.campaign.cache.ResultCache` never reach a worker;
-* **per-cell timeout** — a cell that exceeds ``timeout`` wall seconds is
-  killed with its worker (the whole pool is torn down and rebuilt, the
-  only way to reclaim a truly hung ``ProcessPoolExecutor`` worker);
-* **bounded retry with a fresh worker** — timed-out and crashed cells
-  are requeued up to ``retries`` extra attempts; innocent cells that
-  were merely in flight during a pool teardown are requeued without
-  consuming an attempt;
-* **quarantine** — a cell that exhausts its attempts is reported as
-  failed (with its last error) instead of sinking the campaign;
-* **serial fallback** — ``jobs=1``, or a platform where process pools
-  cannot start, runs every cell in-process (timeouts cannot be enforced
-  without a second process and are ignored there).
-
-Cells must be *pure*: everything they need rides in the
-:class:`~repro.campaign.spec.RunSpec`, and their payload must be
-JSON-safe and deterministic (no wall-clock values), which is what makes
-both the cache and the parallel/serial byte-identity guarantee sound.
+The supervisor owns the worker processes it starts (``jobs >= 2``): one
+whose cell exceeds ``timeout`` is killed, one that dies (``os._exit``,
+SIGKILL) is noticed on the next tick, and either way its lease becomes
+stealable at once (not after the TTL) with the spent attempt still
+counted, a fresh worker is started, and in-flight neighbours are
+untouched.  Once ``1 + retries`` attempts are spent the cell is
+quarantined with an error that says ``timeout`` / ``crash`` instead of
+sinking the campaign.  A cell that *raises* is retried in place by the
+worker loop (:func:`~repro.campaign.queue.run_worker`).  With ``jobs=1``
+that loop runs in the calling process, where a hung or crashing cell
+cannot be contained — ``timeout`` needs ``jobs >= 2``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import shutil
+import tempfile
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+import weakref
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.campaign.cache import CacheStats, ResultCache
+from repro.campaign.cells import execute_cell, payload_events
 from repro.campaign.hashing import spec_key
+from repro.campaign.queue import (
+    DEFAULT_LEASE_TTL,
+    Claim,
+    WorkQueue,
+    run_worker,
+)
+from repro.campaign.report import CampaignReport, CellOutcome
 from repro.campaign.spec import Campaign, RunSpec
-from repro.campaign.status import StatusWriter
-from repro.metrics.stats import afct, average_gap
+from repro.campaign.status import STATUS_FILENAME
+from repro.campaign.streaming import CampaignAggregate
+from repro.errors import ConfigError
 
-if TYPE_CHECKING:  # pragma: no cover - type-only (avoids an import cycle)
-    from repro.campaign.streaming import CampaignAggregate
+__all__ = ["run_campaign"]
 
-#: Supervisor poll interval (wall seconds) while futures are in flight.
-_TICK = 0.1
+#: Supervisor poll interval (wall seconds) while the next cell in index
+#: order is still running somewhere; also the owned workers' claim poll.
+_TICK = 0.05
 
-
-# ----------------------------------------------------------------------
-# Cell execution (runs inside the worker process)
-# ----------------------------------------------------------------------
-def _metrics_snapshot(registry) -> Dict[str, object]:
-    """The deterministic slice of a run's metrics.
-
-    Timers hold wall-clock seconds, which differ run to run; everything
-    else in the registry is derived from simulated time and is exactly
-    reproducible, so only timers are dropped from cached payloads.
-    """
-    snapshot = registry.as_dict()
-    snapshot.pop("timers", None)
-    return snapshot
+_PROGRESS_TAGS = {"ok": "done", "cached": "cached", "failed": "FAILED"}
 
 
-def _macro_payload(spec: RunSpec) -> Dict[str, object]:
-    """Run one flow/coflow placement-comparison cell."""
-    from repro.experiments.runner import compare_policies
-    from repro.telemetry import CausalTracer, MetricsRegistry, Telemetry
-    from repro.telemetry.causal import analyze, blame_shares_dict
-    from repro.telemetry.profiler import current_profiler
+class _OwnedWorkers:
+    """The worker processes one supervisor started, and their upkeep."""
 
-    registry = MetricsRegistry()
-    # The ambient profiler is NULL_PROFILER unless a status-emitting
-    # campaign worker installed a real one; span data never enters the
-    # payload, so caching and byte-identity are unaffected either way.
-    # The causal tracer rides along so every cell's payload carries the
-    # blame decomposition tails; it observes the run without touching
-    # simulation state, so records stay byte-identical.
-    telemetry = Telemetry(
-        registry=registry,
-        profiler=current_profiler(),
-        causal=CausalTracer(),
-    )
-    cfg = spec.config
-    topology = cfg.build_topology()
-    trace = cfg.build_trace(topology)
-    results = compare_policies(
-        trace,
-        topology,
-        network_policy=spec.network_policy,
-        placements=list(spec.placements),
-        coflows=spec.kind == "coflow_macro",
-        predictor=spec.predictor,
-        seed=cfg.seed,
-        max_candidates=cfg.max_candidates,
-        faults=spec.faults,
-        state_ttl=cfg.state_ttl,
-        push_updates=cfg.push_node_state,
-        alloc_backend=cfg.alloc_backend,
-        telemetry=telemetry,
-    )
-    blame = {
-        analysis.placement: blame_shares_dict(list(analysis.flows.values()))
-        for analysis in analyze(telemetry.causal.events)
-    }
-    per_placement = {
-        name: {
-            "average_gap": average_gap(r.records),
-            "mean_completion": afct(r.records),
-            "num_records": len(r.records),
-            "control_messages": r.control_messages,
-            "events_processed": r.events_processed,
-            "sim_duration": r.sim_duration,
-            "flows_aborted": r.flows_aborted,
-            "flows_rerouted": r.flows_rerouted,
-            "tasks_dropped": r.tasks_dropped,
-            "stale_fallbacks": r.stale_fallbacks,
-            "blame": blame.get(name),
-        }
-        for name, r in results.items()
-    }
-    return {
-        "kind": spec.kind,
-        "network_policy": spec.network_policy,
-        "workload": cfg.workload,
-        "load": cfg.load,
-        "seed": cfg.seed,
-        "faults": spec.faults.canonical() if spec.faults is not None else None,
-        "per_placement": per_placement,
-        "metrics": _metrics_snapshot(registry),
-    }
-
-
-def execute_cell(spec: RunSpec) -> Dict[str, object]:
-    """Execute one cell and return its deterministic JSON payload.
-
-    This is the default ``cell_fn`` — a module-level function so the
-    process pool can pickle it by reference.
-    """
-    if spec.kind in ("flow_macro", "coflow_macro"):
-        return _macro_payload(spec)
-    from repro.campaign.figures import execute_figure
-
-    return execute_figure(spec)
-
-
-def _payload_events(payload) -> Optional[int]:
-    """Total simulator events behind a payload, when it exposes them."""
-    if not isinstance(payload, dict):
-        return None
-    per_placement = payload.get("per_placement")
-    if isinstance(per_placement, dict):
-        total = 0
-        found = False
-        for entry in per_placement.values():
-            events = entry.get("events_processed") if isinstance(entry, dict) \
-                else None
-            if isinstance(events, (int, float)):
-                total += int(events)
-                found = True
-        return total if found else None
-    events = payload.get("events_processed")
-    return int(events) if isinstance(events, (int, float)) else None
-
-
-class _CellRunner:
-    """Picklable cell wrapper: runs ``cell_fn``, emitting worker-side
-    heartbeats to the status file when one is configured.
-
-    With a status path, each attempt emits a ``running`` record before
-    the cell and a ``finished`` record after it — the latter carrying
-    ``events_processed`` and the spans snapshot of a per-attempt ambient
-    :class:`~repro.telemetry.profiler.SpanProfiler`, which the cell's own
-    Telemetry picks up via :func:`current_profiler`.  Profiler data flows
-    only into the status stream, never the payload, so cached results
-    stay byte-identical with or without status reporting.
-    """
-
-    def __init__(self, cell_fn: Callable, status_path=None) -> None:
+    def __init__(
+        self,
+        queue: WorkQueue,
+        count: int,
+        cell_fn: Callable[[RunSpec], Dict[str, object]],
+        timeout: Optional[float],
+        retries: int,
+    ) -> None:
+        self._queue = queue
         self._cell_fn = cell_fn
-        self._status_path = status_path
+        self._timeout = timeout
+        self._retries = retries
+        self._procs: Dict[str, multiprocessing.Process] = {}
+        self._spawned = 0
+        for _ in range(count):
+            self._spawn()
 
-    def __call__(self, index: int, spec: RunSpec, attempts: int):
-        if self._status_path is None:
-            return self._cell_fn(spec)
-        from repro.telemetry.profiler import SpanProfiler, set_current_profiler
-
-        writer = StatusWriter(self._status_path)
-        writer.emit(
-            "cell",
-            cell=index,
-            state="running",
-            attempt=attempts + 1,
-            spec=spec.describe(),
+    def _spawn(self) -> None:
+        """Start one worker: the same loop ``repro campaign-worker``
+        runs, polling until the queue completes."""
+        self._spawned += 1
+        worker_id = f"{os.uname().nodename}:{os.getpid()}.{self._spawned}"
+        proc = multiprocessing.Process(
+            target=run_worker,
+            args=(str(self._queue.directory),),
+            kwargs={
+                "worker_id": worker_id,
+                "cell_fn": self._cell_fn,
+                "retries": self._retries,
+                "poll": _TICK,
+                "wait": True,
+            },
+            daemon=True,
         )
-        previous = set_current_profiler(SpanProfiler())
-        try:
-            payload = self._cell_fn(spec)
-        finally:
-            profiler = set_current_profiler(previous)
-        writer.emit(
-            "cell",
-            cell=index,
-            state="finished",
-            attempt=attempts + 1,
-            spec=spec.describe(),
-            events_processed=_payload_events(payload),
-            spans=profiler.as_dict() if profiler.paths() else None,
-        )
-        return payload
+        proc.start()
+        self._procs[worker_id] = proc
 
-
-# ----------------------------------------------------------------------
-# Outcomes and the campaign-level report
-# ----------------------------------------------------------------------
-@dataclass
-class CellOutcome:
-    """What happened to one cell."""
-
-    index: int
-    spec: RunSpec
-    status: str  # "ok" | "cached" | "failed"
-    payload: Optional[Dict[str, object]] = None
-    attempts: int = 0
-    error: Optional[str] = None
-    wall_seconds: float = 0.0
-
-
-@dataclass
-class CampaignReport:
-    """Every cell's outcome, in cell order, plus campaign-level totals.
-
-    In streaming mode (``run_campaign(streaming=True)`` or the
-    distributed supervisor) outcomes carry no payloads — per-cell
-    results fold into :attr:`aggregate` as they land and are dropped, so
-    report memory is bounded by the aggregate's group count, not the
-    campaign size.
-    """
-
-    campaign: Campaign
-    outcomes: List[CellOutcome]
-    jobs: int
-    cache_stats: CacheStats = field(default_factory=CacheStats)
-    wall_seconds: float = 0.0
-    aggregate: Optional["CampaignAggregate"] = None
-
-    @property
-    def completed(self) -> List[CellOutcome]:
-        return [o for o in self.outcomes if o.status in ("ok", "cached")]
-
-    @property
-    def quarantined(self) -> List[CellOutcome]:
-        return [o for o in self.outcomes if o.status == "failed"]
-
-    def payloads(self) -> List[Optional[Dict[str, object]]]:
-        """Payloads aligned with ``campaign.cells`` (None where failed)."""
-        return [o.payload for o in self.outcomes]
-
-    def merged_metrics(self) -> Dict[str, object]:
-        """All per-run metric registries folded into one snapshot."""
-        from repro.telemetry.registry import merge_snapshots
-
-        return merge_snapshots(
-            o.payload["metrics"]
-            for o in self.completed
-            if o.payload is not None and "metrics" in o.payload
-        )
-
-    def aggregate_payload(self) -> Dict[str, object]:
-        """The campaign-level streaming aggregate as a canonical dict.
-
-        Streaming runs return their live aggregate; batch runs build
-        one by folding the retained payloads in index order — the same
-        code path, which is exactly what makes "streaming equals batch"
-        a byte-level identity rather than an approximation.
-        """
-        if self.aggregate is not None:
-            return self.aggregate.payload()
-        from repro.campaign.streaming import CampaignAggregate
-
-        folded = CampaignAggregate(self.campaign.name, len(self.outcomes))
-        for outcome in self.outcomes:
-            folded.fold(outcome.index, outcome.status, outcome.payload)
-        return folded.payload()
-
-    def failure_report(self) -> str:
-        """Human-readable quarantine report (empty string when clean)."""
-        bad = self.quarantined
-        if not bad:
-            return ""
-        lines = [f"{len(bad)} of {len(self.outcomes)} cells quarantined:"]
-        for o in bad:
-            lines.append(
-                f"  cell {o.index} [{o.spec.describe()}] after "
-                f"{o.attempts} attempt(s): {o.error}"
-            )
-        return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Supervised execution
-# ----------------------------------------------------------------------
-def _kill_pool(pool) -> None:
-    """Tear a pool down even when a worker is wedged.
-
-    ``shutdown(cancel_futures=True)`` alone never interrupts a running
-    task, so the worker processes are terminated directly; touching
-    ``_processes`` is the only handle the stdlib exposes for that.
-    """
-    processes = list(getattr(pool, "_processes", {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in processes:
-        if proc.is_alive():
-            proc.terminate()
-    for proc in processes:
-        proc.join(timeout=5)
-
-
-def _run_serial(
-    work: Sequence,
-    runner: Callable,
-    retries: int,
-    record: Callable,
-) -> None:
-    for index, spec, attempts in work:
-        error: Optional[str] = None
-        while True:
-            start = time.perf_counter()
-            try:
-                payload = runner(index, spec, attempts)
-            except Exception as exc:  # noqa: BLE001 - quarantine, don't sink
-                attempts += 1
-                error = f"error: {exc!r}"
-                if attempts >= 1 + retries:
-                    record(index, spec, "failed", None, attempts, error, 0.0)
-                    break
+    def supervise(self) -> None:
+        """One tick: replace dead and overdue workers."""
+        overdue = set()
+        if self._timeout is not None:
+            cutoff = time.time() - self._timeout
+            overdue = {
+                lease.get("worker")
+                for lease in self._queue.leases().values()
+                if lease.get("started", cutoff) < cutoff
+            }
+        for worker_id, proc in list(self._procs.items()):
+            if not proc.is_alive():
+                reason = (
+                    f"crash: worker process died (exit code {proc.exitcode})"
+                )
+            elif worker_id in overdue:
+                # A hung worker has no cleanup worth waiting for, and the
+                # commit protocol is crash-safe: kill, don't ask.
+                proc.kill()
+                reason = f"timeout: exceeded {self._timeout:g}s wall clock"
+            else:
                 continue
-            record(
-                index,
-                spec,
-                "ok",
-                payload,
-                attempts + 1,
-                None,
-                time.perf_counter() - start,
-            )
-            break
+            proc.join()
+            del self._procs[worker_id]
+            self._abandon(worker_id, reason)
+            if not self._queue.is_complete():
+                self._spawn()
 
-
-def _run_pool(
-    work: Sequence,
-    runner: Callable,
-    jobs: int,
-    timeout: Optional[float],
-    retries: int,
-    record: Callable,
-) -> bool:
-    """Pool-based supervised execution; False if no pool could start."""
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    def make_pool():
-        return ProcessPoolExecutor(max_workers=jobs)
-
-    try:
-        pool = make_pool()
-    except (ImportError, NotImplementedError, OSError, ValueError):
-        return False
-
-    pending = deque(work)  # (index, spec, attempts)
-    in_flight: Dict[object, list] = {}  # future -> [idx, spec, att, started]
-
-    def fail_or_requeue(index, spec, attempts, reason) -> None:
-        attempts += 1
-        if attempts >= 1 + retries:
-            record(index, spec, "failed", None, attempts, reason, 0.0)
-        else:
-            pending.append((index, spec, attempts))
-
-    try:
-        while pending or in_flight:
-            while pending and len(in_flight) < jobs:
-                index, spec, attempts = pending.popleft()
-                future = pool.submit(runner, index, spec, attempts)
-                in_flight[future] = [index, spec, attempts, None]
-            done, _ = wait(
-                set(in_flight), timeout=_TICK, return_when=FIRST_COMPLETED
-            )
-            now = time.monotonic()
-            pool_broken = False
-            for future in done:
-                index, spec, attempts, started = in_flight.pop(future)
-                exc = future.exception()
-                if exc is None:
-                    wall = now - started if started is not None else 0.0
-                    record(
-                        index, spec, "ok", future.result(), attempts + 1,
-                        None, wall,
-                    )
-                elif isinstance(exc, BrokenProcessPool):
-                    pool_broken = True
-                    fail_or_requeue(
-                        index, spec, attempts,
-                        "crash: worker process died (BrokenProcessPool)",
-                    )
-                else:
-                    fail_or_requeue(index, spec, attempts, f"error: {exc!r}")
-            if pool_broken:
-                # Every other in-flight future is doomed too; cells that
-                # had started share the blame window (we cannot tell who
-                # crashed), queued-only cells get their attempt back.
-                for future, entry in in_flight.items():
-                    index, spec, attempts, started = entry
-                    if started is not None:
-                        fail_or_requeue(
-                            index, spec, attempts,
-                            "crash: worker process died (BrokenProcessPool)",
-                        )
-                    else:
-                        pending.append((index, spec, attempts))
-                in_flight.clear()
-                _kill_pool(pool)
-                pool = make_pool()
+    def _abandon(self, worker_id: str, reason: str) -> None:
+        """Spend the attempt a dead worker's lease recorded: quarantine
+        the cell when that was its last, else let it be stolen now."""
+        for index, lease in self._queue.leases().items():
+            if lease.get("worker") != worker_id:
                 continue
-            timed_out = []
-            for future, entry in in_flight.items():
-                if entry[3] is None and future.running():
-                    entry[3] = now
-                if (
-                    timeout is not None
-                    and entry[3] is not None
-                    and now - entry[3] > timeout
-                ):
-                    timed_out.append(future)
-            if timed_out:
-                # Killing one hung worker means rebuilding the pool;
-                # innocent in-flight cells are requeued free of charge.
-                for future, entry in in_flight.items():
-                    index, spec, attempts, _started = entry
-                    if future in timed_out:
-                        fail_or_requeue(
-                            index, spec, attempts,
-                            f"timeout: exceeded {timeout:g}s wall clock",
-                        )
-                    else:
-                        pending.append((index, spec, attempts))
-                in_flight.clear()
-                _kill_pool(pool)
-                pool = make_pool()
-    finally:
-        _kill_pool(pool)
-    return True
+            attempt = int(lease.get("attempt", 1))
+            if attempt >= 1 + self._retries:
+                self._queue.commit(
+                    Claim(
+                        index,
+                        self._queue.campaign.cells[index],
+                        self._queue.keys[index],
+                        attempt,
+                    ),
+                    "failed",
+                    worker=worker_id,
+                    error=reason,
+                )
+            else:
+                self._queue.expire(index)
+
+    def stop(self) -> None:
+        """Workers exit by themselves once the queue completes; anything
+        still alive after an error (or a grace period) is killed."""
+        for proc in self._procs.values():
+            if self._queue.is_complete():
+                proc.join(timeout=10)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
 
 
 def run_campaign(
-    campaign: Campaign,
+    campaign: Optional[Campaign] = None,
     *,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
@@ -463,142 +171,192 @@ def run_campaign(
     retries: int = 1,
     progress: Optional[Callable[[str], None]] = None,
     status_path=None,
-    streaming: bool = False,
+    directory: Union[str, Path, None] = None,
+    resume: bool = False,
+    lease_ttl: float = DEFAULT_LEASE_TTL,
 ) -> CampaignReport:
-    """Execute every cell of ``campaign`` under supervision.
+    """Execute every cell of ``campaign`` through a lease queue.
 
     Args:
-        campaign: the cell grid to run.
-        jobs: worker processes; 1 (or an unavailable pool) runs serially
-            in-process.
-        cache: content-addressed result cache; hits skip execution and
-            successful cells are stored back.
-        cell_fn: the cell implementation (module-level, picklable);
-            overridable for tests and custom campaign kinds.
-        timeout: per-cell wall-clock budget in seconds (pool mode only).
+        campaign: the cell grid to run.  Optional with ``resume`` (the
+            manifest is authoritative); when both are given the manifest
+            must describe the same cells.
+        jobs: workers.  ``1`` runs the worker loop in the calling
+            process; ``N >= 2`` starts N supervised worker processes;
+            ``0`` starts none and coordinates external ``repro
+            campaign-worker DIRECTORY`` processes (needs ``directory``).
+        cache: result store shared across campaigns; hits skip
+            execution and successful cells are stored back.  Without
+            one, results live inside the queue directory.
+        cell_fn: the cell implementation (importable by worker
+            processes); overridable for tests and custom campaign kinds.
+        timeout: per-cell wall-clock budget in seconds (``jobs >= 2``).
         retries: extra attempts for a timed-out/crashed/raising cell
             before it is quarantined.
         progress: optional line sink (e.g. ``print``) for per-cell
-            progress as results land.
-        status_path: when set, the supervisor and every worker append
-            live health records (JSONL) here — rendered by
-            ``repro status``.  Wall timestamps stay in this file only;
-            payloads and the cache are untouched.
-        streaming: fold every result into a fixed-memory
-            :class:`~repro.campaign.streaming.CampaignAggregate` as it
-            lands and drop the payload — outcomes then carry no
-            payloads and report memory is bounded regardless of
-            campaign size.  A small reorder buffer (bounded by the
-            completion-order skew, i.e. ``jobs``) restores cell-index
-            fold order so the aggregate is byte-identical to a serial
-            run's.
+            progress as results fold.
+        status_path: where the supervisor and every worker append live
+            health records (JSONL, rendered by ``repro status``);
+            default ``DIRECTORY/status.jsonl`` for a kept queue, no
+            stream otherwise.  Wall timestamps stay in this file only.
+        directory: keep the queue here — machines sharing the filesystem
+            can add workers, and a killed run can be resumed.  Without
+            it the queue is a temporary directory, removed once the
+            report's outcomes (which read payloads from it) are gone.
+        resume: reopen the queue already in ``directory``: finished
+            cells fold straight from disk and the rest execute.  The
+            manifest then says where cache and status stream live.
+        lease_ttl: seconds of lease silence before a cell whose worker
+            nobody supervises counts as abandoned and may be stolen.
     """
     started = time.perf_counter()
+    if jobs < 0:
+        raise ConfigError(f"jobs must be >= 0, got {jobs!r}")
+    if directory is None and (resume or jobs == 0):
+        raise ConfigError(
+            "resuming a campaign, or coordinating external workers "
+            "(jobs=0), needs the queue directory"
+        )
+    if campaign is None and not resume:
+        raise ConfigError("run_campaign needs a campaign unless resuming")
+    if resume:
+        queue = WorkQueue.open(directory)
+        if campaign is not None and queue.keys != [
+            spec_key(spec) for spec in campaign.cells
+        ]:
+            raise ConfigError(
+                f"queue {directory} holds campaign {queue.campaign.name!r}, "
+                "which does not match the grid passed for resume"
+            )
+    else:
+        scratch = None
+        if directory is None:
+            directory = scratch = tempfile.mkdtemp(prefix="repro-campaign-")
+        if status_path is not None:
+            status_path = os.path.abspath(status_path)
+        elif scratch is None:
+            status_path = STATUS_FILENAME
+        try:
+            queue = WorkQueue.seed(
+                directory,
+                campaign,
+                lease_ttl=lease_ttl,
+                cache=(
+                    os.path.abspath(cache.root)
+                    if cache is not None
+                    else "cache"
+                ),
+                status=status_path,
+            )
+        except BaseException:
+            if scratch is not None:
+                shutil.rmtree(scratch, ignore_errors=True)
+            raise
+        if scratch is not None:
+            # Outcomes read payloads through ``queue.cache`` on demand,
+            # so a temporary queue lives exactly as long as they do.
+            weakref.finalize(queue.cache, shutil.rmtree, scratch, True)
+    campaign = queue.campaign
     total = len(campaign.cells)
-    outcomes: Dict[int, CellOutcome] = {}
-    done_count = 0
-    aggregate: Optional["CampaignAggregate"] = None
-    if streaming:
-        from repro.campaign.streaming import CampaignAggregate
-
-        aggregate = CampaignAggregate(campaign.name, total)
-    status = StatusWriter(status_path) if status_path is not None else None
+    # Cells an earlier supervisor (or worker) finished count as hits.
+    inherited = set(queue.finished())
+    status = queue.status_writer()
     if status is not None:
         status.emit(
             "campaign_start", campaign=campaign.name, cells=total, jobs=jobs
         )
+    aggregate = CampaignAggregate(campaign.name, total)
+    outcomes: List[CellOutcome] = []
+    stats = CacheStats()
 
-    def record(index, spec, state, payload, attempts, error, wall) -> None:
-        nonlocal done_count
-        outcome = CellOutcome(
-            index=index,
-            spec=spec,
-            status=state,
-            # Streaming mode never retains payloads: the cell folds
-            # into the aggregate below and its memory is released.
-            payload=None if aggregate is not None else payload,
-            attempts=attempts,
-            error=error,
-            wall_seconds=wall,
-        )
-        outcomes[index] = outcome
-        done_count += 1
-        if state == "ok" and cache is not None:
-            cache.store(key_for(index), payload)
-        if aggregate is not None:
-            aggregate.add(index, state, payload)
-        if status is not None:
-            fields = {
-                "cell": index,
-                "state": state,
-                "attempt": attempts,
-                "spec": spec.describe(),
-                "wall_seconds": wall,
-            }
-            if error is not None:
-                fields["error"] = error
-            events = _payload_events(payload)
-            if events is not None:
-                fields["events_processed"] = events
-            status.emit("cell", **fields)
-        if progress is not None:
-            tag = {"ok": "done", "cached": "cached", "failed": "FAILED"}[
-                state
-            ]
-            suffix = f" ({error})" if error else ""
-            progress(
-                f"[{done_count}/{total}] {tag:6s} {spec.describe()}{suffix}"
-            )
-
-    keys: Dict[int, str] = {}
-
-    def key_for(index: int) -> str:
-        key = keys.get(index)
-        if key is None:
-            key = keys[index] = spec_key(campaign.cells[index])
-        return key
-
-    work = []
-    for index, spec in enumerate(campaign.cells):
-        if cache is not None:
-            hit = cache.lookup(key_for(index))
-            if hit is not None:
-                record(index, spec, "cached", hit, 0, None, 0.0)
-                continue
-        work.append((index, spec, 0))
-
-    if work:
-        runner = _CellRunner(cell_fn, status_path)
-        ran_in_pool = False
-        if jobs > 1:
-            ran_in_pool = _run_pool(
-                work, runner, jobs, timeout, retries, record
-            )
-            if not ran_in_pool and progress is not None:
-                progress(
-                    "process pool unavailable; falling back to serial "
-                    "in-process execution"
+    def fold_ready() -> bool:
+        """Fold every finished cell contiguous with the folded prefix;
+        True once the whole campaign is folded."""
+        while aggregate.folded < total:
+            index = aggregate.folded
+            marker = queue.done_marker(index)
+            if marker is None:
+                return False
+            state = marker["status"]
+            spec = campaign.cells[index]
+            payload = queue.result_for(index) if state != "failed" else None
+            aggregate.fold(index, state, payload)
+            error = marker.get("error")
+            outcomes.append(
+                CellOutcome(
+                    index=index,
+                    spec=spec,
+                    status=state,
+                    attempts=int(marker.get("attempts", 1)),
+                    error=error,
+                    key=queue.keys[index],
+                    store=queue.cache,
                 )
-        if not ran_in_pool:
-            _run_serial(work, runner, retries, record)
+            )
+            if state == "cached" or index in inherited:
+                stats.hits += 1
+            else:
+                stats.misses += 1
+                stats.writes += state == "ok"
+            if status is not None:
+                fields = {
+                    "cell": index,
+                    "state": state,
+                    "attempt": outcomes[-1].attempts,
+                    "spec": spec.describe(),
+                    "worker": marker.get("worker"),
+                }
+                if error is not None:
+                    fields["error"] = error
+                events = payload_events(payload)
+                if events is not None:
+                    fields["events_processed"] = events
+                status.emit("cell", **fields)
+            if progress is not None:
+                suffix = f" ({error})" if error else ""
+                progress(
+                    f"[{index + 1}/{total}] {_PROGRESS_TAGS[state]:6s} "
+                    f"{spec.describe()}{suffix}"
+                )
+        return True
+
+    owned = (
+        _OwnedWorkers(queue, jobs, cell_fn, timeout, retries)
+        if jobs >= 2
+        else None
+    )
+    try:
+        while not fold_ready():
+            if owned is not None:
+                owned.supervise()
+            elif jobs == 1 and run_worker(
+                queue, cell_fn=cell_fn, retries=retries, after_cell=fold_ready
+            ).claimed:
+                continue
+            time.sleep(_TICK)
+    finally:
+        if owned is not None:
+            owned.stop()
 
     report = CampaignReport(
         campaign=campaign,
-        outcomes=[outcomes[i] for i in range(total)],
+        outcomes=outcomes,
         jobs=jobs,
-        cache_stats=cache.stats if cache is not None else CacheStats(),
-        wall_seconds=time.perf_counter() - started,
         aggregate=aggregate,
+        cache_stats=stats,
+        wall_seconds=time.perf_counter() - started,
     )
+    if cache is not None:
+        # On behalf of the workers, whose own counters die with them.
+        cache.stats.hits += stats.hits
+        cache.stats.misses += stats.misses
+        cache.stats.writes += stats.writes
     if status is not None:
-        counts: Dict[str, int] = {}
-        for outcome in report.outcomes:
-            counts[outcome.status] = counts.get(outcome.status, 0) + 1
         status.emit(
             "campaign_end",
-            ok=counts.get("ok", 0),
-            cached=counts.get("cached", 0),
-            failed=counts.get("failed", 0),
+            ok=sum(o.status == "ok" for o in outcomes),
+            cached=sum(o.status == "cached" for o in outcomes),
+            failed=len(report.quarantined),
             wall_seconds=report.wall_seconds,
         )
     return report

@@ -7,9 +7,11 @@ drain cooperatively:
 ``manifest.json``
     The campaign itself: every cell's lossless JSON spec
     (:meth:`~repro.campaign.spec.RunSpec.to_json_dict`) plus its
-    content-address (:func:`~repro.campaign.hashing.spec_key`).  Seeding
-    is idempotent: re-seeding an existing queue verifies the manifest
-    matches and changes nothing.
+    content-address (:func:`~repro.campaign.hashing.spec_key`), and
+    where results and the status stream live (inside the directory
+    unless the seeder said otherwise).  Seeding is idempotent:
+    re-seeding an existing queue verifies the manifest matches and
+    changes nothing.
 ``leases/NNNNN.json``
     One lease per in-flight cell.  A claim is an **exclusive create**
     (``O_CREAT | O_EXCL``) — the filesystem arbitrates, exactly one
@@ -25,7 +27,8 @@ drain cooperatively:
     marker wins, so a racing double-commit cannot rewrite an outcome.
 ``cache/``
     The standard content-addressed
-    :class:`~repro.campaign.cache.ResultCache`.  Because commits are
+    :class:`~repro.campaign.cache.ResultCache` (or the caller's own
+    cache directory, recorded in the manifest).  Because commits are
     idempotent (same key, byte-identical blob), a stolen cell that its
     "crashed" owner later finishes anyway is harmless — both writes
     store the same bytes.
@@ -43,16 +46,15 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 import repro
-from repro.campaign.cache import ResultCache
-from repro.campaign.executor import _CellRunner, execute_cell
+from repro.campaign.cache import ResultCache, atomic_write_text
+from repro.campaign.cells import execute_cell, run_cell
 from repro.campaign.hashing import canonical_json, spec_key
 from repro.campaign.spec import Campaign, RunSpec, spec_from_json_dict
 from repro.campaign.status import STATUS_FILENAME, StatusWriter
@@ -86,22 +88,6 @@ class Claim:
     attempt: int  # 1 for a fresh claim, previous + 1 for a steal
 
 
-def _atomic_write_json(path: Path, payload: Dict[str, object]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(payload))
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
-
-
 class WorkQueue:
     """One campaign's shared work directory (see module docstring).
 
@@ -115,13 +101,28 @@ class WorkQueue:
         campaign: Campaign,
         keys: List[str],
         lease_ttl: float,
+        cache: Union[str, Path] = _CACHE_DIRNAME,
+        status: Union[str, Path, None] = STATUS_FILENAME,
     ) -> None:
         self.directory = Path(directory)
         self.campaign = campaign
         self.keys = keys
         self.lease_ttl = float(lease_ttl)
-        self.cache = ResultCache(self.directory / _CACHE_DIRNAME)
-        self.status_path = self.directory / STATUS_FILENAME
+        # Relative locations live inside the queue directory; an
+        # absolute one (the caller's --cache-dir, --status) stands alone.
+        self.cache = ResultCache(self.directory / cache)
+        self.status_path = (
+            self.directory / status if status is not None else None
+        )
+        # Done markers only ever appear, so what one instance has seen
+        # stays true: ``_status`` maps every cell known to be done to its
+        # terminal status (None until a marker read learns it) and
+        # ``_cursor`` is the lowest index not yet known to be done.
+        self._status: Dict[int, Optional[str]] = {}
+        self._cursor = 0
+        # Plain strings: these two paths are built several times per cell.
+        self._leases = os.path.join(self.directory, _LEASE_DIRNAME)
+        self._done = os.path.join(self.directory, _DONE_DIRNAME)
 
     # ------------------------------------------------------------------
     # Construction
@@ -133,8 +134,16 @@ class WorkQueue:
         campaign: Campaign,
         *,
         lease_ttl: float = DEFAULT_LEASE_TTL,
+        cache: Union[str, Path] = _CACHE_DIRNAME,
+        status: Union[str, Path, None] = STATUS_FILENAME,
     ) -> "WorkQueue":
         """Create (or idempotently re-open) a queue for ``campaign``.
+
+        ``cache`` and ``status`` say where results and the status stream
+        live: a path relative to ``directory`` (the defaults) or an
+        absolute one; ``status=None`` turns the stream off.  They are
+        recorded in the manifest, so every worker that opens the queue
+        uses the same locations.
 
         A manifest that already exists must describe the *same* cells
         (matching content keys); anything else is a configuration error
@@ -144,8 +153,8 @@ class WorkQueue:
             raise ConfigError(f"lease_ttl must be positive, got {lease_ttl!r}")
         directory = Path(directory)
         keys = [spec_key(spec) for spec in campaign.cells]
-        manifest_path = directory / MANIFEST_FILENAME
-        if manifest_path.exists():
+        manifest_path = os.path.join(directory, MANIFEST_FILENAME)
+        if os.path.exists(manifest_path):
             existing = cls.open(directory)
             if existing.keys != keys:
                 raise ConfigError(
@@ -153,19 +162,21 @@ class WorkQueue:
                     f"({existing.campaign.name!r}); refusing to re-seed"
                 )
             return existing
-        for sub in (_LEASE_DIRNAME, _DONE_DIRNAME, _CACHE_DIRNAME):
+        for sub in (_LEASE_DIRNAME, _DONE_DIRNAME):
             (directory / sub).mkdir(parents=True, exist_ok=True)
-        _atomic_write_json(
+        atomic_write_text(
             manifest_path,
-            {
+            canonical_json({
                 "campaign": campaign.name,
                 "version": repro.__version__,
                 "lease_ttl": lease_ttl,
+                "cache": str(cache),
+                "status": str(status) if status is not None else None,
                 "cells": [spec.to_json_dict() for spec in campaign.cells],
                 "keys": keys,
-            },
+            }),
         )
-        return cls(directory, campaign, keys, lease_ttl)
+        return cls(directory, campaign, keys, lease_ttl, cache, status)
 
     @classmethod
     def open(cls, directory: Union[str, Path]) -> "WorkQueue":
@@ -202,23 +213,31 @@ class WorkQueue:
                     f"queue manifest cell {index} does not hash to its "
                     "recorded key — manifest is corrupt or hand-edited"
                 )
-        for sub in (_LEASE_DIRNAME, _DONE_DIRNAME, _CACHE_DIRNAME):
+        for sub in (_LEASE_DIRNAME, _DONE_DIRNAME):
             (directory / sub).mkdir(parents=True, exist_ok=True)
         return cls(
             directory,
             campaign,
             keys,
             float(manifest.get("lease_ttl", DEFAULT_LEASE_TTL)),
+            manifest.get("cache", _CACHE_DIRNAME),
+            manifest.get("status", STATUS_FILENAME),
         )
+
+    def status_writer(self) -> Optional[StatusWriter]:
+        """The queue's status stream (None when it was seeded without)."""
+        if self.status_path is None:
+            return None
+        return StatusWriter(self.status_path)
 
     # ------------------------------------------------------------------
     # Paths
     # ------------------------------------------------------------------
-    def _lease_path(self, index: int) -> Path:
-        return self.directory / _LEASE_DIRNAME / f"{index:05d}.json"
+    def _lease_path(self, index: int) -> str:
+        return f"{self._leases}/{index:05d}.json"
 
-    def _done_path(self, index: int) -> Path:
-        return self.directory / _DONE_DIRNAME / f"{index:05d}.json"
+    def _done_path(self, index: int) -> str:
+        return f"{self._done}/{index:05d}.json"
 
     # ------------------------------------------------------------------
     # Claiming
@@ -235,7 +254,12 @@ class WorkQueue:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(
                 canonical_json(
-                    {"worker": worker, "attempt": attempt, "cell": index}
+                    {
+                        "worker": worker,
+                        "attempt": attempt,
+                        "cell": index,
+                        "started": time.time(),
+                    }
                 )
             )
             fh.write("\n")
@@ -249,21 +273,34 @@ class WorkQueue:
         except (OSError, ValueError):
             return 1
 
+    def _is_done(self, index: int) -> bool:
+        """Whether the cell has a terminal marker (positives are cached)."""
+        if index in self._status:
+            return True
+        if os.path.exists(self._done_path(index)):
+            self._status[index] = None
+            return True
+        return False
+
     def claim(
         self, worker: str, *, now: Optional[float] = None
     ) -> Optional[Claim]:
         """Claim the lowest-index cell that is neither done nor leased.
 
-        A lease older than the TTL is stolen: the stale lease is
-        unlinked and re-created exclusively, so concurrent stealers (or
-        a stealer racing the original claimant's unlink) still resolve
-        to exactly one winner.  Returns None when every remaining cell
-        is done or validly leased.
+        The scan starts at the first cell this instance does not know to
+        be done, so draining n cells costs O(n) done checks in total, not
+        O(n) per claim.  A lease older than the TTL is stolen: the stale
+        lease is unlinked and re-created exclusively, so concurrent
+        stealers (or a stealer racing the original claimant's unlink)
+        still resolve to exactly one winner.  Returns None when every
+        remaining cell is done or validly leased.
         """
         if now is None:
             now = time.time()
-        for index in range(len(self.campaign.cells)):
-            if self._done_path(index).exists():
+        for index in range(self._cursor, len(self.campaign.cells)):
+            if self._is_done(index):
+                if index == self._cursor:
+                    self._cursor += 1
                 continue
             if self._try_exclusive_lease(index, worker, 1):
                 return Claim(
@@ -271,7 +308,7 @@ class WorkQueue:
                 )
             # Lease exists: steal only if its holder has gone silent.
             try:
-                age = now - self._lease_path(index).stat().st_mtime
+                age = now - os.stat(self._lease_path(index)).st_mtime
             except OSError:
                 age = None  # lease vanished: commit or release raced us
             if age is not None and age > self.lease_ttl:
@@ -281,7 +318,7 @@ class WorkQueue:
                 except OSError:
                     pass  # another stealer got there first
                 if self._try_exclusive_lease(index, worker, attempt):
-                    if self._done_path(index).exists():
+                    if self._is_done(index):
                         # The "crashed" owner committed between our
                         # staleness check and the steal; undo.
                         self.release(index)
@@ -308,6 +345,29 @@ class WorkQueue:
         except OSError:
             pass
 
+    def expire(self, index: int) -> None:
+        """Make a held lease stealable at once, keeping its attempt count
+        (for a supervisor that knows the holder is dead)."""
+        try:
+            os.utime(self._lease_path(index), (0, 0))
+        except OSError:
+            pass  # committed or released meanwhile
+
+    def leases(self) -> Dict[int, Dict[str, object]]:
+        """Every readable lease: cell index -> {worker, attempt, cell,
+        started (wall time of the claim)}."""
+        held: Dict[int, Dict[str, object]] = {}
+        for name in os.listdir(self._leases):
+            try:
+                with open(
+                    os.path.join(self._leases, name), "r", encoding="utf-8"
+                ) as fh:
+                    lease = json.load(fh)
+                held[int(lease["cell"])] = lease
+            except (OSError, ValueError, KeyError, TypeError):
+                continue  # mid-write or just released; next scan sees it
+        return held
+
     # ------------------------------------------------------------------
     # Committing and reading results
     # ------------------------------------------------------------------
@@ -333,7 +393,7 @@ class WorkQueue:
         """
         if status not in ("ok", "cached", "failed"):
             raise ConfigError(f"cannot commit status {status!r}")
-        if self._done_path(claim.index).exists():
+        if self._is_done(claim.index):
             self.release(claim.index)
             return
         if status == "ok":
@@ -349,20 +409,25 @@ class WorkQueue:
         }
         if error is not None:
             marker["error"] = error
-        _atomic_write_json(self._done_path(claim.index), marker)
+        atomic_write_text(
+            self._done_path(claim.index), canonical_json(marker)
+        )
+        self._status[claim.index] = status
         self.release(claim.index)
 
     def done_marker(self, index: int) -> Optional[Dict[str, object]]:
         """The cell's terminal marker, or None while it is unfinished."""
         try:
             with open(self._done_path(index), "r", encoding="utf-8") as fh:
-                return json.load(fh)
+                marker = json.load(fh)
         except FileNotFoundError:
             return None
         except (json.JSONDecodeError, OSError) as exc:
             raise ConfigError(
                 f"corrupt done marker for cell {index}: {exc}"
             ) from exc
+        self._status[index] = marker["status"]
+        return marker
 
     def result_for(self, index: int) -> Optional[Dict[str, object]]:
         """A finished cell's payload from the cache (None for failed)."""
@@ -371,7 +436,7 @@ class WorkQueue:
             raise ConfigError(f"cell {index} has not finished")
         if marker["status"] == "failed":
             return None
-        payload = self.cache.lookup(self.keys[index])
+        payload = self.cache.read(self.keys[index])
         if payload is None:
             raise ConfigError(
                 f"cell {index} is marked done but its result is missing "
@@ -382,32 +447,37 @@ class WorkQueue:
     # ------------------------------------------------------------------
     # Progress
     # ------------------------------------------------------------------
+    def finished(self) -> List[int]:
+        """Every cell that has a terminal marker, from one directory
+        listing (what a resuming supervisor finds already done)."""
+        for name in os.listdir(self._done):
+            if name.endswith(".json"):  # skip in-flight atomic-write temps
+                self._status.setdefault(int(name[:-5]), None)
+        return sorted(self._status)
+
     def progress(self) -> Dict[str, int]:
         """Queue-wide counts: total / done / failed / leased / pending."""
         total = len(self.campaign.cells)
-        done = failed = leased = 0
-        for index in range(total):
-            marker = self.done_marker(index)
-            if marker is not None:
-                done += 1
-                if marker["status"] == "failed":
-                    failed += 1
-            elif self._lease_path(index).exists():
-                leased += 1
+        done = self.finished()
+        for index in done:
+            if self._status[index] is None:
+                self.done_marker(index)  # learn the status, once
+        failed = sum(1 for i in done if self._status[i] == "failed")
+        leased = sum(1 for i in self.leases() if i not in self._status)
         return {
             "total": total,
-            "done": done,
+            "done": len(done),
             "failed": failed,
             "leased": leased,
-            "pending": total - done - leased,
+            "pending": total - len(done) - leased,
         }
 
     def is_complete(self) -> bool:
         """True once every cell has a terminal marker."""
-        return all(
-            self._done_path(i).exists()
-            for i in range(len(self.campaign.cells))
-        )
+        total = len(self.campaign.cells)
+        while self._cursor < total and self._is_done(self._cursor):
+            self._cursor += 1
+        return self._cursor == total
 
 
 # ----------------------------------------------------------------------
@@ -424,13 +494,9 @@ class WorkerSummary:
     failed: int = 0
     errors: List[str] = field(default_factory=list)
 
-    @property
-    def executed(self) -> int:
-        return self.ok + self.failed
-
 
 def run_worker(
-    directory: Union[str, Path],
+    directory: Union[str, Path, WorkQueue],
     *,
     worker_id: Optional[str] = None,
     cell_fn: Callable[[RunSpec], Dict[str, object]] = execute_cell,
@@ -439,18 +505,21 @@ def run_worker(
     wait: bool = False,
     idle_timeout: Optional[float] = None,
     max_cells: Optional[int] = None,
+    after_cell: Optional[Callable[[], object]] = None,
 ) -> WorkerSummary:
-    """Drain cells from a queue directory until none are claimable.
+    """Drain cells from a queue until none are claimable.
 
     Claim -> cache short-circuit -> execute (renewing the lease from a
     heartbeat thread so slow cells are not stolen) -> commit.  A cell
     that raises is retried in place; once its total attempts (including
     claims consumed by crashed predecessors) exceed ``1 + retries`` it
-    is committed as ``failed`` — quarantine, exactly like the in-process
-    executor.
+    is committed as ``failed`` — quarantine.  The worker's status
+    records are ``running`` / ``finished``; the terminal record of each
+    cell is the supervisor's, written when it folds the done marker.
 
     Args:
-        directory: a seeded queue directory (see :meth:`WorkQueue.seed`).
+        directory: a seeded queue directory (see :meth:`WorkQueue.seed`),
+            or the already-open :class:`WorkQueue`.
         worker_id: identity written into leases and done markers
             (default ``host:pid``).
         cell_fn: the cell implementation (tests substitute cheap ones).
@@ -462,117 +531,99 @@ def run_worker(
         idle_timeout: with ``wait``, give up after this many seconds
             without a successful claim (guards orphaned workers).
         max_cells: stop after claiming this many cells (tests).
+        after_cell: called after every commit — how a supervisor that
+            drains in its own process folds results as they land.
     """
-    queue = WorkQueue.open(directory)
+    queue = (
+        directory
+        if isinstance(directory, WorkQueue)
+        else WorkQueue.open(directory)
+    )
     if worker_id is None:
         worker_id = f"{os.uname().nodename}:{os.getpid()}"
-    status = StatusWriter(queue.status_path)
-    runner = _CellRunner(cell_fn, queue.status_path)
+    status = queue.status_writer()
     summary = WorkerSummary(worker=worker_id)
     last_claim = time.time()
 
-    while True:
-        if max_cells is not None and summary.claimed >= max_cells:
-            break
-        claim = queue.claim(worker_id)
-        if claim is None:
-            if not wait or queue.is_complete():
-                break
-            if (
-                idle_timeout is not None
-                and time.time() - last_claim > idle_timeout
-            ):
-                break
-            time.sleep(poll)
-            continue
-        last_claim = time.time()
-        summary.claimed += 1
+    # One heartbeat thread renews whichever lease the worker holds, so a
+    # slow cell is not mistaken for a crashed worker.
+    held: List[Optional[int]] = [None]
+    stop = threading.Event()
 
-        # Cache short-circuit: a previous campaign (or a previous pass of
-        # this one) already computed this exact cell.
-        hit = queue.cache.lookup(claim.key)
-        if hit is not None:
-            queue.commit(claim, "cached", worker=worker_id)
-            status.emit(
-                "cell",
-                cell=claim.index,
-                state="cached",
-                attempt=claim.attempt,
-                spec=claim.spec.describe(),
-                worker=worker_id,
-            )
-            summary.cached += 1
-            continue
+    def renew_held() -> None:
+        while not stop.wait(max(queue.lease_ttl / 3.0, 0.05)):
+            if held[0] is not None:
+                queue.renew(held[0])
 
-        if claim.attempt > 1 + retries:
-            error = (
-                f"quarantined: {claim.attempt - 1} prior attempt(s) "
-                "abandoned their lease"
-            )
-            queue.commit(claim, "failed", worker=worker_id, error=error)
-            status.emit(
-                "cell",
-                cell=claim.index,
-                state="failed",
-                attempt=claim.attempt,
-                spec=claim.spec.describe(),
-                worker=worker_id,
-                error=error,
-            )
-            summary.failed += 1
-            summary.errors.append(f"cell {claim.index}: {error}")
-            continue
+    heartbeat = threading.Thread(target=renew_held, daemon=True)
 
-        # Heartbeat the lease while the cell runs so a slow cell is not
-        # mistaken for a crashed worker.
-        stop = threading.Event()
-        interval = max(queue.lease_ttl / 3.0, 0.05)
+    def quarantine(claim: Claim, attempt: int, error: str) -> None:
+        queue.commit(
+            replace(claim, attempt=attempt),
+            "failed",
+            worker=worker_id,
+            error=error,
+        )
+        summary.failed += 1
+        summary.errors.append(f"cell {claim.index}: {error}")
 
-        def _renew(index: int = claim.index) -> None:
-            while not stop.wait(interval):
-                queue.renew(index)
+    try:
+        while max_cells is None or summary.claimed < max_cells:
+            claim = queue.claim(worker_id)
+            if claim is None:
+                if not wait or queue.is_complete():
+                    break
+                if (
+                    idle_timeout is not None
+                    and time.time() - last_claim > idle_timeout
+                ):
+                    break
+                time.sleep(poll)
+                continue
+            last_claim = time.time()
+            summary.claimed += 1
 
-        heartbeat = threading.Thread(target=_renew, daemon=True)
-        heartbeat.start()
-        try:
-            attempt = claim.attempt
-            while True:
-                try:
-                    payload = runner(claim.index, claim.spec, attempt - 1)
-                except Exception as exc:  # noqa: BLE001 - quarantine path
-                    error = f"error: {exc!r}"
-                    if attempt >= 1 + retries:
-                        queue.commit(
-                            claim, "failed", worker=worker_id, error=error
-                        )
-                        status.emit(
-                            "cell",
-                            cell=claim.index,
-                            state="failed",
-                            attempt=attempt,
-                            spec=claim.spec.describe(),
-                            worker=worker_id,
-                            error=error,
-                        )
-                        summary.failed += 1
-                        summary.errors.append(
-                            f"cell {claim.index}: {error}"
-                        )
-                        break
-                    attempt += 1
-                    continue
-                queue.commit(claim, "ok", payload, worker=worker_id)
-                status.emit(
-                    "cell",
-                    cell=claim.index,
-                    state="ok",
-                    attempt=attempt,
-                    spec=claim.spec.describe(),
-                    worker=worker_id,
+            if queue.cache.lookup(claim.key) is not None:
+                # A previous campaign (or a previous pass of this one)
+                # already computed this exact cell.
+                queue.commit(claim, "cached", worker=worker_id)
+                summary.cached += 1
+            elif claim.attempt > 1 + retries:
+                quarantine(
+                    claim,
+                    claim.attempt,
+                    f"quarantined: {claim.attempt - 1} prior attempt(s) "
+                    "abandoned their lease",
                 )
-                summary.ok += 1
-                break
-        finally:
-            stop.set()
+            else:
+                held[0] = claim.index
+                if heartbeat.ident is None:
+                    heartbeat.start()
+                attempt = claim.attempt
+                while True:
+                    try:
+                        payload = run_cell(
+                            cell_fn, claim.index, claim.spec, attempt, status
+                        )
+                    except Exception as exc:  # noqa: BLE001 - quarantine path
+                        if attempt >= 1 + retries:
+                            quarantine(claim, attempt, f"error: {exc!r}")
+                            break
+                        attempt += 1
+                        continue
+                    queue.commit(
+                        replace(claim, attempt=attempt),
+                        "ok",
+                        payload,
+                        worker=worker_id,
+                    )
+                    summary.ok += 1
+                    break
+                held[0] = None
+            if after_cell is not None:
+                after_cell()
+    finally:
+        stop.set()
+        if heartbeat.ident is not None:
             heartbeat.join(timeout=5)
     return summary

@@ -1,6 +1,6 @@
 """Live campaign health: JSONL status stream, stall detection, rendering.
 
-Long campaigns run for minutes to hours on a process pool; the only
+Long campaigns run for minutes to hours on their workers; the only
 signal ``run_campaign`` used to give was per-cell completion lines.  The
 status stream makes in-flight campaigns observable: the supervisor and
 every worker append one JSON object per line to a shared *status file*,
@@ -75,7 +75,7 @@ DEFAULT_STALL_THRESHOLD = 120.0
 class StatusWriter:
     """Append-only JSONL emitter usable from any process.
 
-    Safe for concurrent use by the supervisor and pool workers: every
+    Safe for concurrent use by the supervisor and its workers: every
     record is a single ``open(append) -> write -> close`` of one line.
     """
 

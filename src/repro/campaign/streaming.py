@@ -1,20 +1,17 @@
-"""Fixed-memory streaming aggregation of campaign cell payloads.
+"""Fixed-memory aggregation of campaign cell payloads.
 
-The batch :class:`~repro.campaign.executor.CampaignReport` holds every
-cell's payload in memory — fine for dozens of cells, fatal for a
-10k-cell grid.  :class:`CampaignAggregate` is the streaming alternative:
-cells fold in one at a time and are never retained, so the aggregate's
-memory is bounded by the number of *distinct groups and metric names*,
-not the number of cells.
+:class:`CampaignAggregate` is the one campaign aggregator: cells fold
+in one at a time and are never retained, so its memory is bounded by
+the number of *distinct groups and metric names*, not the number of
+cells.
 
 Determinism contract (what makes resumed/distributed runs testable):
 
 * **Fold order is cell-index order**, always.  Float addition is not
   associative, so "any completion order" cannot be byte-identical; the
-  executor therefore reorders completions back into index order before
-  folding (:meth:`CampaignAggregate.add` buffers out-of-order arrivals;
-  the distributed supervisor uses the done-marker directory on disk as
-  its reorder buffer and calls :meth:`fold` directly).
+  supervisor only ever folds the next unfolded index, and completions
+  that land early wait on disk (done marker + result blob) — the queue
+  directory is the reorder buffer.
 * **The payload excludes run-shaped facts.**  ``ok`` and ``cached``
   both count as completed, and attempts / wall seconds / worker ids
   never enter the aggregate — so an uninterrupted run, a killed-then-
@@ -30,13 +27,14 @@ Determinism contract (what makes resumed/distributed runs testable):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import math
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.telemetry.registry import SnapshotAccumulator
-from repro.telemetry.timeseries import QuantileSketch, TimeseriesStore, merge_rollups
+from repro.telemetry.timeseries import QuantileSketch
 
-__all__ = ["CampaignAggregate", "StreamingStat", "render_aggregate"]
+__all__ = ["CampaignAggregate", "StreamingStat"]
 
 
 class StreamingStat:
@@ -45,9 +43,11 @@ class StreamingStat:
     The mean is ``sum / count`` with the sum accumulated in fold order,
     so two folds that see the same values in the same order produce the
     same float — the building block of the byte-identity guarantee.
+    The spread (:attr:`stdev`) is kept for rendered reports only and is
+    not part of :meth:`as_dict`.
     """
 
-    __slots__ = ("count", "total", "min", "max", "sketch")
+    __slots__ = ("count", "total", "min", "max", "sketch", "_mean", "_m2")
 
     def __init__(self) -> None:
         self.count = 0
@@ -55,6 +55,8 @@ class StreamingStat:
         self.min = float("inf")
         self.max = float("-inf")
         self.sketch = QuantileSketch()
+        self._mean = 0.0  # Welford running mean / sum of squared deviations
+        self._m2 = 0.0
 
     def add(self, value: float) -> None:
         self.count += 1
@@ -64,6 +66,16 @@ class StreamingStat:
         if value > self.max:
             self.max = value
         self.sketch.add(value)
+        delta = value - self._mean
+        self._mean += delta / self.count
+        self._m2 += delta * (value - self._mean)
+
+    @property
+    def stdev(self) -> float:
+        """Sample standard deviation (0 for fewer than two values)."""
+        if self.count < 2:
+            return 0.0
+        return math.sqrt(self._m2 / (self.count - 1))
 
     def as_dict(self) -> Dict[str, float]:
         if not self.count:
@@ -86,12 +98,9 @@ def _group_key(network_policy: str, load: float) -> str:
 
 
 class CampaignAggregate:
-    """Streaming campaign-level fold of per-cell payloads.
+    """Campaign-level fold of per-cell payloads, in strict index order.
 
-    Feed cells through :meth:`add` in any order (a small reorder buffer
-    restores index order) or through :meth:`fold` in strict index order.
-    Memory is ``O(groups + metric names + buffered out-of-order cells)``
-    regardless of campaign size.
+    Memory is ``O(groups + metric names)`` regardless of campaign size.
     """
 
     def __init__(self, campaign: str, cells: int) -> None:
@@ -100,13 +109,11 @@ class CampaignAggregate:
         self.campaign = campaign
         self.cells = cells
         self._next = 0
-        self._buffer: Dict[int, Tuple[str, Optional[Dict[str, object]]]] = {}
         self._completed = 0
         self._failed_cells: List[int] = []
         self._grid: Dict[str, Dict[str, StreamingStat]] = {}
         self._blame: Dict[str, Dict[str, Dict[str, StreamingStat]]] = {}
         self._metrics = SnapshotAccumulator()
-        self._rollups: Optional[TimeseriesStore] = None
 
     # ------------------------------------------------------------------
     # Folding
@@ -116,59 +123,22 @@ class CampaignAggregate:
         """Cells folded so far (contiguous prefix of the index space)."""
         return self._next
 
-    @property
-    def buffered(self) -> int:
-        """Out-of-order completions waiting for their predecessors."""
-        return len(self._buffer)
-
-    @property
-    def complete(self) -> bool:
-        return self._next >= self.cells
-
-    def add(
-        self, index: int, status: str, payload: Optional[Dict[str, object]]
-    ) -> None:
-        """Accept one cell in any order; folds once contiguous.
-
-        The buffer holds at most the campaign's completion-order skew
-        (bounded by the worker count in practice); cells fold the moment
-        every lower index has arrived, in index order.
-        """
-        if not 0 <= index < self.cells:
-            raise ConfigError(
-                f"cell index {index} outside campaign of {self.cells} cells"
-            )
-        if index < self._next or index in self._buffer:
-            raise ConfigError(f"cell {index} aggregated twice")
-        self._buffer[index] = (status, payload)
-        while self._next in self._buffer:
-            state, cell_payload = self._buffer.pop(self._next)
-            self._fold_one(state, cell_payload)
-            self._next += 1
-
     def fold(
         self, index: int, status: str, payload: Optional[Dict[str, object]]
     ) -> None:
-        """Fold the next cell; ``index`` must be exactly ``folded``.
-
-        The distributed supervisor uses this: it advances through the
-        done-marker directory in index order, so nothing ever buffers in
-        memory — the filesystem is the reorder buffer.
-        """
+        """Fold the next cell; ``index`` must be exactly ``folded``."""
+        if index >= self.cells:
+            raise ConfigError(
+                f"cell index {index} outside campaign of {self.cells} cells"
+            )
         if index != self._next:
             raise ConfigError(
-                f"streaming fold is index-ordered: expected cell "
+                f"campaign fold is index-ordered: expected cell "
                 f"{self._next}, got {index}"
             )
-        self._fold_one(status, payload)
-        self._next += 1
-
-    def _fold_one(
-        self, status: str, payload: Optional[Dict[str, object]]
-    ) -> None:
-        index = self._next
         if status not in ("ok", "cached", "failed"):
             raise ConfigError(f"cell {index} has unknown status {status!r}")
+        self._next += 1
         if status == "failed" or payload is None:
             self._failed_cells.append(index)
             return
@@ -197,17 +167,31 @@ class CampaignAggregate:
         metrics = payload.get("metrics")
         if isinstance(metrics, dict):
             self._metrics.add(metrics)
-        rollups = payload.get("rollups")
-        if isinstance(rollups, dict):
-            store = TimeseriesStore.from_dict(rollups)
-            if self._rollups is None:
-                self._rollups = store
-            else:
-                self._rollups = merge_rollups([self._rollups, store])
 
     # ------------------------------------------------------------------
     # Output
     # ------------------------------------------------------------------
+    def rows(
+        self,
+    ) -> Iterator[
+        Tuple[str, float, str, StreamingStat, Dict[str, StreamingStat]]
+    ]:
+        """``(network policy, load, placement, gap stat, blame stats by
+        component)`` per grid group and placement, sorted, for rendering
+        (the live stats carry the spread that :meth:`payload` omits)."""
+        groups = []
+        for key in self._grid:
+            net, _, load = key.partition("|")
+            groups.append((net, float(load), key))
+        for net, load, key in sorted(groups):
+            blame = self._blame.get(key, {})
+            for name, stat in sorted(self._grid[key].items()):
+                yield net, load, name, stat, blame.get(name, {})
+
+    def metrics(self) -> Dict[str, object]:
+        """All per-cell metric registries folded into one snapshot."""
+        return self._metrics.as_dict()
+
     def payload(self) -> Dict[str, object]:
         """The campaign-level aggregate as a canonical-JSON-safe dict.
 
@@ -216,7 +200,7 @@ class CampaignAggregate:
         attempts, wall clock, worker identities): completed cells count
         as completed however their result reached the fold.
         """
-        out: Dict[str, object] = {
+        return {
             "campaign": self.campaign,
             "cells": self.cells,
             "folded": self._next,
@@ -241,64 +225,5 @@ class CampaignAggregate:
                 for key, group in sorted(self._blame.items())
                 if group
             },
-            "metrics": self._metrics.as_dict(),
+            "metrics": self.metrics(),
         }
-        if self._rollups is not None:
-            out["rollups"] = self._rollups.to_dict()
-        return out
-
-
-def render_aggregate(aggregate: CampaignAggregate) -> str:
-    """Text summary of a streaming aggregate (grid table + counters)."""
-    from repro.metrics.report import format_table
-
-    payload = aggregate.payload()
-    lines = [
-        f"campaign {payload['campaign']}: {payload['completed']}/"
-        f"{payload['cells']} cells completed "
-        f"({payload['failed']} failed, streaming aggregation)"
-    ]
-    grid = payload["grid"]
-    if grid:
-        rows = []
-        for key in sorted(grid):
-            net, _, load = key.partition("|")
-            for placement, stat in sorted(grid[key].items()):
-                if not stat.get("count"):
-                    continue
-                rows.append(
-                    [
-                        net,
-                        f"{float(load):g}",
-                        placement,
-                        f"{stat['mean']:.3f}",
-                        f"{stat['p50']:.3f}",
-                        f"{stat['p95']:.3f}",
-                        f"{stat['p99']:.3f}",
-                        str(stat["count"]),
-                    ]
-                )
-        if rows:
-            lines.append("")
-            lines.append(
-                format_table(
-                    [
-                        "network", "load", "placement", "gap mean",
-                        "p50", "p95", "p99", "seeds",
-                    ],
-                    rows,
-                )
-            )
-    counters = payload["metrics"].get("counters", {})
-    if counters:
-        lines.append("")
-        lines.append("merged counters (all cells):")
-        for metric, value in sorted(counters.items()):
-            lines.append(f"  {metric} = {value:g}")
-    failed = payload["failed_cells"]
-    if failed:
-        lines.append("")
-        lines.append(
-            f"FAILED cells: {', '.join(str(i) for i in failed)}"
-        )
-    return "\n".join(lines)

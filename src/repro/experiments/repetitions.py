@@ -8,10 +8,10 @@ cluster-scheduling literature reports *tail* latency, so
 Since the campaign layer exists, :func:`repeat_flow_macro` is a thin
 declarative front-end over it: each seed is one
 :class:`~repro.campaign.spec.RunSpec` cell, executed through
-:func:`~repro.campaign.executor.run_campaign` — serially in-process by
-default, on a supervised worker pool with ``jobs > 1``, and against the
+:func:`~repro.campaign.executor.run_campaign` — in-process by default,
+on supervised worker processes with ``jobs > 1``, and against the
 content-addressed cache when ``cache`` is given.  Per-seed results come
-back as :class:`~repro.campaign.aggregate.MacroSummary` adapters, which
+back as :class:`~repro.campaign.report.MacroSummary` adapters, which
 expose the same ``average_gaps`` / ``improvement_over`` surface as
 :class:`~repro.experiments.flow_macro.MacroOutcome`.
 """
@@ -89,7 +89,7 @@ class RepeatedMacro:
     ``per_seed`` entries expose the :class:`MacroOutcome` aggregate
     surface (``average_gaps`` / ``afcts`` / ``improvement_over``);
     campaign-backed runs store
-    :class:`~repro.campaign.aggregate.MacroSummary` adapters there.
+    :class:`~repro.campaign.report.MacroSummary` adapters there.
     """
 
     network_policy: str
@@ -156,9 +156,7 @@ def repeat_flow_macro(
     """
     if not seeds:
         raise ConfigError("need at least one seed")
-    from repro.campaign.aggregate import MacroSummary
-    from repro.campaign.executor import run_campaign
-    from repro.campaign.spec import flow_grid
+    from repro.campaign import MacroSummary, flow_grid, run_campaign
 
     campaign = flow_grid(
         name=f"repeat-{network_policy}",

@@ -1,7 +1,7 @@
 """Tests for the campaign orchestrator: determinism, cache, supervision.
 
 The worker-injection helpers (`_hang_*`, `_exit_cell`, ...) must be
-module-level so the process pool can pickle them by reference; they
+module-level so worker processes can resolve them by reference; they
 coordinate with the parent through files under ``REPRO_TEST_SCRATCH``
 (inherited by forked/spawned workers via the environment).
 """
@@ -24,7 +24,6 @@ from repro.campaign import (
     canonical_json,
     derive_seeds,
     flow_grid,
-    grid_aggregates,
     render_campaign_report,
     run_campaign,
     spec_key,
@@ -83,6 +82,17 @@ def _hang_once(spec: RunSpec) -> dict:
     marker.touch()
     time.sleep(300)
     return {"unreachable": True}
+
+
+def _hang_first_cell_once(spec: RunSpec) -> dict:
+    """Cell 0 (load 0.5) hangs once; its neighbours take 0.6 s each and
+    refuse to run twice."""
+    if spec.config.load == 0.5:
+        return _hang_once(spec)
+    marker = _scratch() / f"ran-{spec.config.load!r}"
+    os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    time.sleep(0.6)
+    return {"load": spec.config.load}
 
 
 def _flaky_cell(spec: RunSpec) -> dict:
@@ -193,20 +203,10 @@ class TestSpec:
 
 
 # ----------------------------------------------------------------------
-# Byte-identity: parallel == serial == cached
+# Byte-identity: cached == fresh (worker-count identity: the
+# execution-shape matrix in test_campaign_queue.py)
 # ----------------------------------------------------------------------
 class TestByteIdentity:
-    def test_parallel_matches_serial_bytes(self):
-        # The acceptance grid: 2 seeds x 2 network policies x 2 loads.
-        campaign = _tiny_grid(network_policies=["fair", "las"])
-        assert len(campaign) == 8
-        serial = run_campaign(campaign, jobs=1)
-        parallel = run_campaign(campaign, jobs=4)
-        serial_blobs = [canonical_json(p) for p in serial.payloads()]
-        parallel_blobs = [canonical_json(p) for p in parallel.payloads()]
-        assert serial_blobs == parallel_blobs
-        assert all(o.status == "ok" for o in parallel.outcomes)
-
     def test_cached_payloads_match_fresh_bytes(self, tmp_path):
         campaign = _tiny_grid(seeds=[3], loads=[0.6])
         fresh = run_campaign(campaign, jobs=1)
@@ -243,6 +243,30 @@ class TestCache:
         run_campaign(edited, jobs=1, cache=third)
         assert third.stats.hits == 0 and third.stats.misses == 4
 
+    @pytest.mark.parametrize("shape", ["jobs1", "jobs2", "resumed"])
+    def test_cache_stats_come_from_the_done_markers(self, tmp_path, shape):
+        # Workers' own hit/miss counters die with their processes and
+        # the supervisor reads every result back, so neither can be the
+        # source: the report counts cells by how each was obtained, and
+        # every execution shape must print the same numbers.
+        campaign = _tiny_grid()
+        if shape == "resumed":
+            options = dict(jobs=2, directory=tmp_path / "q")
+            rerun = dict(jobs=1, directory=tmp_path / "q", resume=True)
+        else:
+            options = dict(jobs=int(shape[-1]), cache=ResultCache(tmp_path))
+            rerun = dict(jobs=int(shape[-1]), cache=ResultCache(tmp_path))
+        first = run_campaign(campaign, cell_fn=_echo_cell, **options)
+        assert str(first.cache_stats) == "hits=0 misses=4 writes=4"
+        second = run_campaign(
+            None if shape == "resumed" else campaign,
+            cell_fn=_echo_cell,
+            **rerun,
+        )
+        assert str(second.cache_stats) == "hits=4 misses=0 writes=0"
+        if "cache" in rerun:
+            assert str(rerun["cache"].stats) == "hits=4 misses=0 writes=0"
+
     def test_corrupt_blob_is_a_miss(self, tmp_path):
         campaign = _tiny_grid(seeds=[1], loads=[0.5])
         cache = ResultCache(tmp_path)
@@ -271,16 +295,31 @@ class TestSupervision:
         campaign = _tiny_grid(seeds=[7], loads=[0.5])
         report = run_campaign(
             campaign, jobs=2, cell_fn=_hang_once, timeout=1.0, retries=1,
+            lease_ttl=2.0,
         )
         outcome = report.outcomes[0]
         assert outcome.status == "ok"
         assert outcome.attempts == 2
         assert outcome.payload == {"seed": 7, "attempt": 2}
 
+    def test_timeout_costs_in_flight_neighbours_nothing(self, scratch):
+        # Worker A hangs on cell 0 and is killed at ~1.0 s; worker B runs
+        # cell 1 (0-0.6 s) and is inside cell 2 (0.6-1.2 s) at that
+        # moment.  Killing A must not touch B: its cells run exactly
+        # once (a second run would raise) and spend one attempt.
+        campaign = _tiny_grid(seeds=[7], loads=[0.5, 0.7, 0.9])
+        report = run_campaign(
+            campaign, jobs=2, cell_fn=_hang_first_cell_once, timeout=1.0,
+            retries=1, lease_ttl=2.0,
+        )
+        assert [o.status for o in report.outcomes] == ["ok", "ok", "ok"]
+        assert [o.attempts for o in report.outcomes] == [2, 1, 1]
+
     def test_always_hanging_cell_is_quarantined(self, scratch):
         campaign = _tiny_grid(seeds=[8], loads=[0.5])
         report = run_campaign(
             campaign, jobs=2, cell_fn=_hang_forever, timeout=0.8, retries=1,
+            lease_ttl=2.0,
         )
         outcome = report.outcomes[0]
         assert outcome.status == "failed"
@@ -302,10 +341,11 @@ class TestSupervision:
     def test_hard_crash_is_quarantined_not_fatal(self):
         campaign = _tiny_grid(seeds=[4], loads=[0.5])
         report = run_campaign(
-            campaign, jobs=2, cell_fn=_exit_cell, retries=1,
+            campaign, jobs=2, cell_fn=_exit_cell, retries=1, lease_ttl=2.0,
         )
         outcome = report.outcomes[0]
         assert outcome.status == "failed"
+        assert outcome.attempts == 2
         assert "crash" in outcome.error
 
     def test_serial_retry_recovers_flaky_cell(self, scratch):
@@ -344,14 +384,31 @@ class TestAggregation:
     def test_grid_aggregates_and_report(self):
         campaign = _tiny_grid()
         report = run_campaign(campaign, jobs=1)
-        grid = grid_aggregates(report)
-        assert set(grid) == {("fair", 0.5), ("fair", 0.7)}
+        grid = report.aggregate_payload()["grid"]
+        assert set(grid) == {"fair|0.5", "fair|0.7"}
         for per_placement in grid.values():
             assert set(per_placement) == {"minload", "mindist"}
-            assert all(a.count == 2 for a in per_placement.values())
+            assert all(a["count"] == 2 for a in per_placement.values())
+        # The group statistics match the exact ones over the same gaps
+        # (the sketch is exact at a group's extremes).
+        gaps = [
+            p["per_placement"]["minload"]["average_gap"]
+            for p in report.payloads()
+            if p["load"] == 0.5
+        ]
+        exact = aggregate(gaps)
+        stat = next(
+            gap for net, load, name, gap, _ in report.aggregate.rows()
+            if (load, name) == (0.5, "minload")
+        )
+        assert stat.as_dict()["mean"] == pytest.approx(exact.mean)
+        assert stat.stdev == pytest.approx(exact.stdev)
+        assert stat.as_dict()["min"] == min(gaps)
         text = render_campaign_report(report)
-        assert "p99" in text
-        assert "cache:" in text
+        assert "p99" in text and "± " in text
+        assert "blame shares" in text and "contention" in text
+        assert "merged counters" in text
+        assert "cache: hits=0 misses=4 writes=4" in text
 
     def test_merged_metrics_sum_counters(self):
         campaign = _tiny_grid(seeds=[1], loads=[0.5, 0.7])
@@ -424,8 +481,44 @@ class TestFigureCampaignAndCli:
         assert "hits=2" in second
         assert "misses=0" in second
 
+    def test_cli_kept_queue_resume_and_aggregate_out(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        grid = [
+            "--seeds", "1,2", "--loads", "0.6", "--placements", "minload",
+            "--arrivals", "40", "--hosts-per-rack", "4",
+            "--racks-per-pod", "2", "--pods", "1",
+        ]
+        queue, outs = tmp_path / "q", [tmp_path / f"{i}.json" for i in "abc"]
+        assert main(
+            ["run", *grid, "--distributed", str(queue),
+             "--aggregate-out", str(outs[0])]
+        ) == 0
+        assert "hits=0 misses=2 writes=2" in capsys.readouterr().out
+        assert (queue / "status.jsonl").exists()
+        assert main(
+            ["run", "--resume", str(queue), "--aggregate-out", str(outs[1])]
+        ) == 0
+        assert "hits=2 misses=0 writes=0" in capsys.readouterr().out
+        assert main(
+            ["run", *grid, "--no-cache", "--cache-dir", str(tmp_path / "c"),
+             "--aggregate-out", str(outs[2])]
+        ) == 0
+        assert not (tmp_path / "c").exists()
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].read_bytes() == outs[2].read_bytes()
+        # One queue cannot be both seeded and resumed; a stale directory
+        # is an error message, not a traceback.
+        assert main(
+            ["run", *grid, "--distributed", str(queue), "--resume", str(queue)]
+        ) == 2
+        assert main(["run", "--resume", str(tmp_path / "missing")]) == 2
+        assert "not a campaign queue" in capsys.readouterr().err
+
     def test_cli_rejects_bad_jobs(self, tmp_path):
         from repro.__main__ import main
 
         with pytest.raises(SystemExit):
             main(["all", "--jobs", "0", "--cache-dir", str(tmp_path)])
+        with pytest.raises(SystemExit):
+            main(["run", "--jobs", "-1", "--resume", str(tmp_path)])

@@ -1,15 +1,17 @@
-"""Tests for the distributed campaign work-queue, workers, and resume.
+"""Tests for the campaign work-queue, workers, supervisor and resume.
 
 Covers the queue protocol (exclusive-create claims, lease expiry and
-steal, idempotent commits), the worker loop (cache short-circuit,
-quarantine, multi-worker contention with exactly-once execution), and
-the distributed supervisor's byte-identity guarantees: serial ==
-distributed == killed-then-resumed aggregate payloads.
+steal, idempotent commits, O(n) draining), the worker loop (cache
+short-circuit, quarantine, multi-worker contention with exactly-once
+execution), and the proof that there is one result however a campaign
+is executed: in-process, worker processes, external
+``repro campaign-worker`` processes and a killed-then-resumed run all
+produce byte-identical payloads and aggregate.
 
 Cell functions live at module level so forked worker processes resolve
 them by reference; multi-process scenarios use ``subprocess.Popen`` (not
-shell backgrounding) and the SIGKILL test kills the whole supervisor
-process group so its spawned workers die with it.
+shell backgrounding) and the SIGKILL shape kills the whole supervisor
+process group so anything it spawned dies with it.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ from repro.campaign import (
     Campaign,
     RunSpec,
     WorkQueue,
+    CampaignAggregate,
     canonical_json,
+    execute_cell,
     flow_grid,
     run_campaign,
-    run_distributed_campaign,
     run_worker,
     spec_from_json_dict,
     spec_key,
@@ -121,12 +124,6 @@ def _synthetic_cell(spec: RunSpec) -> dict:
         },
         "metrics": registry.as_dict(),
     }
-
-
-def _sleepy_cell(spec: RunSpec) -> dict:
-    """Synthetic payload, but slow enough to SIGKILL a supervisor mid-run."""
-    time.sleep(0.25)
-    return _synthetic_cell(spec)
 
 
 def _exactly_once_cell(spec: RunSpec) -> dict:
@@ -268,6 +265,16 @@ class TestClaiming:
         queue.release(claim.index)
         assert queue.claim("b").index == 0
 
+    def test_expired_lease_is_stealable_at_once(self, tmp_path):
+        # What a supervisor does to a dead worker's lease: no TTL wait,
+        # and the attempt the dead worker spent stays counted.
+        queue = WorkQueue.seed(tmp_path / "q", _tiny_grid(), lease_ttl=3600)
+        claim = queue.claim("a")
+        assert queue.leases()[0]["worker"] == "a"
+        queue.expire(claim.index)
+        stolen = queue.claim("b")
+        assert (stolen.index, stolen.attempt) == (0, 2)
+
 
 # ----------------------------------------------------------------------
 # Commit, results, progress
@@ -349,6 +356,38 @@ class TestRunWorker:
         assert all(
             queue.done_marker(i)["worker"] == "w0" for i in range(4)
         )
+
+    def test_draining_costs_a_linear_number_of_done_checks(
+        self, tmp_path, monkeypatch
+    ):
+        # Done markers only ever appear, so a worker never needs to look
+        # again at a cell it has seen done: draining n cells must touch
+        # done paths O(n) times in total, not O(n) times per claim.
+        touches = []
+        done_path = WorkQueue._done_path
+
+        def counting(self, index):
+            touches.append(index)
+            return done_path(self, index)
+
+        monkeypatch.setattr(WorkQueue, "_done_path", counting)
+
+        def drained(cells: int) -> int:
+            specs = tuple(
+                RunSpec(kind="flow_macro", config=TINY, label=str(i),
+                        predictor=f"p{i}")
+                for i in range(cells)
+            )
+            directory = tmp_path / f"q{cells}"
+            queue = WorkQueue.seed(directory, Campaign("noop", specs))
+            del touches[:]
+            summary = run_worker(directory, cell_fn=_echo_cell)
+            assert summary.ok == cells and queue.is_complete()
+            return len(touches)
+
+        small, large = drained(100), drained(400)
+        assert large <= 6 * 400
+        assert large <= 4.5 * small  # 4x the cells, ~4x the checks
 
     def test_cache_short_circuit_commits_cached(self, tmp_path):
         campaign = _tiny_grid()
@@ -459,35 +498,159 @@ class TestRunWorker:
 
 
 # ----------------------------------------------------------------------
-# Distributed supervision: byte-identity across execution shapes
+# One result, however the campaign is executed
+# ----------------------------------------------------------------------
+def _matrix_grid() -> Campaign:
+    return _tiny_grid(network_policies=["fair", "las"])  # 8 real cells
+
+
+_SUPERVISOR_SCRIPT = """
+import sys
+from test_campaign_queue import _matrix_grid
+from repro.campaign import run_campaign
+
+# A short TTL: the resumed run steals the killed worker's lease after
+# one second instead of the default thirty.
+run_campaign(_matrix_grid(), jobs=1, directory=sys.argv[1], lease_ttl=1.0)
+"""
+
+
+def _subprocess_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")]
+    )
+    return env
+
+
+def _run_with_external_workers(queue_dir: Path):
+    """jobs=0: the supervisor only coordinates two real
+    ``repro campaign-worker`` subprocesses."""
+    box = {}
+    supervisor = threading.Thread(
+        target=lambda: box.update(
+            report=run_campaign(_matrix_grid(), jobs=0, directory=queue_dir)
+        ),
+        daemon=True,
+    )
+    supervisor.start()
+    deadline = time.time() + 30
+    while not (queue_dir / MANIFEST_FILENAME).exists():
+        assert time.time() < deadline, "supervisor never seeded the queue"
+        time.sleep(0.005)
+    workers = [
+        subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "campaign-worker",
+                str(queue_dir), "--wait", "--idle-timeout", "60",
+                "--worker-id", f"cli-{i}", "--poll", "0.05",
+            ],
+            env=_subprocess_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for i in range(2)
+    ]
+    try:
+        supervisor.join(timeout=120)
+        assert not supervisor.is_alive(), "external workers never finished"
+        for proc in workers:
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+            assert "claimed=" in out
+    finally:
+        for proc in workers:
+            if proc.poll() is None:
+                proc.kill()
+    markers = [
+        WorkQueue.open(queue_dir).done_marker(i)["worker"] for i in range(8)
+    ]
+    assert set(markers) <= {"cli-0", "cli-1"}
+    return box["report"]
+
+
+def _kill_supervisor_then_resume(queue_dir: Path):
+    """SIGKILL an in-flight supervisor, then resume its queue."""
+    # New session => one process group holding the supervisor and
+    # anything it spawned, so killpg stops all execution dead.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SUPERVISOR_SCRIPT, str(queue_dir)],
+        env=_subprocess_env(),
+        start_new_session=True,
+    )
+    try:
+        done_dir = queue_dir / "done"
+        deadline = time.time() + 60
+        while time.time() < deadline:
+            markers = (
+                len(list(done_dir.glob("*.json")))
+                if done_dir.exists()
+                else 0
+            )
+            if 1 <= markers < 8:
+                break
+            time.sleep(0.005)
+        else:
+            pytest.fail("supervisor never made partial progress")
+    finally:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+
+    partial = WorkQueue.open(queue_dir).progress()
+    assert 0 < partial["done"] < 8  # genuinely mid-flight
+    resumed = run_campaign(jobs=2, directory=queue_dir, resume=True)
+    # The pre-kill cells folded from disk, the rest were executed.
+    assert resumed.cache_stats.hits >= partial["done"]
+    assert resumed.cache_stats.hits + resumed.cache_stats.misses == 8
+    return resumed
+
+
+class TestExecutionShapes:
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """What the campaign must produce, computed with no queue, no
+        worker and no supervisor: each cell run once, folded in order."""
+        campaign = _matrix_grid()
+        aggregate = CampaignAggregate(campaign.name, len(campaign))
+        blobs = []
+        for index, spec in enumerate(campaign.cells):
+            payload = execute_cell(spec)
+            aggregate.fold(index, "ok", payload)
+            blobs.append(canonical_json(payload))
+        return canonical_json(aggregate.payload()), blobs
+
+    @pytest.mark.parametrize(
+        "shape", ["jobs1", "jobs2", "external_workers", "killed_resumed"]
+    )
+    def test_every_execution_shape_is_byte_identical(
+        self, tmp_path, reference, shape
+    ):
+        if shape == "external_workers":
+            report = _run_with_external_workers(tmp_path / "q")
+        elif shape == "killed_resumed":
+            report = _kill_supervisor_then_resume(tmp_path / "q")
+        else:
+            report = run_campaign(_matrix_grid(), jobs=int(shape[-1]))
+        aggregate, blobs = reference
+        assert not report.quarantined, report.failure_report()
+        assert canonical_json(report.aggregate_payload()) == aggregate
+        assert [canonical_json(p) for p in report.payloads()] == blobs
+
+
+# ----------------------------------------------------------------------
+# Kept queues: resume and failure folding
 # ----------------------------------------------------------------------
 class TestDistributed:
-    def test_distributed_matches_serial_byte_for_byte(self, tmp_path):
-        campaign = _tiny_grid()
-        serial = run_campaign(campaign, jobs=1, cell_fn=_synthetic_cell)
-        distributed = run_distributed_campaign(
-            tmp_path / "q",
-            campaign,
-            workers=2,
-            cell_fn=_synthetic_cell,
-            poll=0.02,
-            wall_timeout=120,
-        )
-        assert canonical_json(
-            distributed.aggregate_payload()
-        ) == canonical_json(serial.aggregate_payload())
-        # Streaming mode drops payloads; the batch report keeps them.
-        assert all(o.payload is None for o in distributed.outcomes)
-
     def test_resume_of_a_finished_queue_is_all_cache_hits(self, tmp_path):
         campaign = _tiny_grid()
-        first = run_distributed_campaign(
-            tmp_path / "q", campaign, workers=2,
-            cell_fn=_synthetic_cell, poll=0.02, wall_timeout=120,
+        first = run_campaign(
+            campaign, jobs=2, cell_fn=_synthetic_cell,
+            directory=tmp_path / "q",
         )
-        resumed = run_distributed_campaign(
-            tmp_path / "q", workers=1, cell_fn=_synthetic_cell,
-            poll=0.02, resume=True, wall_timeout=120,
+        resumed = run_campaign(
+            jobs=1, cell_fn=_raise_cell,  # any re-execution would fail
+            directory=tmp_path / "q", resume=True,
         )
         assert canonical_json(
             resumed.aggregate_payload()
@@ -498,142 +661,54 @@ class TestDistributed:
         assert all(o.status != "failed" for o in resumed.outcomes)
 
     def test_resume_rejects_a_mismatched_campaign(self, tmp_path):
-        run_distributed_campaign(
-            tmp_path / "q", _tiny_grid(), workers=1,
-            cell_fn=_synthetic_cell, poll=0.02, wall_timeout=120,
+        run_campaign(
+            _tiny_grid(), jobs=1, cell_fn=_synthetic_cell,
+            directory=tmp_path / "q",
         )
         with pytest.raises(ConfigError, match="does not match"):
-            run_distributed_campaign(
-                tmp_path / "q", _tiny_grid(seeds=[9]),
-                workers=1, resume=True, wall_timeout=120,
+            run_campaign(
+                _tiny_grid(seeds=[9]), directory=tmp_path / "q", resume=True
             )
 
     def test_resume_requires_an_existing_queue(self, tmp_path):
         with pytest.raises(ConfigError, match="not a campaign queue"):
-            run_distributed_campaign(
-                tmp_path / "empty", resume=True, workers=1
-            )
+            run_campaign(directory=tmp_path / "empty", resume=True)
+        with pytest.raises(ConfigError, match="needs the queue directory"):
+            run_campaign(resume=True)
+        with pytest.raises(ConfigError, match="needs the queue directory"):
+            run_campaign(_tiny_grid(), jobs=0)
 
     def test_failed_cells_reach_the_aggregate(self, tmp_path):
-        report = run_distributed_campaign(
-            tmp_path / "q", _tiny_grid(), workers=1,
-            cell_fn=_raise_cell, retries=0, poll=0.02, wall_timeout=120,
+        report = run_campaign(
+            _tiny_grid(), jobs=1, cell_fn=_raise_cell, retries=0,
+            directory=tmp_path / "q",
         )
         payload = report.aggregate_payload()
         assert payload["failed"] == 4
         assert payload["failed_cells"] == [0, 1, 2, 3]
         assert payload["completed"] == 0
 
-
-# ----------------------------------------------------------------------
-# Kill-and-resume: SIGKILL the supervisor, resume, byte-identical
-# ----------------------------------------------------------------------
-_SUPERVISOR_SCRIPT = """
-import sys
-from test_campaign_queue import _sleepy_cell, _tiny_grid
-from repro.campaign import run_distributed_campaign
-
-run_distributed_campaign(
-    sys.argv[1], _tiny_grid(seeds=[1, 2, 3]), workers=2,
-    cell_fn=_sleepy_cell, poll=0.02, wall_timeout=300,
-)
-"""
-
-
-class TestKillAndResume:
-    def test_sigkilled_supervisor_resumes_byte_identical(self, tmp_path):
-        campaign = _tiny_grid(seeds=[1, 2, 3])  # 6 cells x 0.25s
-        uninterrupted = run_distributed_campaign(
-            tmp_path / "clean", campaign, workers=2,
-            cell_fn=_sleepy_cell, poll=0.02, wall_timeout=300,
+    def test_caller_cache_and_status_are_recorded_in_the_manifest(
+        self, tmp_path
+    ):
+        # Worker processes (and external workers) learn where results
+        # and the status stream live from the manifest alone.
+        queue = WorkQueue.seed(
+            tmp_path / "q", _tiny_grid(),
+            cache=tmp_path / "shared-cache", status=None,
         )
-        expected = canonical_json(uninterrupted.aggregate_payload())
-
-        queue_dir = tmp_path / "killed"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")]
-        )
-        # New session => one process group holding the supervisor AND
-        # its spawned workers, so killpg stops all execution dead.
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _SUPERVISOR_SCRIPT, str(queue_dir)],
-            env=env,
-            start_new_session=True,
-        )
-        try:
-            done_dir = queue_dir / "done"
-            deadline = time.time() + 60
-            while time.time() < deadline:
-                markers = (
-                    len(list(done_dir.glob("*.json")))
-                    if done_dir.exists()
-                    else 0
-                )
-                if 1 <= markers < len(campaign):
-                    break
-                time.sleep(0.02)
-            else:
-                pytest.fail("supervisor never made partial progress")
-        finally:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait(timeout=10)
-
-        partial = WorkQueue.open(queue_dir).progress()
-        assert 0 < partial["done"] < len(campaign)  # genuinely mid-flight
-
-        resumed = run_distributed_campaign(
-            queue_dir, workers=2, cell_fn=_sleepy_cell,
-            poll=0.02, resume=True, wall_timeout=300,
-        )
-        assert canonical_json(resumed.aggregate_payload()) == expected
-        # The pre-kill cells folded from disk, the rest were executed.
-        assert resumed.cache_stats.hits >= partial["done"]
-        counts = {}
-        for outcome in resumed.outcomes:
-            counts[outcome.status] = counts.get(outcome.status, 0) + 1
-        assert counts.get("failed", 0) == 0
-        assert sum(counts.values()) == len(campaign)
+        opened = WorkQueue.open(tmp_path / "q")
+        assert opened.cache.root == queue.cache.root == tmp_path / "shared-cache"
+        assert opened.status_path is None
+        run_worker(tmp_path / "q", cell_fn=_echo_cell)
+        assert len(opened.cache) == 4
+        assert not (tmp_path / "q" / "status.jsonl").exists()
 
 
 # ----------------------------------------------------------------------
 # Real `repro campaign-worker` subprocesses against a shared queue
 # ----------------------------------------------------------------------
 class TestWorkerCli:
-    def test_two_external_workers_match_serial(self, tmp_path):
-        campaign = _tiny_grid(seeds=[1], loads=[0.5, 0.7])  # 2 real cells
-        serial = run_campaign(campaign, jobs=1)
-
-        queue_dir = tmp_path / "q"
-        WorkQueue.seed(queue_dir, campaign)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        workers = [
-            subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro", "campaign-worker",
-                    str(queue_dir), "--wait", "--idle-timeout", "60",
-                    "--worker-id", f"cli-{i}", "--poll", "0.05",
-                ],
-                env=env,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-            )
-            for i in range(2)
-        ]
-        report = run_distributed_campaign(
-            queue_dir, workers=0, poll=0.02, resume=True,
-            wall_timeout=300,
-        )
-        for proc in workers:
-            out, err = proc.communicate(timeout=60)
-            assert proc.returncode == 0, err
-            assert "claimed=" in out
-        assert canonical_json(
-            report.aggregate_payload()
-        ) == canonical_json(serial.aggregate_payload())
-
     def test_worker_cli_rejects_a_non_queue(self, tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")

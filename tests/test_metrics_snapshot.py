@@ -2,9 +2,6 @@
 
 Covers the Prometheus text exporter, the snapshot report renderer, and
 the merge_snapshots edge cases (heterogeneous kinds, empty, singleton).
-(The file keeps its historical name so these test ids stay stable; the
-``bench-compare`` perf gate it once also covered was superseded by
-``benchmarks/e2e``.)
 """
 
 from __future__ import annotations

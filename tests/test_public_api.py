@@ -68,7 +68,7 @@ PUBLIC_SYMBOLS = {
         "canonical_json", "content_hash", "spec_key",
         "ResultCache", "CacheStats",
         "run_campaign", "execute_cell", "CampaignReport", "CellOutcome",
-        "MacroSummary", "grid_aggregates", "render_campaign_report",
+        "MacroSummary", "render_campaign_report",
         "build_all_campaign",
     ],
     "repro.service": [

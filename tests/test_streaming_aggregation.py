@@ -11,24 +11,31 @@ each locked here with hypothesis:
   produces the same merged registry.
 * :class:`~repro.telemetry.timeseries.QuantileSketch` merging is
   commutative and associative exactly (bucket counts add).
-* :class:`~repro.campaign.streaming.CampaignAggregate` fed completions
-  in *any permutation* (via its reorder buffer) emits the same canonical
-  payload bytes as a strict index-order fold — for arbitrary float
-  payloads, because the buffer restores index order before any float
-  touches an accumulator.
+* a campaign whose cells *complete* in any permutation emits the same
+  canonical aggregate bytes as a strict index-order fold — for
+  arbitrary float payloads, because the supervisor only ever folds the
+  next unfolded index and early completions wait in the queue directory.
 
-Plus the ISSUE's scale guarantee: a >=1k-cell streaming campaign folds
-under a peak-memory bound that does not grow with the cell count.
+Plus the scale guarantee: a >=1k-cell campaign folds under a
+peak-memory bound that does not grow with the cell count.
 """
 
 from __future__ import annotations
 
+import tempfile
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
-from repro.campaign import Campaign, RunSpec, canonical_json, run_campaign
-from repro.campaign.streaming import CampaignAggregate, render_aggregate
+from repro.campaign import (
+    Campaign,
+    RunSpec,
+    WorkQueue,
+    canonical_json,
+    render_campaign_report,
+    run_campaign,
+)
+from repro.campaign.streaming import CampaignAggregate
 from repro.errors import ConfigError
 from repro.experiments.config import MacroConfig
 from repro.telemetry import MetricsRegistry, QuantileSketch, merge_snapshots
@@ -218,18 +225,27 @@ class TestCampaignAggregate:
         for index, (status, payload) in enumerate(cells):
             reference.fold(index, status, payload)
 
-        # Arbitrary completion order through the reorder buffer. Floats
-        # are arbitrary here, so equality holds only because add()
-        # defers every fold until the index prefix is contiguous.
-        order = list(range(len(cells)))
-        rng.shuffle(order)
-        streamed = CampaignAggregate("prop", len(cells))
-        for index in order:
-            status, payload = cells[index]
-            streamed.add(index, status, payload)
+        # Arbitrary completion order: commit the cells to a queue in a
+        # shuffled order, then let the supervisor fold what it finds.
+        # Floats are arbitrary here, so equality holds only because the
+        # fold waits for the index prefix to be contiguous.
+        specs = tuple(
+            RunSpec(kind="flow_macro", config=TINY, predictor=f"p{i}")
+            for i in range(len(cells))
+        )
+        with tempfile.TemporaryDirectory() as directory:
+            queue = WorkQueue.seed(directory, Campaign("prop", specs))
+            claims = [queue.claim("w") for _ in cells]
+            rng.shuffle(claims)
+            for claim in claims:
+                status, payload = cells[claim.index]
+                if status == "cached":  # a hit: the blob predates the cell
+                    queue.cache.store(claim.key, payload)
+                queue.commit(claim, status, payload, error="x")
+            streamed = run_campaign(jobs=1, directory=directory, resume=True)
 
-        assert streamed.complete and streamed.buffered == 0
-        assert canonical_json(streamed.payload()) == canonical_json(
+        assert streamed.aggregate.folded == len(cells)
+        assert canonical_json(streamed.aggregate_payload()) == canonical_json(
             reference.payload()
         )
 
@@ -259,30 +275,24 @@ class TestCampaignAggregate:
             assert stat["max"] == max(gaps)
 
     def test_duplicate_and_out_of_range_cells_are_rejected(self):
-        aggregate = CampaignAggregate("dup", 3)
-        aggregate.add(1, "ok", None)
-        with pytest.raises(ConfigError, match="twice"):
-            aggregate.add(1, "ok", None)
-        aggregate.add(0, "ok", None)  # folds 0 then the buffered 1
-        with pytest.raises(ConfigError, match="twice"):
-            aggregate.add(0, "ok", None)
-        with pytest.raises(ConfigError, match="outside campaign"):
-            aggregate.add(3, "ok", None)
+        aggregate = CampaignAggregate("dup", 2)
         with pytest.raises(ConfigError, match="index-ordered"):
-            aggregate.fold(0, "ok", None)
+            aggregate.fold(1, "ok", None)  # skips cell 0
+        aggregate.fold(0, "ok", None)
+        with pytest.raises(ConfigError, match="index-ordered"):
+            aggregate.fold(0, "ok", None)  # twice
+        aggregate.fold(1, "ok", None)
+        with pytest.raises(ConfigError, match="outside campaign"):
+            aggregate.fold(2, "ok", None)
 
     def test_render_aggregate_mentions_groups_and_failures(self):
-        aggregate = CampaignAggregate("demo", 2)
-        aggregate.fold(0, "ok", {
-            "network_policy": "fair",
-            "load": 0.5,
-            "per_placement": {"minload": {"average_gap": 1.25}},
-        })
-        aggregate.fold(1, "failed", None)
-        text = render_aggregate(aggregate)
+        campaign = Campaign("demo", _thousand_cell_campaign(2).cells)
+        report = run_campaign(campaign, cell_fn=_odd_seeds_fail, retries=0)
+        text = render_campaign_report(report)
         assert "1/2 cells completed" in text
-        assert "minload" in text
-        assert "FAILED cells: 1" in text
+        assert "minload" in text and "± 0.000" in text
+        assert "1 of 2 cells quarantined:" in text
+        assert "cell 1 [" in text and "odd seed 1" in text
 
 
 # ----------------------------------------------------------------------
@@ -298,6 +308,16 @@ def _micro_cell(spec: RunSpec) -> dict:
             "mindist": {"average_gap": 1.5 + (seed % 13) / 12.0},
         },
     }
+
+
+def _fat_cell(spec: RunSpec) -> dict:
+    return dict(_micro_cell(spec), pad="x" * 32768)
+
+
+def _odd_seeds_fail(spec: RunSpec) -> dict:
+    if spec.config.seed % 2:
+        raise ValueError(f"odd seed {spec.config.seed}")
+    return _micro_cell(spec)
 
 
 def _thousand_cell_campaign(cells: int) -> Campaign:
@@ -320,9 +340,7 @@ class TestBoundedMemory:
             campaign = _thousand_cell_campaign(cells)
             tracemalloc.start()
             try:
-                report = run_campaign(
-                    campaign, jobs=1, cell_fn=_micro_cell, streaming=True
-                )
+                report = run_campaign(campaign, jobs=1, cell_fn=_fat_cell)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -334,24 +352,17 @@ class TestBoundedMemory:
         payload = report.aggregate_payload()
         assert payload["cells"] == 1000
         assert payload["completed"] == 1000
-        assert all(o.payload is None for o in report.outcomes)
+        # No outcome retains its payload: it is read back on demand.
+        assert report.outcomes[999].payload == _fat_cell(
+            report.campaign.cells[999]
+        )
+        assert not any("payload" in vars(o) for o in report.outcomes)
 
-        # Fixed-memory claim: 8x the cells must not cost 8x the peak.
-        # The aggregate is O(groups); outcome bookkeeping is O(cells)
-        # but tiny. Allow 3x slack for allocator noise.
-        assert peak < max(3 * small_peak, small_peak + 2_000_000), (
+        # Fixed-memory claim: what grows with the cell count is the
+        # queue manifest and per-outcome bookkeeping (a few KiB per
+        # cell), never the payloads — 875 more cells must cost far less
+        # than the 28 MiB their 32 KiB payloads would if retained.
+        assert peak - small_peak < 875 * 8 * 1024, (
             f"peak grew from {small_peak} to {peak} bytes"
         )
-        # And an absolute ceiling: a thousand folded cells stay well
-        # under the footprint of retaining a thousand payloads.
         assert peak < 32 * 1024 * 1024
-
-    def test_streaming_report_payload_matches_batch(self):
-        campaign = _thousand_cell_campaign(64)
-        streaming = run_campaign(
-            campaign, jobs=1, cell_fn=_micro_cell, streaming=True
-        )
-        batch = run_campaign(campaign, jobs=1, cell_fn=_micro_cell)
-        assert canonical_json(
-            streaming.aggregate_payload()
-        ) == canonical_json(batch.aggregate_payload())
