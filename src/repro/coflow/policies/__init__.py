@@ -1,11 +1,6 @@
 """Coflow scheduling policies."""
 
-from repro.coflow.policies.base import (
-    CoflowAllocator,
-    bottleneck_duration,
-    collect_coflows,
-    madd_rates,
-)
+from repro.coflow.policies.base import CoflowAllocator, collect_coflows
 from repro.coflow.policies.registry import (
     available_coflow_policies,
     make_coflow_allocator,
@@ -30,6 +25,4 @@ __all__ = [
     "register_coflow_policy",
     "available_coflow_policies",
     "collect_coflows",
-    "bottleneck_duration",
-    "madd_rates",
 ]

@@ -13,17 +13,24 @@ All priority-based coflow schedulers here follow the Varys structure:
 
 Flows not attached to any coflow are treated as singleton coflows, so mixed
 flow/coflow traffic is handled uniformly.
+
+``allocate`` interns its links once as int columns (:func:`link_columns`);
+every float is the same expression on the same operands in the same order
+as in the LinkId-keyed bodies kept in ``tests/coflow_oracle.py``.
 """
 
 from __future__ import annotations
 
 from abc import abstractmethod
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.coflow.coflow import Coflow
 from repro.network.flow import Flow, FlowId
-from repro.network.policies.base import RATE_EPSILON, RateAllocator, water_fill
+from repro.network.policies.base import RATE_EPSILON, RateAllocator
 from repro.topology.base import LinkId
+
+_INF = float("inf")
 
 
 def collect_coflows(flows: Sequence[Flow]) -> List[Tuple[Optional[Coflow], List[Flow]]]:
@@ -48,36 +55,107 @@ def collect_coflows(flows: Sequence[Flow]) -> List[Tuple[Optional[Coflow], List[
     return [groups[key] for key in order]
 
 
-def bottleneck_duration(
-    members: Sequence[Flow],
-    capacities: Mapping[LinkId, float],
-) -> float:
-    """Gamma: the coflow's completion time if it alone used ``capacities``.
-
-    ``inf`` when some member's path has a saturated link (the coflow is
-    blocked at this priority level and must rely on backfill).
+def link_columns(
+    flows: Sequence[Flow], capacities: Mapping[LinkId, float]
+) -> Tuple[Dict[FlowId, List[int]], List[List[FlowId]], List[float]]:
+    """One ``allocate`` call's links as int columns in first-seen order:
+    ``(cols_of, crossing, capacity)``, i.e. each flow's path as columns (a
+    link listed twice appears twice), the ids of the flows crossing each
+    column in flow order, and each column's capacity (0.0 when not in the
+    map).  Read from ``flow.path`` each call, so a reroute takes effect.
     """
-    demand: Dict[LinkId, float] = {}
-    for flow in members:
+    col_of: Dict[LinkId, int] = {}
+    cols_of: Dict[FlowId, List[int]] = {}
+    crossing: List[List[FlowId]] = []
+    capacity: List[float] = []
+    for flow in flows:
+        flow_id = flow.flow_id
+        cols = cols_of[flow_id] = []
         for link_id in flow.path:
-            demand[link_id] = demand.get(link_id, 0.0) + flow.remaining
+            col = col_of.get(link_id)
+            if col is None:
+                col = col_of[link_id] = len(capacity)
+                capacity.append(capacities.get(link_id, 0.0))
+                crossing.append([])
+            cols.append(col)
+            crossing[col].append(flow_id)
+    return cols_of, crossing, capacity
+
+
+def column_demand(
+    members: Sequence[Flow], cols_of: Mapping[FlowId, List[int]]
+) -> Dict[int, float]:
+    """Remaining bits per column, member by member along each path."""
+    demand: Dict[int, float] = {}
+    for flow in members:
+        for col in cols_of[flow.flow_id]:
+            demand[col] = demand.get(col, 0.0) + flow.remaining
+    return demand
+
+
+def column_bottleneck(
+    demand: Mapping[int, float], capacity: Sequence[float]
+) -> float:
+    """Gamma of a :func:`column_demand`: the group's completion time if it
+    alone used ``capacity``; ``inf`` behind a saturated column (blocked at
+    this priority level, left to the back-fill)."""
     gamma = 0.0
-    for link_id, bits in demand.items():
-        capacity = capacities.get(link_id, 0.0)
-        if capacity <= RATE_EPSILON:
-            return float("inf")
-        gamma = max(gamma, bits / capacity)
+    for col, bits in demand.items():
+        if capacity[col] <= RATE_EPSILON:
+            return _INF
+        duration = bits / capacity[col]
+        if duration > gamma:
+            gamma = duration
     return gamma
 
 
-def madd_rates(
-    members: Sequence[Flow],
-    gamma: float,
-) -> Dict[FlowId, float]:
-    """MADD: rates so every member finishes exactly at ``gamma`` seconds."""
-    if gamma <= 0:
-        return {flow.flow_id: 0.0 for flow in members}
-    return {flow.flow_id: flow.remaining / gamma for flow in members}
+def backfill(
+    cols_of: Mapping[FlowId, List[int]],
+    crossing: Sequence[List[FlowId]],
+    residual: List[float],
+    rates: Dict[FlowId, float],
+) -> None:
+    """Add the max-min fair share of ``residual`` to ``rates``, round for
+    round with ``water_fill`` over the call's flows.
+
+    Equal shares are cached per column and refreshed where a freeze drains;
+    the rounds at share exactly 0.0 (which drain nothing) collapse into one
+    sweep when DESIGN.md's "Coflow allocation pass" precondition holds.
+    """
+    count = [len(members) for members in crossing]
+    share = [residual[col] / n for col, n in enumerate(count)]
+    unfrozen = {flow_id for flow_id, cols in cols_of.items() if cols}
+    while unfrozen:
+        # The epsilon chain: first-seen order, moving only on an improvement
+        # of more than RATE_EPSILON (a column with no unfrozen flow is inf).
+        bottleneck, bound = -1, _INF
+        for col, level in enumerate(share):
+            if level < bound:
+                bottleneck, bound = col, level - RATE_EPSILON
+        if bottleneck < 0:
+            break
+        level = max(share[bottleneck], 0.0)
+        frozen_cols = [bottleneck]
+        if level == 0.0:
+            # Every share exactly 0.0 (no residual) or above the epsilon:
+            # the chain keeps ending on a 0.0 column while one has flows.
+            zeros = [col for col, s in enumerate(share) if s <= RATE_EPSILON]
+            if all(residual[col] == 0.0 for col in zeros):
+                frozen_cols = zeros
+        drained: Dict[int, int] = {}
+        for col in frozen_cols:
+            for flow_id in crossing[col]:
+                if flow_id in unfrozen:
+                    unfrozen.remove(flow_id)
+                    if level > RATE_EPSILON:
+                        rates[flow_id] += level
+                    for other in cols_of[flow_id]:
+                        drained[other] = drained.get(other, 0) + 1
+        for col, k in drained.items():
+            left = residual[col] - level * k
+            residual[col] = left = left if left > 0.0 else 0.0
+            count[col] = n = count[col] - k
+            share[col] = left / n if n > 0 else _INF
 
 
 class CoflowAllocator(RateAllocator):
@@ -99,49 +177,39 @@ class CoflowAllocator(RateAllocator):
         self,
         coflow: Optional[Coflow],
         members: Sequence[Flow],
-        capacities: Mapping[LinkId, float],
+        demand: Mapping[int, float],
+        capacity: Sequence[float],
     ) -> Tuple:
-        """Sort key for a coflow group (smaller = higher priority)."""
+        """Sort key for a coflow group (smaller = higher priority), given
+        its :func:`column_demand` and the full capacity per column; the
+        same ``demand`` later yields its Gamma on the residual."""
 
     def allocate(
         self,
         flows: Sequence[Flow],
         capacities: Mapping[LinkId, float],
     ) -> Dict[FlowId, float]:
-        groups = collect_coflows(flows)
-        ordered = sorted(
-            groups,
-            key=lambda pair: (
-                self.priority_key(pair[0], pair[1], capacities),
-                # deterministic tie-break by smallest member flow id
-                min(f.flow_id for f in pair[1]),
-            ),
-        )
-        residual: Dict[LinkId, float] = dict(capacities)
+        cols_of, crossing, capacity = link_columns(flows, capacities)
+        keyed = []
+        for coflow, members in collect_coflows(flows):
+            demand = column_demand(members, cols_of)
+            key = self.priority_key(coflow, members, demand, capacity)
+            # deterministic tie-break by smallest member flow id
+            tie = min(f.flow_id for f in members)
+            keyed.append((key, tie, members, demand))
+        keyed.sort(key=itemgetter(0, 1))
+        residual = list(capacity)
         rates: Dict[FlowId, float] = {flow.flow_id: 0.0 for flow in flows}
-        for _coflow, members in ordered:
-            gamma = bottleneck_duration(members, residual)
-            if gamma == float("inf"):
-                continue  # blocked; members only get backfill
-            for flow_id, rate in madd_rates(members, gamma).items():
-                rates[flow_id] = rate
+        for _key, _tie, members, demand in keyed:
+            gamma = column_bottleneck(demand, residual)
+            # inf: blocked, members only get backfill.  0: nothing left to
+            # send, and MADD's rate 0 would drain nothing.
+            if gamma == _INF or gamma <= 0:
+                continue
             for flow in members:
-                for link_id in flow.path:
-                    residual[link_id] = max(
-                        0.0, residual[link_id] - rates[flow.flow_id]
-                    )
-        self._backfill(flows, residual, rates)
+                rates[flow.flow_id] = rate = flow.remaining / gamma
+                for col in cols_of[flow.flow_id]:
+                    left = residual[col] - rate
+                    residual[col] = left if left > 0.0 else 0.0
+        backfill(cols_of, crossing, residual, rates)
         return rates
-
-    @staticmethod
-    def _backfill(
-        flows: Sequence[Flow],
-        residual: Dict[LinkId, float],
-        rates: Dict[FlowId, float],
-    ) -> None:
-        """Distribute leftover capacity max-min fairly on top of MADD."""
-        extra: Dict[FlowId, float] = {}
-        water_fill(flows, residual, extra)
-        for flow_id, rate in extra.items():
-            if rate > RATE_EPSILON:
-                rates[flow_id] = rates.get(flow_id, 0.0) + rate

@@ -15,7 +15,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.coflow.coflow import Coflow
 from repro.coflow.policies.base import (
     CoflowAllocator,
+    backfill,
     collect_coflows,
+    link_columns,
 )
 from repro.network.flow import Flow, FlowId
 from repro.network.policies.base import RATE_EPSILON, RateAllocator
@@ -31,7 +33,8 @@ class SCFAllocator(CoflowAllocator):
         self,
         coflow: Optional[Coflow],
         members: Sequence[Flow],
-        capacities: Mapping[LinkId, float],
+        demand: Mapping[int, float],
+        capacity: Sequence[float],
     ) -> Tuple:
         remaining = sum(f.remaining for f in members)
         arrival = (
@@ -50,7 +53,8 @@ class CoflowFCFSAllocator(CoflowAllocator):
         self,
         coflow: Optional[Coflow],
         members: Sequence[Flow],
-        capacities: Mapping[LinkId, float],
+        demand: Mapping[int, float],
+        capacity: Sequence[float],
     ) -> Tuple:
         arrival = (
             coflow.arrival_time if coflow is not None
@@ -74,7 +78,8 @@ class CoflowLASAllocator(CoflowAllocator):
         self,
         coflow: Optional[Coflow],
         members: Sequence[Flow],
-        capacities: Mapping[LinkId, float],
+        demand: Mapping[int, float],
+        capacity: Sequence[float],
     ) -> Tuple:
         attained = sum(f.attained for f in members)
         arrival = (
@@ -108,61 +113,52 @@ class CoflowFairAllocator(RateAllocator):
         flows: Sequence[Flow],
         capacities: Mapping[LinkId, float],
     ) -> Dict[FlowId, float]:
+        cols_of, crossing, capacity = link_columns(flows, capacities)
         groups = collect_coflows(flows)
         rates: Dict[FlowId, float] = {flow.flow_id: 0.0 for flow in flows}
 
-        # Per-group link weights w_{c,l} = rem_{c,l} / rem_c.
-        weights: List[Dict[LinkId, float]] = []
+        # Per-group link weights w_{c,l} = rem_{c,l} / rem_c, by column.
+        weights: List[Dict[int, float]] = []
+        totals: List[float] = []
         active: Dict[int, Sequence[Flow]] = {}
         for index, (_coflow, members) in enumerate(groups):
             total = sum(f.remaining for f in members)
-            w: Dict[LinkId, float] = {}
+            w: Dict[int, float] = {}
             if total > 0:
                 for flow in members:
                     frac = flow.remaining / total
-                    for link_id in flow.path:
-                        w[link_id] = w.get(link_id, 0.0) + frac
+                    for col in cols_of[flow.flow_id]:
+                        w[col] = w.get(col, 0.0) + frac
             weights.append(w)
+            totals.append(total)
             if w:
                 active[index] = members
 
-        residual: Dict[LinkId, float] = dict(capacities)
-        progress: Dict[int, float] = {}  # frozen R_c values
+        residual = list(capacity)
         while active:
-            # Find the link that saturates first as all R_c rise uniformly.
-            load: Dict[LinkId, float] = {}
+            # Find the link that saturates first as all R_c rise uniformly
+            # (ties go to the first link in active-group order).
+            load: Dict[int, float] = {}
             for index in active:
-                for link_id, w in weights[index].items():
-                    load[link_id] = load.get(link_id, 0.0) + w
-            bottleneck: Optional[LinkId] = None
+                for col, w in weights[index].items():
+                    load[col] = load.get(col, 0.0) + w
+            bottleneck = -1
             fill = float("inf")
-            for link_id, total_w in load.items():
+            for col, total_w in load.items():
                 if total_w <= RATE_EPSILON:
                     continue
-                level = residual.get(link_id, 0.0) / total_w
+                level = residual[col] / total_w
                 if level < fill:
                     fill = level
-                    bottleneck = link_id
-            if bottleneck is None:
+                    bottleneck = col
+            if bottleneck < 0:
                 break
             fill = max(fill, 0.0)
-            frozen = [
-                index for index in active if bottleneck in weights[index]
-            ]
-            for index in frozen:
-                progress[index] = fill
-                for link_id, w in weights[index].items():
-                    residual[link_id] = max(
-                        0.0, residual.get(link_id, 0.0) - fill * w
-                    )
-                del active[index]
-
-        for index, r_c in progress.items():
-            _coflow, members = groups[index]
-            total = sum(f.remaining for f in members)
-            if total <= 0:
-                continue
-            for flow in members:
-                rates[flow.flow_id] = r_c * flow.remaining / total
-        CoflowAllocator._backfill(flows, residual, rates)
+            for index in [i for i in active if bottleneck in weights[i]]:
+                # Freeze the group's R_c at the fill level.
+                for flow in active.pop(index):
+                    rates[flow.flow_id] = fill * flow.remaining / totals[index]
+                for col, w in weights[index].items():
+                    residual[col] = max(0.0, residual[col] - fill * w)
+        backfill(cols_of, crossing, residual, rates)
         return rates

@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.coflow.coflow import Coflow
-from repro.coflow.policies.base import CoflowAllocator, bottleneck_duration
+from repro.coflow.policies.base import CoflowAllocator, column_bottleneck
 from repro.network.flow import Flow
-from repro.topology.base import LinkId
 
 
 class VarysAllocator(CoflowAllocator):
@@ -26,11 +25,12 @@ class VarysAllocator(CoflowAllocator):
         self,
         coflow: Optional[Coflow],
         members: Sequence[Flow],
-        capacities: Mapping[LinkId, float],
+        demand: Mapping[int, float],
+        capacity: Sequence[float],
     ) -> Tuple:
         # Effective bottleneck on *full* capacities (not residual): this is
         # the coflow's intrinsic length, independent of current contention.
-        gamma = bottleneck_duration(members, capacities)
+        gamma = column_bottleneck(demand, capacity)
         arrival = (
             coflow.arrival_time if coflow is not None
             else min(f.arrival_time for f in members)

@@ -33,6 +33,7 @@ class CoflowTracker:
         self._fabric = fabric
         self._records: List[CoflowRecord] = []
         self._open: Dict[int, Coflow] = {}
+        self._demand: Dict[int, Dict[LinkId, float]] = {}
         self._next_id = 0
         self._listeners: List = []
         fabric.add_completion_listener(self._on_flow_done)
@@ -65,6 +66,7 @@ class CoflowTracker:
         )
         self._next_id += 1
         self._open[coflow.coflow_id] = coflow
+        self._demand[coflow.coflow_id] = {}
         return coflow
 
     def submit_flow(
@@ -75,7 +77,11 @@ class CoflowTracker:
             raise CoflowError(
                 f"coflow {coflow.coflow_id} is not open in this tracker"
             )
-        return self._fabric.submit(src, dst, size, tag=coflow.tag, coflow=coflow)
+        flow = self._fabric.submit(src, dst, size, tag=coflow.tag, coflow=coflow)
+        demand = self._demand[coflow.coflow_id]
+        for link_id in flow.path:
+            demand[link_id] = demand.get(link_id, 0.0) + flow.size
+        return flow
 
     def submit_coflow(
         self,
@@ -114,14 +120,11 @@ class CoflowTracker:
     # Internals
     # ------------------------------------------------------------------
     def optimal_cct(self, coflow: Coflow) -> float:
-        """Empty-network CCT: the coflow's intrinsic bottleneck duration."""
-        demand: Dict[LinkId, float] = {}
-        for flow in coflow.flows:
-            for link_id in flow.path:
-                demand[link_id] = demand.get(link_id, 0.0) + flow.size
+        """Empty-network CCT of an open coflow: its bottleneck duration on
+        its flows' submit-time paths (a reroute must not move it)."""
         gamma = 0.0
         topo = self._fabric.topology
-        for link_id, bits in demand.items():
+        for link_id, bits in self._demand[coflow.coflow_id].items():
             gamma = max(gamma, bits / topo.link(link_id).capacity)
         return gamma
 
@@ -145,6 +148,7 @@ class CoflowTracker:
             optimal_cct=self.optimal_cct(coflow),
             tag=coflow.tag,
         )
+        del self._demand[coflow.coflow_id]
         self._records.append(record)
         probe = self._probe
         if probe is not None:

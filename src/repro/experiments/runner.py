@@ -311,8 +311,9 @@ def replay_coflow_trace(
 
     ``alloc_backend`` is accepted for signature parity with
     :func:`replay_flow_trace` (``compare_policies`` forwards one kwargs
-    set to both) but is ignored: coflow allocators (MADD) have no
-    vectorized backend.
+    set to both) but is ignored: the coflow allocators have one
+    implementation, a pass over int link columns (DESIGN.md §5.2.1); at
+    coflow call sizes a numpy back-fill was measured not to pay.
 
     Placement follows §5.1.2: each coflow's flows are placed sequentially
     in descending size order through the configured placement policy.

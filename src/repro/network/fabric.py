@@ -106,6 +106,11 @@ class NetworkFabric:
             incremental = allocator.incremental_safe
         self._incremental = bool(incremental)
         self._shadow_verify = bool(shadow_verify)
+        # Scopes exist to cancel hints: none for a never-hinting allocator.
+        self._hinting = (
+            type(allocator).next_change_hint
+            is not RateAllocator.next_change_hint
+        )
         self._probe = (
             telemetry.attach("fabric") if telemetry is not None else None
         )
@@ -684,7 +689,12 @@ class NetworkFabric:
                 for link_id in sorted(comp_links)
             }
         else:
-            scope_flows = [self._active[fid] for fid in sorted(self._active)]
+            # Survivors are a flow-id-ordered subset of ``_active``: at
+            # equal length they are the whole active set, already sorted.
+            scope_flows = (
+                comp_flows if len(comp_flows) == len(self._active)
+                else [self._active[fid] for fid in sorted(self._active)]
+            )
             capacities = self._capacities
         span = None
         if probe is not None:
@@ -705,6 +715,8 @@ class NetworkFabric:
         if self._shadow_verify and scoped:
             self._verify_against_full(now)
 
+        if not self._hinting:
+            return
         # Re-scope the recomputed flows into true sharing components and
         # schedule each component's next allocator change point.
         for members, links in self._split_scopes(comp_flows):

@@ -7,6 +7,11 @@ Each policy gets two committed files under ``tests/goldens/``:
 * ``<policy>.trace.jsonl`` — the telemetry JSONL trace of the same run
   (arrivals, placement decisions, rate recomputes, completions).
 
+Each coflow policy (``COFLOW_POLICIES``) gets the same pair,
+``<policy>.records.jsonl`` (CCT records) and ``<policy>.trace.jsonl``,
+from a coflow trace on the same fabric: the external anchor for the
+SEBF / MADD / back-fill arithmetic of ``repro.coflow.policies``.
+
 Each *observed* run (``OBSERVED``: a fair+NEAT flow run, a Varys+NEAT
 coflow run and a faulted NEAT run, every telemetry channel on) gets four:
 ``<name>.trace.jsonl``, ``<name>.causal.jsonl``,
@@ -33,6 +38,8 @@ GOLDEN_DIR = Path(__file__).resolve().parent
 
 POLICIES = ("fair", "fcfs", "las", "srpt")
 
+COFLOW_POLICIES = ("varys", "scf", "coflow-fcfs", "coflow-las", "coflow-fair")
+
 #: The pinned scenario.  Small enough to keep the corpus a few tens of
 #: kilobytes, contended enough (20-host Clos, load 0.7) that every
 #: policy produces multi-round water-fills with real rate churn.
@@ -49,20 +56,31 @@ SCENARIO = dict(
 
 
 def generate(policy: str, backend: str = "python"):
-    """Run the pinned scenario; returns (records_text, trace_text)."""
-    from repro.experiments.runner import replay_flow_trace
+    """Run the pinned scenario; returns (records_text, trace_text).
+
+    A coflow policy runs the scenario's coflow twin: hadoop shuffles of
+    2-6 transfers on the same fabric, load, seed and placement, recorded
+    as CCTs (``backend`` is accepted and ignored there).
+    """
+    from repro.experiments.runner import replay_coflow_trace, replay_flow_trace
     from repro.telemetry import JsonlTraceSink, Telemetry
     from repro.topology.fabrics import three_tier_clos
-    from repro.workloads import generate_flow_trace, make_distribution
+    from repro.workloads import (
+        generate_coflow_trace,
+        generate_flow_trace,
+        make_distribution,
+    )
 
+    coflows = policy in COFLOW_POLICIES
     topo = three_tier_clos(
         pods=SCENARIO["pods"],
         racks_per_pod=SCENARIO["racks_per_pod"],
         hosts_per_rack=SCENARIO["hosts_per_rack"],
     )
-    trace = generate_flow_trace(
+    make_trace = generate_coflow_trace if coflows else generate_flow_trace
+    trace = make_trace(
         hosts=topo.hosts,
-        distribution=make_distribution(SCENARIO["workload"]),
+        distribution=make_distribution("hadoop" if coflows else SCENARIO["workload"]),
         load=SCENARIO["load"],
         edge_capacity=1e9,
         num_arrivals=SCENARIO["num_arrivals"],
@@ -70,7 +88,8 @@ def generate(policy: str, backend: str = "python"):
     )
     buf = io.StringIO()
     telemetry = Telemetry(trace=JsonlTraceSink(buf))
-    run = replay_flow_trace(
+    replay = replay_coflow_trace if coflows else replay_flow_trace
+    run = replay(
         trace,
         topo,
         network_policy=policy,
@@ -209,7 +228,7 @@ def regenerate(only=None) -> None:
         print(f"wrote {name}.{{{','.join(OBSERVED_ARTIFACTS)}}}")
     if only:
         return
-    for policy in POLICIES:
+    for policy in POLICIES + COFLOW_POLICIES:
         records_text, trace_text = generate(policy)
         (GOLDEN_DIR / f"{policy}.records.jsonl").write_text(
             records_text, encoding="utf-8"

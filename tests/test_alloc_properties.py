@@ -1,4 +1,5 @@
-"""Property-based tests for the four flow-level RateAllocators.
+"""Property-based tests for the four flow-level RateAllocators and the five
+coflow allocators.
 
 Hypothesis generates random flow/link scenarios and checks the invariants
 every allocator must uphold regardless of input:
@@ -16,7 +17,11 @@ every allocator must uphold regardless of input:
   *set*, not the order the caller lists it in (bit-for-bit, which the
   incremental fabric's splicing relies on);
 * **backend equivalence** — the numpy kernels return the *exact* same
-  rate map as the Python reference (``==`` on the dicts, no tolerance).
+  rate map as the Python reference (``==`` on the dicts, no tolerance);
+* **coflow policies** — feasibility and work conservation as above on
+  mixed flow / coflow traffic, and **MADD equal finish**: ahead of the
+  back-fill, the members of a served coflow share one
+  ``remaining / rate``.
 
 Every invariant runs once per available allocator backend (``python``,
 and ``numpy`` when installed), with the kernel's group-size cutoff
@@ -119,6 +124,31 @@ def link_usage(flows, rates) -> Dict[str, float]:
     return used
 
 
+def assert_feasible(name, flows, capacities, rates) -> None:
+    """One non-negative rate per flow, no link over capacity."""
+    assert set(rates) == {f.flow_id for f in flows}
+    assert all(rate >= 0.0 for rate in rates.values()), name
+    for link_id, used in link_usage(flows, rates).items():
+        assert used <= capacities[link_id] + CAPACITY_SLACK, (
+            f"{name}: link {link_id} over capacity"
+        )
+
+
+def assert_work_conserving(name, flows, capacities, rates) -> None:
+    """No flow's rate can be raised: each has a saturated path link."""
+    used = link_usage(flows, rates)
+    for flow in flows:
+        saturated = any(
+            used.get(link_id, 0.0)
+            >= capacities[link_id] * (1.0 - 1e-9) - CAPACITY_SLACK
+            for link_id in flow.path
+        )
+        assert saturated, (
+            f"{name}: flow {flow.flow_id} rate={rates[flow.flow_id]} "
+            "has slack on every path link (not work-conserving)"
+        )
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @given(scenarios())
 @settings(**SETTINGS)
@@ -126,12 +156,7 @@ def test_capacity_never_exceeded(backend, scenario):
     flows, capacities = scenario
     for name in ALLOCATOR_NAMES:
         rates = pinned_allocator(name, backend).allocate(flows, capacities)
-        assert set(rates) == {f.flow_id for f in flows}
-        assert all(rate >= 0.0 for rate in rates.values()), name
-        for link_id, used in link_usage(flows, rates).items():
-            assert used <= capacities[link_id] + CAPACITY_SLACK, (
-                f"{name}: link {link_id} over capacity"
-            )
+        assert_feasible(name, flows, capacities, rates)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -142,17 +167,7 @@ def test_work_conservation(backend, scenario):
     flows, capacities = scenario
     for name in ALLOCATOR_NAMES:
         rates = pinned_allocator(name, backend).allocate(flows, capacities)
-        used = link_usage(flows, rates)
-        for flow in flows:
-            saturated = any(
-                used.get(link_id, 0.0)
-                >= capacities[link_id] * (1.0 - 1e-9) - CAPACITY_SLACK
-                for link_id in flow.path
-            )
-            assert saturated, (
-                f"{name}: flow {flow.flow_id} rate={rates[flow.flow_id]} "
-                "has slack on every path link (not work-conserving)"
-            )
+        assert_work_conserving(name, flows, capacities, rates)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -292,6 +307,81 @@ def test_backend_equivalence_exact(scenario):
         assert vectorized == reference, (
             f"{name}: numpy kernel diverges from the Python reference"
         )
+
+
+# ----------------------------------------------------------------------
+# Coflow allocators: ordering + MADD + back-fill
+# ----------------------------------------------------------------------
+
+from unittest import mock  # noqa: E402
+
+from repro.coflow.coflow import Coflow  # noqa: E402
+from repro.coflow.policies import base as coflow_base  # noqa: E402
+from repro.coflow.policies import make_coflow_allocator  # noqa: E402
+from repro.coflow.policies import simple as coflow_simple  # noqa: E402
+
+COFLOW_ALLOCATOR_NAMES = (
+    "varys", "scf", "coflow-fcfs", "coflow-las", "coflow-fair"
+)
+
+
+@st.composite
+def coflow_scenarios(draw):
+    """:func:`scenarios` with each flow left bare or attached to one of up
+    to three coflows (mixed flow / coflow traffic)."""
+    flows, capacities = draw(scenarios())
+    coflows = [
+        Coflow(coflow_id=i, arrival_time=draw(st.floats(0.0, 100.0)))
+        for i in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    for flow in flows:
+        flow.coflow = draw(st.sampled_from([None, *coflows]))
+        if flow.coflow is not None:
+            flow.coflow.attach_flow(flow)
+    return flows, capacities
+
+
+@given(coflow_scenarios())
+@settings(**SETTINGS)
+def test_coflow_capacity_never_exceeded(scenario):
+    flows, capacities = scenario
+    for name in COFLOW_ALLOCATOR_NAMES:
+        rates = make_coflow_allocator(name).allocate(flows, capacities)
+        assert_feasible(name, flows, capacities, rates)
+
+
+@given(coflow_scenarios())
+@settings(**SETTINGS)
+def test_coflow_work_conservation(scenario):
+    """Back-fill leaves no flow with slack on every link of its path (a
+    flow MADD left at rate 0 sits behind a saturated link)."""
+    flows, capacities = scenario
+    for name in COFLOW_ALLOCATOR_NAMES:
+        rates = make_coflow_allocator(name).allocate(flows, capacities)
+        assert_work_conserving(name, flows, capacities, rates)
+
+
+@given(coflow_scenarios())
+@settings(**SETTINGS)
+def test_coflow_members_finish_together_before_backfill(scenario):
+    """MADD (and coflow-fair's proportional split): with the back-fill
+    switched off, every coflow that was served has one ``remaining /
+    rate`` across its members, i.e. they would all finish at Gamma."""
+    flows, capacities = scenario
+    no_backfill = lambda *args: None  # noqa: E731
+    with mock.patch.object(coflow_base, "backfill", no_backfill), \
+            mock.patch.object(coflow_simple, "backfill", no_backfill):
+        for name in COFLOW_ALLOCATOR_NAMES:
+            rates = make_coflow_allocator(name).allocate(flows, capacities)
+            for _coflow, members in coflow_base.collect_coflows(flows):
+                served = [f for f in members if rates[f.flow_id] > 0.0]
+                if not served:
+                    continue  # blocked behind a saturated link
+                assert len(served) == len(members), name
+                finish = [f.remaining / rates[f.flow_id] for f in members]
+                assert max(finish) <= min(finish) * (1.0 + 1e-9), (
+                    f"{name}: members of one coflow finish apart: {finish}"
+                )
 
 
 # ----------------------------------------------------------------------

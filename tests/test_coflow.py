@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.coflow.coflow import Coflow
-from repro.coflow.policies.base import bottleneck_duration, collect_coflows
+from repro.coflow.policies.base import (
+    collect_coflows,
+    column_bottleneck,
+    column_demand,
+    link_columns,
+)
 from repro.coflow.policies.registry import (
     available_coflow_policies,
     make_coflow_allocator,
@@ -16,6 +21,7 @@ from repro.network.fabric import NetworkFabric
 from repro.network.flow import Flow
 from repro.network.policies.registry import make_allocator
 from repro.sim.engine import Engine
+from repro.topology.base import TopoNode, Topology
 from repro.topology.fabrics import single_switch
 
 
@@ -25,6 +31,12 @@ def coflow_fabric(policy="varys", hosts=6):
         engine, single_switch(hosts), make_coflow_allocator(policy)
     )
     return engine, fabric, CoflowTracker(fabric)
+
+
+def gamma_of(members, capacities):
+    """A group's bottleneck duration alone on ``capacities``."""
+    cols_of, _crossing, capacity = link_columns(members, capacities)
+    return column_bottleneck(column_demand(members, cols_of), capacity)
 
 
 def bare_flow(fid, path, size=1e9, arrival=0.0, coflow=None):
@@ -84,12 +96,12 @@ class TestCollectCoflows:
 
     def test_bottleneck_duration(self):
         flows = [bare_flow(0, ["a"], size=4e9), bare_flow(1, ["a", "b"], size=2e9)]
-        gamma = bottleneck_duration(flows, {"a": 1e9, "b": 1e9})
-        assert gamma == pytest.approx(6.0)  # link a carries 6 Gb
+        assert gamma_of(flows, {"a": 1e9, "b": 1e9}) == pytest.approx(6.0)
+        # link a carries 6 Gb
 
     def test_bottleneck_inf_on_saturated_link(self):
         flows = [bare_flow(0, ["a"])]
-        assert bottleneck_duration(flows, {"a": 0.0}) == float("inf")
+        assert gamma_of(flows, {"a": 0.0}) == float("inf")
 
 
 class TestVarysScheduling:
@@ -106,11 +118,14 @@ class TestVarysScheduling:
         assert big.cct() == pytest.approx(17.0, rel=0.01)
 
     def test_madd_rates_are_proportional(self):
-        from repro.coflow.policies.base import madd_rates
-
-        flows = [bare_flow(0, ["a"], size=2e9), bare_flow(1, ["b"], size=1e9)]
-        rates = madd_rates(flows, gamma=2.0)
-        # Every member finishes exactly at gamma: rate = remaining / gamma.
+        c = Coflow(coflow_id=0, arrival_time=0.0)
+        flows = [
+            bare_flow(0, ["a"], size=2e9, coflow=c),
+            bare_flow(1, ["a"], size=1e9, coflow=c),
+        ]
+        rates = make_coflow_allocator("varys").allocate(flows, {"a": 1.5e9})
+        # Gamma = 3 Gb / 1.5 Gbps = 2 s and every member finishes exactly
+        # then: rate = remaining / gamma (the link is full, no back-fill).
         assert rates[0] == pytest.approx(1e9)
         assert rates[1] == pytest.approx(0.5e9)
 
@@ -215,6 +230,32 @@ class TestTracker:
         foreign = Coflow(coflow_id=999, arrival_time=0.0)
         with pytest.raises(CoflowError):
             tracker.submit_flow(foreign, "h000", "h001", 1e9)
+
+    def test_optimal_cct_is_frozen_at_submit(self):
+        """A member rerouted by ``fail_link`` keeps the optimum of the
+        path it started on, as ``FlowRecord.optimal_fct`` does: the two
+        a->b paths differ in capacity, so an optimum read from the
+        rerouted path would be a different number."""
+        topo = Topology("two-speed")
+        topo.add_node(TopoNode("a", "host", rack=0, pod=0))
+        topo.add_node(TopoNode("b", "host", rack=1, pod=0))
+        for switch, capacity in (("s1", 1e9), ("s2", 2e9)):
+            topo.add_node(TopoNode(switch, "switch"))
+            topo.add_duplex_link("a", switch, capacity, is_edge=True)
+            topo.add_duplex_link(switch, "b", capacity, is_edge=True)
+        engine = Engine()
+        fabric = NetworkFabric(engine, topo, make_coflow_allocator("varys"))
+        tracker = CoflowTracker(fabric)
+        coflow = tracker.submit_coflow([("a", "b", 1e9), ("a", "b", 3e9)])
+        first_hop = coflow.flows[0].path[0]  # the ECMP pick, s1 or s2
+        at_submit = 4e9 / topo.link(first_hop).capacity
+        engine.schedule_at(0.1, lambda: fabric.fail_link(first_hop))
+        engine.run()
+        assert fabric.flows_rerouted == 2
+        assert coflow.flows[0].path[0] != first_hop
+        (record,) = tracker.records
+        assert record.optimal_cct == at_submit
+        assert sum(r.optimal_fct for r in fabric.records) == at_submit
 
 
 class TestCoflowRegistry:

@@ -205,6 +205,91 @@ class TestClosFabric:
 
 
 # ----------------------------------------------------------------------
+# Change-point scopes exist only for allocators that hint
+# ----------------------------------------------------------------------
+from repro.coflow.policies import make_coflow_allocator  # noqa: E402
+from repro.network import fabric as fabric_module  # noqa: E402
+
+
+def _two_components(allocator):
+    """Two disjoint sharing components on one switch, each an old flow
+    caught up by a younger one: {0, 1} into h001 and {2, 3} into h004."""
+    engine = Engine()
+    fabric = NetworkFabric(engine, single_switch(7), allocator)
+    fabric.submit("h000", "h001", 4e9)
+    fabric.submit("h003", "h004", 4e9)
+    engine.run(until=1.0)
+    fabric.submit("h002", "h001", 4e9)
+    fabric.submit("h005", "h004", 4e9)
+    return engine, fabric
+
+
+@pytest.mark.parametrize("policy", ["fair", "fcfs", "varys"])
+def test_hintless_allocator_never_scopes(policy, monkeypatch):
+    """Scopes only serve to cancel change-point hints, so an allocator
+    that keeps the base ``next_change_hint`` pays for none: no
+    ``_AllocScope`` is built and ``_split_scopes`` is never entered."""
+    built, entered = [], []
+
+    class CountedScope(fabric_module._AllocScope):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    split = NetworkFabric._split_scopes
+    monkeypatch.setattr(fabric_module, "_AllocScope", CountedScope)
+    monkeypatch.setattr(
+        NetworkFabric,
+        "_split_scopes",
+        lambda self, flows: entered.append(len(flows)) or split(self, flows),
+    )
+    allocator = (
+        make_coflow_allocator(policy) if policy == "varys"
+        else make_allocator(policy)
+    )
+    engine, fabric = _two_components(allocator)
+    assert not fabric._scope_of
+    engine.run()
+    assert len(fabric.records) == 4
+    assert built == [] and entered == []
+
+    # The counters do see a hinting allocator on the same run.
+    engine, fabric = _two_components(make_allocator("las"))
+    engine.run()
+    assert built and entered
+
+
+@pytest.mark.parametrize("policy", ["las", "srpt"])
+def test_hinting_allocator_scopes_per_true_component(policy):
+    engine, fabric = _two_components(make_allocator(policy))
+    scopes = fabric._scope_of
+    assert set(scopes) == {0, 1, 2, 3}
+    assert scopes[0] is scopes[2] and scopes[1] is scopes[3]
+    assert scopes[0] is not scopes[1]
+    assert scopes[0].flow_ids == (0, 2) and scopes[1].flow_ids == (1, 3)
+
+
+def test_las_hint_is_cancelled_only_for_the_swallowed_component():
+    engine, fabric = _two_components(make_allocator("las"))
+    into_h001, into_h004 = fabric._scope_of[0], fabric._scope_of[1]
+    # The younger flow catches up its elder's 1 Gb at t = 2: one pending
+    # hint per component.
+    hints = [scope.hint_event for scope in (into_h001, into_h004)]
+    assert [h.label for h in hints] == ["fabric-hint"] * 2
+    assert [h.time for h in hints] == [pytest.approx(2.0)] * 2
+    assert not any(h.cancelled for h in hints)
+    # An arrival into h001 swallows that component only.
+    engine.run(until=1.5)
+    fabric.submit("h006", "h001", 4e9)
+    assert hints[0].cancelled and into_h001.hint_event is None
+    assert not hints[1].cancelled and into_h004.hint_event is hints[1]
+    assert fabric._scope_of[0].flow_ids == (0, 2, 4)
+    assert fabric._scope_of[1] is into_h004
+    engine.run()
+    assert len(fabric.records) == 5
+
+
+# ----------------------------------------------------------------------
 # host_edge_state: the daemons' one-pass read
 # ----------------------------------------------------------------------
 def _clos():
@@ -212,8 +297,15 @@ def _clos():
 
 
 _HOSTS = tuple(_clos().hosts)
+# Failable links: all but the tor <-> agg*_1 <-> core1 plane, so every
+# host pair keeps a route and ``submit`` cannot raise RoutingError.
 _FABRIC_LINKS = tuple(
-    sorted(link.link_id for link in _clos().links() if not link.is_edge)
+    sorted(
+        link.link_id
+        for link in _clos().links()
+        if not link.is_edge
+        and not ("_1" in link.link_id and "core0" not in link.link_id)
+    )
 )
 
 _fabric_ops = st.lists(

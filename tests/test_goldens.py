@@ -7,6 +7,10 @@ trace must match the committed bytes exactly — under the Python backend
 *and* the numpy kernel backend, which locks the kernels' bit-identity
 contract to a fixed external artifact rather than only to each other.
 
+The coflow corpus does the same for the five coflow policies (CCT
+records + trace on a coflow trace over the same fabric); they have no
+backend, so one leg each.
+
 The *observed* corpus pins what the telemetry channels write for NEAT
 flow, coflow and faulted runs (trace, causal stream, decision log and
 registry snapshot): the proof that a change to how events reach the
@@ -55,6 +59,20 @@ def test_golden_corpus_byte_identical(policy, backend, monkeypatch):
     assert trace_text == golden_trace, (
         f"{policy}/{backend}: JSONL trace diverges from the golden corpus"
     )
+
+
+@pytest.mark.parametrize("policy", regen_goldens.COFLOW_POLICIES)
+def test_coflow_corpus_byte_identical(policy):
+    records_text, trace_text = regen_goldens.generate(policy)
+    for suffix, text in (("records", records_text), ("trace", trace_text)):
+        golden = (GOLDEN_DIR / f"{policy}.{suffix}.jsonl").read_text(
+            encoding="utf-8"
+        )
+        assert text == golden, (
+            f"{policy}: {suffix} diverge from the golden corpus; if "
+            "intentional, regenerate via `PYTHONPATH=src python "
+            "tests/goldens/regen_goldens.py` and review"
+        )
 
 
 @pytest.mark.parametrize("name", regen_goldens.OBSERVED)
