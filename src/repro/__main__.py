@@ -86,14 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--arrivals", type=int, default=800)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--oversubscription", type=float, default=1.0)
-    parser.add_argument(
-        "--alloc-backend", choices=("python", "numpy"), default=None,
-        help="rate-allocator compute backend: 'numpy' batches the "
-             "water-filling over (flows x links) arrays, bit-identical "
-             "to 'python' but faster at scale (default: the "
-             "REPRO_ALLOC_BACKEND env var, else python; numpy requires "
-             "the [perf] extra and falls back to python when absent)",
-    )
     obs = parser.add_argument_group(
         "observability",
         "any of these arms the telemetry layer and prints its report",
@@ -368,7 +360,6 @@ def config_from_args(args: argparse.Namespace, **overrides) -> MacroConfig:
         num_arrivals=args.arrivals,
         seed=args.seed,
         oversubscription=args.oversubscription,
-        alloc_backend=args.alloc_backend,
     )
     return replace(base, **overrides) if overrides else base
 

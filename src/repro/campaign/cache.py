@@ -111,15 +111,3 @@ class ResultCache:
             return 0
         return sum(1 for _ in self.root.glob("??/*.json"))
 
-    def clear(self) -> int:
-        """Delete every cached blob; returns how many were removed."""
-        removed = 0
-        if not self.root.is_dir():
-            return 0
-        for blob in self.root.glob("??/*.json"):
-            try:
-                blob.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed

@@ -62,7 +62,6 @@ def _macro_payload(spec: RunSpec) -> Dict[str, object]:
         faults=spec.faults,
         state_ttl=cfg.state_ttl,
         push_updates=cfg.push_node_state,
-        alloc_backend=cfg.alloc_backend,
         telemetry=telemetry,
     )
     blame = {

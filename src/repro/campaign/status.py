@@ -148,18 +148,6 @@ class CellStatus:
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "cell": self.cell,
-            "spec": self.spec,
-            "state": self.state,
-            "attempt": self.attempt,
-            "last_wall": self.last_wall,
-            "events_processed": self.events_processed,
-            "error": self.error,
-            "stalled": self.stalled,
-        }
-
 
 def summarize_status(
     records: List[Dict],

@@ -84,11 +84,6 @@ class MacroConfig:
             plans.  None disables age tracking.
         push_node_state: enable NEAT's push-style node-state
             dissemination (daemons refresh the controller on completion).
-        alloc_backend: rate-allocator compute backend (``"python"`` or
-            ``"numpy"``); ``None`` defers to ``REPRO_ALLOC_BACKEND``.
-            Both backends are bit-identical, but the choice is part of
-            the declared run config (and therefore the campaign cache
-            key) so cached payloads always record how they were made.
     """
 
     pods: int = 2
@@ -105,22 +100,12 @@ class MacroConfig:
     coflow_width: Tuple[int, int] = (2, 6)
     state_ttl: Optional[float] = None
     push_node_state: bool = False
-    alloc_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not 0 < self.load < 1:
             raise ConfigError(f"load must be in (0,1), got {self.load!r}")
         if self.num_arrivals < 1:
             raise ConfigError("num_arrivals must be >= 1")
-        if self.alloc_backend is not None:
-            from repro.network.kernels import BACKENDS
-
-            if self.alloc_backend not in BACKENDS:
-                known = ", ".join(BACKENDS)
-                raise ConfigError(
-                    f"alloc_backend must be one of {known}, "
-                    f"got {self.alloc_backend!r}"
-                )
 
     @property
     def num_hosts(self) -> int:

@@ -98,7 +98,6 @@ def run_flow_macro(
         predictor=predictor,
         seed=config.seed,
         max_candidates=config.max_candidates,
-        alloc_backend=config.alloc_backend,
         telemetry=telemetry,
         faults=faults,
     )

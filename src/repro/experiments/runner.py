@@ -152,7 +152,6 @@ def replay_flow_trace(
     telemetry: Optional["Telemetry"] = None,
     incremental: Optional[bool] = None,
     shadow_verify: bool = False,
-    alloc_backend: Optional[str] = None,
     faults: Optional[FaultPlan] = None,
     state_ttl: Optional[float] = None,
     push_updates: bool = False,
@@ -186,10 +185,6 @@ def replay_flow_trace(
             forces the full-recompute reference path.
         shadow_verify: run the full allocator side-by-side with every
             scoped recompute and raise on any rate divergence.
-        alloc_backend: rate-allocator compute backend, ``"python"`` or
-            ``"numpy"`` (default: ``REPRO_ALLOC_BACKEND`` env var, else
-            python).  Bit-identical either way; numpy is faster on large
-            sharing components and falls back to python when absent.
         faults: optional :class:`~repro.faults.FaultPlan` to inject.  An
             empty (or absent) plan leaves the run byte-identical to a
             fault-free one.
@@ -201,7 +196,7 @@ def replay_flow_trace(
     fabric = NetworkFabric(
         engine,
         topology,
-        make_allocator(network_policy, backend=alloc_backend),
+        make_allocator(network_policy),
         telemetry=telemetry,
         incremental=incremental,
         shadow_verify=shadow_verify,
@@ -302,18 +297,11 @@ def replay_coflow_trace(
     max_candidates: Optional[int] = None,
     horizon: Optional[float] = None,
     telemetry: Optional["Telemetry"] = None,
-    alloc_backend: Optional[str] = None,
     faults: Optional[FaultPlan] = None,
     state_ttl: Optional[float] = None,
     push_updates: bool = False,
 ) -> RunResult:
     """Replay a coflow trace under a coflow scheduling policy.
-
-    ``alloc_backend`` is accepted for signature parity with
-    :func:`replay_flow_trace` (``compare_policies`` forwards one kwargs
-    set to both) but is ignored: the coflow allocators have one
-    implementation, a pass over int link columns (DESIGN.md §5.2.1); at
-    coflow call sizes a numpy back-fill was measured not to pay.
 
     Placement follows §5.1.2: each coflow's flows are placed sequentially
     in descending size order through the configured placement policy.

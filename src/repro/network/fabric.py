@@ -165,11 +165,6 @@ class NetworkFabric:
         return self._allocator
 
     @property
-    def alloc_backend(self) -> str:
-        """The allocator's effective compute backend (python/numpy)."""
-        return self._allocator.backend
-
-    @property
     def incremental(self) -> bool:
         """Whether recomputes are scoped to the dirty sharing component."""
         return self._incremental

@@ -36,116 +36,94 @@ lock this contract end-to-end (records, JSONL traces, causal traces).
 Vectorization pays inside *large* priority groups (max-min fair over a
 big sharing component); a strict-priority cascade of tiny groups
 (SRPT/FCFS over all-distinct keys) is inherently sequential, and numpy
-array setup loses to dict arithmetic there.  :data:`GROUP_CUTOFF`
-routes each group below the cutoff to the scalar reference — safe
-precisely because both paths are bit-identical, and both share one
-residual map so groups can mix backends within a single allocation.
+array setup loses to dict arithmetic there.  :func:`priority_fill` is
+the one place that knows there are two fills: per group it takes the
+numpy fill when numpy is importable and the group has at least
+:data:`GROUP_CUTOFF` flows, the scalar ``water_fill`` otherwise — safe
+precisely because both are bit-identical, and both share one residual
+map so groups can mix fills within a single allocation.  Nothing
+selects a fill from outside this module.
 
 numpy is an optional dependency (the ``perf`` extra).  When it is not
-importable, :data:`HAVE_NUMPY` is False and :func:`resolve_backend`
-silently falls back to ``"python"`` — the simulator never requires it.
+importable, :data:`HAVE_NUMPY` is False and every group takes the
+scalar fill — the simulator never requires it.  When it is, it is
+imported by the first group that takes the numpy fill, not with this
+module.
 """
 
 from __future__ import annotations
 
-import os
 from array import array as _f64buf
+from importlib.util import find_spec
 from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Sequence
 
-from repro.errors import ConfigError
 from repro.network.flow import Flow, FlowId
-from repro.network.policies.base import (
-    RATE_EPSILON,
-    greedy_priority_fill,
-    water_fill,
-)
+from repro.network.policies.base import RATE_EPSILON, water_fill
 from repro.topology.base import LinkId
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg / subprocess test
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
-#: True when the numpy kernels are importable in this environment.
-HAVE_NUMPY = _np is not None
-
-#: Backends accepted by :func:`resolve_backend`.
-BACKENDS = ("python", "numpy")
-
-#: Environment variable that selects the default allocator backend when
-#: no explicit ``backend=`` is given (the CI numpy leg sets it, as does
-#: pytest's ``--alloc-backend`` option).
-BACKEND_ENV = "REPRO_ALLOC_BACKEND"
-
-#: Priority groups smaller than this water-fill on the scalar reference
-#: even under the numpy backend: array setup loses to dict arithmetic on
-#: the tiny groups priority cascades produce (and on the small dirty
-#: components of incremental recomputes, p50 ~5 flows), while the
-#: outputs are bit-identical either way.  Tunable via
-#: ``REPRO_KERNEL_CUTOFF`` (tests pin it to 1 to force every group
-#: through the vectorized path).
-GROUP_CUTOFF = int(os.environ.get("REPRO_KERNEL_CUTOFF", "16"))
+def _numpy_importable() -> bool:
+    try:
+        return find_spec("numpy") is not None
+    except ImportError:  # a finder may refuse numpy by raising
+        return False
 
 
-def available_backends() -> tuple:
-    """Backends usable in this environment (numpy only when importable)."""
-    return BACKENDS if HAVE_NUMPY else ("python",)
+#: True when numpy can be imported here.  The import itself waits for
+#: the first group that takes the kernel: a run that never has one
+#: (every coflow policy, an SRPT cascade of singleton groups, a small
+#: fabric) pays neither numpy's import time nor its memory, and
+#: ``import repro`` costs what it does without numpy.
+HAVE_NUMPY = _numpy_importable()
 
+#: numpy, once :func:`_water_fill_numpy` has run.
+_np = None
 
-def resolve_backend(backend: "str | None") -> str:
-    """Validate a backend request and resolve it to an effective one.
-
-    ``None`` reads :data:`BACKEND_ENV` (default ``"python"``).  Asking
-    for ``"numpy"`` without numpy installed degrades gracefully to
-    ``"python"`` — the two are bit-identical, so the fallback changes
-    speed, never results.  Unknown names raise :class:`ConfigError`.
-    """
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV) or "python"
-    backend = backend.lower()
-    if backend not in BACKENDS:
-        known = ", ".join(BACKENDS)
-        raise ConfigError(
-            f"unknown allocator backend {backend!r}; known: {known}"
-        )
-    if backend == "numpy" and not HAVE_NUMPY:
-        return "python"
-    return backend
+#: Priority groups smaller than this take the scalar fill: array setup
+#: loses to dict arithmetic on the tiny groups priority cascades produce
+#: (and on the small dirty components of incremental recomputes, p50 ~5
+#: flows), while the outputs are bit-identical either way.  Measured
+#: flat from 4 to 48 on both benchmark sides (EXPERIMENTS.md), so a
+#: constant; tests patch it to force every group through one fill.
+GROUP_CUTOFF = 16
 
 
 def priority_fill(
     groups: Iterable[Sequence[Flow]],
     capacities: Mapping[LinkId, float],
 ) -> Dict[FlowId, float]:
-    """Vectorized strict-priority water-filling (bit-identical twin of
+    """Strict-priority water-filling, each group on the faster fill
+    (bit-identical twin of
     :func:`~repro.network.policies.base.greedy_priority_fill`).
 
     ``groups`` must be ordered highest priority first; equal-priority
     flows (same group) share fairly, lower groups water-fill the
     residual capacity left by higher ones.
     """
-    if _np is None:
-        return greedy_priority_fill(groups, capacities)
+    cutoff = GROUP_CUTOFF if HAVE_NUMPY else float("inf")
     residual: Dict[LinkId, float] = dict(capacities)
     rates: Dict[FlowId, float] = {}
     for group in groups:
-        group = list(group)
-        if len(group) < GROUP_CUTOFF:
+        if len(group) < cutoff:
             water_fill(group, residual, rates)
         else:
             _water_fill_numpy(group, residual, rates)
     return rates
 
 
-#: Shares at or above this magnitude cannot be within ``RATE_EPSILON``
-#: of each other without being exactly equal: two distinct float64
-#: values >= 2**23 differ by at least one ulp = 2**-29 > 1e-9.  Above
-#: the floor the reference's epsilon-improvement chain provably ends at
-#: the *first occurrence of the minimum share* — exactly ``argmin`` —
-#: so the scan collapses to one C call.  Below it (drained links, tiny
-#: residuals) the chain is replayed hop by hop instead.
-_NEAR_TIE_FLOOR = float(2**23)
+#: For two shares both at or above this magnitude the reference's test
+#: ``share < candidate - RATE_EPSILON`` is plain ``share < candidate``:
+#: floats >= 2**24 are spaced at least 2**-28 > 2e-9 apart, so
+#: subtracting 1e-9 never moves ``candidate`` past another such float.
+#: (In [2**23, 2**24) the spacing is 2**-29 < 2e-9: ``candidate - 1e-9``
+#: rounds to the float *below* ``candidate``, so the reference does not
+#: hop to an adjacent-float share while ``argmin`` would.)  When the
+#: minimum share clears the floor, the epsilon-improvement chain
+#: therefore ends at the *first occurrence of the minimum* — exactly
+#: ``argmin`` — and the scan collapses to one C call.  Below it
+#: (drained links, tiny residuals) the chain is replayed hop by hop.
+_NEAR_TIE_FLOOR = float(2**24)
 
 #: Process-wide link-id interning for the kernel: maps each LinkId to a
 #: stable small int so per-flow paths cache as numpy index arrays on the
@@ -179,7 +157,7 @@ def _flow_cols(flow: Flow) -> "object":
 
 
 def _water_fill_numpy(
-    flows: List[Flow],
+    flows: Sequence[Flow],
     residual: Dict[LinkId, float],
     rates: Dict[FlowId, float],
 ) -> None:
@@ -188,6 +166,9 @@ def _water_fill_numpy(
     Mutates ``residual`` and ``rates`` exactly like
     :func:`~repro.network.policies.base.water_fill`.
     """
+    global _np
+    if _np is None:
+        import numpy as _np
     np = _np
 
     # ------------------------------------------------------------------
@@ -273,9 +254,9 @@ def _water_fill_numpy(
         idx = int(argmin())
         share = shares_buf[idx]  # buffer getitem -> plain Python float
         if share < _NEAR_TIE_FLOOR:
-            # Above the floor no near-ties are possible, so the
-            # reference's chain provably ends at the first occurrence
-            # of the minimum — exactly what argmin returned.  Below it,
+            # Above the floor the reference's chain ends at the first
+            # occurrence of the minimum — exactly what argmin returned
+            # (see _NEAR_TIE_FLOOR).  Below it,
             # replay the epsilon-improvement chain: the reference walks
             # links in first-seen order and moves its candidate only on
             # a > RATE_EPSILON improvement, so the bottleneck is the

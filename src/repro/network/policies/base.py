@@ -37,40 +37,6 @@ class RateAllocator(ABC):
     #: scopes recomputes to the dirty component when this is True.
     incremental_safe: bool = False
 
-    #: Effective compute backend for the shared priority-fill machinery:
-    #: ``"python"`` (default) or ``"numpy"``.  Selected via
-    #: :meth:`use_backend`; both backends are bit-identical, so this is a
-    #: speed knob, never a semantics knob.
-    backend: str = "python"
-
-    def use_backend(self, backend: "Optional[str]") -> str:
-        """Select the priority-fill backend and return the effective one.
-
-        ``None`` defers to the ``REPRO_ALLOC_BACKEND`` environment
-        variable (default ``"python"``); requesting ``"numpy"`` without
-        numpy installed falls back to ``"python"`` silently.  Policies
-        route their group allocation through :meth:`_fill`, so switching
-        backends never touches policy-specific state (arrival indexes,
-        link member lists, change-point hints).
-        """
-        from repro.network import kernels
-
-        effective = kernels.resolve_backend(backend)
-        self.backend = effective
-        if effective == "numpy":
-            self._fill = kernels.priority_fill
-        else:
-            self.__dict__.pop("_fill", None)
-        return effective
-
-    def _fill(
-        self,
-        groups: Iterable[Sequence[Flow]],
-        capacities: Mapping[LinkId, float],
-    ) -> Dict[FlowId, float]:
-        """Backend dispatch point for strict-priority water-filling."""
-        return greedy_priority_fill(groups, capacities)
-
     @abstractmethod
     def allocate(
         self,

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Sequence
 
 from repro.network.flow import Flow, FlowId
+from repro.network.kernels import priority_fill
 from repro.network.policies.base import RateAllocator
 from repro.topology.base import LinkId
 
@@ -31,4 +32,4 @@ class FairAllocator(RateAllocator):
         flows: Sequence[Flow],
         capacities: Mapping[LinkId, float],
     ) -> Dict[FlowId, float]:
-        return self._fill(self._groups(flows), capacities)
+        return priority_fill(self._groups(flows), capacities)

@@ -11,6 +11,7 @@ import bisect
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.network.flow import Flow, FlowId
+from repro.network.kernels import priority_fill
 from repro.network.policies.base import (
     RateAllocator,
     group_by_key,
@@ -63,4 +64,4 @@ class FCFSAllocator(RateAllocator):
         flows: Sequence[Flow],
         capacities: Mapping[LinkId, float],
     ) -> Dict[FlowId, float]:
-        return self._fill(self._groups(flows), capacities)
+        return priority_fill(self._groups(flows), capacities)

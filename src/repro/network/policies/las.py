@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional, Sequence
 
 from repro.network.flow import Flow, FlowId
+from repro.network.kernels import priority_fill
 from repro.network.policies.base import (
     LinkMembershipMixin,
     RateAllocator,
@@ -43,7 +44,7 @@ class LASAllocator(LinkMembershipMixin, RateAllocator):
         flows: Sequence[Flow],
         capacities: Mapping[LinkId, float],
     ) -> Dict[FlowId, float]:
-        return self._fill(self._groups(flows), capacities)
+        return priority_fill(self._groups(flows), capacities)
 
     def next_change_hint(
         self,

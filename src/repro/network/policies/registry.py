@@ -7,7 +7,7 @@ L2DCT, PASE) onto the policies they approximate.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.errors import ConfigError
 from repro.network.policies.base import RateAllocator
@@ -33,16 +33,8 @@ def register_policy(name: str, factory: Callable[[], RateAllocator]) -> None:
     _FACTORIES[name.lower()] = factory
 
 
-def make_allocator(
-    name: str, backend: Optional[str] = None
-) -> RateAllocator:
-    """Instantiate the allocator registered under ``name``.
-
-    ``backend`` selects the priority-fill compute backend (``"python"``
-    or ``"numpy"``); ``None`` defers to ``REPRO_ALLOC_BACKEND`` (default
-    ``"python"``).  Both backends produce bit-identical allocations, so
-    the knob trades speed only.
-    """
+def make_allocator(name: str) -> RateAllocator:
+    """Instantiate the allocator registered under ``name``."""
     try:
         factory = _FACTORIES[name.lower()]
     except KeyError:
@@ -50,9 +42,7 @@ def make_allocator(
         raise ConfigError(
             f"unknown network scheduling policy {name!r}; known: {known}"
         ) from None
-    allocator = factory()
-    allocator.use_backend(backend)
-    return allocator
+    return factory()
 
 
 def available_policies() -> tuple:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import os
+import sys
 
 import pytest
 
@@ -13,23 +13,21 @@ from repro.sim.engine import Engine
 from repro.topology.fabrics import single_rack, single_switch, three_tier_clos
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--alloc-backend",
-        choices=kernels.BACKENDS,
-        default=None,
-        help=(
-            "Run the whole suite with this allocator backend (sets "
-            f"{kernels.BACKEND_ENV}, the default every fabric resolves "
-            "when no explicit backend is passed)."
-        ),
-    )
+#: The legs every whole-run proof of the allocator runs: ``python`` pins
+#: :data:`kernels.GROUP_CUTOFF` so every priority group takes the scalar
+#: fill, ``numpy`` so every group takes the vectorized one (absent when
+#: numpy is), ``default`` leaves the shipped dispatch alone.
+FILL_CUTOFFS = {"python": sys.maxsize, "numpy": 1, "default": None}
+FILLS = tuple(
+    fill for fill in FILL_CUTOFFS if fill != "numpy" or kernels.HAVE_NUMPY
+)
 
 
-def pytest_configure(config):
-    backend = config.getoption("--alloc-backend")
-    if backend:
-        os.environ[kernels.BACKEND_ENV] = backend
+def pin_fill(monkeypatch, fill: str) -> None:
+    """Force every priority group through ``fill`` until the test ends."""
+    cutoff = FILL_CUTOFFS[fill]
+    if cutoff is not None:
+        monkeypatch.setattr(kernels, "GROUP_CUTOFF", cutoff)
 
 
 @pytest.fixture

@@ -20,7 +20,8 @@ snapshot minus its wall-clock ``timers``).  They pin every record a bus
 message, placement decision, coflow, fault or causal hook produces.
 
 ``tests/test_goldens.py`` byte-compares the current simulator output —
-under *both* allocator backends — against these files, so any change to
+with every priority group forced through each allocator fill in turn —
+against these files, so any change to
 allocation arithmetic, event ordering, or trace payloads shows up as a
 corpus diff that must be regenerated (and reviewed) deliberately:
 
@@ -55,12 +56,12 @@ SCENARIO = dict(
 )
 
 
-def generate(policy: str, backend: str = "python"):
+def generate(policy: str):
     """Run the pinned scenario; returns (records_text, trace_text).
 
     A coflow policy runs the scenario's coflow twin: hadoop shuffles of
     2-6 transfers on the same fabric, load, seed and placement, recorded
-    as CCTs (``backend`` is accepted and ignored there).
+    as CCTs.
     """
     from repro.experiments.runner import replay_coflow_trace, replay_flow_trace
     from repro.telemetry import JsonlTraceSink, Telemetry
@@ -95,7 +96,6 @@ def generate(policy: str, backend: str = "python"):
         network_policy=policy,
         placement=SCENARIO["placement"],
         seed=SCENARIO["seed"],
-        alloc_backend=backend,
         telemetry=telemetry,
     )
     telemetry.close()
@@ -143,7 +143,7 @@ def _faulted_plan():
     )
 
 
-def generate_observed(name: str, backend: str = "python"):
+def generate_observed(name: str):
     """Run one observed scenario with every telemetry channel on;
     returns ``{artifact suffix: text}`` for ``OBSERVED_ARTIFACTS``."""
     from repro.experiments.runner import replay_coflow_trace, replay_flow_trace
@@ -181,8 +181,6 @@ def generate_observed(name: str, backend: str = "python"):
     )
     if spec.pop("faulted", False):
         spec["faults"] = _faulted_plan()
-    if not coflows:
-        spec["alloc_backend"] = backend
     buf = io.StringIO()
     sink = JsonlTraceSink(buf)
     telemetry = Telemetry(

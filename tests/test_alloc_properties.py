@@ -16,21 +16,24 @@ every allocator must uphold regardless of input:
 * **permutation invariance** — the allocation is a function of the flow
   *set*, not the order the caller lists it in (bit-for-bit, which the
   incremental fabric's splicing relies on);
-* **backend equivalence** — the numpy kernels return the *exact* same
-  rate map as the Python reference (``==`` on the dicts, no tolerance);
+* **fill equivalence** — the numpy fill returns the *exact* same rate
+  map as the scalar fill (``==`` on the dicts, no tolerance), including
+  on adjacent-float capacities in ``[2**23, 2**24)``;
 * **coflow policies** — feasibility and work conservation as above on
   mixed flow / coflow traffic, and **MADD equal finish**: ahead of the
   back-fill, the members of a served coflow share one
   ``remaining / rate``.
 
-Every invariant runs once per available allocator backend (``python``,
-and ``numpy`` when installed), with the kernel's group-size cutoff
-pinned to 1 so the vectorized path is actually exercised on these
-deliberately small scenarios.
+Every invariant runs once per fill leg (``tests/conftest.py``
+``FILLS``): every group on the scalar fill, every group on the numpy
+fill when installed — these scenarios are deliberately small, so the
+cutoff is pinned for the vectorized path to run at all — and the
+shipped dispatch.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Tuple
 
 import pytest
@@ -39,36 +42,19 @@ from hypothesis import given, settings, strategies as st
 from repro.network import kernels
 from repro.network.flow import Flow
 from repro.network.policies.registry import make_allocator
+from tests.conftest import FILLS, pin_fill
 
 ALLOCATOR_NAMES = ("fair", "fcfs", "las", "srpt")
 
 
-BACKENDS = kernels.available_backends()
+def allocate(name: str, fill: str, flows, capacities):
+    """One allocation with every priority group on ``fill``.  (A fixture
+    can't pin it: hypothesis forbids function-scoped fixtures under
+    @given.)"""
+    with pytest.MonkeyPatch.context() as patch:
+        pin_fill(patch, fill)
+        return make_allocator(name).allocate(flows, capacities)
 
-
-class _PinnedAllocator:
-    """Wraps an allocator so GROUP_CUTOFF is pinned to 1 for the duration
-    of each allocate() call on the numpy leg — these scenarios are tiny,
-    and we want the vectorized path actually exercised.  (A fixture can't
-    do this: hypothesis forbids function-scoped fixtures under @given.)"""
-
-    def __init__(self, name: str, backend: str):
-        self._alloc = make_allocator(name, backend=backend)
-        self._pin = backend == "numpy"
-
-    def allocate(self, flows, capacities):
-        if not self._pin:
-            return self._alloc.allocate(flows, capacities)
-        saved = kernels.GROUP_CUTOFF
-        kernels.GROUP_CUTOFF = 1
-        try:
-            return self._alloc.allocate(flows, capacities)
-        finally:
-            kernels.GROUP_CUTOFF = saved
-
-
-def pinned_allocator(name: str, backend: str) -> _PinnedAllocator:
-    return _PinnedAllocator(name, backend)
 
 #: Feasibility slack: absolute bits/sec of float dust tolerated per link.
 CAPACITY_SLACK = 1e-3
@@ -83,13 +69,21 @@ def scenarios(draw) -> Tuple[List[Flow], Dict[str, float]]:
     """A random set of flows over a random set of capacitated links.
 
     Sizes/attained are drawn so every flow stays clear of the completion
-    epsilon, and keys (arrival, attained, remaining) vary freely.
+    epsilon, and keys (arrival, attained, remaining) vary freely.  A
+    link's capacity is a free draw or one of three adjacent floats in
+    ``[2**23, 2**24)``: the band where neighbouring shares sit closer
+    than ``RATE_EPSILON`` yet ``b - 1e-9`` still rounds away from ``b``,
+    so the epsilon tie-break and a bare minimum pick different links.
     """
     n_links = draw(st.integers(min_value=1, max_value=5))
     links = LINK_POOL[:n_links]
-    capacities = {
-        link: draw(st.floats(min_value=1e6, max_value=1e9)) for link in links
-    }
+    near = draw(
+        st.floats(min_value=2.0**23, max_value=2.0**24, exclude_max=True)
+    )
+    capacity = st.floats(min_value=1e6, max_value=1e9) | st.sampled_from(
+        (math.nextafter(near, 0.0), near, math.nextafter(near, math.inf))
+    )
+    capacities = {link: draw(capacity) for link in links}
     n_flows = draw(st.integers(min_value=1, max_value=8))
     flows: List[Flow] = []
     for flow_id in range(n_flows):
@@ -149,35 +143,35 @@ def assert_work_conserving(name, flows, capacities, rates) -> None:
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("fill", FILLS)
 @given(scenarios())
 @settings(**SETTINGS)
-def test_capacity_never_exceeded(backend, scenario):
+def test_capacity_never_exceeded(fill, scenario):
     flows, capacities = scenario
     for name in ALLOCATOR_NAMES:
-        rates = pinned_allocator(name, backend).allocate(flows, capacities)
+        rates = allocate(name, fill, flows, capacities)
         assert_feasible(name, flows, capacities, rates)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("fill", FILLS)
 @given(scenarios())
 @settings(**SETTINGS)
-def test_work_conservation(backend, scenario):
+def test_work_conservation(fill, scenario):
     """No flow's rate can be raised: each has a saturated path link."""
     flows, capacities = scenario
     for name in ALLOCATOR_NAMES:
-        rates = pinned_allocator(name, backend).allocate(flows, capacities)
+        rates = allocate(name, fill, flows, capacities)
         assert_work_conserving(name, flows, capacities, rates)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("fill", FILLS)
 @given(scenarios())
 @settings(**SETTINGS)
-def test_fair_max_min_water_level(backend, scenario):
+def test_fair_max_min_water_level(fill, scenario):
     """Max-min characterisation: every flow has a saturated link where no
     other flow receives a (meaningfully) higher rate."""
     flows, capacities = scenario
-    rates = pinned_allocator("fair", backend).allocate(flows, capacities)
+    rates = allocate("fair", fill, flows, capacities)
     used = link_usage(flows, rates)
     on_link: Dict[str, List[Flow]] = {}
     for flow in flows:
@@ -258,12 +252,12 @@ def _priority_key(name: str, flow: Flow):
     return (flow.remaining, flow.arrival_time, flow.flow_id)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("fill", FILLS)
 @given(single_link_contention(), st.sampled_from(("fcfs", "las", "srpt")))
 @settings(**SETTINGS)
-def test_priority_dominance_on_shared_link(backend, scenario, name):
+def test_priority_dominance_on_shared_link(fill, scenario, name):
     flows, capacities = scenario
-    rates = pinned_allocator(name, backend).allocate(flows, capacities)
+    rates = allocate(name, fill, flows, capacities)
     winner = min(flows, key=lambda f: _priority_key(name, f))
     for flow in flows:
         if flow.flow_id == winner.flow_id:
@@ -275,37 +269,32 @@ def test_priority_dominance_on_shared_link(backend, scenario, name):
             )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("fill", FILLS)
 @given(scenarios(), st.randoms(use_true_random=False))
 @settings(**SETTINGS)
-def test_permutation_invariance(backend, scenario, rng):
+def test_permutation_invariance(fill, scenario, rng):
     """Bit-for-bit identical allocation under any input ordering."""
     flows, capacities = scenario
     shuffled = list(flows)
     rng.shuffle(shuffled)
     for name in ALLOCATOR_NAMES:
-        allocator = pinned_allocator(name, backend)
-        baseline = allocator.allocate(flows, capacities)
-        permuted = allocator.allocate(shuffled, capacities)
+        baseline = allocate(name, fill, flows, capacities)
+        permuted = allocate(name, fill, shuffled, capacities)
         assert baseline == permuted, f"{name}: allocation depends on input order"
 
 
 @given(scenarios())
 @settings(**SETTINGS)
 def test_backend_equivalence_exact(scenario):
-    """Python and numpy backends agree to exact rate-map equality."""
+    """Scalar and numpy fills agree to exact rate-map equality."""
     if not kernels.HAVE_NUMPY:
         pytest.skip("numpy not installed (perf extra)")
     flows, capacities = scenario
     for name in ALLOCATOR_NAMES:
-        reference = make_allocator(name, backend="python").allocate(
-            flows, capacities
-        )
-        vectorized = pinned_allocator(name, "numpy").allocate(
-            flows, capacities
-        )
+        reference = allocate(name, "python", flows, capacities)
+        vectorized = allocate(name, "numpy", flows, capacities)
         assert vectorized == reference, (
-            f"{name}: numpy kernel diverges from the Python reference"
+            f"{name}: numpy fill diverges from the scalar fill"
         )
 
 

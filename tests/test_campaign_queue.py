@@ -201,6 +201,20 @@ class TestManifest:
         with pytest.raises(ConfigError, match="not be comparable"):
             WorkQueue.open(tmp_path / "q")
 
+    def test_open_rejects_a_1_4_1_manifest_by_version(self, tmp_path):
+        # 1.4.1 configs carry a field MacroConfig dropped in 1.5.0: the
+        # typed version refusal must come before the cells are parsed,
+        # not a TypeError from MacroConfig(**config).
+        WorkQueue.seed(tmp_path / "q", _tiny_grid())
+        path = tmp_path / "q" / MANIFEST_FILENAME
+        manifest = json.loads(path.read_text())
+        manifest["version"] = "1.4.1"
+        for cell in manifest["cells"]:
+            cell["config"]["dropped_in_1_5_0"] = None
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="seeded by repro 1.4.1"):
+            WorkQueue.open(tmp_path / "q")
+
     def test_open_rejects_tampered_cells(self, tmp_path):
         WorkQueue.seed(tmp_path / "q", _tiny_grid())
         path = tmp_path / "q" / MANIFEST_FILENAME

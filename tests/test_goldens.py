@@ -3,13 +3,15 @@
 The corpus under ``tests/goldens/`` pins one contended 20-host Clos
 scenario per policy (see ``regen_goldens.py`` for the exact knobs and
 the regeneration command).  The simulator's completion records and JSONL
-trace must match the committed bytes exactly — under the Python backend
-*and* the numpy kernel backend, which locks the kernels' bit-identity
-contract to a fixed external artifact rather than only to each other.
+trace must match the committed bytes exactly — with every priority
+group on the scalar fill, with every group on the numpy fill, and under
+the shipped dispatch (``tests/conftest.py`` ``FILLS``), which locks the
+kernels' bit-identity contract to a fixed external artifact rather than
+only to each other.
 
 The coflow corpus does the same for the five coflow policies (CCT
-records + trace on a coflow trace over the same fabric); they have no
-backend, so one leg each.
+records + trace on a coflow trace over the same fabric); they have one
+fill, so one leg each.
 
 The *observed* corpus pins what the telemetry channels write for NEAT
 flow, coflow and faulted runs (trace, causal stream, decision log and
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.network import kernels
+from tests.conftest import FILLS, pin_fill
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
@@ -34,17 +36,11 @@ _spec = importlib.util.spec_from_file_location(
 regen_goldens = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_spec and regen_goldens)
 
-BACKENDS = kernels.available_backends()
-
-
 @pytest.mark.parametrize("policy", regen_goldens.POLICIES)
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_golden_corpus_byte_identical(policy, backend, monkeypatch):
-    # Route even tiny priority groups through the vectorized kernel so
-    # the numpy leg actually exercises it on this small scenario.
-    if backend == "numpy":
-        monkeypatch.setattr(kernels, "GROUP_CUTOFF", 1)
-    records_text, trace_text = regen_goldens.generate(policy, backend)
+@pytest.mark.parametrize("fill", FILLS)
+def test_golden_corpus_byte_identical(policy, fill, monkeypatch):
+    pin_fill(monkeypatch, fill)
+    records_text, trace_text = regen_goldens.generate(policy)
     golden_records = (
         GOLDEN_DIR / f"{policy}.records.jsonl"
     ).read_text(encoding="utf-8")
@@ -52,12 +48,12 @@ def test_golden_corpus_byte_identical(policy, backend, monkeypatch):
         encoding="utf-8"
     )
     assert records_text == golden_records, (
-        f"{policy}/{backend}: completion records diverge from the golden "
+        f"{policy}/{fill}: completion records diverge from the golden "
         "corpus; if intentional, regenerate via "
         "`PYTHONPATH=src python tests/goldens/regen_goldens.py` and review"
     )
     assert trace_text == golden_trace, (
-        f"{policy}/{backend}: JSONL trace diverges from the golden corpus"
+        f"{policy}/{fill}: JSONL trace diverges from the golden corpus"
     )
 
 
@@ -76,16 +72,15 @@ def test_coflow_corpus_byte_identical(policy):
 
 
 @pytest.mark.parametrize("name", regen_goldens.OBSERVED)
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_observed_corpus_byte_identical(name, backend, monkeypatch):
-    if backend == "numpy":
-        monkeypatch.setattr(kernels, "GROUP_CUTOFF", 1)
-    produced = regen_goldens.generate_observed(name, backend)
+@pytest.mark.parametrize("fill", FILLS)
+def test_observed_corpus_byte_identical(name, fill, monkeypatch):
+    pin_fill(monkeypatch, fill)
+    produced = regen_goldens.generate_observed(name)
     assert sorted(produced) == sorted(regen_goldens.OBSERVED_ARTIFACTS)
     for suffix, text in produced.items():
         golden = (GOLDEN_DIR / f"{name}.{suffix}").read_text(encoding="utf-8")
         assert text == golden, (
-            f"{name}/{backend}: {suffix} diverges from the golden corpus; "
+            f"{name}/{fill}: {suffix} diverges from the golden corpus; "
             "if intentional, regenerate via `PYTHONPATH=src python "
             f"tests/goldens/regen_goldens.py {name}` and review"
         )

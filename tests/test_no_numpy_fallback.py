@@ -1,6 +1,6 @@
 """The numpy kernels are an optional ``perf`` extra: without numpy the
-package must import cleanly, report only the Python backend, silently
-fall back when numpy is requested, and still allocate correctly.
+package must import cleanly, take the scalar fill for every group, and
+still reproduce the golden corpus byte for byte.
 
 Run in a subprocess with a meta-path hook blocking ``numpy`` so the test
 is meaningful even on machines (like CI's main leg) that have it.
@@ -14,11 +14,20 @@ import sys
 import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+from repro.campaign import RunSpec, spec_key
+from repro.experiments.config import MacroConfig
+from repro.network import kernels
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = ROOT / "tests" / "goldens"
 
 BLOCKED_RUN = textwrap.dedent(
     """
+    import importlib.util
     import sys
+    from pathlib import Path
 
     class _BlockNumpy:
         def find_spec(self, name, path=None, target=None):
@@ -34,37 +43,36 @@ BLOCKED_RUN = textwrap.dedent(
     from repro.network import kernels
 
     assert not kernels.HAVE_NUMPY, "import guard failed to trip"
-    assert kernels.available_backends() == ("python",)
-    # Requesting numpy without the perf extra degrades gracefully.
-    assert kernels.resolve_backend("numpy") == "python"
-    assert kernels.resolve_backend(None) == "python"
 
-    from repro.network.flow import Flow
-    from repro.network.policies.registry import make_allocator
-
-    flows = [
-        Flow(flow_id=i, src="s", dst="d", size=1e9,
-             path=("shared",), arrival_time=float(i))
-        for i in range(4)
-    ]
-    for name in ("fair", "fcfs", "las", "srpt"):
-        rates = make_allocator(name, backend="numpy").allocate(
-            flows, {"shared": 1e9}
+    golden_dir = Path(sys.argv[1])
+    spec = importlib.util.spec_from_file_location(
+        "regen_goldens", golden_dir / "regen_goldens.py"
+    )
+    regen_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen_goldens)
+    for policy in ("fair", "srpt"):
+        records_text, _trace = regen_goldens.generate(policy)
+        golden = (golden_dir / f"{policy}.records.jsonl").read_text(
+            encoding="utf-8"
         )
-        assert set(rates) == {0, 1, 2, 3}, name
-        assert abs(sum(rates.values()) - 1e9) < 1e-3, name
+        assert records_text == golden, policy
 
+    from repro.campaign import RunSpec, spec_key
+    from repro.experiments.config import MacroConfig
+
+    print("spec-key", spec_key(RunSpec("flow_macro", MacroConfig())))
     print("fallback-ok")
     """
 )
 
 
-def test_python_backend_without_numpy():
+@pytest.fixture(scope="module")
+def without_numpy() -> str:
+    """Stdout of one ``BLOCKED_RUN``: exit 0 means its asserts held."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
-    env.pop("REPRO_ALLOC_BACKEND", None)
+    env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", BLOCKED_RUN],
+        [sys.executable, "-c", BLOCKED_RUN, str(GOLDEN_DIR)],
         capture_output=True,
         text=True,
         env=env,
@@ -72,3 +80,22 @@ def test_python_backend_without_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert "fallback-ok" in proc.stdout
+    return proc.stdout
+
+
+def test_python_backend_without_numpy(without_numpy):
+    """Blocked numpy: ``HAVE_NUMPY`` is False and the pinned golden
+    scenario still reproduces the fair and srpt records byte for byte
+    (asserted inside the subprocess)."""
+
+
+def test_spec_key_ignores_fill_selection(without_numpy, monkeypatch):
+    """Which fill runs is invisible in the payload, so it must be
+    invisible in the cache key: neither the cutoff nor numpy's presence
+    moves ``spec_key``."""
+    spec = RunSpec("flow_macro", MacroConfig())
+    shipped = spec_key(spec)
+    for cutoff in (1, sys.maxsize):
+        monkeypatch.setattr(kernels, "GROUP_CUTOFF", cutoff)
+        assert spec_key(spec) == shipped
+    assert f"spec-key {shipped}\n" in without_numpy
