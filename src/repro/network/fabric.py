@@ -174,28 +174,23 @@ class NetworkFabric:
         """Completion records, in completion order."""
         return tuple(self._records)
 
+    def _synced(self, members: Dict[FlowId, Flow]) -> List[Flow]:
+        now = self._engine.now
+        for flow in members.values():
+            self._sync_flow(flow, now)
+        return list(members.values())
+
     def active_flows(self) -> List[Flow]:
         """Currently active flows (progress synced to *now*)."""
-        now = self._engine.now
-        for flow in self._active.values():
-            self._sync_flow(flow, now)
-        return list(self._active.values())
+        return self._synced(self._active)
 
     def flows_on_link(self, link_id: LinkId) -> List[Flow]:
         """Active flows whose path crosses ``link_id`` (progress synced)."""
-        now = self._engine.now
-        members = self._by_link.get(link_id, {})
-        for flow in members.values():
-            self._sync_flow(flow, now)
-        return list(members.values())
+        return self._synced(self._by_link.get(link_id, {}))
 
     def flows_at_host(self, host: NodeId) -> List[Flow]:
         """Active flows sourced at or destined to ``host``."""
-        now = self._engine.now
-        members = self._by_host.get(host, {})
-        for flow in members.values():
-            self._sync_flow(flow, now)
-        return list(members.values())
+        return self._synced(self._by_host.get(host, {}))
 
     def host_edge_state(
         self, host: NodeId, link_id: LinkId
@@ -227,6 +222,16 @@ class NetworkFabric:
         now = self._engine.now
         total = 0.0
         for flow in self._by_link.get(link_id, {}).values():
+            self._sync_flow(flow, now)
+            total += flow.remaining
+        return total
+
+    def host_queued_bits(self, host: NodeId) -> float:
+        """Total remaining bits of flows sourced at or destined to
+        ``host``, summed in :meth:`flows_at_host` order (0 when idle)."""
+        now = self._engine.now
+        total = 0
+        for flow in self._by_host.get(host, {}).values():
             self._sync_flow(flow, now)
             total += flow.remaining
         return total
@@ -340,7 +345,8 @@ class NetworkFabric:
         self._allocator.note_arrival(flow)
         for listener in self._arrival_listeners:
             listener(flow)
-        self._recompute(flow.path)
+        # The new flow is on every dirty link: one sharing component.
+        self._recompute(flow.path, connected=True)
         return flow
 
     def cancel_flow(self, flow: Flow) -> None:
@@ -465,13 +471,16 @@ class NetworkFabric:
         self.fail_link(self._topology.host_downlink(host).link_id)
 
     def _reroute_flow(self, flow: Flow, new_links: Tuple[LinkId, ...]) -> None:
-        """Move an active flow onto a new path (indexes + path swap)."""
+        """Move an active flow onto a new path (indexes + path swap); the
+        allocator sees it leave the old path and arrive on the new one."""
         flow_id = flow.flow_id
+        self._allocator.note_removal(flow)
         for link_id in flow.path:
             self._by_link[link_id].pop(flow_id, None)
         flow.path = new_links
         for link_id in new_links:
             self._by_link.setdefault(link_id, {})[flow_id] = flow
+        self._allocator.note_arrival(flow)
         self._flows_rerouted += 1
         probe = self._probe
         if probe is not None:
@@ -584,41 +593,33 @@ class NetworkFabric:
     def _split_scopes(self, flows: Sequence[Flow]) -> List[Tuple[List[Flow], Set[LinkId]]]:
         """Partition ``flows`` into connected sharing components.
 
-        A recompute set can be internally disconnected (a completion may
-        have been the only bridge between two halves), and change-point
-        hints must be tracked per true component so a later event in one
-        half cannot invalidate the other half's hint.
+        A recompute set that lost a flow can be internally disconnected
+        (a completion may have been the only bridge between two halves),
+        and change-point hints must be tracked per true component so a
+        later event in one half cannot invalidate the other half's hint.
+        ``flows`` is closed under link sharing (a settled expansion), so
+        each component is the expansion of one uncovered flow's path.
         """
-        pending: Dict[FlowId, Flow] = {f.flow_id: f for f in flows}
         components: List[Tuple[List[Flow], Set[LinkId]]] = []
-        while pending:
-            seed_id = next(iter(pending))
-            seed = pending.pop(seed_id)
-            members: Dict[FlowId, Flow] = {seed_id: seed}
-            links: Set[LinkId] = set()
-            frontier: List[LinkId] = list(seed.path)
-            links.update(seed.path)
-            while frontier:
-                link_id = frontier.pop()
-                for flow_id in self._by_link.get(link_id, {}):
-                    flow = pending.pop(flow_id, None)
-                    if flow is None:
-                        continue
-                    members[flow_id] = flow
-                    for other in flow.path:
-                        if other not in links:
-                            links.add(other)
-                            frontier.append(other)
-            components.append(
-                ([members[fid] for fid in sorted(members)], links)
-            )
+        covered: Set[FlowId] = set()
+        for flow in flows:
+            if flow.flow_id not in covered:
+                members, links = self._expand_component(flow.path)
+                covered.update(member.flow_id for member in members)
+                components.append((members, links))
         return components
 
     # ------------------------------------------------------------------
     # Internals: rate recomputation
     # ------------------------------------------------------------------
-    def _recompute(self, dirty_links: Optional[Sequence[LinkId]]) -> None:
+    def _recompute(
+        self, dirty_links: Optional[Sequence[LinkId]], connected: bool = False
+    ) -> None:
         """Recompute rates for the component touching ``dirty_links``.
+
+        ``connected`` is the caller's word that the dirty links lie in one
+        sharing component; unless a flow finishes while settling (a
+        removal can split it), the expansion is then the scope.
 
         ``None`` means everything is dirty (used by allocators that are
         not ``incremental_safe``).  In ``incremental=False`` mode the
@@ -631,6 +632,7 @@ class NetworkFabric:
         now = self._engine.now
         span = probe.enter_recompute(self._incremental) if probe is not None else None
         if dirty_links is None or not self._allocator.incremental_safe:
+            connected = False
             comp_flows = [self._active[fid] for fid in sorted(self._active)]
             comp_links = {
                 link_id
@@ -661,7 +663,8 @@ class NetworkFabric:
             else:
                 survivors.append(flow)
         if survivors:
-            self._reallocate(survivors, comp_links, len(comp_flows), now)
+            connected = connected and len(survivors) == len(comp_flows)
+            self._reallocate(survivors, comp_links, len(comp_flows), now, connected)
         if span is not None:
             probe.exit_recompute(span)
 
@@ -671,10 +674,11 @@ class NetworkFabric:
         comp_links: Set[LinkId],
         component_size: int,
         now: float,
+        connected: bool,
     ) -> None:
         """Allocate the settled component, splice the rates in and
         re-scope it (``component_size`` counts the flows that finished
-        while settling too)."""
+        while settling too; ``connected``: it is one sharing component)."""
         probe = self._probe
         scoped = self._incremental
         if scoped:
@@ -714,7 +718,11 @@ class NetworkFabric:
             return
         # Re-scope the recomputed flows into true sharing components and
         # schedule each component's next allocator change point.
-        for members, links in self._split_scopes(comp_flows):
+        components = (
+            [(comp_flows, comp_links)] if connected
+            else self._split_scopes(comp_flows)
+        )
+        for members, links in components:
             scope = _AllocScope(tuple(f.flow_id for f in members), links)
             hint = self._allocator.next_change_hint(members, self._rates)
             if hint is not None and 0 < hint < float("inf"):
@@ -796,10 +804,11 @@ class NetworkFabric:
 
     def _on_hint(self, scope: _AllocScope) -> None:
         scope.hint_event = None
-        live = [fid for fid in scope.flow_ids if fid in self._active]
-        if not live:  # pragma: no cover - defensive
-            return
-        self._recompute(tuple(scope.links))
+        # Any event on one of the scope's links re-scopes its flows, so a
+        # scope they all still map to is the true component it was built as.
+        scope_of = self._scope_of.get
+        intact = all(scope_of(fid) is scope for fid in scope.flow_ids)
+        self._recompute(tuple(scope.links), connected=intact)
 
     def _verify_against_full(self, now: float) -> None:
         """Shadow oracle: the full allocator over all flows must agree

@@ -34,15 +34,16 @@ suites in ``tests/test_kernel_differential.py`` / ``tests/test_goldens.py``
 lock this contract end-to-end (records, JSONL traces, causal traces).
 
 Vectorization pays inside *large* priority groups (max-min fair over a
-big sharing component); a strict-priority cascade of tiny groups
-(SRPT/FCFS over all-distinct keys) is inherently sequential, and numpy
-array setup loses to dict arithmetic there.  :func:`priority_fill` is
-the one place that knows there are two fills: per group it takes the
-numpy fill when numpy is importable and the group has at least
-:data:`GROUP_CUTOFF` flows, the scalar ``water_fill`` otherwise — safe
-precisely because both are bit-identical, and both share one residual
-map so groups can mix fills within a single allocation.  Nothing
-selects a fill from outside this module.
+big sharing component); a strict-priority cascade (SRPT/FCFS over
+all-distinct keys) is inherently sequential, and numpy array setup loses
+to dict arithmetic there.  :func:`priority_fill` is the one place that
+knows how a group is filled, and it picks from what it can see: the numpy
+fill when numpy is importable and the group has at least
+:data:`GROUP_CUTOFF` flows, in place for a group of one flow (the whole
+of such a cascade), the scalar ``water_fill`` otherwise.  Safe because
+all three are bit-identical and share one residual map, so groups can
+mix fills within a single allocation.  Nothing selects a fill from
+outside this module.
 
 numpy is an optional dependency (the ``perf`` extra).  When it is not
 importable, :data:`HAVE_NUMPY` is False and every group takes the
@@ -80,6 +81,8 @@ HAVE_NUMPY = _numpy_importable()
 #: numpy, once :func:`_water_fill_numpy` has run.
 _np = None
 
+_INF = float("inf")
+
 #: Priority groups smaller than this take the scalar fill: array setup
 #: loses to dict arithmetic on the tiny groups priority cascades produce
 #: (and on the small dirty components of incremental recomputes, p50 ~5
@@ -93,7 +96,7 @@ def priority_fill(
     groups: Iterable[Sequence[Flow]],
     capacities: Mapping[LinkId, float],
 ) -> Dict[FlowId, float]:
-    """Strict-priority water-filling, each group on the faster fill
+    """Strict-priority water-filling, each group on its fastest fill
     (bit-identical twin of
     :func:`~repro.network.policies.base.greedy_priority_fill`).
 
@@ -101,15 +104,52 @@ def priority_fill(
     flows (same group) share fairly, lower groups water-fill the
     residual capacity left by higher ones.
     """
-    cutoff = GROUP_CUTOFF if HAVE_NUMPY else float("inf")
+    cutoff = GROUP_CUTOFF if HAVE_NUMPY else _INF
     residual: Dict[LinkId, float] = dict(capacities)
     rates: Dict[FlowId, float] = {}
     for group in groups:
-        if len(group) < cutoff:
-            water_fill(group, residual, rates)
-        else:
+        size = len(group)
+        if size >= cutoff:
             _water_fill_numpy(group, residual, rates)
+        elif size == 1:
+            _fill_one(group[0], residual, rates)
+        else:
+            water_fill(group, residual, rates)
     return rates
+
+
+def _fill_one(
+    flow: Flow, residual: Dict[LinkId, float], rates: Dict[FlowId, float]
+) -> None:
+    """``water_fill([flow], residual, rates)`` without its four dicts.
+
+    Every link of the path has one member, so the scan's ``residual / 1``
+    is the residual itself and the drain's ``share * 1`` the share: one
+    epsilon chain over the path, one clamped drain per link.  An empty
+    path, or one that lists a link twice (that link has two members),
+    goes to ``water_fill``.
+    """
+    path = flow.path
+    if not path or len(set(path)) != len(path):
+        water_fill((flow,), residual, rates)
+        return
+    get = residual.get
+    # While the reference has no bottleneck its share is inf, where
+    # ``inf - RATE_EPSILON`` is inf: its first-link clause is this one.
+    bottleneck_share = _INF
+    for link_id in path:
+        share = get(link_id, 0.0)
+        if share < bottleneck_share - RATE_EPSILON:
+            bottleneck_share = share
+    if bottleneck_share == _INF:  # no bottleneck: rate 0, no drain
+        rates[flow.flow_id] = 0.0
+        return
+    if bottleneck_share < 0.0:  # max(bottleneck_share, 0.0)
+        bottleneck_share = 0.0
+    rates[flow.flow_id] = bottleneck_share
+    for link_id in path:
+        left = get(link_id, 0.0) - bottleneck_share
+        residual[link_id] = left if left > 0.0 else 0.0  # max(0.0, left)
 
 
 #: For two shares both at or above this magnitude the reference's test

@@ -81,15 +81,19 @@ class RateAllocator(ABC):
 
 
 class LinkMembershipMixin:
-    """Reusable per-link member lists, maintained via the fabric hooks.
+    """Change-point hints over per-link member lists kept via the fabric
+    hooks, for policies whose priority key moves between events.
 
-    Policies whose change-point detection walks flows link by link (LAS,
-    SRPT) inherit this instead of rebuilding a ``link -> flows`` map on
-    every hint call.  The lists stay *nearly* sorted between recomputes,
-    so the in-place re-sort in :func:`earliest_adjacent_crossing` is close
-    to linear.  When the allocator is used standalone (no fabric hooks),
-    the tracker is simply empty and callers fall back to an ephemeral map.
+    A policy (LAS, SRPT) names its key as ``hint_key`` /
+    ``hint_upper_moves`` / ``hint_tolerance`` (the arguments of
+    :func:`earliest_adjacent_crossing`, which only reads the lists).
+    When the allocator is used standalone (no fabric hooks), nothing is
+    tracked and the members are taken from the flows passed in.
     """
+
+    hint_key: str
+    hint_upper_moves: bool
+    hint_tolerance: float
 
     def __init__(self) -> None:
         super().__init__()
@@ -102,82 +106,97 @@ class LinkMembershipMixin:
         self._tracked_flows += 1
 
     def note_removal(self, flow: Flow) -> None:
+        # A miss raises: the lists went stale (a path swapped unannounced).
         for link_id in flow.path:
-            members = self._link_members.get(link_id)
-            if members is not None:
-                try:
-                    members.remove(flow)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-        self._tracked_flows = max(0, self._tracked_flows - 1)
+            self._link_members[link_id].remove(flow)
+        self._tracked_flows -= 1
 
-    def _members_on(self, link_id: LinkId) -> Optional[List[Flow]]:
-        """The tracked (persistent) member list for one link, if tracking."""
-        if self._tracked_flows == 0:
-            return None
-        return self._link_members.get(link_id)
+    def next_change_hint(
+        self, flows: Sequence[Flow], rates: Mapping[FlowId, float]
+    ) -> Optional[float]:
+        """Earliest time two flows sharing a link swap key order."""
+        return earliest_adjacent_crossing(
+            flows,
+            rates,
+            key=self.hint_key,
+            upper_moves=self.hint_upper_moves,
+            tolerance=self.hint_tolerance,
+            members_on=self._link_members.get if self._tracked_flows else None,
+        )
 
 
 def earliest_adjacent_crossing(
     flows: Sequence[Flow],
     rates: Mapping[FlowId, float],
     *,
-    key: Callable[[Flow], float],
-    velocity: Callable[[float], float],
+    key: str,
+    upper_moves: bool,
     tolerance: float,
     members_on: Optional[Callable[[LinkId], Optional[List[Flow]]]] = None,
 ) -> Optional[float]:
     """Earliest time two flows sharing a link swap priority-key order.
 
     For linear trajectories the first crossing is always between flows
-    adjacent in key order on some shared link, so per link we sort by
-    ``key`` and check adjacent pairs.  ``velocity(rate)`` maps a flow's
-    rate to its key's time derivative (``+rate`` for attained service,
-    ``-rate`` for remaining size); a pair converges when the lower-keyed
-    flow's key grows toward the upper's.  Pairs within ``tolerance`` are
-    already one priority group and are skipped.
+    adjacent in ``(key, flow_id)`` order on some shared link.  ``key``
+    names the flow attribute that orders them; a pair converges only
+    while its *mover* transmits: the upper flow when the key shrinks at
+    the flow's rate (``upper_moves``, remaining size), the lower one
+    when it grows (attained service), since
+    ``closing = mover's rate - neighbour's rate <= mover's rate``.  So
+    only flows with a rate are walked, each against its one neighbour on
+    each of its links.  Pairs within ``tolerance`` are already one
+    priority group and are skipped.
 
     ``members_on`` supplies persistent per-link member lists (see
-    :class:`LinkMembershipMixin`); they are sorted in place, which keeps
-    repeat calls nearly linear.  Without it an ephemeral map is built from
-    ``flows``.
+    :class:`LinkMembershipMixin`), read only; for a link it does not
+    know, the members are taken from ``flows``.
     """
-    link_ids: List[LinkId] = []
-    seen: set = set()
-    for flow in flows:
-        for link_id in flow.path:
-            if link_id not in seen:
-                seen.add(link_id)
-                link_ids.append(link_id)
-
-    lists: Dict[LinkId, List[Flow]] = {}
-    missing: set = set()
-    for link_id in link_ids:
-        members = members_on(link_id) if members_on is not None else None
-        if members is None:
-            missing.add(link_id)
-            lists[link_id] = []
-        else:
-            lists[link_id] = members
-    if missing:
-        for flow in flows:
-            for link_id in flow.path:
-                if link_id in missing:
-                    lists[link_id].append(flow)
-
+    rate_of = rates.get
+    ephemeral: Optional[Dict[LinkId, List[Flow]]] = None
     best: Optional[float] = None
-    for link_id in link_ids:
-        members = lists[link_id]
-        if len(members) < 2:
-            continue
-        members.sort(key=lambda f: (key(f), f.flow_id))
-        for lower, upper in zip(members, members[1:]):
-            gap = key(upper) - key(lower)
+    for mover in flows:
+        mover_id = mover.flow_id
+        rate = rate_of(mover_id, 0.0)
+        if rate <= RATE_EPSILON:
+            continue  # closing <= rate: converges on nobody
+        mover_key = getattr(mover, key)
+        for link_id in mover.path:
+            members = members_on(link_id) if members_on is not None else None
+            if members is None:
+                if ephemeral is None:
+                    ephemeral = {}
+                    for flow in flows:
+                        for on_path in flow.path:
+                            ephemeral.setdefault(on_path, []).append(flow)
+                members = ephemeral[link_id]
+            if len(members) < 2:
+                continue
+            # The mover's neighbour on the side it moves toward: the
+            # nearest flow below it in (key, flow_id) order when the
+            # upper flow moves, the nearest above it otherwise.
+            near: Optional[Flow] = None
+            near_key = 0.0
+            for other in members:
+                if other is mover:
+                    continue
+                other_key = getattr(other, key)
+                if upper_moves != (
+                    other_key < mover_key
+                    or (other_key == mover_key and other.flow_id < mover_id)
+                ):
+                    continue  # on the side the mover moves away from
+                if near is not None and upper_moves != (
+                    other_key > near_key
+                    or (other_key == near_key and other.flow_id > near.flow_id)
+                ):
+                    continue  # no nearer than ``near``
+                near, near_key = other, other_key
+            if near is None:
+                continue
+            gap = mover_key - near_key if upper_moves else near_key - mover_key
             if gap <= tolerance:
                 continue  # already one priority group
-            closing = velocity(rates.get(lower.flow_id, 0.0)) - velocity(
-                rates.get(upper.flow_id, 0.0)
-            )
+            closing = rate - rate_of(near.flow_id, 0.0)
             if closing <= RATE_EPSILON:
                 continue  # not converging
             dt = gap / closing

@@ -7,20 +7,19 @@ the next-lowest attained flow, after which they progress together.
 
 Because the priority key (attained bits) evolves *between* events, LAS is
 a policy whose allocation can change with no arrival or completion.
-:meth:`LASAllocator.next_change_hint` computes the earliest attained-service
+:class:`LASAllocator` hints the earliest attained-service
 crossing so the fabric can re-allocate exactly then.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Sequence
 
 from repro.network.flow import Flow, FlowId
 from repro.network.kernels import priority_fill
 from repro.network.policies.base import (
     LinkMembershipMixin,
     RateAllocator,
-    earliest_adjacent_crossing,
     group_by_key,
 )
 from repro.topology.base import LinkId
@@ -46,22 +45,8 @@ class LASAllocator(LinkMembershipMixin, RateAllocator):
     ) -> Dict[FlowId, float]:
         return priority_fill(self._groups(flows), capacities)
 
-    def next_change_hint(
-        self,
-        flows: Sequence[Flow],
-        rates: Mapping[FlowId, float],
-    ) -> Optional[float]:
-        """Earliest time a lower-attained flow catches a higher-attained one.
-
-        Attained service grows at the flow's rate, so a pair converges when
-        the lower-attained flow is transmitting faster.  Uses the tracked
-        per-link member lists when attached to a fabric.
-        """
-        return earliest_adjacent_crossing(
-            flows,
-            rates,
-            key=lambda f: f.attained,
-            velocity=lambda rate: rate,
-            tolerance=ATTAINED_TIE_TOLERANCE,
-            members_on=self._members_on,
-        )
+    # Attained service grows at the flow's rate, so a pair converges when
+    # the lower-attained flow is transmitting faster.
+    hint_key = "attained"
+    hint_upper_moves = False
+    hint_tolerance = ATTAINED_TIE_TOLERANCE

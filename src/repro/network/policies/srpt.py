@@ -6,7 +6,7 @@ and, if they also arrived together, share fairly.
 
 Like LAS, the priority key (remaining bits) evolves between events: a
 large flow transmitting at full rate can drop below a stalled smaller
-flow's remaining size.  :meth:`SRPTAllocator.next_change_hint` reports the
+flow's remaining size.  :class:`SRPTAllocator` hints the
 earliest such remaining-size crossing so the fabric re-allocates exactly
 then instead of letting the stale order persist until the next arrival or
 completion.
@@ -14,15 +14,11 @@ completion.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from repro.network.flow import Flow, FlowId
 from repro.network.kernels import priority_fill
-from repro.network.policies.base import (
-    LinkMembershipMixin,
-    RateAllocator,
-    earliest_adjacent_crossing,
-)
+from repro.network.policies.base import LinkMembershipMixin, RateAllocator
 from repro.topology.base import LinkId
 
 #: Two remaining sizes within this many bits count as a tie.
@@ -61,24 +57,11 @@ class SRPTAllocator(LinkMembershipMixin, RateAllocator):
     ) -> Dict[FlowId, float]:
         return priority_fill(self._groups(flows), capacities)
 
-    def next_change_hint(
-        self,
-        flows: Sequence[Flow],
-        rates: Mapping[FlowId, float],
-    ) -> Optional[float]:
-        """Earliest time a larger-remaining flow undercuts a smaller one.
-
-        Remaining size shrinks at the flow's rate, so a pair converges
-        when the larger-remaining flow is transmitting faster.  Crossings
-        within the tie tolerance are not tracked (sub-bit fidelity).  No
-        event storm is possible: once an order swap is applied, the
-        faster flow holds the higher priority, so the pair diverges.
-        """
-        return earliest_adjacent_crossing(
-            flows,
-            rates,
-            key=lambda f: f.remaining,
-            velocity=lambda rate: -rate,
-            tolerance=SIZE_TIE_TOLERANCE,
-            members_on=self._members_on,
-        )
+    # Remaining size shrinks at the flow's rate, so a pair converges when
+    # the larger-remaining (upper) flow is transmitting faster.  Crossings
+    # within the tie tolerance are not tracked (sub-bit fidelity).  No
+    # event storm is possible: once an order swap is applied, the faster
+    # flow holds the higher priority, so the pair diverges.
+    hint_key = "remaining"
+    hint_upper_moves = True
+    hint_tolerance = SIZE_TIE_TOLERANCE

@@ -24,7 +24,7 @@ from repro.topology.base import NodeId
 
 def host_queued_bits(fabric: NetworkFabric, host: NodeId) -> float:
     """Total residual bits of flows sourced at or destined to ``host``."""
-    return sum(f.remaining for f in fabric.flows_at_host(host))
+    return fabric.host_queued_bits(host)
 
 
 class _RecordsDecisions:
@@ -104,7 +104,7 @@ class MinLoadPolicy(_RecordsDecisions, PlacementPolicy):
 
     def _load(self, host: NodeId) -> float:
         if self._measure == "bits":
-            return host_queued_bits(self._fabric, host)
+            return self._fabric.host_queued_bits(host)
         topo = self._fabric.topology
         up = topo.host_uplink(host).link_id
         down = topo.host_downlink(host).link_id

@@ -253,8 +253,9 @@ def test_hintless_allocator_never_scopes(policy, monkeypatch):
     assert len(fabric.records) == 4
     assert built == [] and entered == []
 
-    # The counters do see a hinting allocator on the same run.
-    engine, fabric = _two_components(make_allocator("las"))
+    # The counters do see a hinting allocator on the same run (SRPT: the
+    # elder flow of each pair completes first and leaves a survivor).
+    engine, fabric = _two_components(make_allocator("srpt"))
     engine.run()
     assert built and entered
 
@@ -287,6 +288,88 @@ def test_las_hint_is_cancelled_only_for_the_swallowed_component():
     assert fabric._scope_of[1] is into_h004
     engine.run()
     assert len(fabric.records) == 5
+
+
+#: Per policy: submissions ``(time, src, dst, size)`` that build one
+#: sharing component out of two halves joined by a single bridge flow
+#: (the last submitted, h000 -> h003), when that bridge has completed,
+#: and each half's flow ids with the time of its own pending hint.
+_BRIDGED = {
+    # Per half a small flow into the sink stalls a medium one, whose
+    # uplink a large flow then uses: the large one undercuts the medium.
+    "srpt": (
+        [
+            (0.0, "h004", "h001", 2e9), (0.0, "h000", "h001", 3e9),
+            (0.0, "h000", "h005", 3.5e9), (0.0, "h006", "h003", 2e9),
+            (0.0, "h002", "h003", 3e9), (0.0, "h002", "h007", 3.5e9),
+            (0.0, "h000", "h003", 0.2e9),
+        ],
+        0.25,
+        [((0, 1, 2), 0.7), ((3, 4, 5), 0.5)],
+    ),
+    # Per half a newcomer catches up its elder's attained service.
+    "las": (
+        [
+            (0.0, "h000", "h001", 4e9), (0.0, "h002", "h003", 4e9),
+            (1.0, "h004", "h001", 2e9), (1.0, "h005", "h003", 2e9),
+            (1.0, "h000", "h003", 0.1e9),
+        ],
+        1.25,
+        [((0, 2), 2.0), ((1, 3), 2.1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("policy", ["las", "srpt"])
+def test_only_a_removal_splits_scopes(policy, monkeypatch):
+    """An arrival's expansion and a fired hint's scope are one sharing
+    component by construction, so they are scoped as found; only a
+    recompute that lost a flow re-derives components, and a completed
+    bridge still leaves two scopes, each with its own hint."""
+    entered = []
+    split = NetworkFabric._split_scopes
+    monkeypatch.setattr(
+        NetworkFabric,
+        "_split_scopes",
+        lambda self, flows: entered.append(tuple(f.flow_id for f in flows))
+        or split(self, flows),
+    )
+    submissions, bridge_done, halves = _BRIDGED[policy]
+    engine = Engine()
+    fabric = NetworkFabric(engine, single_switch(8), make_allocator(policy))
+    for time, src, dst, size in submissions:
+        engine.run(until=time)
+        fabric.submit(src, dst, size)
+    everyone = tuple(range(len(submissions)))
+    whole = fabric._scope_of[0]
+    assert whole.flow_ids == everyone
+    assert all(fabric._scope_of[fid] is whole for fid in everyone)
+    assert entered == []
+
+    engine.run(until=bridge_done)
+    assert [r.flow_id for r in fabric.records] == [everyone[-1]]
+    assert entered == [everyone[:-1]]
+    scopes = [fabric._scope_of[ids[0]] for ids, _ in halves]
+    assert [scope.flow_ids for scope in scopes] == [ids for ids, _ in halves]
+    assert scopes[0].links.isdisjoint(scopes[1].links)
+    assert [scope.hint_event.time for scope in scopes] == [
+        pytest.approx(at) for _, at in halves
+    ]
+
+    # The earlier hint fires: its half is re-scoped without a split and
+    # the other half's hint stays pending.
+    first = min((0, 1), key=lambda i: halves[i][1])
+    other_hint = scopes[1 - first].hint_event
+    engine.run(until=(halves[0][1] + halves[1][1]) / 2)
+    assert entered == [everyone[:-1]]
+    rescoped = fabric._scope_of[halves[first][0][0]]
+    assert rescoped is not scopes[first]
+    assert rescoped.flow_ids == halves[first][0]
+    assert fabric._scope_of[halves[1 - first][0][0]] is scopes[1 - first]
+    assert scopes[1 - first].hint_event is other_hint
+    assert not other_hint.cancelled
+    engine.run()
+    assert len(fabric.records) == len(submissions)
 
 
 # ----------------------------------------------------------------------
@@ -324,9 +407,10 @@ _fabric_ops = st.lists(
 )
 
 
-def _driven(ops, policy):
+def _driven(ops, policy, after_op=None):
     """A fabric after ``ops``, stopped between events (so flows are
-    mid-flight and unsynced, as a placement query finds them)."""
+    mid-flight and unsynced, as a placement query finds them);
+    ``after_op(fabric)`` runs after every op."""
     engine = Engine()
     fabric = NetworkFabric(engine, _clos(), make_allocator(policy))
     for op in ops:
@@ -337,6 +421,8 @@ def _driven(ops, policy):
             engine.run(until=engine.now + op[1])
         else:
             fabric.fail_link(op[1])
+        if after_op is not None:
+            after_op(fabric)
     return fabric
 
 
@@ -383,3 +469,72 @@ def test_host_edge_state_orders_sizes_by_the_link_index_after_a_reroute():
     sizes, node_state = fabric.host_edge_state("h000", "tor0->h000")
     assert sizes == [new.remaining, old.remaining]
     assert node_state == new.remaining
+
+
+@given(_fabric_ops, st.sampled_from(("fair", "srpt")))
+@settings(max_examples=60, deadline=None)
+def test_host_queued_bits_equals_the_sum_it_replaced(ops, policy):
+    """``host_queued_bits`` is ``sum`` over ``flows_at_host`` bit for
+    bit (an idle host reads 0), and leaves every flow as that read did."""
+    one_pass, summed = _driven(ops, policy), _driven(ops, policy)
+    for host in _HOSTS:
+        assert one_pass.host_queued_bits(host) == sum(
+            f.remaining for f in summed.flows_at_host(host)
+        )
+        assert _progress(one_pass) == _progress(summed)
+
+
+# ----------------------------------------------------------------------
+# The allocator's tracked member lists follow the link index
+# ----------------------------------------------------------------------
+def _tracked_ids(fabric):
+    return {
+        link_id: sorted(flow.flow_id for flow in members)
+        for link_id, members in fabric.allocator._link_members.items()
+        if members
+    }
+
+
+def _assert_tracked_lists_follow_the_link_index(fabric):
+    assert _tracked_ids(fabric) == {
+        link_id: sorted(members)
+        for link_id, members in fabric._by_link.items()
+        if members
+    }
+
+
+@given(_fabric_ops, st.sampled_from(("las", "srpt")))
+@settings(max_examples=60, deadline=None)
+def test_tracked_member_lists_follow_the_link_index(ops, policy):
+    """After every submit / advance / fail_link (reroutes included) the
+    hinting allocators' per-link member lists hold exactly the flows the
+    fabric indexes on that link, and nothing once the network drains."""
+    fabric = _driven(ops, policy, _assert_tracked_lists_follow_the_link_index)
+    fabric.engine.run()
+    assert _tracked_ids(fabric) == {}
+    assert fabric.allocator._tracked_flows == 0
+
+
+@pytest.mark.parametrize("policy", ["las", "srpt"])
+def test_reroute_moves_the_flow_between_tracked_lists(policy):
+    """The pinned case behind the property above: ``fail_link`` swaps a
+    flow's path, and the allocator must see it leave the old links and
+    arrive on the new ones (it kept the old lists, and a finished ghost
+    in them, when the swap went unannounced)."""
+    engine = Engine()
+    fabric = NetworkFabric(engine, _clos(), make_allocator(policy))
+    flow = fabric.submit("h000", "h007", 8e9)
+    engine.run(until=0.5)
+    old_path = flow.path
+    fabric.fail_link(old_path[2])  # the agg -> core hop
+    assert fabric.flows_rerouted == 1 and flow.path != old_path
+    tracked = fabric.allocator._link_members
+    for link_id in set(old_path) - set(flow.path):
+        assert flow not in tracked[link_id]
+    for link_id in flow.path:
+        assert tracked[link_id] == [flow]
+    _assert_tracked_lists_follow_the_link_index(fabric)
+    engine.run()
+    assert len(fabric.records) == 1
+    assert _tracked_ids(fabric) == {}
+    assert fabric.allocator._tracked_flows == 0

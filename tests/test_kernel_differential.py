@@ -49,6 +49,7 @@ from repro.telemetry import (
 from repro.topology.fabrics import three_tier_clos
 from repro.workloads import generate_flow_trace, make_distribution
 from tests.conftest import FILLS, pin_fill
+from tests.test_goldens import regen_goldens
 
 requires_numpy = pytest.mark.skipif(
     not kernels.HAVE_NUMPY, reason="numpy not installed (perf extra)"
@@ -190,6 +191,126 @@ def test_adjacent_float_shares_below_2_24(monkeypatch):
     reference = greedy_priority_fill([[flow]], capacities)
     assert reference[0] == 1.0e7
     assert kernels.priority_fill([[flow]], capacities) == reference
+
+
+def _one(flow_id, *path):
+    return Flow(
+        flow_id=flow_id, src="s", dst="d", size=1e9, arrival_time=0.0,
+        path=path,
+    )
+
+
+#: Cascades of one-flow groups (what SRPT / FCFS / LAS hand the fill)
+#: at the places the in-place singleton fill could part from the
+#: reference: name -> (groups, capacities).
+SINGLETON_CASES = {
+    # b undercuts a by less than RATE_EPSILON: the chain stays on a.
+    "near_tie_no_hop": ([[_one(0, "a", "b")]], {"a": 5.0, "b": 5.0 - 5e-10}),
+    # ... and hops when the improvement exceeds it.
+    "hop_past_epsilon": ([[_one(0, "a", "b")]], {"a": 5.0, "b": 5.0 - 4e-9}),
+    # A link listed twice has two members: share is half the residual.
+    "repeated_link": (
+        [[_one(0, "a", "b", "a")], [_one(1, "a")], [_one(2, "b")]],
+        {"a": 1e9, "b": 4e9},
+    ),
+    "missing_capacity": (
+        [[_one(0, "a", "gone")], [_one(1, "a")]], {"a": 1e9},
+    ),
+    "failed_link": (
+        [[_one(0, "a", "b")], [_one(1, "a")], [_one(2, "b")]],
+        {"a": 1e9, "b": 0.0},
+    ),
+    "dust_capacities": (
+        [[_one(0, "a", "b")], [_one(1, "b", "c")], [_one(2, "a", "c")]],
+        {"a": 4e-10, "b": 5e-324, "c": 1e-9},
+    ),
+    # The first group drains a to exactly 0.0; the second finds it there.
+    "drained_to_zero": (
+        [[_one(0, "a", "b")], [_one(1, "a", "c")], [_one(2, "b", "c")]],
+        {"a": 1e9, "b": 4e9, "c": 2e9},
+    ),
+    # One-flow groups around a fair-shared pair on the same links.
+    "mixed_with_a_pair": (
+        [[_one(0, "a")], [_one(1, "a", "b"), _one(2, "b")], [_one(3, "b", "c")]],
+        {"a": 3e9, "b": 4e9, "c": 1e9 + 1e-7},
+    ),
+}
+
+
+@pytest.mark.parametrize("fill", FILLS)
+@pytest.mark.parametrize("case", sorted(SINGLETON_CASES))
+def test_singleton_groups_match_the_reference(case, fill, monkeypatch):
+    pin_fill(monkeypatch, fill)
+    groups, capacities = SINGLETON_CASES[case]
+    reference = greedy_priority_fill(groups, capacities)
+    assert kernels.priority_fill(groups, capacities) == reference
+    if case == "near_tie_no_hop":
+        assert reference == {0: 5.0}
+    if case == "repeated_link":
+        assert reference == {0: 5e8, 1: 0.0, 2: 3.5e9}
+    if case == "drained_to_zero":
+        assert reference == {0: 1e9, 1: 0.0, 2: 2e9}
+
+
+def test_singleton_on_an_infinite_link_gets_the_reference_zero():
+    """No share undercuts the scan's initial inf, so the reference
+    names no bottleneck and leaves the rate at 0.0; the in-place fill
+    does the same.  (Shipped dispatch only: the numpy fill, untouched
+    here, answers inf.)"""
+    groups, capacities = [[_one(0, "a")], [_one(1, "a")]], {"a": math.inf}
+    reference = greedy_priority_fill(groups, capacities)
+    assert reference == {0: 0.0, 1: 0.0}
+    assert kernels.priority_fill(groups, capacities) == reference
+
+
+def test_singleton_cascade_fuzz_exact(monkeypatch):
+    """Random strict-priority cascades, mostly one-flow groups, on the
+    shipped dispatch: exact rate maps, with repeated links, links the
+    capacity map lacks, failed links and float dust."""
+    rng = random.Random(20)
+    for trial in range(400):
+        links = [f"l{i}" for i in range(rng.randint(1, 8))]
+        capacities = {
+            link: rng.choice([0.0, 5e-324, 4e-10, 1e-9, 1e9, 1e9, 4e9,
+                              rng.random() * 1e10])
+            for link in links
+            if rng.random() < 0.9
+        }
+        groups = []
+        flow_id = 0
+        for _ in range(rng.randint(1, 12)):
+            group = []
+            for _ in range(1 if rng.random() < 0.8 else rng.randint(2, 3)):
+                hops = rng.randint(1, 4)
+                group.append(
+                    _one(flow_id, *(rng.choice(links) for _ in range(hops)))
+                )
+                flow_id += 1
+            groups.append(group)
+        assert kernels.priority_fill(groups, capacities) == (
+            greedy_priority_fill(groups, capacities)
+        ), f"trial {trial} diverged"
+
+
+def test_srpt_cascade_enters_water_fill_only_for_real_groups(monkeypatch):
+    """On the pinned golden SRPT scenario the scalar ``water_fill`` (and
+    its four per-call dicts) is entered only for groups of two or more
+    flows: one-flow groups are filled in place.  Counted, not timed."""
+    entered, in_place = [], []
+
+    def spy(flows, residual, rates, _fill=kernels.water_fill):
+        entered.append(len(flows))
+        return _fill(flows, residual, rates)
+
+    def spy_one(flow, residual, rates, _fill=kernels._fill_one):
+        in_place.append(flow.flow_id)
+        return _fill(flow, residual, rates)
+
+    monkeypatch.setattr(kernels, "water_fill", spy)
+    monkeypatch.setattr(kernels, "_fill_one", spy_one)
+    regen_goldens.generate("srpt")
+    assert len(in_place) > 100
+    assert all(size >= 2 for size in entered)
 
 
 @pytest.mark.parametrize(
