@@ -316,7 +316,7 @@ def emit_telemetry_outputs(tele, args: argparse.Namespace) -> None:
         print(f"causal trace written to {path} ({count} events)")
     if args.metrics_out:
         extra = {"placement_decisions": tele.decisions.error_summary()}
-        if tele.profiler.enabled:
+        if tele.profiler is not None:
             extra["profile"] = tele.profiler.as_dict()
         tele.registry.write_json(args.metrics_out, extra=extra)
         print(f"metrics written to {args.metrics_out}")

@@ -36,8 +36,8 @@ def _macro_payload(spec: RunSpec) -> Dict[str, object]:
     from repro.telemetry.profiler import current_profiler
 
     registry = MetricsRegistry()
-    # The ambient profiler is NULL_PROFILER unless a status-emitting
-    # campaign worker installed a real one; span data never enters the
+    # The ambient profiler is None unless a status-emitting campaign
+    # worker installed a real one; span data never enters the
     # payload, so caching and byte-identity are unaffected either way.
     # The causal tracer rides along so every cell's payload carries the
     # blame decomposition tails; it observes the run without touching

@@ -183,7 +183,7 @@ def render_campaign_report(
                 f"{shape['p50']:.3f}",
                 f"{shape['p95']:.3f}",
                 f"{shape['p99']:.3f}",
-                str(gap.count),
+                str(shape["count"]),
             ]
         )
         if blame:

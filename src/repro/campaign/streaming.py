@@ -18,8 +18,9 @@ Determinism contract (what makes resumed/distributed runs testable):
   resumed run, and a two-worker distributed run of the same grid emit
   byte-identical aggregate payloads (``canonical_json`` of
   :meth:`payload`).
-* Group statistics use exact count/sum/min/max plus the mergeable
-  :class:`~repro.telemetry.timeseries.QuantileSketch` for tails, and
+* Group statistics are one mergeable
+  :class:`~repro.telemetry.timeseries.QuantileSketch` each (exact
+  count/sum/min/max plus tails), and
   per-cell metric registries fold through
   :class:`~repro.telemetry.registry.SnapshotAccumulator` — the same
   arithmetic ``merge_snapshots`` uses for batch merging.
@@ -38,57 +39,39 @@ __all__ = ["CampaignAggregate", "StreamingStat"]
 
 
 class StreamingStat:
-    """Exact count/sum/min/max plus sketch quantiles for one series.
+    """One series: a :class:`QuantileSketch` plus its Welford spread.
 
-    The mean is ``sum / count`` with the sum accumulated in fold order,
-    so two folds that see the same values in the same order produce the
-    same float — the building block of the byte-identity guarantee.
-    The spread (:attr:`stdev`) is kept for rendered reports only and is
-    not part of :meth:`as_dict`.
+    The sketch carries the exact count/sum/min/max; its mean is ``sum /
+    count`` with the sum accumulated in fold order, so two folds that
+    see the same values in the same order produce the same float — the
+    building block of the byte-identity guarantee.  The spread
+    (:attr:`stdev`) is kept for rendered reports only and is not part of
+    :meth:`as_dict`.
     """
 
-    __slots__ = ("count", "total", "min", "max", "sketch", "_mean", "_m2")
+    __slots__ = ("sketch", "_mean", "_m2")
 
     def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
         self.sketch = QuantileSketch()
         self._mean = 0.0  # Welford running mean / sum of squared deviations
         self._m2 = 0.0
 
     def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
         self.sketch.add(value)
         delta = value - self._mean
-        self._mean += delta / self.count
+        self._mean += delta / self.sketch.count
         self._m2 += delta * (value - self._mean)
 
     @property
     def stdev(self) -> float:
         """Sample standard deviation (0 for fewer than two values)."""
-        if self.count < 2:
+        count = self.sketch.count
+        if count < 2:
             return 0.0
-        return math.sqrt(self._m2 / (self.count - 1))
+        return math.sqrt(self._m2 / (count - 1))
 
     def as_dict(self) -> Dict[str, float]:
-        if not self.count:
-            return {"count": 0}
-        return {
-            "count": self.count,
-            "mean": self.total / self.count,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.sketch.quantile(0.50),
-            "p95": self.sketch.quantile(0.95),
-            "p99": self.sketch.quantile(0.99),
-        }
+        return self.sketch.summary()
 
 
 def _group_key(network_policy: str, load: float) -> str:

@@ -40,11 +40,9 @@ class _RecordsDecisions:
     def _init_telemetry(
         self, telemetry, fabric: Optional[NetworkFabric]
     ) -> None:
-        if telemetry is None:
-            from repro.telemetry import NULL_TELEMETRY
-
-            telemetry = NULL_TELEMETRY
-        self._decision_log = telemetry.decisions
+        self._decision_log = (
+            telemetry.decisions if telemetry is not None else None
+        )
         self._engine = fabric.engine if fabric is not None else None
 
     def _log_decision(
@@ -55,7 +53,7 @@ class _RecordsDecisions:
         *,
         predicted_time: Optional[float] = None,
     ) -> None:
-        if not self._decision_log.active:
+        if self._decision_log is None:
             return
         self._decision_log.record(
             time=self._engine.now if self._engine is not None else 0.0,

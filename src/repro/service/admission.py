@@ -25,7 +25,8 @@ when it overflows.  Three policies:
     ingress shaping rather than overflow response.  The bounded queue's
     drop-tail still applies on top.
 
-All accounting flows through the shared metrics registry under the
+Every offer, rejection and enqueue is reported once to the telemetry
+probe (:mod:`repro.telemetry.probe`); its metrics channel owns the
 ``service.*`` names the report layer zero-defaults (``tasks_rejected``,
 ``queue_depth``), so dashboards can alert on rejections that never
 happened.
@@ -104,19 +105,9 @@ class AdmissionQueue:
         self.admitted = 0
         self.rejected = 0
         self.depth_peak = 0
-        if telemetry is None:
-            from repro.telemetry import NULL_TELEMETRY
-
-            telemetry = NULL_TELEMETRY
-        reg = telemetry.registry
-        if reg.enabled:
-            self._ctr_offered = reg.counter("service.tasks_offered")
-            self._ctr_rejected = reg.counter("service.tasks_rejected")
-            self._gauge_depth = reg.gauge("service.queue_depth")
-        else:
-            self._ctr_offered = None
-            self._ctr_rejected = None
-            self._gauge_depth = None
+        self._probe = (
+            telemetry.attach("admission") if telemetry is not None else None
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -139,8 +130,8 @@ class AdmissionQueue:
         evicted request.
         """
         self.offered += 1
-        if self._ctr_offered is not None:
-            self._ctr_offered.inc()
+        if self._probe is not None:
+            self._probe.on_offer()
         if self.policy == "token-bucket" and not self._take_token(
             request.admitted_at
         ):
@@ -169,10 +160,6 @@ class AdmissionQueue:
         """Dequeue up to ``max_items`` requests in FIFO order."""
         batch = self._queue[:max_items]
         del self._queue[: len(batch)]
-        if self._gauge_depth is not None:
-            # The gauge keeps the high-water mark; depth after a drain is
-            # reported through the heartbeat stream instead.
-            pass
         return batch
 
     # ------------------------------------------------------------------
@@ -183,13 +170,13 @@ class AdmissionQueue:
         self.admitted += 1
         if len(self._queue) > self.depth_peak:
             self.depth_peak = len(self._queue)
-        if self._gauge_depth is not None:
-            self._gauge_depth.set_max(len(self._queue))
+        if self._probe is not None:
+            self._probe.on_enqueue(len(self._queue))
 
     def _note_rejected(self) -> None:
         self.rejected += 1
-        if self._ctr_rejected is not None:
-            self._ctr_rejected.inc()
+        if self._probe is not None:
+            self._probe.on_reject()
 
     def _take_token(self, now: float) -> bool:
         elapsed = now - self._token_refilled_at

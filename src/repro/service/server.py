@@ -17,8 +17,10 @@ Determinism contract: the decision log and every field of
 :meth:`ServiceReport.to_dict` depend only on ``(scenario, seed,
 status_interval)`` — simulated time throughout.  Wall-clock measurements
 (per-request decision latency, placements/sec) are observation-only: they
-appear in the text report, the metrics registry, and the BENCH artifact,
-never in the deterministic report JSON.  Heartbeat events are scheduled
+appear in the text report, the metrics registry (every session event is
+reported once to the telemetry probe, whose metrics channel owns the
+``service.*`` names), and the BENCH artifact, never in the deterministic
+report JSON.  Heartbeat events are scheduled
 whether or not anyone is listening, so attaching a status stream or a
 Prometheus file does not change the simulated trajectory.
 """
@@ -33,6 +35,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.daemons.messages import LinkStateRequest  # noqa: F401 (re-export)
 from repro.errors import RoutingError
 from repro.faults import FaultPlan, arm_faults
+from repro.metrics.stats import mean, percentile
 from repro.network.fabric import NetworkFabric
 from repro.network.policies.registry import make_allocator
 from repro.placement.base import PlacementRequest
@@ -50,28 +53,14 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a service<->telemetry cycle
 __all__ = ["PlacementServer", "ServiceReport", "render_service_report"]
 
 
-def _percentile(values: List[float], q: float) -> float:
-    """Linear-interpolated percentile of an unsorted sample (0 if empty)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (len(ordered) - 1) * q
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
 def _stats(values: List[float]) -> Dict[str, float]:
     if not values:
         return {"count": 0, "mean": 0.0, "p50": 0.0, "p99": 0.0}
     return {
         "count": len(values),
-        "mean": sum(values) / len(values),
-        "p50": _percentile(values, 0.50),
-        "p99": _percentile(values, 0.99),
+        "mean": mean(values),
+        "p50": percentile(values, 50),
+        "p99": percentile(values, 99),
     }
 
 
@@ -193,7 +182,7 @@ class PlacementServer:
         """Args:
             scenario: the session's full configuration.
             telemetry: optional bundle — the admission queue and serving
-                loop account into its registry, decisions into its log.
+                loop report to its probe, decisions go into its log.
             faults: optional fault plan injected into the session.
             status: optional :class:`StatusWriter` receiving heartbeat
                 records (``repro status`` can watch a live session).
@@ -216,10 +205,6 @@ class PlacementServer:
             stall_after: dump/flag a stall when no new decision lands
                 for this many simulated seconds while requests queue.
         """
-        if telemetry is None:
-            from repro.telemetry import NULL_TELEMETRY
-
-            telemetry = NULL_TELEMETRY
         self._scenario = scenario
         self._telemetry = telemetry
         self._faults = faults
@@ -274,19 +259,10 @@ class PlacementServer:
         )
         pool_rng = random.Random(hash_seed(scenario.seed, "service:pool"))
         hosts = topology.hosts
-        reg = telemetry.registry
-        if reg.enabled:
-            ctr_batches = reg.counter("service.batches")
-            ctr_decisions = reg.counter("service.decisions")
-            timer_decision = reg.timer("service.decision")
-            hist_queue_wait = reg.histogram("service.queue_wait_seconds")
-            hist_batch_size = reg.histogram("service.batch_size")
-            hist_decision_wall = reg.histogram(
-                "service.decision_latency_seconds"
-            )
-        else:
-            ctr_batches = ctr_decisions = timer_decision = None
-            hist_queue_wait = hist_batch_size = hist_decision_wall = None
+        probe = reg = causal = None
+        if telemetry is not None:
+            probe = telemetry.attach("service")
+            reg, causal = telemetry.registry, telemetry.causal
 
         # Live observability layer: windowed rollups, SLO burn rates,
         # and the flight recorder.  All three are observers — they read
@@ -304,12 +280,12 @@ class PlacementServer:
             from repro.telemetry.slo import SLOEngine
 
             slo_engine = SLOEngine(self._slo_specs, store, reg)
-        if recorder is not None and telemetry.causal.active:
-            recorder.attach(telemetry.causal.events)
-        if telemetry.causal.active:
+        if causal is not None:
+            if recorder is not None:
+                recorder.attach(causal.events)
             # Open a causal run so flow events group for `repro explain`
             # (figure runs do this in the runner; serve owns its own).
-            telemetry.causal.begin_run(
+            causal.begin_run(
                 0.0,
                 placement="neat",
                 network_policy=scenario.network_policy,
@@ -418,16 +394,14 @@ class PlacementServer:
                     )
                 )
                 kept.append(queued)
+            first_wait = len(queue_waits)
             if requests:
-                if timer_decision is not None:
-                    with timer_decision.time():
-                        placed = daemon.place_batch(requests, predictor)
-                else:
-                    placed = daemon.place_batch(requests, predictor)
+                span = probe.enter_serve() if probe is not None else None
+                placed = daemon.place_batch(requests, predictor)
+                if span is not None:
+                    probe.exit_serve(span)
                 for queued, request, host in zip(kept, requests, placed):
                     queue_waits.append(engine.now - queued.admitted_at)
-                    if hist_queue_wait is not None:
-                        hist_queue_wait.observe(engine.now - queued.admitted_at)
                     try:
                         fabric.submit(
                             request.data_node,
@@ -441,25 +415,21 @@ class PlacementServer:
                             injector.note_task_dropped(request.tag)
                         state["dropped"] += 1
                 state["decisions"] += len(requests)
-                if ctr_decisions is not None:
-                    ctr_decisions.inc(len(requests))
             elapsed = _time.perf_counter() - wall_start
-            if requests:
-                decision_wall.extend(
-                    [elapsed / len(requests)] * len(requests)
-                )
-                if hist_decision_wall is not None:
-                    # Wall-clock, observation-only (like the timers):
-                    # never feeds back into the simulated trajectory.
-                    hist_decision_wall.observe(
-                        elapsed / len(requests), count=len(requests)
-                    )
+            # Wall-clock, observation-only: never feeds back into the
+            # simulated trajectory.
+            per_request = elapsed / len(requests) if requests else 0.0
+            decision_wall.extend([per_request] * len(requests))
             state["batches"] += 1
-            if ctr_batches is not None:
-                ctr_batches.inc()
             batch_sizes.append(float(len(batch)))
-            if hist_batch_size is not None:
-                hist_batch_size.observe(float(len(batch)))
+            if probe is not None:
+                probe.on_batch(
+                    engine.now,
+                    len(batch),
+                    queue_waits[first_wait:],
+                    len(requests),
+                    per_request,
+                )
             state["busy_until"] = engine.now + (
                 scenario.batch_overhead
                 + scenario.per_request_cost * len(batch)
@@ -472,12 +442,27 @@ class PlacementServer:
         # ------------------------------------------------------------------
         stall = {"decisions": 0, "since": 0.0, "flagged": False}
 
+        def emit_cell(cell_state: str, **extra) -> None:
+            """The session's one status cell, in ``cell_state``."""
+            if self._status is not None:
+                self._status.emit(
+                    "cell",
+                    cell=0,
+                    spec=scenario.name,
+                    state=cell_state,
+                    sim_time=engine.now,
+                    decisions=state["decisions"],
+                    queue_depth=admission.depth,
+                    rejected=admission.rejected,
+                    events_processed=engine.events_processed,
+                    **extra,
+                )
+
         def post_mortem(reason: str, offending=None) -> None:
             if recorder is None:
                 return
-            metrics = reg.as_dict() if reg.enabled else None
-            if metrics is not None and telemetry.profiler.enabled:
-                metrics = dict(metrics)
+            metrics = reg.as_dict() if reg is not None else None
+            if metrics is not None and telemetry.profiler is not None:
                 metrics["profile"] = telemetry.profiler.as_dict()
             recorder.dump(
                 reason,
@@ -523,7 +508,7 @@ class PlacementServer:
 
         def heartbeat() -> None:
             now = engine.now
-            if store is not None and reg.enabled:
+            if store is not None and reg is not None:
                 store.sample(now, reg)
             if recorder is not None:
                 recorder.poll()
@@ -549,22 +534,10 @@ class PlacementServer:
                             },
                         )
             check_stall(now)
-            if self._status is not None:
-                extra = {}
-                if slo_engine is not None:
-                    extra["slo"] = slo_engine.summary(now)
-                self._status.emit(
-                    "cell",
-                    cell=0,
-                    spec=scenario.name,
-                    state="running",
-                    sim_time=now,
-                    decisions=state["decisions"],
-                    queue_depth=admission.depth,
-                    rejected=admission.rejected,
-                    events_processed=engine.events_processed,
-                    **extra,
-                )
+            if slo_engine is not None:
+                emit_cell("running", slo=slo_engine.summary(now))
+            else:
+                emit_cell("running")
             self._write_prometheus()
             if engine.pending_events > 0:
                 engine.schedule(
@@ -592,18 +565,7 @@ class PlacementServer:
             # Post-mortem before the exception propagates: the bundle
             # carries the exact (scenario, seed) so the crash replays.
             post_mortem("crash")
-            if self._status is not None:
-                self._status.emit(
-                    "cell",
-                    cell=0,
-                    spec=scenario.name,
-                    state="crashed",
-                    sim_time=engine.now,
-                    decisions=state["decisions"],
-                    queue_depth=admission.depth,
-                    rejected=admission.rejected,
-                    events_processed=engine.events_processed,
-                )
+            emit_cell("crashed")
             self._write_rollups(store)
             raise
         wall_total = _time.perf_counter() - wall_begin
@@ -640,22 +602,11 @@ class PlacementServer:
             ),
             decision_latency=_stats(decision_wall),
         )
-        if self._status is not None:
-            self._status.emit(
-                "cell",
-                cell=0,
-                spec=scenario.name,
-                state="finished",
-                sim_time=engine.now,
-                decisions=state["decisions"],
-                queue_depth=admission.depth,
-                rejected=admission.rejected,
-                events_processed=engine.events_processed,
-            )
+        emit_cell("finished")
         self._write_prometheus()
-        if telemetry.causal.active:
-            telemetry.causal.end_run(engine.now, records=len(fabric.records))
-        if store is not None and reg.enabled:
+        if causal is not None:
+            causal.end_run(engine.now, records=len(fabric.records))
+        if store is not None and reg is not None:
             store.sample(engine.now, reg)  # capture the final partial bin
         if recorder is not None:
             recorder.poll()
@@ -681,8 +632,11 @@ class PlacementServer:
             return
         from repro.telemetry.prometheus import render_prometheus
 
+        telemetry = self._telemetry
+        registry = telemetry.registry if telemetry is not None else None
         text = render_prometheus(
-            self._telemetry.registry.as_dict(), prefix=self._prometheus_prefix
+            registry.as_dict() if registry is not None else {},
+            prefix=self._prometheus_prefix,
         )
         with open(self._prometheus_out, "w", encoding="utf-8") as fp:
             fp.write(text)

@@ -15,11 +15,14 @@ the observability channels:
 * :attr:`Telemetry.causal` — request-scoped causal traces with FCT/CCT
   blame decomposition (:mod:`repro.telemetry.causal`).
 
-The enabled channels are composed into one :attr:`Telemetry.probe`
-(:mod:`repro.telemetry.probe`), the only thing the simulation core
-reports to; it is ``None`` when nothing is enabled, so components take
-``telemetry: Optional[Telemetry] = None`` and pay one ``is not None``
-branch per probe site when telemetry is off (:data:`NULL_TELEMETRY`).
+Off is ``None``, everywhere: a channel that is not armed is a ``None``
+attribute (there are no disabled twins and no ``enabled`` flags), and
+the armed ones are composed into one :attr:`Telemetry.probe`
+(:mod:`repro.telemetry.probe`), the only thing the simulation core and
+the placement service report to, itself ``None`` when nothing is armed.
+Components take ``telemetry: Optional[Telemetry] = None`` and pay one
+``is not None`` branch per probe site when telemetry is off; consumers
+of a channel's output test ``tele.registry is not None`` the same way.
 
 Quickstart (the bundle is a context manager; it closes its trace sink
 on exit, so nobody hand-closes ``tele.trace``)::
@@ -41,32 +44,20 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.telemetry.decisions import (
-    NULL_DECISIONS,
-    DecisionLog,
-    DecisionRecord,
-)
+from repro.telemetry.decisions import DecisionLog, DecisionRecord
 from repro.telemetry.registry import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsProbe,
     MetricsRegistry,
-    NullMetricsRegistry,
     Timer,
     merge_snapshots,
 )
-from repro.telemetry.profiler import (
-    NULL_PROFILER,
-    NullProfiler,
-    SpanProfiler,
-    render_profile,
-)
-from repro.telemetry.causal import NULL_CAUSAL, CausalTracer
+from repro.telemetry.profiler import SpanProfiler, render_profile
+from repro.telemetry.causal import CausalTracer
 from repro.telemetry.probe import PROBE_POINTS, Probe
 from repro.telemetry.trace import (
-    NULL_TRACE,
     JsonlTraceSink,
     RotatingJsonlTraceSink,
     TraceProbe,
@@ -91,13 +82,10 @@ from repro.telemetry.recorder import FlightRecorder
 
 __all__ = [
     "Telemetry",
-    "NULL_TELEMETRY",
     "create_telemetry",
     "Probe",
     "PROBE_POINTS",
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_REGISTRY",
     "Counter",
     "Gauge",
     "Histogram",
@@ -105,17 +93,12 @@ __all__ = [
     "TraceSink",
     "JsonlTraceSink",
     "RotatingJsonlTraceSink",
-    "NULL_TRACE",
     "read_trace",
     "read_rotated_trace",
     "CausalTracer",
-    "NULL_CAUSAL",
     "DecisionLog",
     "DecisionRecord",
-    "NULL_DECISIONS",
     "SpanProfiler",
-    "NullProfiler",
-    "NULL_PROFILER",
     "render_profile",
     "merge_snapshots",
     "render_report",
@@ -163,19 +146,19 @@ class Telemetry:
     """Bundle of the telemetry channels plus timeline config.
 
     Attributes:
-        registry: metrics registry (no-op when telemetry is off).
-        trace: structured event sink (no-op when telemetry is off).
-        decisions: placement-decision log (no-op when telemetry is off).
-        profiler: hierarchical wall-clock span profiler (no-op when off).
-        causal: request-scoped causal tracer (inactive when off).
+        registry: metrics registry (``None``: metrics off).
+        trace: structured event sink (``None``: no trace).
+        decisions: placement-decision log (``None``: off).
+        profiler: hierarchical wall-clock span profiler (``None``: off).
+        causal: request-scoped causal tracer (``None``: off).
         timeline_interval: when set, every replayed fabric gets a
             :class:`~repro.metrics.timeline.TimelineSampler` at this
             sampling interval (seconds of sim time) and ``(label,
             samples)`` is appended to :attr:`timelines`.
         timelines: collected ``(label, samples)`` pairs, one per run.
-        probe: the enabled channels composed into one
+        probe: the armed channels composed into one
             :class:`~repro.telemetry.probe.Probe`; ``None`` when nothing
-            is enabled.
+            is armed.
     """
 
     __slots__ = (
@@ -199,30 +182,26 @@ class Telemetry:
         causal: Optional[CausalTracer] = None,
         timeline_interval: Optional[float] = None,
     ) -> None:
-        self.registry = registry if registry is not None else NULL_REGISTRY
-        self.trace = trace if trace is not None else NULL_TRACE
-        self.decisions = (
-            decisions if decisions is not None else NULL_DECISIONS
-        )
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self.causal = causal if causal is not None else NULL_CAUSAL
+        self.registry = registry
+        self.trace = trace
+        self.decisions = decisions
+        self.profiler = profiler
+        self.causal = causal
         self.timeline_interval = timeline_interval
         self.timelines: List[Tuple[str, Sequence]] = []
         # Fan-out order: the profiler first, so its spans enclose the
         # other channels' timers.
-        channels: List[object] = []
-        if self.profiler.enabled:
-            channels.append(self.profiler)
-        if self.registry.enabled:
-            channels.append(MetricsProbe(self.registry))
-        if self.decisions.active:
-            channels.append(self.decisions)
-        if self.trace.active:
-            channels.append(TraceProbe(self.trace))
-        if self.causal.active:
-            channels.append(self.causal)
-        if timeline_interval is not None:
-            channels.append(_TimelineChannel(timeline_interval, self.timelines))
+        channels = [
+            profiler,
+            MetricsProbe(registry) if registry is not None else None,
+            decisions,
+            TraceProbe(trace) if trace is not None else None,
+            causal,
+            _TimelineChannel(timeline_interval, self.timelines)
+            if timeline_interval is not None
+            else None,
+        ]
+        channels = [channel for channel in channels if channel is not None]
         self.probe: Optional[Probe] = Probe(channels) if channels else None
 
     def attach(self, component: str) -> Optional[Probe]:
@@ -233,31 +212,16 @@ class Telemetry:
             probe.on_attach(component)
         return probe
 
-    @property
-    def enabled(self) -> bool:
-        """True when any channel would actually record something."""
-        return (
-            self.registry.enabled
-            or self.trace.active
-            or self.decisions.active
-            or self.profiler.enabled
-            or self.causal.active
-            or self.timeline_interval is not None
-        )
-
     def close(self) -> None:
         """Flush/close the trace sink (safe to call repeatedly)."""
-        self.trace.close()
+        if self.trace is not None:
+            self.trace.close()
 
     def __enter__(self) -> "Telemetry":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-#: Shared disabled telemetry (the default everywhere; ``enabled`` False).
-NULL_TELEMETRY = Telemetry()
 
 
 def create_telemetry(

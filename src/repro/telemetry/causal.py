@@ -58,10 +58,11 @@ from repro.telemetry.trace import _json_safe, read_trace
 
 __all__ = [
     "CausalTracer",
-    "NULL_CAUSAL",
     "FlowBlame",
     "CoflowBlame",
     "RunAnalysis",
+    "RunScan",
+    "scan_runs",
     "analyze",
     "load_causal",
     "aggregate_blame",
@@ -81,8 +82,6 @@ class CausalTracer:
     ``note_*`` / ``begin_*`` / ``end_*`` method is a probe point and is
     purely observational.
     """
-
-    active = True
 
     def __init__(self) -> None:
         self._events: List[Dict[str, object]] = []
@@ -344,13 +343,6 @@ class CausalTracer:
         return len(self._events)
 
 
-#: Shared disabled tracer (``Telemetry.causal`` when causal tracing is
-#: off).  Inactive tracers are never composed into a probe, so nothing
-#: reaches its hooks.
-NULL_CAUSAL = CausalTracer()
-NULL_CAUSAL.active = False
-
-
 def load_causal(path: str) -> List[Dict[str, object]]:
     """Read a saved causal stream (tolerates a truncated final line)."""
     return read_trace(path)
@@ -507,7 +499,7 @@ class _FlowState:
 
     __slots__ = (
         "flow", "trace", "tag", "src", "dst", "size", "arrival", "optimal",
-        "rate_steps", "path_steps", "done", "abort", "rate_changes",
+        "path", "rate_steps", "path_steps", "done", "abort", "rate_changes",
         "reroutes",
     )
 
@@ -520,14 +512,15 @@ class _FlowState:
         self.size = event["size"]
         self.arrival = event["t"]
         self.optimal = event["optimal"]
+        self.path: Tuple[str, ...] = tuple(event["path"])
         self.rate_steps: List[Tuple[float, float]] = [(self.arrival, 0.0)]
         self.path_steps: List[Tuple[float, Tuple[str, ...]]] = [
-            (self.arrival, tuple(event["path"]))
+            (self.arrival, self.path)
         ]
         self.done: Optional[Dict[str, object]] = None
         self.abort: Optional[Dict[str, object]] = None
         self.rate_changes = 0
-        self.reroutes = 0
+        self.reroutes: List[Dict[str, object]] = []
 
     @property
     def end(self) -> Optional[float]:
@@ -559,7 +552,8 @@ def _push_step(steps: List[Tuple[float, object]], t: float, value) -> None:
         steps.append((t, value))
 
 
-def _label(tag: str, flow_id: int) -> str:
+def flow_label(tag: str, flow_id: int) -> str:
+    """How reports and the Perfetto export name one flow."""
     return f"{tag}#{flow_id}" if tag else f"flow#{flow_id}"
 
 
@@ -688,7 +682,7 @@ def _decompose_flow(
         bottleneck_link=bottleneck,
         contenders=contenders,
         rate_changes=state.rate_changes,
-        reroutes=state.reroutes,
+        reroutes=len(state.reroutes),
     )
 
 
@@ -716,7 +710,7 @@ def _attribute_contention(
             rate = other.rate_at(t)
             used += rate
             if other.flow != state.flow and rate > 0.0:
-                others.append((_label(other.tag, other.flow), rate))
+                others.append((flow_label(other.tag, other.flow), rate))
         util = used / cap if cap > 0 else float("inf")
         if util > best_util:
             best_util = util
@@ -725,7 +719,7 @@ def _attribute_contention(
     if best_link is None:  # pragma: no cover - paths are never empty here
         return
     link_blame[best_link] = link_blame.get(best_link, 0.0) + seconds
-    total = sum(rate for _label_, rate in best_others)
+    total = sum(rate for _, rate in best_others)
     if total > 0.0:
         for label, rate in best_others:
             contender_seconds[label] = (
@@ -739,91 +733,132 @@ def _attribute_contention(
         )
 
 
-def analyze(events: Sequence[Dict[str, object]]) -> List[RunAnalysis]:
-    """Rebuild per-run blame decompositions from a causal stream."""
-    analyses: List[RunAnalysis] = []
-    run_events: List[List[Dict[str, object]]] = []
-    for event in events:
-        if event.get("ev") == "run_start":
-            run_events.append([])
-        if run_events:
-            run_events[-1].append(event)
-    for chunk in run_events:
-        analyses.append(_analyze_run(chunk))
-    return analyses
+class RunScan:
+    """One run's slice of a causal stream, sorted into evidence.
 
+    The one scanner of the stream: :func:`analyze` decomposes blame from
+    it and :func:`repro.telemetry.perfetto.to_perfetto` renders it.
+    """
 
-def _analyze_run(events: List[Dict[str, object]]) -> RunAnalysis:
-    head = events[0]
-    run = head.get("run", 0)
-    placement = head.get("placement", "")
-    network_policy = head.get("network_policy", "")
-    cap_steps: Dict[str, List[Tuple[float, float]]] = {
-        link: [(head["t"], cap)]
-        for link, cap in head.get("capacities", {}).items()
-    }
-    states: Dict[int, _FlowState] = {}
-    tasks: Dict[int, Dict[str, object]] = {}
-    coflows: Dict[int, Dict[str, object]] = {}
-    analysis = RunAnalysis(
-        run=run, placement=placement, network_policy=network_policy
-    )
-    for event in events[1:]:
+    def __init__(self, head: Dict[str, object]) -> None:
+        self.run = head.get("run", 0)
+        self.placement = head.get("placement", "")
+        self.network_policy = head.get("network_policy", "")
+        self.start = head["t"]
+        #: ``run_end`` time (None: the stream stops mid-run) and the
+        #: latest time any event of the run carried.
+        self.end: Optional[float] = None
+        self.last_t = self.start
+        #: Every ``(t, link, capacity)`` record in stream order, the
+        #: pristine run-start capacities first.
+        self.caps: List[Tuple[float, str, float]] = [
+            (self.start, link, cap)
+            for link, cap in head.get("capacities", {}).items()
+        ]
+        self.flows: Dict[int, _FlowState] = {}
+        self.tasks: Dict[int, Dict[str, object]] = {}
+        self.coflows: Dict[int, Dict[str, object]] = {}
+        self.faults: List[Dict[str, object]] = []
+        self.windows: List[Dict[str, object]] = []
+
+    def feed(self, event: Dict[str, object]) -> None:
         ev = event["ev"]
+        t = event.get("t", self.last_t)
+        if t > self.last_t:
+            self.last_t = t
         if ev == "flow":
-            states[event["flow"]] = _FlowState(event)
-        elif ev == "rate":
-            state = states.get(event["flow"])
-            if state is not None:
-                _push_step(state.rate_steps, event["t"], event["rate"])
+            self.flows[event["flow"]] = _FlowState(event)
+        elif ev in ("rate", "reroute", "done", "abort"):
+            state = self.flows.get(event["flow"])
+            if state is None:
+                return
+            if ev == "rate":
+                _push_step(state.rate_steps, t, event["rate"])
                 state.rate_changes += 1
-        elif ev == "reroute":
-            state = states.get(event["flow"])
-            if state is not None:
-                _push_step(
-                    state.path_steps, event["t"], tuple(event["path"])
-                )
-                state.reroutes += 1
-        elif ev == "done":
-            state = states.get(event["flow"])
-            if state is not None:
+            elif ev == "reroute":
+                _push_step(state.path_steps, t, tuple(event["path"]))
+                state.reroutes.append(event)
+            elif ev == "done":
                 state.done = event
-        elif ev == "abort":
-            state = states.get(event["flow"])
-            if state is not None:
+            else:
                 state.abort = event
         elif ev == "cap":
-            steps = cap_steps.setdefault(
-                event["link"], [(event["t"], event["capacity"])]
-            )
-            _push_step(steps, event["t"], event["capacity"])
+            self.caps.append((t, event["link"], event["capacity"]))
         elif ev == "task":
-            tasks[event["trace"]] = dict(event)
+            self.tasks[event["trace"]] = dict(event)
         elif ev == "task_end":
-            task = tasks.get(event["trace"])
+            task = self.tasks.get(event["trace"])
             if task is not None:
                 task["messages"] = event.get("messages", 0)
                 task["dropped"] = event.get("dropped", 0)
         elif ev == "decision":
-            task = tasks.get(event.get("trace"))
+            task = self.tasks.get(event.get("trace"))
             if task is not None:
                 task["decision"] = dict(event)
         elif ev == "coflow":
-            coflows[event["coflow"]] = dict(event)
+            self.coflows[event["coflow"]] = dict(event)
         elif ev == "coflow_done":
-            coflow = coflows.get(event["coflow"])
+            coflow = self.coflows.get(event["coflow"])
             if coflow is not None:
                 coflow["done"] = event
         elif ev == "fault":
-            analysis.faults.append(dict(event))
+            self.faults.append(dict(event))
         elif ev == "window":
-            analysis.windows.append(dict(event))
+            self.windows.append(dict(event))
+        elif ev == "run_end":
+            self.end = t
 
-    # Tag flows from their tasks (flows carry the trace id; tasks the tag).
-    for state in states.values():
-        task = tasks.get(state.trace) if state.trace is not None else None
-        if task is not None:
-            state.tag = task.get("tag", "")
+    def tag_flows(self) -> None:
+        """Tag flows from their tasks (flows carry the trace id; tasks
+        the tag)."""
+        for state in self.flows.values():
+            task = self.tasks.get(state.trace)
+            if task is not None:
+                state.tag = task.get("tag", "")
+
+    def cap_steps(self) -> Dict[str, List[Tuple[float, float]]]:
+        """Each link's capacity step function."""
+        steps: Dict[str, List[Tuple[float, float]]] = {}
+        for t, link, capacity in self.caps:
+            _push_step(steps.setdefault(link, []), t, capacity)
+        return steps
+
+
+def scan_runs(events: Sequence[Dict[str, object]]) -> List[RunScan]:
+    """Split a causal stream at its ``run_start`` records and scan each
+    run (events before the first ``run_start`` belong to no run)."""
+    scans: List[RunScan] = []
+    for event in events:
+        if event.get("ev") == "run_start":
+            scans.append(RunScan(event))
+        elif scans:
+            scans[-1].feed(event)
+    for scan in scans:
+        scan.tag_flows()
+    return scans
+
+
+def analyze(events: Sequence[Dict[str, object]]) -> List[RunAnalysis]:
+    """Rebuild per-run blame decompositions from a causal stream."""
+    return [_analyze_run(scan) for scan in scan_runs(events)]
+
+
+def _analyze_run(scan: RunScan) -> RunAnalysis:
+    run = scan.run
+    placement = scan.placement
+    network_policy = scan.network_policy
+    cap_steps = scan.cap_steps()
+    states = scan.flows
+    tasks = scan.tasks
+    coflows = scan.coflows
+    analysis = RunAnalysis(
+        run=run,
+        placement=placement,
+        network_policy=network_policy,
+        faults=scan.faults,
+        windows=scan.windows,
+        tasks=tasks,
+    )
 
     members: Dict[str, List[_FlowState]] = {}
     for flow_id in sorted(states):
@@ -893,7 +928,6 @@ def _analyze_run(events: List[Dict[str, object]]) -> RunAnalysis:
             contenders=crit.contenders,
             width=len(raw.get("flows", [])),
         )
-    analysis.tasks = tasks
     return analysis
 
 

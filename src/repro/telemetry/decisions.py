@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.stats import mean, percentile
-from repro.telemetry.trace import NULL_TRACE, TraceSink
+from repro.telemetry.trace import TraceSink
 
-__all__ = ["DecisionRecord", "DecisionLog", "NULL_DECISIONS"]
+__all__ = ["DecisionRecord", "DecisionLog"]
 
 #: ``score_kind`` for scores that are predicted completion times in
 #: seconds; only these decisions can be joined into prediction errors.
@@ -82,10 +82,8 @@ class DecisionRecord:
 class DecisionLog:
     """Collects :class:`DecisionRecord` and joins realized outcomes."""
 
-    active = True
-
     def __init__(self, *, trace: Optional[TraceSink] = None) -> None:
-        self._trace = trace if trace is not None else NULL_TRACE
+        self._trace = trace
         self._records: List[DecisionRecord] = []
         self._pending: Dict[str, List[DecisionRecord]] = {}
         self._placement = ""
@@ -199,7 +197,7 @@ class DecisionLog:
         self._records.append(rec)
         if tag and score_kind == PREDICTED_TIME:
             self._pending.setdefault(tag, []).append(rec)
-        if self._trace.active:
+        if self._trace is not None:
             self._trace.emit(
                 "placement_decision",
                 time,
@@ -239,7 +237,7 @@ class DecisionLog:
                 rec.error = (
                     realized - rec.predicted_time
                 ) / rec.predicted_time
-            if self._trace.active:
+            if self._trace is not None:
                 self._trace.emit(
                     "decision_outcome",
                     time,
@@ -272,25 +270,3 @@ class DecisionLog:
                 p95_abs_error=percentile(abs_errors, 95),
             )
         return out
-
-
-class _NullDecisionLog(DecisionLog):
-    """Disabled log: records nothing, joins nothing."""
-
-    active = False
-
-    def record(self, **kwargs):  # type: ignore[override]
-        return None
-
-    def note_completed(self, tag, realized, time) -> None:
-        pass
-
-    def bind(self, fabric) -> None:
-        pass
-
-    def bind_coflows(self, tracker) -> None:
-        pass
-
-
-#: Shared disabled decision log (the default everywhere).
-NULL_DECISIONS = _NullDecisionLog()

@@ -25,7 +25,9 @@ byte-stable for byte-identical input streams.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
+
+from repro.telemetry.causal import RunScan, flow_label, scan_runs
 
 __all__ = ["to_perfetto", "save_perfetto"]
 
@@ -34,81 +36,6 @@ _US = 1_000_000.0  # sim seconds -> trace microseconds
 
 def _pid(run: int, track: int) -> int:
     return run * 10 + track
-
-
-class _RunState:
-    """Per-run accumulation while scanning the stream."""
-
-    def __init__(self, event: Dict[str, object]) -> None:
-        self.run = int(event.get("run", 0))
-        self.placement = event.get("placement", "")
-        self.network_policy = event.get("network_policy", "")
-        self.start = float(event["t"])
-        self.end: Optional[float] = None
-        self.caps: List[Dict[str, object]] = [
-            {"t": self.start, "link": link, "capacity": cap}
-            for link, cap in event.get("capacities", {}).items()
-        ]
-        self.flows: Dict[int, Dict[str, object]] = {}
-        self.tasks: Dict[int, Dict[str, object]] = {}
-        self.faults: List[Dict[str, object]] = []
-        self.windows: List[Dict[str, object]] = []
-        self.last_t = self.start
-
-    def feed(self, event: Dict[str, object]) -> None:
-        ev = event["ev"]
-        t = float(event.get("t", self.last_t))
-        if t > self.last_t:
-            self.last_t = t
-        if ev == "flow":
-            self.flows[event["flow"]] = {
-                "meta": event,
-                "rates": [(t, 0.0)],
-                "reroutes": [],
-                "end": None,
-                "aborted": False,
-            }
-        elif ev == "rate":
-            flow = self.flows.get(event["flow"])
-            if flow is not None:
-                rates = flow["rates"]
-                if rates and rates[-1][0] == t:
-                    rates[-1] = (t, event["rate"])
-                else:
-                    rates.append((t, event["rate"]))
-        elif ev == "reroute":
-            flow = self.flows.get(event["flow"])
-            if flow is not None:
-                flow["reroutes"].append(event)
-        elif ev == "done":
-            flow = self.flows.get(event["flow"])
-            if flow is not None:
-                flow["end"] = t
-                flow["done"] = event
-        elif ev == "abort":
-            flow = self.flows.get(event["flow"])
-            if flow is not None:
-                flow["end"] = t
-                flow["aborted"] = True
-        elif ev == "cap":
-            self.caps.append(dict(event))
-        elif ev == "task":
-            self.tasks[event["trace"]] = dict(event)
-        elif ev == "decision":
-            task = self.tasks.get(event.get("trace"))
-            if task is not None:
-                task["decision"] = event
-        elif ev == "fault":
-            self.faults.append(dict(event))
-        elif ev == "window":
-            self.windows.append(dict(event))
-        elif ev == "run_end":
-            self.end = t
-
-
-def _flow_label(flow: Dict[str, object], tag: str) -> str:
-    fid = flow["meta"]["flow"]
-    return f"{tag}#{fid}" if tag else f"flow#{fid}"
 
 
 def _meta(pid: int, name: str, out: List[Dict[str, object]]) -> None:
@@ -123,13 +50,14 @@ def _meta(pid: int, name: str, out: List[Dict[str, object]]) -> None:
     )
 
 
-def _flush_run(state: _RunState, out: List[Dict[str, object]]) -> None:
-    run_end = state.end if state.end is not None else state.last_t
-    label = f"run{state.run} {state.placement}/{state.network_policy}"
-    pid_flows = _pid(state.run, 1)
-    pid_links = _pid(state.run, 2)
-    pid_hosts = _pid(state.run, 3)
-    pid_faults = _pid(state.run, 4)
+def _render_run(state: RunScan, out: List[Dict[str, object]]) -> None:
+    run = int(state.run)
+    run_end = float(state.end if state.end is not None else state.last_t)
+    label = f"run{run} {state.placement}/{state.network_policy}"
+    pid_flows = _pid(run, 1)
+    pid_links = _pid(run, 2)
+    pid_hosts = _pid(run, 3)
+    pid_faults = _pid(run, 4)
     _meta(pid_flows, f"{label} flows", out)
     _meta(pid_links, f"{label} link capacity", out)
     _meta(pid_hosts, f"{label} active flows per host", out)
@@ -139,13 +67,9 @@ def _flush_run(state: _RunState, out: List[Dict[str, object]]) -> None:
     host_deltas: List = []
     for fid in sorted(state.flows):
         flow = state.flows[fid]
-        meta = flow["meta"]
-        trace = meta.get("trace")
-        task = state.tasks.get(trace) if trace is not None else None
-        tag = task.get("tag", "") if task else ""
-        name = _flow_label(flow, tag)
-        arrival = float(meta["t"])
-        end = flow["end"] if flow["end"] is not None else run_end
+        name = flow_label(flow.tag, fid)
+        arrival = float(flow.arrival)
+        end = float(flow.end) if flow.end is not None else run_end
         out.append(
             {
                 "ph": "M",
@@ -156,17 +80,16 @@ def _flush_run(state: _RunState, out: List[Dict[str, object]]) -> None:
             }
         )
         args = {
-            "src": meta["src"],
-            "dst": meta["dst"],
-            "size": meta["size"],
-            "optimal": meta["optimal"],
-            "path": meta["path"],
-            "trace": trace,
+            "src": flow.src,
+            "dst": flow.dst,
+            "size": flow.size,
+            "optimal": flow.optimal,
+            "path": list(flow.path),
+            "trace": flow.trace,
         }
-        done = flow.get("done")
-        if done is not None:
-            args["fct"] = done["fct"]
-        if flow["aborted"]:
+        if flow.done is not None:
+            args["fct"] = flow.done["fct"]
+        if flow.abort is not None:
             args["aborted"] = True
         out.append(
             {
@@ -180,7 +103,7 @@ def _flush_run(state: _RunState, out: List[Dict[str, object]]) -> None:
                 "args": args,
             }
         )
-        rates = flow["rates"] + [(end, None)]
+        rates = flow.rate_steps + [(end, None)]
         for (t0, rate), (t1, _next) in zip(rates, rates[1:]):
             if t1 <= t0:
                 continue
@@ -196,7 +119,7 @@ def _flush_run(state: _RunState, out: List[Dict[str, object]]) -> None:
                     "args": {"rate": rate},
                 }
             )
-        for reroute in flow["reroutes"]:
+        for reroute in flow.reroutes:
             out.append(
                 {
                     "ph": "i",
@@ -209,19 +132,19 @@ def _flush_run(state: _RunState, out: List[Dict[str, object]]) -> None:
                     "args": {"path": reroute["path"]},
                 }
             )
-        host_deltas.append((arrival, meta["src"], 1))
-        host_deltas.append((end, meta["src"], -1))
+        host_deltas.append((arrival, flow.src, 1))
+        host_deltas.append((end, flow.src, -1))
 
     # Link-capacity counters (sorted by time then link for stability).
-    for cap in sorted(state.caps, key=lambda c: (c["t"], c["link"])):
+    for t, link, capacity in sorted(state.caps, key=lambda c: c[:2]):
         out.append(
             {
                 "ph": "C",
                 "pid": pid_links,
                 "tid": 0,
-                "ts": float(cap["t"]) * _US,
-                "name": str(cap["link"]),
-                "args": {"capacity": cap["capacity"]},
+                "ts": float(t) * _US,
+                "name": str(link),
+                "args": {"capacity": capacity},
             }
         )
 
@@ -309,16 +232,8 @@ def _flush_run(state: _RunState, out: List[Dict[str, object]]) -> None:
 def to_perfetto(events: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """Convert a causal event stream into a trace-event JSON object."""
     out: List[Dict[str, object]] = []
-    state: Optional[_RunState] = None
-    for event in events:
-        if event.get("ev") == "run_start":
-            if state is not None:
-                _flush_run(state, out)
-            state = _RunState(event)
-        elif state is not None:
-            state.feed(event)
-    if state is not None:
-        _flush_run(state, out)
+    for scan in scan_runs(events):
+        _render_run(scan, out)
     return {"traceEvents": out, "displayTimeUnit": "ms"}
 
 

@@ -1,7 +1,8 @@
 """The probe: the one seam between the simulation core and telemetry.
 
 The core (engine, fabric, bus, daemons, coflow tracker, replay loops,
-fault injector) holds one handle and reports each event once::
+fault injector) and the placement service (admission queue, serving
+loop) hold one handle and report each event once::
 
     probe = self._probe
     if probe is not None:
@@ -61,6 +62,10 @@ EVENTS = (
     "on_window",
     "on_fault",
     "on_task_dropped",
+    "on_offer",
+    "on_reject",
+    "on_enqueue",
+    "on_batch",
 )
 
 #: Timed sections: ``enter_<name>(...)`` returns a token (never None) that
@@ -74,6 +79,7 @@ TIMED = (
     "bus_handler",
     "predict",
     "place",
+    "serve",
 )
 
 PROBE_POINTS = EVENTS + tuple(

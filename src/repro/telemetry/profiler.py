@@ -20,10 +20,10 @@ simulation state, the metrics used by placement, or the deterministic
 JSONL trace — a profiled run produces byte-identical completion records
 and traces to an unprofiled one (asserted by the differential tests).
 
-Disabled cost: the shared :data:`NULL_PROFILER` answers ``enabled =
-False`` and is never composed into a probe
-(:mod:`repro.telemetry.probe`), so an unprofiled timed section costs
-two ``is not None`` branches and never enters a context manager.
+Disabled cost: profiling off is ``Telemetry.profiler is None`` — nothing
+is composed into the probe (:mod:`repro.telemetry.probe`), so an
+unprofiled timed section costs two ``is not None`` branches and never
+enters a context manager.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "SpanProfiler",
-    "NullProfiler",
-    "NULL_PROFILER",
     "current_profiler",
     "set_current_profiler",
     "render_profile",
@@ -87,8 +85,6 @@ class SpanProfiler:
     is bounded by construction: the instrumented stack has a handful of
     nesting levels, and labels are drawn from a small fixed vocabulary.
     """
-
-    enabled = True
 
     __slots__ = ("_stats", "_stack")
 
@@ -212,54 +208,26 @@ class SpanProfiler:
         return {"flame": flame, "labels": self.label_totals()}
 
 
-class _NullSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
+#: Process-local ambient profiler (``None``: nothing installed).  Campaign
+#: workers install one so the cell implementations (which build their own
+#: Telemetry) inherit it and the end-of-cell heartbeat can ship a real
+#: spans snapshot.
+_CURRENT: Optional[SpanProfiler] = None
 
 
-_NULL_SPAN = _NullSpan()
-
-
-class NullProfiler(SpanProfiler):
-    """Disabled profiler: hands out one shared no-op span."""
-
-    enabled = False
-
-    __slots__ = ()
-
-    def span(self, label: str) -> _NullSpan:  # type: ignore[override]
-        return _NULL_SPAN
-
-
-#: Shared disabled profiler (the default everywhere).
-NULL_PROFILER = NullProfiler()
-
-#: Process-local ambient profiler.  Campaign workers install one so the
-#: cell implementations (which build their own Telemetry) inherit it and
-#: the end-of-cell heartbeat can ship a real spans snapshot.
-_CURRENT: SpanProfiler = NULL_PROFILER
-
-
-def current_profiler() -> SpanProfiler:
-    """The ambient profiler of this process (:data:`NULL_PROFILER` when
-    nothing installed one)."""
+def current_profiler() -> Optional[SpanProfiler]:
+    """The ambient profiler of this process (``None`` when nothing
+    installed one)."""
     return _CURRENT
 
 
-def set_current_profiler(profiler: Optional[SpanProfiler]) -> SpanProfiler:
-    """Install ``profiler`` as this process's ambient profiler.
-
-    Returns the previous one so callers can restore it; ``None`` resets
-    to :data:`NULL_PROFILER`.
-    """
+def set_current_profiler(
+    profiler: Optional[SpanProfiler],
+) -> Optional[SpanProfiler]:
+    """Install ``profiler`` (or ``None``: none) as this process's ambient
+    profiler; returns the previous one so callers can restore it."""
     global _CURRENT
-    previous = _CURRENT
-    _CURRENT = profiler if profiler is not None else NULL_PROFILER
+    previous, _CURRENT = _CURRENT, profiler
     return previous
 
 

@@ -65,7 +65,7 @@ class FlightRecorder:
         self._seq = 0
         self.dumps: List[str] = []
         self._ctr_dumps = None
-        if registry is not None and registry.enabled:
+        if registry is not None:
             self._ctr_dumps = registry.counter("recorder.dumps_written")
 
     # ------------------------------------------------------------------

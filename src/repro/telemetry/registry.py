@@ -13,11 +13,11 @@ Metrics carry two time dimensions:
 * **wall-time** values accumulate in timers — they are measurement-only
   and never enter the deterministic trace.
 
-Disabled telemetry must cost (almost) nothing, so every class has a
-no-op twin and :data:`NULL_REGISTRY` hands out shared no-op instances.
-The simulation core never touches a registry: :class:`MetricsProbe`
-subscribes an enabled one to the probe (:mod:`repro.telemetry.probe`)
-and owns every metric name the core's events feed.
+Metrics off is ``Telemetry.registry is None``: there is no disabled
+registry.  Neither the simulation core nor the placement service touches
+a registry: :class:`MetricsProbe` subscribes one to the probe
+(:mod:`repro.telemetry.probe`) and owns every metric name their events
+feed.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ __all__ = [
     "Histogram",
     "Timer",
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_REGISTRY",
     "MetricsProbe",
     "merge_snapshots",
 ]
@@ -72,76 +70,36 @@ class Gauge:
             self.value = value
 
 
-class Histogram:
-    """Distribution of observed values.
+class Histogram(QuantileSketch):
+    """Distribution of observed values: a named
+    :class:`~repro.telemetry.timeseries.QuantileSketch`.
 
-    Exact ``count``/``sum``/``min``/``max`` plus a fixed-memory
-    log-bucketed :class:`~repro.telemetry.timeseries.QuantileSketch`
-    (relative quantile error bounded by its ``alpha``, default 1%) in
-    place of the former unbounded raw-sample list — a histogram now
-    costs the same after a million observations as after a hundred,
-    merges exactly across workers, and feeds windowed rollups via
-    sketch deltas.
+    The sketch carries the exact ``count``/``sum``/``min``/``max`` and a
+    fixed-memory log-bucketed tail (relative quantile error bounded by
+    its ``alpha``, default 1%), so a histogram costs the same after a
+    million observations as after a hundred, merges exactly across
+    workers, and feeds windowed rollups via sketch deltas.
     """
 
-    __slots__ = ("name", "count", "total", "min", "max", "sketch")
+    __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
+        super().__init__()
         self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        self.sketch = QuantileSketch()
 
-    def observe(self, value: float, count: int = 1) -> None:
-        if count <= 0:
-            return
-        self.count += count
-        self.total += value * count
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.sketch.add(value, count)
+    observe = QuantileSketch.add
 
     def summary(self) -> Dict[str, object]:
-        if self.count == 0:
-            return {"count": 0}
-        return {
-            "count": self.count,
-            "mean": self.total / self.count,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.sketch.quantile(0.50),
-            "p95": self.sketch.quantile(0.95),
-            "p99": self.sketch.quantile(0.99),
-            "sketch": self.sketch.to_dict(),
-        }
-
-
-class _TimerSpan:
-    """One timed section (context manager handed out by :meth:`Timer.time`)."""
-
-    __slots__ = ("_timer", "_start")
-
-    def __init__(self, timer: "Timer") -> None:
-        self._timer = timer
-        self._start = 0.0
-
-    def __enter__(self) -> "_TimerSpan":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        timer = self._timer
-        timer.calls += 1
-        timer.wall_seconds += time.perf_counter() - self._start
+        out: Dict[str, object] = super().summary()
+        if self.count:
+            out["sketch"] = self.to_dict()
+        return out
 
 
 class Timer:
     """Accumulated wall-clock time of one subsystem (profiling hook).
 
+    Written by :class:`MetricsProbe`'s ``enter_*`` / ``exit_*`` pairs.
     Nested timers each accumulate their own *inclusive* time: the
     ``placement`` timer includes the ``bus`` calls it makes, which in
     turn include ``predictor`` work.
@@ -154,61 +112,9 @@ class Timer:
         self.calls = 0
         self.wall_seconds = 0.0
 
-    def time(self) -> _TimerSpan:
-        return _TimerSpan(self)
-
-
-# ----------------------------------------------------------------------
-# No-op twins (shared singletons; every method is a cheap pass)
-# ----------------------------------------------------------------------
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:  # noqa: D102
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def set_max(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float, count: int = 1) -> None:
-        pass
-
-
-class _NullSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class _NullTimer(Timer):
-    __slots__ = ()
-
-    def time(self) -> _NullSpan:  # type: ignore[override]
-        return _NULL_SPAN
-
 
 class MetricsRegistry:
     """Namespace of metrics, created on first use, JSON-exportable."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
@@ -293,36 +199,6 @@ class MetricsRegistry:
             fp.write("\n")
 
 
-class NullMetricsRegistry(MetricsRegistry):
-    """Disabled registry: hands out shared no-op metrics."""
-
-    enabled = False
-
-    _COUNTER = _NullCounter("null")
-    _GAUGE = _NullGauge("null")
-    _HISTOGRAM = _NullHistogram("null")
-    _TIMER = _NullTimer("null")
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def counter(self, name: str) -> Counter:
-        return self._COUNTER
-
-    def gauge(self, name: str) -> Gauge:
-        return self._GAUGE
-
-    def histogram(self, name: str) -> Histogram:
-        return self._HISTOGRAM
-
-    def timer(self, name: str) -> Timer:
-        return self._TIMER
-
-
-#: Shared disabled registry (the default everywhere).
-NULL_REGISTRY = NullMetricsRegistry()
-
-
 #: Metrics a component owns from the moment it is built, so a snapshot
 #: shows them at zero (not absent) when nothing happened:
 #: component -> (registry accessor, metric names).
@@ -356,6 +232,18 @@ _COMPONENT_METRICS = {
             "faults.injected", "faults.applied", "faults.tasks_dropped",
         )),
     ),
+    "admission": (
+        ("counter", ("service.tasks_offered", "service.tasks_rejected")),
+        ("gauge", ("service.queue_depth",)),
+    ),
+    "service": (
+        ("counter", ("service.batches", "service.decisions")),
+        ("histogram", (
+            "service.queue_wait_seconds", "service.batch_size",
+            "service.decision_latency_seconds",
+        )),
+        ("timer", ("service.decision",)),
+    ),
 }
 
 
@@ -376,13 +264,14 @@ def _timed(timer_name: str):
 class MetricsProbe:
     """Probe channel feeding a :class:`MetricsRegistry`.
 
-    Every counter/histogram/timer name the simulation core produces is
-    spelled here and nowhere else.
+    Every counter/gauge/histogram/timer name the simulation core and
+    the placement service produce is spelled here and nowhere else.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self._registry = registry
         self._counters = registry.counters_by_name()
+        self._gauges = registry.gauges_by_name()
         self._histograms = registry.histograms_by_name()
         self._timers = registry.timers_by_name()
 
@@ -464,7 +353,32 @@ class MetricsProbe:
     def on_task_dropped(self, t, tag) -> None:
         self._counters["faults.tasks_dropped"].value += 1
 
+    def on_offer(self) -> None:
+        self._counters["service.tasks_offered"].value += 1
+
+    def on_reject(self) -> None:
+        self._counters["service.tasks_rejected"].value += 1
+
+    def on_enqueue(self, depth: int) -> None:
+        # High-water mark; the depth after a drain rides the heartbeat
+        # stream instead.
+        self._gauges["service.queue_depth"].set_max(depth)
+
+    def on_batch(self, t, size, queue_waits, placed, wall_per_request) -> None:
+        self._counters["service.batches"].value += 1
+        self._counters["service.decisions"].value += placed
+        self._histograms["service.batch_size"].observe(float(size))
+        observe_wait = self._histograms["service.queue_wait_seconds"].observe
+        for wait in queue_waits:
+            observe_wait(wait)
+        # Wall-clock, observation-only (like the timers): never feeds
+        # back into the simulated trajectory.
+        self._histograms["service.decision_latency_seconds"].observe(
+            wall_per_request, placed
+        )
+
     enter_alloc, exit_alloc = _timed("allocator")
+    enter_serve, exit_serve = _timed("service.decision")
     enter_bus_handler, exit_bus_handler = _timed("bus")
     enter_predict, exit_predict = _timed("predictor")
     enter_place, exit_place = _timed("placement")
@@ -607,9 +521,8 @@ def _merged_histogram(h: Dict[str, object]) -> Dict[str, object]:
     # Quantiles are claimed only when *every* input carried a sketch —
     # a partial merge would silently misweight the sketchless runs.
     if h["sketch"] is not None and not h["sketchless"]:
-        merged = h["sketch"]
-        out["p50"] = merged.quantile(0.50)  # type: ignore[union-attr]
-        out["p95"] = merged.quantile(0.95)  # type: ignore[union-attr]
-        out["p99"] = merged.quantile(0.99)  # type: ignore[union-attr]
-        out["sketch"] = merged.to_dict()  # type: ignore[union-attr]
+        merged: QuantileSketch = h["sketch"]  # type: ignore[assignment]
+        # The sketch's summary supplies the tails; the exact stats stay
+        # the ones folded from the inputs' own means, in fold order.
+        out = {**merged.summary(), **out, "sketch": merged.to_dict()}
     return out

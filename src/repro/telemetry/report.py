@@ -128,44 +128,42 @@ def _snapshot_lines(snapshot) -> List[str]:
     return lines
 
 
-def _degraded_lines(snapshot) -> List[str]:
-    """The degraded-operation section (zero-defaulted; omitted only when
-    the snapshot carries no counters at all, i.e. metrics were off)."""
-    counters = snapshot.get("counters")
-    if not counters:
-        return []
-    lines = ["", "degraded operation (all zero on a healthy run)"]
-    width = max(len(name) for name in DEGRADED_COUNTERS)
-    for name in DEGRADED_COUNTERS:
-        lines.append(f"  {name:<{width}}  {_fmt(counters.get(name, 0))}")
-    return lines
+#: The zero-defaulted sections every report carries: ``(title, counters,
+#: gauges)``, rendered in this order.
+_ZERO_DEFAULTED_SECTIONS = (
+    (
+        "degraded operation (all zero on a healthy run)",
+        DEGRADED_COUNTERS,
+        (),
+    ),
+    (
+        "placement service (zero unless `repro serve` ran)",
+        SERVICE_COUNTERS,
+        SERVICE_GAUGES,
+    ),
+    (
+        "live SLO layer (zero unless --slo/--recorder armed)",
+        OBSERVABILITY_COUNTERS,
+        (),
+    ),
+)
 
 
-def _service_lines(snapshot) -> List[str]:
-    """The streaming-service section (zero-defaulted like degraded ops)."""
+def _zero_defaulted_lines(snapshot) -> List[str]:
+    """The zero-defaulted sections (omitted only when the snapshot
+    carries no counters at all, i.e. metrics were off)."""
     counters = snapshot.get("counters")
     if not counters:
         return []
     gauges = snapshot.get("gauges", {})
-    names = SERVICE_COUNTERS + SERVICE_GAUGES
-    lines = ["", "placement service (zero unless `repro serve` ran)"]
-    width = max(len(name) for name in names)
-    for name in SERVICE_COUNTERS:
-        lines.append(f"  {name:<{width}}  {_fmt(counters.get(name, 0))}")
-    for name in SERVICE_GAUGES:
-        lines.append(f"  {name:<{width}}  {_fmt(gauges.get(name, 0))}")
-    return lines
-
-
-def _observability_lines(snapshot) -> List[str]:
-    """The live SLO/recorder section (zero unless the live layer ran)."""
-    counters = snapshot.get("counters")
-    if not counters:
-        return []
-    lines = ["", "live SLO layer (zero unless --slo/--recorder armed)"]
-    width = max(len(name) for name in OBSERVABILITY_COUNTERS)
-    for name in OBSERVABILITY_COUNTERS:
-        lines.append(f"  {name:<{width}}  {_fmt(counters.get(name, 0))}")
+    lines: List[str] = []
+    for title, counter_names, gauge_names in _ZERO_DEFAULTED_SECTIONS:
+        lines += ["", title]
+        width = max(len(name) for name in counter_names + gauge_names)
+        for name in counter_names:
+            lines.append(f"  {name:<{width}}  {_fmt(counters.get(name, 0))}")
+        for name in gauge_names:
+            lines.append(f"  {name:<{width}}  {_fmt(gauges.get(name, 0))}")
     return lines
 
 
@@ -181,9 +179,7 @@ def render_snapshot(snapshot) -> str:
     merged campaign snapshot) as the same aligned text report."""
     lines = ["telemetry report", "================"]
     lines += _snapshot_lines(snapshot)
-    lines += _degraded_lines(snapshot)
-    lines += _service_lines(snapshot)
-    lines += _observability_lines(snapshot)
+    lines += _zero_defaulted_lines(snapshot)
     decisions = snapshot.get("placement_decisions")
     if decisions and decisions.get("decisions"):
         lines += ["", "placement decisions"]
@@ -232,20 +228,18 @@ def snapshot_as_dict(snapshot) -> dict:
 
 
 def render_report(telemetry) -> str:
-    """Render the telemetry bundle as an aligned text report."""
-    lines: List[str] = ["telemetry report", "================"]
+    """Render the telemetry bundle as an aligned text report: the live
+    metrics snapshot, then what only the bundle holds (span profile,
+    prediction error, sampled timelines)."""
+    registry = telemetry.registry
+    lines: List[str] = [
+        render_snapshot(registry.as_dict() if registry is not None else {})
+    ]
 
-    snapshot = telemetry.registry.as_dict() if telemetry.registry.enabled \
-        else {"counters": {}, "gauges": {}, "histograms": {}, "timers": {}}
-    lines += _snapshot_lines(snapshot)
-    lines += _degraded_lines(snapshot)
-    lines += _service_lines(snapshot)
-    lines += _observability_lines(snapshot)
-
-    if telemetry.profiler.enabled:
+    if telemetry.profiler is not None:
         lines += _profile_lines(telemetry.profiler.as_dict())
 
-    if telemetry.decisions.active:
+    if telemetry.decisions is not None:
         summary = telemetry.decisions.error_summary()
         lines += ["", "placement decisions"]
         lines.append(

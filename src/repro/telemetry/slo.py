@@ -238,7 +238,7 @@ class SLOEngine:
         self._firing: Dict[str, SLOAlert] = {}
         self._ctr_evaluations = None
         self._ctr_fired = None
-        if registry is not None and registry.enabled:
+        if registry is not None:
             self._ctr_evaluations = registry.counter("slo.evaluations")
             self._ctr_fired = registry.counter("slo.alerts_fired")
 

@@ -193,6 +193,22 @@ class QuantileSketch:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
+    def summary(self) -> Dict[str, float]:
+        """Exact count / mean / min / max plus the tail estimates: the
+        one spelling every serialized distribution (registry histograms,
+        campaign group statistics) shares."""
+        if not self.count:
+            return {"count": 0}
+        return {
+            "count": self.count,
+            "mean": self.total / self.count,
+            "min": self.min,
+            "max": self.max,
+            "p50": self.quantile(0.50),
+            "p95": self.quantile(0.95),
+            "p99": self.quantile(0.99),
+        }
+
     def count_le(self, threshold: float) -> int:
         """Observations at or below ``threshold`` (bucket granularity)."""
         if self.count == 0:
@@ -466,8 +482,7 @@ class TimeseriesStore:
                 self._counter_prev[name] = counter.value
         for name, gauge in registry.gauges_by_name().items():
             self.record_gauge(now, name, gauge.value)
-        for name, histogram in registry.histograms_by_name().items():
-            sketch = histogram.sketch
+        for name, sketch in registry.histograms_by_name().items():
             previous = self._hist_prev.get(name)
             if previous is None:
                 delta = sketch.copy()

@@ -2,10 +2,11 @@
 
 Every line is one JSON object with at least ``event`` (the record type)
 and ``t`` (simulation time).  The simulation core never builds a record:
-:class:`TraceProbe` subscribes an active sink to the probe
-(:mod:`repro.telemetry.probe`) and owns every payload below.  Other
-producers (the decision log, the serving loop) emit through
-:meth:`TraceSink.emit`, a no-op on the shared :data:`NULL_TRACE`.
+:class:`TraceProbe` subscribes a sink to the probe
+(:mod:`repro.telemetry.probe`) and owns every payload below.  The
+decision log emits its two records through :meth:`TraceSink.emit`
+directly.  Tracing off is ``Telemetry.trace is None``: there is no
+disabled sink.
 
 Determinism contract: with wall-clock stamping off (the default), two
 runs from the same seed produce **byte-identical** trace files.  Any
@@ -14,19 +15,28 @@ readers (and the determinism tests) can strip it.
 
 Event vocabulary produced by the stack:
 
-========================  ====================================================
+=========================  ===================================================
 ``run_start``/``run_end``  one replay's boundaries (placement, network policy)
 ``flow_arrival``           fabric ingress: id, src/dst, size, tag
 ``flow_completion``        fabric egress: fct, optimal fct, gap
 ``rate_recompute``         allocator invocation: active flow count plus the
                            dirty sharing-component size (flows and links)
+``link_down``              failed link: id, flows evacuated off it
+``link_degrade``           capacity change: link, factor, new capacity
+``host_down``              failed host
+``flow_reroute``           evacuated flow's new path
+``flow_abort``             evacuated flow with no path left: remaining bits
 ``coflow_arrival``         sealed coflow: width, total bits
 ``coflow_completion``      cct, optimal cct
 ``bus_message``            control-plane round trip: host, type, rtt
+``bus_drop``               lost control message: host, type, reason
+``bus_push``               one-way state push: host, type, delay
 ``placement_decision``     candidates, preferred set, per-candidate scores
 ``decision_outcome``       realized completion joined back to the decision
+``fault_applied``          one fault-plan event taking effect (its payload)
+``task_dropped``           arrival shed by a fault: tag
 ``engine_run``             events processed, heap high-water mark
-========================  ====================================================
+=========================  ===================================================
 """
 
 from __future__ import annotations
@@ -43,7 +53,6 @@ __all__ = [
     "TraceSink",
     "JsonlTraceSink",
     "RotatingJsonlTraceSink",
-    "NULL_TRACE",
     "TraceProbe",
     "read_trace",
     "read_rotated_trace",
@@ -107,9 +116,7 @@ def _json_safe(value):
 
 
 class TraceSink:
-    """Base sink: discards everything (also serves as the null sink)."""
-
-    active = False
+    """The sink interface: :meth:`emit` one record, :meth:`close` once."""
 
     def emit(
         self,
@@ -129,10 +136,6 @@ class TraceSink:
         self.close()
 
 
-#: Shared disabled sink (the default everywhere).
-NULL_TRACE = TraceSink()
-
-
 class JsonlTraceSink(TraceSink):
     """Writes one JSON object per line to a file or file-like object.
 
@@ -144,8 +147,6 @@ class JsonlTraceSink(TraceSink):
             Off by default so traces are byte-identical across same-seed
             runs; when on, determinism holds *modulo* ``wall*`` fields.
     """
-
-    active = True
 
     def __init__(
         self, target: Union[str, IO[str]], *, wall_clock: bool = False

@@ -17,7 +17,9 @@ tests pin the three contracts that make it trustworthy:
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -36,9 +38,25 @@ from repro.telemetry.causal import (
     analyze,
     load_causal,
     render_explain,
+    scan_runs,
 )
 from repro.telemetry.perfetto import save_perfetto, to_perfetto
 from repro.topology.fabrics import single_switch
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
+
+#: sha256 of ``json.dumps(to_perfetto(events), sort_keys=True,
+#: separators=(",", ":"))`` per golden causal stream, recorded at the
+#: commit before PR 21.
+PERFETTO_DIGESTS = {
+    "fair_neat":
+        "8669d94eb16af902ce62dcebbc0075762d843892e0bcd8ea816c566e290ef5bc",
+    "faulted_neat":
+        "19e275ffe2fda34928d1e899b9c03648cf0926e02a136b71dfb905da073d1630",
+    "varys_neat":
+        "64e53ec6a3926566aaa98a596da586ec6dd87f95c2c7773c2d1b809080d3475b",
+}
 
 
 def small_config(**overrides):
@@ -279,6 +297,29 @@ class TestFaultAttribution:
             if e["ph"] == "X" and e["name"].startswith("rate=")
         ]
         assert rate_slices
+
+    @pytest.mark.parametrize("golden", sorted(PERFETTO_DIGESTS))
+    def test_perfetto_export_is_pinned(self, golden):
+        """The export of the golden causal streams, byte for byte (the
+        digests were recorded before ``to_perfetto`` moved onto the
+        blame analysis's scanner)."""
+        events = load_causal(str(GOLDEN_DIR / f"{golden}.causal.jsonl"))
+        text = json.dumps(
+            to_perfetto(events), sort_keys=True, separators=(",", ":")
+        )
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == PERFETTO_DIGESTS[golden]
+
+    def test_one_scan_feeds_analysis_and_export(self, faulted_coflow_tracer):
+        """``scan_runs`` is the only reader of the stream: what it holds
+        is what the blame report and the export show."""
+        (scan,) = scan_runs(faulted_coflow_tracer.events)
+        (analysis,) = analyze(faulted_coflow_tracer.events)
+        assert set(analysis.flows) <= set(scan.flows)
+        assert analysis.faults == scan.faults
+        assert scan.end is not None and scan.end == scan.last_t
+        # The degrade and its undo are steps on the faulted link.
+        assert max(len(steps) for steps in scan.cap_steps().values()) == 3
 
     def test_save_load_roundtrip_preserves_analysis(
         self, faulted_coflow_tracer, tmp_path

@@ -21,8 +21,7 @@ class TestPrometheus:
         reg = MetricsRegistry()
         reg.counter("bus.messages").inc(7)
         reg.gauge("engine.heap").set(3.0)
-        with reg.timer("placement").time():
-            pass
+        reg.timer("placement").calls += 1
         for v in (1.0, 2.0, 3.0):
             reg.histogram("fct").observe(v)
         snapshot = reg.as_dict()
@@ -125,8 +124,7 @@ class TestMergeSnapshots:
         reg = MetricsRegistry()
         reg.counter("c").inc(3)
         reg.gauge("g").set(2.5)
-        with reg.timer("t").time():
-            pass
+        reg.timer("t").calls += 1
         for v in (1.0, 3.0):
             reg.histogram("h").observe(v)
         merged = merge_snapshots([reg.as_dict()])

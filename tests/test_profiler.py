@@ -17,11 +17,9 @@ import pytest
 from repro.experiments.config import MacroConfig
 from repro.experiments.runner import replay_flow_trace
 from repro.telemetry import (
-    NULL_PROFILER,
     DecisionLog,
     JsonlTraceSink,
     MetricsRegistry,
-    NullProfiler,
     SpanProfiler,
     Telemetry,
     render_profile,
@@ -133,24 +131,16 @@ class TestSpanTree:
         assert render_profile({"flame": {}}) == "(no spans recorded)"
 
 
-class TestNullProfiler:
-    def test_disabled_and_inert(self):
-        prof = NullProfiler()
-        assert not prof.enabled
-        with prof.span("x"):
-            pass
-        assert prof.paths() == []
-        assert prof.span("a") is prof.span("b")  # shared no-op span
-
+class TestAmbientProfiler:
     def test_ambient_default_and_restore(self):
-        assert current_profiler() is NULL_PROFILER
+        assert current_profiler() is None
         mine = SpanProfiler()
         previous = set_current_profiler(mine)
         try:
             assert current_profiler() is mine
         finally:
             assert set_current_profiler(previous) is mine
-        assert current_profiler() is NULL_PROFILER
+        assert current_profiler() is None
 
 
 # ----------------------------------------------------------------------
@@ -224,16 +214,16 @@ class TestProfilerDeterminism:
 class TestProfilerDisabledOverhead:
     def test_disabled_profiler_is_not_composed(self):
         """Profiler-off is structural (host-time claims live in
-        ``benchmarks/e2e``): the null profiler never joins the probe, so
-        a span-only site hands back no token and the run records nothing."""
-        tele = Telemetry(registry=MetricsRegistry(), profiler=NULL_PROFILER)
+        ``benchmarks/e2e``): with no profiler nothing joins the probe, so
+        a span-only site hands back no token."""
+        tele = Telemetry(registry=MetricsRegistry(), profiler=None)
         assert tele.probe.enter_event("fabric-hint") is None
         assert tele.probe.enter_recompute(True) is None
         # timed sites the registry also owns keep only its timer
         assert isinstance(tele.probe.enter_alloc("fair"), float)
         replay_small(tele)
-        assert NULL_PROFILER.paths() == []
-        assert Telemetry(profiler=NULL_PROFILER).probe is None
+        assert tele.profiler is None
+        assert Telemetry(profiler=None).probe is None
 
     def test_abandoned_spans_do_not_corrupt_the_tree(self):
         """An exception between enter and exit leaves a span open; the

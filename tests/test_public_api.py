@@ -78,13 +78,30 @@ PUBLIC_SYMBOLS = {
         "DiurnalProfile", "BurstProfile", "profile_from_dict",
     ],
     "repro.telemetry": [
-        "Telemetry", "NULL_TELEMETRY", "create_telemetry",
-        "MetricsRegistry", "NullMetricsRegistry", "NULL_REGISTRY",
+        "Telemetry", "create_telemetry",
+        "MetricsRegistry",
         "Counter", "Gauge", "Histogram", "Timer",
-        "TraceSink", "JsonlTraceSink", "NULL_TRACE",
-        "DecisionLog", "DecisionRecord", "NULL_DECISIONS", "render_report",
+        "TraceSink", "JsonlTraceSink",
+        "DecisionLog", "DecisionRecord", "render_report",
     ],
 }
+
+#: Removed in 1.6.0 (CHANGES.md): off is ``None``, so the disabled twins
+#: and their singletons are gone.
+REMOVED_SYMBOLS = {
+    "repro.telemetry": [
+        "NULL_TELEMETRY", "NullMetricsRegistry", "NULL_REGISTRY",
+        "NULL_TRACE", "NULL_DECISIONS", "NULL_CAUSAL", "NullProfiler",
+        "NULL_PROFILER",
+    ],
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(REMOVED_SYMBOLS))
+def test_removed_names_stay_removed(module_name):
+    module = importlib.import_module(module_name)
+    for symbol in REMOVED_SYMBOLS[module_name]:
+        assert not hasattr(module, symbol), f"{module_name}.{symbol} is back"
 
 
 @pytest.mark.parametrize("module_name", sorted(PUBLIC_SYMBOLS))

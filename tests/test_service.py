@@ -14,7 +14,10 @@ The contracts under test, in order of importance:
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,7 @@ from repro.campaign import (
     summarize_status,
 )
 from repro.errors import ConfigError
+from repro.faults import FaultPlan
 from repro.service import PlacementServer, ServiceScenario
 from repro.service.server import decisions_as_jsonl
 from repro.telemetry import create_telemetry
@@ -220,6 +224,78 @@ class TestServer:
         assert "running" in states
         summary = summarize_status(records, now=1e9, stall_threshold=1)
         assert summary["stalled"] == []
+
+
+# ----------------------------------------------------------------------
+# Determinism pin: the session's deterministic outputs, byte for byte
+# ----------------------------------------------------------------------
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+
+#: The one wall-clock histogram of a session (timers aside).
+WALL_HISTOGRAM = "service.decision_latency_seconds"
+
+#: sha256 of each deterministic output of 3 s of
+#: ``examples/service_diurnal.json`` (alone, and under
+#: ``examples/service_outage.json``), canonical JSON, recorded at the
+#: commit before PR 21 moved ``repro.service`` onto the probe.
+SERVE_DIGESTS = {
+    "plain": {
+        "report":
+            "e4f58ea00cb0bb79b11bb1021d87e100abf34a9f754213a663f8ba845275bea8",
+        "decisions":
+            "0fcff6d4733a4f961a91db294f96667c8c7a3bc592d2ab8c76561c3443d63ce7",
+        "registry":
+            "3dcd00ec4534cd38662db97f6cbedb202ddfe9a4ae03212dbec37a9249727b42",
+        "rollups":
+            "85e5ae54cdfaf8128665399ca170ae5fb3bc08670f1cf231ed968a17f38ff0b9",
+    },
+    "outage": {
+        "report":
+            "4a0875f307fdd6ac326f35a11af0c272492e6f30415d8b333f1c50937687a872",
+        "decisions":
+            "52e47a15897ba919f17e64fb15e1d019421544b33899c4ab740928ec8838ea3f",
+        "registry":
+            "f345cc1a9e7dc9fe1633ee0552fc04b89a8b263f8b5e8630a2581593ef8f1ef3",
+        "rollups":
+            "721d07d6ef70f1195e1974cc9bab3d016bde275c5f2ba169683f259542948856",
+    },
+}
+
+
+def _digest(value) -> str:
+    if not isinstance(value, str):
+        value = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(value.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(SERVE_DIGESTS))
+def test_serve_outputs_are_pinned(case, tmp_path):
+    scenario = dataclasses.replace(
+        ServiceScenario.from_json_file(str(EXAMPLES / "service_diurnal.json")),
+        duration=3.0,
+    )
+    faults = None
+    if case == "outage":
+        faults = FaultPlan.load(str(EXAMPLES / "service_outage.json"))
+    telemetry = create_telemetry()
+    server = PlacementServer(
+        scenario,
+        telemetry=telemetry,
+        faults=faults,
+        rollups_out=str(tmp_path / "rollups.json"),
+    )
+    report = server.run()
+    snapshot = telemetry.registry.as_dict()
+    snapshot.pop("timers")
+    snapshot["histograms"].pop(WALL_HISTOGRAM)
+    rollups = server.last_rollups.to_dict()
+    rollups["histograms"].pop(WALL_HISTOGRAM)
+    assert {
+        "report": _digest(report.to_dict()),
+        "decisions": _digest(decisions_as_jsonl(server.last_daemon)),
+        "registry": _digest(snapshot),
+        "rollups": _digest(rollups),
+    } == SERVE_DIGESTS[case]
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,88 @@
+"""Source budgets: the size PR 21 reached and the idioms it deleted.
+
+The telemetry package was a quarter of ``src/repro`` and grew a disabled
+twin per channel; both were removed by deleting duplicate bookkeeping,
+not by denser formatting.  These checks keep either from growing back
+unnoticed: raise a budget only together with the CHANGES.md entry that
+explains what the new lines buy.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: Physical-line ceilings (ISSUE 21 acceptance criteria): label ->
+#: (packages under ``src/repro``, budget); ``""`` is the whole tree.
+BUDGETS = {
+    "telemetry+metrics": (("telemetry", "metrics"), 5640),
+    "service": (("service",), 1620),
+    "repro": (("",), 21800),
+}
+
+NULL_LAYER = re.compile(
+    r"NULL_(REGISTRY|PROFILER|TRACE|DECISIONS|CAUSAL|TELEMETRY)"
+    r"|Null(MetricsRegistry|Profiler)"
+)
+
+#: A read of a channel's on/off flag: off is ``None``, so there is none.
+CHANNEL_FLAG_READ = re.compile(
+    r"\b(telemetry|tele|registry|reg|trace|_trace|sink|decisions"
+    r"|_decision_log|profiler|causal)\.(enabled|active)\b"
+)
+
+#: A telemetry class growing such a flag back (attribute or property).
+CHANNEL_FLAG_DEFINITION = re.compile(
+    r"\b(enabled|active)\s*(:\s*bool\s*)?=\s*(True|False)\b"
+    r"|def (enabled|active)\("
+)
+
+
+def _sources(*packages: str):
+    for package in packages:
+        yield from sorted((SRC / package).rglob("*.py"))
+
+
+def _physical_lines(*packages: str) -> int:
+    return sum(
+        len(path.read_text(encoding="utf-8").splitlines())
+        for path in _sources(*packages)
+    )
+
+
+def _matches(pattern: re.Pattern, *packages: str):
+    return [
+        f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+        for path in _sources(*packages)
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1
+        )
+        if pattern.search(line)
+    ]
+
+
+@pytest.mark.parametrize("label", sorted(BUDGETS))
+def test_package_stays_within_its_line_budget(label):
+    packages, budget = BUDGETS[label]
+    lines = _physical_lines(*packages)
+    assert lines <= budget, f"{label}: {lines} physical lines, budget {budget}"
+
+
+def test_null_object_layer_stays_deleted():
+    assert _matches(NULL_LAYER, "") == []
+
+
+def test_no_channel_on_off_flags():
+    assert _matches(CHANNEL_FLAG_READ, "") == []
+    assert _matches(CHANNEL_FLAG_DEFINITION, "telemetry") == []
+
+
+def test_service_names_live_in_the_metrics_channel_only():
+    """``repro.service`` reports through the probe: it makes no registry
+    accessor call (``MetricsProbe`` spells every ``service.*`` name)."""
+    accessor = re.compile(r"\.(counter|gauge|histogram|timer)\(")
+    assert _matches(accessor, "service") == []

@@ -16,11 +16,9 @@ import pytest
 from repro.experiments.config import MacroConfig
 from repro.experiments.runner import replay_coflow_trace, replay_flow_trace
 from repro.telemetry import (
-    NULL_TELEMETRY,
     DecisionLog,
     JsonlTraceSink,
     MetricsRegistry,
-    NullMetricsRegistry,
     Telemetry,
     create_telemetry,
     render_report,
@@ -65,12 +63,12 @@ class TestRegistry:
         assert snap["histograms"]["h"]["mean"] == pytest.approx(2.0)
 
     def test_timer_accumulates(self):
+        """Timers are fed by the metrics channel's enter/exit pairs."""
         reg = MetricsRegistry()
-        t = reg.timer("work")
-        with t.time():
-            pass
-        with t.time():
-            pass
+        probe = Telemetry(registry=reg).attach("fabric")
+        for _ in range(2):
+            probe.exit_alloc(probe.enter_alloc("fair"))
+        t = reg.timer("allocator")
         assert t.calls == 2
         assert t.wall_seconds >= 0.0
 
@@ -83,16 +81,20 @@ class TestRegistry:
         assert payload["counters"]["x"] == 5
         assert payload["note"] == {"k": 1}
 
-    def test_null_registry_is_shared_noop(self):
-        reg = NullMetricsRegistry()
-        assert not reg.enabled
-        c = reg.counter("a")
-        c.inc(100)
-        assert c.value == 0.0
-        assert reg.counter("b") is c  # shared singleton
-        with reg.timer("t").time():
-            pass
-        assert reg.timer("t").calls == 0
+    def test_histogram_is_a_named_sketch(self):
+        """One set of books: the summary is the sketch's own, plus the
+        serialized sketch for merging."""
+        hist = MetricsRegistry().histogram("h")
+        assert hist.summary() == {"count": 0}
+        for v in (1.0, 3.0):
+            hist.observe(v)
+        summary = hist.summary()
+        assert list(summary) == [
+            "count", "mean", "min", "max", "p50", "p95", "p99", "sketch",
+        ]
+        assert summary["sketch"] == hist.to_dict()
+        assert (summary["count"], summary["mean"]) == (2, 2.0)
+        assert (summary["min"], summary["max"]) == (1.0, 3.0)
 
 
 # ----------------------------------------------------------------------
@@ -117,10 +119,6 @@ class TestTraceSink:
         wall_keys = [k for k in rec if k.startswith("wall")]
         assert wall_keys == ["wall"]
         assert rec["wall"] == pytest.approx(time.time(), abs=60)
-
-    def test_null_trace_discards(self):
-        assert not NULL_TELEMETRY.trace.active
-        NULL_TELEMETRY.trace.emit("ev", 0.0, {"x": 1})  # no error, no output
 
     def test_wall_clock_mode_keeps_all_records_readable(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -339,20 +337,34 @@ class TestDeterminism:
 # Disabled overhead
 # ----------------------------------------------------------------------
 class TestDisabledOverhead:
+    def test_unarmed_bundle_is_all_none(self):
+        """Off has one spelling: a bundle with nothing armed composes no
+        probe and every channel attribute is None (no disabled twins)."""
+        tele = Telemetry()
+        assert tele.probe is None
+        assert tele.attach("fabric") is None
+        for channel in ("registry", "trace", "decisions", "profiler", "causal"):
+            assert getattr(tele, channel) is None, channel
+        tele.close()  # nothing to close, nothing raised
+        armed = create_telemetry(profile=True, causal=True)
+        for channel in ("registry", "decisions", "profiler", "causal"):
+            assert getattr(armed, channel) is not None, channel
+        assert armed.trace is None  # no trace_path given
+
     def test_noop_primitives_are_cheap(self):
-        """The disabled path is attribute checks and shared no-ops."""
-        tele = NULL_TELEMETRY
+        """The disabled path is one ``is not None`` check per site."""
+        tele = Telemetry()
         n = 50_000
         start = time.perf_counter()
         for _ in range(n):
-            if tele.trace.active:  # pragma: no cover - disabled
+            if tele.trace is not None:  # pragma: no cover - disabled
                 tele.trace.emit("x", 0.0)
         elapsed = time.perf_counter() - start
         # generous bound: ~50k guard checks must stay well under 50ms
         assert elapsed < 0.5
 
     @pytest.mark.parametrize(
-        "telemetry", [None, NULL_TELEMETRY], ids=["none", "null-bundle"]
+        "telemetry", [None, Telemetry()], ids=["none", "null-bundle"]
     )
     def test_disabled_components_hold_no_probe(self, telemetry):
         """Telemetry off is structural, not a timing claim: nothing is
@@ -364,11 +376,10 @@ class TestDisabledOverhead:
         from repro.network.fabric import NetworkFabric
         from repro.network.policies.registry import make_allocator
         from repro.placement.neat import build_neat
+        from repro.service import AdmissionQueue
         from repro.sim.engine import Engine
         from repro.topology.fabrics import single_switch
 
-        assert NULL_TELEMETRY.probe is None
-        assert NULL_TELEMETRY.attach("fabric") is None
         engine = Engine(telemetry=telemetry)
         fabric = NetworkFabric(
             engine, single_switch(4), make_allocator("fair"),
@@ -386,6 +397,7 @@ class TestDisabledOverhead:
             neat.bus._endpoints["h000"].__self__,  # a NetworkDaemon
             CoflowTracker(fabric, telemetry=telemetry),
             FaultInjector(plan, fabric, telemetry=telemetry),
+            AdmissionQueue(telemetry=telemetry),
         ]
         for component in components:
             assert component._probe is None, type(component).__name__
@@ -417,6 +429,14 @@ class TestProbe:
             assert claimed <= set(PROBE_POINTS), channel.__name__
             implemented |= claimed
         assert implemented == set(PROBE_POINTS)
+        # The placement service's points: in the closed set, and owned
+        # by the metrics channel (which spells every ``service.*`` name).
+        service_points = {
+            "on_offer", "on_reject", "on_enqueue", "on_batch",
+            "enter_serve", "exit_serve",
+        }
+        assert service_points <= set(PROBE_POINTS)
+        assert all(hasattr(MetricsProbe, point) for point in service_points)
 
     def test_unknown_probe_point_fails_loudly(self):
         from repro.telemetry import Probe
