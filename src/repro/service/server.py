@@ -534,7 +534,7 @@ class PlacementServer:
                             },
                         )
             check_stall(now)
-            if slo_engine is not None:
+            if slo_engine is not None and self._status is not None:
                 emit_cell("running", slo=slo_engine.summary(now))
             else:
                 emit_cell("running")

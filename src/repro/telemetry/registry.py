@@ -83,8 +83,8 @@ class Histogram(QuantileSketch):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        super().__init__()
+    def __init__(self, name: str = "", **sketch) -> None:
+        super().__init__(**sketch)  # ``from_dict`` passes alpha / max_buckets
         self.name = name
 
     observe = QuantileSketch.add

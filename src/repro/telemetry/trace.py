@@ -11,7 +11,10 @@ disabled sink.
 Determinism contract: with wall-clock stamping off (the default), two
 runs from the same seed produce **byte-identical** trace files.  Any
 field carrying wall-clock data must be named with a ``wall`` prefix so
-readers (and the determinism tests) can strip it.
+readers (and the determinism tests) can strip it.  A line's bytes are
+defined by the reference, compact ``json.dumps`` over :func:`_json_safe`
+fields; the cached encoder and the per-event templates behind ``emit``
+are proven equal to it (``tests/test_trace_differential.py``).
 
 Event vocabulary produced by the stack:
 
@@ -47,7 +50,7 @@ import json
 import math
 import os
 import time
-from typing import IO, Dict, List, Mapping, Optional, Union
+from typing import IO, Dict, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "TraceSink",
@@ -102,6 +105,13 @@ def _open_trace_for_read(path: str) -> IO[str]:
     if _is_gzip_path(path):
         return gzip.open(path, "rt", encoding="utf-8")
     return open(path, "r", encoding="utf-8")
+
+
+#: The general path's encoder, built once (``json.dumps`` with arguments
+#: builds one per call).  It refuses non-finite floats, which sends the
+#: record through :func:`_json_safe`, the reference.
+_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+_quote = json.encoder.encode_basestring_ascii
 
 
 def _json_safe(value):
@@ -160,6 +170,11 @@ class JsonlTraceSink(TraceSink):
         self._wall_clock = wall_clock
         self._events_written = 0
         self._closed = False
+        # Event name -> (field keys last seen, their line template).
+        self._shapes: Dict[str, Tuple[tuple, Optional[str]]] = {}
+        # The last ``t`` object written and its text: the records of one
+        # simulated instant (a decision's ~87 ``bus_message`` lines) share it.
+        self._stamp: Tuple[float, str] = (0.0, "0.0")
 
     @property
     def events_written(self) -> int:
@@ -168,14 +183,61 @@ class JsonlTraceSink(TraceSink):
     def _line(
         self, event: str, sim_time: float, fields: Optional[Mapping[str, object]]
     ) -> str:
-        """One record serialised as its JSONL line."""
+        """One record serialised by the general path: any JSON value."""
         record = {"event": event, "t": sim_time}
         if self._wall_clock:
             record["wall"] = time.time()
         if fields:
-            for key, value in fields.items():
+            record.update(fields)
+        try:
+            return _encode(record) + "\n"
+        except ValueError:  # a non-finite float: the reference serialiser
+            for key, value in (fields or {}).items():
                 record[key] = _json_safe(value)
-        return json.dumps(record, separators=(",", ":")) + "\n"
+            return json.dumps(record, separators=(",", ":")) + "\n"
+
+    def _template(self, event: str, keys: tuple) -> Optional[str]:
+        """``event``'s line over ``keys`` as a ``%s`` template; ``None``
+        when only the general path writes it: wall-clock stamping, a key
+        that is not a ``str``, or one that overwrites the header in place."""
+        if (
+            self._wall_clock
+            or not {"event", "t", "wall"}.isdisjoint(keys)
+            or any(type(name) is not str for name in (event, *keys))
+        ):
+            return None
+        names = [_quote(name).replace("%", "%%") for name in (event, *keys)]
+        slots = "".join(f",{name}:%s" for name in names[1:])
+        return f'{{"event":{names[0]},"t":%s{slots}}}\n'
+
+    def _templated(self, template: str, sim_time, fields) -> Optional[str]:
+        """``template`` filled with exact scalars, or ``None`` for a
+        nested value, a subclass or a foreign scalar (general path).  A
+        non-finite field is written quoted, a non-finite ``t`` is not."""
+        if sim_time is not self._stamp[0]:
+            if type(sim_time) is not float or not math.isfinite(sim_time):
+                return None
+            self._stamp = (sim_time, repr(sim_time))
+        texts = [self._stamp[1]]
+        for value in fields.values() if fields else ():
+            kind = type(value)
+            if kind is str:
+                text = _quote(value)
+            elif kind is float:
+                text = repr(value) if math.isfinite(value) else f'"{value!r}"'
+            elif kind is int:
+                text = repr(value)
+            elif kind is bool:
+                text = "true" if value else "false"
+            elif value is None:
+                text = "null"
+            else:
+                return None
+            texts.append(text)
+        return template % tuple(texts)
+
+    def _write(self, line: str) -> None:
+        self._fp.write(line)
 
     def emit(
         self,
@@ -185,7 +247,12 @@ class JsonlTraceSink(TraceSink):
     ) -> None:
         if self._closed:
             return
-        self._fp.write(self._line(event, sim_time, fields))
+        keys = tuple(fields) if fields else ()
+        shape = self._shapes.get(event)
+        if shape is None or shape[0] != keys:
+            shape = self._shapes[event] = (keys, self._template(event, keys))
+        line = shape[1] and self._templated(shape[1], sim_time, fields)
+        self._write(line or self._line(event, sim_time, fields))
         self._events_written += 1
 
     def close(self) -> None:
@@ -252,15 +319,7 @@ class RotatingJsonlTraceSink(JsonlTraceSink):
         self._segment_bytes = 0
         self._rotations += 1
 
-    def emit(
-        self,
-        event: str,
-        sim_time: float,
-        fields: Optional[Mapping[str, object]] = None,
-    ) -> None:
-        if self._closed:
-            return
-        line = self._line(event, sim_time, fields)
+    def _write(self, line: str) -> None:
         # Rotate *before* writing when the record would overflow the
         # segment, so a record never straddles two files and rotation
         # points depend only on the byte stream (deterministic).
@@ -269,9 +328,8 @@ class RotatingJsonlTraceSink(JsonlTraceSink):
             and self._segment_bytes + len(line) > self._max_bytes
         ):
             self._rotate()
-        self._fp.write(line)
+        super()._write(line)
         self._segment_bytes += len(line)
-        self._events_written += 1
 
 
 class TraceProbe:

@@ -16,12 +16,13 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-#: Physical-line ceilings (ISSUE 21 acceptance criteria): label ->
-#: (packages under ``src/repro``, budget); ``""`` is the whole tree.
+#: Physical-line ceilings (ISSUE 21 acceptance criteria; ISSUE 22 raised
+#: the first and the last by 40 for the trace serialiser's fast paths):
+#: label -> (packages under ``src/repro``, budget); ``""`` is the whole tree.
 BUDGETS = {
-    "telemetry+metrics": (("telemetry", "metrics"), 5640),
+    "telemetry+metrics": (("telemetry", "metrics"), 5680),
     "service": (("service",), 1620),
-    "repro": (("",), 21800),
+    "repro": (("",), 21840),
 }
 
 NULL_LAYER = re.compile(

@@ -206,6 +206,19 @@ class TestSketchAccuracy:
         assert clone.to_dict() == sketch.to_dict()
         assert clone.quantile(0.95) == sketch.quantile(0.95)
 
+    def test_histogram_round_trip(self):
+        """A registry ``Histogram`` is its sketch, so the inherited
+        ``from_dict`` reads one back, nameless (it raised ``TypeError:
+        unexpected keyword argument 'alpha'`` before PR 22)."""
+        from repro.telemetry import Histogram
+
+        histogram = Histogram("fabric.fct_seconds")
+        for value in (0.0, 1e-3, 2.5, 2.5):
+            histogram.observe(value)
+        clone = Histogram.from_dict(histogram.to_dict())
+        assert type(clone) is Histogram and clone.name == ""
+        assert clone.summary() == histogram.summary()
+
 
 class TestSketchBounds:
     def test_collapsing_caps_buckets(self):
