@@ -8,9 +8,10 @@ crossings); between recomputes every flow progresses linearly at its
 assigned rate, so completions are exact in the fluid model.
 
 Rate recomputation is *incremental* by default: an event dirties only the
-links its flow touches, the dirty set is expanded to the connected
-component of the flow-link sharing graph (flows sharing a dirty link drag
-their other links in), and the allocator runs on that component alone.
+links its flow touches, the recompute's scope is the connected component
+of the flow-link sharing graph on those links (flows sharing a link drag
+their other links in; the fabric keeps the components as flows come and
+go), and the allocator runs on that component alone.
 Because every allocator couples flows exclusively through shared-link
 capacities, the allocation problem decomposes exactly over sharing
 components: links outside the component keep their cached rates and their
@@ -32,6 +33,7 @@ from __future__ import annotations
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Collection,
     Dict,
     List,
     Optional,
@@ -62,20 +64,16 @@ SHADOW_TOLERANCE = 1e-6
 _INF = float("inf")
 
 
-class _AllocScope:
-    """One connected component of the flow-link sharing graph.
+class _Component:
+    """One connected component of the flow-link sharing graph, kept as
+    flows come and go: its flows, the links they occupy and the allocator
+    change-point (hint) event pending for it."""
 
-    Tracks the component's membership as of its last recompute plus the
-    allocator change-point (hint) event scheduled for it, so a later
-    recompute that swallows the component can invalidate exactly that
-    event and nothing else.
-    """
+    __slots__ = ("flows", "links", "hint_event")
 
-    __slots__ = ("flow_ids", "links", "hint_event")
-
-    def __init__(self, flow_ids: Tuple[FlowId, ...], links: Set[LinkId]) -> None:
-        self.flow_ids = flow_ids
-        self.links = links
+    def __init__(self) -> None:
+        self.flows: Dict[FlowId, Flow] = {}
+        self.links: Set[LinkId] = set()
         self.hint_event: Optional[Event] = None
 
 
@@ -106,8 +104,13 @@ class NetworkFabric:
             incremental = allocator.incremental_safe
         self._incremental = bool(incremental)
         self._shadow_verify = bool(shadow_verify)
-        # Scopes exist to cancel hints: none for a never-hinting allocator.
-        self._hinting = (
+        # Occupied link -> its sharing component; None for an allocator
+        # that cannot be scoped (its scope is always the full active set).
+        self._component_on: Optional[Dict[LinkId, _Component]] = (
+            {} if allocator.incremental_safe else None
+        )
+        # A hint belongs to a component; most allocators never ask for one.
+        self._hinting = self._component_on is not None and (
             type(allocator).next_change_hint
             is not RateAllocator.next_change_hint
         )
@@ -128,7 +131,6 @@ class NetworkFabric:
         # lazily — untouched components pay nothing per foreign event.
         self._synced_at: Dict[FlowId, float] = {}
         self._completion_events: Dict[FlowId, Event] = {}
-        self._scope_of: Dict[FlowId, _AllocScope] = {}
         self._records: List[FlowRecord] = []
         self._listeners: List[CompletionListener] = []
         self._arrival_listeners: List[Callable[[Flow], None]] = []
@@ -342,11 +344,12 @@ class NetworkFabric:
             self._by_link.setdefault(link_id, {})[flow.flow_id] = flow
         self._by_host.setdefault(flow.src, {})[flow.flow_id] = flow
         self._by_host.setdefault(flow.dst, {})[flow.flow_id] = flow
+        if self._component_on is not None:
+            self._join(flow)
         self._allocator.note_arrival(flow)
         for listener in self._arrival_listeners:
             listener(flow)
-        # The new flow is on every dirty link: one sharing component.
-        self._recompute(flow.path, connected=True)
+        self._recompute(flow.path)
         return flow
 
     def cancel_flow(self, flow: Flow) -> None:
@@ -477,9 +480,13 @@ class NetworkFabric:
         self._allocator.note_removal(flow)
         for link_id in flow.path:
             self._by_link[link_id].pop(flow_id, None)
+        if self._component_on is not None:
+            self._leave(flow)
         flow.path = new_links
         for link_id in new_links:
             self._by_link.setdefault(link_id, {})[flow_id] = flow
+        if self._component_on is not None:
+            self._join(flow)
         self._allocator.note_arrival(flow)
         self._flows_rerouted += 1
         probe = self._probe
@@ -523,12 +530,10 @@ class NetworkFabric:
         event = self._completion_events.pop(flow_id, None)
         if event is not None:
             self._engine.cancel(event)
-        scope = self._scope_of.pop(flow_id, None)
-        if scope is not None and scope.hint_event is not None:
-            self._engine.cancel(scope.hint_event)
-            scope.hint_event = None
         for link_id in flow.path:
             self._by_link[link_id].pop(flow_id, None)
+        if self._component_on is not None:
+            self._leave(flow)
         self._by_host[flow.src].pop(flow_id, None)
         self._by_host[flow.dst].pop(flow_id, None)
         self._allocator.note_removal(flow)
@@ -559,80 +564,116 @@ class NetworkFabric:
             listener(flow, record)
 
     # ------------------------------------------------------------------
-    # Internals: dirty-component expansion
+    # Internals: the sharing components, kept as flows come and go
     # ------------------------------------------------------------------
-    def _expand_component(
-        self, dirty_links: Sequence[LinkId]
-    ) -> Tuple[List[Flow], Set[LinkId]]:
-        """Connected component(s) of the sharing graph touching the dirty
-        links: flows on a dirty link drag their other links in, and so on.
+    def _cancel_hint(self, component: _Component) -> None:
+        if component.hint_event is not None:
+            self._engine.cancel(component.hint_event)
+            component.hint_event = None
 
-        Deterministic: traversal follows the insertion-ordered link
-        indexes, and the result is sorted by flow id.
-        """
-        comp_flows: Dict[FlowId, Flow] = {}
-        comp_links: Set[LinkId] = set()
-        frontier: List[LinkId] = []
-        for link_id in dirty_links:
-            if link_id not in comp_links:
-                comp_links.add(link_id)
-                frontier.append(link_id)
-        while frontier:
-            link_id = frontier.pop()
-            for flow_id, flow in self._by_link.get(link_id, {}).items():
-                if flow_id in comp_flows:
-                    continue
-                comp_flows[flow_id] = flow
-                for other in flow.path:
-                    if other not in comp_links:
-                        comp_links.add(other)
-                        frontier.append(other)
-        flows = [comp_flows[fid] for fid in sorted(comp_flows)]
-        return flows, comp_links
+    def _join(self, flow: Flow) -> None:
+        """``flow`` arrived on its path: the components on those links
+        merge, smaller into larger, and take it in.  No graph walk."""
+        component_on = self._component_on
+        home: Optional[_Component] = None
+        for link_id in flow.path:
+            other = component_on.get(link_id)
+            if other is None or other is home:
+                continue
+            if home is None:
+                home = other
+                continue
+            if len(other.flows) > len(home.flows):
+                home, other = other, home
+            self._cancel_hint(other)
+            home.flows.update(other.flows)
+            home.links |= other.links
+            for absorbed in other.links:
+                component_on[absorbed] = home
+        if home is None:
+            home = _Component()
+        self._cancel_hint(home)
+        home.flows[flow.flow_id] = flow
+        home.links.update(flow.path)
+        for link_id in flow.path:
+            component_on[link_id] = home
 
-    def _split_scopes(self, flows: Sequence[Flow]) -> List[Tuple[List[Flow], Set[LinkId]]]:
-        """Partition ``flows`` into connected sharing components.
+    def _leave(self, flow: Flow) -> None:
+        """``flow`` (already off the link index) left its component: the
+        links it emptied go with it, and the component is split if it was
+        the only bridge.  Only the links of its own path that still carry
+        others can have come apart."""
+        component_on = self._component_on
+        component = component_on[flow.path[0]]
+        self._cancel_hint(component)
+        del component.flows[flow.flow_id]
+        shared: List[LinkId] = []
+        for link_id in flow.path:
+            if self._by_link[link_id]:
+                shared.append(link_id)
+            else:
+                component_on.pop(link_id, None)
+                component.links.discard(link_id)
+        if len(shared) > 1:
+            self._split(component, shared)
 
-        A recompute set that lost a flow can be internally disconnected
-        (a completion may have been the only bridge between two halves),
-        and change-point hints must be tracked per true component so a
-        later event in one half cannot invalidate the other half's hint.
-        ``flows`` is closed under link sharing (a settled expansion), so
-        each component is the expansion of one uncovered flow's path.
-        """
-        components: List[Tuple[List[Flow], Set[LinkId]]] = []
-        covered: Set[FlowId] = set()
-        for flow in flows:
-            if flow.flow_id not in covered:
-                members, links = self._expand_component(flow.path)
-                covered.update(member.flow_id for member in members)
-                components.append((members, links))
-        return components
+    def _split(self, component: _Component, shared: List[LinkId]) -> None:
+        """Re-derive ``component`` around ``shared``, links of it that one
+        flow no longer joins: walk the sharing graph from one of them and
+        stop as soon as the rest are reached.  A walk that runs dry has
+        found a whole component; it is carved out and the links it did
+        not reach go again.  Deterministic: the walk follows the
+        insertion-ordered link indexes."""
+        component_on = self._component_on
+        while len(shared) > 1:
+            unreached = set(shared[1:])
+            flows: Dict[FlowId, Flow] = {}
+            links: Set[LinkId] = {shared[0]}
+            frontier: List[LinkId] = [shared[0]]
+            while frontier and unreached:
+                for flow_id, flow in self._by_link[frontier.pop()].items():
+                    if flow_id in flows:
+                        continue
+                    flows[flow_id] = flow
+                    for link_id in flow.path:
+                        if link_id not in links:
+                            links.add(link_id)
+                            frontier.append(link_id)
+                            unreached.discard(link_id)
+            if not unreached:
+                return
+            part = _Component()
+            part.flows, part.links = flows, links
+            for flow_id in flows:
+                del component.flows[flow_id]
+            component.links -= links
+            for link_id in links:
+                component_on[link_id] = part
+            shared = [link_id for link_id in shared if link_id in unreached]
 
     # ------------------------------------------------------------------
     # Internals: rate recomputation
     # ------------------------------------------------------------------
     def _recompute(
-        self, dirty_links: Optional[Sequence[LinkId]], connected: bool = False
+        self,
+        dirty_links: Collection[LinkId],
+        scope: Optional[List[_Component]] = None,
     ) -> None:
-        """Recompute rates for the component touching ``dirty_links``.
+        """Recompute rates for the component(s) touching ``dirty_links``
+        (``scope``, when the caller holds them already).
 
-        ``connected`` is the caller's word that the dirty links lie in one
-        sharing component; unless a flow finishes while settling (a
-        removal can split it), the expansion is then the scope.
-
-        ``None`` means everything is dirty (used by allocators that are
-        not ``incremental_safe``).  In ``incremental=False`` mode the
-        component is still expanded (it defines the sync scope and the
-        trace payload) but the allocator runs on the full active set; the
-        two modes perform identical float arithmetic per component, which
-        is what makes their outputs byte-comparable.
+        For an allocator that is not ``incremental_safe`` everything is
+        dirty.  In ``incremental=False`` mode the component still defines
+        the sync scope and the trace payload but the allocator runs on
+        the full active set; the two modes perform identical float
+        arithmetic per component, which is what makes their outputs
+        byte-comparable.
         """
         probe = self._probe
         now = self._engine.now
         span = probe.enter_recompute(self._incremental) if probe is not None else None
-        if dirty_links is None or not self._allocator.incremental_safe:
-            connected = False
+        component_on = self._component_on
+        if component_on is None:
             comp_flows = [self._active[fid] for fid in sorted(self._active)]
             comp_links = {
                 link_id
@@ -641,16 +682,23 @@ class NetworkFabric:
             }
         else:
             expand_span = probe.enter_expand() if probe is not None else None
-            comp_flows, comp_links = self._expand_component(dirty_links)
+            if scope is None:
+                scope = []
+                for link_id in dirty_links:
+                    component = component_on.get(link_id)
+                    if component is not None and component not in scope:
+                        scope.append(component)
+            # Snapshots: flows that finish while settling leave, and a
+            # removal re-shapes the components under them.
+            members: Dict[FlowId, Flow] = {}
+            comp_links = set(dirty_links)
+            for component in scope:
+                self._cancel_hint(component)  # superseded by this recompute
+                members.update(component.flows)
+                comp_links |= component.links
+            comp_flows = [members[fid] for fid in sorted(members)]
             if expand_span is not None:
                 probe.exit_expand(expand_span)
-
-        # Invalidate the hints of every scope this recompute supersedes.
-        for flow in comp_flows:
-            scope = self._scope_of.pop(flow.flow_id, None)
-            if scope is not None and scope.hint_event is not None:
-                self._engine.cancel(scope.hint_event)
-                scope.hint_event = None
 
         for flow in comp_flows:
             self._sync_flow(flow, now)
@@ -663,10 +711,41 @@ class NetworkFabric:
             else:
                 survivors.append(flow)
         if survivors:
-            connected = connected and len(survivors) == len(comp_flows)
-            self._reallocate(survivors, comp_links, len(comp_flows), now, connected)
+            self._reallocate(survivors, comp_links, len(comp_flows), now)
+            if self._hinting:
+                self._schedule_hints(
+                    survivors,
+                    len(scope) == 1 and len(survivors) == len(comp_flows),
+                )
         if span is not None:
             probe.exit_recompute(span)
+
+    def _schedule_hints(self, survivors: List[Flow], intact: bool) -> None:
+        """Schedule the next allocator change point of every component
+        among ``survivors``, a recompute's settled scope.  ``intact``: it
+        was one component and lost nobody, so it still is.  Otherwise a
+        removal may have split it: one hint per component left, in order
+        of its smallest flow id (engine sequence numbers follow it)."""
+        component_on = self._component_on
+        components = [component_on[survivors[0].path[0]]]
+        if not intact:
+            for flow in survivors:
+                component = component_on[flow.path[0]]
+                if component not in components:
+                    components.append(component)
+        for component in components:
+            self._cancel_hint(component)  # one left by a re-entrant submit
+            members = survivors if intact else [
+                component.flows[fid] for fid in sorted(component.flows)
+            ]
+            hint = self._allocator.next_change_hint(members, self._rates)
+            if hint is not None and 0 < hint < _INF:
+                component.hint_event = self._engine.schedule(
+                    hint,
+                    lambda component=component: self._on_hint(component),
+                    priority=RECOMPUTE_PRIORITY,
+                    label="fabric-hint",
+                )
 
     def _reallocate(
         self,
@@ -674,11 +753,10 @@ class NetworkFabric:
         comp_links: Set[LinkId],
         component_size: int,
         now: float,
-        connected: bool,
     ) -> None:
-        """Allocate the settled component, splice the rates in and
-        re-scope it (``component_size`` counts the flows that finished
-        while settling too; ``connected``: it is one sharing component)."""
+        """Allocate the settled component and splice the rates in
+        (``component_size`` counts the flows that finished while settling
+        too)."""
         probe = self._probe
         scoped = self._incremental
         if scoped:
@@ -713,27 +791,6 @@ class NetworkFabric:
 
         if self._shadow_verify and scoped:
             self._verify_against_full(now)
-
-        if not self._hinting:
-            return
-        # Re-scope the recomputed flows into true sharing components and
-        # schedule each component's next allocator change point.
-        components = (
-            [(comp_flows, comp_links)] if connected
-            else self._split_scopes(comp_flows)
-        )
-        for members, links in components:
-            scope = _AllocScope(tuple(f.flow_id for f in members), links)
-            hint = self._allocator.next_change_hint(members, self._rates)
-            if hint is not None and 0 < hint < float("inf"):
-                scope.hint_event = self._engine.schedule(
-                    hint,
-                    lambda s=scope: self._on_hint(s),
-                    priority=RECOMPUTE_PRIORITY,
-                    label="fabric-hint",
-                )
-            for flow in members:
-                self._scope_of[flow.flow_id] = scope
 
     def _splice_rates(
         self,
@@ -802,13 +859,9 @@ class NetworkFabric:
             flow.advance(flow.remaining)
         self._recompute(flow.path)
 
-    def _on_hint(self, scope: _AllocScope) -> None:
-        scope.hint_event = None
-        # Any event on one of the scope's links re-scopes its flows, so a
-        # scope they all still map to is the true component it was built as.
-        scope_of = self._scope_of.get
-        intact = all(scope_of(fid) is scope for fid in scope.flow_ids)
-        self._recompute(tuple(scope.links), connected=intact)
+    def _on_hint(self, component: _Component) -> None:
+        component.hint_event = None
+        self._recompute((), [component])
 
     def _verify_against_full(self, now: float) -> None:
         """Shadow oracle: the full allocator over all flows must agree

@@ -293,6 +293,8 @@ def _water_fill_numpy(
             break
         idx = int(argmin())
         share = shares_buf[idx]  # buffer getitem -> plain Python float
+        if share == inf:  # no bottleneck: rates stay 0.0, nothing drains
+            break
         if share < _NEAR_TIE_FLOOR:
             # Above the floor the reference's chain ends at the first
             # occurrence of the minimum — exactly what argmin returned

@@ -205,15 +205,21 @@ class TestClosFabric:
 
 
 # ----------------------------------------------------------------------
-# Change-point scopes exist only for allocators that hint
+# The sharing components the fabric keeps, and the hints they own
 # ----------------------------------------------------------------------
 from repro.coflow.policies import make_coflow_allocator  # noqa: E402
-from repro.network import fabric as fabric_module  # noqa: E402
+
+
+def _allocator(policy):
+    return (
+        make_coflow_allocator(policy) if policy == "varys"
+        else make_allocator(policy)
+    )
 
 
 def _two_components(allocator):
     """Two disjoint sharing components on one switch, each an old flow
-    caught up by a younger one: {0, 1} into h001 and {2, 3} into h004."""
+    caught up by a younger one: {0, 2} into h001 and {1, 3} into h004."""
     engine = Engine()
     fabric = NetworkFabric(engine, single_switch(7), allocator)
     fabric.submit("h000", "h001", 4e9)
@@ -224,68 +230,96 @@ def _two_components(allocator):
     return engine, fabric
 
 
-@pytest.mark.parametrize("policy", ["fair", "fcfs", "varys"])
-def test_hintless_allocator_never_scopes(policy, monkeypatch):
-    """Scopes only serve to cancel change-point hints, so an allocator
-    that keeps the base ``next_change_hint`` pays for none: no
-    ``_AllocScope`` is built and ``_split_scopes`` is never entered."""
-    built, entered = [], []
+def _component_of(fabric, flow_id):
+    return fabric._component_on[fabric._active[flow_id].path[0]]
 
-    class CountedScope(fabric_module._AllocScope):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
 
-    split = NetworkFabric._split_scopes
-    monkeypatch.setattr(fabric_module, "_AllocScope", CountedScope)
+def _pending_hints(engine):
+    return [
+        event for event in engine._queue._heap
+        if event.label == "fabric-hint" and not event.cancelled
+    ]
+
+
+def _count_walks(monkeypatch):
+    """Every walk of the sharing graph, as the links it was asked to
+    re-join: ``_split`` is the fabric's only method that walks it."""
+    walks = []
+    split = NetworkFabric._split
     monkeypatch.setattr(
         NetworkFabric,
-        "_split_scopes",
-        lambda self, flows: entered.append(len(flows)) or split(self, flows),
+        "_split",
+        lambda self, component, shared: walks.append(tuple(shared))
+        or split(self, component, shared),
     )
-    allocator = (
-        make_coflow_allocator(policy) if policy == "varys"
-        else make_allocator(policy)
-    )
-    engine, fabric = _two_components(allocator)
-    assert not fabric._scope_of
+    return walks
+
+
+@pytest.mark.parametrize("policy", ["fair", "fcfs", "las", "srpt", "varys"])
+def test_only_a_removal_walks_the_sharing_graph(policy, monkeypatch):
+    """Counted, not timed: no link is walked on a ``submit`` (not even
+    one that merges two components) or on a fired hint, a removal whose
+    flow leaves at most one occupied link walks nothing, and removing a
+    bridge walks once.  Fair and FCFS keep the same components LAS and
+    SRPT do but never ask for a hint; a coflow allocator keeps none."""
+    walks = _count_walks(monkeypatch)
+    engine, fabric = _two_components(_allocator(policy))
+    bridge = fabric.submit("h000", "h004", 4e9)
+    assert walks == []
+    if policy == "varys":
+        assert fabric._component_on is None
+    else:
+        whole = _component_of(fabric, 0)
+        assert sorted(whole.flows) == [0, 1, 2, 3, 4]
+        assert set(fabric._component_on.values()) == {whole}
+    assert len(_pending_hints(engine)) == (policy == "las")
+
+    fabric.cancel_flow(bridge)
+    shared = ("h000->sw0", "sw0->h004")  # flow 0 and flows 1, 3 remain
+    assert walks == ([] if policy == "varys" else [shared])
+    if policy != "varys":
+        assert sorted(_component_of(fabric, 0).flows) == [0, 2]
+        assert sorted(_component_of(fabric, 1).flows) == [1, 3]
+    assert len(_pending_hints(engine)) == 2 * (policy == "las")
+
+    # Hints fire (LAS) and every flow completes: each removal empties
+    # the flow's uplink and leaves only its downlink occupied.
     engine.run()
     assert len(fabric.records) == 4
-    assert built == [] and entered == []
-
-    # The counters do see a hinting allocator on the same run (SRPT: the
-    # elder flow of each pair completes first and leaves a survivor).
-    engine, fabric = _two_components(make_allocator("srpt"))
-    engine.run()
-    assert built and entered
+    assert len(walks) == (policy != "varys")
+    assert not fabric._component_on
 
 
 @pytest.mark.parametrize("policy", ["las", "srpt"])
 def test_hinting_allocator_scopes_per_true_component(policy):
     engine, fabric = _two_components(make_allocator(policy))
-    scopes = fabric._scope_of
-    assert set(scopes) == {0, 1, 2, 3}
-    assert scopes[0] is scopes[2] and scopes[1] is scopes[3]
-    assert scopes[0] is not scopes[1]
-    assert scopes[0].flow_ids == (0, 2) and scopes[1].flow_ids == (1, 3)
+    into_h001, into_h004 = _component_of(fabric, 0), _component_of(fabric, 1)
+    assert into_h001 is not into_h004
+    assert _component_of(fabric, 2) is into_h001
+    assert _component_of(fabric, 3) is into_h004
+    assert sorted(into_h001.flows) == [0, 2]
+    assert sorted(into_h004.flows) == [1, 3]
+    assert into_h001.links == {"h000->sw0", "h002->sw0", "sw0->h001"}
+    assert into_h004.links == {"h003->sw0", "h005->sw0", "sw0->h004"}
 
 
 def test_las_hint_is_cancelled_only_for_the_swallowed_component():
     engine, fabric = _two_components(make_allocator("las"))
-    into_h001, into_h004 = fabric._scope_of[0], fabric._scope_of[1]
+    into_h001, into_h004 = _component_of(fabric, 0), _component_of(fabric, 1)
     # The younger flow catches up its elder's 1 Gb at t = 2: one pending
     # hint per component.
-    hints = [scope.hint_event for scope in (into_h001, into_h004)]
+    hints = [component.hint_event for component in (into_h001, into_h004)]
     assert [h.label for h in hints] == ["fabric-hint"] * 2
     assert [h.time for h in hints] == [pytest.approx(2.0)] * 2
     assert not any(h.cancelled for h in hints)
     # An arrival into h001 swallows that component only.
     engine.run(until=1.5)
     fabric.submit("h006", "h001", 4e9)
-    assert hints[0].cancelled and into_h001.hint_event is None
+    assert hints[0].cancelled and into_h001.hint_event is not hints[0]
     assert not hints[1].cancelled and into_h004.hint_event is hints[1]
-    assert fabric._scope_of[0].flow_ids == (0, 2, 4)
-    assert fabric._scope_of[1] is into_h004
+    assert _component_of(fabric, 0) is into_h001
+    assert sorted(into_h001.flows) == [0, 2, 4]
+    assert _component_of(fabric, 1) is into_h004
     engine.run()
     assert len(fabric.records) == 5
 
@@ -322,51 +356,45 @@ _BRIDGED = {
 
 @pytest.mark.parametrize("policy", ["las", "srpt"])
 def test_only_a_removal_splits_scopes(policy, monkeypatch):
-    """An arrival's expansion and a fired hint's scope are one sharing
-    component by construction, so they are scoped as found; only a
-    recompute that lost a flow re-derives components, and a completed
-    bridge still leaves two scopes, each with its own hint."""
-    entered = []
-    split = NetworkFabric._split_scopes
-    monkeypatch.setattr(
-        NetworkFabric,
-        "_split_scopes",
-        lambda self, flows: entered.append(tuple(f.flow_id for f in flows))
-        or split(self, flows),
-    )
+    """Arrivals merge components and a fired hint hands over its own, so
+    neither walks the graph; only a removal can split one, and a
+    completed bridge leaves two components, each with its own hint."""
+    walks = _count_walks(monkeypatch)
     submissions, bridge_done, halves = _BRIDGED[policy]
     engine = Engine()
     fabric = NetworkFabric(engine, single_switch(8), make_allocator(policy))
     for time, src, dst, size in submissions:
         engine.run(until=time)
         fabric.submit(src, dst, size)
-    everyone = tuple(range(len(submissions)))
-    whole = fabric._scope_of[0]
-    assert whole.flow_ids == everyone
-    assert all(fabric._scope_of[fid] is whole for fid in everyone)
-    assert entered == []
+    everyone = list(range(len(submissions)))
+    whole = _component_of(fabric, 0)
+    assert sorted(whole.flows) == everyone
+    assert all(_component_of(fabric, fid) is whole for fid in everyone)
+    assert walks == []
 
     engine.run(until=bridge_done)
     assert [r.flow_id for r in fabric.records] == [everyone[-1]]
-    assert entered == [everyone[:-1]]
-    scopes = [fabric._scope_of[ids[0]] for ids, _ in halves]
-    assert [scope.flow_ids for scope in scopes] == [ids for ids, _ in halves]
-    assert scopes[0].links.isdisjoint(scopes[1].links)
-    assert [scope.hint_event.time for scope in scopes] == [
+    assert walks == [("h000->sw0", "sw0->h003")]
+    parts = [_component_of(fabric, ids[0]) for ids, _ in halves]
+    assert [tuple(sorted(part.flows)) for part in parts] == [
+        ids for ids, _ in halves
+    ]
+    assert parts[0].links.isdisjoint(parts[1].links)
+    assert [part.hint_event.time for part in parts] == [
         pytest.approx(at) for _, at in halves
     ]
+    assert len(_pending_hints(engine)) == 2
 
-    # The earlier hint fires: its half is re-scoped without a split and
-    # the other half's hint stays pending.
+    # The earlier hint fires: its half is recomputed as it stands, with
+    # no walk, and the other half's hint stays pending.
     first = min((0, 1), key=lambda i: halves[i][1])
-    other_hint = scopes[1 - first].hint_event
+    fired, other_hint = parts[first].hint_event, parts[1 - first].hint_event
     engine.run(until=(halves[0][1] + halves[1][1]) / 2)
-    assert entered == [everyone[:-1]]
-    rescoped = fabric._scope_of[halves[first][0][0]]
-    assert rescoped is not scopes[first]
-    assert rescoped.flow_ids == halves[first][0]
-    assert fabric._scope_of[halves[1 - first][0][0]] is scopes[1 - first]
-    assert scopes[1 - first].hint_event is other_hint
+    assert len(walks) == 1
+    assert _component_of(fabric, halves[first][0][0]) is parts[first]
+    assert tuple(sorted(parts[first].flows)) == halves[first][0]
+    assert parts[first].hint_event is not fired and not fired.cancelled
+    assert parts[1 - first].hint_event is other_hint
     assert not other_hint.cancelled
     engine.run()
     assert len(fabric.records) == len(submissions)
@@ -391,36 +419,48 @@ _FABRIC_LINKS = tuple(
     )
 )
 
-_fabric_ops = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("submit"),
-            st.sampled_from(_HOSTS),
-            st.sampled_from(_HOSTS),
-            st.floats(1e6, 4e9),
-        ),
-        st.tuples(st.just("advance"), st.floats(1e-4, 1.5)),
-        st.tuples(st.just("fail_link"), st.sampled_from(_FABRIC_LINKS)),
+_EVERY_LINK = tuple(sorted(link.link_id for link in _clos().links()))
+
+_fabric_op = st.one_of(
+    st.tuples(
+        st.just("submit"),
+        st.sampled_from(_HOSTS),
+        st.sampled_from(_HOSTS),
+        st.floats(1e6, 4e9),
     ),
-    min_size=1,
-    max_size=14,
+    st.tuples(st.just("advance"), st.floats(1e-4, 1.5)),
+    st.tuples(st.just("cancel_flow"), st.integers(0, 63)),
+    st.tuples(
+        st.just("degrade_link"),
+        st.sampled_from(_EVERY_LINK),
+        st.sampled_from((0.25, 0.5, 2.0, 4.0)),
+    ),
+    st.tuples(st.just("fail_link"), st.sampled_from(_FABRIC_LINKS)),
+    st.tuples(st.just("fail_host"), st.sampled_from(_HOSTS)),
 )
+_fabric_ops = st.lists(_fabric_op, min_size=1, max_size=14)
 
 
 def _driven(ops, policy, after_op=None):
     """A fabric after ``ops``, stopped between events (so flows are
     mid-flight and unsynced, as a placement query finds them);
-    ``after_op(fabric)`` runs after every op."""
+    ``after_op(fabric)`` runs after every op.  A submit that touches a
+    failed host is skipped; ``cancel_flow`` picks among the active
+    flows by index."""
     engine = Engine()
-    fabric = NetworkFabric(engine, _clos(), make_allocator(policy))
+    fabric = NetworkFabric(engine, _clos(), _allocator(policy))
     for op in ops:
         if op[0] == "submit":
-            if op[1] != op[2]:
+            if op[1] != op[2] and all(map(fabric.host_is_up, op[1:3])):
                 fabric.submit(op[1], op[2], op[3])
         elif op[0] == "advance":
             engine.run(until=engine.now + op[1])
-        else:
-            fabric.fail_link(op[1])
+        elif op[0] == "cancel_flow":
+            active = sorted(fabric._active)
+            if active:
+                fabric.cancel_flow(fabric._active[active[op[1] % len(active)]])
+        else:  # degrade_link / fail_link / fail_host
+            getattr(fabric, op[0])(*op[1:])
         if after_op is not None:
             after_op(fabric)
     return fabric
@@ -506,7 +546,7 @@ def _assert_tracked_lists_follow_the_link_index(fabric):
 @given(_fabric_ops, st.sampled_from(("las", "srpt")))
 @settings(max_examples=60, deadline=None)
 def test_tracked_member_lists_follow_the_link_index(ops, policy):
-    """After every submit / advance / fail_link (reroutes included) the
+    """After every step of a generated history (reroutes included) the
     hinting allocators' per-link member lists hold exactly the flows the
     fabric indexes on that link, and nothing once the network drains."""
     fabric = _driven(ops, policy, _assert_tracked_lists_follow_the_link_index)

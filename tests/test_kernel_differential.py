@@ -39,7 +39,7 @@ from repro.experiments.runner import replay_flow_trace
 from repro.faults import FaultPlan, LinkDegrade, LinkDown
 from repro.network import kernels
 from repro.network.flow import Flow
-from repro.network.policies.base import greedy_priority_fill
+from repro.network.policies.base import greedy_priority_fill, water_fill
 from repro.telemetry import (
     CausalTracer,
     JsonlTraceSink,
@@ -157,7 +157,9 @@ def test_priority_fill_fuzz_exact(monkeypatch):
             if rng.random() < 0.25:
                 capacities[link] = rng.random() * 1e-8  # float-dust regime
             else:
-                capacities[link] = rng.choice([1e9, 1e10, rng.random() * 4e10])
+                capacities[link] = rng.choice(
+                    [1e9, 1e10, rng.random() * 4e10, math.inf]
+                )
         flows = []
         for fid in range(rng.randint(1, 50)):
             hops = rng.randint(1, min(6, n_links))
@@ -234,6 +236,13 @@ SINGLETON_CASES = {
         [[_one(0, "a")], [_one(1, "a", "b"), _one(2, "b")], [_one(3, "b", "c")]],
         {"a": 3e9, "b": 4e9, "c": 1e9 + 1e-7},
     ),
+    # No share undercuts the scan's initial inf: no bottleneck is named,
+    # every rate stays 0.0 and nothing drains (the numpy fill froze flow
+    # 0 at inf and drained its links to ``max(0.0, inf - inf)`` = 0.0).
+    "all_infinite": (
+        [[_one(0, "x", "y"), _one(1, "y", "z")], [_one(2, "x")]],
+        {"x": math.inf, "y": math.inf, "z": math.inf},
+    ),
 }
 
 
@@ -250,13 +259,32 @@ def test_singleton_groups_match_the_reference(case, fill, monkeypatch):
         assert reference == {0: 5e8, 1: 0.0, 2: 3.5e9}
     if case == "drained_to_zero":
         assert reference == {0: 1e9, 1: 0.0, 2: 2e9}
+    if case == "all_infinite":
+        assert reference == {0: 0.0, 1: 0.0, 2: 0.0}
+
+
+@requires_numpy
+@pytest.mark.parametrize("z", [math.inf, 1e9])
+def test_numpy_fill_leaves_infinite_residuals_untouched(z):
+    """The residuals behind ``all_infinite``: where the reference names
+    no bottleneck it drains nothing either, whether from the first round
+    or once the finite link ``z`` has frozen its flow."""
+    group = SINGLETON_CASES["all_infinite"][0][0]
+    outcomes = []
+    for fill in (water_fill, kernels._water_fill_numpy):
+        residual, rates = {"x": math.inf, "y": math.inf, "z": z}, {}
+        fill(group, residual, rates)
+        outcomes.append((residual, rates))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0]["x"] == outcomes[0][0]["y"] == math.inf
+    assert outcomes[0][1] == {0: 0.0, 1: 0.0 if z == math.inf else 1e9}
 
 
 def test_singleton_on_an_infinite_link_gets_the_reference_zero():
     """No share undercuts the scan's initial inf, so the reference
     names no bottleneck and leaves the rate at 0.0; the in-place fill
-    does the same.  (Shipped dispatch only: the numpy fill, untouched
-    here, answers inf.)"""
+    does the same (``all_infinite`` above pins a group under every
+    fill)."""
     groups, capacities = [[_one(0, "a")], [_one(1, "a")]], {"a": math.inf}
     reference = greedy_priority_fill(groups, capacities)
     assert reference == {0: 0.0, 1: 0.0}
@@ -272,7 +300,7 @@ def test_singleton_cascade_fuzz_exact(monkeypatch):
         links = [f"l{i}" for i in range(rng.randint(1, 8))]
         capacities = {
             link: rng.choice([0.0, 5e-324, 4e-10, 1e-9, 1e9, 1e9, 4e9,
-                              rng.random() * 1e10])
+                              rng.random() * 1e10, math.inf])
             for link in links
             if rng.random() < 0.9
         }
