@@ -759,27 +759,20 @@ class NetworkFabric:
         too)."""
         probe = self._probe
         scoped = self._incremental
-        if scoped:
-            scope_flows = comp_flows
-            capacities: Dict[LinkId, float] = {
-                link_id: self._capacities[link_id]
-                for link_id in sorted(comp_links)
-            }
-        else:
-            # Survivors are a flow-id-ordered subset of ``_active``: at
-            # equal length they are the whole active set, already sorted.
-            scope_flows = (
-                comp_flows if len(comp_flows) == len(self._active)
-                else [self._active[fid] for fid in sorted(self._active)]
-            )
-            capacities = self._capacities
+        # Survivors are a flow-id-ordered subset of ``_active``: at
+        # equal length they are the whole active set, already sorted.
+        scope_flows = (
+            comp_flows if scoped or len(comp_flows) == len(self._active)
+            else [self._active[fid] for fid in sorted(self._active)]
+        )
         span = None
         if probe is not None:
             probe.on_recompute(
                 now, len(self._active), component_size, len(comp_links), scoped
             )
             span = probe.enter_alloc(self._allocator.name)
-        rates = self._allocator.allocate(scope_flows, capacities)
+        # Allocators only look links up, so both modes hand them the map.
+        rates = self._allocator.allocate(scope_flows, self._capacities)
         if span is not None:
             probe.exit_alloc(span)
 

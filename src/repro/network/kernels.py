@@ -1,20 +1,14 @@
 """Batched numpy kernels for the water-filling rate allocators.
 
 :func:`priority_fill` is the vectorized twin of
-:func:`repro.network.policies.base.greedy_priority_fill`: it takes the
-same ordered priority groups and per-link capacities and returns a
-**bit-identical** rate map.
+:func:`repro.network.policies.base.greedy_priority_fill`: same ordered
+priority groups and link capacities in, a **bit-identical** rate map out.
 
-The reference's per-round cost is the bottleneck scan — a Python loop
-over every link of the sharing component comparing equal shares, paid
-again on every round.  The kernel keeps that array of per-link shares
-as a contiguous float64 vector and replays the scan as a handful of
-vectorized "epsilon chain hops" (first link beating the current
-candidate by more than ``RATE_EPSILON``, repeated); membership counts
-and residual capacities stay scalar bookkeeping, updated pointwise only
-for the links a freeze actually touches.  Per round that turns an
-O(links) interpreted loop into O(touched links) scalar work plus a few
-C-speed array comparisons.
+The reference pays a Python loop over every link of the component on
+every round.  The kernel keeps the per-link shares as one float64 vector
+and replays that scan as a few vectorized "epsilon chain hops" (first
+link beating the candidate by more than ``RATE_EPSILON``, repeated);
+counts and residuals are updated only for the links a freeze touches.
 
 Byte-identity is by construction, not by tolerance.  Every float the
 Python reference produces comes from one of four scalar expressions —
@@ -24,32 +18,42 @@ Python reference produces comes from one of four scalar expressions —
 * ``residual = max(0.0, residual - share * k)``     (per-round drain)
 * ``rate = bottleneck_share``                       (freeze)
 
-— and the kernel evaluates the *same* expressions on the same operands:
-shares enter the float64 vector losslessly, numpy's elementwise float64
-compare/divide are bit-identical to Python float semantics (IEEE-754,
-no reassociation), and the chain-hop scan visits candidates in the same
-first-seen link order with the same epsilon hysteresis, so every round
-freezes the same flows at the same share.  The differential and golden
-suites in ``tests/test_kernel_differential.py`` / ``tests/test_goldens.py``
-lock this contract end-to-end (records, JSONL traces, causal traces).
+— and the kernel evaluates the *same* expressions on the same operands
+(IEEE-754 float64, no reassociation, candidates in the reference's
+first-seen link order with the same epsilon hysteresis).  It evaluates
+*fewer* of them where that cannot move a float, by two reductions it
+arms from what it sees in the group:
 
-Vectorization pays inside *large* priority groups (max-min fair over a
-big sharing component); a strict-priority cascade (SRPT/FCFS over
-all-distinct keys) is inherently sequential, and numpy array setup loses
-to dict arithmetic there.  :func:`priority_fill` is the one place that
-knows how a group is filled, and it picks from what it can see: the numpy
-fill when numpy is importable and the group has at least
-:data:`GROUP_CUTOFF` flows, in place for a group of one flow (the whole
-of such a cascade), the scalar ``water_fill`` otherwise.  Safe because
-all three are bit-identical and share one residual map, so groups can
-mix fills within a single allocation.  Nothing selects a fill from
+* *Slack links* (:func:`_binding_columns`).  Precondition: the group is
+  the last of its :func:`priority_fill` and every entry share is at
+  least ``2 * _NEAR_TIE_FLOOR``.  A link whose residual clears, by
+  :data:`_SLACK_MARGIN`, all its flows could ever be given is never a
+  round's bottleneck: no rate reads it, its column is dropped.  When the
+  precondition fails (a later group reads the residuals, or a share low
+  enough for the epsilon chain to start on any column) all stay.
+* *Exact levels* (:func:`_exact_level`).  Precondition: the minimum
+  share is integer-valued and at or above the floor, every live
+  residual is below ``2**53``, every column tied at it holds exactly
+  ``share * count``.  The reference's next rounds are then those
+  columns one by one, every product and drain exact, so one round
+  freezes them all.  When it fails the round freezes one column.
+
+``tests/test_kernel_differential.py`` and ``tests/test_goldens.py`` lock
+the contract: records and traces, ``==`` on rates and on the residuals
+every non-final group leaves.
+
+:func:`priority_fill` is the one place that knows how a group is filled,
+and it picks from what it can see: the numpy fill when numpy is
+importable and the group has at least :data:`GROUP_CUTOFF` flows (array
+setup loses to dict arithmetic below it), in place for a group of one
+flow (the whole of an SRPT/FCFS cascade), the scalar ``water_fill``
+otherwise.  All three are bit-identical and share one residual map, so
+groups can mix fills within an allocation.  Nothing selects a fill from
 outside this module.
 
-numpy is an optional dependency (the ``perf`` extra).  When it is not
-importable, :data:`HAVE_NUMPY` is False and every group takes the
-scalar fill — the simulator never requires it.  When it is, it is
-imported by the first group that takes the numpy fill, not with this
-module.
+numpy is optional (the ``perf`` extra): when it cannot be imported
+every group takes the scalar fill; when it can, the first group that
+takes the numpy fill imports it, not this module.
 """
 
 from __future__ import annotations
@@ -84,11 +88,10 @@ _np = None
 _INF = float("inf")
 
 #: Priority groups smaller than this take the scalar fill: array setup
-#: loses to dict arithmetic on the tiny groups priority cascades produce
-#: (and on the small dirty components of incremental recomputes, p50 ~5
-#: flows), while the outputs are bit-identical either way.  Measured
-#: flat from 4 to 48 on both benchmark sides (EXPERIMENTS.md), so a
-#: constant; tests patch it to force every group through one fill.
+#: loses to dict arithmetic on the tiny groups priority cascades and
+#: small dirty components produce.  Measured flat from 4 to 48 on both
+#: benchmark sides (EXPERIMENTS.md), so a constant; tests patch it to
+#: force every group through one fill.
 GROUP_CUTOFF = 16
 
 
@@ -105,12 +108,14 @@ def priority_fill(
     residual capacity left by higher ones.
     """
     cutoff = GROUP_CUTOFF if HAVE_NUMPY else _INF
+    groups = list(groups)
+    final = len(groups) - 1  # nobody reads the residuals it leaves
     residual: Dict[LinkId, float] = dict(capacities)
     rates: Dict[FlowId, float] = {}
-    for group in groups:
+    for index, group in enumerate(groups):
         size = len(group)
         if size >= cutoff:
-            _water_fill_numpy(group, residual, rates)
+            _water_fill_numpy(group, residual, rates, index == final)
         elif size == 1:
             _fill_one(group[0], residual, rates)
         else:
@@ -196,27 +201,76 @@ def _flow_cols(flow: Flow) -> "object":
     return cached[1]
 
 
+#: A link is slack only when its residual, shrunk by this factor, still
+#: exceeds its demand: 2**-20 covers the rounding of the demand sum and
+#: of every drain the reference would have applied (each relative
+#: 2**-53, at most two per member flow) for any group below 2**30 flows.
+_SLACK_MARGIN = 1.0 - 2.0**-20
+
+#: Below this a float's unit in the last place is at most 1, so taking an
+#: integer-valued drain from it is exact.
+_EXACT_BELOW = float(2**53)
+
+
+def _binding_columns(res, shares, cols_cat, flowidx, sizes):
+    """Mask of the columns of a *last* group that can ever bind; None
+    unless every entry share is at least ``2 * _NEAR_TIE_FLOOR``.
+
+    No flow's rate exceeds the tightest entry residual on its path, so a
+    link whose residual clears the sum of those bounds over its members
+    (its demand) by :data:`_SLACK_MARGIN` keeps a share strictly above
+    that of the tightest link of one of its own unfrozen members: it is
+    never the first minimum.  Above the doubled floor it is also too
+    large to move the sub-floor epsilon chain, which starts on the first
+    live column whatever its share.
+    """
+    if shares.min() < 2 * _NEAR_TIE_FLOOR:
+        return None
+    starts = _np.cumsum(sizes) - sizes
+    tightest = _np.minimum.reduceat(res[cols_cat], starts)
+    demand = _np.bincount(cols_cat, weights=tightest[flowidx])
+    return demand >= res * _SLACK_MARGIN
+
+
+def _exact_level(share, shares, res, counts):
+    """The columns tied at the minimum ``share`` when the reference's
+    next rounds are exactly those columns one by one, else None.
+
+    Asked only while every live residual is below :data:`_EXACT_BELOW`.
+    For an integer-valued ``share`` whose tied columns each hold exactly
+    ``share * count``, every ``share * k`` and every drain is an exact
+    integer step: tied columns stay at exactly ``share`` until they
+    empty, the rest stay strictly above it.
+    """
+    if not share.is_integer():
+        return None
+    tied = _np.flatnonzero(shares == share).tolist()
+    if len(tied) > 1 and all(res[c] == share * counts[c] for c in tied):
+        return tied
+    return None
+
+
 def _water_fill_numpy(
     flows: Sequence[Flow],
     residual: Dict[LinkId, float],
     rates: Dict[FlowId, float],
+    last: bool = False,
 ) -> None:
-    """One max-min water-fill round-for-round with the reference.
+    """One max-min water-fill, rate for rate with the reference.
 
-    Mutates ``residual`` and ``rates`` exactly like
-    :func:`~repro.network.policies.base.water_fill`.
+    Mutates ``rates`` exactly like
+    :func:`~repro.network.policies.base.water_fill`, and ``residual``
+    too unless ``last`` says no group follows to read it.
     """
     global _np
     if _np is None:
         import numpy as _np
     np = _np
 
-    # ------------------------------------------------------------------
     # Build phase (vectorized): concatenate the flows' interned paths
     # and assign every distinct link a column in first-seen order — the
     # exact order the reference's ``members`` dict iterates during its
     # bottleneck scan.
-    # ------------------------------------------------------------------
     objs: List[Flow] = []
     arrs = []
     lengths: List[int] = []
@@ -233,54 +287,63 @@ def _water_fill_numpy(
         return
 
     cat = np.concatenate(arrs)
-    total = cat.size
     # Column assignment over *dense* global-id scratch arrays (the
     # intern table is small and append-only, so sized-to-registry
     # scratch beats a sort-based ``np.unique``).  Duplicate-index fancy
     # assignment applies writes in order, so scattering reversed
-    # positions leaves each link's *first* occurrence — giving columns
-    # in exactly the first-seen order the reference's ``members`` dict
-    # iterates during its bottleneck scan.
+    # positions leaves each link's *first* occurrence.
     n_global = len(_LINK_NAMES)
     count_g = np.bincount(cat, minlength=n_global)
     present = np.flatnonzero(count_g)
     pos_g = np.empty(n_global, dtype=np.intp)
-    pos_g[cat[::-1]] = np.arange(total - 1, -1, -1)
-    order = np.argsort(pos_g[present], kind="stable")
-    gids = present[order]  # col -> global link id, first-seen order
-    n_links = gids.size
+    pos_g[cat[::-1]] = np.arange(cat.size - 1, -1, -1)
+    # col -> global link id, first-seen order
+    gids = present[np.argsort(pos_g[present], kind="stable")]
     rank_g = np.empty(n_global, dtype=np.intp)
+    n_links = gids.size
     rank_g[gids] = np.arange(n_links)
     cols_cat = rank_g[cat]
     counts_arr = count_g[gids]
+    links: List[LinkId] = [_LINK_NAMES[g] for g in gids.tolist()]
+    res_arr = np.array([residual.get(link_id, 0.0) for link_id in links])
+    # Equal share per link; elementwise float64 division is
+    # bit-identical to the reference's scalar divisions.
+    shares_arr = res_arr / counts_arr
+    sizes = np.array(lengths)
+    flowidx = np.repeat(np.arange(n_flows, dtype=np.intp), sizes)
+
+    # Prune phase: a last group fills over its binding columns only; a
+    # dropped column is left like one the reference has emptied.
+    keep = None
+    if last:
+        keep = _binding_columns(res_arr, shares_arr, cols_cat, flowidx, sizes)
+    if keep is not None:
+        on_kept = keep[cols_cat]
+        cols_cat, flowidx = cols_cat[on_kept], flowidx[on_kept]
+        lengths = np.bincount(flowidx).tolist()
+        counts_arr = np.where(keep, counts_arr, 0)
+        shares_arr = np.where(keep, shares_arr, _INF)
 
     # Residuals and shares live in ``array.array`` buffers: the fill
     # loop updates them with plain Python float arithmetic (bit-exact
     # C doubles, no numpy-scalar boxing overhead) while zero-copy numpy
     # views serve the vectorized argmin/chain scans.
-    links: List[LinkId] = [_LINK_NAMES[g] for g in gids.tolist()]
-    res = _f64buf("d", [residual.get(link_id, 0.0) for link_id in links])
-    # Equal share per link; elementwise float64 division is
-    # bit-identical to the reference's scalar divisions.
-    shares_arr = np.frombuffer(res) / counts_arr
+    res = _f64buf("d", res_arr.tobytes())
     shares_buf = _f64buf("d", shares_arr.tobytes())
     shares = np.frombuffer(shares_buf)
     counts: List[int] = counts_arr.tolist()
+    inf = _INF
+    # Whether every finite residual a drain can touch is below 2**53.
+    exact = not (res_arr[shares_arr < inf] >= _EXACT_BELOW).any()
 
-    # Per-column member positions (which flows cross each link), as one
-    # flat list sliced by per-column offsets; only bottleneck columns
-    # are ever consulted.  Per-flow column paths slice the same flat
-    # ``cols_list`` by flow offsets.
-    flowidx = np.repeat(np.arange(n_flows, dtype=np.intp), lengths)
+    # Per-column member positions (which flows cross each link) and
+    # per-flow column paths, each one flat list sliced by offsets.
     by_col = flowidx[np.argsort(cols_cat, kind="stable")].tolist()
     cols_list: List[int] = cols_cat.tolist()
     col_off: List[int] = [0, *accumulate(counts)]
     flow_off: List[int] = [0, *accumulate(lengths)]
 
-    # ------------------------------------------------------------------
-    # Fill phase: one round per bottleneck, exactly like the reference.
-    # ------------------------------------------------------------------
-    inf = float("inf")
+    # Fill phase: one round per bottleneck level.
     alive = [True] * n_flows
     flow_ids = [flow.flow_id for flow in objs]
     argmin = shares.argmin  # bound-method hoist: one call per round
@@ -295,16 +358,13 @@ def _water_fill_numpy(
         share = shares_buf[idx]  # buffer getitem -> plain Python float
         if share == inf:  # no bottleneck: rates stay 0.0, nothing drains
             break
+        level = None
         if share < _NEAR_TIE_FLOOR:
-            # Above the floor the reference's chain ends at the first
-            # occurrence of the minimum — exactly what argmin returned
-            # (see _NEAR_TIE_FLOOR).  Below it,
-            # replay the epsilon-improvement chain: the reference walks
-            # links in first-seen order and moves its candidate only on
-            # a > RATE_EPSILON improvement, so the bottleneck is the
-            # end of that chain, not the plain argmin.  Each hop finds
-            # the first later link beating the candidate — one C-speed
-            # compare over the tail.
+            # Above the floor the reference's chain ends where argmin
+            # did (see _NEAR_TIE_FLOOR).  Below it, replay the chain:
+            # the reference walks links in first-seen order and moves
+            # its candidate only on a > RATE_EPSILON improvement.  Each
+            # hop is one C-speed compare over the tail.
             idx = first_valid
             share = shares_buf[idx]
             while idx + 1 < n_links:
@@ -314,18 +374,20 @@ def _water_fill_numpy(
                     break
                 idx += 1 + hop
                 share = shares_buf[idx]
+        elif exact:  # the reference's next rounds may all sit here
+            level = _exact_level(share, shares, res, counts)
         if share < 0.0:
             share = 0.0
 
-        # Freeze every unfrozen flow crossing the bottleneck (the
-        # alive check also dedupes flows listing a link twice), then
-        # apply the reference's single-expression drain per touched
-        # link and refresh that link's cached share.
+        # Freeze every unfrozen flow crossing a bottleneck (the alive
+        # check also dedupes flows listing a link twice), then apply the
+        # reference's one-expression drain per touched link.
         frozen: List[int] = []
-        for pos in by_col[col_off[idx]:col_off[idx + 1]]:
-            if alive[pos]:
-                alive[pos] = False
-                frozen.append(pos)
+        for col in level or (idx,):
+            for pos in by_col[col_off[col]:col_off[col + 1]]:
+                if alive[pos]:
+                    alive[pos] = False
+                    frozen.append(pos)
         if not frozen:  # pragma: no cover - counts>0 implies a flow
             break
         freeze_counts: Dict[int, int] = {}
@@ -344,5 +406,6 @@ def _water_fill_numpy(
         counts[idx] = 0  # members.pop(bottleneck)
         shares_buf[idx] = inf
 
-    for col, link_id in enumerate(links):
-        residual[link_id] = res[col]
+    if not last:
+        for col, link_id in enumerate(links):
+            residual[link_id] = res[col]

@@ -18,7 +18,10 @@ every allocator must uphold regardless of input:
   incremental fabric's splicing relies on);
 * **fill equivalence** — the numpy fill returns the *exact* same rate
   map as the scalar fill (``==`` on the dicts, no tolerance), including
-  on adjacent-float capacities in ``[2**23, 2**24)``;
+  on adjacent-float capacities in ``[2**23, 2**24)`` and on Clos-shaped
+  groups, where it drops slack links and batches exact levels;
+* **capacity maps are read, never iterated** — a shuffled map and one
+  with links on no path give the same rates;
 * **coflow policies** — feasibility and work conservation as above on
   mixed flow / coflow traffic, and **MADD equal finish**: ahead of the
   back-fill, the members of a served coflow share one
@@ -41,8 +44,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.network import kernels
 from repro.network.flow import Flow
+from repro.network.policies.base import greedy_priority_fill
 from repro.network.policies.registry import make_allocator
 from tests.conftest import FILLS, pin_fill
+from tests.test_kernel_differential import clos_case
 
 ALLOCATOR_NAMES = ("fair", "fcfs", "las", "srpt")
 
@@ -296,6 +301,36 @@ def test_backend_equivalence_exact(scenario):
         assert vectorized == reference, (
             f"{name}: numpy fill diverges from the scalar fill"
         )
+
+
+@given(st.randoms(use_true_random=False))
+@settings(**SETTINGS)
+def test_clos_shaped_fills_equal_exact(rng):
+    """The Clos-shaped strategy of ``test_kernel_differential.clos_case``
+    (equal host links, slack core links, failed and dusty links, repeated
+    links, one to three groups) through the dispatch under every leg."""
+    groups, capacities = clos_case(rng)
+    reference = greedy_priority_fill(groups, capacities)
+    for fill in FILLS:
+        with pytest.MonkeyPatch.context() as patch:
+            pin_fill(patch, fill)
+            assert kernels.priority_fill(groups, capacities) == reference, fill
+
+
+@pytest.mark.parametrize("fill", FILLS)
+@given(scenarios(), st.randoms(use_true_random=False))
+@settings(**SETTINGS)
+def test_capacity_maps_are_read_never_iterated(fill, scenario, rng):
+    """The fabric hands every allocator its whole capacity map: neither
+    the map's order nor links on no path may move a rate."""
+    flows, capacities = scenario
+    items = list(capacities.items())
+    rng.shuffle(items)
+    padded = {"spare0": 1e9, **capacities, "spare1": 0.0, "spare2": math.inf}
+    for name in ALLOCATOR_NAMES:
+        baseline = allocate(name, fill, flows, capacities)
+        assert allocate(name, fill, flows, dict(items)) == baseline, name
+        assert allocate(name, fill, flows, padded) == baseline, name
 
 
 # ----------------------------------------------------------------------

@@ -290,6 +290,33 @@ def test_only_a_removal_walks_the_sharing_graph(policy, monkeypatch):
     assert not fabric._component_on
 
 
+@pytest.mark.parametrize("incremental", [True, False])
+def test_both_modes_hand_the_allocator_the_one_capacity_map(
+    incremental, monkeypatch
+):
+    """Scoped or full, the allocator is handed the fabric's own map (it
+    only looks links up), never a per-event copy of the scope's links."""
+    allocator, handed = make_allocator("fair"), []
+    allocate = allocator.allocate
+    monkeypatch.setattr(
+        allocator,
+        "allocate",
+        lambda flows, capacities: handed.append(capacities)
+        or allocate(flows, capacities),
+    )
+    engine = Engine()
+    fabric = NetworkFabric(
+        engine, single_switch(7), allocator, incremental=incremental
+    )
+    fabric.submit("h000", "h001", 4e9)
+    fabric.submit("h003", "h004", 4e9)
+    engine.run(until=1.0)
+    fabric.submit("h002", "h001", 4e9)
+    engine.run()
+    assert handed
+    assert all(capacities is fabric._capacities for capacities in handed)
+
+
 @pytest.mark.parametrize("policy", ["las", "srpt"])
 def test_hinting_allocator_scopes_per_true_component(policy):
     engine, fabric = _two_components(make_allocator(policy))

@@ -19,11 +19,17 @@ place that chooses):
   adjacent-float case in ``[2**23, 2**24)``, where ``argmin`` and the
   reference's epsilon chain part ways (the hypothesis fuzz over that
   band is ``test_alloc_properties.py``'s ``scenarios``);
+* a Clos-shaped fuzz (``clos_case``) of the numpy fill's two reductions,
+  slack links dropped from a last group and exact levels frozen in one
+  round: ``==`` on rates and on the residuals every non-final group
+  leaves, each reduction counted taken and refused, plus the pinned
+  cases at and above ``2**53`` where a batch would move a residual;
 * a structural test that an unconfigured replay takes the numpy fill
   for groups of at least ``GROUP_CUTOFF`` flows and the scalar fill
-  below it, by counting calls;
-* a ``slow``-marked soak on the paper's 160-host Clos, mirroring
-  ``test_incremental_alloc.py``'s shadow-verify harness.
+  below it, by counting calls, every fair call marked a last group;
+* ``slow``-marked soaks on the paper's 160-host Clos: scalar against
+  vector replays, and every fair recompute of a faulted replay against
+  ``greedy_priority_fill`` on the same inputs.
 """
 
 from __future__ import annotations
@@ -320,6 +326,172 @@ def test_singleton_cascade_fuzz_exact(monkeypatch):
         ), f"trial {trial} diverged"
 
 
+def cascade(fill, groups, capacities, *, marked):
+    """``groups`` through ``fill`` one by one, as ``priority_fill`` does:
+    the rates, and the residual map each non-final group leaves (what the
+    next group reads; nobody reads the last one's)."""
+    residual, rates, left = dict(capacities), {}, []
+    for index, group in enumerate(groups):
+        last = (index == len(groups) - 1,) if marked else ()
+        fill(group, residual, rates, *last)
+        left.append(dict(residual))
+    return rates, left[:-1]
+
+
+def assert_numpy_fill_exact(groups, capacities):
+    """``==`` on rates (and their order) and on every residual map read."""
+    want = cascade(water_fill, groups, capacities, marked=False)
+    got = cascade(kernels._water_fill_numpy, groups, capacities, marked=True)
+    assert got == want
+    assert list(got[0]) == list(want[0])
+
+
+def _pairs_through(core, edge, count):
+    """``count`` flows, each alone on an ``edge``-capacity host link, all
+    through one ``core`` link, then a flow that reads what they left."""
+    first = [_one(i, f"h{i}.up", "core") for i in range(count)]
+    capacities = {f"h{i}.up": edge for i in range(count)}
+    capacities["core"] = core
+    return [first, [_one(count, "core")]], capacities
+
+
+#: Exact-level batching where one subtraction and several part ways: a
+#: touched link at or above 2**53 rounds every drain, so a non-final
+#: group must refuse the batch (ISSUE 24's fuzz found the first).
+EXACT_LEVEL_CASES = {
+    # 1e18 - 4 * 123456789.0: ...5061729e17 one by one, ...5061728e17 at once.
+    "core_1e18": _pairs_through(1e18, 123456789.0, 4),
+    # The first float spacing above 2**53 is 2: ...424.0 against ...422.0.
+    "core_9.1e15": _pairs_through(9.1e15, 123456789.0, 2),
+    # Below 2**53 the batch is taken and exact.
+    "core_9e15": _pairs_through(9.0e15, 123456789.0, 4),
+}
+
+
+@requires_numpy
+@pytest.mark.parametrize("case", sorted(EXACT_LEVEL_CASES))
+def test_exact_levels_match_the_reference_on_residuals(case, monkeypatch):
+    groups, capacities = EXACT_LEVEL_CASES[case]
+    levels = []
+
+    def exact_level(*args, _level=kernels._exact_level):
+        levels.append(_level(*args))
+        return levels[-1]
+
+    monkeypatch.setattr(kernels, "_exact_level", exact_level)
+    assert_numpy_fill_exact(groups, capacities)
+    if case == "core_9e15":
+        # The four host links in one round; the reader has nothing tied.
+        assert levels == [[0, 2, 3, 4], None]
+    else:
+        assert levels == []  # never asked: a residual at or above 2**53
+    pin_fill(monkeypatch, "numpy")
+    assert kernels.priority_fill(groups, capacities) == (
+        greedy_priority_fill(groups, capacities)
+    )
+
+
+EDGE_CAPACITIES = (
+    1e9, 3e9, 7e8, 123456789.0, 1e9 / 3, 2.0**24, 2.0**25, 3e7,
+)
+CORE_CAPACITIES = (1e10, 2e9, 1e9, math.inf, 9.1e15, 1e18)
+ODD_CAPACITIES = (0.0, 1e-9, 5e-324, 4e-10, 1e-7, 12345.678, None)
+
+
+def clos_case(rng):
+    """A Clos-shaped allocation: per-host up / down links at one capacity,
+    each flow up, over one or two core hops, down; one link in ten failed,
+    dusty or missing from the map, 3% of paths repeat a link, one to three
+    priority groups.  Returns ``(groups, capacities)``."""
+    hosts = rng.randint(2, 12)
+    edge = rng.choice(EDGE_CAPACITIES + (rng.random() * 4e9,))
+    capacities = {
+        f"h{host}.{side}": edge
+        for host in range(hosts) for side in ("up", "down")
+    }
+    cores = [f"c{index}" for index in range(rng.randint(1, 6))]
+    for link in cores:
+        capacities[link] = rng.choice(
+            CORE_CAPACITIES + (rng.random() * 2e10,)
+        )
+    for link in list(capacities):
+        if rng.random() < 0.10:
+            capacities[link] = rng.choice(ODD_CAPACITIES)
+            if capacities[link] is None:
+                del capacities[link]
+    groups = [[] for _ in range(rng.randint(1, 3))]
+    for flow_id in range(rng.randint(1, 40)):
+        src, dst = rng.sample(range(hosts), 2)
+        path = [f"h{src}.up"]
+        path += rng.sample(cores, min(len(cores), rng.randint(1, 2)))
+        path.append(f"h{dst}.down")
+        if rng.random() < 0.03:
+            path.insert(rng.randrange(len(path) + 1), rng.choice(path))
+        rng.choice(groups).append(_one(flow_id, *path))
+    return [group for group in groups if group], capacities
+
+
+@requires_numpy
+def test_clos_shaped_fuzz_exact(monkeypatch):
+    """The two reductions of the numpy fill on the shapes that arm them:
+    exact ``==`` on rates and on what every non-final group leaves, with
+    each reduction taken and refused at least once (counted on the two
+    helpers that decide), and never a non-final group pruned."""
+    taken = {"pruned": 0, "prune refused": 0, "level": 0, "level refused": 0}
+    asked = []
+
+    def binding(*args, _binding=kernels._binding_columns):
+        keep = _binding(*args)
+        if keep is None:
+            taken["prune refused"] += 1
+        elif not keep.all():
+            taken["pruned"] += 1
+        asked.append("prune")
+        return keep
+
+    def exact_level(*args, _level=kernels._exact_level):
+        level = _level(*args)
+        taken["level" if level else "level refused"] += 1
+        return level
+
+    def fill(group, residual, rates, last, _fill=kernels._water_fill_numpy):
+        asked.clear()
+        _fill(group, residual, rates, last)
+        assert last or not asked  # a non-final group is never pruned
+
+    monkeypatch.setattr(kernels, "_binding_columns", binding)
+    monkeypatch.setattr(kernels, "_exact_level", exact_level)
+    monkeypatch.setattr(kernels, "_water_fill_numpy", fill)
+    rng = random.Random(24)
+    for trial in range(3000):
+        groups, capacities = clos_case(rng)
+        try:
+            assert_numpy_fill_exact(groups, capacities)
+        except AssertionError:
+            raise AssertionError(f"trial {trial} diverged") from None
+    assert all(taken.values()), taken
+
+
+def test_an_integer_share_below_2_53_is_an_exact_quotient():
+    """Why deleting ``_exact_level``'s ``res == share * count`` test moves
+    no float (the one mutant of ISSUE 24's six the fuzz cannot fail):
+    where ``_exact_level`` is asked, a residual whose share comes out
+    integer-valued is that integer times the count, exactly.  The test
+    stays as the stated premise of the batching argument."""
+    rng = random.Random(53)
+    for _ in range(200_000):
+        count = rng.randint(1, 300)
+        share = float(rng.choice((
+            rng.randint(2**24, 2**31), 2 ** rng.randint(24, 44),
+            rng.randint(2**24, 2**53 // count), 10 ** rng.randint(8, 13),
+        )))
+        residual = share * count
+        for _ in range(rng.randint(0, 3)):
+            residual = math.nextafter(residual, rng.choice((0.0, math.inf)))
+        if residual < 2.0**53 and residual / count == share:
+            assert residual == share * count
+
+
 def test_srpt_cascade_enters_water_fill_only_for_real_groups(monkeypatch):
     """On the pinned golden SRPT scenario the scalar ``water_fill`` (and
     its four per-call dicts) is entered only for groups of two or more
@@ -353,15 +525,17 @@ def test_default_replay_dispatches_on_group_size(have_numpy, monkeypatch):
     monkeypatch.setattr(kernels, "HAVE_NUMPY", have_numpy)
     sizes = {"water_fill": [], "_water_fill_numpy": []}
     for name, seen in sizes.items():
-        def spy(flows, residual, rates, _fill=getattr(kernels, name),
-                _seen=seen):
-            _seen.append(len(flows))
-            return _fill(flows, residual, rates)
+        def spy(flows, *args, _fill=getattr(kernels, name), _seen=seen):
+            _seen.append((len(flows), args[2:]))
+            return _fill(flows, *args)
         monkeypatch.setattr(kernels, name, spy)
     run_replay(
         small_clos(), policy="fair", workload="websearch", seed=11,
         fill="default", num_arrivals=200, load=0.9,
     )
+    # A fair fill is one group, so every numpy call is a last group's.
+    assert all(rest == (True,) for _, rest in sizes["_water_fill_numpy"])
+    sizes = {name: [size for size, _ in seen] for name, seen in sizes.items()}
     scalar, vector = sizes["water_fill"], sizes["_water_fill_numpy"]
     assert kernels.GROUP_CUTOFF == 16
     if have_numpy:
@@ -397,3 +571,33 @@ def test_kernel_soak_clos_160():
             placement="mindist",
         )
         assert vec == py, f"{policy}/seed={seed}/faulted={faulted} diverged"
+
+
+@requires_numpy
+@pytest.mark.slow
+def test_every_fair_recompute_matches_the_reference_clos_160(monkeypatch):
+    """Every fair allocation of a faulted 160-host replay, on the shipped
+    dispatch and handed the fabric's whole capacity map, against
+    ``greedy_priority_fill`` on the same inputs."""
+    from repro.network.policies import fair
+
+    checked, sizes = [], []
+
+    def fill(groups, capacities, _fill=kernels.priority_fill):
+        rates = _fill(groups, capacities)
+        assert rates == greedy_priority_fill(groups, capacities)
+        assert list(rates) == [flow.flow_id for flow in groups[0]]
+        checked.append(len(capacities))
+        sizes.append(len(groups[0]))
+        return rates
+
+    monkeypatch.setattr(fair, "priority_fill", fill)
+    topo = three_tier_clos()
+    run_replay(
+        topo, policy="fair", workload="websearch", seed=2, fill="default",
+        faults=degrade_plan(topo), num_arrivals=600, load=0.7,
+        placement="minload",
+    )
+    # Most recomputes are big enough for the numpy fill.
+    assert sum(size >= kernels.GROUP_CUTOFF for size in sizes) > 400
+    assert set(checked) == {len(list(topo.links()))}

@@ -19,13 +19,14 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: Physical-line ceilings (ISSUE 21 acceptance criteria; ISSUE 22 raised
 #: the first and the last by 40 for the trace serialiser's fast paths,
 #: ISSUE 23 the last by 60 and added ``network`` for the sharing
-#: components the fabric keeps):
+#: components the fabric keeps, ISSUE 24 both by 50 for the numpy fill's
+#: two reductions, their helpers and the stated arguments):
 #: label -> (packages under ``src/repro``, budget); ``""`` is the whole tree.
 BUDGETS = {
     "telemetry+metrics": (("telemetry", "metrics"), 5680),
     "service": (("service",), 1620),
-    "network": (("network",), 2030),
-    "repro": (("",), 21900),
+    "network": (("network",), 2080),
+    "repro": (("",), 21950),
 }
 
 NULL_LAYER = re.compile(
