@@ -156,11 +156,12 @@ def run_cell(
         attempt=attempt,
         spec=spec.describe(),
     )
-    previous = set_current_profiler(SpanProfiler())
+    profiler = SpanProfiler()
+    previous = set_current_profiler(profiler)
     try:
         payload = cell_fn(spec)
     finally:
-        profiler = set_current_profiler(previous)
+        set_current_profiler(previous)
     status.emit(
         "cell",
         cell=index,

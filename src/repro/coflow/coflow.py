@@ -72,7 +72,8 @@ class Coflow:
     @property
     def remaining_total(self) -> float:
         """Bits still to transfer across all constituent flows."""
-        return sum(f.remaining for f in self.flows)
+        # A list, not a generator: one frame instead of one per flow.
+        return sum([f.remaining for f in self.flows])
 
     @property
     def attained_total(self) -> float:

@@ -124,22 +124,6 @@ class NetworkDaemon:
             self._host, self._downlink.link_id
         )[1]
 
-    def coflow_node_state(self) -> float:
-        """Node state at coflow granularity: the smallest residual *total*
-        size among coflows touching this node (bare flows count as
-        singleton coflows).  Used by the preferred-host filter when the
-        scheduling unit is the coflow."""
-        # flows_at_host syncs first, so a coflow's total is the same at each
-        # of its flows: sum it (O(flows in coflow)) once per coflow.
-        totals = {}
-        for flow in self._fabric.flows_at_host(self._host):
-            unit = flow.coflow or flow  # a bare flow is its own coflow
-            if unit not in totals:
-                totals[unit] = (
-                    flow.remaining if unit is flow else unit.remaining_total
-                )
-        return min(totals.values(), default=float("inf"))
-
     def predict_flow(self, size: float, direction: str = "in") -> PredictionReply:
         """Predicted FCT of a new flow on this node's edge link."""
         if direction == "in":
@@ -179,7 +163,15 @@ class NetworkDaemon:
     def predict_coflow(
         self, total_size: float, size_on_link: float, direction: str = "in"
     ) -> PredictionReply:
-        """Predicted CCT contribution of this node's edge link."""
+        """Predicted CCT contribution of this node's edge link, with the
+        node state at coflow granularity (the smallest residual coflow
+        total at the host; the preferred-host filter's input when the
+        scheduling unit is the coflow).
+
+        The order is part of the answer: the link's flows are synced and
+        read before the rest of the host's, so ``Coflow.remaining_total``
+        in the link state sees the coflow's flows elsewhere as of their
+        last sync."""
         if self._coflow_predictor is None:
             raise DaemonError(
                 f"daemon at {self._host!r} has no coflow predictor"
@@ -195,7 +187,7 @@ class NetworkDaemon:
             total_size, size_on_link, state
         )
         return PredictionReply(
-            self._host, predicted, self.coflow_node_state()
+            self._host, predicted, self._fabric.host_coflow_state(self._host)
         )
 
     # ------------------------------------------------------------------

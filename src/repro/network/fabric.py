@@ -77,6 +77,22 @@ class _Component:
         self.hint_event: Optional[Event] = None
 
 
+def _coflow_groups(flows: Collection[Flow], floor: float = 0.0):
+    """Synced ``flows`` by coflow, a bare flow being its own: one ``[total,
+    bits among flows, arrival]`` per coflow, its residual total summed once
+    and raised to ``floor`` (0.0 keeps a total as it is: never negative)."""
+    groups: Dict[object, List[float]] = {}
+    for flow in flows:
+        unit = flow.coflow or flow
+        entry = groups.get(unit)
+        if entry is None:
+            total = (flow.remaining if unit is flow
+                     else max(unit.remaining_total, floor))
+            entry = groups[unit] = [total, 0.0, unit.arrival_time]
+        entry[1] += flow.remaining
+    return groups.values()
+
+
 class NetworkFabric:
     """Fluid-model network simulator with a pluggable scheduling policy."""
 
@@ -176,23 +192,30 @@ class NetworkFabric:
         """Completion records, in completion order."""
         return tuple(self._records)
 
-    def _synced(self, members: Dict[FlowId, Flow]) -> List[Flow]:
+    def _sync_members(self, members: Dict[FlowId, Flow]) -> Collection[Flow]:
+        """:meth:`_sync_flow` over ``members`` in one frame; their values."""
         now = self._engine.now
-        for flow in members.values():
-            self._sync_flow(flow, now)
-        return list(members.values())
+        synced_at = self._synced_at
+        for flow_id, flow in members.items():
+            dt = now - synced_at[flow_id]
+            if dt > 0:
+                rate = self._rates.get(flow_id, 0.0)
+                if rate > RATE_EPSILON:
+                    flow.advance(rate * dt)
+                synced_at[flow_id] = now
+        return members.values()
 
     def active_flows(self) -> List[Flow]:
         """Currently active flows (progress synced to *now*)."""
-        return self._synced(self._active)
+        return list(self._sync_members(self._active))
 
     def flows_on_link(self, link_id: LinkId) -> List[Flow]:
         """Active flows whose path crosses ``link_id`` (progress synced)."""
-        return self._synced(self._by_link.get(link_id, {}))
+        return list(self._sync_members(self._by_link.get(link_id, {})))
 
     def flows_at_host(self, host: NodeId) -> List[Flow]:
         """Active flows sourced at or destined to ``host``."""
-        return self._synced(self._by_host.get(host, {}))
+        return list(self._sync_members(self._by_host.get(host, {})))
 
     def host_edge_state(
         self, host: NodeId, link_id: LinkId
@@ -214,6 +237,24 @@ class NetworkFabric:
         on_link = self._by_link.get(link_id)
         sizes = [flow.remaining for flow in on_link.values()] if on_link else []
         return sizes, node_state
+
+    def coflows_on_link(self, link_id: LinkId) -> Collection[List[float]]:
+        """``[total, on_link, arrival]`` of each coflow crossing ``link_id``
+        (residual; total at least 1e-9).  The link's flows are synced before
+        any total is read, which sees the coflow's others as last synced."""
+        on_link = self._by_link.get(link_id)
+        if not on_link:
+            return ()
+        return _coflow_groups(self._sync_members(on_link), 1e-9)
+
+    def host_coflow_state(self, host: NodeId) -> float:
+        """Node state (§5.1.1) at coflow granularity, ``host``'s flows
+        synced: the smallest residual coflow total there (inf when idle)."""
+        at_host = self._by_host.get(host)
+        if not at_host:
+            return _INF
+        groups = _coflow_groups(self._sync_members(at_host))
+        return min([total for total, _, _ in groups])
 
     def current_rate(self, flow: Flow) -> float:
         """The flow's instantaneous allocated rate (bits/sec)."""

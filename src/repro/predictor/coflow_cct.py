@@ -14,6 +14,8 @@ from typing import Callable, Sequence, Tuple
 
 from repro.predictor.state import CoflowLinkState, CoflowOnLink
 
+_INF = float("inf")
+
 
 class CoflowCCTPredictor(ABC):
     """Completion-time model of one coflow scheduling policy."""
@@ -148,39 +150,47 @@ class PermutationPredictor(CoflowCCTPredictor):
         self._key = key
         self.name = name
 
-    def _new_key(
-        self, new_total: float, new_on_link: float
-    ) -> float:
+    def _terms(
+        self, new_total: float, new_on_link: float, link: CoflowLinkState
+    ) -> Tuple[float, float]:
+        """``(cct, delta_sum)`` from one pass over the link's coflows,
+        each one's key computed once."""
+        key = self._key
         # A newly arriving coflow has the latest arrival time; +inf keeps
         # FIFO-style keys consistent without knowing "now".
-        return self._key(new_total, new_on_link, float("inf"))
+        new_key = key(new_total, new_on_link, _INF)
+        ahead = []
+        behind = 0
+        for c in link.coflows:
+            rank = key(c.total_size, c.size_on_link, c.arrival_time)
+            if rank <= new_key:
+                ahead.append(c.size_on_link)
+            elif rank > new_key:
+                behind += 1
+        capacity = link.capacity
+        # Equation (14): bytes of every coflow at or ahead of c0's rank.
+        # Equation (15) summed: each lower-priority coflow waits for the
+        # new coflow's on-link bytes.
+        return (
+            (new_on_link + sum(ahead)) / capacity,
+            new_on_link * behind / capacity,
+        )
 
     def cct(
         self, new_total: float, new_on_link: float, link: CoflowLinkState
     ) -> float:
-        # Equation (14): bytes of every coflow at or ahead of c0's rank.
-        new_key = self._new_key(new_total, new_on_link)
-        ahead = sum(
-            c.size_on_link
-            for c in link.coflows
-            if self._key(c.total_size, c.size_on_link, c.arrival_time)
-            <= new_key
-        )
-        return (new_on_link + ahead) / link.capacity
+        return self._terms(new_total, new_on_link, link)[0]
 
     def delta_sum(
         self, new_total: float, new_on_link: float, link: CoflowLinkState
     ) -> float:
-        # Equation (15) summed: each lower-priority coflow waits for the
-        # new coflow's on-link bytes.
-        new_key = self._new_key(new_total, new_on_link)
-        behind = sum(
-            1
-            for c in link.coflows
-            if self._key(c.total_size, c.size_on_link, c.arrival_time)
-            > new_key
-        )
-        return new_on_link * behind / link.capacity
+        return self._terms(new_total, new_on_link, link)[1]
+
+    def link_objective(
+        self, new_total: float, new_on_link: float, link: CoflowLinkState
+    ) -> float:
+        cct, delta = self._terms(new_total, new_on_link, link)
+        return cct + delta
 
 
 class TCFPredictor(PermutationPredictor):

@@ -28,6 +28,7 @@ enters a context manager.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -208,26 +209,29 @@ class SpanProfiler:
         return {"flame": flame, "labels": self.label_totals()}
 
 
-#: Process-local ambient profiler (``None``: nothing installed).  Campaign
-#: workers install one so the cell implementations (which build their own
-#: Telemetry) inherit it and the end-of-cell heartbeat can ship a real
-#: spans snapshot.
-_CURRENT: Optional[SpanProfiler] = None
+#: Ambient profiler of the current thread (``None``: nothing installed).
+#: Campaign workers install one so the cell implementations (which build
+#: their own Telemetry) inherit it and the end-of-cell heartbeat can ship a
+#: real spans snapshot.  A context variable, because in-process workers are
+#: threads: each one's cells must see, and restore, only its own profiler.
+_CURRENT: ContextVar[Optional[SpanProfiler]] = ContextVar(
+    "repro_ambient_profiler", default=None
+)
 
 
 def current_profiler() -> Optional[SpanProfiler]:
-    """The ambient profiler of this process (``None`` when nothing
+    """The ambient profiler of this thread (``None`` when nothing
     installed one)."""
-    return _CURRENT
+    return _CURRENT.get()
 
 
 def set_current_profiler(
     profiler: Optional[SpanProfiler],
 ) -> Optional[SpanProfiler]:
-    """Install ``profiler`` (or ``None``: none) as this process's ambient
+    """Install ``profiler`` (or ``None``: none) as this thread's ambient
     profiler; returns the previous one so callers can restore it."""
-    global _CURRENT
-    previous, _CURRENT = _CURRENT, profiler
+    previous = _CURRENT.get()
+    _CURRENT.set(profiler)
     return previous
 
 

@@ -510,6 +510,63 @@ class TestRunWorker:
             assert queue.done_marker(index)["status"] == "ok"
             assert queue.result_for(index) is not None
 
+    def test_overlapping_cells_each_report_their_own_profiler(
+        self, tmp_path
+    ):
+        """Two in-process workers' cells overlap, ordered by events and a
+        barrier: A installs its profiler first, B second, A leaves first.
+        Each finished record carries the spans of the profiler its own
+        attempt installed, neither attempt raises, and nothing is left
+        installed in this thread.  (With one ambient slot per process, A
+        restored ``None`` over B's profiler and reported B's spans, then
+        B restored A's profiler and raised on ``None.paths()``.)"""
+        from repro.campaign.cells import run_cell
+        from repro.campaign.status import StatusWriter, read_status
+        from repro.telemetry.profiler import current_profiler
+
+        status = StatusWriter(tmp_path / "status.jsonl")
+        a_inside, a_done = threading.Event(), threading.Event()
+        both_inside = threading.Barrier(2, timeout=30)
+        errors = []
+
+        def cell(label):
+            def body(spec):
+                with current_profiler().span(label):
+                    if label == "a":
+                        a_inside.set()
+                    both_inside.wait()
+                    if label == "b":
+                        assert a_done.wait(30)
+                return {"label": label}
+
+            return body
+
+        def attempt(index, label):
+            try:
+                run_cell(cell(label), index, _tiny_grid().cells[index], 1, status)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                if label == "a":
+                    a_done.set()
+
+        a = threading.Thread(target=attempt, args=(0, "a"))
+        b = threading.Thread(target=attempt, args=(1, "b"))
+        a.start()
+        assert a_inside.wait(30)
+        b.start()
+        for t in (a, b):
+            t.join(timeout=60)
+        assert not a.is_alive() and not b.is_alive()
+        assert errors == []
+        finished = {
+            r["cell"]: r for r in read_status(status.path)
+            if r.get("state") == "finished"
+        }
+        assert set(finished[0]["spans"]["labels"]) == {"a"}
+        assert set(finished[1]["spans"]["labels"]) == {"b"}
+        assert current_profiler() is None
+
 
 # ----------------------------------------------------------------------
 # One result, however the campaign is executed

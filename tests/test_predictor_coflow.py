@@ -22,6 +22,23 @@ from repro.predictor.state import CoflowLinkState, CoflowOnLink
 
 GBPS = 1e9
 
+#: Permutation predictors: TCF, FIFO and two custom keys over ``(total,
+#: on_link, arrival)``: bytes off the link (ties whenever a coflow sits
+#: wholly on it) and one that is NaN at a newcomer (arrival inf), which
+#: ranks it neither ahead of nor behind anyone.
+PERMUTATIONS = {
+    "tcf": TCFPredictor(),
+    "fifo": PermutationPredictor(
+        key=lambda total, on_link, arrival: arrival, name="fifo"
+    ),
+    "off-link": PermutationPredictor(
+        key=lambda total, on_link, arrival: total - on_link, name="off-link"
+    ),
+    "nan-at-newcomer": PermutationPredictor(
+        key=lambda total, on_link, arrival: arrival * 0.0, name="nan"
+    ),
+}
+
 
 def clink(coflows, capacity=GBPS) -> CoflowLinkState:
     return CoflowLinkState(
@@ -107,6 +124,55 @@ class TestEq14to17Permutation:
         state = clink([(4e9, 1e9, 0.0)])
         tcf = TCFPredictor()
         assert tcf.cct(4e9, 1e9, state) == pytest.approx(2.0)
+
+    @given(
+        name=st.sampled_from(tuple(PERMUTATIONS)),
+        new_total=st.sampled_from((1e9, 4e9, 3.3e9)),
+        new_share=st.sampled_from((0.0, 0.5, 1.0)),
+        coflows=st.lists(
+            st.tuples(
+                # totals at the new coflow's own, so ties at its key
+                st.one_of(
+                    st.sampled_from((1e9, 4e9, 3.3e9)),
+                    st.floats(1.0, 1e11),
+                ),
+                st.sampled_from((0.1, 0.5, 1.0)),
+                st.sampled_from((0.0, 1.0, 2.5)),
+            ),
+            max_size=6,  # empty links too
+        ),
+        capacity=st.sampled_from((1e9, 3e8, 1e10 / 3)),
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_one_pass_equals_the_two_it_replaced(
+        self, name, new_total, new_share, coflows, capacity
+    ):
+        """``cct``, ``delta_sum`` and ``link_objective`` share one pass
+        over the link: each equals the separate eq. (14) / (15) bodies
+        of ``tests/coflow_query_oracle.py`` bit for bit, and the objective
+        is exactly their sum."""
+        from tests.coflow_query_oracle import (
+            permutation_cct,
+            permutation_delta_sum,
+        )
+
+        predictor = PERMUTATIONS[name]
+        state = clink(
+            [(t, t * share, arrival) for t, share, arrival in coflows],
+            capacity,
+        )
+        new_on_link = new_total * new_share
+        cct = predictor.cct(new_total, new_on_link, state)
+        delta = predictor.delta_sum(new_total, new_on_link, state)
+        assert cct == permutation_cct(
+            predictor._key, new_total, new_on_link, state
+        )
+        assert delta == permutation_delta_sum(
+            predictor._key, new_total, new_on_link, state
+        )
+        assert predictor.link_objective(new_total, new_on_link, state) == (
+            cct + delta
+        )
 
 
 class TestInvariance42:
