@@ -27,11 +27,6 @@ class FlowError(ReproError):
     """Raised for invalid flow definitions or state transitions."""
 
 
-class ShadowVerifyError(FlowError):
-    """Raised when a scoped (incremental) rate allocation disagrees with the
-    full-recompute shadow oracle run side-by-side in ``shadow_verify`` mode."""
-
-
 class CoflowError(ReproError):
     """Raised for invalid coflow definitions or state transitions."""
 

@@ -150,8 +150,6 @@ def replay_flow_trace(
     horizon: Optional[float] = None,
     size_estimator: Optional[SizeEstimator] = None,
     telemetry: Optional["Telemetry"] = None,
-    incremental: Optional[bool] = None,
-    shadow_verify: bool = False,
     faults: Optional[FaultPlan] = None,
     state_ttl: Optional[float] = None,
     push_updates: bool = False,
@@ -180,11 +178,6 @@ def replay_flow_trace(
         telemetry: optional :class:`~repro.telemetry.Telemetry` bundle:
             metrics, trace events, and the placement-decision log are all
             recorded against this run.
-        incremental: scope rate recomputes to the dirty sharing component
-            (default: whatever the allocator declares safe); ``False``
-            forces the full-recompute reference path.
-        shadow_verify: run the full allocator side-by-side with every
-            scoped recompute and raise on any rate divergence.
         faults: optional :class:`~repro.faults.FaultPlan` to inject.  An
             empty (or absent) plan leaves the run byte-identical to a
             fault-free one.
@@ -198,8 +191,6 @@ def replay_flow_trace(
         topology,
         make_allocator(network_policy),
         telemetry=telemetry,
-        incremental=incremental,
-        shadow_verify=shadow_verify,
     )
     place_rng = random.Random(seed)
     pool_rng = random.Random(seed + 7)

@@ -7,19 +7,14 @@ internal change point (LAS attained-service and SRPT remaining-size
 crossings); between recomputes every flow progresses linearly at its
 assigned rate, so completions are exact in the fluid model.
 
-Rate recomputation is *incremental* by default: an event dirties only the
-links its flow touches, the recompute's scope is the connected component
-of the flow-link sharing graph on those links (flows sharing a link drag
-their other links in; the fabric keeps the components as flows come and
-go), and the allocator runs on that component alone.
-Because every allocator couples flows exclusively through shared-link
-capacities, the allocation problem decomposes exactly over sharing
-components: links outside the component keep their cached rates and their
-flows' completion events stay untouched.  ``incremental=False`` keeps the
-same event machinery but hands the allocator the full active set on every
-recompute — the reference oracle the differential test harness compares
-against — and ``shadow_verify=True`` runs that full allocator side by side
-with the scoped one, asserting rate-map equality at every recompute.
+Rate recomputation is *incremental*: an event dirties only the links its
+flow touches, the recompute's scope is the connected component of the
+flow-link sharing graph on those links (flows sharing a link drag their
+other links in; the fabric keeps the components as flows come and go),
+and the allocator runs on that component alone.  Because every
+``incremental_safe`` allocator couples flows exclusively through
+shared-link capacities, links outside the component keep their cached
+rates and their flows' completion events stay untouched.
 
 Allocators whose priorities couple flows across *disjoint* links (the
 coflow policies: MADD spreads a coflow's progress over all its flows) set
@@ -42,7 +37,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import FlowError, RoutingError, ShadowVerifyError
+from repro.errors import FlowError, RoutingError
 from repro.network.flow import Flow, FlowId, FlowRecord
 from repro.network.policies.base import RATE_EPSILON, RateAllocator
 from repro.sim.engine import Engine
@@ -54,12 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a network<->telemetry cycle
     from repro.telemetry import Telemetry
 
 CompletionListener = Callable[[Flow, FlowRecord], None]
-
-#: Absolute slack allowed between the scoped and the shadow (full) rate for
-#: one flow before ``shadow_verify`` raises.  Scoped and full allocations
-#: perform identical float arithmetic per component, so any real
-#: decomposition violation shows up far above this.
-SHADOW_TOLERANCE = 1e-6
 
 _INF = float("inf")
 
@@ -104,22 +93,11 @@ class NetworkFabric:
         *,
         router: Optional[Router] = None,
         telemetry: Optional["Telemetry"] = None,
-        incremental: Optional[bool] = None,
-        shadow_verify: bool = False,
     ) -> None:
         self._engine = engine
         self._topology = topology
         self._allocator = allocator
         self._router = router or Router(topology)
-        if incremental and not allocator.incremental_safe:
-            raise FlowError(
-                f"allocator {allocator.name!r} couples flows beyond shared "
-                "links and cannot be scoped; use incremental=False"
-            )
-        if incremental is None:
-            incremental = allocator.incremental_safe
-        self._incremental = bool(incremental)
-        self._shadow_verify = bool(shadow_verify)
         # Occupied link -> its sharing component; None for an allocator
         # that cannot be scoped (its scope is always the full active set).
         self._component_on: Optional[Dict[LinkId, _Component]] = (
@@ -181,11 +159,6 @@ class NetworkFabric:
     @property
     def allocator(self) -> RateAllocator:
         return self._allocator
-
-    @property
-    def incremental(self) -> bool:
-        """Whether recomputes are scoped to the dirty sharing component."""
-        return self._incremental
 
     @property
     def records(self) -> Sequence[FlowRecord]:
@@ -701,19 +674,16 @@ class NetworkFabric:
         scope: Optional[List[_Component]] = None,
     ) -> None:
         """Recompute rates for the component(s) touching ``dirty_links``
-        (``scope``, when the caller holds them already).
-
-        For an allocator that is not ``incremental_safe`` everything is
-        dirty.  In ``incremental=False`` mode the component still defines
-        the sync scope and the trace payload but the allocator runs on
-        the full active set; the two modes perform identical float
-        arithmetic per component, which is what makes their outputs
-        byte-comparable.
+        (``scope``, when the caller holds them already).  For an
+        allocator that is not ``incremental_safe`` everything is dirty.
         """
         probe = self._probe
         now = self._engine.now
-        span = probe.enter_recompute(self._incremental) if probe is not None else None
         component_on = self._component_on
+        span = (
+            probe.enter_recompute(component_on is not None)
+            if probe is not None else None
+        )
         if component_on is None:
             comp_flows = [self._active[fid] for fid in sorted(self._active)]
             comp_links = {
@@ -752,6 +722,10 @@ class NetworkFabric:
             else:
                 survivors.append(flow)
         if survivors:
+            if component_on is None and len(survivors) != len(self._active):
+                # A completion listener submitted while settling: the
+                # unscoped allocator still gets the whole active set.
+                survivors = [self._active[fid] for fid in sorted(self._active)]
             self._reallocate(survivors, comp_links, len(comp_flows), now)
             if self._hinting:
                 self._schedule_hints(
@@ -799,37 +773,26 @@ class NetworkFabric:
         (``component_size`` counts the flows that finished while settling
         too)."""
         probe = self._probe
-        scoped = self._incremental
-        # Survivors are a flow-id-ordered subset of ``_active``: at
-        # equal length they are the whole active set, already sorted.
-        scope_flows = (
-            comp_flows if scoped or len(comp_flows) == len(self._active)
-            else [self._active[fid] for fid in sorted(self._active)]
-        )
         span = None
         if probe is not None:
             probe.on_recompute(
-                now, len(self._active), component_size, len(comp_links), scoped
+                now, len(self._active), component_size, len(comp_links),
+                self._component_on is not None,
             )
             span = probe.enter_alloc(self._allocator.name)
-        # Allocators only look links up, so both modes hand them the map.
-        rates = self._allocator.allocate(scope_flows, self._capacities)
+        # Allocators only look links up, so they are handed the map itself.
+        rates = self._allocator.allocate(comp_flows, self._capacities)
         if span is not None:
             probe.exit_alloc(span)
 
-        comp_ids = {flow.flow_id for flow in comp_flows}
         span = probe.enter_splice() if probe is not None else None
-        self._splice_rates(scope_flows, comp_ids, rates, now)
+        self._splice_rates(comp_flows, rates, now)
         if span is not None:
             probe.exit_splice(span)
 
-        if self._shadow_verify and scoped:
-            self._verify_against_full(now)
-
     def _splice_rates(
         self,
-        scope_flows: Sequence[Flow],
-        comp_ids: Set[FlowId],
+        comp_flows: Sequence[Flow],
         rates: Dict[FlowId, float],
         now: float,
     ) -> None:
@@ -837,21 +800,12 @@ class NetworkFabric:
         the completion events of every flow whose rate changed."""
         probe = self._probe
         progressed = False
-        for flow in scope_flows:
+        for flow in comp_flows:
             flow_id = flow.flow_id
             new_rate = rates.get(flow_id, 0.0)
             changed = new_rate != self._rates.get(flow_id, 0.0)
-            if flow_id in comp_ids:
-                if new_rate > RATE_EPSILON:
-                    progressed = True
-            elif changed:
-                # Full-mode reference only: the global allocator moved a
-                # flow outside the dirty component.  Apply it faithfully —
-                # a scoped run cannot see this, so the differential
-                # harness flags any policy for which it ever happens.
-                self._sync_flow(flow, now)
-            else:
-                continue
+            if new_rate > RATE_EPSILON:
+                progressed = True
             self._rates[flow_id] = new_rate
             if changed and probe is not None:
                 probe.on_rate(now, flow_id, new_rate)
@@ -896,26 +850,3 @@ class NetworkFabric:
     def _on_hint(self, component: _Component) -> None:
         component.hint_event = None
         self._recompute((), [component])
-
-    def _verify_against_full(self, now: float) -> None:
-        """Shadow oracle: the full allocator over all flows must agree
-        with the spliced scoped rate map."""
-        reference = self._allocator.allocate(
-            [self._active[fid] for fid in sorted(self._active)],
-            self._capacities,
-        )
-        mismatches: List[str] = []
-        for flow_id in sorted(self._active):
-            scoped_rate = self._rates.get(flow_id, 0.0)
-            full_rate = reference.get(flow_id, 0.0)
-            if abs(scoped_rate - full_rate) > SHADOW_TOLERANCE:
-                mismatches.append(
-                    f"flow {flow_id}: scoped={scoped_rate!r} full={full_rate!r}"
-                )
-        if mismatches:
-            detail = "; ".join(mismatches[:5])
-            raise ShadowVerifyError(
-                f"scoped allocation diverged from full recompute at "
-                f"t={now!r} under {self._allocator.name!r} "
-                f"({len(mismatches)} flows): {detail}"
-            )

@@ -28,13 +28,16 @@ class RateAllocator(ABC):
     #: Short policy name, e.g. ``"fair"``; used by registries and reports.
     name: str = "abstract"
 
-    #: Whether the allocation decomposes exactly over connected components
-    #: of the flow-link sharing graph: the rates of a component depend only
-    #: on that component's flows and links.  True for every policy that
-    #: couples flows exclusively through shared-link capacities (fair,
-    #: fcfs, las, srpt); False for coflow policies, where MADD spreads one
-    #: coflow's progress across flows on *disjoint* links.  The fabric only
-    #: scopes recomputes to the dirty component when this is True.
+    #: Whether the fabric may allocate each connected component of the
+    #: flow-link sharing graph on its own.  True for every policy that
+    #: couples flows only through shared-link capacities (fair, fcfs, las,
+    #: srpt); False for coflow policies, where MADD spreads one coflow's
+    #: progress across flows on *disjoint* links: they always get the full
+    #: active set.  LAS and SRPT merge *adjacent* keys within 1 bit into
+    #: one group, so near-tie groups are formed per sharing component
+    #: (keys 0 / 0.6 / 1.2 chain into one group over the full set, not in
+    #: a component holding the outer two); the fabric's answer is the
+    #: model's definition (DESIGN.md §5.1).
     incremental_safe: bool = False
 
     @abstractmethod
@@ -47,8 +50,8 @@ class RateAllocator(ABC):
 
         Flows with an empty path (host-local transfers) should not be passed
         in; the fabric completes them immediately.  Must be side-effect free
-        with respect to the flows and any allocator state: the fabric's
-        ``shadow_verify`` mode replays allocations out of band.
+        with respect to the flows and any allocator state: a test-side
+        oracle replays allocations over the full active set out of band.
         """
 
     def next_change_hint(

@@ -415,14 +415,15 @@ def test_coflow_members_finish_together_before_backfill(scenario):
 # A live fabric takes random submissions interleaved with random
 # LinkDegrade / LinkDown events; after every event the current allocation
 # must respect the *reduced* capacities and stay work-conserving, and the
-# shadow verifier (full recompute alongside every scoped one) must agree
-# throughout — the incremental path may not survive capacity mutations by
-# luck alone.
+# full-recompute oracle (``tests/full_recompute_oracle.py``) must agree
+# with every scoped recompute, under every fill leg — the incremental
+# path may not survive capacity mutations by luck alone.
 
 from repro.errors import RoutingError  # noqa: E402
 from repro.network.fabric import NetworkFabric  # noqa: E402
 from repro.sim.engine import Engine  # noqa: E402
 from repro.topology.fabrics import single_switch  # noqa: E402
+from tests import full_recompute_oracle  # noqa: E402
 
 #: Probes run just after same-timestamp fault/arrival/recompute machinery.
 PROBE_EPS = 1e-6
@@ -464,14 +465,17 @@ def chaos_runs(draw):
 @given(chaos_runs())
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_allocations_respect_mutated_capacities(run):
-    n_hosts, submissions, events = run
+    for fill in FILLS:
+        with pytest.MonkeyPatch.context() as patch:
+            pin_fill(patch, fill)
+            full_recompute_oracle.install(patch)
+            _chaos_run(*run)
+
+
+def _chaos_run(n_hosts, submissions, events) -> None:
     engine = Engine()
     topo = single_switch(n_hosts)
-    # shadow_verify raises ShadowVerifyError the moment any scoped
-    # recompute diverges from the full reference allocation.
-    fabric = NetworkFabric(
-        engine, topo, make_allocator("fair"), shadow_verify=True
-    )
+    fabric = NetworkFabric(engine, topo, make_allocator("fair"))
     submitted = []
 
     def probe() -> None:

@@ -12,6 +12,9 @@ from repro.network.policies.registry import make_allocator
 from repro.sim.engine import Engine
 from repro.topology.fabrics import single_switch, three_tier_clos
 
+from tests import full_recompute_oracle
+from tests.conftest import FILLS, pin_fill
+
 
 def fresh(policy="fair", hosts=4):
     engine = Engine()
@@ -290,13 +293,14 @@ def test_only_a_removal_walks_the_sharing_graph(policy, monkeypatch):
     assert not fabric._component_on
 
 
-@pytest.mark.parametrize("incremental", [True, False])
+@pytest.mark.parametrize("scoped", [True, False])
 def test_both_modes_hand_the_allocator_the_one_capacity_map(
-    incremental, monkeypatch
+    scoped, monkeypatch
 ):
-    """Scoped or full, the allocator is handed the fabric's own map (it
-    only looks links up), never a per-event copy of the scope's links."""
-    allocator, handed = make_allocator("fair"), []
+    """Scoped (a flow policy) or full (a coflow allocator), the allocator
+    is handed the fabric's own map (it only looks links up), never a
+    per-event copy of the scope's links."""
+    allocator, handed = _allocator("fair" if scoped else "varys"), []
     allocate = allocator.allocate
     monkeypatch.setattr(
         allocator,
@@ -305,9 +309,8 @@ def test_both_modes_hand_the_allocator_the_one_capacity_map(
         or allocate(flows, capacities),
     )
     engine = Engine()
-    fabric = NetworkFabric(
-        engine, single_switch(7), allocator, incremental=incremental
-    )
+    fabric = NetworkFabric(engine, single_switch(7), allocator)
+    assert (fabric._component_on is not None) == scoped
     fabric.submit("h000", "h001", 4e9)
     fabric.submit("h003", "h004", 4e9)
     engine.run(until=1.0)
@@ -491,6 +494,24 @@ def _driven(ops, policy, after_op=None):
         if after_op is not None:
             after_op(fabric)
     return fabric
+
+
+@pytest.mark.parametrize("fill", FILLS)
+@given(_fabric_ops, st.sampled_from(("fair", "fcfs", "las", "srpt")))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_every_recompute_of_a_history_is_the_full_allocation(
+    fill, ops, policy
+):
+    """The full-recompute oracle after every recompute of a generated
+    history (submit, advance, cancel, degrade, fail a link or a host)
+    and of the drain that follows it."""
+    with pytest.MonkeyPatch.context() as patch:
+        pin_fill(patch, fill)
+        checked = full_recompute_oracle.install(patch)
+        fabric = _driven(ops, policy)
+        fabric.engine.run()
+    assert not fabric._active
+    assert len(checked) >= len(fabric.records)
 
 
 def _progress(fabric):

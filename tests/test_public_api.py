@@ -7,6 +7,7 @@ dropped, this fails before any example or notebook does.
 from __future__ import annotations
 
 import importlib
+import inspect
 
 import pytest
 
@@ -86,14 +87,26 @@ PUBLIC_SYMBOLS = {
     ],
 }
 
-#: Removed in 1.6.0 (CHANGES.md): off is ``None``, so the disabled twins
-#: and their singletons are gone.
+#: Removed (CHANGES.md).  1.6.0: off is ``None``, so the disabled twins
+#: and their singletons are gone.  1.7.0: the fabric has one mode, so the
+#: shadow verifier's error and tolerance are gone.
 REMOVED_SYMBOLS = {
     "repro.telemetry": [
         "NULL_TELEMETRY", "NullMetricsRegistry", "NULL_REGISTRY",
         "NULL_TRACE", "NULL_DECISIONS", "NULL_CAUSAL", "NullProfiler",
         "NULL_PROFILER",
     ],
+    "repro.errors": ["ShadowVerifyError"],
+    "repro.network.fabric": ["SHADOW_TOLERANCE"],
+}
+
+#: Keyword arguments removed in 1.7.0 (CHANGES.md): a recompute's scope is
+#: the allocator's property, and the full-recompute check is test-side.
+REMOVED_KEYWORDS = {
+    ("repro.network", "NetworkFabric"): ("incremental", "shadow_verify"),
+    ("repro.experiments", "replay_flow_trace"): (
+        "incremental", "shadow_verify",
+    ),
 }
 
 
@@ -102,6 +115,14 @@ def test_removed_names_stay_removed(module_name):
     module = importlib.import_module(module_name)
     for symbol in REMOVED_SYMBOLS[module_name]:
         assert not hasattr(module, symbol), f"{module_name}.{symbol} is back"
+
+
+def test_removed_keywords_stay_removed():
+    for (module_name, name), keywords in sorted(REMOVED_KEYWORDS.items()):
+        callable_ = getattr(importlib.import_module(module_name), name)
+        parameters = inspect.signature(callable_).parameters
+        for keyword in keywords:
+            assert keyword not in parameters, f"{name}({keyword}=) is back"
 
 
 @pytest.mark.parametrize("module_name", sorted(PUBLIC_SYMBOLS))
