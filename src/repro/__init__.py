@@ -53,7 +53,7 @@ from repro.errors import (
     WorkloadError,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "__version__",

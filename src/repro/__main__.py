@@ -108,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument(
         "--metrics-out", metavar="PATH", default=None,
-        help="write counters/gauges/histograms/timers and the "
-             "placement-decision error summary as JSON",
+        help="write counters/gauges/histograms and the "
+             "placement-decision error summary as JSON (plus the span "
+             "profile, the wall time per subsystem, with --profile)",
     )
     obs.add_argument(
         "--timeline", metavar="PATH", default=None,
@@ -562,7 +563,8 @@ def run_report_cli(argv) -> int:
     style.add_argument(
         "--json", action="store_true",
         help="emit the normalized snapshot as machine-readable JSON "
-             "(counters/gauges/histograms/timers keyed by name)",
+             "(counters/gauges/histograms keyed by name; other sections "
+             "pass through)",
     )
     parser.add_argument(
         "--prefix", default="repro_", metavar="PREFIX",
@@ -739,7 +741,7 @@ def run_serve_cli(argv) -> int:
     )
     parser.add_argument(
         "--metrics-out", metavar="PATH", default=None,
-        help="write the final counters/gauges/timers snapshot as JSON "
+        help="write the final counters/gauges/histograms snapshot as JSON "
              "(render with 'python -m repro report')",
     )
     parser.add_argument(

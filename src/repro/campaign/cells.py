@@ -16,18 +16,6 @@ from repro.campaign.status import StatusWriter
 from repro.metrics.stats import afct, average_gap
 
 
-def _metrics_snapshot(registry) -> Dict[str, object]:
-    """The deterministic slice of a run's metrics.
-
-    Timers hold wall-clock seconds, which differ run to run; everything
-    else in the registry is derived from simulated time and is exactly
-    reproducible, so only timers are dropped from cached payloads.
-    """
-    snapshot = registry.as_dict()
-    snapshot.pop("timers", None)
-    return snapshot
-
-
 def _macro_payload(spec: RunSpec) -> Dict[str, object]:
     """Run one flow/coflow placement-comparison cell."""
     from repro.experiments.runner import compare_policies
@@ -92,7 +80,7 @@ def _macro_payload(spec: RunSpec) -> Dict[str, object]:
         "seed": cfg.seed,
         "faults": spec.faults.canonical() if spec.faults is not None else None,
         "per_placement": per_placement,
-        "metrics": _metrics_snapshot(registry),
+        "metrics": registry.as_dict(),
     }
 
 

@@ -117,14 +117,9 @@ class MessageBus:
         self._messages_sent += 2
         self._calls += 1
         probe = self._probe
-        span = None
         if probe is not None:
             probe.note_bus_message(self._engine.now, host, payload, self._rtt)
-            span = probe.enter_bus_handler()
-        reply = handler(payload)
-        if span is not None:
-            probe.exit_bus_handler(span)
-        return reply
+        return handler(payload)
 
     def push(self, host: NodeId, payload: Any) -> bool:
         """One-way message from ``host``'s daemon to the controller.

@@ -396,10 +396,7 @@ class PlacementServer:
                 kept.append(queued)
             first_wait = len(queue_waits)
             if requests:
-                span = probe.enter_serve() if probe is not None else None
                 placed = daemon.place_batch(requests, predictor)
-                if span is not None:
-                    probe.exit_serve(span)
                 for queued, request, host in zip(kept, requests, placed):
                     queue_waits.append(engine.now - queued.admitted_at)
                     try:

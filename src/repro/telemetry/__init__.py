@@ -4,13 +4,14 @@ One :class:`Telemetry` object threads through the whole stack (engine,
 fabric, bus, daemons, placement policies, experiment runner) and bundles
 the observability channels:
 
-* :attr:`Telemetry.registry` — counters / gauges / histograms / timers
+* :attr:`Telemetry.registry` — counters / gauges / histograms
   (:mod:`repro.telemetry.registry`);
 * :attr:`Telemetry.trace` — a structured JSONL event sink
   (:mod:`repro.telemetry.trace`);
 * :attr:`Telemetry.decisions` — the placement-decision log with
   realized-outcome joins (:mod:`repro.telemetry.decisions`);
-* :attr:`Telemetry.profiler` — a hierarchical wall-clock span profiler
+* :attr:`Telemetry.profiler` — a hierarchical wall-clock span profiler,
+  the one source of wall time per subsystem
   (:mod:`repro.telemetry.profiler`);
 * :attr:`Telemetry.causal` — request-scoped causal traces with FCT/CCT
   blame decomposition (:mod:`repro.telemetry.causal`).
@@ -51,7 +52,6 @@ from repro.telemetry.registry import (
     Histogram,
     MetricsProbe,
     MetricsRegistry,
-    Timer,
     merge_snapshots,
 )
 from repro.telemetry.profiler import SpanProfiler, render_profile
@@ -89,7 +89,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "TraceSink",
     "JsonlTraceSink",
     "RotatingJsonlTraceSink",
@@ -189,8 +188,8 @@ class Telemetry:
         self.causal = causal
         self.timeline_interval = timeline_interval
         self.timelines: List[Tuple[str, Sequence]] = []
-        # Fan-out order: the profiler first, so its spans enclose the
-        # other channels' timers.
+        # Fan-out order of the plain events; the timed sections are the
+        # profiler's alone.
         channels = [
             profiler,
             MetricsProbe(registry) if registry is not None else None,
@@ -241,7 +240,7 @@ def create_telemetry(
     Args:
         trace_path: write a JSONL trace here (omit for no trace file);
             a ``.gz`` suffix writes a deterministic gzip stream.
-        metrics: collect counters/gauges/histograms/timers.
+        metrics: collect counters/gauges/histograms.
         decisions: collect the placement-decision log.
         profile: attach a :class:`SpanProfiler` (hierarchical wall-clock
             spans; never perturbs simulation results).

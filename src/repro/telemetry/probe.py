@@ -26,7 +26,10 @@ bound method when there is exactly one — a single-subscriber point
 costs one call — and to a fan-out otherwise; channels turn the typed
 arguments into their own records, counter names and span labels, and
 must never mutate what they are handed.  Probe points are called
-positionally (the fan-out forwards ``*args`` only).
+positionally (the fan-out forwards ``*args`` only).  A timed section
+takes at most one subscriber, so its token is that channel's own; only
+the span profiler times anything, and a second claimant is a
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -76,10 +79,8 @@ TIMED = (
     "expand",
     "alloc",
     "splice",
-    "bus_handler",
     "predict",
     "place",
-    "serve",
 )
 
 PROBE_POINTS = EVENTS + tuple(
@@ -107,27 +108,6 @@ def _fan_out(subscribers: List[Callable]) -> Callable:
     return fan_out
 
 
-def _fan_enter(enters: List[Callable]) -> Callable:
-    def enter(*args) -> list:
-        tokens = []
-        for enter_one in enters:
-            tokens.append(enter_one(*args))
-        return tokens
-
-    return enter
-
-
-def _fan_exit(exits: List[Callable]) -> Callable:
-    # Innermost first, so nested spans unwind in the order they opened.
-    ordered = tuple(reversed(tuple(enumerate(exits))))
-
-    def exit_(tokens: list) -> None:
-        for index, exit_one in ordered:
-            exit_one(tokens[index])
-
-    return exit_
-
-
 class Probe:
     """Every probe point as a ready-to-call attribute."""
 
@@ -150,9 +130,12 @@ class Probe:
             )
         for name in TIMED:
             timing = [c for c in channels if hasattr(c, f"enter_{name}")]
-            enters = [getattr(c, f"enter_{name}") for c in timing]
-            exits = [getattr(c, f"exit_{name}") for c in timing]
             if len(timing) > 1:
-                enters, exits = [_fan_enter(enters)], [_fan_exit(exits)]
-            setattr(self, f"enter_{name}", _fan_out(enters))
-            setattr(self, f"exit_{name}", _fan_out(exits))
+                raise TypeError(
+                    f"timed section {name!r} takes one subscriber, not "
+                    + ", ".join(type(c).__name__ for c in timing)
+                )
+            for point in (f"enter_{name}", f"exit_{name}"):
+                setattr(
+                    self, point, getattr(timing[0], point) if timing else _ignore
+                )

@@ -1,10 +1,11 @@
 """Hierarchical span profiler: attribute wall-clock to subsystems.
 
 The profiler answers *where* the time of a run goes — allocator math vs.
-component BFS vs. heap churn vs. predictor calls — which the flat
-:class:`~repro.telemetry.registry.Timer` cannot: timers accumulate one
-inclusive number per subsystem, while spans form a tree (``engine.event``
-contains ``placement.place`` contains ``predictor.fct``) whose per-node
+component BFS vs. heap churn vs. predictor calls.  It is the one channel
+that measures host wall time per subsystem and the only subscriber of
+the probe's timed sections.  Spans form a tree (``engine.event``
+contains ``placement.place`` contains ``predictor.fct``): each node's
+inclusive time is what a flat per-subsystem total would show, and its
 *exclusive* time is what a flame graph renders.
 
 Usage::

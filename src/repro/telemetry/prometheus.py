@@ -10,7 +10,6 @@ Mapping:
 
 * counters  -> ``<prefix><name>_total`` (TYPE counter)
 * gauges    -> ``<prefix><name>`` (TYPE gauge)
-* timers    -> ``<prefix><name>_seconds_total`` + ``<prefix><name>_calls_total``
 * histograms-> TYPE histogram: real cumulative ``_bucket{le="..."}``
   series rendered from the registry's log-bucketed quantile sketch
   (closed by ``le="+Inf"``), plus ``_sum`` / ``_count``.  Legacy
@@ -18,7 +17,8 @@ Mapping:
   with ``{quantile="0.5"|"0.95"}`` series (or bare sum/count when even
   quantiles are missing).
 * profiler  -> ``<prefix>span_*`` series labelled by flame path, when the
-  snapshot carries a ``profile`` section (``--profile`` runs do)
+  snapshot carries a ``profile`` section (``--profile`` runs do): the
+  only wall time per subsystem
 
 Metric names are sanitised to the Prometheus charset (dots become
 underscores); label values are escaped per the exposition format.
@@ -92,14 +92,6 @@ def render_prometheus(snapshot: Dict, *, prefix: str = "repro_") -> str:
         name = _name(prefix, raw)
         header(name, "gauge", f"gauge {raw}")
         lines.append(f"{name} {_num(value)}")
-
-    for raw, stats in snapshot.get("timers", {}).items():
-        seconds = _name(prefix, raw, "_seconds_total")
-        header(seconds, "counter", f"accumulated wall seconds in {raw}")
-        lines.append(f"{seconds} {_num(stats.get('wall_seconds', 0.0))}")
-        calls = _name(prefix, raw, "_calls_total")
-        header(calls, "counter", f"timed calls of {raw}")
-        lines.append(f"{calls} {_num(stats.get('calls', 0))}")
 
     for raw, summary in snapshot.get("histograms", {}).items():
         name = _name(prefix, raw)

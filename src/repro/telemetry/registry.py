@@ -1,17 +1,15 @@
-"""Zero-dependency metrics registry: counters, gauges, histograms, timers.
+"""Zero-dependency metrics registry: counters, gauges, histograms.
 
 The registry is the quantitative half of the telemetry layer
 (:mod:`repro.telemetry`): subsystems record *how much* happened (flows
-completed, rate recomputes, control messages) and *how long* it took
-(wall-clock per subsystem via :class:`Timer`), while the trace sink
+completed, rate recomputes, control messages), while the trace sink
 (:mod:`repro.telemetry.trace`) records *what* happened event by event.
 
-Metrics carry two time dimensions:
-
-* **sim-time** values (FCTs, latencies) are observed into histograms —
-  they are deterministic and safe to assert on in tests;
-* **wall-time** values accumulate in timers — they are measurement-only
-  and never enter the deterministic trace.
+Every value is derived from simulated time (FCTs, CCTs, counts) and is
+safe to assert on in tests, with one exception:
+``service.decision_latency_seconds``, the serving loop's wall-clock
+latency per decision, which the SLO engine reads.  Wall time per
+subsystem is the span profiler's (:mod:`repro.telemetry.profiler`).
 
 Metrics off is ``Telemetry.registry is None``: there is no disabled
 registry.  Neither the simulation core nor the placement service touches
@@ -23,7 +21,6 @@ feed.
 from __future__ import annotations
 
 import json
-import time
 from typing import Dict, Optional
 
 from repro.telemetry.timeseries import QuantileSketch
@@ -32,7 +29,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "MetricsRegistry",
     "MetricsProbe",
     "merge_snapshots",
@@ -96,23 +92,6 @@ class Histogram(QuantileSketch):
         return out
 
 
-class Timer:
-    """Accumulated wall-clock time of one subsystem (profiling hook).
-
-    Written by :class:`MetricsProbe`'s ``enter_*`` / ``exit_*`` pairs.
-    Nested timers each accumulate their own *inclusive* time: the
-    ``placement`` timer includes the ``bus`` calls it makes, which in
-    turn include ``predictor`` work.
-    """
-
-    __slots__ = ("name", "calls", "wall_seconds")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.calls = 0
-        self.wall_seconds = 0.0
-
-
 class MetricsRegistry:
     """Namespace of metrics, created on first use, JSON-exportable."""
 
@@ -120,7 +99,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._timers: Dict[str, Timer] = {}
 
     # ------------------------------------------------------------------
     # Accessors (get-or-create; names are dotted, e.g. "bus.messages")
@@ -143,12 +121,6 @@ class MetricsRegistry:
             metric = self._histograms[name] = Histogram(name)
         return metric
 
-    def timer(self, name: str) -> Timer:
-        metric = self._timers.get(name)
-        if metric is None:
-            metric = self._timers[name] = Timer(name)
-        return metric
-
     # ------------------------------------------------------------------
     # Read-only iteration (windowed-rollup sampling)
     # ------------------------------------------------------------------
@@ -161,9 +133,6 @@ class MetricsRegistry:
 
     def histograms_by_name(self) -> Dict[str, Histogram]:
         return self._histograms
-
-    def timers_by_name(self) -> Dict[str, Timer]:
-        return self._timers
 
     # ------------------------------------------------------------------
     # Export
@@ -180,10 +149,6 @@ class MetricsRegistry:
             "histograms": {
                 name: h.summary()
                 for name, h in sorted(self._histograms.items())
-            },
-            "timers": {
-                name: {"calls": t.calls, "wall_seconds": t.wall_seconds}
-                for name, t in sorted(self._timers.items())
             },
         }
 
@@ -213,13 +178,10 @@ _COMPONENT_METRICS = {
             "fabric.recompute.component_flows", "fabric.fct_seconds",
             "fabric.fct_gap",
         )),
-        ("timer", ("allocator",)),
     ),
     "bus": (
         ("counter", ("bus.messages_sent", "bus.calls", "bus.messages_dropped")),
-        ("timer", ("bus",)),
     ),
-    "network_daemon": (("timer", ("predictor",)),),
     "placement_daemon": (
         ("counter", ("placement.stale_fallbacks", "placement.query_failures")),
     ),
@@ -242,30 +204,16 @@ _COMPONENT_METRICS = {
             "service.queue_wait_seconds", "service.batch_size",
             "service.decision_latency_seconds",
         )),
-        ("timer", ("service.decision",)),
     ),
 }
-
-
-def _timed(timer_name: str):
-    """An enter/exit probe-point pair accumulating into one timer."""
-
-    def enter(self, *args) -> float:
-        return time.perf_counter()
-
-    def exit_(self, start: float) -> None:
-        timer = self._timers[timer_name]
-        timer.calls += 1
-        timer.wall_seconds += time.perf_counter() - start
-
-    return enter, exit_
 
 
 class MetricsProbe:
     """Probe channel feeding a :class:`MetricsRegistry`.
 
-    Every counter/gauge/histogram/timer name the simulation core and
-    the placement service produce is spelled here and nowhere else.
+    Every counter/gauge/histogram name the simulation core and the
+    placement service produce is spelled here and nowhere else.  It
+    subscribes to no timed section: those are the span profiler's.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -273,15 +221,11 @@ class MetricsProbe:
         self._counters = registry.counters_by_name()
         self._gauges = registry.gauges_by_name()
         self._histograms = registry.histograms_by_name()
-        self._timers = registry.timers_by_name()
 
     def on_attach(self, component: str) -> None:
         for accessor, names in _COMPONENT_METRICS.get(component, ()):
             for name in names:
                 getattr(self._registry, accessor)(name)
-
-    def begin_run(self, t, *_context) -> None:
-        self._registry.timer("placement")
 
     def on_engine_stats(
         self, t, events_processed, heap_high_water, pending, new_events
@@ -371,17 +315,11 @@ class MetricsProbe:
         observe_wait = self._histograms["service.queue_wait_seconds"].observe
         for wait in queue_waits:
             observe_wait(wait)
-        # Wall-clock, observation-only (like the timers): never feeds
-        # back into the simulated trajectory.
+        # The registry's one wall-clock value, observation-only: never
+        # feeds back into the simulated trajectory.
         self._histograms["service.decision_latency_seconds"].observe(
             wall_per_request, placed
         )
-
-    enter_alloc, exit_alloc = _timed("allocator")
-    enter_serve, exit_serve = _timed("service.decision")
-    enter_bus_handler, exit_bus_handler = _timed("bus")
-    enter_predict, exit_predict = _timed("predictor")
-    enter_place, exit_place = _timed("placement")
 
 
 class SnapshotAccumulator:
@@ -397,15 +335,15 @@ class SnapshotAccumulator:
     the foundation of the streaming/batch byte-identity guarantee.
 
     Merge semantics (unchanged from the original ``merge_snapshots``):
-    counters sum, gauges keep the maximum (high-water), timers sum calls
-    and wall seconds, histograms combine count/mean/min/max exactly and
-    merge their quantile sketches when every input carried one.
+    counters sum, gauges keep the maximum (high-water), histograms
+    combine count/mean/min/max exactly and merge their quantile sketches
+    when every input carried one.  Any other section (a ``timers`` one
+    in snapshots written before 1.8, say) is ignored.
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
-        self._timers: Dict[str, Dict[str, float]] = {}
         self._histograms: Dict[str, Dict[str, object]] = {}
         self._kind_of: Dict[str, str] = {}
         self._snapshots = 0
@@ -432,13 +370,6 @@ class SnapshotAccumulator:
             self._claim(name, "gauge")
             if name not in self._gauges or value > self._gauges[name]:
                 self._gauges[name] = value
-        for name, stats in snapshot.get("timers", {}).items():
-            self._claim(name, "timer")
-            into = self._timers.setdefault(
-                name, {"calls": 0, "wall_seconds": 0.0}
-            )
-            into["calls"] += stats.get("calls", 0)
-            into["wall_seconds"] += stats.get("wall_seconds", 0.0)
         for name, summary in snapshot.get("histograms", {}).items():
             self._claim(name, "histogram")
             count = summary.get("count", 0)
@@ -477,7 +408,6 @@ class SnapshotAccumulator:
                 name: _merged_histogram(h)
                 for name, h in sorted(self._histograms.items())
             },
-            "timers": dict(sorted(self._timers.items())),
         }
 
 
@@ -487,8 +417,8 @@ def merge_snapshots(snapshots) -> Dict[str, Dict[str, object]]:
     The campaign orchestrator runs each cell with its own registry (in
     its own process); this merges the exported snapshots into one
     campaign-level view: counters sum, gauges keep the maximum
-    (high-water semantics), timers sum calls and wall seconds, and
-    histograms combine ``count``/``mean``/``min``/``max`` exactly.
+    (high-water semantics), and histograms combine
+    ``count``/``mean``/``min``/``max`` exactly.
     Summaries that carry a serialized quantile sketch (every snapshot
     written since the sketch-backed registry) additionally merge their
     sketches, so merged histograms keep p50/p95/p99; legacy summaries

@@ -1,10 +1,11 @@
 """Human-readable telemetry report.
 
 Renders one text block from a :class:`~repro.telemetry.Telemetry`
-bundle: counters, gauges, per-subsystem wall-clock profile, histogram
-summaries, placement-decision accuracy, and sampled link utilisation
-from any attached timeline samplers.  This is the report the CLI prints
-after a figure run with ``--trace`` / ``--metrics-out`` / ``--timeline``.
+bundle: counters, gauges, histogram summaries, the span profile (wall
+time per subsystem, with ``--profile``), placement-decision accuracy,
+and sampled link utilisation from any attached timeline samplers.  This
+is the report the CLI prints after a figure run with ``--trace`` /
+``--metrics-out`` / ``--timeline``.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ __all__ = [
     "render_snapshot",
     "snapshot_as_dict",
 ]
-
-#: Subsystem timers, outermost first (each includes the ones below it).
-_PROFILE_ORDER = ("placement", "bus", "predictor", "allocator")
 
 #: Degraded-operation counters: the fault-tolerance paths a healthy run
 #: never takes.  Reports and the Prometheus exporter always emit these
@@ -70,9 +68,9 @@ def _fmt(value: float) -> str:
 
 
 def _snapshot_lines(snapshot) -> List[str]:
-    """Section lines for a metrics snapshot (counters/gauges/timers/
-    histograms, plus the span profile when a ``profile`` key rides
-    along, as in ``--metrics-out`` files from ``--profile`` runs)."""
+    """Section lines for a metrics snapshot (counters/gauges/histograms,
+    plus the span profile when a ``profile`` key rides along, as in
+    ``--metrics-out`` files from ``--profile`` runs)."""
     lines: List[str] = []
     counters = snapshot.get("counters", {})
     if counters:
@@ -87,19 +85,6 @@ def _snapshot_lines(snapshot) -> List[str]:
         width = max(len(name) for name in gauges)
         for name, value in gauges.items():
             lines.append(f"  {name:<{width}}  {_fmt(value)}")
-
-    timers = snapshot.get("timers", {})
-    if timers:
-        lines += ["", "wall-time profile (inclusive; placement > bus > predictor)"]
-        ordered = [n for n in _PROFILE_ORDER if n in timers]
-        ordered += [n for n in sorted(timers) if n not in _PROFILE_ORDER]
-        width = max(len(name) for name in ordered)
-        for name in ordered:
-            info = timers[name]
-            lines.append(
-                f"  {name:<{width}}  {info['wall_seconds'] * 1e3:10.3f} ms"
-                f"  over {info['calls']} calls"
-            )
 
     histograms = snapshot.get("histograms", {})
     if histograms:
@@ -214,7 +199,6 @@ def snapshot_as_dict(snapshot) -> dict:
         "counters": counters,
         "gauges": gauges,
         "histograms": dict(snapshot.get("histograms", {})),
-        "timers": dict(snapshot.get("timers", {})),
         "degraded": {name: counters[name] for name in DEGRADED_COUNTERS},
         "service": service,
         "observability": {

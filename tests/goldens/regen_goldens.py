@@ -16,8 +16,8 @@ Each *observed* run (``OBSERVED``: a fair+NEAT flow run, a Varys+NEAT
 coflow run and a faulted NEAT run, every telemetry channel on) gets four:
 ``<name>.trace.jsonl``, ``<name>.causal.jsonl``,
 ``<name>.decisions.jsonl`` and ``<name>.registry.json`` (the registry
-snapshot minus its wall-clock ``timers``).  They pin every record a bus
-message, placement decision, coflow, fault or causal hook produces.
+snapshot).  They pin every record a bus message, placement decision,
+coflow, fault or causal hook produces.
 
 ``tests/test_goldens.py`` byte-compares the current simulator output —
 with every priority group forced through each allocator fill in turn —
@@ -204,7 +204,6 @@ def generate_observed(name: str):
         )
 
     snapshot = telemetry.registry.as_dict()
-    del snapshot["timers"]  # wall-clock: the only non-deterministic part
     return {
         "trace.jsonl": buf.getvalue(),
         "causal.jsonl": jsonl(telemetry.causal.events),

@@ -105,9 +105,6 @@ def _synthetic_cell(spec: RunSpec) -> dict:
         registry.histogram("synthetic.gap").observe(
             (seed * 7 + i * 3) % 11 + load
         )
-    timer = registry.timer("synthetic.cell")
-    timer.calls += 1
-    timer.wall_seconds += 0.25
     gap = 1.0 + 0.25 * seed + load
     return {
         "network_policy": spec.network_policy,

@@ -6,11 +6,13 @@ the merge_snapshots edge cases (heterogeneous kinds, empty, singleton).
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.telemetry import MetricsRegistry, merge_snapshots
 from repro.telemetry.prometheus import render_prometheus
-from repro.telemetry.report import render_snapshot
+from repro.telemetry.report import render_snapshot, snapshot_as_dict
 
 
 # ----------------------------------------------------------------------
@@ -21,7 +23,6 @@ class TestPrometheus:
         reg = MetricsRegistry()
         reg.counter("bus.messages").inc(7)
         reg.gauge("engine.heap").set(3.0)
-        reg.timer("placement").calls += 1
         for v in (1.0, 2.0, 3.0):
             reg.histogram("fct").observe(v)
         snapshot = reg.as_dict()
@@ -38,8 +39,6 @@ class TestPrometheus:
         assert "# TYPE repro_bus_messages_total counter" in text
         assert "repro_bus_messages_total 7.0" in text
         assert "repro_engine_heap 3.0" in text
-        assert "repro_placement_seconds_total" in text
-        assert "repro_placement_calls_total 1.0" in text
         assert '# TYPE repro_fct histogram' in text
         assert 'repro_fct_bucket{le="+Inf"} 3.0' in text
         assert "repro_fct_sum 6.0" in text
@@ -110,27 +109,55 @@ class TestRenderSnapshot:
         assert "fct: n=2 mean=1.5 max=2" in text  # no p50/p95 claimed
 
 
+def test_snapshot_with_1_7_timers_section_still_renders(tmp_path, capsys):
+    """A ``--metrics-out`` file written by repro 1.7 carries a wall-clock
+    ``timers`` section: the text and Prometheus reports and the merge
+    ignore it, and ``--json`` passes it through untouched like any
+    section it does not know."""
+    from repro.__main__ import main
+
+    reg = MetricsRegistry()
+    reg.counter("fabric.flows_completed").inc(9)
+    reg.gauge("engine.heap_high_water").set(4.0)
+    reg.histogram("fabric.fct_seconds").observe(0.5)
+    current = json.loads(json.dumps(reg.as_dict()))  # as read from a file
+    timers = {
+        "allocator": {"calls": 12, "wall_seconds": 0.04},
+        "placement": {"calls": 9, "wall_seconds": 0.25},
+    }
+    old = {**current, "timers": timers}
+    path = tmp_path / "metrics-1.7.json"
+    path.write_text(json.dumps(old), encoding="utf-8")
+
+    def report(*flags) -> str:
+        assert main(["report", str(path), *flags]) == 0
+        return capsys.readouterr().out
+
+    assert report() == render_snapshot(current) + "\n"
+    assert report("--prometheus") == render_prometheus(current)
+    assert json.loads(report("--json")) == {
+        **snapshot_as_dict(current), "timers": timers,
+    }
+    assert merge_snapshots([old, old]) == merge_snapshots([current, current])
+
+
 # ----------------------------------------------------------------------
 # merge_snapshots edge cases (registry satellite)
 # ----------------------------------------------------------------------
 class TestMergeSnapshots:
     def test_empty_merge(self):
         merged = merge_snapshots([])
-        assert merged == {
-            "counters": {}, "gauges": {}, "histograms": {}, "timers": {},
-        }
+        assert merged == {"counters": {}, "gauges": {}, "histograms": {}}
 
     def test_singleton_merge_preserves_values(self):
         reg = MetricsRegistry()
         reg.counter("c").inc(3)
         reg.gauge("g").set(2.5)
-        reg.timer("t").calls += 1
         for v in (1.0, 3.0):
             reg.histogram("h").observe(v)
         merged = merge_snapshots([reg.as_dict()])
         assert merged["counters"]["c"] == 3
         assert merged["gauges"]["g"] == 2.5
-        assert merged["timers"]["t"]["calls"] == 1
         hist = merged["histograms"]["h"]
         assert hist["count"] == 2
         assert hist["mean"] == 2.0

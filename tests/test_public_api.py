@@ -81,7 +81,7 @@ PUBLIC_SYMBOLS = {
     "repro.telemetry": [
         "Telemetry", "create_telemetry",
         "MetricsRegistry",
-        "Counter", "Gauge", "Histogram", "Timer",
+        "Counter", "Gauge", "Histogram",
         "TraceSink", "JsonlTraceSink",
         "DecisionLog", "DecisionRecord", "render_report",
     ],
@@ -89,13 +89,16 @@ PUBLIC_SYMBOLS = {
 
 #: Removed (CHANGES.md).  1.6.0: off is ``None``, so the disabled twins
 #: and their singletons are gone.  1.7.0: the fabric has one mode, so the
-#: shadow verifier's error and tolerance are gone.
+#: shadow verifier's error and tolerance are gone.  1.8.0: wall time per
+#: subsystem is the span profiler's alone, so the registry's ``Timer`` is
+#: gone.
 REMOVED_SYMBOLS = {
     "repro.telemetry": [
         "NULL_TELEMETRY", "NullMetricsRegistry", "NULL_REGISTRY",
         "NULL_TRACE", "NULL_DECISIONS", "NULL_CAUSAL", "NullProfiler",
-        "NULL_PROFILER",
+        "NULL_PROFILER", "Timer",
     ],
+    "repro.telemetry.registry": ["Timer"],
     "repro.errors": ["ShadowVerifyError"],
     "repro.network.fabric": ["SHADOW_TOLERANCE"],
 }
@@ -115,6 +118,19 @@ def test_removed_names_stay_removed(module_name):
     module = importlib.import_module(module_name)
     for symbol in REMOVED_SYMBOLS[module_name]:
         assert not hasattr(module, symbol), f"{module_name}.{symbol} is back"
+
+
+def test_registry_timers_and_their_probe_points_stay_removed():
+    """1.8.0: the registry keeps no wall-clock timers, and the two timed
+    sections only they subscribed to are no longer probe points."""
+    from repro.telemetry import PROBE_POINTS, MetricsRegistry
+
+    for method in ("timer", "timers_by_name"):
+        assert not hasattr(MetricsRegistry, method), f"{method} is back"
+    for point in (
+        "enter_bus_handler", "exit_bus_handler", "enter_serve", "exit_serve",
+    ):
+        assert point not in PROBE_POINTS, f"{point} is back"
 
 
 def test_removed_keywords_stay_removed():

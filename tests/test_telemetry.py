@@ -19,6 +19,7 @@ from repro.telemetry import (
     DecisionLog,
     JsonlTraceSink,
     MetricsRegistry,
+    SpanProfiler,
     Telemetry,
     create_telemetry,
     render_report,
@@ -61,16 +62,6 @@ class TestRegistry:
         assert snap["gauges"]["g"] == 3.0
         assert snap["histograms"]["h"]["count"] == 3
         assert snap["histograms"]["h"]["mean"] == pytest.approx(2.0)
-
-    def test_timer_accumulates(self):
-        """Timers are fed by the metrics channel's enter/exit pairs."""
-        reg = MetricsRegistry()
-        probe = Telemetry(registry=reg).attach("fabric")
-        for _ in range(2):
-            probe.exit_alloc(probe.enter_alloc("fair"))
-        t = reg.timer("allocator")
-        assert t.calls == 2
-        assert t.wall_seconds >= 0.0
 
     def test_write_json(self, tmp_path):
         reg = MetricsRegistry()
@@ -220,6 +211,7 @@ class TestEndToEnd:
             registry=MetricsRegistry(),
             trace=sink,
             decisions=DecisionLog(trace=sink),
+            profiler=SpanProfiler(),
         )
         run = replay_small(tele)
         tele.close()
@@ -244,7 +236,9 @@ class TestEndToEnd:
         counters = tele.registry.as_dict()["counters"]
         assert counters["fabric.flows_completed"] == 60
         assert counters["bus.messages_sent"] == run.control_messages
-        assert tele.registry.as_dict()["timers"]["placement"]["calls"] == 60
+        assert "timers" not in tele.registry.as_dict()
+        labels = tele.profiler.label_totals()
+        assert labels["placement.place"]["calls"] == 60
         summary = tele.decisions.error_summary()
         assert summary["joined"] == summary["decisions"] == 60
 
@@ -294,11 +288,13 @@ class TestEndToEnd:
         assert any(s.active_flows > 0 for s in samples)
 
     def test_report_renders(self):
-        tele = create_telemetry()
+        tele = create_telemetry(profile=True)
         replay_small(tele)
         text = render_report(tele)
         assert "telemetry report" in text
-        assert "placement" in text and "allocator" in text
+        # wall time per subsystem: the span profile's section
+        assert "span profile" in text
+        assert "placement.place" in text and "alloc.fair" in text
         assert "prediction error" in text
 
 
@@ -431,10 +427,7 @@ class TestProbe:
         assert implemented == set(PROBE_POINTS)
         # The placement service's points: in the closed set, and owned
         # by the metrics channel (which spells every ``service.*`` name).
-        service_points = {
-            "on_offer", "on_reject", "on_enqueue", "on_batch",
-            "enter_serve", "exit_serve",
-        }
+        service_points = {"on_offer", "on_reject", "on_enqueue", "on_batch"}
         assert service_points <= set(PROBE_POINTS)
         assert all(hasattr(MetricsProbe, point) for point in service_points)
 
@@ -454,8 +447,25 @@ class TestProbe:
         tele = self.armed()
         assert tele.probe.on_rate == tele.causal.on_rate
         assert tele.probe.enter_expand == tele.profiler.enter_expand
-        # two subscribers (profiler span + allocator timer) fan out
-        assert tele.probe.enter_alloc != tele.profiler.enter_alloc
+        # every timed section is the profiler's alone, metrics armed or not
+        assert tele.registry is not None
+        assert tele.probe.enter_alloc == tele.profiler.enter_alloc
+        assert tele.probe.exit_alloc == tele.profiler.exit_alloc
+
+    def test_second_timed_subscriber_fails_loudly(self):
+        """A timed section takes one subscriber: a second channel timing
+        it is refused, not handed a token list nothing unwinds."""
+        from repro.telemetry import Probe, SpanProfiler
+
+        class Stopwatch:
+            def enter_alloc(self, allocator_name):
+                return 0.0
+
+            def exit_alloc(self, token):
+                pass
+
+        with pytest.raises(TypeError, match="'alloc' takes one subscriber"):
+            Probe([SpanProfiler(), Stopwatch()])
 
     def test_observed_replay_leaves_no_reference_cycles(self):
         """No channel may point back at a component that holds the probe:
@@ -497,11 +507,12 @@ class TestCLI:
             "--metrics-out", str(metrics_path),
             "--timeline", str(timeline_path),
             "--timeline-interval", "0.05",
+            "--profile",
         ])
         assert rc == 0
         out = capsys.readouterr().out
         assert "telemetry report" in out
-        assert "wall-time profile" in out
+        assert "span profile" in out and "placement.place" in out
         assert "link utilisation" in out
 
         events = [
@@ -520,6 +531,10 @@ class TestCLI:
         metrics = json.loads(metrics_path.read_text())
         assert metrics["counters"]["fabric.flows_completed"] > 0
         assert metrics["placement_decisions"]["joined"] > 0
+        assert "timers" not in metrics
+        assert any(
+            path.endswith("placement.place") for path in metrics["profile"]["flame"]
+        )
 
         timeline = json.loads(timeline_path.read_text())
         labels = [t["label"] for t in timeline["timelines"]]

@@ -280,7 +280,9 @@ def test_observed_calls_per_queried_candidate_stay_bounded():
     profiler and causal tracer armed, on the pinned 16-host fabric of
     ``test_daemons.TestQueryChain`` (25.7 unobserved).  The parent of
     PR 22 made 94.9 (1,424 for the decision); the cached encoder and
-    the shape templates make 73.7 (1,106)."""
+    the shape templates make 73.7 (1,106), and dropping the registry's
+    wall-clock timers (the profiler spans the same sections) makes 61.7
+    (926)."""
     sink = JsonlTraceSink(io.StringIO())
     telemetry = Telemetry(
         registry=MetricsRegistry(),
@@ -302,4 +304,4 @@ def test_observed_calls_per_queried_candidate_stay_bounded():
     calls = calls_made(lambda: daemon.place_flow(request))
     assert daemon.decisions[-1].queried_hosts == CANDIDATES
     assert sink.events_written - before == len(CANDIDATES) + 1
-    assert calls / len(CANDIDATES) <= 76
+    assert calls / len(CANDIDATES) <= 68
