@@ -100,6 +100,8 @@ def run_flow_macro(
         max_candidates=config.max_candidates,
         telemetry=telemetry,
         faults=faults,
+        state_ttl=config.state_ttl,
+        push_updates=config.push_node_state,
     )
     return MacroOutcome(
         network_policy=network_policy,

@@ -58,6 +58,11 @@ def _require(spec: Dict[str, Any], key: str, context: str) -> Any:
         raise ConfigError(f"scenario {context} is missing {key!r}") from None
 
 
+def _optional(convert, value: Any) -> Any:
+    """``convert(value)``, leaving an absent (None) optional field absent."""
+    return None if value is None else convert(value)
+
+
 @dataclass(frozen=True)
 class ServiceScenario:
     """One serving session's full configuration.
@@ -300,23 +305,23 @@ class ServiceScenario:
                 hosts_per_rack=int(topo.get("hosts_per_rack", 4)),
                 oversubscription=float(topo.get("oversubscription", 1.0)),
                 workload=spec.get("workload", "websearch"),
-                scale=spec.get("scale"),
+                scale=_optional(float, spec.get("scale")),
                 duration=float(_require(spec, "duration", "file")),
                 seed=int(spec.get("seed", 42)),
                 arrivals=dict(arrivals),
                 network_policy=spec.get("network", "fair"),
                 predictor=spec.get("predictor", "fair"),
-                max_candidates=spec.get("max_candidates"),
+                max_candidates=_optional(int, spec.get("max_candidates")),
                 admission_policy=admission.get("policy", "drop-tail"),
                 queue_capacity=int(admission.get("capacity", 1024)),
-                token_rate=admission.get("token_rate"),
-                token_burst=admission.get("token_burst"),
+                token_rate=_optional(float, admission.get("token_rate")),
+                token_burst=_optional(float, admission.get("token_burst")),
                 batch_max=int(batch.get("max_size", 16)),
                 batch_wait=float(batch.get("max_wait", 0.05)),
                 batch_overhead=float(batch.get("overhead", 0.001)),
                 per_request_cost=float(batch.get("per_request", 0.0001)),
                 control_rtt=float(spec.get("control_rtt", 0.0)),
-                state_ttl=spec.get("state_ttl"),
+                state_ttl=_optional(float, spec.get("state_ttl")),
                 push_updates=bool(spec.get("push_updates", False)),
             )
         except (TypeError, ValueError) as exc:

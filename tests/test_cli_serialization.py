@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -169,3 +173,197 @@ class TestCLI:
             "--hosts-per-rack", "5", "--pods", "1",
         ]) == 0
         assert "NEAT improvement" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# One subparser per command, taking only the options its handler reads
+# ----------------------------------------------------------------------
+ROOT = Path(__file__).resolve().parents[1]
+
+WORKLOAD = ("--workload",)
+TOPOLOGY = (
+    "--pods", "--racks-per-pod", "--hosts-per-rack", "--load",
+    "--oversubscription", "--arrivals", "--seed",
+)
+OBSERVABILITY = (
+    "--trace", "--trace-rotate-bytes", "--trace-backups", "--metrics-out",
+    "--timeline", "--timeline-interval", "--causal", "--profile",
+    "--wall-clock",
+)
+EXECUTION = (
+    "--jobs", "--cache-dir", "--no-cache", "--cell-timeout",
+    "--cell-retries", "--status", "--lease-ttl",
+)
+CHAOS = ("--faults", "--state-ttl", "--push-node-state")
+FIGURE = WORKLOAD + TOPOLOGY + OBSERVABILITY
+
+#: Every command and the options it accepts (``-h`` aside).  Before the
+#: subparser tree, the first twelve took all 37 options (444 pairs, most
+#: of them silently ignored, e.g. ``fig1 --jobs 2``, ``all --trace x``).
+COMMAND_OPTIONS = {
+    "list": (),
+    "all": TOPOLOGY + EXECUTION,
+    "run": WORKLOAD + TOPOLOGY + ("--network",) + EXECUTION + CHAOS + (
+        "--distributed", "--resume", "--aggregate-out", "--seeds",
+        "--repetitions", "--networks", "--loads", "--placements",
+        "--coflows",
+    ),
+    "fig1": (),
+    "fig3": FIGURE + ("--network",),
+    "fig5": FIGURE + CHAOS,
+    "fig6": FIGURE + ("--network",) + CHAOS,
+    "fig7": FIGURE + ("--network",),
+    "fig8": FIGURE,
+    "fig9": FIGURE + ("--network",),
+    "fig10": FIGURE + ("--network",),
+    "fig11": ("--arrivals", "--seed") + OBSERVABILITY,
+    "status": ("--stall-threshold", "--stall-after"),
+    "report": ("--prometheus", "--json", "--prefix"),
+    "explain": ("--task", "--worst", "--percentile"),
+    "trace": ("--format", "-o", "--output"),
+    "serve": (
+        "--seed", "--duration", "--faults", "--status", "--status-interval",
+        "--prometheus-out", "--metrics-out", "--report-out",
+        "--decisions-out", "--json", "--slo", "--recorder", "--rollups-out",
+        "--stall-after",
+    ),
+    "faults": (
+        "--pods", "--racks-per-pod", "--hosts-per-rack", "--oversubscription",
+    ),
+    "top": ("--stall-after", "--interval", "--once"),
+    "slo": ("--at", "--json"),
+    "campaign-worker": (
+        "--worker-id", "--retries", "--poll", "--wait", "--idle-timeout",
+        "--max-cells",
+    ),
+}
+
+
+def _commands():
+    """``{name: subparser}`` of the one subparser tree."""
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return commands.choices
+
+
+def _options(subparser):
+    return {
+        option
+        for action in subparser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    }
+
+
+class TestCommandTree:
+    def test_each_command_takes_exactly_its_options(self):
+        accepted = {
+            name: _options(sub) for name, sub in _commands().items()
+        }
+        assert accepted == {
+            name: set(options) for name, options in COMMAND_OPTIONS.items()
+        }
+        figures_and_campaigns = [
+            "list", "all", "run", "fig1", "fig3", "fig5", "fig6", "fig7",
+            "fig8", "fig9", "fig10", "fig11",
+        ]
+        pairs = sum(len(accepted[name]) for name in figures_and_campaigns)
+        assert pairs == 183
+
+    @pytest.mark.parametrize("argv", [
+        ["fig1", "--jobs", "2"],
+        ["fig1", "--trace", "t.jsonl"],
+        ["list", "--seed", "1"],
+        ["all", "--trace", "x"],
+        ["all", "--profile"],
+        ["all", "--distributed", "q"],
+        ["all", "--workload", "websearch"],
+        ["fig5", "--network", "las"],
+        ["fig8", "--faults", "plan.json"],
+        ["fig11", "--pods", "1"],
+        ["top", "--stall-threshold", "1", "status.jsonl"],
+    ])
+    def test_ignored_options_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fig5", "--timeline-interval", "0"],
+        ["fig5", "--trace-rotate-bytes", "0"],
+        ["fig5", "--trace-backups", "0"],
+        ["explain", "run/", "--worst", "0"],
+        ["serve", "s.json", "--status-interval", "-1"],
+        ["serve", "s.json", "--stall-after", "0"],
+        ["top", "status.jsonl", "--interval", "0"],
+    ])
+    def test_non_positive_values_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(COMMAND_OPTIONS))
+    def test_help_exits_zero(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert f"python -m repro {name}" in capsys.readouterr().out
+
+
+#: Documentation placeholders and a value that parses in their place.
+PLACEHOLDERS = {"...": "", '"$@"': "", "COMMAND": "fig5", '"$cmd"': "fig5"}
+
+
+def _code_chunks(path):
+    """Shell text of a doc: fenced-block lines and inline code spans of a
+    markdown file, every line of anything else; continuations joined."""
+    text = path.read_text(encoding="utf-8").replace("\\\n", " ")
+    if path.suffix != ".md":
+        return text.splitlines()
+    chunks = []
+    for index, part in enumerate(text.split("```")):
+        if index % 2:
+            chunks.extend(part.splitlines())
+        else:
+            chunks.extend(
+                span.replace("\n", " ") for span in re.findall(r"`([^`]+)`", part)
+            )
+    return chunks
+
+
+def _documented_invocations():
+    for doc in ("README.md", ".github/workflows/ci.yml",
+                ".claude/skills/verify/SKILL.md"):
+        chunks = _code_chunks(ROOT / doc)
+        # A shell function wrapping the CLI (ci.yml's `sweep`): its calls
+        # are invocations too.
+        wrappers = {
+            match.group(1): match.group(2)
+            for match in re.finditer(
+                r"(\w+)\(\) \{\s*(?:PYTHONPATH=src )?python -m repro (.*)",
+                "\n".join(chunks),
+            )
+        }
+        for chunk in chunks:
+            for name, body in wrappers.items():
+                chunk = re.sub(
+                    rf"^\s*{name} ", f"python -m repro {body} ", chunk
+                )
+            for match in re.finditer(r"python -m repro (.*)", chunk):
+                command = re.split(r"\s*(?:\d?>|[|&;#])", match.group(1))[0]
+                for placeholder, value in PLACEHOLDERS.items():
+                    command = command.replace(placeholder, value)
+                argv = shlex.split(command)
+                yield pytest.param(argv, id=f"{doc}: {' '.join(argv)}")
+
+
+@pytest.mark.parametrize("argv", list(_documented_invocations()))
+def test_documented_invocations_parse(argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:  # only a documented --help may exit
+        assert exc.code == 0 and "--help" in argv

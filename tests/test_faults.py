@@ -567,3 +567,23 @@ class TestFaultsCli:
         ]
         assert main(argv) == 2
         assert "cannot read fault plan" in capsys.readouterr().err
+
+    def test_fig5_honours_state_ttl(self, tmp_path, capsys):
+        """fig5 takes the fault-injection group and acts on all of it: a
+        TTL shorter than the lossy bus's refresh gap forces stale-state
+        fallbacks (the TTL used to be accepted and dropped)."""
+        import json
+        from pathlib import Path
+
+        from repro.__main__ import main
+
+        plan = Path(__file__).resolve().parents[1] / "examples" / "lossy_bus.json"
+        metrics = tmp_path / "m.json"
+        assert main([
+            "fig5", "--arrivals", "30", "--pods", "1", "--racks-per-pod", "1",
+            "--hosts-per-rack", "4", "--faults", str(plan),
+            "--state-ttl", "0.001", "--metrics-out", str(metrics),
+        ]) == 0
+        capsys.readouterr()
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["placement.stale_fallbacks"] > 0

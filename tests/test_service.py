@@ -108,6 +108,34 @@ class TestScenario:
         with pytest.raises(ConfigError, match="unknown scenario keys: turbo"):
             ServiceScenario.from_dict(spec)
 
+    @pytest.mark.parametrize("keys", [
+        ("scale",),
+        ("state_ttl",),
+        ("max_candidates",),
+        ("admission", "token_rate"),
+        ("admission", "token_burst"),
+    ])
+    def test_mistyped_optional_value_is_a_clean_cli_error(
+        self, keys, tmp_path, capsys
+    ):
+        """An optional field is converted on load like the others: a bad
+        value is a ConfigError (serve exits 2), not a mid-session crash."""
+        from repro.__main__ import main
+
+        spec = tiny_scenario().to_dict()
+        section = spec
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = "soon"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(ConfigError, match="bad scenario value"):
+            ServiceScenario.from_dict(spec)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", str(path)])
+        assert exc.value.code == 2
+        assert "bad scenario value" in capsys.readouterr().err
+
     def test_validation_errors(self):
         with pytest.raises(ConfigError, match="duration"):
             tiny_scenario(duration=0.0)
