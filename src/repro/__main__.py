@@ -83,16 +83,22 @@ def _add_status_target(parser, *stall_flags) -> None:
         *stall_flags, type=float, default=None, metavar="SECONDS",
         dest="stall_threshold",
         help="flag a cell that has not settled and has been silent for "
-             "longer than this (default: 120)",
+             "longer than this (default: "
+             "repro.campaign.DEFAULT_STALL_THRESHOLD)",
     )
+
+
+def _workload(default):
+    """A parent parser holding ``--workload``, defaulting to ``default``."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--workload", default=default, help="websearch | "
+                        "datamining | hadoop (default: %(default)s)")
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, taking only the options its handler
     reads; option groups shared by commands are attached as ``parents=``."""
-    workload = argparse.ArgumentParser(add_help=False)
-    workload.add_argument("--workload", default=None,
-                          help="websearch | datamining | hadoop")
     topology = argparse.ArgumentParser(add_help=False)
     topology.add_argument("--pods", type=int, default=2)
     topology.add_argument("--racks-per-pod", type=int, default=2)
@@ -249,15 +255,20 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(func=func, parser=sub, **defaults)
         return sub
 
+    # config_from_args reads the NEAT state knobs of every command it
+    # serves; those without the fault-injection group run the stock ones.
+    stock_state = {"state_ttl": None, "push_node_state": False}
     command("list", print_figure_list, "enumerate the figures")
     command(
         "all", run_all_summary,
         "fast one-line-per-figure summary, run as a cached ten-cell "
         "campaign (always the hadoop workload)", topology, size, execution,
+        workload="hadoop", **stock_state,
     )
     run = command(
         "run", run_campaign_cli, "seed x network x load campaign sweep",
-        workload, topology, size, network, execution, fault_injection,
+        _workload("websearch"), topology, size, network, execution,
+        fault_injection,
     )
     kept = run.add_argument_group(
         "kept queue", "a lease queue that outlives this run"
@@ -317,17 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("fig1", print_figure1, FIGURES["fig1"], figure="fig1")
     # Exactly what run_figure reads beyond the topology and observability.
-    for name, extra in (
-        ("fig3", [network]),
-        ("fig5", [fault_injection]),
-        ("fig6", [network, fault_injection]),
-        ("fig7", [network]),
-        ("fig8", []),
-        ("fig9", [network]),
-        ("fig10", [network]),
+    for name, workload, extra in (
+        ("fig3", "datamining", [network]),
+        ("fig5", "hadoop", [fault_injection]),
+        ("fig6", "hadoop", [network, fault_injection]),
+        ("fig7", "hadoop", [network]),
+        ("fig8", "hadoop", []),
+        ("fig9", "hadoop", [network]),
+        ("fig10", "hadoop", [network]),
     ):
-        command(name, run_figure_cli, FIGURES[name], workload, topology,
-                size, *extra, observability, figure=name)
+        state = {} if fault_injection in extra else stock_state
+        command(name, run_figure_cli, FIGURES[name], _workload(workload),
+                topology, size, *extra, observability, figure=name, **state)
     command("fig11", run_figure_cli, FIGURES["fig11"], size, observability,
             figure="fig11")
 
@@ -672,23 +684,19 @@ def emit_telemetry_outputs(tele, args: argparse.Namespace) -> None:
         print(f"timeline written to {args.timeline}")
 
 
-def config_from_args(
-    args: argparse.Namespace, workload: str = "websearch"
-) -> MacroConfig:
-    """The topology options as a MacroConfig: ``--workload`` where the
-    command takes it (else ``workload``), and the NEAT state knobs where
-    it takes the fault-injection group."""
+def config_from_args(args: argparse.Namespace) -> MacroConfig:
+    """The topology, workload and NEAT state options as a MacroConfig."""
     return MacroConfig(
         pods=args.pods,
         racks_per_pod=args.racks_per_pod,
         hosts_per_rack=args.hosts_per_rack,
-        workload=getattr(args, "workload", None) or workload,
+        workload=args.workload,
         load=args.load,
         num_arrivals=args.arrivals,
         seed=args.seed,
         oversubscription=args.oversubscription,
-        state_ttl=getattr(args, "state_ttl", None),
-        push_node_state=getattr(args, "push_node_state", False),
+        state_ttl=args.state_ttl,
+        push_node_state=args.push_node_state,
     )
 
 
@@ -753,7 +761,7 @@ def run_all_summary(args: argparse.Namespace) -> int:
     """
     from repro.campaign import build_all_campaign
 
-    cfg = config_from_args(args, "hadoop")
+    cfg = config_from_args(args)
     campaign = build_all_campaign(
         cfg, arrivals=args.arrivals, seed=args.seed
     )
@@ -817,13 +825,16 @@ def run_campaign_cli(args: argparse.Namespace) -> int:
 
 
 def _read_status(args: argparse.Namespace):
-    """The records of the status stream ``args.target`` names."""
+    """``(records, stall threshold)`` of the status stream ``args.target``."""
+    from repro.campaign import DEFAULT_STALL_THRESHOLD as default
     from repro.campaign import read_status, resolve_status_path
 
     try:
-        return read_status(resolve_status_path(args.target))
+        records = read_status(resolve_status_path(args.target))
     except OSError as exc:
         args.parser.error(f"cannot read status file: {exc}")
+    threshold = args.stall_threshold
+    return records, default if threshold is None else threshold
 
 
 def run_status_cli(args: argparse.Namespace) -> int:
@@ -834,9 +845,8 @@ def run_status_cli(args: argparse.Namespace) -> int:
     """
     from repro.campaign import render_status, summarize_status
 
-    summary = summarize_status(
-        _read_status(args), stall_threshold=args.stall_threshold
-    )
+    records, threshold = _read_status(args)
+    summary = summarize_status(records, stall_threshold=threshold)
     print(render_status(summary))
     return 1 if summary["stalled"] else 0
 
@@ -1043,8 +1053,8 @@ def run_top_cli(args: argparse.Namespace) -> int:
 
     try:
         while True:
-            records = _read_status(args)
-            text = render_top(records, stall_threshold=args.stall_threshold)
+            records, threshold = _read_status(args)
+            text = render_top(records, stall_threshold=threshold)
             if args.once:
                 print(text)
                 return 1 if "STALLED" in text else 0
@@ -1198,9 +1208,7 @@ def run_figure(args: argparse.Namespace, tele=None) -> int:
                 f"{result.improvement_percent(net):.1f}%"
             )
         return 0
-    cfg = config_from_args(
-        args, "datamining" if args.figure == "fig3" else "hadoop"
-    )
+    cfg = config_from_args(args)
     if args.figure == "fig3":
         if cfg.oversubscription == 1.0:
             cfg = replace(cfg, oversubscription=4.0)

@@ -153,7 +153,7 @@ def summarize_status(
     records: List[Dict],
     *,
     now: Optional[float] = None,
-    stall_threshold: Optional[float] = None,
+    stall_threshold: float = DEFAULT_STALL_THRESHOLD,
 ) -> Dict[str, object]:
     """Fold a record stream into per-cell latest state plus stall flags.
 
@@ -162,15 +162,12 @@ def summarize_status(
         now: reference wall time for staleness (defaults to the wall
             clock; tests pin it).
         stall_threshold: seconds of silence after which a cell whose last
-            record is non-terminal is flagged as stalled (None:
-            :data:`DEFAULT_STALL_THRESHOLD`).  A campaign killed mid-cell
-            trips exactly this: the worker's ``running`` record is the
-            cell's last word.
+            record is non-terminal is flagged as stalled.  A campaign
+            killed mid-cell trips exactly this: the worker's ``running``
+            record is the cell's last word.
     """
     if now is None:
         now = time.time()
-    if stall_threshold is None:
-        stall_threshold = DEFAULT_STALL_THRESHOLD
     cells: Dict[int, CellStatus] = {}
     meta: Dict[str, object] = {"campaign": None, "jobs": None, "ended": False}
     for rec in records:

@@ -69,7 +69,7 @@ def render_top(
     records: List[Dict],
     *,
     now: Optional[float] = None,
-    stall_threshold: Optional[float] = None,
+    stall_threshold: float,
 ) -> str:
     """Render one dashboard frame from a status record stream."""
     if now is None:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import build_parser, config_from_args, main
 from repro.errors import WorkloadError
 from repro.workloads.distributions import make_distribution
 from repro.workloads.serialization import (
@@ -272,6 +272,20 @@ class TestCommandTree:
         pairs = sum(len(accepted[name]) for name in figures_and_campaigns)
         assert pairs == 183
 
+    @pytest.mark.parametrize("argv, workload", [
+        (["all"], "hadoop"),
+        (["run"], "websearch"),
+        (["fig3"], "datamining"),
+        (["fig5"], "hadoop"),
+        (["fig8", "--workload", "datamining"], "datamining"),
+    ])
+    def test_config_from_args_reads_each_commands_defaults(
+        self, argv, workload
+    ):
+        cfg = config_from_args(build_parser().parse_args(argv))
+        assert cfg.workload == workload
+        assert (cfg.state_ttl, cfg.push_node_state) == (None, False)
+
     @pytest.mark.parametrize("argv", [
         ["fig1", "--jobs", "2"],
         ["fig1", "--trace", "t.jsonl"],
@@ -279,7 +293,7 @@ class TestCommandTree:
         ["all", "--trace", "x"],
         ["all", "--profile"],
         ["all", "--distributed", "q"],
-        ["all", "--workload", "websearch"],
+        ["all", "--workload", "websearch"],  # always the hadoop workload
         ["fig5", "--network", "las"],
         ["fig8", "--faults", "plan.json"],
         ["fig11", "--pods", "1"],
