@@ -831,7 +831,7 @@ def _read_status(args: argparse.Namespace):
 
     try:
         records = read_status(resolve_status_path(args.target))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         args.parser.error(f"cannot read status file: {exc}")
     threshold = args.stall_threshold
     return records, default if threshold is None else threshold
@@ -874,13 +874,13 @@ def run_report_cli(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_causal(args: argparse.Namespace):
+def _read_causal(args: argparse.Namespace):
     """``(path, events)`` of the causal trace ``args.trace`` names."""
-    from repro.telemetry.causal import load_causal
+    from repro.telemetry.trace import read_trace
 
     path = resolve_causal_path(args.trace)
     try:
-        return path, load_causal(path)
+        return path, read_trace(path)
     except (OSError, ValueError) as exc:
         args.parser.error(f"cannot read causal trace: {exc}")
 
@@ -891,7 +891,7 @@ def run_explain_cli(args: argparse.Namespace) -> int:
         args.parser.error("--percentile must be in [0, 100]")
     from repro.telemetry.causal import analyze, render_explain
 
-    analyses = analyze(_load_causal(args)[1])
+    analyses = analyze(_read_causal(args)[1])
     if not analyses:
         print("no completed runs in causal trace", file=sys.stderr)
         return 1
@@ -910,7 +910,7 @@ def run_trace_cli(args: argparse.Namespace) -> int:
     """``repro trace export``: convert a causal trace to viewer formats."""
     from repro.telemetry.perfetto import save_perfetto
 
-    path, events = _load_causal(args)
+    path, events = _read_causal(args)
     out = args.output
     if out is None:
         stem = path[:-len(".jsonl")] if path.endswith(".jsonl") else path

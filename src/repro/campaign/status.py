@@ -99,23 +99,15 @@ class StatusWriter:
 
 
 def read_status(path: Union[str, Path]) -> List[Dict]:
-    """Parse a status file, tolerating a truncated final line.
+    """Parse a status file with the trace reader's rules.
 
-    A campaign killed mid-write leaves at most one partial trailing line;
-    every complete line before it is returned.
+    A campaign killed mid-write leaves at most one partial trailing line,
+    which is dropped; a malformed line anywhere else is corruption and
+    raises ``ValueError`` naming the line.
     """
-    records: List[Dict] = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                # Partial tail from a killed writer; stop at the damage.
-                break
-    return records
+    from repro.telemetry.trace import read_trace
+
+    return read_trace(str(path))
 
 
 class CellStatus:

@@ -19,7 +19,6 @@ optimistically so back-to-back decisions see their own effects.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -35,36 +34,11 @@ from repro.daemons.messages import (
     NodeStateUpdate,
 )
 from repro.errors import DaemonUnreachable, MessageDropped, PlacementError
-from repro.placement.base import PlacementRequest, pick_min
+from repro.placement.base import PlacementDecision, PlacementRequest, pick_min
 from repro.predictor.state import link_state_from_flows
 from repro.topology.base import NodeId, Topology
 
 _INF = float("inf")
-
-
-@dataclass
-class PlacementDecision:
-    """Outcome of one placement, with the evidence used to make it.
-
-    ``candidate_scores`` pairs each scored host with its predicted
-    completion time (the data behind ``host`` / ``predicted_time``);
-    ``kind`` distinguishes flow, coflow-constituent, and reducer
-    decisions; ``tag`` carries the task label for joining realized
-    completion times in the telemetry layer.
-    """
-
-    host: NodeId
-    predicted_time: float
-    preferred_hosts: Tuple[NodeId, ...]
-    queried_hosts: Tuple[NodeId, ...]
-    used_fallback: bool
-    kind: str = "flow"
-    tag: str = ""
-    size: float = 0.0
-    candidate_scores: Tuple[Tuple[NodeId, float], ...] = ()
-    #: True when the daemon skipped predictions entirely and placed by
-    #: least-loaded cached state (stale snapshots or unreachable daemons).
-    used_stale_fallback: bool = False
 
 
 def _flow_task(request: PlacementRequest) -> dict:

@@ -13,10 +13,15 @@
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.network.fabric import NetworkFabric
-from repro.placement.base import PlacementPolicy, PlacementRequest, pick_min
+from repro.placement.base import (
+    PlacementPolicy,
+    PlacementRequest,
+    pick_min,
+    scored_decision,
+)
 from repro.predictor.flow_fct import FlowFCTPredictor
 from repro.predictor.state import link_state_from_flows
 from repro.topology.base import NodeId
@@ -27,51 +32,7 @@ def host_queued_bits(fabric: NetworkFabric, host: NodeId) -> float:
     return fabric.host_queued_bits(host)
 
 
-class _RecordsDecisions:
-    """Mixin: mirror baseline decisions into the telemetry decision log.
-
-    Baselines have no preferred-host filter, so ``preferred`` equals the
-    candidate set, and their scores are whatever they minimise (queued
-    bits, hops, predicted FCT, ...) as declared by ``score_kind``.
-    """
-
-    _SCORE_KIND = "score"
-
-    def _init_telemetry(
-        self, telemetry, fabric: Optional[NetworkFabric]
-    ) -> None:
-        self._decision_log = (
-            telemetry.decisions if telemetry is not None else None
-        )
-        self._engine = fabric.engine if fabric is not None else None
-
-    def _log_decision(
-        self,
-        request: PlacementRequest,
-        scores: Sequence[float],
-        chosen: NodeId,
-        *,
-        predicted_time: Optional[float] = None,
-    ) -> None:
-        if self._decision_log is None:
-            return
-        self._decision_log.record(
-            time=self._engine.now if self._engine is not None else 0.0,
-            kind="flow",
-            tag=request.tag,
-            size=request.size,
-            data_node=request.data_node,
-            candidates=request.candidates,
-            preferred=request.candidates,
-            used_fallback=False,
-            scores=tuple(zip(request.candidates, scores)),
-            score_kind=self._SCORE_KIND,
-            chosen=chosen,
-            predicted_time=predicted_time,
-        )
-
-
-class MinLoadPolicy(_RecordsDecisions, PlacementPolicy):
+class MinLoadPolicy(PlacementPolicy):
     """Place on the candidate with the least network load.
 
     Args:
@@ -82,7 +43,6 @@ class MinLoadPolicy(_RecordsDecisions, PlacementPolicy):
     """
 
     name = "minload"
-    _SCORE_KIND = "queued_bits"
 
     def __init__(
         self,
@@ -97,8 +57,10 @@ class MinLoadPolicy(_RecordsDecisions, PlacementPolicy):
         self._fabric = fabric
         self._rng = rng
         self._measure = measure
-        self._SCORE_KIND = measure if measure != "bits" else "queued_bits"
-        self._init_telemetry(telemetry, fabric)
+        self._score_kind = measure if measure != "bits" else "queued_bits"
+        self._probe = (
+            telemetry.attach("placement_policy") if telemetry is not None else None
+        )
 
     def _load(self, host: NodeId) -> float:
         if self._measure == "bits":
@@ -114,15 +76,21 @@ class MinLoadPolicy(_RecordsDecisions, PlacementPolicy):
     def place(self, request: PlacementRequest) -> NodeId:
         scores = [self._load(host) for host in request.candidates]
         host = pick_min(request.candidates, scores, self._rng)
-        self._log_decision(request, scores, host)
+        probe = self._probe
+        if probe is not None:
+            probe.on_decision(
+                self._fabric.engine.now,
+                scored_decision(request, host, scores, self._score_kind),
+                request.data_node,
+                request.candidates,
+            )
         return host
 
 
-class MinDistPolicy(_RecordsDecisions, PlacementPolicy):
+class MinDistPolicy(PlacementPolicy):
     """Place as close to the input data as possible (locality first)."""
 
     name = "mindist"
-    _SCORE_KIND = "hops"
 
     def __init__(
         self,
@@ -133,7 +101,9 @@ class MinDistPolicy(_RecordsDecisions, PlacementPolicy):
     ) -> None:
         self._fabric = fabric
         self._rng = rng
-        self._init_telemetry(telemetry, fabric)
+        self._probe = (
+            telemetry.attach("placement_policy") if telemetry is not None else None
+        )
 
     def place(self, request: PlacementRequest) -> NodeId:
         topo = self._fabric.topology
@@ -142,11 +112,18 @@ class MinDistPolicy(_RecordsDecisions, PlacementPolicy):
             for host in request.candidates
         ]
         host = pick_min(request.candidates, scores, self._rng)
-        self._log_decision(request, scores, host)
+        probe = self._probe
+        if probe is not None:
+            probe.on_decision(
+                self._fabric.engine.now,
+                scored_decision(request, host, scores, "hops"),
+                request.data_node,
+                request.candidates,
+            )
         return host
 
 
-class MinFCTPolicy(_RecordsDecisions, PlacementPolicy):
+class MinFCTPolicy(PlacementPolicy):
     """Greedy minimum-predicted-FCT with *no* node-state filter (Figure 9).
 
     Uses the same predictor as NEAT on the same edge links, but considers
@@ -156,7 +133,6 @@ class MinFCTPolicy(_RecordsDecisions, PlacementPolicy):
     """
 
     name = "minfct"
-    _SCORE_KIND = "predicted_time"
 
     def __init__(
         self,
@@ -169,7 +145,9 @@ class MinFCTPolicy(_RecordsDecisions, PlacementPolicy):
         self._fabric = fabric
         self._predictor = predictor
         self._rng = rng
-        self._init_telemetry(telemetry, fabric)
+        self._probe = (
+            telemetry.attach("placement_policy") if telemetry is not None else None
+        )
 
     def _predicted_fct(self, request: PlacementRequest, host: NodeId) -> float:
         if host == request.data_node:
@@ -188,19 +166,26 @@ class MinFCTPolicy(_RecordsDecisions, PlacementPolicy):
             self._predicted_fct(request, host) for host in request.candidates
         ]
         host = pick_min(request.candidates, scores, self._rng)
-        # minFCT scores *are* predicted FCTs, so its decisions join
-        # realized completion times and produce prediction errors too.
-        self._log_decision(
-            request, scores, host, predicted_time=min(scores)
-        )
+        probe = self._probe
+        if probe is not None:
+            # minFCT scores *are* predicted FCTs, so its decisions join
+            # realized completion times and produce prediction errors too.
+            probe.on_decision(
+                self._fabric.engine.now,
+                scored_decision(
+                    request, host, scores, "predicted_time",
+                    predicted_time=min(scores),
+                ),
+                request.data_node,
+                request.candidates,
+            )
         return host
 
 
-class RandomPolicy(_RecordsDecisions, PlacementPolicy):
+class RandomPolicy(PlacementPolicy):
     """Uniform random placement (control)."""
 
     name = "random"
-    _SCORE_KIND = "random"
 
     def __init__(
         self,
@@ -210,9 +195,19 @@ class RandomPolicy(_RecordsDecisions, PlacementPolicy):
         telemetry=None,
     ) -> None:
         self._rng = rng
-        self._init_telemetry(telemetry, fabric)
+        self._engine = fabric.engine if fabric is not None else None
+        self._probe = (
+            telemetry.attach("placement_policy") if telemetry is not None else None
+        )
 
     def place(self, request: PlacementRequest) -> NodeId:
         host = request.candidates[self._rng.randrange(len(request.candidates))]
-        self._log_decision(request, [], host)
+        probe = self._probe
+        if probe is not None:
+            probe.on_decision(
+                self._engine.now if self._engine is not None else 0.0,
+                scored_decision(request, host, (), "random"),
+                request.data_node,
+                request.candidates,
+            )
         return host

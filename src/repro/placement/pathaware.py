@@ -14,10 +14,15 @@ state on oversubscribed fabrics can be quantified (see
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.network.fabric import NetworkFabric
-from repro.placement.base import PlacementPolicy, PlacementRequest, pick_min
+from repro.placement.base import (
+    PlacementPolicy,
+    PlacementRequest,
+    pick_min,
+    scored_decision,
+)
 from repro.predictor.flow_fct import FlowFCTPredictor
 from repro.predictor.state import LinkState, link_state_from_flows
 from repro.topology.base import LinkId, NodeId
@@ -50,6 +55,8 @@ class PathAwareNEATPolicy(PlacementPolicy):
     minimum predicted completion — but the prediction is
     ``objective (2)`` over the full source->candidate path instead of the
     candidate's edge link alone, so core/aggregation contention is seen.
+    Its decisions carry score kind ``"objective"``: the scores are
+    objective (2), not the new flow's predicted completion time.
     """
 
     name = "neat-path"
@@ -61,12 +68,16 @@ class PathAwareNEATPolicy(PlacementPolicy):
         rng: Optional[random.Random] = None,
         *,
         use_node_state: bool = True,
+        telemetry=None,
     ) -> None:
         self._fabric = fabric
         self._predictor = predictor
         self._rng = rng
         self._use_node_state = use_node_state
         self._arbitrators = LinkStateProvider(fabric)
+        self._probe = (
+            telemetry.attach("placement_policy") if telemetry is not None else None
+        )
 
     # ------------------------------------------------------------------
     # Node state (same quantity the daemons report)
@@ -77,15 +88,19 @@ class PathAwareNEATPolicy(PlacementPolicy):
             return float("inf")
         return min(f.remaining for f in flows)
 
-    def _preferred(self, request: PlacementRequest):
+    def _preferred(self, request: PlacementRequest) -> Tuple[List[NodeId], bool]:
+        """Algorithm 1's filter, and whether it emptied (then every
+        candidate is preferred)."""
         if not self._use_node_state:
-            return list(request.candidates)
+            return list(request.candidates), False
         preferred = [
             host
             for host in request.candidates
             if self._node_state(host) >= request.size
         ]
-        return preferred if preferred else list(request.candidates)
+        if preferred:
+            return preferred, False
+        return list(request.candidates), True
 
     # ------------------------------------------------------------------
     # Placement
@@ -100,6 +115,18 @@ class PathAwareNEATPolicy(PlacementPolicy):
         return self._predictor.objective(request.size, states)
 
     def place(self, request: PlacementRequest) -> NodeId:
-        preferred = self._preferred(request)
+        preferred, fallback = self._preferred(request)
         scores = [self._score(request, host) for host in preferred]
-        return pick_min(preferred, scores, self._rng)
+        host = pick_min(preferred, scores, self._rng)
+        probe = self._probe
+        if probe is not None:
+            probe.on_decision(
+                self._fabric.engine.now,
+                scored_decision(
+                    request, host, scores, "objective",
+                    hosts=preferred, fallback=fallback,
+                ),
+                request.data_node,
+                request.candidates,
+            )
+        return host

@@ -70,7 +70,9 @@ def make_placement_policy(
         )
     if key == "neat-path":
         # §7 generalization: per-link arbitrators, full-path objective.
-        return PathAwareNEATPolicy(fabric, make_flow_predictor(predictor), rng)
+        return PathAwareNEATPolicy(
+            fabric, make_flow_predictor(predictor), rng, telemetry=telemetry
+        )
     if key == "minfct":
         return MinFCTPolicy(
             fabric, make_flow_predictor(predictor), rng, telemetry=telemetry

@@ -35,7 +35,6 @@ from repro.service.workload import (
     ArrivalProfile,
     OpenLoopSource,
     profile_from_dict,
-    rate_for_load,
 )
 from repro.topology.base import Topology
 from repro.topology.fabrics import three_tier_clos
@@ -44,6 +43,7 @@ from repro.workloads.distributions import (
     EmpiricalDistribution,
     make_distribution,
 )
+from repro.workloads.traces import poisson_rate_for_load
 
 __all__ = ["ServiceScenario"]
 
@@ -183,11 +183,8 @@ class ServiceScenario:
                 if distribution is not None
                 else self.build_distribution()
             )
-            rate = rate_for_load(
-                float(load),
-                num_hosts=self.num_hosts,
-                edge_capacity=EDGE_CAPACITY,
-                mean_size=dist.mean(),
+            rate = poisson_rate_for_load(
+                float(load), self.num_hosts, EDGE_CAPACITY, dist.mean()
             )
             kind = spec.get("kind", "poisson")
             rate_key = {

@@ -280,17 +280,12 @@ class PlacementServer:
             from repro.telemetry.slo import SLOEngine
 
             slo_engine = SLOEngine(self._slo_specs, store, reg)
-        if causal is not None:
-            if recorder is not None:
-                recorder.attach(causal.events)
-            # Open a causal run so flow events group for `repro explain`
-            # (figure runs do this in the runner; serve owns its own).
-            causal.begin_run(
-                0.0,
-                placement="neat",
-                network_policy=scenario.network_policy,
-                fabric=fabric,
-            )
+        if recorder is not None and causal is not None:
+            recorder.attach(causal.events)
+        if probe is not None:
+            # The session is one run, as a replay is: its causal events
+            # group for `repro explain` and its decisions join outcomes.
+            probe.begin_run(0.0, "neat", scenario.network_policy, fabric, None)
         self.last_slo_engine = slo_engine
         self.last_rollups = store
 
@@ -601,8 +596,8 @@ class PlacementServer:
         )
         emit_cell("finished")
         self._write_prometheus()
-        if causal is not None:
-            causal.end_run(engine.now, records=len(fabric.records))
+        if probe is not None:
+            probe.end_run(engine.now, len(fabric.records), engine.events_processed)
         if store is not None and reg is not None:
             store.sample(engine.now, reg)  # capture the final partial bin
         if recorder is not None:

@@ -33,7 +33,7 @@ from repro.errors import WorkloadError
 from repro.sim.randomness import hash_seed
 from repro.topology.base import NodeId
 from repro.workloads.distributions import EmpiricalDistribution
-from repro.workloads.traces import TaskArrival, poisson_rate_for_load
+from repro.workloads.traces import TaskArrival
 
 __all__ = [
     "ArrivalProfile",
@@ -328,18 +328,3 @@ class OpenLoopSource:
             f"seed={self.seed!r}, hosts={len(self._hosts)})"
         )
 
-
-def rate_for_load(
-    load: float,
-    *,
-    num_hosts: int,
-    edge_capacity: float,
-    mean_size: float,
-) -> float:
-    """Arrival rate offering ``load`` x aggregate edge capacity.
-
-    Thin wrapper over
-    :func:`~repro.workloads.traces.poisson_rate_for_load` so scenarios can
-    specify a target utilisation instead of an absolute rate.
-    """
-    return poisson_rate_for_load(load, num_hosts, edge_capacity, mean_size)

@@ -68,7 +68,6 @@ from repro.telemetry.trace import (
 from repro.telemetry.timeseries import (
     QuantileSketch,
     TimeseriesStore,
-    merge_rollups,
     merge_sketches,
 )
 from repro.telemetry.slo import (
@@ -104,7 +103,6 @@ __all__ = [
     "QuantileSketch",
     "TimeseriesStore",
     "merge_sketches",
-    "merge_rollups",
     "SLOSpec",
     "SLOAlert",
     "SLOEngine",

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.stats import percentile
-from repro.telemetry.trace import _json_safe, read_trace
+from repro.telemetry.trace import _json_safe
 
 __all__ = [
     "CausalTracer",
@@ -64,7 +64,6 @@ __all__ = [
     "RunScan",
     "scan_runs",
     "analyze",
-    "load_causal",
     "aggregate_blame",
     "blame_shares_dict",
     "render_explain",
@@ -341,11 +340,6 @@ class CausalTracer:
                 fp.write(json.dumps(_json_safe(event), separators=(",", ":")))
                 fp.write("\n")
         return len(self._events)
-
-
-def load_causal(path: str) -> List[Dict[str, object]]:
-    """Read a saved causal stream (tolerates a truncated final line)."""
-    return read_trace(path)
 
 
 # ======================================================================

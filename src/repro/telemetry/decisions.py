@@ -7,8 +7,9 @@ coflow) completes, joins the *realized* completion time back onto the
 decision to yield a per-decision prediction error.  This generalizes the
 paper's Figure 10 (per-flow FCT prediction error) to every decision of
 every policy: the ``minfct`` baseline's predictions join the same way,
-and score-based baselines (minLoad's queued bits, minDist's hop counts)
-keep their evidence even though no error is defined for them.
+and score-based policies (minLoad's queued bits, minDist's hop counts,
+path-aware NEAT's objective) keep their evidence even though no error is
+defined for them.
 
 The log mirrors each record into the structured trace
 (:mod:`repro.telemetry.trace`) as ``placement_decision`` /
@@ -18,7 +19,7 @@ report and for programmatic analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.stats import mean, percentile
@@ -40,7 +41,7 @@ class DecisionRecord:
         time: simulation time of the decision.
         kind: ``"flow"``, ``"coflow"`` (one flow of a coflow), or
             ``"reducer"`` (many-to-one destination choice).
-        placement: policy label (set via :meth:`DecisionLog.set_context`).
+        placement: policy label (set by :meth:`DecisionLog.begin_run`).
         network_policy: scheduling policy label (same source).
         tag: the task/coflow tag used to join the realized outcome.
         size: bits the decision placed.
@@ -80,7 +81,12 @@ class DecisionRecord:
 
 
 class DecisionLog:
-    """Collects :class:`DecisionRecord` and joins realized outcomes."""
+    """Collects :class:`DecisionRecord` and joins realized outcomes.
+
+    A probe channel: every policy's ``on_decision`` lands in
+    :meth:`record`, and the completion listener :meth:`begin_run`
+    installs calls :meth:`note_completed`.
+    """
 
     def __init__(self, *, trace: Optional[TraceSink] = None) -> None:
         self._trace = trace
@@ -91,52 +97,33 @@ class DecisionLog:
         self._next_id = 0
 
     # ------------------------------------------------------------------
-    # Context
-    # ------------------------------------------------------------------
-    def set_context(
-        self, *, placement: str = "", network_policy: str = ""
-    ) -> None:
-        """Label subsequent decisions with the current run's policies.
-
-        Clears unjoined decisions of the previous run (their flows will
-        never complete in the new run's fabric).
-        """
-        self._placement = placement
-        self._network_policy = network_policy
-        self._pending.clear()
-
-    def bind(self, fabric) -> None:
-        """Join flow completions from ``fabric`` back onto decisions."""
-        fabric.add_completion_listener(
-            lambda flow, record: self.note_completed(
-                record.tag, record.fct, record.completion_time
-            )
-        )
-
-    def bind_coflows(self, tracker) -> None:
-        """Join coflow completions from ``tracker`` onto decisions."""
-        tracker.add_completion_listener(
-            lambda coflow, record: self.note_completed(
-                record.tag, record.cct, record.completion_time
-            )
-        )
-
-    # ------------------------------------------------------------------
     # Probe points (repro.telemetry.probe)
     # ------------------------------------------------------------------
     def begin_run(
         self, t, placement, network_policy, fabric, tracker=None
     ) -> None:
-        """Label the run and join its completions: a coflow run's
-        decisions share the coflow's CCT, a flow run's their flow's FCT."""
-        self.set_context(placement=placement, network_policy=network_policy)
+        """Label the run's decisions and join its completions: a coflow
+        run's decisions share the coflow's CCT, a flow run's their flow's
+        FCT.  Unjoined decisions of an earlier run are dropped (their
+        flows never complete in this run's fabric)."""
+        self._placement = placement
+        self._network_policy = network_policy
+        self._pending.clear()
         if tracker is not None:
-            self.bind_coflows(tracker)
+            tracker.add_completion_listener(
+                lambda coflow, record: self.note_completed(
+                    record.tag, record.cct, record.completion_time
+                )
+            )
         else:
-            self.bind(fabric)
+            fabric.add_completion_listener(
+                lambda flow, record: self.note_completed(
+                    record.tag, record.fct, record.completion_time
+                )
+            )
 
     def on_decision(self, t, decision, data_node, candidates) -> None:
-        """Mirror one NEAT placement-daemon decision into the log."""
+        """Record one policy's :class:`~repro.placement.base.PlacementDecision`."""
         self.record(
             time=t,
             kind=decision.kind,
@@ -147,7 +134,7 @@ class DecisionLog:
             preferred=decision.preferred_hosts,
             used_fallback=decision.used_fallback,
             scores=decision.candidate_scores,
-            score_kind=PREDICTED_TIME,
+            score_kind=decision.score_kind,
             chosen=decision.host,
             predicted_time=decision.predicted_time,
         )

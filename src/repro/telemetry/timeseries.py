@@ -18,9 +18,9 @@ provide that:
   (windowed rates), gauges as per-bin last/max, histograms as per-bin
   *delta sketches* (the difference of two cumulative sketches is a
   sketch, since buckets only ever grow).  The store is pull-based: the
-  service heartbeat (or campaign supervisor) calls :meth:`sample`
-  and every window query — rate, windowed quantile, bad-event
-  fraction — reads only the bins the window covers.
+  service heartbeat calls :meth:`sample` and every window query — rate,
+  windowed quantile, bad-event fraction — reads only the bins the window
+  covers.
 
 Determinism contract: everything here is keyed by simulated time and
 derived from deterministic metric streams, so rollups, window queries,
@@ -38,7 +38,6 @@ __all__ = [
     "QuantileSketch",
     "TimeseriesStore",
     "merge_sketches",
-    "merge_rollups",
     "DEFAULT_ALPHA",
     "DEFAULT_MAX_BUCKETS",
 ]
@@ -412,18 +411,6 @@ class TimeseriesStore:
     def samples(self) -> int:
         return self._samples
 
-    @property
-    def span(self) -> float:
-        """The widest window the ring can answer, in sim seconds."""
-        return self.bin_width * self.bins
-
-    def series_names(self) -> Dict[str, List[str]]:
-        return {
-            "counters": sorted(self._counter_bins),
-            "gauges": sorted(self._gauge_bins),
-            "histograms": sorted(self._hist_bins),
-        }
-
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
@@ -567,7 +554,7 @@ class TimeseriesStore:
         return sketch.bad_fraction(threshold)
 
     # ------------------------------------------------------------------
-    # Serialization and merging
+    # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -594,73 +581,33 @@ class TimeseriesStore:
 
     @classmethod
     def from_dict(cls, spec: Dict[str, object]) -> "TimeseriesStore":
-        store = cls(
-            bin_width=float(spec.get("bin_width", 1.0)),
-            bins=int(spec.get("bins", 600)),
-        )
-        store._last_sample = spec.get("last_sample")  # type: ignore[assignment]
-        store._samples = int(spec.get("samples", 0))
-        for name, bins in spec.get("counters", {}).items():  # type: ignore[union-attr]
-            store._counter_bins[name] = {
-                int(i): float(v) for i, v in bins.items()
-            }
-        for name, bins in spec.get("gauges", {}).items():  # type: ignore[union-attr]
-            store._gauge_bins[name] = {
-                int(i): (float(pair[0]), float(pair[1]))
-                for i, pair in bins.items()
-            }
-        for name, bins in spec.get("histograms", {}).items():  # type: ignore[union-attr]
-            store._hist_bins[name] = {
-                int(i): QuantileSketch.from_dict(sketch)
-                for i, sketch in bins.items()
-            }
+        """Rebuild a store from :meth:`to_dict` output.  Anything else is
+        a ``ValueError`` naming the first field that does not parse."""
+        if not isinstance(spec, dict):
+            raise ValueError(
+                f"a rollup store is a JSON object, not {type(spec).__name__}"
+            )
+        where = "bin_width / bins / samples / last_sample"
+        try:
+            store = cls(
+                bin_width=float(spec.get("bin_width", 1.0)),
+                bins=int(spec.get("bins", 600)),
+            )
+            last = spec.get("last_sample")
+            store._last_sample = None if last is None else float(last)
+            store._samples = int(spec.get("samples", 0))
+            for section, series, value in (
+                ("counters", store._counter_bins, float),
+                ("gauges", store._gauge_bins,
+                 lambda pair: (float(pair[0]), float(pair[1]))),
+                ("histograms", store._hist_bins, QuantileSketch.from_dict),
+            ):
+                where = section
+                for name, bins in spec.get(section, {}).items():
+                    where = f"{section}.{name}"
+                    series[name] = {int(i): value(v) for i, v in bins.items()}
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"rollup store field {where!r} is malformed: {exc}"
+            ) from None
         return store
-
-
-def merge_rollups(stores: Iterable["TimeseriesStore"]) -> "TimeseriesStore":
-    """Fold per-worker rollup stores into one campaign-level store.
-
-    Bins align by absolute sim-time index, so workers that sampled the
-    same simulated window land in the same bin: counters add, gauge
-    last/max take the maximum (cross-worker "last" is meaningless, the
-    peak is what an SLO cares about), sketches merge.  Bin width must
-    agree; the widest ring wins.
-    """
-    stores = list(stores)
-    if not stores:
-        return TimeseriesStore()
-    widths = {s.bin_width for s in stores}
-    if len(widths) > 1:
-        raise ValueError(
-            f"cannot merge rollups with different bin widths: {sorted(widths)}"
-        )
-    out = TimeseriesStore(
-        bin_width=stores[0].bin_width, bins=max(s.bins for s in stores)
-    )
-    for store in stores:
-        for name, bins in store._counter_bins.items():
-            into = out._counter_bins.setdefault(name, {})
-            for index, value in bins.items():
-                into[index] = into.get(index, 0.0) + value
-        for name, bins in store._gauge_bins.items():
-            into = out._gauge_bins.setdefault(name, {})
-            for index, (last, peak) in bins.items():
-                prev = into.get(index)
-                if prev is None:
-                    into[index] = (last, peak)
-                else:
-                    into[index] = (max(prev[0], last), max(prev[1], peak))
-        for name, bins in store._hist_bins.items():
-            into = out._hist_bins.setdefault(name, {})
-            for index, sketch in bins.items():
-                existing = into.get(index)
-                if existing is None:
-                    into[index] = sketch.copy()
-                else:
-                    existing.merge(sketch)
-        if store._last_sample is not None and (
-            out._last_sample is None or store._last_sample > out._last_sample
-        ):
-            out._last_sample = store._last_sample
-        out._samples += store._samples
-    return out

@@ -282,6 +282,22 @@ class TestStatusCli:
         out = capsys.readouterr().out
         assert "STALLED" in out
 
+    def test_corrupt_middle_line_is_an_error(self, tmp_path, capsys):
+        """Only a truncated tail is tolerated: a damaged record mid-file
+        would hide every later one, so it is refused, naming the line."""
+        from repro.__main__ import main
+
+        path = tmp_path / STATUS_FILENAME
+        writer = StatusWriter(path)
+        writer.emit("campaign_start", campaign="t", cells=1, jobs=1)
+        with open(path, "a", encoding="utf-8") as fp:
+            fp.write('{"record": "cell", "cel\n')
+        writer.emit("cell", cell=0, state="running", spec="seed=1")
+        with pytest.raises(SystemExit) as exc:
+            main(["status", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"{path}:2: malformed" in capsys.readouterr().err
+
     def test_run_with_status_flag_writes_file(self, tmp_path, capsys):
         from repro.__main__ import main
 

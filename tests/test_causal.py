@@ -32,11 +32,10 @@ from repro.faults.plan import FaultPlan, LinkDegrade
 from repro.network.fabric import NetworkFabric
 from repro.network.policies.registry import make_allocator
 from repro.sim.engine import Engine
-from repro.telemetry import CausalTracer, JsonlTraceSink, Telemetry
+from repro.telemetry import CausalTracer, JsonlTraceSink, Telemetry, read_trace
 from repro.telemetry.causal import (
     BLAME_COMPONENTS,
     analyze,
-    load_causal,
     render_explain,
     scan_runs,
 )
@@ -303,7 +302,7 @@ class TestFaultAttribution:
         """The export of the golden causal streams, byte for byte (the
         digests were recorded before ``to_perfetto`` moved onto the
         blame analysis's scanner)."""
-        events = load_causal(str(GOLDEN_DIR / f"{golden}.causal.jsonl"))
+        events = read_trace(str(GOLDEN_DIR / f"{golden}.causal.jsonl"))
         text = json.dumps(
             to_perfetto(events), sort_keys=True, separators=(",", ":")
         )
@@ -326,7 +325,7 @@ class TestFaultAttribution:
     ):
         path = tmp_path / "causal.jsonl"
         written = faulted_coflow_tracer.save(str(path))
-        events = load_causal(str(path))
+        events = read_trace(str(path))
         assert len(events) == written
         reloaded = analyze(events)[0]
         original = analyze(faulted_coflow_tracer.events)[0]
@@ -389,12 +388,22 @@ class TestCli:
             ]
         )
         assert rc == 0
-        events = load_causal(str(out_dir / "causal.jsonl"))
+        events = read_trace(str(out_dir / "causal.jsonl"))
         analyses = analyze(events)
         # fig5 compares three placements on the shared trace.
         assert [a.placement for a in analyses] == [
             "neat", "minload", "mindist"
         ]
+        # Every policy reports through the probe: the baselines' runs
+        # carry one decision per placed task (one flow each), as NEAT's.
+        runs = {}
+        for event in events:
+            if event["ev"] == "run_start":
+                counts = runs[event["placement"]] = {"decision": 0, "flow": 0}
+            elif event["ev"] in counts:
+                counts[event["ev"]] += 1
+        for placement in ("minload", "mindist"):
+            assert runs[placement]["decision"] == runs[placement]["flow"] == 8
         assert "causal trace written" in capsys.readouterr().out
 
     def test_report_json_cli(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ from repro.placement.pathaware import LinkStateProvider, PathAwareNEATPolicy
 from repro.placement.registry import make_placement_policy
 from repro.predictor.flow_fct import FairPredictor
 from repro.sim.engine import Engine
+from repro.telemetry import DecisionLog, Telemetry
 from repro.topology.fabrics import single_switch, three_tier_clos
 from repro.workloads.noise import ExactSizes, LogNormalNoise, QuantizedHistory
 
@@ -151,12 +152,22 @@ class TestPathAwareNEAT:
 
     def test_registry_exposes_neat_path(self):
         engine, fabric, _ = self.make()
-        policy = make_placement_policy("neat-path", fabric)
-        assert policy.place(
+        telemetry = Telemetry(decisions=DecisionLog())
+        policy = make_placement_policy(
+            "neat-path", fabric, telemetry=telemetry
+        )
+        host = policy.place(
             PlacementRequest(
                 size=1e9, data_node="h000", candidates=("h001", "h002"),
+                tag="t0",
             )
-        ) in ("h001", "h002")
+        )
+        assert host in ("h001", "h002")
+        (record,) = telemetry.decisions.records
+        assert (record.chosen, record.tag) == (host, "t0")
+        assert record.score_kind == "objective"
+        assert record.predicted_time is None
+        assert [h for h, _ in record.scores] == ["h001", "h002"]
 
     def test_registry_exposes_neat_nofilter(self):
         engine, fabric, _ = self.make()

@@ -243,6 +243,13 @@ class TestHealthyRun:
         missing = tmp_path / "missing.json"
         assert main(["slo", "check", "default", str(missing)]) == 2
         capsys.readouterr()
+        # Valid JSON that is not a rollup store: an error line, no traceback.
+        for payload in ([], {"counters": {"x": 5}}):
+            rollups = write_json(tmp_path / "not-a-store.json", payload)
+            assert main(["slo", "check", "default", rollups]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert "Traceback" not in err
 
 
 class TestStallWatchdog:

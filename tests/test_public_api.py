@@ -91,16 +91,29 @@ PUBLIC_SYMBOLS = {
 #: and their singletons are gone.  1.7.0: the fabric has one mode, so the
 #: shadow verifier's error and tolerance are gone.  1.8.0: wall time per
 #: subsystem is the span profiler's alone, so the registry's ``Timer`` is
-#: gone.
+#: gone.  1.10.0: the rollup fold nothing called, the causal reader's alias
+#: of ``read_trace`` and the service's wrapper of ``poisson_rate_for_load``
+#: are gone.
 REMOVED_SYMBOLS = {
     "repro.telemetry": [
         "NULL_TELEMETRY", "NullMetricsRegistry", "NULL_REGISTRY",
         "NULL_TRACE", "NULL_DECISIONS", "NULL_CAUSAL", "NullProfiler",
-        "NULL_PROFILER", "Timer",
+        "NULL_PROFILER", "Timer", "merge_rollups",
     ],
     "repro.telemetry.registry": ["Timer"],
+    "repro.telemetry.timeseries": ["merge_rollups"],
+    "repro.telemetry.causal": ["load_causal"],
+    "repro.service.workload": ["rate_for_load"],
     "repro.errors": ["ShadowVerifyError"],
     "repro.network.fabric": ["SHADOW_TOLERANCE"],
+}
+
+#: Methods removed in 1.10.0 (CHANGES.md): the decision log is a plain probe
+#: channel whose ``begin_run`` labels the run and joins its completions, and
+#: the rollup store's unused introspection is gone.
+REMOVED_METHODS = {
+    ("repro.telemetry", "DecisionLog"): ("set_context", "bind", "bind_coflows"),
+    ("repro.telemetry", "TimeseriesStore"): ("series_names", "span"),
 }
 
 #: Keyword arguments removed in 1.7.0 (CHANGES.md): a recompute's scope is
@@ -118,6 +131,13 @@ def test_removed_names_stay_removed(module_name):
     module = importlib.import_module(module_name)
     for symbol in REMOVED_SYMBOLS[module_name]:
         assert not hasattr(module, symbol), f"{module_name}.{symbol} is back"
+
+
+def test_removed_methods_stay_removed():
+    for (module_name, name), methods in sorted(REMOVED_METHODS.items()):
+        cls = getattr(importlib.import_module(module_name), name)
+        for method in methods:
+            assert not hasattr(cls, method), f"{name}.{method} is back"
 
 
 def test_registry_timers_and_their_probe_points_stay_removed():

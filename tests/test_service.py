@@ -325,6 +325,19 @@ def test_serve_outputs_are_pinned(case, tmp_path):
     } == SERVE_DIGESTS[case]
 
 
+def test_serve_session_joins_decision_outcomes():
+    """A session is one probe run: the decision log labels its decisions
+    and joins each placed flow's realized FCT onto them."""
+    scenario = dataclasses.replace(
+        ServiceScenario.from_json_file(str(EXAMPLES / "service_diurnal.json")),
+        duration=3.0,
+    )
+    telemetry = create_telemetry()
+    PlacementServer(scenario, telemetry=telemetry).run()
+    assert telemetry.decisions.error_summary()["joined"] > 0
+    assert {r.placement for r in telemetry.decisions.records} == {"neat"}
+
+
 # ----------------------------------------------------------------------
 # The repro serve CLI
 # ----------------------------------------------------------------------

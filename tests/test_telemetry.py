@@ -192,10 +192,14 @@ class TestDecisionLog:
         log.note_completed("t1", 3.0, 3.0)
         assert rec.realized_time is None
 
-    def test_set_context_clears_pending(self):
+    def test_begin_run_clears_pending(self):
+        class Fabric:
+            def add_completion_listener(self, listener):
+                pass
+
         log = DecisionLog()
         rec = self.record_one(log)
-        log.set_context(placement="minload", network_policy="fair")
+        log.begin_run(0.0, "minload", "fair", Fabric())
         log.note_completed("t1", 3.0, 3.0)  # stale tag from previous run
         assert rec.realized_time is None
 

@@ -28,7 +28,6 @@ from repro.telemetry.timeseries import (
     DEFAULT_ALPHA,
     QuantileSketch,
     TimeseriesStore,
-    merge_rollups,
     merge_sketches,
 )
 
@@ -350,39 +349,3 @@ class TestTimeseriesStore:
         store.record_counter(0.5, "c", 1.0)
         with pytest.raises(ValueError):
             store.counter_delta("c", window=0.0, now=1.0)
-
-
-class TestMergeRollups:
-    def _store_with(self, offset):
-        from repro.telemetry import MetricsRegistry
-
-        store = TimeseriesStore(bin_width=1.0, bins=60)
-        reg = MetricsRegistry()
-        ctr = reg.counter("c")
-        gauge = reg.gauge("g")
-        hist = reg.histogram("h")
-        for t in range(3):
-            ctr.inc(2)
-            gauge.set(float(offset + t))
-            hist.observe(float(offset + t + 1))
-            store.sample(float(t), reg)
-        return store
-
-    def test_bin_aligned_merge(self):
-        merged = merge_rollups([self._store_with(0), self._store_with(10)])
-        # Counters add per-bin.
-        assert merged.counter_delta("c", window=10.0, now=2.0) == 12
-        # Gauges take the cross-worker max.
-        assert merged.gauge_last("g", now=2.0) == 12.0
-        # Sketches merge.
-        assert merged.window_sketch("h", window=10.0, now=2.0).count == 6
-
-    def test_merge_empty(self):
-        out = merge_rollups([])
-        assert out.samples == 0
-
-    def test_merge_rejects_mismatched_bin_width(self):
-        with pytest.raises(ValueError):
-            merge_rollups(
-                [TimeseriesStore(bin_width=1.0), TimeseriesStore(bin_width=2.0)]
-            )
