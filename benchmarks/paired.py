@@ -99,6 +99,14 @@ def judge(
     }  # fmt: skip
 
 
+def positive_int(text: str) -> int:
+    """``--pairs`` / ``--seconds``: a count of at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fp:
         contract = json.load(fp)
@@ -106,10 +114,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_ref", metavar="BASE_REF")
     parser.add_argument("--workload", action="append", choices=names)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=contract["run_seconds"])
+    parser.add_argument("--pairs", type=positive_int, default=10)
+    parser.add_argument(
+        "--seconds", type=positive_int, default=contract["run_seconds"]
+    )
     parser.add_argument("--out", default=os.path.join(HERE, "BENCH_paired.json"))
     args = parser.parse_args(argv)
+    known = subprocess.run(
+        ["git", "rev-parse", "--verify", "--quiet", f"{args.base_ref}^{{commit}}"],
+        cwd=ROOT, capture_output=True,
+    )  # fmt: skip
+    if known.returncode != 0:
+        parser.error(f"BASE_REF {args.base_ref!r} names no commit")
 
     report: Dict[str, dict] = {}
     failed = False

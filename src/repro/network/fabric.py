@@ -40,6 +40,7 @@ from typing import (
 from repro.errors import FlowError, RoutingError
 from repro.network.flow import Flow, FlowId, FlowRecord
 from repro.network.policies.base import RATE_EPSILON, RateAllocator
+from repro.network.kernels import ARGMIN_FLOOR, can_bind  # after policies
 from repro.sim.engine import Engine
 from repro.sim.events import RECOMPUTE_PRIORITY, Event
 from repro.topology.base import LinkId, NodeId, Topology
@@ -108,6 +109,10 @@ class NetworkFabric:
             type(allocator).next_change_hint
             is not RateAllocator.next_change_hint
         )
+        # Fill only an event's binding closure until a listener re-enters.
+        self._narrowing = allocator.one_max_min_group and allocator.incremental_safe
+        self._notifying = 0
+        self._crowded: Set[LinkId] = set()  # occupied, share < ARGMIN_FLOOR
         self._probe = (
             telemetry.attach("fabric") if telemetry is not None else None
         )
@@ -335,11 +340,9 @@ class NetworkFabric:
             tag=tag,
         )
         self._next_flow_id += 1
-        if path.links:
-            bottleneck = min(self._capacities[link] for link in path.links)
-            self._optimal_on_submit[flow.flow_id] = size / bottleneck
-        else:
-            self._optimal_on_submit[flow.flow_id] = 0.0
+        # A path's bottleneck capacity; inf (optimal FCT 0.0) when local.
+        flow._bottleneck = min(map(self._capacities.get, path.links), default=_INF)
+        self._optimal_on_submit[flow.flow_id] = size / flow._bottleneck
         if coflow is not None:
             coflow.attach_flow(flow)
         probe = self._probe
@@ -361,9 +364,11 @@ class NetworkFabric:
         if self._component_on is not None:
             self._join(flow)
         self._allocator.note_arrival(flow)
+        self._notifying += 1
         for listener in self._arrival_listeners:
             listener(flow)
-        self._recompute(flow.path)
+        self._notifying -= 1
+        self._recompute(flow.path, departed=[])
         return flow
 
     def cancel_flow(self, flow: Flow) -> None:
@@ -385,7 +390,7 @@ class NetworkFabric:
             raise FlowError(f"flow {flow.flow_id} is not active")
         self._optimal_on_submit.pop(flow.flow_id, None)
         self._drop_flow(flow)
-        self._recompute(flow.path)
+        self._recompute(flow.path, departed=[flow])
 
     # ------------------------------------------------------------------
     # Fault injection (data plane)
@@ -463,6 +468,9 @@ class NetworkFabric:
         """Apply a degraded (``factor``) or failed (``victims`` flows
         evacuated) link's new capacity and re-share around it."""
         self._capacities[link_id] = capacity
+        for flow in self._by_link.get(link_id, {}).values():
+            flow._bottleneck = min(map(self._capacities.get, flow.path))
+        self._recount((link_id,))
         probe = self._probe
         if probe is not None:
             probe.on_capacity(
@@ -497,6 +505,7 @@ class NetworkFabric:
         if self._component_on is not None:
             self._leave(flow)
         flow.path = new_links
+        flow._bottleneck = min(map(self._capacities.get, new_links))
         for link_id in new_links:
             self._by_link.setdefault(link_id, {})[flow_id] = flow
         if self._component_on is not None:
@@ -574,8 +583,10 @@ class NetworkFabric:
             probe.on_flow_done(self._engine.now, record)
         if flow.coflow is not None:
             flow.coflow.note_flow_finished(flow, self._engine.now)
+        self._notifying += 1
         for listener in self._listeners:
             listener(flow, record)
+        self._notifying -= 1
 
     # ------------------------------------------------------------------
     # Internals: the sharing components, kept as flows come and go
@@ -611,6 +622,7 @@ class NetworkFabric:
         home.links.update(flow.path)
         for link_id in flow.path:
             component_on[link_id] = home
+        self._recount(flow.path)
 
     def _leave(self, flow: Flow) -> None:
         """``flow`` (already off the link index) left its component: the
@@ -622,6 +634,7 @@ class NetworkFabric:
         self._cancel_hint(component)
         del component.flows[flow.flow_id]
         shared: List[LinkId] = []
+        self._recount(flow.path)
         for link_id in flow.path:
             if self._by_link[link_id]:
                 shared.append(link_id)
@@ -630,6 +643,15 @@ class NetworkFabric:
                 component.links.discard(link_id)
         if len(shared) > 1:
             self._split(component, shared)
+
+    def _recount(self, links: Collection[LinkId]) -> None:
+        if self._narrowing:  # only the binding closure reads ``_crowded``
+            for link_id in links:
+                count = len(self._by_link.get(link_id, ()))
+                if self._capacities[link_id] < ARGMIN_FLOOR * count:
+                    self._crowded.add(link_id)
+                else:
+                    self._crowded.discard(link_id)
 
     def _split(self, component: _Component, shared: List[LinkId]) -> None:
         """Re-derive ``component`` around ``shared``, links of it that one
@@ -672,11 +694,14 @@ class NetworkFabric:
         self,
         dirty_links: Collection[LinkId],
         scope: Optional[List[_Component]] = None,
+        departed: Optional[List[Flow]] = None,
     ) -> None:
         """Recompute rates for the component(s) touching ``dirty_links``
         (``scope``, when the caller holds them already).  For an
         allocator that is not ``incremental_safe`` everything is dirty.
+        ``departed`` (the flows it took away) marks an arrival or removal.
         """
+        self._narrowing &= not self._notifying  # re-entered from a listener: whole from now
         probe = self._probe
         now = self._engine.now
         component_on = self._component_on
@@ -719,6 +744,8 @@ class NetworkFabric:
             if flow.finished:
                 self._drop_flow(flow)
                 self._finish_flow(flow)
+                if departed is not None:
+                    departed.append(flow)
             else:
                 survivors.append(flow)
         if survivors:
@@ -726,7 +753,8 @@ class NetworkFabric:
                 # A completion listener submitted while settling: the
                 # unscoped allocator still gets the whole active set.
                 survivors = [self._active[fid] for fid in sorted(self._active)]
-            self._reallocate(survivors, comp_links, len(comp_flows), now)
+            fill = self._binding_closure(survivors, dirty_links, comp_links, departed)
+            self._reallocate(fill, comp_links, len(comp_flows), now)
             if self._hinting:
                 self._schedule_hints(
                     survivors,
@@ -734,6 +762,42 @@ class NetworkFabric:
                 )
         if span is not None:
             probe.exit_recompute(span)
+
+    def _binding_closure(
+        self,
+        survivors: List[Flow],
+        dirty_links: Collection[LinkId],
+        comp_links: Set[LinkId],
+        departed: Optional[List[Flow]],
+    ) -> List[Flow]:
+        """The ``survivors`` an arrival or removal re-fills, in flow-id order:
+        the members of every link that can bind (``departed`` counted) reached
+        over such links from ``dirty_links`` and the ``departed`` paths.  All of
+        them unless narrowing applies (DESIGN.md §5.1, "Binding closure")."""
+        caps, by_link = self._capacities, self._by_link
+        if not self._narrowing or departed is None or not (
+            self._crowded.isdisjoint(comp_links)
+        ):
+            return survivors
+        gone: Dict[LinkId, List[Flow]] = {}
+        for flow in departed:
+            for link_id in flow.path:
+                gone.setdefault(link_id, []).append(flow)
+        frontier = list(dict.fromkeys([*dirty_links, *gone]))
+        seen, reached = set(frontier), {}
+        while frontier and len(reached) < len(survivors):
+            link_id = frontier.pop()
+            members, left = by_link[link_id], gone.get(link_id, ())
+            if members.keys() <= reached.keys() or not can_bind(
+                caps[link_id], sum([f._bottleneck for f in (*members.values(), *left)])
+            ):
+                continue  # adds nobody, or parts on either side fill apart
+            for flow_id, flow in members.items():
+                if flow_id not in reached:
+                    reached[flow_id] = flow
+                    frontier += [link for link in flow.path if link not in seen]
+                    seen.update(flow.path)
+        return [reached[fid] for fid in sorted(reached)]
 
     def _schedule_hints(self, survivors: List[Flow], intact: bool) -> None:
         """Schedule the next allocator change point of every component
@@ -814,7 +878,7 @@ class NetworkFabric:
                 and flow_id not in self._completion_events
             ):
                 self._reschedule_completion(flow, new_rate, now)
-        if not progressed:
+        if comp_flows and not progressed:
             raise FlowError(
                 "no flow is making progress; allocator "
                 f"{self._allocator.name!r} is not work-conserving"
@@ -845,7 +909,7 @@ class NetworkFabric:
         self._sync_flow(flow, self._engine.now)
         if not flow.finished:
             flow.advance(flow.remaining)
-        self._recompute(flow.path)
+        self._recompute(flow.path, departed=[])
 
     def _on_hint(self, component: _Component) -> None:
         component.hint_event = None

@@ -64,7 +64,7 @@ from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Sequence
 
 from repro.network.flow import Flow, FlowId
-from repro.network.policies.base import RATE_EPSILON, water_fill
+from repro.network.policies.base import RATE_EPSILON, RateAllocator, water_fill
 from repro.topology.base import LinkId
 
 
@@ -121,6 +121,16 @@ def priority_fill(
         else:
             water_fill(group, residual, rates)
     return rates
+
+
+class GroupFill(RateAllocator):
+    """A flow policy that names its priority groups, highest first, as
+    ``_groups(flows)``: its allocation is their :func:`priority_fill`."""
+
+    def allocate(
+        self, flows: Sequence[Flow], capacities: Mapping[LinkId, float]
+    ) -> Dict[FlowId, float]:
+        return priority_fill(self._groups(flows), capacities)
 
 
 def _fill_one(
@@ -207,6 +217,18 @@ def _flow_cols(flow: Flow) -> "object":
 #: 2**-53, at most two per member flow) for any group below 2**30 flows.
 _SLACK_MARGIN = 1.0 - 2.0**-20
 
+#: A last group whose entry shares are all at or above this fills argmin-exact
+#: to the end (shares only rise): no slack link is ever a bottleneck, and flows
+#: joined only through slack links fill as if apart.
+ARGMIN_FLOOR = 2 * _NEAR_TIE_FLOOR
+
+
+def can_bind(residual, demand):
+    """The slack test (floats or arrays): can a link with entry ``residual``
+    bind when its members' tightest entry residuals sum to ``demand``?"""
+    return demand >= residual * _SLACK_MARGIN
+
+
 #: Below this a float's unit in the last place is at most 1, so taking an
 #: integer-valued drain from it is exact.
 _EXACT_BELOW = float(2**53)
@@ -214,7 +236,7 @@ _EXACT_BELOW = float(2**53)
 
 def _binding_columns(res, shares, cols_cat, flowidx, sizes):
     """Mask of the columns of a *last* group that can ever bind; None
-    unless every entry share is at least ``2 * _NEAR_TIE_FLOOR``.
+    unless every entry share is at least :data:`ARGMIN_FLOOR`.
 
     No flow's rate exceeds the tightest entry residual on its path, so a
     link whose residual clears the sum of those bounds over its members
@@ -224,12 +246,11 @@ def _binding_columns(res, shares, cols_cat, flowidx, sizes):
     large to move the sub-floor epsilon chain, which starts on the first
     live column whatever its share.
     """
-    if shares.min() < 2 * _NEAR_TIE_FLOOR:
+    if shares.min() < ARGMIN_FLOOR:
         return None
     starts = _np.cumsum(sizes) - sizes
     tightest = _np.minimum.reduceat(res[cols_cat], starts)
-    demand = _np.bincount(cols_cat, weights=tightest[flowidx])
-    return demand >= res * _SLACK_MARGIN
+    return can_bind(res, _np.bincount(cols_cat, weights=tightest[flowidx]))
 
 
 def _exact_level(share, shares, res, counts):

@@ -40,6 +40,10 @@ class RateAllocator(ABC):
     #: model's definition (DESIGN.md §5.1).
     incremental_safe: bool = False
 
+    #: Whether every allocation is one max-min group (fair): the fabric then
+    #: re-fills only an event's binding closure (DESIGN.md §5.1).
+    one_max_min_group: bool = False
+
     @abstractmethod
     def allocate(
         self,

@@ -8,18 +8,14 @@ arrived flow crossing it transmits at full residual rate; later flows wait
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.network.flow import Flow, FlowId
-from repro.network.kernels import priority_fill
-from repro.network.policies.base import (
-    RateAllocator,
-    group_by_key,
-)
-from repro.topology.base import LinkId
+from repro.network.kernels import GroupFill
+from repro.network.policies.base import group_by_key
 
 
-class FCFSAllocator(RateAllocator):
+class FCFSAllocator(GroupFill):
     """Strict arrival-order priority (FCFS)."""
 
     name = "fcfs"
@@ -58,10 +54,3 @@ class FCFSAllocator(RateAllocator):
             return groups
         keys = {flow.flow_id: flow.arrival_time for flow in flows}
         return group_by_key(flows, keys)
-
-    def allocate(
-        self,
-        flows: Sequence[Flow],
-        capacities: Mapping[LinkId, float],
-    ) -> Dict[FlowId, float]:
-        return priority_fill(self._groups(flows), capacities)

@@ -13,22 +13,17 @@ crossing so the fabric can re-allocate exactly then.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Sequence
 
-from repro.network.flow import Flow, FlowId
-from repro.network.kernels import priority_fill
-from repro.network.policies.base import (
-    LinkMembershipMixin,
-    RateAllocator,
-    group_by_key,
-)
-from repro.topology.base import LinkId
+from repro.network.flow import Flow
+from repro.network.kernels import GroupFill
+from repro.network.policies.base import LinkMembershipMixin, group_by_key
 
 #: Attained-service values within this many bits are one priority group.
 ATTAINED_TIE_TOLERANCE = 1.0
 
 
-class LASAllocator(LinkMembershipMixin, RateAllocator):
+class LASAllocator(LinkMembershipMixin, GroupFill):
     """Strict least-attained-service priority (LAS / L2DCT)."""
 
     name = "las"
@@ -37,13 +32,6 @@ class LASAllocator(LinkMembershipMixin, RateAllocator):
     def _groups(self, flows: Sequence[Flow]):
         keys = {flow.flow_id: flow.attained for flow in flows}
         return group_by_key(flows, keys, tolerance=ATTAINED_TIE_TOLERANCE)
-
-    def allocate(
-        self,
-        flows: Sequence[Flow],
-        capacities: Mapping[LinkId, float],
-    ) -> Dict[FlowId, float]:
-        return priority_fill(self._groups(flows), capacities)
 
     # Attained service grows at the flow's rate, so a pair converges when
     # the lower-attained flow is transmitting faster.

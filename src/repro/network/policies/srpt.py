@@ -14,18 +14,17 @@ completion.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Sequence
 
-from repro.network.flow import Flow, FlowId
-from repro.network.kernels import priority_fill
-from repro.network.policies.base import LinkMembershipMixin, RateAllocator
-from repro.topology.base import LinkId
+from repro.network.flow import Flow
+from repro.network.kernels import GroupFill
+from repro.network.policies.base import LinkMembershipMixin
 
 #: Two remaining sizes within this many bits count as a tie.
 SIZE_TIE_TOLERANCE = 1.0
 
 
-class SRPTAllocator(LinkMembershipMixin, RateAllocator):
+class SRPTAllocator(LinkMembershipMixin, GroupFill):
     """Strict smallest-remaining-first priority (SRPT / PASE)."""
 
     name = "srpt"
@@ -49,13 +48,6 @@ class SRPTAllocator(LinkMembershipMixin, RateAllocator):
                     continue
             groups.append([flow])
         return groups
-
-    def allocate(
-        self,
-        flows: Sequence[Flow],
-        capacities: Mapping[LinkId, float],
-    ) -> Dict[FlowId, float]:
-        return priority_fill(self._groups(flows), capacities)
 
     # Remaining size shrinks at the flow's rate, so a pair converges when
     # the larger-remaining (upper) flow is transmitting faster.  Crossings

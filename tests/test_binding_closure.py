@@ -1,0 +1,389 @@
+"""The binding closure: a fair recompute re-fills only what its event reaches.
+
+An allocator that declares ``one_max_min_group`` (fair) lets the fabric
+re-fill, on an arrival or a removal, only the flows reachable from the
+event over links that can bind, keeping every other cached rate
+(DESIGN.md §5.1, "Binding closure").  These tests run each scenario with
+the declaration on and patched off (every fill then takes the whole
+settled sharing component, the allocation the fabric made before), and
+require byte-equal records and JSONL traces, with the full-recompute
+oracle installed where the scenario's own rates are exact, and a count
+of narrowed fills above zero, so no leg passes by never narrowing.
+
+* ``test_a_re_entering_listener_ends_narrowing``: a completion listener
+  that submits synchronously (the stale-survivor path of ROADMAP 2(i));
+* ``test_a_sub_floor_component_fills_whole``: links degraded until a
+  share is below ``kernels.ARGMIN_FLOOR``: a pinned near-tie the closure
+  alone would fill differently, and seeded runs with cancellations and
+  equal sizes (flows finish together while settling), under the oracle;
+* ``test_faulted_replays_match_whole_fills``: replays with a degraded and
+  a failed link, under the oracle, every fill leg;
+* the work-conservation guard on a non-empty fill and an empty one;
+* ``TestFairRecomputeCost``: a ``sys.setprofile`` budget on calls per fair
+  recompute of a pinned 40-host replay, and the mean flows per fill
+  against the mean sharing component, so a closure that silently stops
+  narrowing fails tier-1.
+"""
+
+from __future__ import annotations
+
+import io
+import random
+import sys
+from typing import List
+
+import pytest
+
+from repro.errors import FlowError
+from repro.experiments.runner import replay_flow_trace
+from repro.faults import FaultPlan, LinkDegrade, LinkDown
+from repro.network.fabric import NetworkFabric
+from repro.network.kernels import ARGMIN_FLOOR
+from repro.network.policies.fair import FairAllocator
+from repro.network.policies.registry import make_allocator
+from repro.sim.engine import Engine
+from repro.telemetry import JsonlTraceSink, MetricsRegistry, Telemetry
+from repro.topology.base import Topology, TopoNode
+from repro.topology.fabrics import three_tier_clos
+from repro.workloads import generate_flow_trace, make_distribution
+
+from tests import full_recompute_oracle
+from tests.conftest import FILLS, pin_fill
+
+
+def count_fills(patch) -> List[str]:
+    """Wrap the closure: the list gains ``"narrowed"`` for each fill it
+    narrowed and ``"floor"`` for each it kept whole for a sub-floor share
+    (narrowing on, an arrival or removal, the settled scope returned)."""
+    closure = NetworkFabric._binding_closure
+    kinds: List[str] = []
+
+    def counting(fabric, survivors, dirty_links, comp_links, departed):
+        narrowing = fabric._narrowing and departed is not None
+        fill = closure(fabric, survivors, dirty_links, comp_links, departed)
+        if len(fill) < len(survivors):
+            kinds.append("narrowed")
+        elif narrowing and fill is survivors:
+            kinds.append("floor")
+        return fill
+
+    patch.setattr(NetworkFabric, "_binding_closure", counting)
+    return kinds
+
+
+def both_ways(run, *, oracle=False):
+    """``run()`` with the declaration patched off, then on: returns both
+    results and the fill kinds counted on the narrowing side."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FairAllocator, "one_max_min_group", False)
+        if oracle:
+            full_recompute_oracle.install(patch)
+        whole = run()
+    with pytest.MonkeyPatch.context() as patch:
+        kinds = count_fills(patch)
+        if oracle:
+            full_recompute_oracle.install(patch)
+        narrowed = run()
+    return whole, narrowed, kinds
+
+
+def traced_fabric(topo):
+    buf = io.StringIO()
+    telemetry = Telemetry(registry=MetricsRegistry(), trace=JsonlTraceSink(buf))
+    engine = Engine()
+    fabric = NetworkFabric(
+        engine, topo, make_allocator("fair"), telemetry=telemetry
+    )
+    return engine, fabric, telemetry, buf
+
+
+# ----------------------------------------------------------------------
+# A completion listener that re-enters the fabric
+# ----------------------------------------------------------------------
+def re_entrant_run(seed: int):
+    """25 seeded arrivals in the first 50 ms on a 16-host Clos, and a
+    completion listener that submits synchronously, at most 40 times."""
+    engine, fabric, telemetry, buf = traced_fabric(
+        three_tier_clos(pods=2, racks_per_pod=2, hosts_per_rack=4)
+    )
+    hosts = list(fabric.topology.hosts)
+    rng = random.Random(seed)
+    for _ in range(25):
+        src, dst = rng.sample(hosts, 2)
+        size = rng.uniform(1e6, 4e7)
+        engine.schedule_at(
+            rng.uniform(0.0, 0.05),
+            lambda s=src, d=dst, z=size: fabric.submit(s, d, z),
+        )
+    budget = [40]
+
+    def resubmit(flow, record):
+        if budget[0]:
+            budget[0] -= 1
+            fabric.submit(flow.dst, rng.choice(hosts), rng.uniform(1e6, 4e7))
+
+    fabric.add_completion_listener(resubmit)
+    engine.run()
+    telemetry.close()
+    return fabric.records, buf.getvalue()
+
+
+def test_a_re_entering_listener_ends_narrowing():
+    """From the first submit a completion listener makes while the fabric
+    settles, every fill is the whole settled component: the outer recompute
+    then re-allocates a survivor list the nested one has already changed,
+    and only the whole fill does that exactly as it always has."""
+    narrowed_fills = 0
+    for seed in range(30):
+        whole, narrowed, kinds = both_ways(lambda: re_entrant_run(seed))
+        assert narrowed == whole, f"seed {seed}"
+        narrowed_fills += kinds.count("narrowed")
+    assert narrowed_fills > 0
+
+
+# ----------------------------------------------------------------------
+# A share below the floor
+# ----------------------------------------------------------------------
+def degraded_run(seed: int):
+    """Equal-sized flows on a 16-host Clos (so flows finish together
+    while settling), h000's uplink degraded to 2e7 bit/s (one flow's share
+    is below ``ARGMIN_FLOOR``) for 60 ms, then restored."""
+    topo = three_tier_clos(pods=2, racks_per_pod=2, hosts_per_rack=4)
+    engine, fabric, telemetry, buf = traced_fabric(topo)
+    hosts = list(topo.hosts)
+    rng = random.Random(seed)
+    for _ in range(60):
+        src, dst = rng.sample(hosts, 2)
+        size = rng.choice((2e6, 5e6, 1e7))
+        engine.schedule_at(
+            rng.randrange(20) * 5e-3,
+            lambda s=src, d=dst, z=size: fabric.submit(s, d, z),
+        )
+    uplink = topo.host_uplink(hosts[0]).link_id
+    engine.schedule_at(0.02, lambda: fabric.degrade_link(uplink, 0.02))
+    for when in (0.03, 0.06, 0.09):  # a removal that is not a completion
+        engine.schedule_at(
+            when, lambda: fabric.cancel_flow(fabric.active_flows()[0])
+        )
+    engine.schedule_at(0.08, lambda: fabric.degrade_link(uplink, 50.0))
+    engine.run()
+    telemetry.close()
+    return fabric.records, buf.getvalue()
+
+
+def near_tie_run():
+    """Two switches joined by a 1e9 trunk, host links degraded to shares
+    near 3 bit/s that lie within ``RATE_EPSILON`` of each other.  Flow 3
+    arrives last and reaches {0, 2, 3} over binding links; flow 1 shares
+    only the slack trunk with them.  Below the floor the reference's
+    epsilon chain need not end at the first minimum: over all four flows
+    it hops from sw1->h003 to h001->sw0 (flow 1's link), skips h002->sw0
+    (not 1e-9 below that) and ends at sw1->h005; over {0, 2, 3} alone it
+    hops to h002->sw0 and ends there (sw1->h005 is not 1e-9 below it).
+    So filling the closure alone would give flows 2 and 3 other rates."""
+    topo = Topology("near-tie")
+    for switch in ("sw0", "sw1"):
+        topo.add_node(TopoNode(switch, "switch"))
+    topo.add_duplex_link("sw0", "sw1", 1e9)
+    for i in range(6):
+        topo.add_node(TopoNode(f"h{i:03d}", "host", rack=i // 3, pod=0))
+        topo.add_duplex_link(f"h{i:03d}", f"sw{i // 3}", 1e9, is_edge=True)
+    engine, fabric, telemetry, buf = traced_fabric(topo)
+    for link, capacity in (
+        ("h000->sw0", 9.0),  # flows 0 and 3: share 4.5
+        ("sw1->h003", 3.0 + 1.8e-9),  # flow 0
+        ("h001->sw0", 3.0 + 0.7e-9),  # flow 1
+        ("h002->sw0", 3.0 + 0.5e-9),  # flow 2
+        ("sw1->h005", 2 * (3.0 - 0.4e-9)),  # flows 2 and 3
+    ):
+        fabric.degrade_link(link, capacity / 1e9)
+    for src, dst in (("h000", "h003"), ("h001", "h004"), ("h002", "h005"),
+                     ("h000", "h005")):
+        fabric.submit(src, dst, 30.0)
+    engine.run()
+    telemetry.close()
+    return fabric.records, buf.getvalue()
+
+
+def test_a_sub_floor_component_fills_whole():
+    assert 2e7 < ARGMIN_FLOOR
+    narrowed_fills = 0
+    for run in [near_tie_run] + [
+        lambda seed=seed: degraded_run(seed) for seed in range(8)
+    ]:
+        whole, narrowed, kinds = both_ways(run, oracle=True)
+        assert narrowed == whole
+        assert kinds.count("floor") > 0
+        narrowed_fills += kinds.count("narrowed")
+    assert narrowed_fills > 0
+
+
+# ----------------------------------------------------------------------
+# Faulted replays, every fill leg, under the oracle
+# ----------------------------------------------------------------------
+def faulted_replay(topo, workload: str, seed: int):
+    hosts = list(topo.hosts)
+    plan = FaultPlan(
+        events=(
+            LinkDegrade(
+                time=0.02, link=topo.host_uplink(hosts[0]).link_id, factor=0.4
+            ),
+            LinkDown(time=0.05, link=topo.host_downlink(hosts[3]).link_id),
+        ),
+        seed=3,
+        name="binding-closure",
+    )
+    trace = generate_flow_trace(
+        hosts=topo.hosts,
+        distribution=make_distribution(workload),
+        load=0.7,
+        edge_capacity=1e9,
+        num_arrivals=120,
+        seed=seed,
+    )
+    buf = io.StringIO()
+    telemetry = Telemetry(registry=MetricsRegistry(), trace=JsonlTraceSink(buf))
+    run = replay_flow_trace(
+        trace, topo, network_policy="fair", placement="minload",
+        telemetry=telemetry, faults=plan,
+    )
+    telemetry.close()
+    return run.records, buf.getvalue()
+
+
+@pytest.mark.parametrize("fill", FILLS)
+@pytest.mark.parametrize("workload", ["websearch", "hadoop"])
+def test_faulted_replays_match_whole_fills(workload, fill, monkeypatch):
+    pin_fill(monkeypatch, fill)
+    topo = three_tier_clos(pods=2, racks_per_pod=2, hosts_per_rack=5)
+    for seed in (11, 23):
+        whole, narrowed, kinds = both_ways(
+            lambda: faulted_replay(topo, workload, seed), oracle=True
+        )
+        assert narrowed == whole, f"{workload}/{seed}"
+        assert kinds.count("narrowed") > 0, f"{workload}/{seed}"
+
+
+# ----------------------------------------------------------------------
+# The work-conservation guard
+# ----------------------------------------------------------------------
+class Idle(FairAllocator):
+    """Declares one max-min group and hands out nothing."""
+
+    name = "idle"
+
+    def allocate(self, flows, capacities):
+        return {flow.flow_id: 0.0 for flow in flows}
+
+
+@pytest.mark.parametrize("narrowing", [True, False])
+def test_the_guard_fires_for_any_non_empty_fill(narrowing, monkeypatch):
+    monkeypatch.setattr(Idle, "one_max_min_group", narrowing)
+    fabric = NetworkFabric(Engine(), three_tier_clos(pods=1), Idle())
+    with pytest.raises(FlowError, match="not work-conserving"):
+        fabric.submit("h000", "h010", 1e9)
+
+
+def test_an_empty_fill_is_no_stall(monkeypatch):
+    """Two flows joined only by slack ToR-aggregation links: the short one
+    completes, its closure reaches nobody, the allocator is handed no flow
+    and the other keeps its rate."""
+    kinds = count_fills(monkeypatch)
+    checked = full_recompute_oracle.install(monkeypatch)
+    engine = Engine()
+    fabric = NetworkFabric(engine, three_tier_clos(pods=1), make_allocator("fair"))
+    fills: List[int] = []
+    reallocate = NetworkFabric._reallocate
+
+    def sized(fabric, fill, *args):
+        fills.append(len(fill))
+        reallocate(fabric, fill, *args)
+
+    monkeypatch.setattr(NetworkFabric, "_reallocate", sized)
+    short = fabric.submit("h000", "h010", 1e8)
+    long = fabric.submit("h001", "h012", 1e9)
+    engine.run()
+    assert fills == [1, 1, 0] and len(checked) == 3
+    assert (short.fct(), long.fct()) == (0.1, 1.0)
+    assert kinds.count("narrowed") == 2
+
+
+# ----------------------------------------------------------------------
+# The structural guard: calls per fair recompute, flows per fill
+# ----------------------------------------------------------------------
+def pinned_replay():
+    """A pinned fair replay on the 40-host Clos the figures default to."""
+    topo = three_tier_clos(pods=2, racks_per_pod=2, hosts_per_rack=10)
+    trace = generate_flow_trace(
+        hosts=topo.hosts,
+        distribution=make_distribution("websearch"),
+        load=0.7,
+        edge_capacity=1e9,
+        num_arrivals=300,
+        seed=1,
+    )
+    replay_flow_trace(trace, topo, network_policy="fair", placement="minload")
+
+
+def calls_per_recompute(run) -> float:
+    """Python and C calls made inside ``NetworkFabric._recompute`` (nested
+    ones included), per outermost recompute of ``run()``."""
+    code = NetworkFabric._recompute.__code__
+    depth = calls = recomputes = 0
+
+    def profiler(frame, event, arg):
+        nonlocal depth, calls, recomputes
+        if event == "call" and frame.f_code is code:
+            recomputes += not depth
+            depth += 1
+        elif event == "return" and frame.f_code is code:
+            depth -= 1
+        if depth and event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls / recomputes
+
+
+def fill_and_component_sizes(run, patch):
+    """Mean flows handed to the allocator and mean sharing-component size
+    (flows finished while settling included) per recompute of ``run()``."""
+    reallocate = NetworkFabric._reallocate
+    fills, components = [], []
+
+    def sized(fabric, fill, comp_links, component_size, now):
+        fills.append(len(fill))
+        components.append(component_size)
+        reallocate(fabric, fill, comp_links, component_size, now)
+
+    patch.setattr(NetworkFabric, "_reallocate", sized)
+    run()
+    return sum(fills) / len(fills), sum(components) / len(components)
+
+
+class TestFairRecomputeCost:
+    """Structural guards on the host cost of a fair recompute, read off the
+    pinned replay (CPython 3.11, numpy dispatch; each bound is the measured
+    value + 10%).  With the closure off the same replay makes 715.7 calls
+    per recompute and fills 22.8 flows, the whole component."""
+
+    #: measured -> bound: Python and C calls inside ``_recompute``, per
+    #: recompute (422.5 with every group on the scalar fill).
+    CALLS_PER_RECOMPUTE = (606.2, 667.0)
+    #: measured -> bound: flows handed to the allocator per recompute,
+    #: against 23.27 flows in the sharing component it settles.
+    FLOWS_PER_FILL = (3.694, 4.06)
+    FILL_SHARE_OF_COMPONENT = (3.694 / 23.268, 0.175)
+
+    def test_calls_per_fair_recompute_stay_bounded(self):
+        measured, bound = self.CALLS_PER_RECOMPUTE
+        assert calls_per_recompute(pinned_replay) <= bound
+
+    def test_a_fill_is_a_fraction_of_its_component(self, monkeypatch):
+        fill, component = fill_and_component_sizes(pinned_replay, monkeypatch)
+        assert fill <= self.FLOWS_PER_FILL[1]
+        assert fill / component <= self.FILL_SHARE_OF_COMPONENT[1]

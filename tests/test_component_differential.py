@@ -171,8 +171,8 @@ def test_component_soak_clos_160(policy, monkeypatch):
     recompute = NetworkFabric._recompute
     checks = []
 
-    def checked(self, *args):
-        recompute(self, *args)
+    def checked(self, *args, **kwargs):
+        recompute(self, *args, **kwargs)
         assert_components_match_the_oracle(self, every_link=False)
         checks.append(len(self._component_on))
 

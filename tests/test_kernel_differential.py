@@ -578,10 +578,20 @@ def test_kernel_soak_clos_160():
 def test_every_fair_recompute_matches_the_reference_clos_160(monkeypatch):
     """Every fair allocation of a faulted 160-host replay, on the shipped
     dispatch and handed the fabric's whole capacity map, against
-    ``greedy_priority_fill`` on the same inputs."""
-    from repro.network.policies import fair
+    ``greedy_priority_fill`` on the same inputs.  A recompute whose fill the
+    binding closure narrowed also fills its whole settled sharing component
+    (the allocation before the closure), so the numpy fill keeps the large
+    groups it is there for."""
+    from repro.network.fabric import NetworkFabric
 
     checked, sizes = [], []
+    closure = NetworkFabric._binding_closure
+
+    def whole_too(fabric, survivors, *args):
+        narrowed = closure(fabric, survivors, *args)
+        if narrowed is not survivors:
+            fabric.allocator.allocate(survivors, fabric._capacities)
+        return narrowed
 
     def fill(groups, capacities, _fill=kernels.priority_fill):
         rates = _fill(groups, capacities)
@@ -591,7 +601,8 @@ def test_every_fair_recompute_matches_the_reference_clos_160(monkeypatch):
         sizes.append(len(groups[0]))
         return rates
 
-    monkeypatch.setattr(fair, "priority_fill", fill)
+    monkeypatch.setattr(kernels, "priority_fill", fill)
+    monkeypatch.setattr(NetworkFabric, "_binding_closure", whole_too)
     topo = three_tier_clos()
     run_replay(
         topo, policy="fair", workload="websearch", seed=2, fill="default",
