@@ -9,14 +9,16 @@ All priority-based coflow schedulers here follow the Varys structure:
    completion time on the *residual* capacities, so all flows would finish
    together without wasting bandwidth;
 3. **backfill** leftover capacity max-min fairly across all unfinished
-   flows (work conservation).
+   flows (work conservation): :func:`repro.network.kernels.backfill`, the
+   fill a large fair group also runs.
 
 Flows not attached to any coflow are treated as singleton coflows, so mixed
 flow/coflow traffic is handled uniformly.
 
-``allocate`` interns its links once as int columns (:func:`link_columns`);
-every float is the same expression on the same operands in the same order
-as in the LinkId-keyed bodies kept in ``tests/coflow_oracle.py``.
+``allocate`` interns its links once as int columns
+(:func:`repro.network.kernels.link_columns`); every float is the same
+expression on the same operands in the same order as in the LinkId-keyed
+bodies kept in ``tests/coflow_oracle.py``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.coflow.coflow import Coflow
 from repro.network.flow import Flow, FlowId
+from repro.network.kernels import backfill, link_columns
 from repro.network.policies.base import RATE_EPSILON, RateAllocator
 from repro.topology.base import LinkId
 
@@ -55,33 +58,6 @@ def collect_coflows(flows: Sequence[Flow]) -> List[Tuple[Optional[Coflow], List[
     return [groups[key] for key in order]
 
 
-def link_columns(
-    flows: Sequence[Flow], capacities: Mapping[LinkId, float]
-) -> Tuple[Dict[FlowId, List[int]], List[List[FlowId]], List[float]]:
-    """One ``allocate`` call's links as int columns in first-seen order:
-    ``(cols_of, crossing, capacity)``, i.e. each flow's path as columns (a
-    link listed twice appears twice), the ids of the flows crossing each
-    column in flow order, and each column's capacity (0.0 when not in the
-    map).  Read from ``flow.path`` each call, so a reroute takes effect.
-    """
-    col_of: Dict[LinkId, int] = {}
-    cols_of: Dict[FlowId, List[int]] = {}
-    crossing: List[List[FlowId]] = []
-    capacity: List[float] = []
-    for flow in flows:
-        flow_id = flow.flow_id
-        cols = cols_of[flow_id] = []
-        for link_id in flow.path:
-            col = col_of.get(link_id)
-            if col is None:
-                col = col_of[link_id] = len(capacity)
-                capacity.append(capacities.get(link_id, 0.0))
-                crossing.append([])
-            cols.append(col)
-            crossing[col].append(flow_id)
-    return cols_of, crossing, capacity
-
-
 def column_demand(
     members: Sequence[Flow], cols_of: Mapping[FlowId, List[int]]
 ) -> Dict[int, float]:
@@ -107,55 +83,6 @@ def column_bottleneck(
         if duration > gamma:
             gamma = duration
     return gamma
-
-
-def backfill(
-    cols_of: Mapping[FlowId, List[int]],
-    crossing: Sequence[List[FlowId]],
-    residual: List[float],
-    rates: Dict[FlowId, float],
-) -> None:
-    """Add the max-min fair share of ``residual`` to ``rates``, round for
-    round with ``water_fill`` over the call's flows.
-
-    Equal shares are cached per column and refreshed where a freeze drains;
-    the rounds at share exactly 0.0 (which drain nothing) collapse into one
-    sweep when DESIGN.md's "Coflow allocation pass" precondition holds.
-    """
-    count = [len(members) for members in crossing]
-    share = [residual[col] / n for col, n in enumerate(count)]
-    unfrozen = {flow_id for flow_id, cols in cols_of.items() if cols}
-    while unfrozen:
-        # The epsilon chain: first-seen order, moving only on an improvement
-        # of more than RATE_EPSILON (a column with no unfrozen flow is inf).
-        bottleneck, bound = -1, _INF
-        for col, level in enumerate(share):
-            if level < bound:
-                bottleneck, bound = col, level - RATE_EPSILON
-        if bottleneck < 0:
-            break
-        level = max(share[bottleneck], 0.0)
-        frozen_cols = [bottleneck]
-        if level == 0.0:
-            # Every share exactly 0.0 (no residual) or above the epsilon:
-            # the chain keeps ending on a 0.0 column while one has flows.
-            zeros = [col for col, s in enumerate(share) if s <= RATE_EPSILON]
-            if all(residual[col] == 0.0 for col in zeros):
-                frozen_cols = zeros
-        drained: Dict[int, int] = {}
-        for col in frozen_cols:
-            for flow_id in crossing[col]:
-                if flow_id in unfrozen:
-                    unfrozen.remove(flow_id)
-                    if level > RATE_EPSILON:
-                        rates[flow_id] += level
-                    for other in cols_of[flow_id]:
-                        drained[other] = drained.get(other, 0) + 1
-        for col, k in drained.items():
-            left = residual[col] - level * k
-            residual[col] = left = left if left > 0.0 else 0.0
-            count[col] = n = count[col] - k
-            share[col] = left / n if n > 0 else _INF
 
 
 class CoflowAllocator(RateAllocator):

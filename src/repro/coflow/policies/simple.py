@@ -13,13 +13,9 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.coflow.coflow import Coflow
-from repro.coflow.policies.base import (
-    CoflowAllocator,
-    backfill,
-    collect_coflows,
-    link_columns,
-)
+from repro.coflow.policies.base import CoflowAllocator, collect_coflows
 from repro.network.flow import Flow, FlowId
+from repro.network.kernels import backfill, link_columns
 from repro.network.policies.base import RATE_EPSILON, RateAllocator
 from repro.topology.base import LinkId
 

@@ -789,7 +789,7 @@ class NetworkFabric:
             link_id = frontier.pop()
             members, left = by_link[link_id], gone.get(link_id, ())
             if members.keys() <= reached.keys() or not can_bind(
-                caps[link_id], sum([f._bottleneck for f in (*members.values(), *left)])
+                caps[link_id], [f._bottleneck for f in (*members.values(), *left)]
             ):
                 continue  # adds nobody, or parts on either side fill apart
             for flow_id, flow in members.items():

@@ -1,98 +1,97 @@
-"""Batched numpy kernels for the water-filling rate allocators.
+"""One max-min fill for every rate allocator.
 
-:func:`priority_fill` is the vectorized twin of
-:func:`repro.network.policies.base.greedy_priority_fill`: same ordered
-priority groups and link capacities in, a **bit-identical** rate map out.
+The paper's schedulers use one primitive twice: fair sharing (DCTCP) is a
+max-min fair allocator, and Varys / SCF are MADD followed by a max-min
+back-fill.  This module holds that fill in its two data layouts — the
+LinkId-keyed reference :func:`~repro.network.policies.base.water_fill`
+(in ``policies.base``) and the int-column :func:`backfill` — and the
+strict-priority cascade the flow policies hand their groups to.
 
-The reference pays a Python loop over every link of the component on
-every round.  The kernel keeps the per-link shares as one float64 vector
-and replays that scan as a few vectorized "epsilon chain hops" (first
-link beating the candidate by more than ``RATE_EPSILON``, repeated);
-counts and residuals are updated only for the links a freeze touches.
+:func:`priority_fill` is the bit-identical twin of
+:func:`~repro.network.policies.base.greedy_priority_fill`: same ordered
+priority groups and link capacities in, the same rate map out.  It is
+the one place that knows how a group is filled, and it picks from what it
+can see:
 
-Byte-identity is by construction, not by tolerance.  Every float the
-Python reference produces comes from one of four scalar expressions —
+* the *last* group, when it has at least :data:`GROUP_CUTOFF` flows, takes
+  the column fill (:func:`_fill_columns`): :func:`link_columns` interns its
+  links, every column :func:`can_bind` rejects is dropped, and
+  :func:`backfill` fills the rest from rates of 0.0;
+* a group of one flow (the whole of an SRPT / FCFS cascade) is filled in
+  place (:func:`_fill_one`);
+* every other group takes ``water_fill``.
 
-* ``share = residual / count``                      (bottleneck scan)
-* ``share < bottleneck_share - RATE_EPSILON``       (epsilon tie-break)
-* ``residual = max(0.0, residual - share * k)``     (per-round drain)
-* ``rate = bottleneck_share``                       (freeze)
+All three share one residual map, so groups can mix fills within an
+allocation.  Nothing selects a fill from outside this module.
 
-— and the kernel evaluates the *same* expressions on the same operands
-(IEEE-754 float64, no reassociation, candidates in the reference's
-first-seen link order with the same epsilon hysteresis).  It evaluates
-*fewer* of them where that cannot move a float, by two reductions it
-arms from what it sees in the group:
+Byte-identity is by construction.  Every float the reference produces
+comes from the same four scalar expressions — ``residual / count``, the
+epsilon tie-break ``share < bottleneck_share - RATE_EPSILON``, the clamped
+drain ``max(0.0, residual - share * k)`` and the freeze ``rate = share`` —
+and :func:`backfill` evaluates them on the same operands in the same
+order: columns in first-seen order, crossers in flow order, one drain per
+touched column per round.  Its two extra branches (a level at or below
+``RATE_EPSILON`` credits nothing; the rounds at share exactly 0.0
+collapse) cannot fire once every share is at least :data:`ARGMIN_FLOOR`,
+which is the column fill's precondition.  Above it, one reduction makes
+the column fill cheaper than the reference without moving a float:
 
-* *Slack links* (:func:`_binding_columns`).  Precondition: the group is
-  the last of its :func:`priority_fill` and every entry share is at
-  least ``2 * _NEAR_TIE_FLOOR``.  A link whose residual clears, by
-  :data:`_SLACK_MARGIN`, all its flows could ever be given is never a
-  round's bottleneck: no rate reads it, its column is dropped.  When the
-  precondition fails (a later group reads the residuals, or a share low
-  enough for the epsilon chain to start on any column) all stay.
-* *Exact levels* (:func:`_exact_level`).  Precondition: the minimum
-  share is integer-valued and at or above the floor, every live
-  residual is below ``2**53``, every column tied at it holds exactly
-  ``share * count``.  The reference's next rounds are then those
-  columns one by one, every product and drain exact, so one round
-  freezes them all.  When it fails the round freezes one column.
+* *Slack links.*  No flow's rate exceeds the tightest entry residual on
+  its path (its bound), so a link whose residual clears, by
+  :data:`_SLACK_MARGIN`, the sum of its members' bounds keeps a share
+  strictly above that of the tightest link of one of its own unfrozen
+  members: it is never the first minimum, and at shares of at least
+  ``2**24`` the epsilon chain ends at the first minimum.  Its column is
+  dropped; flows joined only through slack links fill as if apart.  Only
+  a last group may drop them: a later group would read their residuals.
 
 ``tests/test_kernel_differential.py`` and ``tests/test_goldens.py`` lock
-the contract: records and traces, ``==`` on rates and on the residuals
-every non-final group leaves.
-
-:func:`priority_fill` is the one place that knows how a group is filled,
-and it picks from what it can see: the numpy fill when numpy is
-importable and the group has at least :data:`GROUP_CUTOFF` flows (array
-setup loses to dict arithmetic below it), in place for a group of one
-flow (the whole of an SRPT/FCFS cascade), the scalar ``water_fill``
-otherwise.  All three are bit-identical and share one residual map, so
-groups can mix fills within an allocation.  Nothing selects a fill from
-outside this module.
-
-numpy is optional (the ``perf`` extra): when it cannot be imported
-every group takes the scalar fill; when it can, the first group that
-takes the numpy fill imports it, not this module.
+the contract: records and traces, ``==`` on rates.
 """
 
 from __future__ import annotations
 
-from array import array as _f64buf
-from importlib.util import find_spec
-from itertools import accumulate
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.network.flow import Flow, FlowId
 from repro.network.policies.base import RATE_EPSILON, RateAllocator, water_fill
 from repro.topology.base import LinkId
 
-
-def _numpy_importable() -> bool:
-    try:
-        return find_spec("numpy") is not None
-    except ImportError:  # a finder may refuse numpy by raising
-        return False
-
-
-#: True when numpy can be imported here.  The import itself waits for
-#: the first group that takes the kernel: a run that never has one
-#: (every coflow policy, an SRPT cascade of singleton groups, a small
-#: fabric) pays neither numpy's import time nor its memory, and
-#: ``import repro`` costs what it does without numpy.
-HAVE_NUMPY = _numpy_importable()
-
-#: numpy, once :func:`_water_fill_numpy` has run.
-_np = None
-
 _INF = float("inf")
 
-#: Priority groups smaller than this take the scalar fill: array setup
-#: loses to dict arithmetic on the tiny groups priority cascades and
-#: small dirty components produce.  Measured flat from 4 to 48 on both
-#: benchmark sides (EXPERIMENTS.md), so a constant; tests patch it to
-#: force every group through one fill.
+#: A last group smaller than this takes ``water_fill``: the column set-up
+#: loses to dict arithmetic on the small dirty components the binding
+#: closure hands a fair fill.  Sending every last group of two or more
+#: flows to the column fill cost +2.7% on ``fig5_fair_neat``
+#: (EXPERIMENTS.md "PR 31"), so a constant; tests patch it to force every
+#: last group through one fill.
 GROUP_CUTOFF = 16
+
+#: A last group whose entry shares are all at or above this keeps them
+#: there to the end (shares only rise): for two shares both at or above
+#: ``2**24`` the reference's ``share < candidate - RATE_EPSILON`` is plain
+#: ``share < candidate`` (floats there are spaced at least
+#: ``2**-28 > 2e-9`` apart), so its epsilon chain ends at the first
+#: occurrence of the minimum, and no slack link is ever that.  Doubled, so
+#: that a slack share is also too large to move the chain below the floor.
+ARGMIN_FLOOR = float(2**25)
+
+#: A link is slack only when its residual, shrunk by this factor, still
+#: exceeds its demand: 2**-20 covers the rounding of the demand sum and
+#: of every drain the reference would have applied (each relative
+#: 2**-53, at most two per member flow) for any group below 2**30 flows.
+_SLACK_MARGIN = 1.0 - 2.0**-20
+
+
+def can_bind(residual: float, bounds: Iterable[float]) -> bool:
+    """The slack test: can a link with entry ``residual`` bind when its
+    members' tightest entry residuals are ``bounds``?  Their demand is
+    folded left to right from 0.0 (no compensated ``sum``), so the fabric's
+    binding closure and the column fill take the same floats."""
+    demand = 0.0
+    for bound in bounds:
+        demand += bound
+    return demand >= residual * _SLACK_MARGIN
 
 
 def priority_fill(
@@ -107,15 +106,14 @@ def priority_fill(
     flows (same group) share fairly, lower groups water-fill the
     residual capacity left by higher ones.
     """
-    cutoff = GROUP_CUTOFF if HAVE_NUMPY else _INF
     groups = list(groups)
     final = len(groups) - 1  # nobody reads the residuals it leaves
     residual: Dict[LinkId, float] = dict(capacities)
     rates: Dict[FlowId, float] = {}
     for index, group in enumerate(groups):
         size = len(group)
-        if size >= cutoff:
-            _water_fill_numpy(group, residual, rates, index == final)
+        if index == final and size >= GROUP_CUTOFF:
+            _fill_columns(group, residual, rates)
         elif size == 1:
             _fill_one(group[0], residual, rates)
         else:
@@ -167,266 +165,115 @@ def _fill_one(
         residual[link_id] = left if left > 0.0 else 0.0  # max(0.0, left)
 
 
-#: For two shares both at or above this magnitude the reference's test
-#: ``share < candidate - RATE_EPSILON`` is plain ``share < candidate``:
-#: floats >= 2**24 are spaced at least 2**-28 > 2e-9 apart, so
-#: subtracting 1e-9 never moves ``candidate`` past another such float.
-#: (In [2**23, 2**24) the spacing is 2**-29 < 2e-9: ``candidate - 1e-9``
-#: rounds to the float *below* ``candidate``, so the reference does not
-#: hop to an adjacent-float share while ``argmin`` would.)  When the
-#: minimum share clears the floor, the epsilon-improvement chain
-#: therefore ends at the *first occurrence of the minimum* — exactly
-#: ``argmin`` — and the scan collapses to one C call.  Below it
-#: (drained links, tiny residuals) the chain is replayed hop by hop.
-_NEAR_TIE_FLOOR = float(2**24)
-
-#: Process-wide link-id interning for the kernel: maps each LinkId to a
-#: stable small int so per-flow paths cache as numpy index arrays on the
-#: Flow objects themselves.  Append-only; the ints are internal identity
-#: only (scan order is recomputed per call from first-seen order), so
-#: the registry never influences results.
-_LINK_INTERN: Dict[LinkId, int] = {}
-_LINK_NAMES: List[LinkId] = []
-
-
-def _flow_cols(flow: Flow) -> "object":
-    """The flow's path as a cached array of interned link ints.
-
-    The cache is keyed on the path tuple's identity: a reroute swaps
-    ``flow.path`` and must not keep allocating on the old links.
-    """
-    cached = getattr(flow, "_kernel_cols", None)
-    if cached is None or cached[0] is not flow.path:
-        intern = _LINK_INTERN
-        ids = []
-        for link_id in flow.path:
-            gid = intern.get(link_id)
-            if gid is None:
-                gid = len(_LINK_NAMES)
-                intern[link_id] = gid
-                _LINK_NAMES.append(link_id)
-            ids.append(gid)
-        cached = (flow.path, _np.asarray(ids, dtype=_np.intp))
-        flow._kernel_cols = cached
-    return cached[1]
-
-
-#: A link is slack only when its residual, shrunk by this factor, still
-#: exceeds its demand: 2**-20 covers the rounding of the demand sum and
-#: of every drain the reference would have applied (each relative
-#: 2**-53, at most two per member flow) for any group below 2**30 flows.
-_SLACK_MARGIN = 1.0 - 2.0**-20
-
-#: A last group whose entry shares are all at or above this fills argmin-exact
-#: to the end (shares only rise): no slack link is ever a bottleneck, and flows
-#: joined only through slack links fill as if apart.
-ARGMIN_FLOOR = 2 * _NEAR_TIE_FLOOR
-
-
-def can_bind(residual, demand):
-    """The slack test (floats or arrays): can a link with entry ``residual``
-    bind when its members' tightest entry residuals sum to ``demand``?"""
-    return demand >= residual * _SLACK_MARGIN
-
-
-#: Below this a float's unit in the last place is at most 1, so taking an
-#: integer-valued drain from it is exact.
-_EXACT_BELOW = float(2**53)
-
-
-def _binding_columns(res, shares, cols_cat, flowidx, sizes):
-    """Mask of the columns of a *last* group that can ever bind; None
-    unless every entry share is at least :data:`ARGMIN_FLOOR`.
-
-    No flow's rate exceeds the tightest entry residual on its path, so a
-    link whose residual clears the sum of those bounds over its members
-    (its demand) by :data:`_SLACK_MARGIN` keeps a share strictly above
-    that of the tightest link of one of its own unfrozen members: it is
-    never the first minimum.  Above the doubled floor it is also too
-    large to move the sub-floor epsilon chain, which starts on the first
-    live column whatever its share.
-    """
-    if shares.min() < ARGMIN_FLOOR:
-        return None
-    starts = _np.cumsum(sizes) - sizes
-    tightest = _np.minimum.reduceat(res[cols_cat], starts)
-    return can_bind(res, _np.bincount(cols_cat, weights=tightest[flowidx]))
-
-
-def _exact_level(share, shares, res, counts):
-    """The columns tied at the minimum ``share`` when the reference's
-    next rounds are exactly those columns one by one, else None.
-
-    Asked only while every live residual is below :data:`_EXACT_BELOW`.
-    For an integer-valued ``share`` whose tied columns each hold exactly
-    ``share * count``, every ``share * k`` and every drain is an exact
-    integer step: tied columns stay at exactly ``share`` until they
-    empty, the rest stay strictly above it.
-    """
-    if not share.is_integer():
-        return None
-    tied = _np.flatnonzero(shares == share).tolist()
-    if len(tied) > 1 and all(res[c] == share * counts[c] for c in tied):
-        return tied
-    return None
-
-
-def _water_fill_numpy(
+def _fill_columns(
     flows: Sequence[Flow],
     residual: Dict[LinkId, float],
     rates: Dict[FlowId, float],
-    last: bool = False,
 ) -> None:
-    """One max-min water-fill, rate for rate with the reference.
-
-    Mutates ``rates`` exactly like
-    :func:`~repro.network.policies.base.water_fill`, and ``residual``
-    too unless ``last`` says no group follows to read it.
-    """
-    global _np
-    if _np is None:
-        import numpy as _np
-    np = _np
-
-    # Build phase (vectorized): concatenate the flows' interned paths
-    # and assign every distinct link a column in first-seen order — the
-    # exact order the reference's ``members`` dict iterates during its
-    # bottleneck scan.
-    objs: List[Flow] = []
-    arrs = []
-    lengths: List[int] = []
+    """``water_fill(flows, residual, rates)`` for a last group, rates only:
+    :func:`backfill` over the columns that can bind when every entry share
+    is at least :data:`ARGMIN_FLOOR`, ``water_fill`` itself otherwise."""
+    cols_of, crossing, capacity = link_columns(flows, residual)
+    if any(c / len(m) < ARGMIN_FLOOR for c, m in zip(capacity, crossing)):
+        water_fill(flows, residual, rates)
+        return
+    column_capacity = capacity.__getitem__
+    bound = {
+        flow_id: min(map(column_capacity, cols))
+        for flow_id, cols in cols_of.items()
+        if cols
+    }
+    kept = [
+        col
+        for col, members in enumerate(crossing)
+        if can_bind(capacity[col], map(bound.__getitem__, members))
+    ]
+    # Slack columns are never the bottleneck: the rest, renumbered in order.
+    renumber = dict(zip(kept, range(len(kept))))
     for flow in flows:
         rates[flow.flow_id] = 0.0
-        if not flow.path:
-            continue
-        cols = _flow_cols(flow)
-        objs.append(flow)
-        arrs.append(cols)
-        lengths.append(len(cols))
-    n_flows = len(objs)
-    if n_flows == 0:
-        return
+    backfill(
+        {
+            flow_id: [renumber[col] for col in cols if col in renumber]
+            for flow_id, cols in cols_of.items()
+        },
+        [crossing[col] for col in kept],
+        [capacity[col] for col in kept],
+        rates,
+    )
 
-    cat = np.concatenate(arrs)
-    # Column assignment over *dense* global-id scratch arrays (the
-    # intern table is small and append-only, so sized-to-registry
-    # scratch beats a sort-based ``np.unique``).  Duplicate-index fancy
-    # assignment applies writes in order, so scattering reversed
-    # positions leaves each link's *first* occurrence.
-    n_global = len(_LINK_NAMES)
-    count_g = np.bincount(cat, minlength=n_global)
-    present = np.flatnonzero(count_g)
-    pos_g = np.empty(n_global, dtype=np.intp)
-    pos_g[cat[::-1]] = np.arange(cat.size - 1, -1, -1)
-    # col -> global link id, first-seen order
-    gids = present[np.argsort(pos_g[present], kind="stable")]
-    rank_g = np.empty(n_global, dtype=np.intp)
-    n_links = gids.size
-    rank_g[gids] = np.arange(n_links)
-    cols_cat = rank_g[cat]
-    counts_arr = count_g[gids]
-    links: List[LinkId] = [_LINK_NAMES[g] for g in gids.tolist()]
-    res_arr = np.array([residual.get(link_id, 0.0) for link_id in links])
-    # Equal share per link; elementwise float64 division is
-    # bit-identical to the reference's scalar divisions.
-    shares_arr = res_arr / counts_arr
-    sizes = np.array(lengths)
-    flowidx = np.repeat(np.arange(n_flows, dtype=np.intp), sizes)
 
-    # Prune phase: a last group fills over its binding columns only; a
-    # dropped column is left like one the reference has emptied.
-    keep = None
-    if last:
-        keep = _binding_columns(res_arr, shares_arr, cols_cat, flowidx, sizes)
-    if keep is not None:
-        on_kept = keep[cols_cat]
-        cols_cat, flowidx = cols_cat[on_kept], flowidx[on_kept]
-        lengths = np.bincount(flowidx).tolist()
-        counts_arr = np.where(keep, counts_arr, 0)
-        shares_arr = np.where(keep, shares_arr, _INF)
+def link_columns(
+    flows: Sequence[Flow], capacities: Mapping[LinkId, float]
+) -> Tuple[Dict[FlowId, List[int]], List[List[FlowId]], List[float]]:
+    """One call's links as int columns in first-seen order:
+    ``(cols_of, crossing, capacity)``, i.e. each flow's path as columns (a
+    link listed twice appears twice), the ids of the flows crossing each
+    column in flow order, and each column's capacity (0.0 when not in the
+    map).  Read from ``flow.path`` each call, so a reroute takes effect.
+    """
+    col_of: Dict[LinkId, int] = {}
+    cols_of: Dict[FlowId, List[int]] = {}
+    crossing: List[List[FlowId]] = []
+    capacity: List[float] = []
+    for flow in flows:
+        flow_id = flow.flow_id
+        cols = cols_of[flow_id] = []
+        for link_id in flow.path:
+            col = col_of.get(link_id)
+            if col is None:
+                col = col_of[link_id] = len(capacity)
+                capacity.append(capacities.get(link_id, 0.0))
+                crossing.append([])
+            cols.append(col)
+            crossing[col].append(flow_id)
+    return cols_of, crossing, capacity
 
-    # Residuals and shares live in ``array.array`` buffers: the fill
-    # loop updates them with plain Python float arithmetic (bit-exact
-    # C doubles, no numpy-scalar boxing overhead) while zero-copy numpy
-    # views serve the vectorized argmin/chain scans.
-    res = _f64buf("d", res_arr.tobytes())
-    shares_buf = _f64buf("d", shares_arr.tobytes())
-    shares = np.frombuffer(shares_buf)
-    counts: List[int] = counts_arr.tolist()
-    inf = _INF
-    # Whether every finite residual a drain can touch is below 2**53.
-    exact = not (res_arr[shares_arr < inf] >= _EXACT_BELOW).any()
 
-    # Per-column member positions (which flows cross each link) and
-    # per-flow column paths, each one flat list sliced by offsets.
-    by_col = flowidx[np.argsort(cols_cat, kind="stable")].tolist()
-    cols_list: List[int] = cols_cat.tolist()
-    col_off: List[int] = [0, *accumulate(counts)]
-    flow_off: List[int] = [0, *accumulate(lengths)]
+def backfill(
+    cols_of: Mapping[FlowId, List[int]],
+    crossing: Sequence[List[FlowId]],
+    residual: List[float],
+    rates: Dict[FlowId, float],
+) -> None:
+    """Add the max-min fair share of ``residual`` to ``rates``, round for
+    round with ``water_fill`` over the call's flows.
 
-    # Fill phase: one round per bottleneck level.
-    alive = [True] * n_flows
-    flow_ids = [flow.flow_id for flow in objs]
-    argmin = shares.argmin  # bound-method hoist: one call per round
-    remaining = n_flows
-    first_valid = 0  # counts only ever decrease, so this only advances
-    while remaining:
-        while first_valid < n_links and counts[first_valid] <= 0:
-            first_valid += 1
-        if first_valid == n_links:
+    Equal shares are cached per column and refreshed where a freeze drains;
+    the rounds at share exactly 0.0 (which drain nothing) collapse into one
+    sweep when DESIGN.md's "Coflow allocation pass" precondition holds.
+    """
+    count = [len(members) for members in crossing]
+    share = [residual[col] / n for col, n in enumerate(count)]
+    unfrozen = {flow_id for flow_id, cols in cols_of.items() if cols}
+    while unfrozen:
+        # The epsilon chain: first-seen order, moving only on an improvement
+        # of more than RATE_EPSILON (a column with no unfrozen flow is inf).
+        bottleneck, bound = -1, _INF
+        for col, level in enumerate(share):
+            if level < bound:
+                bottleneck, bound = col, level - RATE_EPSILON
+        if bottleneck < 0:
             break
-        idx = int(argmin())
-        share = shares_buf[idx]  # buffer getitem -> plain Python float
-        if share == inf:  # no bottleneck: rates stay 0.0, nothing drains
-            break
-        level = None
-        if share < _NEAR_TIE_FLOOR:
-            # Above the floor the reference's chain ends where argmin
-            # did (see _NEAR_TIE_FLOOR).  Below it, replay the chain:
-            # the reference walks links in first-seen order and moves
-            # its candidate only on a > RATE_EPSILON improvement.  Each
-            # hop is one C-speed compare over the tail.
-            idx = first_valid
-            share = shares_buf[idx]
-            while idx + 1 < n_links:
-                better = shares[idx + 1:] < (share - RATE_EPSILON)
-                hop = int(better.argmax())
-                if not better[hop]:
-                    break
-                idx += 1 + hop
-                share = shares_buf[idx]
-        elif exact:  # the reference's next rounds may all sit here
-            level = _exact_level(share, shares, res, counts)
-        if share < 0.0:
-            share = 0.0
-
-        # Freeze every unfrozen flow crossing a bottleneck (the alive
-        # check also dedupes flows listing a link twice), then apply the
-        # reference's one-expression drain per touched link.
-        frozen: List[int] = []
-        for col in level or (idx,):
-            for pos in by_col[col_off[col]:col_off[col + 1]]:
-                if alive[pos]:
-                    alive[pos] = False
-                    frozen.append(pos)
-        if not frozen:  # pragma: no cover - counts>0 implies a flow
-            break
-        freeze_counts: Dict[int, int] = {}
-        fc_get = freeze_counts.get
-        for pos in frozen:
-            rates[flow_ids[pos]] = share
-            for col in cols_list[flow_off[pos]:flow_off[pos + 1]]:
-                freeze_counts[col] = fc_get(col, 0) + 1
-        remaining -= len(frozen)
-        for col, k in freeze_counts.items():
-            count = counts[col] - k
-            counts[col] = count
-            drained = max(0.0, res[col] - share * k)
-            res[col] = drained
-            shares_buf[col] = drained / count if count > 0 else inf
-        counts[idx] = 0  # members.pop(bottleneck)
-        shares_buf[idx] = inf
-
-    if not last:
-        for col, link_id in enumerate(links):
-            residual[link_id] = res[col]
+        level = max(share[bottleneck], 0.0)
+        frozen_cols = [bottleneck]
+        if level == 0.0:
+            # Every share exactly 0.0 (no residual) or above the epsilon:
+            # the chain keeps ending on a 0.0 column while one has flows.
+            zeros = [col for col, s in enumerate(share) if s <= RATE_EPSILON]
+            if all(residual[col] == 0.0 for col in zeros):
+                frozen_cols = zeros
+        drained: Dict[int, int] = {}
+        for col in frozen_cols:
+            for flow_id in crossing[col]:
+                if flow_id in unfrozen:
+                    unfrozen.remove(flow_id)
+                    if level > RATE_EPSILON:
+                        rates[flow_id] += level
+                    for other in cols_of[flow_id]:
+                        drained[other] = drained.get(other, 0) + 1
+        for col, k in drained.items():
+            left = residual[col] - level * k
+            residual[col] = left = left if left > 0.0 else 0.0
+            count[col] = n = count[col] - k
+            share[col] = left / n if n > 0 else _INF

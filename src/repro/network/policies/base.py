@@ -261,8 +261,8 @@ def water_fill(
         # Each touched link is drained in ONE clamped expression
         # (share * frozen-member-count) rather than one subtraction per
         # frozen flow: repeated float subtraction is order-dependent,
-        # and the single-multiply form is what makes the numpy kernel in
-        # repro.network.kernels bit-identical to this reference.
+        # and the single-multiply form is what makes the column fill
+        # (repro.network.kernels.backfill) bit-identical to this reference.
         frozen: List[Flow] = [
             flow for flow in active.values() if bottleneck in flow.path
         ]

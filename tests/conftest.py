@@ -15,12 +15,12 @@ from repro.topology.fabrics import single_rack, single_switch, three_tier_clos
 
 #: The legs every whole-run proof of the allocator runs: ``python`` pins
 #: :data:`kernels.GROUP_CUTOFF` so every priority group takes the scalar
-#: fill, ``numpy`` so every group takes the vectorized one (absent when
-#: numpy is), ``default`` leaves the shipped dispatch alone.
+#: fills, ``numpy`` pins it to 1 so every last group takes the column fill
+#: (the leg kept the id it had when that was the numpy fill, so test ids
+#: stay stable across the change), ``default`` leaves the shipped dispatch
+#: alone.
 FILL_CUTOFFS = {"python": sys.maxsize, "numpy": 1, "default": None}
-FILLS = tuple(
-    fill for fill in FILL_CUTOFFS if fill != "numpy" or kernels.HAVE_NUMPY
-)
+FILLS = tuple(FILL_CUTOFFS)
 
 
 def pin_fill(monkeypatch, fill: str) -> None:

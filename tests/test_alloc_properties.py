@@ -16,10 +16,10 @@ every allocator must uphold regardless of input:
 * **permutation invariance** — the allocation is a function of the flow
   *set*, not the order the caller lists it in (bit-for-bit, which the
   incremental fabric's splicing relies on);
-* **fill equivalence** — the numpy fill returns the *exact* same rate
+* **fill equivalence** — the column fill returns the *exact* same rate
   map as the scalar fill (``==`` on the dicts, no tolerance), including
   on adjacent-float capacities in ``[2**23, 2**24)`` and on Clos-shaped
-  groups, where it drops slack links and batches exact levels;
+  groups, where it drops slack links;
 * **capacity maps are read, never iterated** — a shuffled map and one
   with links on no path give the same rates;
 * **coflow policies** — feasibility and work conservation as above on
@@ -28,10 +28,9 @@ every allocator must uphold regardless of input:
   ``remaining / rate``.
 
 Every invariant runs once per fill leg (``tests/conftest.py``
-``FILLS``): every group on the scalar fill, every group on the numpy
-fill when installed — these scenarios are deliberately small, so the
-cutoff is pinned for the vectorized path to run at all — and the
-shipped dispatch.
+``FILLS``): every group on the scalar fill, every last group on the
+column fill — these scenarios are deliberately small, so the cutoff is
+pinned for the column fill to run at all — and the shipped dispatch.
 """
 
 from __future__ import annotations
@@ -291,15 +290,13 @@ def test_permutation_invariance(fill, scenario, rng):
 @given(scenarios())
 @settings(**SETTINGS)
 def test_backend_equivalence_exact(scenario):
-    """Scalar and numpy fills agree to exact rate-map equality."""
-    if not kernels.HAVE_NUMPY:
-        pytest.skip("numpy not installed (perf extra)")
+    """Scalar and column fills agree to exact rate-map equality."""
     flows, capacities = scenario
     for name in ALLOCATOR_NAMES:
         reference = allocate(name, "python", flows, capacities)
-        vectorized = allocate(name, "numpy", flows, capacities)
-        assert vectorized == reference, (
-            f"{name}: numpy fill diverges from the scalar fill"
+        columns = allocate(name, "numpy", flows, capacities)
+        assert columns == reference, (
+            f"{name}: column fill diverges from the scalar fill"
         )
 
 

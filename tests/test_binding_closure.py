@@ -367,13 +367,14 @@ def fill_and_component_sizes(run, patch):
 
 class TestFairRecomputeCost:
     """Structural guards on the host cost of a fair recompute, read off the
-    pinned replay (CPython 3.11, numpy dispatch; each bound is the measured
-    value + 10%).  With the closure off the same replay makes 715.7 calls
+    pinned replay (CPython 3.11, shipped dispatch; each bound is the measured
+    value + 10%).  With the closure off the same replay makes 1,110.9 calls
     per recompute and fills 22.8 flows, the whole component."""
 
     #: measured -> bound: Python and C calls inside ``_recompute``, per
-    #: recompute (422.5 with every group on the scalar fill).
-    CALLS_PER_RECOMPUTE = (606.2, 667.0)
+    #: recompute (414.1 with every group on the scalar fills; 604.5 when
+    #: large groups took the numpy fill, repro 1.11).
+    CALLS_PER_RECOMPUTE = (426.7, 469.0)
     #: measured -> bound: flows handed to the allocator per recompute,
     #: against 23.27 flows in the sharing component it settles.
     FLOWS_PER_FILL = (3.694, 4.06)

@@ -4,9 +4,9 @@ The corpus under ``tests/goldens/`` pins one contended 20-host Clos
 scenario per policy (see ``regen_goldens.py`` for the exact knobs and
 the regeneration command).  The simulator's completion records and JSONL
 trace must match the committed bytes exactly — with every priority
-group on the scalar fill, with every group on the numpy fill, and under
-the shipped dispatch (``tests/conftest.py`` ``FILLS``), which locks the
-kernels' bit-identity contract to a fixed external artifact rather than
+group on the scalar fill, with every last group on the column fill, and
+under the shipped dispatch (``tests/conftest.py`` ``FILLS``), which locks
+the fills' bit-identity contract to a fixed external artifact rather than
 only to each other.
 
 The coflow corpus does the same for the five coflow policies (CCT

@@ -1,34 +1,35 @@
-"""Differential matrix for the numpy allocator kernels.
+"""Differential matrix for the flow fills of :mod:`repro.network.kernels`.
 
-The kernel contract (see :mod:`repro.network.kernels`) is byte-identity
-by construction: the vectorized fill evaluates the same four scalar
-IEEE-754 expressions as the Python reference, on the same operands, in
-the same order.  These tests hold the two fills against each other
-end-to-end, selecting one by pinning ``kernels.GROUP_CUTOFF`` (the
-dispatch in :func:`repro.network.kernels.priority_fill` is the only
-place that chooses):
+The contract is byte-identity by construction: the column fill
+(``link_columns`` + slack columns emptied + ``backfill``) and the
+in-place one-flow fill evaluate the same scalar IEEE-754 expressions as
+the reference ``water_fill``, on the same operands, in the same order.
+These tests hold the fills against each other end-to-end, selecting one
+by pinning ``kernels.GROUP_CUTOFF`` (the dispatch in
+:func:`repro.network.kernels.priority_fill` is the only place that
+chooses; the ``numpy`` leg of ``FILLS`` sends every last group to the
+column fill):
 
 * a seed x policy x workload replay matrix asserting byte-identical
   completion records, JSONL traces, and causal traces between the
-  all-scalar run, the all-vector run and the shipped dispatch;
+  all-scalar run, the all-column run and the shipped dispatch;
 * the same matrix under an injected fault plan (degrade + down), since
   capacity mutations hit the drain clamp where float dust lives;
 * a direct randomized fuzz of :func:`repro.network.kernels.priority_fill`
   against :func:`repro.network.policies.base.greedy_priority_fill`
   comparing rate maps with exact ``==`` (no tolerance), plus the pinned
-  adjacent-float case in ``[2**23, 2**24)``, where ``argmin`` and the
-  reference's epsilon chain part ways (the hypothesis fuzz over that
-  band is ``test_alloc_properties.py``'s ``scenarios``);
-* a Clos-shaped fuzz (``clos_case``) of the numpy fill's two reductions,
-  slack links dropped from a last group and exact levels frozen in one
-  round: ``==`` on rates and on the residuals every non-final group
-  leaves, each reduction counted taken and refused, plus the pinned
-  cases at and above ``2**53`` where a batch would move a residual;
-* a structural test that an unconfigured replay takes the numpy fill
-  for groups of at least ``GROUP_CUTOFF`` flows and the scalar fill
-  below it, by counting calls, every fair call marked a last group;
+  adjacent-float case in ``[2**23, 2**24)``, where the epsilon chain and
+  a plain minimum part ways (the hypothesis fuzz over that band is
+  ``test_alloc_properties.py``'s ``scenarios``);
+* a Clos-shaped fuzz (``clos_case``) of the column fill's slack columns,
+  ``==`` on rates, the fill counted taken, pruning and refused, plus the
+  pinned cases at and above ``2**53`` where one drain and several part
+  ways;
+* a structural test that an unconfigured replay takes the column fill
+  for last groups of at least ``GROUP_CUTOFF`` flows and the scalar fills
+  below it, by counting calls;
 * ``slow``-marked soaks on the paper's 160-host Clos: scalar against
-  vector replays, and every fair recompute of a faulted replay against
+  column replays, and every fair recompute of a faulted replay against
   ``greedy_priority_fill`` on the same inputs.
 """
 
@@ -45,7 +46,7 @@ from repro.experiments.runner import replay_flow_trace
 from repro.faults import FaultPlan, LinkDegrade, LinkDown
 from repro.network import kernels
 from repro.network.flow import Flow
-from repro.network.policies.base import greedy_priority_fill, water_fill
+from repro.network.policies.base import greedy_priority_fill
 from repro.telemetry import (
     CausalTracer,
     JsonlTraceSink,
@@ -56,10 +57,6 @@ from repro.topology.fabrics import three_tier_clos
 from repro.workloads import generate_flow_trace, make_distribution
 from tests.conftest import FILLS, pin_fill
 from tests.test_goldens import regen_goldens
-
-requires_numpy = pytest.mark.skipif(
-    not kernels.HAVE_NUMPY, reason="numpy not installed (perf extra)"
-)
 
 POLICIES = ("fair", "fcfs", "las", "srpt")
 
@@ -114,42 +111,39 @@ def run_replay(topo, *, policy, workload, seed, fill, faults=None,
     return run.records, buf.getvalue(), telemetry.causal.events
 
 
-@requires_numpy
 @pytest.mark.parametrize(
     "policy,workload,seed",
     list(itertools.product(POLICIES, ("websearch", "hadoop"), (11, 23))),
 )
 def test_numpy_backend_matches_python(policy, workload, seed):
     topo = small_clos()
-    py, vec, default = (
+    py, columns, default = (
         run_replay(
             topo, policy=policy, workload=workload, seed=seed, fill=fill
         )
         for fill in FILLS
     )
-    for other in (vec, default):
+    for other in (columns, default):
         assert other[0] == py[0]  # completion records, byte for byte
         assert other[1] == py[1]  # JSONL trace text
         assert other[2] == py[2]  # causal event stream
 
 
-@requires_numpy
 @pytest.mark.parametrize("policy", POLICIES)
 def test_numpy_backend_matches_python_under_faults(policy):
     topo = small_clos()
     plan = degrade_plan(topo)
-    py, vec, default = (
+    py, columns, default = (
         run_replay(
             topo, policy=policy, workload="websearch", seed=7,
             fill=fill, faults=plan,
         )
         for fill in FILLS
     )
-    assert vec == py
+    assert columns == py
     assert default == py
 
 
-@requires_numpy
 def test_priority_fill_fuzz_exact(monkeypatch):
     """Randomized groups/capacities: exact rate-map equality, including
     duplicate links within a path and near-zero residual capacities."""
@@ -181,15 +175,15 @@ def test_priority_fill_fuzz_exact(monkeypatch):
             groups[rng.randrange(n_groups)].append(flow)
         groups = [g for g in groups if g]
         reference = greedy_priority_fill(groups, capacities)
-        vectorized = kernels.priority_fill(groups, capacities)
-        assert vectorized == reference, f"trial {trial} diverged"
+        assert kernels.priority_fill(groups, capacities) == reference, (
+            f"trial {trial} diverged"
+        )
 
 
-@requires_numpy
 def test_adjacent_float_shares_below_2_24(monkeypatch):
     """In [2**23, 2**24) ``b - 1e-9`` rounds to the float below ``b``, so
-    the reference does not hop from ``b`` to that float while a bare
-    ``argmin`` does: the chain replay must cover the band."""
+    the reference does not hop from ``b`` to that float while a plain
+    minimum does: the column fill's floor must cover the band."""
     pin_fill(monkeypatch, "numpy")
     flow = Flow(
         flow_id=0, src="s", dst="d", size=1e9, arrival_time=0.0,
@@ -243,8 +237,8 @@ SINGLETON_CASES = {
         {"a": 3e9, "b": 4e9, "c": 1e9 + 1e-7},
     ),
     # No share undercuts the scan's initial inf: no bottleneck is named,
-    # every rate stays 0.0 and nothing drains (the numpy fill froze flow
-    # 0 at inf and drained its links to ``max(0.0, inf - inf)`` = 0.0).
+    # every rate stays 0.0 and nothing drains (freezing flow 0 at inf
+    # would drain its links to ``max(0.0, inf - inf)`` = 0.0).
     "all_infinite": (
         [[_one(0, "x", "y"), _one(1, "y", "z")], [_one(2, "x")]],
         {"x": math.inf, "y": math.inf, "z": math.inf},
@@ -269,21 +263,19 @@ def test_singleton_groups_match_the_reference(case, fill, monkeypatch):
         assert reference == {0: 0.0, 1: 0.0, 2: 0.0}
 
 
-@requires_numpy
 @pytest.mark.parametrize("z", [math.inf, 1e9])
-def test_numpy_fill_leaves_infinite_residuals_untouched(z):
+def test_infinite_residuals_match_the_reference(z, monkeypatch):
     """The residuals behind ``all_infinite``: where the reference names
     no bottleneck it drains nothing either, whether from the first round
-    or once the finite link ``z`` has frozen its flow."""
+    or once the finite link ``z`` has frozen its flow; a reader on ``x``
+    sees what the group left there."""
+    pin_fill(monkeypatch, "numpy")
     group = SINGLETON_CASES["all_infinite"][0][0]
-    outcomes = []
-    for fill in (water_fill, kernels._water_fill_numpy):
-        residual, rates = {"x": math.inf, "y": math.inf, "z": z}, {}
-        fill(group, residual, rates)
-        outcomes.append((residual, rates))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0]["x"] == outcomes[0][0]["y"] == math.inf
-    assert outcomes[0][1] == {0: 0.0, 1: 0.0 if z == math.inf else 1e9}
+    capacities = {"x": math.inf, "y": math.inf, "z": z}
+    for groups in ([group], [group, [_one(2, "x", "z")]]):
+        reference = greedy_priority_fill(groups, capacities)
+        assert kernels.priority_fill(groups, capacities) == reference
+    assert reference == {0: 0.0, 1: 0.0 if z == math.inf else 1e9, 2: 0.0}
 
 
 def test_singleton_on_an_infinite_link_gets_the_reference_zero():
@@ -326,24 +318,14 @@ def test_singleton_cascade_fuzz_exact(monkeypatch):
         ), f"trial {trial} diverged"
 
 
-def cascade(fill, groups, capacities, *, marked):
-    """``groups`` through ``fill`` one by one, as ``priority_fill`` does:
-    the rates, and the residual map each non-final group leaves (what the
-    next group reads; nobody reads the last one's)."""
-    residual, rates, left = dict(capacities), {}, []
-    for index, group in enumerate(groups):
-        last = (index == len(groups) - 1,) if marked else ()
-        fill(group, residual, rates, *last)
-        left.append(dict(residual))
-    return rates, left[:-1]
-
-
-def assert_numpy_fill_exact(groups, capacities):
-    """``==`` on rates (and their order) and on every residual map read."""
-    want = cascade(water_fill, groups, capacities, marked=False)
-    got = cascade(kernels._water_fill_numpy, groups, capacities, marked=True)
+def assert_column_fill_exact(groups, capacities, monkeypatch):
+    """``==`` on rates (and their order) with every last group on the
+    column fill."""
+    want = greedy_priority_fill(groups, capacities)
+    pin_fill(monkeypatch, "numpy")
+    got = kernels.priority_fill(groups, capacities)
     assert got == want
-    assert list(got[0]) == list(want[0])
+    assert list(got) == list(want)
 
 
 def _pairs_through(core, edge, count):
@@ -355,40 +337,27 @@ def _pairs_through(core, edge, count):
     return [first, [_one(count, "core")]], capacities
 
 
-#: Exact-level batching where one subtraction and several part ways: a
-#: touched link at or above 2**53 rounds every drain, so a non-final
-#: group must refuse the batch (ISSUE 24's fuzz found the first).
+#: Integer-valued levels on a core link where one subtraction and several
+#: part ways: at or above 2**53 every drain rounds, so the rounds must
+#: drain one at a time, as the reference does.
 EXACT_LEVEL_CASES = {
     # 1e18 - 4 * 123456789.0: ...5061729e17 one by one, ...5061728e17 at once.
     "core_1e18": _pairs_through(1e18, 123456789.0, 4),
     # The first float spacing above 2**53 is 2: ...424.0 against ...422.0.
     "core_9.1e15": _pairs_through(9.1e15, 123456789.0, 2),
-    # Below 2**53 the batch is taken and exact.
+    # Below 2**53 every drain is exact.
     "core_9e15": _pairs_through(9.0e15, 123456789.0, 4),
 }
 
 
-@requires_numpy
 @pytest.mark.parametrize("case", sorted(EXACT_LEVEL_CASES))
 def test_exact_levels_match_the_reference_on_residuals(case, monkeypatch):
+    """The reader of the second group sees the residual the tied first
+    group left on the core link; alone, the first group is a last group
+    on the column fill."""
     groups, capacities = EXACT_LEVEL_CASES[case]
-    levels = []
-
-    def exact_level(*args, _level=kernels._exact_level):
-        levels.append(_level(*args))
-        return levels[-1]
-
-    monkeypatch.setattr(kernels, "_exact_level", exact_level)
-    assert_numpy_fill_exact(groups, capacities)
-    if case == "core_9e15":
-        # The four host links in one round; the reader has nothing tied.
-        assert levels == [[0, 2, 3, 4], None]
-    else:
-        assert levels == []  # never asked: a residual at or above 2**53
-    pin_fill(monkeypatch, "numpy")
-    assert kernels.priority_fill(groups, capacities) == (
-        greedy_priority_fill(groups, capacities)
-    )
+    assert_column_fill_exact(groups, capacities, monkeypatch)
+    assert_column_fill_exact(groups[:1], capacities, monkeypatch)
 
 
 EDGE_CAPACITIES = (
@@ -431,65 +400,34 @@ def clos_case(rng):
     return [group for group in groups if group], capacities
 
 
-@requires_numpy
 def test_clos_shaped_fuzz_exact(monkeypatch):
-    """The two reductions of the numpy fill on the shapes that arm them:
-    exact ``==`` on rates and on what every non-final group leaves, with
-    each reduction taken and refused at least once (counted on the two
-    helpers that decide), and never a non-final group pruned."""
-    taken = {"pruned": 0, "prune refused": 0, "level": 0, "level refused": 0}
-    asked = []
+    """The column fill on the shapes that arm its slack columns: exact
+    ``==`` on rates, with the fill taken, taken with a column dropped and
+    refused for a sub-floor share (counted on ``link_columns`` and
+    ``backfill``) at least once each."""
+    taken = {"filled": 0, "pruned": 0, "refused": 0}
+    built = []
 
-    def binding(*args, _binding=kernels._binding_columns):
-        keep = _binding(*args)
-        if keep is None:
-            taken["prune refused"] += 1
-        elif not keep.all():
-            taken["pruned"] += 1
-        asked.append("prune")
-        return keep
+    def columns(*args, _columns=kernels.link_columns):
+        taken["refused"] += 1
+        built.append(_columns(*args))
+        return built[-1]
 
-    def exact_level(*args, _level=kernels._exact_level):
-        level = _level(*args)
-        taken["level" if level else "level refused"] += 1
-        return level
+    def backfill(cols_of, crossing, *args, _fill=kernels.backfill):
+        taken["refused"] -= 1
+        taken["pruned" if len(crossing) < len(built[-1][1]) else "filled"] += 1
+        _fill(cols_of, crossing, *args)
 
-    def fill(group, residual, rates, last, _fill=kernels._water_fill_numpy):
-        asked.clear()
-        _fill(group, residual, rates, last)
-        assert last or not asked  # a non-final group is never pruned
-
-    monkeypatch.setattr(kernels, "_binding_columns", binding)
-    monkeypatch.setattr(kernels, "_exact_level", exact_level)
-    monkeypatch.setattr(kernels, "_water_fill_numpy", fill)
+    monkeypatch.setattr(kernels, "link_columns", columns)
+    monkeypatch.setattr(kernels, "backfill", backfill)
     rng = random.Random(24)
     for trial in range(3000):
         groups, capacities = clos_case(rng)
         try:
-            assert_numpy_fill_exact(groups, capacities)
+            assert_column_fill_exact(groups, capacities, monkeypatch)
         except AssertionError:
             raise AssertionError(f"trial {trial} diverged") from None
     assert all(taken.values()), taken
-
-
-def test_an_integer_share_below_2_53_is_an_exact_quotient():
-    """Why deleting ``_exact_level``'s ``res == share * count`` test moves
-    no float (the one mutant of ISSUE 24's six the fuzz cannot fail):
-    where ``_exact_level`` is asked, a residual whose share comes out
-    integer-valued is that integer times the count, exactly.  The test
-    stays as the stated premise of the batching argument."""
-    rng = random.Random(53)
-    for _ in range(200_000):
-        count = rng.randint(1, 300)
-        share = float(rng.choice((
-            rng.randint(2**24, 2**31), 2 ** rng.randint(24, 44),
-            rng.randint(2**24, 2**53 // count), 10 ** rng.randint(8, 13),
-        )))
-        residual = share * count
-        for _ in range(rng.randint(0, 3)):
-            residual = math.nextafter(residual, rng.choice((0.0, math.inf)))
-        if residual < 2.0**53 and residual / count == share:
-            assert residual == share * count
 
 
 def test_srpt_cascade_enters_water_fill_only_for_real_groups(monkeypatch):
@@ -513,43 +451,50 @@ def test_srpt_cascade_enters_water_fill_only_for_real_groups(monkeypatch):
     assert all(size >= 2 for size in entered)
 
 
-@pytest.mark.parametrize(
-    "have_numpy",
-    [pytest.param(True, marks=requires_numpy), False],
-    ids=["numpy", "no-numpy"],
-)
-def test_default_replay_dispatches_on_group_size(have_numpy, monkeypatch):
-    """An unconfigured replay sends groups of at least ``GROUP_CUTOFF``
-    flows to the numpy fill and the rest to the scalar fill; without
-    numpy every group takes the scalar fill.  Counted, not timed."""
-    monkeypatch.setattr(kernels, "HAVE_NUMPY", have_numpy)
-    sizes = {"water_fill": [], "_water_fill_numpy": []}
-    for name, seen in sizes.items():
-        def spy(flows, *args, _fill=getattr(kernels, name), _seen=seen):
-            _seen.append((len(flows), args[2:]))
-            return _fill(flows, *args)
+def test_default_replay_dispatches_on_group_size(monkeypatch):
+    """An unconfigured fair replay (every group a last group) sends groups
+    of at least ``GROUP_CUTOFF`` flows to the column fill, one-flow groups
+    to the in-place fill and the rest to ``water_fill``, which sees a
+    large group only when the column fill hands it a sub-floor share.
+    Counted, not timed."""
+    columns, backfilled, in_place, scalar, refused = [], [], [], [], []
+
+    def fill_columns(flows, *args, _fill=kernels._fill_columns):
+        columns.append(len(flows))
+        _fill(flows, *args)
+
+    def backfill(*args, _fill=kernels.backfill):
+        backfilled.append(columns[-1])
+        _fill(*args)
+
+    def fill_one(flow, *args, _fill=kernels._fill_one):
+        in_place.append(flow.flow_id)
+        _fill(flow, *args)
+
+    def water_fill(flows, *args, _fill=kernels.water_fill):
+        refusal = len(columns) > len(backfilled) + len(refused)
+        (refused if refusal else scalar).append(len(flows))
+        _fill(flows, *args)
+
+    for name, spy in (
+        ("_fill_columns", fill_columns), ("backfill", backfill),
+        ("_fill_one", fill_one), ("water_fill", water_fill),
+    ):
         monkeypatch.setattr(kernels, name, spy)
     run_replay(
         small_clos(), policy="fair", workload="websearch", seed=11,
         fill="default", num_arrivals=200, load=0.9,
     )
-    # A fair fill is one group, so every numpy call is a last group's.
-    assert all(rest == (True,) for _, rest in sizes["_water_fill_numpy"])
-    sizes = {name: [size for size, _ in seen] for name, seen in sizes.items()}
-    scalar, vector = sizes["water_fill"], sizes["_water_fill_numpy"]
     assert kernels.GROUP_CUTOFF == 16
-    if have_numpy:
-        assert vector and min(vector) >= 16
-        assert scalar and max(scalar) < 16
-    else:
-        assert not vector
-        assert max(scalar) >= 16
+    assert columns and min(columns) >= 16
+    assert backfilled and in_place
+    assert scalar and 1 not in scalar and max(scalar) < 16
+    assert len(backfilled) + len(refused) == len(columns)
 
 
-@requires_numpy
 @pytest.mark.slow
 def test_kernel_soak_clos_160():
-    """Scalar-against-vector soak on the paper's 160-host Clos macro cell,
+    """Scalar-against-column soak on the paper's 160-host Clos macro cell,
     with and without an injected fault plan."""
     topo = three_tier_clos()  # 4 pods x 4 racks x 10 hosts
     for policy, seed, faulted in (
@@ -565,26 +510,25 @@ def test_kernel_soak_clos_160():
             fill="python", faults=plan, num_arrivals=400, load=0.7,
             placement="mindist",
         )
-        vec = run_replay(
+        columns = run_replay(
             topo, policy=policy, workload="websearch", seed=seed,
             fill="numpy", faults=plan, num_arrivals=400, load=0.7,
             placement="mindist",
         )
-        assert vec == py, f"{policy}/seed={seed}/faulted={faulted} diverged"
+        assert columns == py, f"{policy}/seed={seed}/faulted={faulted} diverged"
 
 
-@requires_numpy
 @pytest.mark.slow
 def test_every_fair_recompute_matches_the_reference_clos_160(monkeypatch):
     """Every fair allocation of a faulted 160-host replay, on the shipped
     dispatch and handed the fabric's whole capacity map, against
     ``greedy_priority_fill`` on the same inputs.  A recompute whose fill the
     binding closure narrowed also fills its whole settled sharing component
-    (the allocation before the closure), so the numpy fill keeps the large
+    (the allocation before the closure), so the column fill keeps the large
     groups it is there for."""
     from repro.network.fabric import NetworkFabric
 
-    checked, sizes = [], []
+    checked, columns = [], []
     closure = NetworkFabric._binding_closure
 
     def whole_too(fabric, survivors, *args):
@@ -598,10 +542,14 @@ def test_every_fair_recompute_matches_the_reference_clos_160(monkeypatch):
         assert rates == greedy_priority_fill(groups, capacities)
         assert list(rates) == [flow.flow_id for flow in groups[0]]
         checked.append(len(capacities))
-        sizes.append(len(groups[0]))
         return rates
 
+    def backfill(cols_of, *args, _fill=kernels.backfill):
+        columns.append(len(cols_of))
+        _fill(cols_of, *args)
+
     monkeypatch.setattr(kernels, "priority_fill", fill)
+    monkeypatch.setattr(kernels, "backfill", backfill)
     monkeypatch.setattr(NetworkFabric, "_binding_closure", whole_too)
     topo = three_tier_clos()
     run_replay(
@@ -609,6 +557,6 @@ def test_every_fair_recompute_matches_the_reference_clos_160(monkeypatch):
         faults=degrade_plan(topo), num_arrivals=600, load=0.7,
         placement="minload",
     )
-    # Most recomputes are big enough for the numpy fill.
-    assert sum(size >= kernels.GROUP_CUTOFF for size in sizes) > 400
+    # 1,048 of the 2,303 fills run the column fill's back-fill.
+    assert len(columns) > 900
     assert set(checked) == {len(list(topo.links()))}
