@@ -9,7 +9,6 @@ coordinate with the parent through files under ``REPRO_TEST_SCRATCH``
 from __future__ import annotations
 
 import os
-import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -32,7 +31,6 @@ from repro.campaign import (
 from repro.errors import ConfigError
 from repro.experiments.config import MacroConfig
 from repro.experiments.repetitions import aggregate, repeat_flow_macro
-from repro.network import kernels
 
 TINY = MacroConfig(
     pods=1, racks_per_pod=2, hosts_per_rack=4,
@@ -142,7 +140,7 @@ class TestSpec:
         with pytest.raises(ConfigError):
             RunSpec(kind="flow_macro", config=TINY, figure="fig5")
 
-    def test_spec_key_stable_and_sensitive(self, monkeypatch):
+    def test_spec_key_stable_and_sensitive(self):
         spec = RunSpec(kind="flow_macro", config=TINY)
         assert spec_key(spec) == spec_key(spec)
         # Every content field flips the key...
@@ -155,13 +153,8 @@ class TestSpec:
             replace(spec, predictor="srpt"),
         ):
             assert spec_key(changed) != spec_key(spec)
-        # ...while the display label never does, nor which fill runs
-        # (invisible in the payload, so invisible in the cache key).
+        # ...while the display label never does.
         assert spec_key(replace(spec, label="renamed")) == spec_key(spec)
-        shipped = spec_key(spec)
-        for cutoff in (1, sys.maxsize):
-            monkeypatch.setattr(kernels, "GROUP_CUTOFF", cutoff)
-            assert spec_key(spec) == shipped
         # A package-version bump also invalidates.
         assert spec_key(spec, version="0.0.0") != spec_key(spec)
 

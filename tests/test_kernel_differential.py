@@ -451,12 +451,19 @@ def test_srpt_cascade_enters_water_fill_only_for_real_groups(monkeypatch):
     assert all(size >= 2 for size in entered)
 
 
-def test_default_replay_dispatches_on_group_size(monkeypatch):
+@pytest.mark.parametrize(
+    "column_fill", [True, False], ids=["numpy", "no-numpy"],
+)
+def test_default_replay_dispatches_on_group_size(column_fill, monkeypatch):
     """An unconfigured fair replay (every group a last group) sends groups
     of at least ``GROUP_CUTOFF`` flows to the column fill, one-flow groups
     to the in-place fill and the rest to ``water_fill``, which sees a
     large group only when the column fill hands it a sub-floor share.
-    Counted, not timed."""
+    With the column fill pinned off (the ``python`` leg) every group takes
+    the scalar fills.  The ids are the ones the two legs had when the
+    column fill was the numpy fill.  Counted, not timed."""
+    if not column_fill:
+        pin_fill(monkeypatch, "python")
     columns, backfilled, in_place, scalar, refused = [], [], [], [], []
 
     def fill_columns(flows, *args, _fill=kernels._fill_columns):
@@ -485,11 +492,16 @@ def test_default_replay_dispatches_on_group_size(monkeypatch):
         small_clos(), policy="fair", workload="websearch", seed=11,
         fill="default", num_arrivals=200, load=0.9,
     )
-    assert kernels.GROUP_CUTOFF == 16
-    assert columns and min(columns) >= 16
-    assert backfilled and in_place
-    assert scalar and 1 not in scalar and max(scalar) < 16
-    assert len(backfilled) + len(refused) == len(columns)
+    assert in_place and 1 not in scalar
+    if column_fill:
+        assert kernels.GROUP_CUTOFF == 16
+        assert columns and min(columns) >= 16
+        assert backfilled
+        assert scalar and max(scalar) < 16
+        assert len(backfilled) + len(refused) == len(columns)
+    else:
+        assert not columns and not backfilled
+        assert max(scalar) >= 16
 
 
 @pytest.mark.slow
