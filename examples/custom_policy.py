@@ -77,12 +77,13 @@ class WeightedFairPredictor(FlowFCTPredictor):
     def _weight(size: float) -> float:
         return 2.0 if size < SMALL_FLOW_BITS else 1.0
 
-    def fct(self, new_size: float, link: LinkState) -> float:
+    def predict_fct(self, new_size: float, capacity: float, sizes) -> float:
         own_weight = self._weight(new_size)
         load = new_size
-        for s in link.flow_sizes:
-            load += min(s, new_size * self._weight(s) / own_weight)
-        return load / link.capacity
+        for s in sizes:
+            if s > 0:
+                load += min(s, new_size * self._weight(s) / own_weight)
+        return load / capacity
 
     def delta(self, new_size: float, existing_size: float, link: LinkState) -> float:
         weight = self._weight(existing_size)

@@ -5,12 +5,13 @@ per-node network daemons.  Calls are executed synchronously (placement
 decisions in the paper's simulator are instantaneous too), but the bus
 accounts for every message and for the control latency a real deployment
 would pay, so the communication-overhead optimisations of §5.2 (preferred
-hosts, node-state caching) are measurable.
+hosts, node-state caching) are measurable.  A decision's queries are one
+round: each message is accounted as a call, and the answers come at once.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.daemons.messages import message_kind
 from repro.errors import DaemonError, DaemonUnreachable, MessageDropped
@@ -42,6 +43,7 @@ class MessageBus:
         self._engine = engine
         self._rtt = rtt
         self._endpoints: Dict[NodeId, Handler] = {}
+        self._round: Optional[Callable] = None  # see register_round
         self._messages_sent = 0
         self._calls = 0
         # Fault-injection state: a fault model (the FaultInjector) decides
@@ -84,16 +86,39 @@ class MessageBus:
         """All traffic to or from ``host`` fails from now on."""
         self._down_hosts.add(host)
 
-    def _drop(self, host: NodeId, payload: Any, reason: str) -> None:
-        """Account one message that went out and was lost."""
+    def register_round(self, handler: Callable[[Sequence[NodeId], Any], list]) -> None:
+        """Answer each round with one ``handler(delivered hosts, payload)``
+        call, their replies in order (``build_neat`` registers its daemons')."""
+        if self._round is not None:
+            raise DaemonError("round handler already registered")
+        self._round = handler
+
+    def _admit(self, host: NodeId, payload: Any, endpoints=None) -> float:
+        """Every message's admission: down host, endpoint (for requests),
+        fault-plan drop and delay draws.  Returns the delay; a lost message
+        went out, is accounted, and raises DaemonUnreachable / MessageDropped."""
+        if host in self._down_hosts:
+            reason, lost = "host_down", DaemonUnreachable(f"host {host!r} is down")
+        elif endpoints is not None and host not in endpoints:
+            raise DaemonError(f"no daemon registered at {host!r}")
+        elif self._fault_model is None:
+            return 0.0
+        elif self._fault_model.should_drop(message_kind(payload)):
+            reason = "loss_window"
+            lost = MessageDropped(
+                f"request to {host!r} lost in a fault-plan loss window"
+            )
+        else:
+            return self._fault_model.message_delay()
         self._messages_sent += 1
         self._messages_dropped += 1
-        probe = self._probe
-        if probe is not None:
-            probe.note_bus_drop(self._engine.now, host, payload, reason)
+        if self._probe is not None:
+            self._probe.note_bus_drop(self._engine.now, host, payload, reason)
+        raise lost
 
     def call(self, host: NodeId, payload: Any) -> Any:
-        """Send ``payload`` to the daemon at ``host`` and return its reply.
+        """Send ``payload`` to the daemon at ``host`` and return its reply:
+        a round of one host (:meth:`call_round`) whose loss raises.
 
         Counts one request + one reply message.  Under a fault plan the
         call may raise :class:`DaemonUnreachable` (host down) or
@@ -101,25 +126,33 @@ class MessageBus:
         window adds to the latency accounting but — calls being
         synchronous in the fluid model — not to simulated time.
         """
-        if host in self._down_hosts:
-            self._drop(host, payload, "host_down")
-            raise DaemonUnreachable(f"host {host!r} is down")
-        handler = self._endpoints.get(host)
-        if handler is None:
-            raise DaemonError(f"no daemon registered at {host!r}")
-        if self._fault_model is not None:
-            if self._fault_model.should_drop(message_kind(payload)):
-                self._drop(host, payload, "loss_window")
-                raise MessageDropped(
-                    f"request to {host!r} lost in a fault-plan loss window"
-                )
-            self._delay_accrued += self._fault_model.message_delay()
-        self._messages_sent += 2
-        self._calls += 1
-        probe = self._probe
-        if probe is not None:
-            probe.note_bus_message(self._engine.now, host, payload, self._rtt)
-        return handler(payload)
+        return self.call_round((host,), payload, strict=True)[1][0]
+
+    def call_round(
+        self, hosts: Sequence[NodeId], payload: Any, *, strict: bool = False
+    ) -> Tuple[List[NodeId], List[Any]]:
+        """Send the one ``payload`` to each of ``hosts``, per host and in
+        order as :meth:`call` does (admission, counters, probe calls), then
+        answer the delivered hosts in one round (:meth:`register_round`).
+        Returns ``(delivered hosts, their replies)``; a lost message leaves
+        its host out, or raises when ``strict``."""
+        admit, endpoints, probe = self._admit, self._endpoints, self._probe
+        delivered = []
+        for host in hosts:
+            try:
+                self._delay_accrued += admit(host, payload, endpoints)
+            except (DaemonUnreachable, MessageDropped):
+                if strict:
+                    raise
+                continue
+            self._messages_sent += 2
+            self._calls += 1
+            if probe is not None:
+                probe.note_bus_message(self._engine.now, host, payload, self._rtt)
+            delivered.append(host)
+        if self._round is not None:
+            return delivered, self._round(delivered, payload)
+        return delivered, [endpoints[host](payload) for host in delivered]
 
     def push(self, host: NodeId, payload: Any) -> bool:
         """One-way message from ``host``'s daemon to the controller.
@@ -131,15 +164,10 @@ class MessageBus:
         """
         if self._controller is None:
             raise DaemonError("no controller endpoint registered")
-        if host in self._down_hosts:
-            self._drop(host, payload, "host_down")
+        try:
+            delay = self._admit(host, payload)
+        except (DaemonUnreachable, MessageDropped):
             return False
-        delay = 0.0
-        if self._fault_model is not None:
-            if self._fault_model.should_drop(message_kind(payload)):
-                self._drop(host, payload, "loss_window")
-                return False
-            delay = self._fault_model.message_delay()
         self._messages_sent += 1
         probe = self._probe
         if probe is not None:

@@ -33,7 +33,6 @@ from repro.predictor.coflow_cct import CoflowCCTPredictor
 from repro.predictor.compressed import CompressedLinkState
 from repro.predictor.flow_fct import FlowFCTPredictor
 from repro.predictor.fabric_state import coflow_link_state
-from repro.predictor.state import link_state_from_flows
 from repro.topology.base import Link, NodeId
 
 
@@ -72,19 +71,23 @@ class NetworkDaemon:
         self._uplink: Link = topo.host_uplink(host)
         self._downlink: Link = topo.host_downlink(host)
 
-        self._compressed_up: Optional[CompressedLinkState] = None
-        self._compressed_down: Optional[CompressedLinkState] = None
+        links = (self._uplink, self._downlink)
+        compressed: Sequence[Optional[CompressedLinkState]] = (None, None)
         if bin_boundaries is not None:
-            self._compressed_up = CompressedLinkState(
-                self._uplink.link_id, self._uplink.capacity, bin_boundaries
-            )
-            self._compressed_down = CompressedLinkState(
-                self._downlink.link_id, self._downlink.capacity, bin_boundaries
-            )
+            compressed = [
+                CompressedLinkState(link.link_id, link.capacity, bin_boundaries)
+                for link in links
+            ]
             fabric.add_arrival_listener(self._on_flow_arrival)
             fabric.add_completion_listener(
                 lambda flow, record: self._on_flow_done(flow)
             )
+        self._compressed_up, self._compressed_down = compressed
+        # (link id, capacity, compressed state), by ``direction == "in"``
+        self._edges = [
+            (link.link_id, link.capacity, state)
+            for link, state in zip(links, compressed)
+        ]
 
     # ------------------------------------------------------------------
     # Request handling (bus endpoint)
@@ -96,50 +99,57 @@ class NetworkDaemon:
     def handle(self, payload) -> PredictionReply:
         """Dispatch a control-plane request (the bus handler)."""
         if isinstance(payload, FlowPredictionRequest):
-            coflow = False
-        elif isinstance(payload, CoflowPredictionRequest):
-            coflow = True
-        elif isinstance(payload, LinkStateRequest):
+            return self.answer_round((self,), payload)[0]
+        if isinstance(payload, LinkStateRequest):
             return self.link_state(payload.direction)
-        else:
+        if not isinstance(payload, CoflowPredictionRequest):
             raise DaemonError(f"unknown request type {type(payload).__name__}")
         probe = self._probe
-        span = probe.enter_predict(coflow) if probe is not None else None
-        if coflow:
-            reply = self.predict_coflow(
-                payload.total_size, payload.size_on_link, payload.direction
-            )
-        else:
-            reply = self.predict_flow(payload.size, payload.direction)
+        span = probe.enter_predict(True) if probe is not None else None
+        reply = self.predict_coflow(
+            payload.total_size, payload.size_on_link, payload.direction
+        )
         if span is not None:
             probe.exit_predict(span)
         return reply
+
+    @staticmethod
+    def answer_round(daemons: Sequence["NetworkDaemon"], payload) -> list:
+        """The replies of ``daemons`` (of one fabric) to a bus round's
+        ``payload``, in order: a flow prediction in one pass under one span
+        (one fabric read, then raw-size FCTs), else each one's :meth:`handle`."""
+        if not daemons or not isinstance(payload, FlowPredictionRequest):
+            return [daemon.handle(payload) for daemon in daemons]
+        probe = daemons[0]._probe
+        span = probe.enter_predict(False) if probe is not None else None
+        size, inbound = payload.size, payload.direction == "in"
+        states = daemons[0]._fabric.host_edge_states(
+            [(daemon._host, daemon._edges[inbound][0]) for daemon in daemons]
+        )
+        new = tuple.__new__  # a reply, without the named tuple's Python __new__
+        replies = []
+        for daemon, (sizes, node_state) in zip(daemons, states):
+            _, capacity, compressed = daemon._edges[inbound]
+            if compressed is None:
+                predicted = daemon._flow_predictor.predict_fct(size, capacity, sizes)
+            else:
+                predicted = compressed.fair_fct(size)
+            replies.append(new(PredictionReply, (daemon._host, predicted, node_state)))
+        if span is not None:
+            probe.exit_predict(span)
+        return replies
 
     # ------------------------------------------------------------------
     # Predictions
     # ------------------------------------------------------------------
     def node_state(self) -> float:
         """Smallest residual flow size on this node (inf when idle)."""
-        return self._fabric.host_edge_state(
-            self._host, self._downlink.link_id
-        )[1]
+        read = (self._host, self._downlink.link_id)
+        return self._fabric.host_edge_states([read])[0][1]
 
     def predict_flow(self, size: float, direction: str = "in") -> PredictionReply:
         """Predicted FCT of a new flow on this node's edge link."""
-        if direction == "in":
-            link, compressed = self._downlink, self._compressed_down
-        else:
-            link, compressed = self._uplink, self._compressed_up
-        sizes, node_state = self._fabric.host_edge_state(
-            self._host, link.link_id
-        )
-        if compressed is not None:
-            predicted = compressed.fair_fct(size)
-        else:
-            predicted = self._flow_predictor.fct(
-                size, link_state_from_flows(link.link_id, link.capacity, sizes)
-            )
-        return PredictionReply(self._host, predicted, node_state)
+        return self.handle(FlowPredictionRequest(size, direction))
 
     def link_state(self, direction: str = "in") -> LinkStateReply:
         """Snapshot of this node's edge link for controller-side scoring.
@@ -149,8 +159,8 @@ class NetworkDaemon:
         request in the batch against the same snapshot.
         """
         link = self._downlink if direction == "in" else self._uplink
-        sizes, node_state = self._fabric.host_edge_state(
-            self._host, link.link_id
+        ((sizes, node_state),) = self._fabric.host_edge_states(
+            [(self._host, link.link_id)]
         )
         return LinkStateReply(
             self._host,

@@ -19,8 +19,7 @@ optimistically so back-to-back decisions see their own effects.
 from __future__ import annotations
 
 import random
-from itertools import repeat
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.daemons.bus import MessageBus
 
@@ -33,9 +32,8 @@ from repro.daemons.messages import (
     LinkStateRequest,
     NodeStateUpdate,
 )
-from repro.errors import DaemonUnreachable, MessageDropped, PlacementError
+from repro.errors import PlacementError
 from repro.placement.base import PlacementDecision, PlacementRequest, pick_min
-from repro.predictor.state import link_state_from_flows
 from repro.topology.base import NodeId, Topology
 
 _INF = float("inf")
@@ -227,34 +225,31 @@ class TaskPlacementDaemon:
         return host
 
     def _query(
-        self, hosts: Iterable[NodeId], requests: Iterable[Any]
+        self, hosts: Sequence[NodeId], request: Any
     ) -> Dict[NodeId, Any]:
         """The round trips of one decision, shared by every entry point:
-        send each of ``hosts`` its request, in order, and return the
-        replies of those that answered, keyed by host in that order.
-
-        ``requests`` pairs up with ``hosts``; Algorithm 1 asks every
-        candidate the same question, which is ``repeat(request)``.  A
-        down host or a loss window costs the query, not the decision:
-        the failure is counted and the host left out.  Every reply
-        refreshes the node-state cache.
+        put the one ``request`` to each of ``hosts`` in one bus round
+        (:meth:`~repro.daemons.MessageBus.call_round`; Algorithm 1 asks
+        every candidate the same question) and return the replies of
+        those that answered, keyed by host in order.  A down host or a
+        loss window costs the query, not the decision: the failure is
+        counted and the host left out.  Every reply refreshes the
+        node-state cache.
         """
-        call = self._bus.call
+        delivered, replies = self._bus.call_round(hosts, request)
+        lost = len(hosts) - len(delivered)
+        self._query_failures += lost
+        if lost and self._probe is not None:
+            for _ in range(lost):
+                self._probe.on_query_failure()
         cache = self._node_state_cache
         seen_at = self._state_seen_at if self._state_ttl is not None else None
+        now = self._engine.now
         answers: Dict[NodeId, Any] = {}
-        for host, request in zip(hosts, requests):
-            try:
-                reply = call(host, request)
-            except (DaemonUnreachable, MessageDropped):
-                self._query_failures += 1
-                probe = self._probe
-                if probe is not None:
-                    probe.on_query_failure()
-                continue
+        for host, reply in zip(delivered, replies):
             cache[host] = reply.node_state
             if seen_at is not None:
-                seen_at[host] = self._engine.now
+                seen_at[host] = now
             answers[host] = reply
         return answers
 
@@ -321,11 +316,11 @@ class TaskPlacementDaemon:
         data_node = task["data_node"]
         remote = [host for host in preferred if host != data_node]
         uplink = (
-            self._query((data_node,), (source_ask,))
+            self._query((data_node,), source_ask)
             if source_ask is not None and remote
             else None
         )
-        answers = self._query(remote, repeat(ask))
+        answers = self._query(remote, ask)
         answer = answers.get
         scores = [
             0.0  # full locality: no transfer at all
@@ -377,9 +372,10 @@ class TaskPlacementDaemon:
                 if host != request.data_node:
                     wanted.add(host)
         snapshots: Dict[NodeId, LinkStateReply] = self._query(
-            sorted(wanted), repeat(LinkStateRequest(direction="in"))
+            sorted(wanted), LinkStateRequest(direction="in")
         )
         live_sizes = {h: list(r.flow_sizes) for h, r in snapshots.items()}
+        predict = predictor.predict_fct
 
         placements: List[NodeId] = []
         for request, hosts in zip(requests, filtered):
@@ -396,17 +392,10 @@ class TaskPlacementDaemon:
                 if host == data_node
                 else _INF
                 if (snap := snapshots.get(host)) is None
-                else predictor.fct(
-                    request.size,
-                    link_state_from_flows(
-                        snap.link, snap.capacity, live_sizes[host]
-                    ),
-                )
+                else predict(request.size, snap.capacity, live_sizes[host])
                 for host in preferred
             ]
-            queried = [
-                h for h in preferred if h != data_node and h in snapshots
-            ]
+            queried = [h for h in preferred if h != data_node and h in snapshots]
             host = self._choose(
                 preferred, scores, queried=queried, fallback=fallback, **task
             )
@@ -490,23 +479,18 @@ class TaskPlacementDaemon:
                     size_on_link=sum(s for n, s in sources if n == node),
                     direction="out",
                 )
-                uplinks.update(self._query((node,), (request,)))
+                uplinks.update(self._query((node,), request))
         incoming = {
             host: sum(size for node, size in sources if node != host)
             for host in candidates
         }
-        remote = [host for host in candidates if incoming[host] > 0]
-        answers = self._query(
-            remote,
-            [
-                CoflowPredictionRequest(
-                    total_size=total,
-                    size_on_link=incoming[host],
-                    direction="in",
+        answers: Dict[NodeId, Any] = {}
+        for host in candidates:  # one-host rounds, in candidate order
+            if incoming[host] > 0:
+                request = CoflowPredictionRequest(
+                    total_size=total, size_on_link=incoming[host], direction="in"
                 )
-                for host in remote
-            ],
-        )
+                answers.update(self._query((host,), request))
 
         def cct(host: NodeId) -> float:
             """Bottleneck of the host's downlink and the other uplinks."""

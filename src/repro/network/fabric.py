@@ -195,26 +195,33 @@ class NetworkFabric:
         """Active flows sourced at or destined to ``host``."""
         return list(self._sync_members(self._by_host.get(host, {})))
 
-    def host_edge_state(
-        self, host: NodeId, link_id: LinkId
-    ) -> Tuple[List[float], float]:
-        """A network daemon's read, in one pass over ``host``'s flows: the
-        residual sizes on ``link_id`` (in :meth:`flows_on_link` order) and
-        the node state of §5.1.1, the smallest residual size at the host
-        (inf when idle).  ``link_id`` must be an edge link of ``host``:
-        its flows all start or end there, so they are synced by the pass.
-        """
-        node_state = _INF
-        at_host = self._by_host.get(host)
-        if at_host:
-            now = self._engine.now
-            for flow in at_host.values():
-                self._sync_flow(flow, now)
+    def host_edge_states(
+        self, reads: Sequence[Tuple[NodeId, LinkId]]
+    ) -> List[Tuple[List[float], float]]:
+        """The network daemons' read of each ``(host, edge link)``, in order:
+        the residual sizes on the link (:meth:`flows_on_link` order) and the
+        node state of §5.1.1 (the smallest residual size at the host, inf
+        when idle), from one pass syncing the host's flows, which include
+        the edge link's.  The sync is :meth:`_sync_members` inlined: one
+        more frame per host made a fig5 decision 13% dearer."""
+        by_host, by_link = self._by_host, self._by_link
+        now, synced_at, rates = self._engine.now, self._synced_at, self._rates
+        states = []
+        for host, link_id in reads:
+            node_state = _INF
+            for flow_id, flow in by_host.get(host, {}).items():
+                dt = now - synced_at[flow_id]
+                if dt > 0:
+                    rate = rates.get(flow_id, 0.0)
+                    if rate > RATE_EPSILON:
+                        flow.advance(rate * dt)
+                    synced_at[flow_id] = now
                 if flow.remaining < node_state:
                     node_state = flow.remaining
-        on_link = self._by_link.get(link_id)
-        sizes = [flow.remaining for flow in on_link.values()] if on_link else []
-        return sizes, node_state
+            on_link = by_link.get(link_id)
+            sizes = [flow.remaining for flow in on_link.values()] if on_link else []
+            states.append((sizes, node_state))
+        return states
 
     def coflows_on_link(self, link_id: LinkId) -> Collection[List[float]]:
         """``[total, on_link, arrival]`` of each coflow crossing ``link_id``
@@ -240,10 +247,8 @@ class NetworkFabric:
 
     def link_queued_bits(self, link_id: LinkId) -> float:
         """Total remaining bits of flows crossing ``link_id``."""
-        now = self._engine.now
         total = 0.0
-        for flow in self._by_link.get(link_id, {}).values():
-            self._sync_flow(flow, now)
+        for flow in self._sync_members(self._by_link.get(link_id, {})):
             total += flow.remaining
         return total
 
@@ -260,10 +265,7 @@ class NetworkFabric:
     def link_rate_utilization(self, link_id: LinkId) -> float:
         """Fraction of the link's capacity currently allocated."""
         capacity = self._capacities[link_id]
-        used = sum(
-            self._rates.get(flow_id, 0.0)
-            for flow_id in self._by_link.get(link_id, {})
-        )
+        used = sum([self._rates.get(f, 0.0) for f in self._by_link.get(link_id, {})])
         return used / capacity if capacity > 0 else 0.0
 
     def link_capacity(self, link_id: LinkId) -> float:
@@ -563,9 +565,7 @@ class NetworkFabric:
 
     def _finish_flow(self, flow: Flow) -> None:
         flow.completion_time = self._engine.now
-        optimal = self._optimal_on_submit.pop(flow.flow_id, None)
-        if optimal is None:  # pragma: no cover - flows always pass submit()
-            optimal = self.optimal_fct(flow.src, flow.dst, flow.size)
+        optimal = self._optimal_on_submit.pop(flow.flow_id)  # set by submit
         record = FlowRecord(
             flow_id=flow.flow_id,
             src=flow.src,

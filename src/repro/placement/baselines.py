@@ -23,7 +23,6 @@ from repro.placement.base import (
     scored_decision,
 )
 from repro.predictor.flow_fct import FlowFCTPredictor
-from repro.predictor.state import link_state_from_flows
 from repro.topology.base import NodeId
 
 
@@ -152,14 +151,9 @@ class MinFCTPolicy(PlacementPolicy):
     def _predicted_fct(self, request: PlacementRequest, host: NodeId) -> float:
         if host == request.data_node:
             return 0.0  # full locality: no network transfer
-        fabric = self._fabric
-        link = fabric.topology.host_downlink(host)
-        state = link_state_from_flows(
-            link.link_id,
-            link.capacity,
-            (f.remaining for f in fabric.flows_on_link(link.link_id)),
-        )
-        return self._predictor.fct(request.size, state)
+        link = self._fabric.topology.host_downlink(host)
+        sizes = [f.remaining for f in self._fabric.flows_on_link(link.link_id)]
+        return self._predictor.predict_fct(request.size, link.capacity, sizes)
 
     def place(self, request: PlacementRequest) -> NodeId:
         scores = [

@@ -24,7 +24,8 @@ from repro.placement.base import (
     scored_decision,
 )
 from repro.predictor.flow_fct import FlowFCTPredictor
-from repro.predictor.state import LinkState, link_state_from_flows
+from repro.predictor.fabric_state import flow_link_state
+from repro.predictor.state import LinkState
 from repro.topology.base import LinkId, NodeId
 
 
@@ -40,12 +41,7 @@ class LinkStateProvider:
         self._fabric = fabric
 
     def link_state(self, link_id: LinkId) -> LinkState:
-        link = self._fabric.topology.link(link_id)
-        return link_state_from_flows(
-            link_id,
-            link.capacity,
-            (f.remaining for f in self._fabric.flows_on_link(link_id)),
-        )
+        return flow_link_state(self._fabric, link_id)
 
 
 class PathAwareNEATPolicy(PlacementPolicy):

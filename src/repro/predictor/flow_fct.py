@@ -3,7 +3,8 @@
 Each predictor answers, for a hypothetical new flow of size ``s0`` placed on
 a link with state ``F_l``:
 
-* ``fct(s0, link)`` — FCT(f0, l), equations (3), (4), (7);
+* ``fct(s0, link)`` — FCT(f0, l), equations (3), (4), (7), which
+  ``predict_fct(s0, capacity, sizes)`` answers from raw residual sizes;
 * ``delta(s0, s_f, link)`` — ΔFCT(f, l), the increase the new flow causes
   to an existing flow of residual size ``s_f``, equations (5), (8);
 * ``delta_sum(s0, link)`` — Σ_{f∈F_l} ΔFCT(f, l);
@@ -12,7 +13,7 @@ a link with state ``F_l``:
 
 Path-level helpers take the bottleneck (max) across links, as the paper
 does.  All predictors assume work-conserving scheduling and, per §4, ignore
-future arrivals.
+future arrivals.  Sums fold left (``+=``): 3.12 compensates a float ``sum``.
 """
 
 from __future__ import annotations
@@ -30,8 +31,13 @@ class FlowFCTPredictor(ABC):
     name: str = "abstract"
 
     @abstractmethod
+    def predict_fct(self, new_size: float, capacity: float, sizes) -> float:
+        """:meth:`fct` on a link of ``capacity`` whose flows have residual
+        ``sizes`` (an iterable; sizes <= 0, finished flows, are dropped)."""
+
     def fct(self, new_size: float, link: LinkState) -> float:
         """Predicted FCT of a new flow of ``new_size`` bits on ``link``."""
+        return self.predict_fct(new_size, link.capacity, link.flow_sizes)
 
     @abstractmethod
     def delta(self, new_size: float, existing_size: float, link: LinkState) -> float:
@@ -39,9 +45,10 @@ class FlowFCTPredictor(ABC):
 
     def delta_sum(self, new_size: float, link: LinkState) -> float:
         """Σ over existing flows of :meth:`delta`."""
-        return sum(
-            self.delta(new_size, s, link) for s in link.flow_sizes
-        )
+        total = 0.0
+        for s in link.flow_sizes:
+            total += self.delta(new_size, s, link)
+        return total
 
     def link_objective(self, new_size: float, link: LinkState) -> float:
         """The per-link term of objective (2): FCT(f0,l) + Σ ΔFCT(f,l)."""
@@ -68,8 +75,12 @@ class FCFSPredictor(FlowFCTPredictor):
 
     name = "fcfs"
 
-    def fct(self, new_size: float, link: LinkState) -> float:
-        return (new_size + link.total_bits) / link.capacity
+    def predict_fct(self, new_size, capacity, sizes) -> float:
+        queued = 0.0
+        for s in sizes:
+            if s > 0:
+                queued += s
+        return (new_size + queued) / capacity
 
     def delta(self, new_size: float, existing_size: float, link: LinkState) -> float:
         # The new flow is served last; existing flows are unaffected.
@@ -86,9 +97,12 @@ class FairPredictor(FlowFCTPredictor):
 
     name = "fair"
 
-    def fct(self, new_size: float, link: LinkState) -> float:
-        shared = sum(min(s, new_size) for s in link.flow_sizes)
-        return (new_size + shared) / link.capacity
+    def predict_fct(self, new_size, capacity, sizes) -> float:
+        shared = 0.0
+        for s in sizes:
+            if s > 0:
+                shared += new_size if new_size < s else s
+        return (new_size + shared) / capacity
 
     def delta(self, new_size: float, existing_size: float, link: LinkState) -> float:
         return min(existing_size, new_size) / link.capacity
@@ -105,9 +119,12 @@ class SRPTPredictor(FlowFCTPredictor):
 
     name = "srpt"
 
-    def fct(self, new_size: float, link: LinkState) -> float:
-        ahead = sum(s for s in link.flow_sizes if s <= new_size)
-        return (new_size + ahead) / link.capacity
+    def predict_fct(self, new_size, capacity, sizes) -> float:
+        ahead = 0.0
+        for s in sizes:
+            if 0 < s <= new_size:
+                ahead += s
+        return (new_size + ahead) / capacity
 
     def delta(self, new_size: float, existing_size: float, link: LinkState) -> float:
         if existing_size > new_size:

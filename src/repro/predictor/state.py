@@ -126,11 +126,9 @@ def link_state_from_flows(
     """Build a :class:`LinkState`, silently dropping finished (<=0) flows."""
     if capacity <= 0:
         raise _bad_capacity(link_id, capacity)
-    # ``unchecked``, spelled out: one snapshot is built per query, and the
-    # call would cost 4% of a NEAT decision.
-    state = object.__new__(LinkState)
-    fields = state.__dict__
-    fields["link_id"] = link_id
-    fields["capacity"] = capacity
-    fields["flow_sizes"] = tuple([s for s in remaining_sizes if s > 0])
-    return state
+    return unchecked(
+        LinkState,
+        link_id=link_id,
+        capacity=capacity,
+        flow_sizes=tuple([s for s in remaining_sizes if s > 0]),
+    )

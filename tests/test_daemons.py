@@ -468,11 +468,12 @@ class TestQueryChain:
     def test_calls_per_queried_candidate_stay_bounded(self):
         """The structural guard on the host cost of a decision: function
         calls (Python and C) per queried candidate, decision overhead
-        amortised over the 15 candidates of the pinned fabrics.  The
-        chain makes 25.6 per flow query and 46.9 per coflow query (CPython
-        3.11); the coflow query made 64.9 before it read the link and the
-        node state in one lean pass each, and the loop before the shared
-        query chain made 45.6 and 80.2."""
+        amortised over the 15 candidates of the pinned fabrics.  A query
+        round makes 16.3 per flow query and 48.5 per coflow query (CPython
+        3.11); the per-host call chain before it made 25.6 and 46.9, the
+        coflow query 64.9 before it read the link and the node state in
+        one lean pass each, and the loop before the shared query chain
+        made 45.6 and 80.2."""
         engine, fabric = busy_flow_fabric()
         daemon = neat_on(fabric).daemon
         request = PlacementRequest(
@@ -480,7 +481,7 @@ class TestQueryChain:
         )
         calls = calls_made(lambda: daemon.place_flow(request))
         assert daemon.decisions[-1].queried_hosts == CANDIDATES
-        assert calls / len(CANDIDATES) <= 33
+        assert calls / len(CANDIDATES) <= 18
 
         engine, fabric = busy_coflow_fabric()
         daemon = neat_on(fabric, coflow_predictor="tcf").daemon
@@ -529,3 +530,201 @@ class TestQueryChain:
         fabric, daemon = scenario()
         fabric.flows_at_host("h001")  # the merged pass, made by hand
         assert daemon.predict_coflow(4e9, 1e9, "in").predicted_time != expected
+
+
+# ----------------------------------------------------------------------
+# One query round vs the parent's loop of per-host calls
+# ----------------------------------------------------------------------
+def _parent_call(bus, host, payload):
+    """``MessageBus.call`` before query rounds, as the reference: this
+    host's admission, fault draws and accounting, then its own endpoint
+    answers, before the next host's message goes out."""
+    from repro.daemons.messages import message_kind
+
+    def lost(reason, error):
+        bus._messages_sent += 1
+        bus._messages_dropped += 1
+        if bus._probe is not None:
+            bus._probe.note_bus_drop(bus.engine.now, host, payload, reason)
+        raise error(host)
+
+    if host in bus._down_hosts:
+        lost("host_down", DaemonUnreachable)
+    handler = bus._endpoints.get(host)
+    if handler is None:
+        raise DaemonError(host)
+    if bus._fault_model is not None:
+        if bus._fault_model.should_drop(message_kind(payload)):
+            lost("loss_window", MessageDropped)
+        bus._delay_accrued += bus._fault_model.message_delay()
+    bus._messages_sent += 2
+    bus._calls += 1
+    if bus._probe is not None:
+        bus._probe.note_bus_message(bus.engine.now, host, payload, bus._rtt)
+    return handler(payload)
+
+
+def _per_host_round(bus, hosts, payload, *, strict=False):
+    """``call_round`` turned back into a loop of per-host calls."""
+    delivered, replies = [], []
+    for host in hosts:
+        try:
+            replies.append(_parent_call(bus, host, payload))
+        except (DaemonUnreachable, MessageDropped):
+            if strict:
+                raise
+            continue
+        delivered.append(host)
+    return delivered, replies
+
+
+def _observed_neat_replay(monkeypatch, topology, trace, neat_kwargs, **spec):
+    """Replay ``trace`` under fair + NEAT with the trace, decision log,
+    causal stream and registry armed; returns everything a query round
+    must leave unchanged, down to the fault plan's next loss draw."""
+    import dataclasses
+    import io
+    from functools import partial
+
+    from repro.experiments import runner
+    from repro.placement import registry as placements
+    from repro.placement.neat import build_neat
+    from repro.telemetry import CausalTracer, DecisionLog, JsonlTraceSink
+
+    from repro.faults.injector import arm_faults as arm
+
+    armed, policies = [], []
+    make = placements.make_placement_policy
+
+    def arming(*args):
+        armed.append(arm(*args))
+        return armed[-1]
+
+    def making(*args, **kwargs):
+        policies.append(make(*args, **kwargs))
+        return policies[-1]
+
+    monkeypatch.setattr(runner, "arm_faults", arming)
+    monkeypatch.setattr(runner, "make_placement_policy", making)
+    monkeypatch.setattr(placements, "build_neat", partial(build_neat, **neat_kwargs))
+    buf = io.StringIO()
+    sink = JsonlTraceSink(buf)
+    telemetry = Telemetry(
+        registry=MetricsRegistry(),
+        trace=sink,
+        decisions=DecisionLog(trace=sink),
+        causal=CausalTracer(),
+    )
+    result = runner.replay_flow_trace(
+        trace, topology, network_policy="fair", placement="neat",
+        seed=trace.seed, max_candidates=8, telemetry=telemetry, **spec,
+    )  # fmt: skip
+    telemetry.close()
+    injector = armed[0]
+    return {
+        "records": [dataclasses.asdict(r) for r in result.records],
+        "trace": buf.getvalue().splitlines(),
+        "causal": telemetry.causal.events,
+        "decisions": [dataclasses.asdict(r) for r in telemetry.decisions.records],
+        "registry": telemetry.registry.as_dict(),
+        "query_failures": policies[0].daemon.query_failures,
+        "messages_sent": policies[0].bus.messages_sent,
+        "next_draw": injector._rng.random() if injector is not None else None,
+    }
+
+
+def _golden_setup():
+    """The observed goldens' pinned 20-host scenario (regen_goldens.py)."""
+    import importlib.util
+    from pathlib import Path
+
+    from repro.topology.fabrics import three_tier_clos
+    from repro.workloads import generate_flow_trace, make_distribution
+
+    path = Path(__file__).resolve().parent / "goldens" / "regen_goldens.py"
+    spec = importlib.util.spec_from_file_location("regen_goldens", path)
+    goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(goldens)
+    scenario = goldens.SCENARIO
+    topology = three_tier_clos(
+        pods=scenario["pods"],
+        racks_per_pod=scenario["racks_per_pod"],
+        hosts_per_rack=scenario["hosts_per_rack"],
+    )
+    trace = generate_flow_trace(
+        hosts=topology.hosts,
+        distribution=make_distribution(scenario["workload"]),
+        load=scenario["load"],
+        edge_capacity=1e9,
+        num_arrivals=scenario["num_arrivals"],
+        seed=scenario["seed"],
+    )
+    return topology, trace, goldens._faulted_plan()
+
+
+def _assert_round_matches_per_host_calls(monkeypatch, setup, neat_kwargs, **spec):
+    rounds = _observed_neat_replay(monkeypatch, *setup, neat_kwargs, **spec)
+    monkeypatch.setattr(MessageBus, "call_round", _per_host_round)
+    per_host = _observed_neat_replay(monkeypatch, *setup, neat_kwargs, **spec)
+    assert rounds.keys() == per_host.keys()
+    for key in rounds:
+        assert rounds[key] == per_host[key], key
+    return rounds
+
+
+class TestQueryRound:
+    """A decision's queries are one bus round (``MessageBus.call_round``);
+    the reference is the parent's loop of one ``call`` per host."""
+
+    @pytest.mark.parametrize(
+        "leg", ["fair_neat", "faulted_neat", "faulted_ttl_source_link_bins"]
+    )
+    def test_round_matches_per_host_calls(self, monkeypatch, leg):
+        topology, trace, plan = _golden_setup()
+        neat_kwargs, spec = {}, {}
+        if leg != "fair_neat":  # the faulted golden's knobs
+            spec = dict(faults=plan, state_ttl=0.001, push_updates=True)
+        if leg == "faulted_ttl_source_link_bins":
+            neat_kwargs = dict(
+                include_source_link=True,
+                bin_boundaries=exponential_bins(1e4, 1e9, 12),
+            )
+        outputs = _assert_round_matches_per_host_calls(
+            monkeypatch, (topology, trace), neat_kwargs, **spec
+        )
+        assert outputs["decisions"] and outputs["trace"]
+        if leg != "fair_neat":
+            assert outputs["query_failures"] > 0
+            assert outputs["next_draw"] is not None
+
+    @pytest.mark.slow
+    def test_round_matches_per_host_calls_clos_160(self, monkeypatch):
+        """The benchmark's 160-host Clos under a lossy bus, a host going
+        down, the state TTL, pushes and the source-link floor."""
+        from repro.faults import FaultPlan, HostDown, MessageLoss
+        from repro.topology.fabrics import three_tier_clos
+        from repro.workloads import generate_flow_trace, make_distribution
+
+        topology = three_tier_clos(pods=4, racks_per_pod=4, hosts_per_rack=10)
+        trace = generate_flow_trace(
+            hosts=topology.hosts,
+            distribution=make_distribution("websearch"),
+            load=0.7,
+            edge_capacity=1e9,
+            num_arrivals=1000,
+            seed=42,
+        )
+        plan = FaultPlan(
+            events=(
+                MessageLoss(start=0.0, p=0.1),
+                HostDown(time=0.05, host=topology.hosts[17]),
+            ),
+            seed=42,
+        )
+        outputs = _assert_round_matches_per_host_calls(
+            monkeypatch,
+            (topology, trace),
+            dict(include_source_link=True),
+            faults=plan, state_ttl=0.005, push_updates=True,
+        )  # fmt: skip
+        assert outputs["query_failures"] > 100

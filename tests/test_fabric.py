@@ -431,7 +431,7 @@ def test_only_a_removal_splits_scopes(policy, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# host_edge_state: the daemons' one-pass read
+# host_edge_states: the daemons' one-pass read
 # ----------------------------------------------------------------------
 def _clos():
     return three_tier_clos(pods=2, racks_per_pod=2, hosts_per_rack=2, cores=2)
@@ -524,21 +524,32 @@ def _progress(fabric):
 @given(_fabric_ops, st.sampled_from(("fair", "srpt")))
 @settings(max_examples=60, deadline=None)
 def test_host_edge_state_equals_the_two_reads_it_replaced(ops, policy):
-    """``host_edge_state`` is ``flows_on_link`` + ``flows_at_host`` bit
+    """``host_edge_states`` is ``flows_on_link`` + ``flows_at_host`` bit
     for bit: the sizes and their order (which follows the link index,
     not the host index: a reroute re-inserts a flow into the former
     only), the node state, and what the call leaves behind in every
-    flow.  Both directions of every host, after arbitrary histories."""
+    flow.  Both directions of every host, one read each and then all of
+    them in one call, after arbitrary histories."""
     one_pass, two_reads = _driven(ops, policy), _driven(ops, policy)
     topology = one_pass.topology
-    for host in _HOSTS:
-        for link in (topology.host_downlink(host), topology.host_uplink(host)):
-            sizes, node_state = one_pass.host_edge_state(host, link.link_id)
-            on_link = [f.remaining for f in two_reads.flows_on_link(link.link_id)]
-            at_host = [f.remaining for f in two_reads.flows_at_host(host)]
-            assert sizes == on_link
-            assert node_state == (min(at_host) if at_host else float("inf"))
-            assert _progress(one_pass) == _progress(two_reads)
+    reads = [
+        (host, link.link_id)
+        for host in _HOSTS
+        for link in (topology.host_downlink(host), topology.host_uplink(host))
+    ]
+    for read in reads:
+        ((sizes, node_state),) = one_pass.host_edge_states([read])
+        host, link_id = read
+        on_link = [f.remaining for f in two_reads.flows_on_link(link_id)]
+        at_host = [f.remaining for f in two_reads.flows_at_host(host)]
+        assert sizes == on_link
+        assert node_state == (min(at_host) if at_host else float("inf"))
+        assert _progress(one_pass) == _progress(two_reads)
+    batched = _driven(ops, policy)
+    assert batched.host_edge_states(reads) == [
+        one_pass.host_edge_states([read])[0] for read in reads
+    ]
+    assert _progress(batched) == _progress(one_pass)
 
 
 def test_host_edge_state_orders_sizes_by_the_link_index_after_a_reroute():
@@ -554,7 +565,7 @@ def test_host_edge_state_orders_sizes_by_the_link_index_after_a_reroute():
     assert fabric.flows_rerouted >= 1
     assert fabric.flows_at_host("h000") == [old, new]
     assert fabric.flows_on_link("tor0->h000") == [new, old]
-    sizes, node_state = fabric.host_edge_state("h000", "tor0->h000")
+    ((sizes, node_state),) = fabric.host_edge_states([("h000", "tor0->h000")])
     assert sizes == [new.remaining, old.remaining]
     assert node_state == new.remaining
 

@@ -108,12 +108,27 @@ REMOVED_SYMBOLS = {
     "repro.network.fabric": ["SHADOW_TOLERANCE"],
 }
 
-#: Methods removed in 1.10.0 (CHANGES.md): the decision log is a plain probe
+#: Methods removed (CHANGES.md).  1.10.0: the decision log is a plain probe
 #: channel whose ``begin_run`` labels the run and joins its completions, and
-#: the rollup store's unused introspection is gone.
+#: the rollup store's unused introspection is gone.  1.13.0: the daemons
+#: read their edge state in one batched call, ``host_edge_states``.
 REMOVED_METHODS = {
     ("repro.telemetry", "DecisionLog"): ("set_context", "bind", "bind_coflows"),
     ("repro.telemetry", "TimeseriesStore"): ("series_names", "span"),
+    ("repro.network", "NetworkFabric"): ("host_edge_state",),
+}
+
+#: Methods the docs rely on.  1.13.0: a decision's queries are one bus
+#: round, answered in one pass over raw residual sizes.
+PUBLIC_METHODS = {
+    ("repro.daemons", "MessageBus"): (
+        "call", "call_round", "register_round", "push",
+    ),
+    ("repro.daemons", "NetworkDaemon"): (
+        "handle", "answer_round", "predict_flow", "link_state",
+    ),
+    ("repro.predictor", "FlowFCTPredictor"): ("fct", "predict_fct"),
+    ("repro.network", "NetworkFabric"): ("host_edge_states",),
 }
 
 #: Keyword arguments removed in 1.7.0 (CHANGES.md): a recompute's scope is
@@ -138,6 +153,13 @@ def test_removed_methods_stay_removed():
         cls = getattr(importlib.import_module(module_name), name)
         for method in methods:
             assert not hasattr(cls, method), f"{name}.{method} is back"
+
+
+def test_public_methods_exist():
+    for (module_name, name), methods in sorted(PUBLIC_METHODS.items()):
+        cls = getattr(importlib.import_module(module_name), name)
+        for method in methods:
+            assert callable(getattr(cls, method, None)), f"{name}.{method}"
 
 
 def test_registry_timers_and_their_probe_points_stay_removed():
