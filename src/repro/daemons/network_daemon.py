@@ -32,7 +32,6 @@ from repro.network.flow import Flow
 from repro.predictor.coflow_cct import CoflowCCTPredictor
 from repro.predictor.compressed import CompressedLinkState
 from repro.predictor.flow_fct import FlowFCTPredictor
-from repro.predictor.fabric_state import coflow_link_state
 from repro.topology.base import Link, NodeId
 
 
@@ -97,44 +96,54 @@ class NetworkDaemon:
         return self._host
 
     def handle(self, payload) -> PredictionReply:
-        """Dispatch a control-plane request (the bus handler)."""
-        if isinstance(payload, FlowPredictionRequest):
-            return self.answer_round((self,), payload)[0]
+        """Dispatch a control-plane request (the bus handler): a prediction
+        is answered as a round of one (:meth:`answer_round`)."""
         if isinstance(payload, LinkStateRequest):
             return self.link_state(payload.direction)
-        if not isinstance(payload, CoflowPredictionRequest):
-            raise DaemonError(f"unknown request type {type(payload).__name__}")
-        probe = self._probe
-        span = probe.enter_predict(True) if probe is not None else None
-        reply = self.predict_coflow(
-            payload.total_size, payload.size_on_link, payload.direction
-        )
-        if span is not None:
-            probe.exit_predict(span)
-        return reply
+        if isinstance(payload, (FlowPredictionRequest, CoflowPredictionRequest)):
+            return self.answer_round((self,), payload)[0]
+        raise DaemonError(f"unknown request type {type(payload).__name__}")
 
     @staticmethod
     def answer_round(daemons: Sequence["NetworkDaemon"], payload) -> list:
         """The replies of ``daemons`` (of one fabric) to a bus round's
-        ``payload``, in order: a flow prediction in one pass under one span
-        (one fabric read, then raw-size FCTs), else each one's :meth:`handle`."""
-        if not daemons or not isinstance(payload, FlowPredictionRequest):
+        ``payload``, in order: a prediction in one pass under one span (one
+        fabric read, then raw-size FCTs or raw-triple CCT objectives), else
+        each one's :meth:`handle`."""
+        coflow = isinstance(payload, CoflowPredictionRequest)
+        if not daemons or not (coflow or isinstance(payload, FlowPredictionRequest)):
             return [daemon.handle(payload) for daemon in daemons]
+        for daemon in daemons if coflow else ():
+            if daemon._coflow_predictor is None:
+                raise DaemonError(f"daemon at {daemon._host!r} has no coflow predictor")
         probe = daemons[0]._probe
-        span = probe.enter_predict(False) if probe is not None else None
-        size, inbound = payload.size, payload.direction == "in"
-        states = daemons[0]._fabric.host_edge_states(
-            [(daemon._host, daemon._edges[inbound][0]) for daemon in daemons]
-        )
+        span = probe.enter_predict(coflow) if probe is not None else None
+        inbound = payload.direction == "in"
+        reads = [(daemon._host, daemon._edges[inbound][0]) for daemon in daemons]
         new = tuple.__new__  # a reply, without the named tuple's Python __new__
         replies = []
-        for daemon, (sizes, node_state) in zip(daemons, states):
-            _, capacity, compressed = daemon._edges[inbound]
-            if compressed is None:
-                predicted = daemon._flow_predictor.predict_fct(size, capacity, sizes)
-            else:
-                predicted = compressed.fair_fct(size)
-            replies.append(new(PredictionReply, (daemon._host, predicted, node_state)))
+        if coflow:
+            total, on_link = payload.total_size, payload.size_on_link
+            states = daemons[0]._fabric.coflow_edge_states(reads)
+            for daemon, (coflows, node_state) in zip(daemons, states):
+                # Objective (2): the coflow's own CCT on the link plus the
+                # increase it inflicts on existing coflows (§4.2); for TCF /
+                # SEBF the bare CCT of a high-priority coflow is insensitive
+                # to load, and the Delta term restores it (Proposition 4.2).
+                predicted = daemon._coflow_predictor.predict_link_objective(
+                    total, on_link, daemon._edges[inbound][1], coflows
+                )
+                replies.append(new(PredictionReply, (daemon._host, predicted, node_state)))
+        else:
+            size = payload.size
+            states = daemons[0]._fabric.host_edge_states(reads)
+            for daemon, (sizes, node_state) in zip(daemons, states):
+                _, capacity, compressed = daemon._edges[inbound]
+                if compressed is None:
+                    predicted = daemon._flow_predictor.predict_fct(size, capacity, sizes)
+                else:
+                    predicted = compressed.fair_fct(size)
+                replies.append(new(PredictionReply, (daemon._host, predicted, node_state)))
         if span is not None:
             probe.exit_predict(span)
         return replies
@@ -181,23 +190,9 @@ class NetworkDaemon:
         The order is part of the answer: the link's flows are synced and
         read before the rest of the host's, so ``Coflow.remaining_total``
         in the link state sees the coflow's flows elsewhere as of their
-        last sync."""
-        if self._coflow_predictor is None:
-            raise DaemonError(
-                f"daemon at {self._host!r} has no coflow predictor"
-            )
-        link = self._downlink if direction == "in" else self._uplink
-        state = coflow_link_state(self._fabric, link.link_id)
-        # Score with objective (2): the coflow's own CCT on this link plus
-        # the CCT increase it inflicts on existing coflows (§4.2).  For
-        # priority schedulers (TCF/SEBF) the bare CCT of a high-priority
-        # coflow is insensitive to link load; the Delta term restores the
-        # externality, per Proposition 4.2.
-        predicted = self._coflow_predictor.link_objective(
-            total_size, size_on_link, state
-        )
-        return PredictionReply(
-            self._host, predicted, self._fabric.host_coflow_state(self._host)
+        last sync (:meth:`NetworkFabric.coflow_edge_states`)."""
+        return self.handle(
+            CoflowPredictionRequest(total_size, size_on_link, direction)
         )
 
     # ------------------------------------------------------------------

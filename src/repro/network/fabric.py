@@ -67,22 +67,6 @@ class _Component:
         self.hint_event: Optional[Event] = None
 
 
-def _coflow_groups(flows: Collection[Flow], floor: float = 0.0):
-    """Synced ``flows`` by coflow, a bare flow being its own: one ``[total,
-    bits among flows, arrival]`` per coflow, its residual total summed once
-    and raised to ``floor`` (0.0 keeps a total as it is: never negative)."""
-    groups: Dict[object, List[float]] = {}
-    for flow in flows:
-        unit = flow.coflow or flow
-        entry = groups.get(unit)
-        if entry is None:
-            total = (flow.remaining if unit is flow
-                     else max(unit.remaining_total, floor))
-            entry = groups[unit] = [total, 0.0, unit.arrival_time]
-        entry[1] += flow.remaining
-    return groups.values()
-
-
 class NetworkFabric:
     """Fluid-model network simulator with a pluggable scheduling policy."""
 
@@ -223,23 +207,60 @@ class NetworkFabric:
             states.append((sizes, node_state))
         return states
 
-    def coflows_on_link(self, link_id: LinkId) -> Collection[List[float]]:
-        """``[total, on_link, arrival]`` of each coflow crossing ``link_id``
-        (residual; total at least 1e-9).  The link's flows are synced before
-        any total is read, which sees the coflow's others as last synced."""
-        on_link = self._by_link.get(link_id)
-        if not on_link:
-            return ()
-        return _coflow_groups(self._sync_members(on_link), 1e-9)
-
-    def host_coflow_state(self, host: NodeId) -> float:
-        """Node state (§5.1.1) at coflow granularity, ``host``'s flows
-        synced: the smallest residual coflow total there (inf when idle)."""
-        at_host = self._by_host.get(host)
-        if not at_host:
-            return _INF
-        groups = _coflow_groups(self._sync_members(at_host))
-        return min([total for total, _, _ in groups])
+    def coflow_edge_states(
+        self, reads: Sequence[Tuple[Optional[NodeId], LinkId]]
+    ) -> List[Tuple[List[Tuple[float, float, float]], float]]:
+        """The network daemons' CCT read of each ``(host, edge link)``, in
+        order: a residual ``(total, on_link, arrival)`` per coflow on the
+        link (a bare flow is its own; link-index order; a coflow's total at
+        least 1e-9; ``0 < on_link <= total``) and the node state at coflow
+        granularity (the smallest residual coflow total at the host, inf when
+        idle; a host of ``None`` reads the link alone).  The link's flows are
+        synced and grouped before the host's others are synced, so a total
+        sees the coflow's flows elsewhere as last synced.  The syncs are
+        :meth:`_sync_members` inlined, as in :meth:`host_edge_states`."""
+        by_host, by_link = self._by_host, self._by_link
+        now, synced_at, rates = self._engine.now, self._synced_at, self._rates
+        states = []
+        for host, link_id in reads:
+            on_link, coflows = by_link.get(link_id) or {}, []
+            for flow_id, flow in on_link.items():
+                dt = now - synced_at[flow_id]
+                if dt > 0:
+                    rate = rates.get(flow_id, 0.0)
+                    if rate > RATE_EPSILON:
+                        flow.advance(rate * dt)
+                    synced_at[flow_id] = now
+            if on_link:
+                groups: Dict[object, List[float]] = {}
+                for flow in on_link.values():
+                    unit = flow.coflow or flow
+                    entry = groups.get(unit)
+                    if entry is None:
+                        total = (flow.remaining if unit is flow
+                                 else max(unit.remaining_total, 1e-9))
+                        entry = groups[unit] = [total, 0.0, unit.arrival_time]
+                    entry[1] += flow.remaining
+                coflows = [(total, bits if bits < total else total, arrival)
+                           for total, bits, arrival in groups.values() if bits > 0]
+            node_state, units = _INF, {}
+            for flow_id, flow in by_host.get(host, {}).items():
+                dt = now - synced_at[flow_id]
+                if dt > 0:
+                    rate = rates.get(flow_id, 0.0)
+                    if rate > RATE_EPSILON:
+                        flow.advance(rate * dt)
+                    synced_at[flow_id] = now
+                if flow.coflow is not None:
+                    units[flow.coflow] = None
+                elif flow.remaining < node_state:
+                    node_state = flow.remaining
+            for unit in units:  # once every flow at the host is synced
+                total = unit.remaining_total
+                if total < node_state:
+                    node_state = total
+            states.append((coflows, node_state))
+        return states
 
     def current_rate(self, flow: Flow) -> float:
         """The flow's instantaneous allocated rate (bits/sec)."""

@@ -8,8 +8,7 @@ joint coflow placer all need the same two conversions:
 
 Centralising them keeps the snapshots identical everywhere; the grouping
 rule itself (bare flows count as singleton coflows; totals are residual)
-is the fabric's, behind :meth:`NetworkFabric.coflows_on_link` and
-:meth:`NetworkFabric.host_coflow_state`.
+is the fabric's, behind :meth:`NetworkFabric.coflow_edge_states`.
 """
 
 from __future__ import annotations
@@ -36,26 +35,21 @@ def flow_link_state(fabric: NetworkFabric, link_id: LinkId) -> LinkState:
 
 
 def coflow_link_state(fabric: NetworkFabric, link_id: LinkId) -> CoflowLinkState:
-    """Exact coflow-level snapshot of one link.
-
-    Flows of the same coflow are aggregated into one
-    :class:`CoflowOnLink` (residual total + residual on-link bytes); bare
-    flows become singleton coflows.
-    """
-    link = fabric.topology.link(link_id)
-    groups = fabric.coflows_on_link(link_id)
+    """Exact coflow-level snapshot of one link: the link-only read of
+    :meth:`NetworkFabric.coflow_edge_states` (residual total + residual
+    on-link bytes per coflow; bare flows become singleton coflows)."""
+    ((coflows, _),) = fabric.coflow_edge_states([(None, link_id)])
     # total > 0 and 0 < on-link <= total hold by construction here.
     return CoflowLinkState(
         link_id=link_id,
-        capacity=link.capacity,
+        capacity=fabric.topology.link(link_id).capacity,
         coflows=tuple([
             unchecked(
                 CoflowOnLink,
                 total_size=total,
-                size_on_link=min(on_link, total),
+                size_on_link=on_link,
                 arrival_time=arrival,
             )
-            for total, on_link, arrival in groups
-            if on_link > 0
-        ]) if groups else (),
+            for total, on_link, arrival in coflows
+        ]),
     )

@@ -13,7 +13,8 @@ both directions, stop the clock mid-flight, degrade links and fail them
 (a reroute re-inserts a flow in the link index but not in the host
 index, so the two orders part), under a coflow allocator and a flow
 allocator.  The ``slow`` leg checks every CCT query of 160-host Varys
-replays, plain and under a fault plan.
+replays, plain and under a fault plan, each round of queries
+(``NetworkDaemon.answer_round``) against the oracle asked host by host.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.coflow.policies.registry import make_coflow_allocator
 from repro.coflow.tracking import CoflowTracker
+from repro.daemons.messages import CoflowPredictionRequest
 from repro.daemons.network_daemon import NetworkDaemon
 from repro.errors import RoutingError
 from repro.experiments.runner import replay_coflow_trace
@@ -275,9 +277,8 @@ def test_dust_below_the_coflow_floor_is_floored_for_coflows_only():
     (up,) = coflow_link_state(new.fabric, "h000->tor0").coflows
     assert down.total_size == down.size_on_link == bare.remaining
     assert up.total_size == 1e-9 and up.size_on_link == member.remaining
-    assert new.fabric.host_coflow_state("h000") == min(
-        bare.remaining, member.remaining
-    )
+    ((_, node_state),) = new.fabric.coflow_edge_states([("h000", "h000->tor0")])
+    assert node_state == min(bare.remaining, member.remaining)
 
 
 # ----------------------------------------------------------------------
@@ -293,35 +294,43 @@ def _flow_state(fabric, flows: Dict) -> Dict:
 @pytest.mark.slow
 @pytest.mark.parametrize("faulted", [False, True], ids=["plain", "faulted"])
 def test_every_cct_query_of_a_clos_160_varys_replay(faulted, monkeypatch):
-    """Each query is answered by the oracle first, its flows are put back
-    as they were, then the daemon answers: the replies and the state the
-    two leave the queried link's and host's flows in must be equal."""
-    predict = NetworkDaemon.predict_coflow
+    """Each query round is answered by the oracle first, host by host, its
+    flows are put back as they were, then the round answers: each host's
+    reply and the state the two leave the queried links' and hosts' flows
+    in must be equal."""
+    answer_round = NetworkDaemon.answer_round
     busy_links: List[int] = []
 
-    def checked(self, total_size, size_on_link, direction="in"):
-        fabric = self._fabric
-        link = self._downlink if direction == "in" else self._uplink
-        touched = {
-            **fabric._by_link.get(link.link_id, {}),
-            **fabric._by_host.get(self._host, {}),
-        }
+    def checked(daemons, payload):
+        if not isinstance(payload, CoflowPredictionRequest):
+            return answer_round(daemons, payload)
+        fabric = daemons[0]._fabric
+        direction = payload.direction
+        touched, links = {}, []
+        for daemon in daemons:
+            link = daemon._downlink if direction == "in" else daemon._uplink
+            links.append(link.link_id)
+            touched.update(fabric._by_link.get(link.link_id, {}))
+            touched.update(fabric._by_host.get(daemon._host, {}))
         before = _flow_state(fabric, touched)
-        want = coflow_query_oracle.predict_coflow(
-            self, total_size, size_on_link, direction
-        )
+        want = [
+            coflow_query_oracle.predict_coflow(
+                daemon, payload.total_size, payload.size_on_link, direction
+            )
+            for daemon in daemons
+        ]
         after = _flow_state(fabric, touched)
         for fid, (remaining, attained, synced) in before.items():
             flow = touched[fid]
             flow.remaining, flow.attained = remaining, attained
             fabric._synced_at[fid] = synced
-        got = predict(self, total_size, size_on_link, direction)
+        got = answer_round(daemons, payload)
         assert got == want
         assert _flow_state(fabric, touched) == after
-        busy_links.append(len(fabric._by_link.get(link.link_id, ())))
+        busy_links.extend(len(fabric._by_link.get(link, ())) for link in links)
         return got
 
-    monkeypatch.setattr(NetworkDaemon, "predict_coflow", checked)
+    monkeypatch.setattr(NetworkDaemon, "answer_round", checked)
     topo = three_tier_clos()  # 4 pods x 4 racks x 10 hosts
     # Web-search coflows at 0.9 load keep several flows on a queried
     # link (Hadoop ones at 0.7, as in the benchmark, at most one).

@@ -180,6 +180,39 @@ class TestNetworkDaemon:
         # Node state is at coflow granularity: smallest coflow total (4 Gb).
         assert reply.node_state == pytest.approx(4e9)
 
+    def test_custom_coflow_predictor_answers_a_round(self):
+        """A predictor written against ``CoflowLinkState`` alone answers a
+        query round unchanged (``predict_link_objective``'s default)."""
+        from repro.predictor.coflow_cct import CoflowCCTPredictor
+        from repro.predictor.fabric_state import coflow_link_state
+
+        class Crowd(CoflowCCTPredictor):
+            def cct(self, new_total, new_on_link, link):
+                return float(len(link.coflows))
+
+            def delta_sum(self, new_total, new_on_link, link):
+                return sum(c.size_on_link for c in link.coflows) / link.capacity
+
+        engine, fabric = setup(coflow=True)
+        CoflowTracker(fabric).submit_coflow(
+            [("h000", "h002", 2e9), ("h001", "h002", 2e9)]
+        )
+        fabric.submit("h003", "h002", 1e9)
+        engine.run(until=0.5)
+        daemons = [
+            NetworkDaemon(host, fabric, make_flow_predictor("fair"),
+                          coflow_predictor=Crowd())
+            for host in ("h002", "h003")
+        ]  # fmt: skip
+        replies = NetworkDaemon.answer_round(
+            daemons, CoflowPredictionRequest(1e9, 1e9)
+        )
+        state = coflow_link_state(fabric, "sw0->h002")
+        assert replies[0].predicted_time == Crowd().link_objective(1e9, 1e9, state)
+        # a coflow and a bare flow; 5 Gb less the 0.5 Gb the link carried
+        assert replies[0].predicted_time == 2.0 + 4.5
+        assert replies[1].predicted_time == 0.0
+
     def test_compressed_mode_tracks_arrivals_and_departures(self):
         engine, fabric = setup()
         daemon = NetworkDaemon(
@@ -469,8 +502,9 @@ class TestQueryChain:
         """The structural guard on the host cost of a decision: function
         calls (Python and C) per queried candidate, decision overhead
         amortised over the 15 candidates of the pinned fabrics.  A query
-        round makes 16.3 per flow query and 48.5 per coflow query (CPython
-        3.11); the per-host call chain before it made 25.6 and 46.9, the
+        round answered in one pass makes 16.3 per flow query and 22.7 per
+        coflow query (CPython 3.11); a coflow round answered host by host
+        made 48.5, the per-host call chain before rounds 25.6 and 46.9, the
         coflow query 64.9 before it read the link and the node state in
         one lean pass each, and the loop before the shared query chain
         made 45.6 and 80.2."""
@@ -489,7 +523,7 @@ class TestQueryChain:
             lambda: daemon.place_coflow_flow(5e8, 1e9, "h000", CANDIDATES)
         )
         assert daemon.decisions[-1].queried_hosts == CANDIDATES
-        assert calls / len(CANDIDATES) <= 52
+        assert calls / len(CANDIDATES) <= 25
 
     def test_predict_coflow_reads_the_link_before_syncing_the_host(self):
         """The order a CCT query touches the fabric in is part of its
@@ -579,9 +613,10 @@ def _per_host_round(bus, hosts, payload, *, strict=False):
 
 
 def _observed_neat_replay(monkeypatch, topology, trace, neat_kwargs, **spec):
-    """Replay ``trace`` under fair + NEAT with the trace, decision log,
-    causal stream and registry armed; returns everything a query round
-    must leave unchanged, down to the fault plan's next loss draw."""
+    """Replay ``trace`` under NEAT (a flow trace under fair, a coflow trace
+    through ``replay_coflow_trace`` under Varys) with the trace, decision
+    log, causal stream and registry armed; returns everything a query
+    round must leave unchanged, down to the fault plan's next loss draw."""
     import dataclasses
     import io
     from functools import partial
@@ -590,6 +625,7 @@ def _observed_neat_replay(monkeypatch, topology, trace, neat_kwargs, **spec):
     from repro.placement import registry as placements
     from repro.placement.neat import build_neat
     from repro.telemetry import CausalTracer, DecisionLog, JsonlTraceSink
+    from repro.workloads.traces import CoflowArrival
 
     from repro.faults.injector import arm_faults as arm
 
@@ -615,9 +651,12 @@ def _observed_neat_replay(monkeypatch, topology, trace, neat_kwargs, **spec):
         decisions=DecisionLog(trace=sink),
         causal=CausalTracer(),
     )
-    result = runner.replay_flow_trace(
-        trace, topology, network_policy="fair", placement="neat",
-        seed=trace.seed, max_candidates=8, telemetry=telemetry, **spec,
+    coflows = isinstance(trace.arrivals[0], CoflowArrival)
+    replay = runner.replay_coflow_trace if coflows else runner.replay_flow_trace
+    result = replay(
+        trace, topology, network_policy="varys" if coflows else "fair",
+        placement="neat", seed=trace.seed, max_candidates=8,
+        telemetry=telemetry, **spec,
     )  # fmt: skip
     telemetry.close()
     injector = armed[0]
@@ -633,13 +672,18 @@ def _observed_neat_replay(monkeypatch, topology, trace, neat_kwargs, **spec):
     }
 
 
-def _golden_setup():
-    """The observed goldens' pinned 20-host scenario (regen_goldens.py)."""
+def _golden_setup(coflows=False):
+    """The observed goldens' pinned 20-host scenario (regen_goldens.py):
+    the ``fair_neat`` flow trace, or ``varys_neat``'s 15 Hadoop coflows."""
     import importlib.util
     from pathlib import Path
 
     from repro.topology.fabrics import three_tier_clos
-    from repro.workloads import generate_flow_trace, make_distribution
+    from repro.workloads import (
+        generate_coflow_trace,
+        generate_flow_trace,
+        make_distribution,
+    )
 
     path = Path(__file__).resolve().parent / "goldens" / "regen_goldens.py"
     spec = importlib.util.spec_from_file_location("regen_goldens", path)
@@ -651,20 +695,42 @@ def _golden_setup():
         racks_per_pod=scenario["racks_per_pod"],
         hosts_per_rack=scenario["hosts_per_rack"],
     )
-    trace = generate_flow_trace(
+    make_trace = generate_coflow_trace if coflows else generate_flow_trace
+    trace = make_trace(
         hosts=topology.hosts,
-        distribution=make_distribution(scenario["workload"]),
+        distribution=make_distribution(
+            "hadoop" if coflows else scenario["workload"]
+        ),
         load=scenario["load"],
         edge_capacity=1e9,
-        num_arrivals=scenario["num_arrivals"],
+        num_arrivals=15 if coflows else scenario["num_arrivals"],
         seed=scenario["seed"],
     )
     return topology, trace, goldens._faulted_plan()
 
 
+def _parent_handle(handle):
+    """``NetworkDaemon.handle`` with a CCT query answered by the parent's
+    per-host chain, kept verbatim in ``tests/coflow_query_oracle.py``:
+    link read, then the host's node state, one host at a time."""
+    from tests import coflow_query_oracle
+
+    def handled(daemon, payload):
+        if not isinstance(payload, CoflowPredictionRequest):
+            return handle(daemon, payload)
+        return coflow_query_oracle.predict_coflow(
+            daemon, payload.total_size, payload.size_on_link, payload.direction
+        )
+
+    return handled
+
+
 def _assert_round_matches_per_host_calls(monkeypatch, setup, neat_kwargs, **spec):
     rounds = _observed_neat_replay(monkeypatch, *setup, neat_kwargs, **spec)
     monkeypatch.setattr(MessageBus, "call_round", _per_host_round)
+    monkeypatch.setattr(
+        NetworkDaemon, "handle", _parent_handle(NetworkDaemon.handle)
+    )
     per_host = _observed_neat_replay(monkeypatch, *setup, neat_kwargs, **spec)
     assert rounds.keys() == per_host.keys()
     for key in rounds:
@@ -674,15 +740,20 @@ def _assert_round_matches_per_host_calls(monkeypatch, setup, neat_kwargs, **spec
 
 class TestQueryRound:
     """A decision's queries are one bus round (``MessageBus.call_round``);
-    the reference is the parent's loop of one ``call`` per host."""
+    the reference is the parent's loop of one ``call`` per host, a CCT
+    query answered by the parent's per-host chain."""
 
     @pytest.mark.parametrize(
-        "leg", ["fair_neat", "faulted_neat", "faulted_ttl_source_link_bins"]
-    )
+        "leg",
+        [
+            "fair_neat", "faulted_neat", "faulted_ttl_source_link_bins",
+            "varys_neat", "faulted_varys_neat",
+        ],
+    )  # fmt: skip
     def test_round_matches_per_host_calls(self, monkeypatch, leg):
-        topology, trace, plan = _golden_setup()
+        topology, trace, plan = _golden_setup(coflows="varys" in leg)
         neat_kwargs, spec = {}, {}
-        if leg != "fair_neat":  # the faulted golden's knobs
+        if leg.startswith("faulted"):  # the faulted golden's knobs
             spec = dict(faults=plan, state_ttl=0.001, push_updates=True)
         if leg == "faulted_ttl_source_link_bins":
             neat_kwargs = dict(
@@ -693,9 +764,50 @@ class TestQueryRound:
             monkeypatch, (topology, trace), neat_kwargs, **spec
         )
         assert outputs["decisions"] and outputs["trace"]
-        if leg != "fair_neat":
+        if leg.startswith("faulted"):
             assert outputs["query_failures"] > 0
             assert outputs["next_draw"] is not None
+
+    @pytest.mark.parametrize("predictor", ["coflow-fair", "tcf"])
+    def test_coflow_round_matches_per_host_calls_through_hosts(
+        self, monkeypatch, predictor
+    ):
+        """What the replays cannot reach (a coflow never enters one of its
+        own sources there): coflows that cross several candidates' downlinks
+        and leave through their uplinks, mid-flight under fair sharing, so
+        a CCT read's totals depend on the hosts' order and on the link
+        being read before the rest of the host.  Three decisions a round
+        each, against the parent's per-host chain."""
+        import dataclasses
+
+        def decide():
+            engine, fabric = setup(hosts=16)
+            tracker = CoflowTracker(fabric)
+            for i in range(1, 13, 3):
+                tracker.submit_coflow([
+                    ("h000", f"h{i:03d}", 2e9),
+                    (f"h{i:03d}", f"h{i + 1:03d}", 3e9),
+                    (f"h{i + 2:03d}", f"h{i + 1:03d}", 1e9 * i),
+                    (f"h{i + 1:03d}", f"h{i + 3:03d}", 2.5e9),
+                ])  # fmt: skip
+            neat = neat_on(fabric, coflow_predictor=predictor)
+            for until in (0.1, 0.7, 1.9):
+                engine.run(until=until)
+                neat.daemon.place_coflow_flow(5e8, 2e9, "h000", CANDIDATES)
+            return (
+                [dataclasses.asdict(d) for d in neat.daemon.decisions],
+                neat.bus.messages_sent,
+                [(f.flow_id, f.remaining, f.attained, fabric._synced_at[f.flow_id])
+                 for f in fabric.active_flows()],
+            )  # fmt: skip
+
+        rounds = decide()
+        monkeypatch.setattr(MessageBus, "call_round", _per_host_round)
+        monkeypatch.setattr(
+            NetworkDaemon, "handle", _parent_handle(NetworkDaemon.handle)
+        )
+        assert rounds == decide()
+        assert all(d["queried_hosts"] == CANDIDATES for d in rounds[0])
 
     @pytest.mark.slow
     def test_round_matches_per_host_calls_clos_160(self, monkeypatch):
@@ -726,5 +838,39 @@ class TestQueryRound:
             (topology, trace),
             dict(include_source_link=True),
             faults=plan, state_ttl=0.005, push_updates=True,
+        )  # fmt: skip
+        assert outputs["query_failures"] > 100
+
+    @pytest.mark.slow
+    def test_coflow_round_matches_per_host_calls_clos_160(self, monkeypatch):
+        """Varys coflows on the benchmark's 160-host Clos under a lossy
+        bus, a host going down and pushes: ~1,200 rounds of up to 8 hosts.
+        No state TTL: with one, the stale-state fallback places nearly
+        every coflow flow without a query (the 20-host faulted leg has it)."""
+        from repro.faults import FaultPlan, HostDown, MessageLoss
+        from repro.topology.fabrics import three_tier_clos
+        from repro.workloads import generate_coflow_trace, make_distribution
+
+        topology = three_tier_clos(pods=4, racks_per_pod=4, hosts_per_rack=10)
+        trace = generate_coflow_trace(
+            hosts=topology.hosts,
+            distribution=make_distribution("hadoop"),
+            load=0.7,
+            edge_capacity=1e9,
+            num_arrivals=300,
+            seed=42,
+        )
+        plan = FaultPlan(
+            events=(
+                MessageLoss(start=0.0, p=0.1),
+                HostDown(time=0.05, host=topology.hosts[17]),
+            ),
+            seed=42,
+        )
+        outputs = _assert_round_matches_per_host_calls(
+            monkeypatch,
+            (topology, trace),
+            {},
+            faults=plan, push_updates=True,
         )  # fmt: skip
         assert outputs["query_failures"] > 100

@@ -175,6 +175,98 @@ class TestEq14to17Permutation:
         )
 
 
+def _parent_fair_terms(new_total, new_on_link, link):
+    """``CoflowFairPredictor.cct`` / ``delta_sum`` before they shared one
+    pass over raw triples, verbatim but for the ``self.`` receiver."""
+    load = new_on_link
+    for c in link.coflows:
+        if c.total_size <= new_total:
+            load += c.size_on_link
+        else:
+            load += new_total * c.size_on_link / c.total_size
+    total = 0.0
+    for c in link.coflows:
+        total += min(c.total_size, new_total)
+    return load / link.capacity, (new_on_link / new_total) * total / link.capacity
+
+
+def _parent_fcfs_cct(new_on_link, link):
+    """``CoflowFCFSPredictor.cct`` before it folded: its ``sum`` is this
+    left fold from 0 on CPython 3.11."""
+    queued = 0
+    for c in link.coflows:
+        queued += c.size_on_link
+    return (new_on_link + queued) / link.capacity
+
+
+class TestRawTriples:
+    """``predict_link_objective`` over raw ``(total, on_link, arrival)``
+    triples is each family's one body: ``cct`` / ``delta_sum`` /
+    ``link_objective`` on a snapshot answer from it, bit for bit as before."""
+
+    @given(
+        name=st.sampled_from(
+            ("coflow-fair", "coflow-las", "coflow-fcfs", *PERMUTATIONS)
+        ),
+        new_total=st.sampled_from((1e9, 4e9, 3.3e9)),
+        new_share=st.sampled_from((0.0, 0.5, 1.0)),
+        coflows=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from((1e9, 4e9, 3.3e9)),
+                    st.floats(1.0, 1e11),
+                ),
+                st.sampled_from((0.1, 0.5, 1.0)),
+                st.sampled_from((0.0, 1.0, 2.5)),
+            ),
+            max_size=6,
+        ),
+        capacity=st.sampled_from((1e9, 3e8, 1e10 / 3)),
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_snapshot_entry_points_answer_from_the_triples(
+        self, name, new_total, new_share, coflows, capacity
+    ):
+        predictor = PERMUTATIONS.get(name) or make_coflow_predictor(name)
+        triples = [(t, t * share, arrival) for t, share, arrival in coflows]
+        state = clink(triples, capacity)
+        new_on_link = new_total * new_share
+        cct = predictor.cct(new_total, new_on_link, state)
+        delta = predictor.delta_sum(new_total, new_on_link, state)
+        raw = predictor.predict_link_objective(
+            new_total, new_on_link, capacity, triples
+        )
+        assert raw == cct + delta
+        assert predictor.link_objective(new_total, new_on_link, state) == raw
+        # The permutations' parent bodies: test_one_pass_equals_the_two...
+        if name == "coflow-fcfs":
+            assert (cct, delta) == (_parent_fcfs_cct(new_on_link, state), 0.0)
+        elif name in ("coflow-fair", "coflow-las"):
+            assert (cct, delta) == _parent_fair_terms(
+                new_total, new_on_link, state
+            )
+
+    def test_a_custom_predictor_answers_through_its_own_snapshot_methods(self):
+        """The base-class default: a predictor written against
+        ``CoflowLinkState`` (``cct`` and ``delta_sum`` only) is asked its
+        :meth:`link_objective` on the snapshot the triples make."""
+        from repro.predictor.coflow_cct import CoflowCCTPredictor
+
+        class Busy(CoflowCCTPredictor):
+            name = "busy"
+
+            def cct(self, new_total, new_on_link, link):
+                return (new_on_link + len(link.coflows) * 1e9) / link.capacity
+
+            def delta_sum(self, new_total, new_on_link, link):
+                return sum(c.normalized_load for c in link.coflows)
+
+        triples = [(4e9, 1e9, 0.0), (2e9, 2e9, 1.0)]
+        got = Busy().predict_link_objective(3e9, 1e9, 2e9, triples)
+        assert got == Busy().link_objective(3e9, 1e9, clink(triples, 2e9))
+        assert got == (1e9 + 2e9) / 2e9 + (0.25 + 1.0)
+
+
 class TestInvariance42:
     """§4.2.4: when every coflow splits traffic identically
     (s_{c,l}/s_c equal for all), TCF's objective equals the fair CCT."""

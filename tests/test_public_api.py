@@ -111,15 +111,19 @@ REMOVED_SYMBOLS = {
 #: Methods removed (CHANGES.md).  1.10.0: the decision log is a plain probe
 #: channel whose ``begin_run`` labels the run and joins its completions, and
 #: the rollup store's unused introspection is gone.  1.13.0: the daemons
-#: read their edge state in one batched call, ``host_edge_states``.
+#: read their edge state in one batched call, ``host_edge_states``; 1.14.0:
+#: their coflow state too, ``coflow_edge_states``.
 REMOVED_METHODS = {
     ("repro.telemetry", "DecisionLog"): ("set_context", "bind", "bind_coflows"),
     ("repro.telemetry", "TimeseriesStore"): ("series_names", "span"),
-    ("repro.network", "NetworkFabric"): ("host_edge_state",),
+    ("repro.network", "NetworkFabric"): (
+        "host_edge_state", "host_coflow_state", "coflows_on_link",
+    ),
 }
 
 #: Methods the docs rely on.  1.13.0: a decision's queries are one bus
-#: round, answered in one pass over raw residual sizes.
+#: round, answered in one pass over raw residual sizes; 1.14.0: a coflow
+#: decision's too, over raw ``(total, on_link, arrival)`` triples.
 PUBLIC_METHODS = {
     ("repro.daemons", "MessageBus"): (
         "call", "call_round", "register_round", "push",
@@ -128,7 +132,12 @@ PUBLIC_METHODS = {
         "handle", "answer_round", "predict_flow", "link_state",
     ),
     ("repro.predictor", "FlowFCTPredictor"): ("fct", "predict_fct"),
-    ("repro.network", "NetworkFabric"): ("host_edge_states",),
+    ("repro.predictor", "CoflowCCTPredictor"): (
+        "cct", "delta_sum", "link_objective", "predict_link_objective",
+    ),
+    ("repro.network", "NetworkFabric"): (
+        "host_edge_states", "coflow_edge_states",
+    ),
 }
 
 #: Keyword arguments removed in 1.7.0 (CHANGES.md): a recompute's scope is
