@@ -20,7 +20,6 @@ from repro.coflow.tracking import CoflowTracker
 from repro.errors import PlacementError
 from repro.placement.base import PlacementPolicy, PlacementRequest
 from repro.predictor.coflow_cct import CoflowCCTPredictor
-from repro.predictor.fabric_state import coflow_link_state
 from repro.topology.base import NodeId
 
 Transfer = Tuple[NodeId, float]  # (data node, size in bits)
@@ -127,15 +126,16 @@ def place_coflow_joint(
     topo = fabric.topology
     total = sum(size for _node, size in transfers)
 
-    # Snapshot the states of every potentially involved edge link once.
+    # Read every potentially involved edge link once: capacity + raw triples.
     links = {}
     for node, _size in transfers:
         links[topo.host_uplink(node).link_id] = None
     for host in candidates:
         links[topo.host_downlink(host).link_id] = None
-    states = {
-        link_id: coflow_link_state(fabric, link_id) for link_id in links
-    }
+    reads = fabric.coflow_edge_states([(None, link_id) for link_id in links])
+    states = {link_id: (topo.link(link_id).capacity, coflows)
+              for link_id, (coflows, _) in zip(links, reads)}
+    score_link = predictor.predict_link_objective
 
     best_assignment = None
     best_score = float("inf")
@@ -153,7 +153,7 @@ def place_coflow_joint(
             score = 0.0
         else:
             score = max(
-                predictor.link_objective(total, on_link, states[link_id])
+                score_link(total, on_link, *states[link_id])
                 for link_id, on_link in loads.items()
             )
         if score < best_score:

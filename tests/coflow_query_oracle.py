@@ -1,21 +1,27 @@
-"""Test-only oracle: the coflow CCT query as it stood before the fabric
-grouped a link's flows by coflow and the permutation predictor made one
-pass over them, verbatim.
+"""Test-only oracle: the coflow CCT query as it stood before a coflow
+decision became one query round, host by host.
 
-``NetworkDaemon.predict_coflow`` now reads the link through
-``NetworkFabric.coflows_on_link``, takes the node state from
-``NetworkFabric.host_coflow_state`` and scores a permutation predictor
-(TCF / Varys / SEBF / FIFO) from one pass over the link's coflows.  Every
-reply, and the state each query leaves the fabric's flows in, is claimed
-to be what these bodies produce: ``tests/test_coflow_query_differential.py``
-checks that claim with ``==`` (no tolerance).  The bodies below are the
-parent's ``coflow_link_state``, ``NetworkDaemon.coflow_node_state`` and
+``NetworkDaemon.answer_round`` now answers a coflow round from one
+``NetworkFabric.coflow_edge_states`` read (per host the edge link's flows
+synced and grouped by coflow, then the rest of the host's flows synced for
+the node state) and one ``CoflowCCTPredictor.predict_link_objective`` per
+host over raw ``(total, on_link, arrival)`` triples; ``predict_coflow`` is
+a round of one.  Every reply, and the state each query leaves the
+fabric's flows in, is claimed to be what these bodies produce:
+``tests/test_coflow_query_differential.py`` checks that claim with ``==``
+(no tolerance).  The bodies below are the per-host chain's
+``coflow_link_state``, ``NetworkDaemon.coflow_node_state`` and
 ``predict_coflow``, ``NetworkFabric._synced`` and ``flows_on_link`` /
 ``flows_at_host`` (over the fabric's unchanged ``_sync_flow``),
-``Coflow.remaining_total`` and ``PermutationPredictor.cct`` /
-``delta_sum``, with ``self.`` calls into them turned into calls of this
-module, so no arithmetic here runs through the code under test.  Nothing
-under ``src/`` imports this module.
+``Coflow.remaining_total``, ``PermutationPredictor.cct`` / ``delta_sum``,
+``CoflowFairPredictor.cct`` / ``delta_sum`` and
+``CoflowFCFSPredictor.cct``, with ``self.`` calls into them turned into
+calls of this module, so no predictor or grouping arithmetic here runs
+through the code under test (a custom predictor answers for itself).
+Float sums are left folds from ``sum``'s 0: the same bits as the
+original ``sum`` on CPython 3.11, and on 3.12, whose float ``sum`` is
+compensated, the same bits as the code under test, which folds left too.
+Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -24,7 +30,11 @@ from typing import Dict, List
 
 from repro.daemons.messages import PredictionReply
 from repro.errors import DaemonError
-from repro.predictor.coflow_cct import PermutationPredictor
+from repro.predictor.coflow_cct import (
+    CoflowFairPredictor,
+    CoflowFCFSPredictor,
+    PermutationPredictor,
+)
 from repro.predictor.state import CoflowLinkState, CoflowOnLink, unchecked
 
 
@@ -47,7 +57,10 @@ def flows_at_host(fabric, host) -> list:
 
 def remaining_total(coflow) -> float:
     """Bits still to transfer across all constituent flows."""
-    return sum(f.remaining for f in coflow.flows)
+    total = 0
+    for f in coflow.flows:
+        total += f.remaining
+    return total
 
 
 def coflow_link_state(fabric, link_id) -> CoflowLinkState:
@@ -111,12 +124,10 @@ def permutation_cct(
 ) -> float:
     # Equation (14): bytes of every coflow at or ahead of c0's rank.
     new_key = key(new_total, new_on_link, float("inf"))
-    ahead = sum(
-        c.size_on_link
-        for c in link.coflows
-        if key(c.total_size, c.size_on_link, c.arrival_time)
-        <= new_key
-    )
+    ahead = 0
+    for c in link.coflows:
+        if key(c.total_size, c.size_on_link, c.arrival_time) <= new_key:
+            ahead += c.size_on_link
     return (new_on_link + ahead) / link.capacity
 
 
@@ -135,15 +146,42 @@ def permutation_delta_sum(
     return new_on_link * behind / link.capacity
 
 
+def fair_terms(new_total: float, new_on_link: float, link: CoflowLinkState):
+    """``(cct, delta_sum)`` of ``CoflowFairPredictor`` (and LAS)."""
+    load = new_on_link
+    for c in link.coflows:
+        if c.total_size <= new_total:
+            load += c.size_on_link
+        else:
+            load += new_total * c.size_on_link / c.total_size
+    total = 0.0
+    for c in link.coflows:
+        total += min(c.total_size, new_total)
+    return load / link.capacity, (new_on_link / new_total) * total / link.capacity
+
+
+def fcfs_cct(new_on_link: float, link: CoflowLinkState) -> float:
+    """``CoflowFCFSPredictor.cct``; its ``delta_sum`` is 0.0."""
+    queued = 0
+    for c in link.coflows:
+        queued += c.size_on_link
+    return (new_on_link + queued) / link.capacity
+
+
 def link_objective(
     predictor, new_total: float, new_on_link: float, link: CoflowLinkState
 ) -> float:
-    """Per-link term of objective (2): CCT(c0,l) + Σ ΔCCT(c,l).  The fair
-    and FCFS predictors are unchanged code and answer for themselves."""
+    """Per-link term of objective (2): CCT(c0,l) + Σ ΔCCT(c,l).  A
+    predictor of none of the built-in families answers for itself."""
     if isinstance(predictor, PermutationPredictor):
         return permutation_cct(
             predictor._key, new_total, new_on_link, link
         ) + permutation_delta_sum(predictor._key, new_total, new_on_link, link)
+    if isinstance(predictor, CoflowFairPredictor):
+        cct, delta = fair_terms(new_total, new_on_link, link)
+        return cct + delta
+    if isinstance(predictor, CoflowFCFSPredictor):
+        return fcfs_cct(new_on_link, link) + 0.0
     return predictor.link_objective(new_total, new_on_link, link)
 
 

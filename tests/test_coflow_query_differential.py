@@ -37,6 +37,7 @@ from repro.network.policies.registry import make_allocator
 from repro.predictor.coflow_cct import PermutationPredictor
 from repro.predictor.fabric_state import coflow_link_state
 from repro.predictor.registry import make_coflow_predictor, make_flow_predictor
+from repro.predictor.state import CoflowLinkState, CoflowOnLink
 from repro.sim.engine import Engine
 from repro.topology.fabrics import three_tier_clos
 from repro.workloads import generate_coflow_trace, make_distribution
@@ -279,6 +280,56 @@ def test_dust_below_the_coflow_floor_is_floored_for_coflows_only():
     assert up.total_size == 1e-9 and up.size_on_link == member.remaining
     ((_, node_state),) = new.fabric.coflow_edge_states([("h000", "h000->tor0")])
     assert node_state == min(bare.remaining, member.remaining)
+
+
+def _compensated_sum(iterable, start=0):
+    """CPython 3.12's float ``sum`` (Neumaier compensation), for a 3.11 run."""
+    total, compensation = float(start), 0.0
+    for x in iterable:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation else total
+
+
+def test_a_compensated_sum_changes_no_answer(monkeypatch):
+    """With ``sum`` compensated, as on CPython 3.12, the code and the oracle
+    still agree bit for bit: both fold coflow totals and bytes ahead left.
+    Four three-flow coflows into h000, mid-flight, where the compensated
+    and the left-folded sums of both part."""
+    import builtins
+    import itertools
+    from functools import reduce
+    from operator import add
+
+    new, old = World("fair"), World("fair")
+    sizes = (1e9 / 3, 1e9 / 7, 1e9 / 11)
+    for i in range(4):
+        sources = [HOSTS[2 + (i + k) % 6] for k in range(3)]
+        step = ("coflow", [(src, "h000", size * (i + 1))
+                           for src, size in zip(sources, sizes)], True)
+        assert new.apply(step) == old.apply(step) == "ok"
+    assert new.apply(("advance", 0.1)) == old.apply(("advance", 0.1))
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    for predictor in PREDICTORS:
+        for host in ("h000", HOSTS[2]):
+            for direction, on_link in itertools.product(("in", "out"), (0, 3e9)):
+                query_both(new, old, host, direction, 9e9, on_link, predictor)
+    # The scenario bites: a coflow's total, and the bytes ahead on h000's
+    # downlink (every coflow, under TCF), differ between the two sums.
+    coflows = dict.fromkeys(f.coflow for f in new.flows)
+    residuals = [[f.remaining for f in c.flows] for c in coflows]
+    assert [sum(r) for r in residuals] != [reduce(add, r, 0) for r in residuals]
+    # And eq. (14)'s bytes ahead, on a link whose on-link bits part the sums.
+    bits = (0.1, 0.2, 0.3)
+    assert sum(bits) != reduce(add, bits, 0)
+    link = CoflowLinkState("l", 1.0, tuple(CoflowOnLink(1.0, b) for b in bits))
+    for name, predictor in PREDICTORS.items():
+        want = coflow_query_oracle.link_objective(predictor, 9.0, 0, link)
+        assert predictor.link_objective(9.0, 0, link) == want, name
 
 
 # ----------------------------------------------------------------------

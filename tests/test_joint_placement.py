@@ -133,3 +133,36 @@ class TestJointPlacement:
             engine.run()
             results[mode] = coflow.cct()
         assert results["joint"] <= results["sequential"] + 1e-9
+
+
+@pytest.mark.parametrize("name", ["varys", "coflow-fair", "coflow-fcfs"])
+def test_joint_scores_equal_the_snapshot_objective(name):
+    """The search scores raw triples from one batched read: the assignment
+    it picks is the argmin of ``link_objective`` over the per-link
+    snapshots, with busy links mid-transfer and ties broken the same way."""
+    import itertools
+
+    engine, fabric, tracker = setup(8)
+    tracker.submit_coflow([("h006", "h001", 3e9), ("h007", "h002", 1e9)])
+    tracker.submit_coflow([("h006", "h003", 2e9)])
+    fabric.submit("h007", "h001", 5e8)  # a bare flow
+    engine.run(until=0.7)
+    predictor = make_coflow_predictor(name)
+    transfers = [("h000", 2e9), ("h005", 1e9), ("h006", 5e8)]
+    pool = ["h001", "h002", "h003", "h004"]
+    topo = fabric.topology
+    total = sum(size for _node, size in transfers)
+    best, best_score = None, float("inf")
+    for assignment in itertools.product(pool, repeat=len(transfers)):
+        loads = {}
+        for (node, size), host in zip(transfers, assignment):
+            for link in (topo.host_uplink(node), topo.host_downlink(host)):
+                loads[link.link_id] = loads.get(link.link_id, 0.0) + size
+        score = max(
+            predictor.link_objective(total, on_link, coflow_link_state(fabric, l))
+            for l, on_link in loads.items()
+        )
+        if score < best_score:
+            best, best_score = assignment, score
+    coflow = place_coflow_joint(tracker, transfers, pool, predictor)
+    assert tuple(f.dst for f in coflow.flows) == best

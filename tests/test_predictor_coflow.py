@@ -175,30 +175,6 @@ class TestEq14to17Permutation:
         )
 
 
-def _parent_fair_terms(new_total, new_on_link, link):
-    """``CoflowFairPredictor.cct`` / ``delta_sum`` before they shared one
-    pass over raw triples, verbatim but for the ``self.`` receiver."""
-    load = new_on_link
-    for c in link.coflows:
-        if c.total_size <= new_total:
-            load += c.size_on_link
-        else:
-            load += new_total * c.size_on_link / c.total_size
-    total = 0.0
-    for c in link.coflows:
-        total += min(c.total_size, new_total)
-    return load / link.capacity, (new_on_link / new_total) * total / link.capacity
-
-
-def _parent_fcfs_cct(new_on_link, link):
-    """``CoflowFCFSPredictor.cct`` before it folded: its ``sum`` is this
-    left fold from 0 on CPython 3.11."""
-    queued = 0
-    for c in link.coflows:
-        queued += c.size_on_link
-    return (new_on_link + queued) / link.capacity
-
-
 class TestRawTriples:
     """``predict_link_objective`` over raw ``(total, on_link, arrival)``
     triples is each family's one body: ``cct`` / ``delta_sum`` /
@@ -239,12 +215,12 @@ class TestRawTriples:
         assert raw == cct + delta
         assert predictor.link_objective(new_total, new_on_link, state) == raw
         # The permutations' parent bodies: test_one_pass_equals_the_two...
+        from tests.coflow_query_oracle import fair_terms, fcfs_cct
+
         if name == "coflow-fcfs":
-            assert (cct, delta) == (_parent_fcfs_cct(new_on_link, state), 0.0)
+            assert (cct, delta) == (fcfs_cct(new_on_link, state), 0.0)
         elif name in ("coflow-fair", "coflow-las"):
-            assert (cct, delta) == _parent_fair_terms(
-                new_total, new_on_link, state
-            )
+            assert (cct, delta) == fair_terms(new_total, new_on_link, state)
 
     def test_a_custom_predictor_answers_through_its_own_snapshot_methods(self):
         """The base-class default: a predictor written against
