@@ -93,10 +93,11 @@ class MessageBus:
             raise DaemonError("round handler already registered")
         self._round = handler
 
-    def _admit(self, host: NodeId, payload: Any, endpoints=None) -> float:
+    def _admit(self, host: NodeId, payload: Any, endpoints=None, run=None) -> float:
         """Every message's admission: down host, endpoint (for requests),
         fault-plan drop and delay draws.  Returns the delay; a lost message
-        went out, is accounted, and raises DaemonUnreachable / MessageDropped."""
+        went out, is accounted, is reported after ``run`` (its round's hosts
+        delivered since the last report) and raises the loss."""
         if host in self._down_hosts:
             reason, lost = "host_down", DaemonUnreachable(f"host {host!r} is down")
         elif endpoints is not None and host not in endpoints:
@@ -113,7 +114,10 @@ class MessageBus:
         self._messages_sent += 1
         self._messages_dropped += 1
         if self._probe is not None:
-            self._probe.note_bus_drop(self._engine.now, host, payload, reason)
+            now = self._engine.now
+            if run:
+                self._probe.note_bus_round(now, run, payload, self._rtt)
+            self._probe.note_bus_drop(now, host, payload, reason)
         raise lost
 
     def call(self, host: NodeId, payload: Any) -> Any:
@@ -132,24 +136,30 @@ class MessageBus:
         self, hosts: Sequence[NodeId], payload: Any, *, strict: bool = False
     ) -> Tuple[List[NodeId], List[Any]]:
         """Send the one ``payload`` to each of ``hosts``, per host and in
-        order as :meth:`call` does (admission, counters, probe calls), then
-        answer the delivered hosts in one round (:meth:`register_round`).
-        Returns ``(delivered hosts, their replies)``; a lost message leaves
-        its host out, or raises when ``strict``."""
-        admit, endpoints, probe = self._admit, self._endpoints, self._probe
+        order as :meth:`call` does (admission, counters; the probe sees each
+        run of delivered hosts between losses once), then answer them in one
+        round (:meth:`register_round`).  Returns ``(delivered hosts, their
+        replies)``; a lost message leaves its host out, or raises when
+        ``strict``."""
+        admit, endpoints = self._admit, self._endpoints
+        run = [] if self._probe is not None else None
         delivered = []
         for host in hosts:
             try:
-                self._delay_accrued += admit(host, payload, endpoints)
+                self._delay_accrued += admit(host, payload, endpoints, run)
             except (DaemonUnreachable, MessageDropped):
                 if strict:
                     raise
+                if run:
+                    run = []
                 continue
             self._messages_sent += 2
             self._calls += 1
-            if probe is not None:
-                probe.note_bus_message(self._engine.now, host, payload, self._rtt)
             delivered.append(host)
+            if run is not None:
+                run.append(host)
+        if run:
+            self._probe.note_bus_round(self._engine.now, run, payload, self._rtt)
         if self._round is not None:
             return delivered, self._round(delivered, payload)
         return delivered, [endpoints[host](payload) for host in delivered]

@@ -240,8 +240,7 @@ class TaskPlacementDaemon:
         lost = len(hosts) - len(delivered)
         self._query_failures += lost
         if lost and self._probe is not None:
-            for _ in range(lost):
-                self._probe.on_query_failure()
+            self._probe.on_query_failure(lost)
         cache = self._node_state_cache
         seen_at = self._state_seen_at if self._state_ttl is not None else None
         now = self._engine.now

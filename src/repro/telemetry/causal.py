@@ -185,9 +185,9 @@ class CausalTracer:
         )
         self._current = None
 
-    def note_bus_message(self, t, host, payload, rtt) -> None:
+    def note_bus_round(self, t, hosts, payload, rtt) -> None:
         if self._current is not None:
-            self._task_messages += 1
+            self._task_messages += len(hosts)
 
     def note_bus_drop(self, t, host, payload, reason) -> None:
         if self._current is not None:

@@ -56,7 +56,7 @@ EVENTS = (
     "on_abort",
     "on_coflow",
     "on_coflow_done",
-    "note_bus_message",
+    "note_bus_round",
     "note_bus_drop",
     "on_bus_push",
     "on_query_failure",

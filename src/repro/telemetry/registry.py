@@ -263,9 +263,9 @@ class MetricsProbe:
             component_flows
         )
 
-    def note_bus_message(self, t, host, payload, rtt) -> None:
-        self._counters["bus.messages_sent"].value += 2  # request + reply
-        self._counters["bus.calls"].value += 1
+    def note_bus_round(self, t, hosts, payload, rtt) -> None:
+        self._counters["bus.messages_sent"].value += 2 * len(hosts)  # + replies
+        self._counters["bus.calls"].value += len(hosts)
 
     def note_bus_drop(self, t, host, payload, reason) -> None:
         self._counters["bus.messages_sent"].value += 1  # it went out regardless
@@ -274,8 +274,8 @@ class MetricsProbe:
     def on_bus_push(self, t, host, payload, delay) -> None:
         self._counters["bus.messages_sent"].value += 1
 
-    def on_query_failure(self) -> None:
-        self._counters["placement.query_failures"].value += 1
+    def on_query_failure(self, lost) -> None:
+        self._counters["placement.query_failures"].value += lost
 
     def on_decision(self, t, decision, data_node, candidates) -> None:
         if decision.used_stale_fallback:

@@ -31,7 +31,8 @@ Event vocabulary produced by the stack:
 ``flow_abort``             evacuated flow with no path left: remaining bits
 ``coflow_arrival``         sealed coflow: width, total bits
 ``coflow_completion``      cct, optimal cct
-``bus_message``            control-plane round trip: host, type, rtt
+``bus_round``              control-plane round trips, one run of delivered
+                           messages: hosts in order, type, rtt
 ``bus_drop``               lost control message: host, type, reason
 ``bus_push``               one-way state push: host, type, delay
 ``placement_decision``     candidates, preferred set, per-candidate scores
@@ -172,9 +173,6 @@ class JsonlTraceSink(TraceSink):
         self._closed = False
         # Event name -> (field keys last seen, their line template).
         self._shapes: Dict[str, Tuple[tuple, Optional[str]]] = {}
-        # The last ``t`` object written and its text: the records of one
-        # simulated instant (a decision's ~87 ``bus_message`` lines) share it.
-        self._stamp: Tuple[float, str] = (0.0, "0.0")
 
     @property
     def events_written(self) -> int:
@@ -214,11 +212,9 @@ class JsonlTraceSink(TraceSink):
         """``template`` filled with exact scalars, or ``None`` for a
         nested value, a subclass or a foreign scalar (general path).  A
         non-finite field is written quoted, a non-finite ``t`` is not."""
-        if sim_time is not self._stamp[0]:
-            if type(sim_time) is not float or not math.isfinite(sim_time):
-                return None
-            self._stamp = (sim_time, repr(sim_time))
-        texts = [self._stamp[1]]
+        if type(sim_time) is not float or not math.isfinite(sim_time):
+            return None
+        texts = [repr(sim_time)]
         for value in fields.values() if fields else ():
             kind = type(value)
             if kind is str:
@@ -464,11 +460,11 @@ class TraceProbe:
             },
         )
 
-    def note_bus_message(self, t, host, payload, rtt) -> None:
+    def note_bus_round(self, t, hosts, payload, rtt) -> None:
         self._emit(
-            "bus_message",
+            "bus_round",
             t,
-            {"host": host, "type": type(payload).__name__, "latency": rtt},
+            {"hosts": hosts, "type": type(payload).__name__, "latency": rtt},
         )
 
     def note_bus_drop(self, t, host, payload, reason) -> None:

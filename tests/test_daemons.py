@@ -572,7 +572,8 @@ class TestQueryChain:
 def _parent_call(bus, host, payload):
     """``MessageBus.call`` before query rounds, as the reference: this
     host's admission, fault draws and accounting, then its own endpoint
-    answers, before the next host's message goes out."""
+    answers, before the next host's message goes out.  The probe sees a
+    round of this one host (1.15's ``note_bus_round``)."""
     from repro.daemons.messages import message_kind
 
     def lost(reason, error):
@@ -594,7 +595,7 @@ def _parent_call(bus, host, payload):
     bus._messages_sent += 2
     bus._calls += 1
     if bus._probe is not None:
-        bus._probe.note_bus_message(bus.engine.now, host, payload, bus._rtt)
+        bus._probe.note_bus_round(bus.engine.now, [host], payload, bus._rtt)
     return handler(payload)
 
 
@@ -616,7 +617,10 @@ def _observed_neat_replay(monkeypatch, topology, trace, neat_kwargs, **spec):
     """Replay ``trace`` under NEAT (a flow trace under fair, a coflow trace
     through ``replay_coflow_trace`` under Varys) with the trace, decision
     log, causal stream and registry armed; returns everything a query
-    round must leave unchanged, down to the fault plan's next loss draw."""
+    round must leave unchanged, down to the fault plan's next loss draw.
+    The trace is compared in its 1.14 form (``expand_bus_rounds``): a run
+    of delivered hosts is one ``bus_round`` line here, one line per host
+    under the reference's per-host calls."""
     import dataclasses
     import io
     from functools import partial
@@ -628,6 +632,7 @@ def _observed_neat_replay(monkeypatch, topology, trace, neat_kwargs, **spec):
     from repro.workloads.traces import CoflowArrival
 
     from repro.faults.injector import arm_faults as arm
+    from tests.trace_oracle import expand_bus_rounds
 
     armed, policies = [], []
     make = placements.make_placement_policy
@@ -662,7 +667,7 @@ def _observed_neat_replay(monkeypatch, topology, trace, neat_kwargs, **spec):
     injector = armed[0]
     return {
         "records": [dataclasses.asdict(r) for r in result.records],
-        "trace": buf.getvalue().splitlines(),
+        "trace": expand_bus_rounds(buf.getvalue()).splitlines(),
         "causal": telemetry.causal.events,
         "decisions": [dataclasses.asdict(r) for r in telemetry.decisions.records],
         "registry": telemetry.registry.as_dict(),
@@ -767,6 +772,77 @@ class TestQueryRound:
         if leg.startswith("faulted"):
             assert outputs["query_failures"] > 0
             assert outputs["next_draw"] is not None
+
+    def test_a_loss_mid_round_ends_its_run(self, monkeypatch):
+        """``TestQueryChain``'s pinned losses (h003 lost, h004 down, h011
+        lost) in one observed decision: each run of delivered hosts is one
+        ``bus_round`` line and each loss one ``bus_drop``, in admission
+        order, and the registry and the causal task's message and drop
+        counts are the ones per-host calls give."""
+        import io
+        import json
+
+        from repro.faults.injector import arm_faults
+        from repro.faults.plan import FaultPlan, HostDown, MessageLoss
+        from repro.telemetry import CausalTracer, JsonlTraceSink
+        from tests.trace_oracle import expand_bus_rounds
+
+        def decide():
+            buf = io.StringIO()
+            telemetry = Telemetry(
+                registry=MetricsRegistry(),
+                trace=JsonlTraceSink(buf),
+                causal=CausalTracer(),
+            )
+            engine = Engine(telemetry=telemetry)
+            fabric = NetworkFabric(
+                engine, single_switch(16), make_allocator("fair"),
+                telemetry=telemetry,
+            )  # fmt: skip
+            neat = neat_on(fabric, telemetry=telemetry)
+            plan = FaultPlan(
+                events=(
+                    MessageLoss(start=0.0, p=0.25),
+                    HostDown(time=0.05, host="h004"),
+                ),
+                seed=7,
+            )
+            arm_faults(plan, fabric, neat, telemetry)
+            for i in range(1, 9):
+                fabric.submit("h000", f"h{i:03d}", 1e9 * i)
+            engine.run(until=0.1)
+            telemetry.probe.begin_task(engine.now, "t0", "flow", 5e8, "h000")
+            neat.daemon.place_flow(
+                PlacementRequest(size=5e8, data_node="h000", candidates=CANDIDATES)
+            )
+            telemetry.probe.end_task(engine.now)
+            telemetry.close()
+            return (
+                buf.getvalue(),
+                telemetry.registry.as_dict(),
+                [e for e in telemetry.causal.events if e["ev"] == "task_end"],
+            )
+
+        text, registry, task_ends = decide()
+        bus = [json.loads(line) for line in text.splitlines() if '"bus_' in line]
+        assert [(e["event"], e.get("hosts") or e["host"]) for e in bus] == [
+            ("bus_round", ["h001", "h002"]),
+            ("bus_drop", "h003"),
+            ("bus_drop", "h004"),
+            ("bus_round", [f"h{i:03d}" for i in range(5, 11)]),
+            ("bus_drop", "h011"),
+            ("bus_round", ["h012", "h013", "h014", "h015"]),
+        ]
+        assert [e.get("reason") for e in bus if e["event"] == "bus_drop"] == [
+            "loss_window", "host_down", "loss_window",
+        ]  # fmt: skip
+        assert task_ends[0]["messages"] == 12 and task_ends[0]["dropped"] == 3
+        assert registry["counters"]["placement.query_failures"] == 3
+        monkeypatch.setattr(MessageBus, "call_round", _per_host_round)
+        per_host_text, *per_host = decide()
+        assert per_host_text.count("bus_round") == 12
+        assert expand_bus_rounds(text) == expand_bus_rounds(per_host_text)
+        assert [registry, task_ends] == per_host
 
     @pytest.mark.parametrize("predictor", ["coflow-fair", "tcf"])
     def test_coflow_round_matches_per_host_calls_through_hosts(

@@ -21,12 +21,14 @@ channels changed no output.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
 from tests.conftest import FILLS, pin_fill
+from tests.trace_oracle import expand_bus_rounds
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
@@ -84,3 +86,22 @@ def test_observed_corpus_byte_identical(name, fill, monkeypatch):
             "if intentional, regenerate via `PYTHONPATH=src python "
             f"tests/goldens/regen_goldens.py {name}` and review"
         )
+
+
+#: sha256 of the 1.14 observed traces, one ``bus_message`` line per
+#: delivered message (the goldens before ``bus_round``).
+BUS_MESSAGE_DIGESTS = {
+    "fair_neat": "76990a8d6aac72be4044e774fa02eea5afc54fd4198a227baa904f8bf32dcb3f",
+    "faulted_neat": "cc75bb89de8af538eb5d8493e28f8ed3f3c781b70a5610f8e4147f2d8352ee9a",
+    "varys_neat": "37f1a4dad3ab3b197e4441eba4166e7287fdda20a36ed5883fec3c1254312787",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUS_MESSAGE_DIGESTS))
+def test_bus_rounds_expand_to_the_per_message_traces(name):
+    """1.15's ``bus_round`` loses nothing: each line expanded into one
+    ``bus_message`` line per host gives the 1.14 trace byte for byte."""
+    trace = regen_goldens.generate_observed(name)["trace.jsonl"]
+    assert '"event":"bus_round"' in trace and "bus_message" not in trace
+    expanded = expand_bus_rounds(trace).encode("utf-8")
+    assert hashlib.sha256(expanded).hexdigest() == BUS_MESSAGE_DIGESTS[name]

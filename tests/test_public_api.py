@@ -184,6 +184,20 @@ def test_registry_timers_and_their_probe_points_stay_removed():
         assert point not in PROBE_POINTS, f"{point} is back"
 
 
+def test_per_message_bus_probe_point_stays_removed():
+    """1.15.0: the bus reports each run of delivered messages once
+    (``note_bus_round``); the per-message point is not kept beside it,
+    and no bus subscriber answers to it."""
+    import repro.telemetry as telemetry
+
+    assert "note_bus_round" in telemetry.PROBE_POINTS
+    assert "note_bus_message" not in telemetry.PROBE_POINTS, "it is back"
+    for name in ("TraceProbe", "MetricsProbe", "CausalTracer"):
+        channel = getattr(telemetry, name)
+        assert hasattr(channel, "note_bus_round"), name
+        assert not hasattr(channel, "note_bus_message"), f"{name}: it is back"
+
+
 def test_removed_keywords_stay_removed():
     for (module_name, name), keywords in sorted(REMOVED_KEYWORDS.items()):
         callable_ = getattr(importlib.import_module(module_name), name)

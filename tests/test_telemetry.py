@@ -222,7 +222,7 @@ class TestEndToEnd:
         events = [json.loads(line) for line in buf.getvalue().splitlines()]
         kinds = {e["event"] for e in events}
         assert {"run_start", "flow_arrival", "flow_completion",
-                "rate_recompute", "bus_message", "placement_decision",
+                "rate_recompute", "bus_round", "placement_decision",
                 "decision_outcome", "engine_run", "run_end"} <= kinds
 
         decisions = [e for e in events if e["event"] == "placement_decision"]
@@ -240,6 +240,8 @@ class TestEndToEnd:
         counters = tele.registry.as_dict()["counters"]
         assert counters["fabric.flows_completed"] == 60
         assert counters["bus.messages_sent"] == run.control_messages
+        rounds = [e for e in events if e["event"] == "bus_round"]
+        assert sum(len(e["hosts"]) for e in rounds) == counters["bus.calls"] > 0
         assert "timers" not in tele.registry.as_dict()
         labels = tele.profiler.label_totals()
         assert labels["placement.place"]["calls"] == 60

@@ -9,12 +9,17 @@ write the same bytes through cheaper paths, and
 tolerance).  The oracle sinks subclass the shipped ones for what did not
 change (opening, rotation, closing) and restore the two ``emit`` bodies
 and ``_line`` as they were.  Nothing under ``src/`` imports this module.
+
+:func:`expand_bus_rounds` is the 1.15 schema change's expansion rule: a
+``bus_round`` line is the 1.14 ``bus_message`` lines of its hosts, so
+expanding a trace gives the 1.14 bytes back.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from typing import Mapping, Optional
 
@@ -80,3 +85,28 @@ class RotatingOracleSink(RotatingJsonlTraceSink):
         self._fp.write(line)
         self._segment_bytes += len(line)
         self._events_written += 1
+
+
+_BUS_ROUND = re.compile(
+    r'\{"event":"bus_round","t":([^,]+),"hosts":(\[[^\]]*\]),"type":(.+),'
+    r'"latency":([^,]+)\}'
+)
+
+
+def expand_bus_rounds(text: str) -> str:
+    """Every ``bus_round`` line of ``text`` turned into one 1.14
+    ``bus_message`` line per host, in order, with the round's ``t``,
+    ``type`` and ``latency`` text kept as written."""
+    lines = []
+    for line in text.splitlines(keepends=True):
+        match = _BUS_ROUND.fullmatch(line.rstrip("\n"))
+        if match is None:
+            lines.append(line)
+            continue
+        t, hosts, kind, latency = match.groups()
+        for host in json.loads(hosts):
+            lines.append(
+                f'{{"event":"bus_message","t":{t},"host":{json.dumps(host)},'
+                f'"type":{kind},"latency":{latency}}}\n'
+            )
+    return "".join(lines)
