@@ -67,7 +67,10 @@ class Coflow:
     @property
     def total_size(self) -> float:
         """Total size s_c of the coflow in bits."""
-        return sum(f.size for f in self.flows)
+        total = 0
+        for f in self.flows:
+            total += f.size
+        return total
 
     @property
     def remaining_total(self) -> float:
@@ -89,11 +92,19 @@ class Coflow:
     def size_on_link(self, link_id: LinkId) -> float:
         """s_{c,l}: total (original) size of this coflow's flows crossing
         ``link_id``."""
-        return sum(f.size for f in self.flows if link_id in f.path)
+        total = 0
+        for f in self.flows:
+            if link_id in f.path:
+                total += f.size
+        return total
 
     def remaining_on_link(self, link_id: LinkId) -> float:
         """Residual counterpart of :meth:`size_on_link`."""
-        return sum(f.remaining for f in self.flows if link_id in f.path)
+        total = 0
+        for f in self.flows:
+            if link_id in f.path:
+                total += f.remaining
+        return total
 
     def link_demands(self) -> Dict[LinkId, float]:
         """Remaining bits per link over all constituent flows."""

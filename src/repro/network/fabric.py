@@ -274,19 +274,36 @@ class NetworkFabric:
         return total
 
     def host_queued_bits(self, host: NodeId) -> float:
-        """Total remaining bits of flows sourced at or destined to
-        ``host``, summed in :meth:`flows_at_host` order (0 when idle)."""
-        now = self._engine.now
-        total = 0
-        for flow in self._by_host.get(host, {}).values():
-            self._sync_flow(flow, now)
-            total += flow.remaining
-        return total
+        """Total remaining bits of flows sourced at or destined to ``host``:
+        :meth:`hosts_queued_bits` of one host."""
+        return self.hosts_queued_bits((host,))[0]
+
+    def hosts_queued_bits(self, hosts: Sequence[NodeId]) -> List[float]:
+        """minLoad's read of each host's load, in order: the remaining bits
+        of its flows, summed left from int 0 in :meth:`flows_at_host` order
+        (0 when idle).  The sync is :meth:`_sync_members` inlined, as in
+        :meth:`host_edge_states`."""
+        by_host = self._by_host
+        now, synced_at, rates = self._engine.now, self._synced_at, self._rates
+        totals = []
+        for host in hosts:
+            total = 0
+            for flow_id, flow in by_host.get(host, {}).items():
+                dt = now - synced_at[flow_id]
+                if dt > 0:
+                    rate = rates.get(flow_id, 0.0)
+                    if rate > RATE_EPSILON:
+                        flow.advance(rate * dt)
+                    synced_at[flow_id] = now
+                total += flow.remaining
+            totals.append(total)
+        return totals
 
     def link_rate_utilization(self, link_id: LinkId) -> float:
         """Fraction of the link's capacity currently allocated."""
-        capacity = self._capacities[link_id]
-        used = sum([self._rates.get(f, 0.0) for f in self._by_link.get(link_id, {})])
+        capacity, rates, used = self._capacities[link_id], self._rates, 0
+        for flow_id in self._by_link.get(link_id, {}):
+            used += rates.get(flow_id, 0.0)
         return used / capacity if capacity > 0 else 0.0
 
     def link_capacity(self, link_id: LinkId) -> float:
@@ -731,11 +748,10 @@ class NetworkFabric:
             if probe is not None else None
         )
         if component_on is None:
-            comp_flows = [self._active[fid] for fid in sorted(self._active)]
+            members = self._active
+            comp_flows = [members[fid] for fid in sorted(members)]
             comp_links = {
-                link_id
-                for link_id, members in self._by_link.items()
-                if members
+                link_id for link_id, on_link in self._by_link.items() if on_link
             }
         else:
             expand_span = probe.enter_expand() if probe is not None else None
@@ -756,9 +772,7 @@ class NetworkFabric:
             comp_flows = [members[fid] for fid in sorted(members)]
             if expand_span is not None:
                 probe.exit_expand(expand_span)
-
-        for flow in comp_flows:
-            self._sync_flow(flow, now)
+        self._sync_members(members)
 
         survivors: List[Flow] = []
         for flow in comp_flows:

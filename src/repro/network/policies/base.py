@@ -13,7 +13,8 @@ crossing it still has demand, matching the paper's §4.1 assumption.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.network.flow import Flow, FlowId
 from repro.topology.base import LinkId
@@ -75,9 +76,9 @@ class RateAllocator(ABC):
     def note_arrival(self, flow: Flow) -> None:
         """Fabric hook: ``flow`` entered the network.
 
-        Stateful allocators (persistent per-link member lists, sorted
-        arrival indexes) maintain their caches here instead of rebuilding
-        from scratch each :meth:`allocate` call.  Default: no-op.
+        Stateful allocators (FCFS's sorted arrival index) maintain their
+        caches here instead of rebuilding from scratch each
+        :meth:`allocate` call.  Default: no-op.
         """
 
     def note_removal(self, flow: Flow) -> None:
@@ -87,36 +88,18 @@ class RateAllocator(ABC):
         """
 
 
-class LinkMembershipMixin:
-    """Change-point hints over per-link member lists kept via the fabric
-    hooks, for policies whose priority key moves between events.
+class CrossingHint:
+    """Change-point hints for policies whose priority key moves between
+    events.
 
     A policy (LAS, SRPT) names its key as ``hint_key`` /
-    ``hint_upper_moves`` / ``hint_tolerance`` (the arguments of
-    :func:`earliest_adjacent_crossing`, which only reads the lists).
-    When the allocator is used standalone (no fabric hooks), nothing is
-    tracked and the members are taken from the flows passed in.
+    ``hint_upper_moves`` / ``hint_tolerance``, the arguments of
+    :func:`earliest_adjacent_crossing`.
     """
 
     hint_key: str
     hint_upper_moves: bool
     hint_tolerance: float
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._link_members: Dict[LinkId, List[Flow]] = {}
-        self._tracked_flows = 0
-
-    def note_arrival(self, flow: Flow) -> None:
-        for link_id in flow.path:
-            self._link_members.setdefault(link_id, []).append(flow)
-        self._tracked_flows += 1
-
-    def note_removal(self, flow: Flow) -> None:
-        # A miss raises: the lists went stale (a path swapped unannounced).
-        for link_id in flow.path:
-            self._link_members[link_id].remove(flow)
-        self._tracked_flows -= 1
 
     def next_change_hint(
         self, flows: Sequence[Flow], rates: Mapping[FlowId, float]
@@ -128,7 +111,6 @@ class LinkMembershipMixin:
             key=self.hint_key,
             upper_moves=self.hint_upper_moves,
             tolerance=self.hint_tolerance,
-            members_on=self._link_members.get if self._tracked_flows else None,
         )
 
 
@@ -139,7 +121,6 @@ def earliest_adjacent_crossing(
     key: str,
     upper_moves: bool,
     tolerance: float,
-    members_on: Optional[Callable[[LinkId], Optional[List[Flow]]]] = None,
 ) -> Optional[float]:
     """Earliest time two flows sharing a link swap priority-key order.
 
@@ -149,66 +130,44 @@ def earliest_adjacent_crossing(
     while its *mover* transmits: the upper flow when the key shrinks at
     the flow's rate (``upper_moves``, remaining size), the lower one
     when it grows (attained service), since
-    ``closing = mover's rate - neighbour's rate <= mover's rate``.  So
-    only flows with a rate are walked, each against its one neighbour on
-    each of its links.  Pairs within ``tolerance`` are already one
-    priority group and are skipped.
+    ``closing = mover's rate - neighbour's rate <= mover's rate``.
+    Pairs within ``tolerance`` are already one priority group and are
+    skipped.
 
-    ``members_on`` supplies persistent per-link member lists (see
-    :class:`LinkMembershipMixin`), read only; for a link it does not
-    know, the members are taken from ``flows``.
+    One sorted sweep: ``flows`` in ``(key, flow_id)`` order, ascending
+    when the upper flow moves and descending otherwise, so the flow
+    last seen on a link is each mover's neighbour there on the side it
+    moves toward.  ``flows`` must be a whole sharing component: every
+    flow on a link of theirs is one of them (DESIGN.md §5.1).
     """
     rate_of = rates.get
-    ephemeral: Optional[Dict[LinkId, List[Flow]]] = None
+    last: Dict[LinkId, Tuple[float, float]] = {}  # link -> (key, rate)
     best: Optional[float] = None
-    for mover in flows:
-        mover_id = mover.flow_id
-        rate = rate_of(mover_id, 0.0)
-        if rate <= RATE_EPSILON:
-            continue  # closing <= rate: converges on nobody
-        mover_key = getattr(mover, key)
-        for link_id in mover.path:
-            members = members_on(link_id) if members_on is not None else None
-            if members is None:
-                if ephemeral is None:
-                    ephemeral = {}
-                    for flow in flows:
-                        for on_path in flow.path:
-                            ephemeral.setdefault(on_path, []).append(flow)
-                members = ephemeral[link_id]
-            if len(members) < 2:
-                continue
-            # The mover's neighbour on the side it moves toward: the
-            # nearest flow below it in (key, flow_id) order when the
-            # upper flow moves, the nearest above it otherwise.
-            near: Optional[Flow] = None
-            near_key = 0.0
-            for other in members:
-                if other is mover:
+    for flow in sorted(
+        flows, key=attrgetter(key, "flow_id"), reverse=not upper_moves
+    ):
+        flow_key = getattr(flow, key)
+        rate = rate_of(flow.flow_id, 0.0)
+        path = flow.path
+        if rate > RATE_EPSILON:  # closing <= rate: else converges on nobody
+            for link_id in path:
+                near = last.get(link_id)
+                if near is None:
                     continue
-                other_key = getattr(other, key)
-                if upper_moves != (
-                    other_key < mover_key
-                    or (other_key == mover_key and other.flow_id < mover_id)
-                ):
-                    continue  # on the side the mover moves away from
-                if near is not None and upper_moves != (
-                    other_key > near_key
-                    or (other_key == near_key and other.flow_id > near.flow_id)
-                ):
-                    continue  # no nearer than ``near``
-                near, near_key = other, other_key
-            if near is None:
-                continue
-            gap = mover_key - near_key if upper_moves else near_key - mover_key
-            if gap <= tolerance:
-                continue  # already one priority group
-            closing = rate - rate_of(near.flow_id, 0.0)
-            if closing <= RATE_EPSILON:
-                continue  # not converging
-            dt = gap / closing
-            if best is None or dt < best:
-                best = dt
+                near_key, near_rate = near
+                gap = flow_key - near_key if upper_moves else near_key - flow_key
+                if gap <= tolerance:
+                    continue  # already one priority group
+                closing = rate - near_rate
+                if closing <= RATE_EPSILON:
+                    continue  # not converging
+                dt = gap / closing
+                if best is None or dt < best:
+                    best = dt
+        # After the checks: a link listed twice never pairs a flow with itself.
+        entry = (flow_key, rate)
+        for link_id in path:
+            last[link_id] = entry
     return best
 
 

@@ -17,13 +17,13 @@ from typing import Sequence
 
 from repro.network.flow import Flow
 from repro.network.kernels import GroupFill
-from repro.network.policies.base import LinkMembershipMixin, group_by_key
+from repro.network.policies.base import CrossingHint, group_by_key
 
 #: Attained-service values within this many bits are one priority group.
 ATTAINED_TIE_TOLERANCE = 1.0
 
 
-class LASAllocator(LinkMembershipMixin, GroupFill):
+class LASAllocator(CrossingHint, GroupFill):
     """Strict least-attained-service priority (LAS / L2DCT)."""
 
     name = "las"

@@ -18,13 +18,13 @@ from typing import List, Sequence
 
 from repro.network.flow import Flow
 from repro.network.kernels import GroupFill
-from repro.network.policies.base import LinkMembershipMixin
+from repro.network.policies.base import CrossingHint
 
 #: Two remaining sizes within this many bits count as a tie.
 SIZE_TIE_TOLERANCE = 1.0
 
 
-class SRPTAllocator(LinkMembershipMixin, GroupFill):
+class SRPTAllocator(CrossingHint, GroupFill):
     """Strict smallest-remaining-first priority (SRPT / PASE)."""
 
     name = "srpt"

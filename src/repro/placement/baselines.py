@@ -61,9 +61,7 @@ class MinLoadPolicy(PlacementPolicy):
             telemetry.attach("placement_policy") if telemetry is not None else None
         )
 
-    def _load(self, host: NodeId) -> float:
-        if self._measure == "bits":
-            return self._fabric.host_queued_bits(host)
+    def _utilization(self, host: NodeId) -> float:
         topo = self._fabric.topology
         up = topo.host_uplink(host).link_id
         down = topo.host_downlink(host).link_id
@@ -73,7 +71,10 @@ class MinLoadPolicy(PlacementPolicy):
         )
 
     def place(self, request: PlacementRequest) -> NodeId:
-        scores = [self._load(host) for host in request.candidates]
+        if self._measure == "bits":
+            scores = self._fabric.hosts_queued_bits(request.candidates)
+        else:
+            scores = [self._utilization(host) for host in request.candidates]
         host = pick_min(request.candidates, scores, self._rng)
         probe = self._probe
         if probe is not None:

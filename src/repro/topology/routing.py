@@ -10,11 +10,17 @@ runs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import RoutingError
 from repro.sim.randomness import hash_seed
 from repro.topology.base import LinkId, NodeId, Path, Topology
+
+#: Per node, its (link id, next node) hops sorted by link id: the ECMP
+#: candidates.
+_Hops = Dict[NodeId, List[Tuple[LinkId, NodeId]]]
+#: The working links as (predecessors per node, for the reverse BFS; hops).
+_Graph = Tuple[Dict[NodeId, List[NodeId]], _Hops]
 
 
 class Router:
@@ -26,6 +32,8 @@ class Router:
         self._path_cache: Dict[Tuple[NodeId, NodeId], Path] = {}
         # hop-distance table per destination, built lazily
         self._dist_cache: Dict[NodeId, Dict[NodeId, int]] = {}
+        # the working links' graph, built once per failed-link set
+        self._graph: Optional[_Graph] = None
         # links excluded from routing (fault injection); paths are
         # recomputed from scratch when this set changes
         self._failed_links: Set[LinkId] = set()
@@ -42,6 +50,7 @@ class Router:
         self._failed_links.add(link_id)
         self._path_cache.clear()
         self._dist_cache.clear()
+        self._graph = None
 
     def path(self, src: NodeId, dst: NodeId) -> Path:
         """Return the (cached) routed path from ``src`` to ``dst``.
@@ -64,18 +73,27 @@ class Router:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _working_graph(self) -> _Graph:
+        """Predecessors and sorted hops per node over the working links."""
+        if self._graph is None:
+            reverse: Dict[NodeId, List[NodeId]] = {}
+            hops: _Hops = {}
+            for link in self._topology.links():
+                if link.link_id not in self._failed_links:
+                    reverse.setdefault(link.dst, []).append(link.src)
+                    hop = (link.link_id, link.dst)
+                    hops.setdefault(link.src, []).append(hop)
+            for node_hops in hops.values():
+                node_hops.sort()
+            self._graph = (reverse, hops)
+        return self._graph
+
     def _distances_to(self, dst: NodeId) -> Dict[NodeId, int]:
         """BFS distance (in links) from every node to ``dst``."""
         cached = self._dist_cache.get(dst)
         if cached is not None:
             return cached
-        topo = self._topology
-        # Reverse BFS: walk incoming links.  Build a reverse adjacency once.
-        reverse: Dict[NodeId, List[NodeId]] = {}
-        for link in topo.links():
-            if link.link_id in self._failed_links:
-                continue
-            reverse.setdefault(link.dst, []).append(link.src)
+        reverse, _ = self._working_graph()  # reverse BFS: walk incoming links
         dist: Dict[NodeId, int] = {dst: 0}
         queue = deque([dst])
         while queue:
@@ -88,8 +106,8 @@ class Router:
         return dist
 
     def _compute_path(self, src: NodeId, dst: NodeId) -> Path:
-        topo = self._topology
         dist = self._distances_to(dst)
+        _, hops = self._working_graph()
         if src not in dist:
             raise RoutingError(f"no route from {src!r} to {dst!r}")
         links: List[LinkId] = []
@@ -98,21 +116,18 @@ class Router:
         choice_hash = hash_seed(self._ecmp_seed, f"{src}|{dst}")
         depth = 0
         while node != dst:
+            closer = dist[node] - 1
             candidates = [
-                link_id
-                for link_id in topo.out_links(node)
-                if link_id not in self._failed_links
-                and topo.link(link_id).dst in dist
-                and dist[topo.link(link_id).dst] == dist[node] - 1
+                hop for hop in hops.get(node, ()) if dist.get(hop[1]) == closer
             ]
             if not candidates:
                 raise RoutingError(
                     f"routing dead-end at {node!r} towards {dst!r}"
                 )
-            candidates.sort()
-            pick = candidates[(choice_hash >> (depth * 4)) % len(candidates)]
+            pick, node = candidates[
+                (choice_hash >> (depth * 4)) % len(candidates)
+            ]
             links.append(pick)
-            node = topo.link(pick).dst
             depth += 1
             if depth > 64:
                 raise RoutingError(f"path from {src!r} to {dst!r} too long")

@@ -22,7 +22,8 @@ of narrowed fills above zero, so no leg passes by never narrowing.
 * ``TestFairRecomputeCost``: a ``sys.setprofile`` budget on calls per fair
   recompute of a pinned 40-host replay, and the mean flows per fill
   against the mean sharing component, so a closure that silently stops
-  narrowing fails tier-1.
+  narrowing fails tier-1; the same budget per SRPT and LAS recompute and
+  per minLoad decision.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.network.fabric import NetworkFabric
 from repro.network.kernels import ARGMIN_FLOOR
 from repro.network.policies.fair import FairAllocator
 from repro.network.policies.registry import make_allocator
+from repro.placement.baselines import MinLoadPolicy
 from repro.sim.engine import Engine
 from repro.telemetry import JsonlTraceSink, MetricsRegistry, Telemetry
 from repro.topology.base import Topology, TopoNode
@@ -311,8 +313,8 @@ def test_an_empty_fill_is_no_stall(monkeypatch):
 # ----------------------------------------------------------------------
 # The structural guard: calls per fair recompute, flows per fill
 # ----------------------------------------------------------------------
-def pinned_replay():
-    """A pinned fair replay on the 40-host Clos the figures default to."""
+def pinned_replay(policy="fair"):
+    """A pinned minLoad replay on the 40-host Clos the figures default to."""
     topo = three_tier_clos(pods=2, racks_per_pod=2, hosts_per_rack=10)
     trace = generate_flow_trace(
         hosts=topo.hosts,
@@ -322,19 +324,19 @@ def pinned_replay():
         num_arrivals=300,
         seed=1,
     )
-    replay_flow_trace(trace, topo, network_policy="fair", placement="minload")
+    replay_flow_trace(trace, topo, network_policy=policy, placement="minload")
 
 
-def calls_per_recompute(run) -> float:
-    """Python and C calls made inside ``NetworkFabric._recompute`` (nested
-    ones included), per outermost recompute of ``run()``."""
-    code = NetworkFabric._recompute.__code__
-    depth = calls = recomputes = 0
+def calls_per_frame(function, run):
+    """Python and C calls made inside ``function`` (nested ones included)
+    per outermost call of it during ``run()``, and those calls' count."""
+    code = function.__code__
+    depth = calls = frames = 0
 
     def profiler(frame, event, arg):
-        nonlocal depth, calls, recomputes
+        nonlocal depth, calls, frames
         if event == "call" and frame.f_code is code:
-            recomputes += not depth
+            frames += not depth
             depth += 1
         elif event == "return" and frame.f_code is code:
             depth -= 1
@@ -346,7 +348,7 @@ def calls_per_recompute(run) -> float:
         run()
     finally:
         sys.setprofile(None)
-    return calls / recomputes
+    return calls / frames, frames
 
 
 def fill_and_component_sizes(run, patch):
@@ -366,15 +368,26 @@ def fill_and_component_sizes(run, patch):
 
 
 class TestFairRecomputeCost:
-    """Structural guards on the host cost of a fair recompute, read off the
-    pinned replay (CPython 3.11, shipped dispatch; each bound is the measured
-    value + 10%).  With the closure off the same replay makes 1,110.9 calls
-    per recompute and fills 22.8 flows, the whole component."""
+    """Structural guards on the host cost of a recompute and of a minLoad
+    decision, read off the pinned replay (CPython 3.11, shipped dispatch;
+    each bound is the measured value + 10%).  With the closure off the fair
+    replay makes 1,110.9 calls per recompute and fills 22.8 flows, the
+    whole component."""
 
     #: measured -> bound: Python and C calls inside ``_recompute``, per
     #: recompute (414.1 with every group on the scalar fills; 604.5 when
-    #: large groups took the numpy fill, repro 1.11).
-    CALLS_PER_RECOMPUTE = (426.7, 469.0)
+    #: large groups took the numpy fill, repro 1.11; 426.7 with a sync call
+    #: per flow, repro 1.15).
+    CALLS_PER_RECOMPUTE = (410.5, 469.0)
+    #: policy -> (recomputes, calls per recompute measured -> bound) of the
+    #: hinting policies: one sorted sweep per change-point hint and one sync
+    #: frame per recompute (617.6 and 1,094.5 with the tracked-list mover
+    #: scan and a sync call per flow, repro 1.15).
+    HINTING_RECOMPUTES = {"srpt": (615, 501.5, 552.0), "las": (769, 840.7, 925.0)}
+    #: measured -> bound: calls inside ``MinLoadPolicy.place`` per decision
+    #: of the SRPT replay, one batched read (337.0 with a
+    #: ``host_queued_bits`` call per candidate, repro 1.15).
+    CALLS_PER_MINLOAD_DECISION = (182.2, 200.0)
     #: measured -> bound: flows handed to the allocator per recompute,
     #: against 23.27 flows in the sharing component it settles.
     FLOWS_PER_FILL = (3.694, 4.06)
@@ -382,7 +395,23 @@ class TestFairRecomputeCost:
 
     def test_calls_per_fair_recompute_stay_bounded(self):
         measured, bound = self.CALLS_PER_RECOMPUTE
-        assert calls_per_recompute(pinned_replay) <= bound
+        calls, _ = calls_per_frame(NetworkFabric._recompute, pinned_replay)
+        assert calls <= bound
+
+    @pytest.mark.parametrize("policy", sorted(HINTING_RECOMPUTES))
+    def test_calls_per_hinting_recompute_stay_bounded(self, policy):
+        recomputes, measured, bound = self.HINTING_RECOMPUTES[policy]
+        calls, frames = calls_per_frame(
+            NetworkFabric._recompute, lambda: pinned_replay(policy)
+        )
+        assert frames == recomputes and calls <= bound
+
+    def test_calls_per_minload_decision_stay_bounded(self):
+        measured, bound = self.CALLS_PER_MINLOAD_DECISION
+        calls, decisions = calls_per_frame(
+            MinLoadPolicy.place, lambda: pinned_replay("srpt")
+        )
+        assert decisions == 300 and calls <= bound
 
     def test_a_fill_is_a_fraction_of_its_component(self, monkeypatch):
         fill, component = fill_and_component_sizes(pinned_replay, monkeypatch)

@@ -3,8 +3,10 @@ with hand-computed fluid-model results under every scheduling policy."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import TopologyError
 from repro.network.fabric import NetworkFabric
@@ -583,57 +585,110 @@ def test_host_queued_bits_equals_the_sum_it_replaced(ops, policy):
         assert _progress(one_pass) == _progress(summed)
 
 
-# ----------------------------------------------------------------------
-# The allocator's tracked member lists follow the link index
-# ----------------------------------------------------------------------
-def _tracked_ids(fabric):
-    return {
-        link_id: sorted(flow.flow_id for flow in members)
-        for link_id, members in fabric.allocator._link_members.items()
-        if members
-    }
+@given(
+    _fabric_ops,
+    st.sampled_from(("fair", "srpt")),
+    st.lists(st.sampled_from(_HOSTS), max_size=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_hosts_queued_bits_is_one_read_per_host(ops, policy, hosts):
+    """minLoad's batched read equals one ``host_queued_bits`` per host with
+    ``==`` (int 0 for an idle host, repeats and any order included), and
+    leaves every flow as those reads did, after faulted histories too."""
+    batched, one_by_one = _driven(ops, policy), _driven(ops, policy)
+    assert batched.hosts_queued_bits(hosts) == [
+        one_by_one.host_queued_bits(host) for host in hosts
+    ]
+    assert _progress(batched) == _progress(one_by_one)
 
 
-def _assert_tracked_lists_follow_the_link_index(fabric):
-    assert _tracked_ids(fabric) == {
-        link_id: sorted(members)
-        for link_id, members in fabric._by_link.items()
-        if members
-    }
+# ----------------------------------------------------------------------
+# A change-point hint is handed whole sharing components
+# ----------------------------------------------------------------------
+_REROUTED = [
+    ("submit", "h000", "h007", 8e9),
+    ("submit", "h001", "h006", 6e9),
+    ("submit", "h002", "h007", 3e9),
+    ("submit", "h000", "h005", 2e9),
+    ("advance", 0.5),
+    ("fail_link", "core0->agg1_0"),  # on all four paths: each reroutes
+    ("advance", 0.5),
+    ("submit", "h003", "h006", 1e9),
+]
+
+
+def _check_whole_hints(patch, policy):
+    """Make every hint of ``policy`` assert the sorted sweep's precondition
+    (DESIGN.md §5.1): the flows handed over are active and include every
+    flow the fabric indexes on any link of theirs, so lists built from
+    them are the links' members.  Returns the list of hinted flow lists."""
+    fabrics, hints = [], []
+    schedule_hints = NetworkFabric._schedule_hints
+    allocator_cls = type(make_allocator(policy))
+    hint = allocator_cls.next_change_hint
+
+    def scheduling(fabric, survivors, intact):
+        fabrics.append(fabric)
+        schedule_hints(fabric, survivors, intact)
+
+    def checked(allocator, flows, rates):
+        fabric = fabrics[-1]
+        ids = {flow.flow_id for flow in flows}
+        assert len(ids) == len(flows) and ids <= fabric._active.keys()
+        for flow in flows:
+            for link_id in flow.path:
+                assert fabric._by_link[link_id].keys() <= ids
+        hints.append(flows)
+        return hint(allocator, flows, rates)
+
+    patch.setattr(NetworkFabric, "_schedule_hints", scheduling)
+    patch.setattr(allocator_cls, "next_change_hint", checked)
+    return hints
 
 
 @given(_fabric_ops, st.sampled_from(("las", "srpt")))
+@example(_REROUTED, "las")
+@example(_REROUTED, "srpt")
 @settings(max_examples=60, deadline=None)
-def test_tracked_member_lists_follow_the_link_index(ops, policy):
-    """After every step of a generated history (reroutes included) the
-    hinting allocators' per-link member lists hold exactly the flows the
-    fabric indexes on that link, and nothing once the network drains."""
-    fabric = _driven(ops, policy, _assert_tracked_lists_follow_the_link_index)
-    fabric.engine.run()
-    assert _tracked_ids(fabric) == {}
-    assert fabric.allocator._tracked_flows == 0
+def test_a_hint_sees_every_flow_on_its_links(ops, policy):
+    """At every hint of a generated history (reroutes included) and of
+    its drain, the hinted flows are whole sharing components."""
+    with pytest.MonkeyPatch.context() as patch:
+        hints = _check_whole_hints(patch, policy)
+        fabric = _driven(ops, policy)
+        fabric.engine.run()
+    assert not fabric._active
+    if ops is _REROUTED:
+        assert fabric.flows_rerouted == 4 and len(hints) >= 5
 
 
 @pytest.mark.parametrize("policy", ["las", "srpt"])
-def test_reroute_moves_the_flow_between_tracked_lists(policy):
-    """The pinned case behind the property above: ``fail_link`` swaps a
-    flow's path, and the allocator must see it leave the old links and
-    arrive on the new ones (it kept the old lists, and a finished ghost
-    in them, when the swap went unannounced)."""
-    engine = Engine()
-    fabric = NetworkFabric(engine, _clos(), make_allocator(policy))
-    flow = fabric.submit("h000", "h007", 8e9)
-    engine.run(until=0.5)
-    old_path = flow.path
-    fabric.fail_link(old_path[2])  # the agg -> core hop
-    assert fabric.flows_rerouted == 1 and flow.path != old_path
-    tracked = fabric.allocator._link_members
-    for link_id in set(old_path) - set(flow.path):
-        assert flow not in tracked[link_id]
-    for link_id in flow.path:
-        assert tracked[link_id] == [flow]
-    _assert_tracked_lists_follow_the_link_index(fabric)
-    engine.run()
-    assert len(fabric.records) == 1
-    assert _tracked_ids(fabric) == {}
-    assert fabric.allocator._tracked_flows == 0
+def test_a_hint_after_a_re_entrant_submit_sees_every_flow(policy, monkeypatch):
+    """ROADMAP 2(i)'s re-entrant submit: a completion listener submits
+    while the fabric settles, so the outer recompute's survivor list is
+    stale.  That settle removed a flow, so each component left is hinted
+    over its own flows, which are whole."""
+    hints = _check_whole_hints(monkeypatch, policy)
+    for seed in range(10):
+        engine = Engine()
+        fabric = NetworkFabric(engine, _clos(), make_allocator(policy))
+        rng = random.Random(seed)
+        for _ in range(12):
+            src, dst = rng.sample(_HOSTS, 2)
+            size = rng.uniform(1e6, 4e7)
+            engine.schedule_at(
+                rng.uniform(0.0, 0.05),
+                lambda s=src, d=dst, z=size: fabric.submit(s, d, z),
+            )
+        budget = [20]
+
+        def resubmit(flow, record):
+            if budget[0]:
+                budget[0] -= 1
+                dst = rng.choice(_HOSTS)
+                fabric.submit(flow.dst, dst, rng.uniform(1e6, 4e7))
+
+        fabric.add_completion_listener(resubmit)
+        engine.run()
+        assert not fabric._active and len(fabric.records) == 32
+    assert len(hints) > 100

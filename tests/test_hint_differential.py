@@ -1,17 +1,22 @@
-"""Exact differential: the mover scan of
+"""Exact differential: the sorted sweep of
 ``repro.network.policies.base.earliest_adjacent_crossing`` against the
-sort-every-link body it replaced (``tests/hint_oracle.py``).
+older sort-every-link body (``tests/hint_oracle.py``), which builds its
+per-link member lists from the flows it is handed.
 
 ``==`` on the returned hint, no tolerance, for SRPT (remaining size, the
-upper flow moves) and LAS (attained service, the lower flow moves).  The
-strategy aims at the places where the two could part: keys tied exactly
-and broken by flow id (sizes and progress are drawn from a few values,
-so three-way ties are common), links where nobody transmits, a mover
-that is the smallest or largest flow on its link, a path that lists a
-link twice, sizes from one bit to 1e13, rates of 0.0, sub-epsilon dust
-and 1e10, and every source of member lists: tracked for all links, for
-some, for none.  The lock-step legs compare at every recompute of fabric
+upper flow moves; swept ascending) and LAS (attained service, the lower
+flow moves; swept descending).  The strategy aims at the places where
+the two could part: keys tied exactly and broken by flow id (sizes and
+progress are drawn from a few values, so three-way ties are common),
+links where nobody transmits, a mover that is the smallest or largest
+flow on its link, a path that lists a link twice, sizes from one bit to
+1e13, rates of 0.0, sub-epsilon dust and 1e10, and flows handed over in
+any order.  The lock-step legs compare at every recompute of fabric
 runs, one of them with a reroute; the ``slow`` leg does so on 160 hosts.
+The lock-step legs also check that the fabric hands the hint whole
+sharing components, so that lists built from the flows are the links'
+members (``tests/test_fabric.py::test_a_hint_sees_every_flow_on_its_links``
+checks it over generated histories).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from repro.topology.fabrics import three_tier_clos
 from repro.workloads import generate_flow_trace, make_distribution
 
 from tests import hint_oracle
+from tests.test_fabric import _check_whole_hints
 from tests.test_goldens import regen_goldens
 
 POLICIES = tuple(hint_oracle.POLICIES)
@@ -39,27 +45,20 @@ LINK_POOL = tuple(f"l{i}" for i in range(5))
 RATES = st.sampled_from((0.0, 0.0, 5e-324, 4e-10, RATE_EPSILON, 1e9, 1e9, 1e10))
 
 
-def both(policy, flows, rates, tracked: Optional[Dict[str, List[Flow]]]):
-    """(new hint, oracle hint) over the same inputs; ``tracked`` maps the
-    links that have a persistent member list to it (None: no tracking)."""
+def both(policy, flows, rates):
+    """(new hint, oracle hint) over the same inputs."""
     allocator_cls = type(make_allocator(policy))
-    before = {link: list(members) for link, members in (tracked or {}).items()}
+    order = list(flows)
     new = earliest_adjacent_crossing(
         flows,
         rates,
         key=allocator_cls.hint_key,
         upper_moves=allocator_cls.hint_upper_moves,
         tolerance=allocator_cls.hint_tolerance,
-        members_on=tracked.get if tracked is not None else None,
     )
-    assert (tracked or {}) == before, "the mover scan only reads the lists"
-
-    def copies(link_id):  # the oracle sorts what it is handed
-        return list(tracked[link_id]) if link_id in tracked else None
-
+    assert list(flows) == order, "the sweep sorts a copy"
     old = hint_oracle.earliest_adjacent_crossing(
-        flows, rates, members_on=copies if tracked is not None else None,
-        **hint_oracle.POLICIES[policy],
+        flows, rates, **hint_oracle.POLICIES[policy]
     )
     return new, old
 
@@ -86,22 +85,7 @@ def scenarios(draw):
             rates[flow_id] = draw(RATES)
     if draw(st.booleans()):  # an all-stalled link set
         rates = dict.fromkeys(rates, 0.0)
-    # Member lists in arrival order, which is not id order.
-    arrival = draw(st.permutations(flows))
-    members: Dict[str, List[Flow]] = {}
-    for flow in arrival:
-        for link_id in flow.path:
-            members.setdefault(link_id, []).append(flow)
-    tracking = draw(st.sampled_from(("all", "some", "none")))
-    if tracking == "none":
-        tracked = None
-    elif tracking == "all":
-        tracked = members
-    else:
-        tracked = {
-            link: lst for link, lst in members.items() if draw(st.booleans())
-        }
-    return draw(st.permutations(flows)), rates, tracked
+    return draw(st.permutations(flows)), rates  # in any order, not id order
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -125,13 +109,13 @@ def test_three_way_tie_is_broken_by_flow_id():
     flows = [_flow(i, 5e9, "a") for i in range(3)] + [_flow(3, 9e9, "a")]
     # Rates on the tie differ, so which of 0-2 is the neighbour shows.
     rates = {0: 3e8, 1: 2e8, 2: 1e8, 3: 1e9}
-    new, old = both("srpt", flows[::-1], rates, None)
+    new, old = both("srpt", flows[::-1], rates)
     assert new == old == 4e9 / (1e9 - 1e8)
     # LAS: flow 0 (nothing attained, 1 Gbps) closes on the tie from below;
     # its neighbour is the tie's first member by flow id.
     flows = [_flow(0, 9e9, "a")] + [_flow(i, 9e9, "a", done=4e9) for i in (1, 2, 3)]
     rates = {0: 1e9, 1: 1e8, 2: 2e8, 3: 3e8}
-    new, old = both("las", flows[::-1], rates, None)
+    new, old = both("las", flows[::-1], rates)
     assert new == old == 4e9 / (1e9 - 1e8)
 
 
@@ -139,21 +123,25 @@ def test_three_way_tie_is_broken_by_flow_id():
 def test_stalled_links_and_extreme_movers_hint_nothing(policy):
     flows = [_flow(0, 2e9, "ab", done=1e9), _flow(1, 8e9, "ab", done=3e9)]
     # Nobody transmits.
-    assert both(policy, flows, {0: 0.0, 1: 0.0}, None) == (None, None)
+    assert both(policy, flows, {0: 0.0, 1: 0.0}) == (None, None)
     # Only the flow that already leads transmits: smallest remaining
     # under SRPT, largest attained under LAS; it diverges.
     leader = 0 if policy == "srpt" else 1
-    assert both(policy, flows, {leader: 1e9}, None) == (None, None)
+    assert both(policy, flows, {leader: 1e9}) == (None, None)
     # The other one transmitting converges, on each of the two links.
-    new, old = both(policy, flows, {1 - leader: 1e9}, None)
+    new, old = both(policy, flows, {1 - leader: 1e9})
     assert new == old and new is not None
 
 
 def test_a_link_listed_twice_pairs_the_flow_with_its_real_neighbour():
-    twice, other = _flow(0, 9e9, "aab"), _flow(1, 4e9, "a")
-    tracked = {"a": [twice, twice, other], "b": [twice]}
-    new, old = both("srpt", [twice, other], {0: 1e9}, tracked)
-    assert new == old == 5e9 / 1e9
+    """The sweep marks a flow's links only after its own checks, so the
+    second listing of ``a`` still sees the real neighbour, not the flow.
+    Flow 0 lies 4e9 from flow 1 in both keys: above it in remaining size
+    (SRPT), below it in attained service (LAS); only flow 0 transmits."""
+    twice, other = _flow(0, 9e9, "aab"), _flow(1, 9e9, "a", done=4e9)
+    for policy in POLICIES:
+        new, old = both(policy, [twice, other], {0: 1e9})
+        assert new == old == 4e9 / 1e9
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +149,9 @@ def test_a_link_listed_twice_pairs_the_flow_with_its_real_neighbour():
 # ----------------------------------------------------------------------
 def _check_every_hint(monkeypatch, policy) -> List[Optional[float]]:
     """Wrap the policy's ``next_change_hint`` to compare each hint with
-    the oracle's over copies of the tracked lists; returns the hints."""
+    the oracle's over lists built from the flows, and to check that those
+    are the links' members (the flows are whole sharing components);
+    returns the hints."""
     allocator_cls = type(make_allocator(policy))
     hint = allocator_cls.next_change_hint
     old_kwargs = hint_oracle.POLICIES[policy]
@@ -169,20 +159,13 @@ def _check_every_hint(monkeypatch, policy) -> List[Optional[float]]:
 
     def checked(self, flows, rates):
         got = hint(self, flows, rates)
-
-        def copies(link_id):
-            members = self._link_members.get(link_id)
-            return list(members) if members is not None else None
-
-        want = hint_oracle.earliest_adjacent_crossing(
-            flows, rates, members_on=copies if self._tracked_flows else None,
-            **old_kwargs,
-        )
+        want = hint_oracle.earliest_adjacent_crossing(flows, rates, **old_kwargs)
         assert got == want, f"{policy}: hint {len(hints)} diverged"
         hints.append(got)
         return got
 
     monkeypatch.setattr(allocator_cls, "next_change_hint", checked)
+    _check_whole_hints(monkeypatch, policy)
     return hints
 
 
@@ -210,9 +193,8 @@ def _clos_replay(topo, policy, *, num_arrivals, seed, faults=None):
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_lockstep_faulted_run_with_a_reroute(policy, monkeypatch):
-    """After ``fail_link`` moves flows, the tracked lists the new scan
-    reads must list them on their new links: the oracle, given the same
-    lists, agrees at every later recompute."""
+    """After ``fail_link`` moves flows, the hint must see them on their
+    new links: the oracle agrees at every later recompute."""
     hints = _check_every_hint(monkeypatch, policy)
     scenario = regen_goldens.SCENARIO
     topo = three_tier_clos(

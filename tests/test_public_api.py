@@ -93,7 +93,8 @@ PUBLIC_SYMBOLS = {
 #: subsystem is the span profiler's alone, so the registry's ``Timer`` is
 #: gone.  1.10.0: the rollup fold nothing called, the causal reader's alias
 #: of ``read_trace`` and the service's wrapper of ``poisson_rate_for_load``
-#: are gone.
+#: are gone.  1.16.0: the change-point hint is one sorted sweep over the
+#: flows it is handed, so the mixin is ``CrossingHint`` and tracks nothing.
 REMOVED_SYMBOLS = {
     "repro.telemetry": [
         "NULL_TELEMETRY", "NullMetricsRegistry", "NULL_REGISTRY",
@@ -106,6 +107,7 @@ REMOVED_SYMBOLS = {
     "repro.service.workload": ["rate_for_load"],
     "repro.errors": ["ShadowVerifyError"],
     "repro.network.fabric": ["SHADOW_TOLERANCE"],
+    "repro.network.policies.base": ["LinkMembershipMixin"],
 }
 
 #: Methods removed (CHANGES.md).  1.10.0: the decision log is a plain probe
@@ -124,6 +126,7 @@ REMOVED_METHODS = {
 #: Methods the docs rely on.  1.13.0: a decision's queries are one bus
 #: round, answered in one pass over raw residual sizes; 1.14.0: a coflow
 #: decision's too, over raw ``(total, on_link, arrival)`` triples.
+#: 1.16.0: a minLoad decision reads its candidates' loads in one call.
 PUBLIC_METHODS = {
     ("repro.daemons", "MessageBus"): (
         "call", "call_round", "register_round", "push",
@@ -136,16 +139,21 @@ PUBLIC_METHODS = {
         "cct", "delta_sum", "link_objective", "predict_link_objective",
     ),
     ("repro.network", "NetworkFabric"): (
-        "host_edge_states", "coflow_edge_states",
+        "host_edge_states", "coflow_edge_states", "hosts_queued_bits",
+        "host_queued_bits",
     ),
 }
 
-#: Keyword arguments removed in 1.7.0 (CHANGES.md): a recompute's scope is
+#: Keyword arguments removed (CHANGES.md).  1.7.0: a recompute's scope is
 #: the allocator's property, and the full-recompute check is test-side.
+#: 1.16.0: the hint reads no per-link member lists.
 REMOVED_KEYWORDS = {
     ("repro.network", "NetworkFabric"): ("incremental", "shadow_verify"),
     ("repro.experiments", "replay_flow_trace"): (
         "incremental", "shadow_verify",
+    ),
+    ("repro.network.policies.base", "earliest_adjacent_crossing"): (
+        "members_on",
     ),
 }
 
@@ -196,6 +204,21 @@ def test_per_message_bus_probe_point_stays_removed():
         channel = getattr(telemetry, name)
         assert hasattr(channel, "note_bus_round"), name
         assert not hasattr(channel, "note_bus_message"), f"{name}: it is back"
+
+
+def test_hinting_policies_track_no_members():
+    """1.16.0: LAS and SRPT keep no per-link member lists, so the fabric's
+    arrival and removal hooks are the base class's no-ops for them."""
+    from repro.network.policies import RateAllocator, make_allocator
+    from repro.network.policies.base import CrossingHint
+
+    for hook in ("note_arrival", "note_removal"):
+        assert not hasattr(CrossingHint, hook), f"CrossingHint.{hook} is back"
+        for policy in ("las", "srpt"):
+            assert getattr(type(make_allocator(policy)), hook) is getattr(
+                RateAllocator, hook
+            ), f"{policy}: {hook} is back"
+    assert not hasattr(make_allocator("srpt"), "_link_members")
 
 
 def test_removed_keywords_stay_removed():

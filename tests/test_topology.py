@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.errors import RoutingError, TopologyError
@@ -180,6 +182,36 @@ class TestRouter:
             path = router.path(src, dst)
             used_first_fabric_hop.add(path.links[1])
         assert len(used_first_fabric_hop) > 1
+
+    #: sha256 of every ordered host pair's path (or ``RoutingError`` text)
+    #: on the 160-host Clos, then again after ``PIN_FAILURES`` fail in
+    #: order; the value the router had before it kept its adjacency.
+    PATH_PIN = "e6c7e44c4ecfbff9ea11cd3dabb00c9ecf9ab6cd92cf2d7cc8afad007faa9d17"
+    #: Fabric hops of every tier, both uplinks of tor3 (its hosts keep only
+    #: their rack) and one edge link each way (h005 sends nowhere, h015
+    #: hears from nobody).
+    PIN_FAILURES = (
+        "agg0_0->core1", "agg1_1->tor4", "core2->agg2_0", "core0->agg3_1",
+        "tor3->agg0_0", "tor3->agg0_1", "h005->tor0", "tor1->h015",
+    )
+
+    def test_every_path_on_clos_160_is_pinned_through_failures(self):
+        topo = three_tier_clos()
+        router = Router(topo)
+        digest, errors = hashlib.sha256(), 0
+        for failures in ((), self.PIN_FAILURES):
+            for link_id in failures:
+                topo.link(link_id)  # a typo would pin nothing
+                router.fail_link(link_id)
+            for src in topo.hosts:
+                for dst in topo.hosts:
+                    try:
+                        line = "|".join(router.path(src, dst).links)
+                    except RoutingError as error:
+                        line, errors = f"RoutingError: {error}", errors + 1
+                    digest.update(f"{src} {dst} {line}\n".encode())
+        assert errors > 0
+        assert digest.hexdigest() == self.PATH_PIN
 
     def test_path_endpoints_consistent(self):
         topo = three_tier_clos(pods=2, racks_per_pod=2, hosts_per_rack=2)
