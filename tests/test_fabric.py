@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TopologyError
 from repro.network.fabric import NetworkFabric
@@ -603,7 +603,7 @@ def test_hosts_queued_bits_is_one_read_per_host(ops, policy, hosts):
 
 
 # ----------------------------------------------------------------------
-# A change-point hint is handed whole sharing components
+# The member lists a hint tracks per link follow the link index
 # ----------------------------------------------------------------------
 _REROUTED = [
     ("submit", "h000", "h007", 8e9),
@@ -617,11 +617,22 @@ _REROUTED = [
 ]
 
 
+def _tracked_lists(flows):
+    """The per-link member lists the sorted sweep tracks as it walks
+    ``flows``: link -> the ids of the flows crossing it."""
+    lists = {}
+    for flow in flows:
+        for link_id in flow.path:
+            lists.setdefault(link_id, []).append(flow.flow_id)
+    return {link_id: sorted(ids) for link_id, ids in lists.items()}
+
+
 def _check_whole_hints(patch, policy):
     """Make every hint of ``policy`` assert the sorted sweep's precondition
     (DESIGN.md §5.1): the flows handed over are active and include every
-    flow the fabric indexes on any link of theirs, so lists built from
-    them are the links' members.  Returns the list of hinted flow lists."""
+    flow the fabric indexes on any link of theirs, so the lists the sweep
+    tracks from them are the links' members.  Returns the tracked lists
+    of every hint, in order."""
     fabrics, hints = [], []
     schedule_hints = NetworkFabric._schedule_hints
     allocator_cls = type(make_allocator(policy))
@@ -635,10 +646,10 @@ def _check_whole_hints(patch, policy):
         fabric = fabrics[-1]
         ids = {flow.flow_id for flow in flows}
         assert len(ids) == len(flows) and ids <= fabric._active.keys()
-        for flow in flows:
-            for link_id in flow.path:
-                assert fabric._by_link[link_id].keys() <= ids
-        hints.append(flows)
+        lists = _tracked_lists(flows)
+        for link_id, members in lists.items():
+            assert members == sorted(fabric._by_link[link_id])
+        hints.append(lists)
         return hint(allocator, flows, rates)
 
     patch.setattr(NetworkFabric, "_schedule_hints", scheduling)
@@ -647,19 +658,50 @@ def _check_whole_hints(patch, policy):
 
 
 @given(_fabric_ops, st.sampled_from(("las", "srpt")))
-@example(_REROUTED, "las")
-@example(_REROUTED, "srpt")
 @settings(max_examples=60, deadline=None)
-def test_a_hint_sees_every_flow_on_its_links(ops, policy):
+def test_tracked_member_lists_follow_the_link_index(ops, policy):
     """At every hint of a generated history (reroutes included) and of
-    its drain, the hinted flows are whole sharing components."""
+    its drain, the hinted flows are whole sharing components: the
+    per-link lists the sweep tracks from them hold exactly the flows the
+    fabric indexes on those links, and the index is empty once the
+    network drains."""
     with pytest.MonkeyPatch.context() as patch:
-        hints = _check_whole_hints(patch, policy)
+        _check_whole_hints(patch, policy)
         fabric = _driven(ops, policy)
         fabric.engine.run()
     assert not fabric._active
-    if ops is _REROUTED:
-        assert fabric.flows_rerouted == 4 and len(hints) >= 5
+    assert not any(fabric._by_link.values())
+
+
+@pytest.mark.parametrize("policy", ["las", "srpt"])
+def test_reroute_moves_the_flow_between_tracked_lists(policy, monkeypatch):
+    """The pinned cases behind the property above: ``fail_link`` swaps a
+    flow's path, and the next hint must track it on the new links and
+    on none of the old ones, which the link index no longer lists it on."""
+    hints = _check_whole_hints(monkeypatch, policy)
+    engine = Engine()
+    fabric = NetworkFabric(engine, _clos(), make_allocator(policy))
+    flow = fabric.submit("h000", "h007", 8e9)
+    engine.run(until=0.5)
+    old_path = flow.path
+    before = len(hints)
+    fabric.fail_link(old_path[2])  # the agg -> core hop
+    assert fabric.flows_rerouted == 1 and flow.path != old_path
+    assert len(hints) > before
+    tracked = hints[-1]
+    for link_id in set(old_path) - set(flow.path):
+        assert link_id not in tracked
+        assert flow.flow_id not in fabric._by_link[link_id]
+    for link_id in flow.path:
+        assert tracked[link_id] == [flow.flow_id]
+    engine.run()
+    assert len(fabric.records) == 1 and not any(fabric._by_link.values())
+
+    del hints[:]
+    fabric = _driven(_REROUTED, policy)
+    fabric.engine.run()
+    assert not fabric._active
+    assert fabric.flows_rerouted == 4 and len(hints) >= 5
 
 
 @pytest.mark.parametrize("policy", ["las", "srpt"])

@@ -15,7 +15,7 @@ any order.  The lock-step legs compare at every recompute of fabric
 runs, one of them with a reroute; the ``slow`` leg does so on 160 hosts.
 The lock-step legs also check that the fabric hands the hint whole
 sharing components, so that lists built from the flows are the links'
-members (``tests/test_fabric.py::test_a_hint_sees_every_flow_on_its_links``
+members (``tests/test_fabric.py::test_tracked_member_lists_follow_the_link_index``
 checks it over generated histories).
 """
 
