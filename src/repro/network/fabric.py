@@ -93,9 +93,8 @@ class NetworkFabric:
             type(allocator).next_change_hint
             is not RateAllocator.next_change_hint
         )
-        # Fill only an event's binding closure until a listener re-enters.
+        # Fill only an event's binding closure (DESIGN.md §5.1).
         self._narrowing = allocator.one_max_min_group and allocator.incremental_safe
-        self._notifying = 0
         self._crowded: Set[LinkId] = set()  # occupied, share < ARGMIN_FLOOR
         self._probe = (
             telemetry.attach("fabric") if telemetry is not None else None
@@ -116,6 +115,7 @@ class NetworkFabric:
         self._completion_events: Dict[FlowId, Event] = {}
         self._records: List[FlowRecord] = []
         self._listeners: List[CompletionListener] = []
+        self._settled: List[Tuple[Flow, FlowRecord]] = []  # not yet notified
         self._arrival_listeners: List[Callable[[Flow], None]] = []
         self._next_flow_id = 0
         # Fault-injection state: failed links stay in the capacity map at
@@ -350,12 +350,13 @@ class NetworkFabric:
     # Flow lifecycle
     # ------------------------------------------------------------------
     def add_completion_listener(self, listener: CompletionListener) -> None:
-        """Register a callback fired at each flow completion."""
+        """Register a callback fired at each flow completion, after the
+        recompute that settled it (DESIGN.md §5.1, "Listeners")."""
         self._listeners.append(listener)
 
     def add_arrival_listener(self, listener: Callable[[Flow], None]) -> None:
-        """Register a callback fired when a (non-local) flow enters the
-        network — used by network daemons maintaining incremental state."""
+        """Register a callback fired once a (non-local) flow has entered the
+        network and been allocated (network daemons' incremental state)."""
         self._arrival_listeners.append(listener)
 
     def submit(
@@ -394,6 +395,7 @@ class NetworkFabric:
             # Data is already on the destination host: finishes instantly.
             flow.advance(flow.remaining)
             self._finish_flow(flow)
+            self._notify_settled()
             return flow
         self._active[flow.flow_id] = flow
         self._synced_at[flow.flow_id] = self._engine.now
@@ -404,11 +406,9 @@ class NetworkFabric:
         if self._component_on is not None:
             self._join(flow)
         self._allocator.note_arrival(flow)
-        self._notifying += 1
+        self._recompute(flow.path, departed=[])
         for listener in self._arrival_listeners:
             listener(flow)
-        self._notifying -= 1
-        self._recompute(flow.path, departed=[])
         return flow
 
     def cancel_flow(self, flow: Flow) -> None:
@@ -621,10 +621,15 @@ class NetworkFabric:
             probe.on_flow_done(self._engine.now, record)
         if flow.coflow is not None:
             flow.coflow.note_flow_finished(flow, self._engine.now)
-        self._notifying += 1
-        for listener in self._listeners:
-            listener(flow, record)
-        self._notifying -= 1
+        self._settled.append((flow, record))
+
+    def _notify_settled(self) -> None:
+        """Fire the completion listeners on every flow settled so far, in
+        settle order; a listener's own submit notifies what it settles."""
+        settled, self._settled = self._settled, []
+        for flow, record in settled:
+            for listener in self._listeners:
+                listener(flow, record)
 
     # ------------------------------------------------------------------
     # Internals: the sharing components, kept as flows come and go
@@ -739,7 +744,6 @@ class NetworkFabric:
         allocator that is not ``incremental_safe`` everything is dirty.
         ``departed`` (the flows it took away) marks an arrival or removal.
         """
-        self._narrowing &= not self._notifying  # re-entered from a listener: whole from now
         probe = self._probe
         now = self._engine.now
         component_on = self._component_on
@@ -784,10 +788,6 @@ class NetworkFabric:
             else:
                 survivors.append(flow)
         if survivors:
-            if component_on is None and len(survivors) != len(self._active):
-                # A completion listener submitted while settling: the
-                # unscoped allocator still gets the whole active set.
-                survivors = [self._active[fid] for fid in sorted(self._active)]
             fill = self._binding_closure(survivors, dirty_links, comp_links, departed)
             self._reallocate(fill, comp_links, len(comp_flows), now)
             if self._hinting:
@@ -797,6 +797,8 @@ class NetworkFabric:
                 )
         if span is not None:
             probe.exit_recompute(span)
+        if self._settled:
+            self._notify_settled()
 
     def _binding_closure(
         self,
@@ -848,7 +850,6 @@ class NetworkFabric:
                 if component not in components:
                     components.append(component)
         for component in components:
-            self._cancel_hint(component)  # one left by a re-entrant submit
             members = survivors if intact else [
                 component.flows[fid] for fid in sorted(component.flows)
             ]
@@ -934,8 +935,6 @@ class NetworkFabric:
 
     def _on_completion(self, flow: Flow) -> None:
         self._completion_events.pop(flow.flow_id, None)
-        if flow.flow_id not in self._active:  # pragma: no cover - defensive
-            return
         # The event time is authoritative: it was scheduled at exactly
         # remaining/rate under a rate that has not changed since (any
         # change reschedules).  Whatever residue float time arithmetic

@@ -186,13 +186,13 @@ class Telemetry:
         self.causal = causal
         self.timeline_interval = timeline_interval
         self.timelines: List[Tuple[str, Sequence]] = []
-        # Fan-out order of the plain events; the timed sections are the
-        # profiler's alone.
+        # Fan-out order of the plain events (the trace before the decision
+        # log's joins); the timed sections are the profiler's alone.
         channels = [
             profiler,
             MetricsProbe(registry) if registry is not None else None,
-            decisions,
             TraceProbe(trace) if trace is not None else None,
+            decisions,
             causal,
             _TimelineChannel(timeline_interval, self.timelines)
             if timeline_interval is not None

@@ -84,8 +84,8 @@ class DecisionLog:
     """Collects :class:`DecisionRecord` and joins realized outcomes.
 
     A probe channel: every policy's ``on_decision`` lands in
-    :meth:`record`, and the completion listener :meth:`begin_run`
-    installs calls :meth:`note_completed`.
+    :meth:`record`, and ``on_flow_done`` (bare flows) / ``on_coflow_done``
+    join their realized times through :meth:`note_completed`.
     """
 
     def __init__(self, *, trace: Optional[TraceSink] = None) -> None:
@@ -99,28 +99,22 @@ class DecisionLog:
     # ------------------------------------------------------------------
     # Probe points (repro.telemetry.probe)
     # ------------------------------------------------------------------
-    def begin_run(
-        self, t, placement, network_policy, fabric, tracker=None
-    ) -> None:
-        """Label the run's decisions and join its completions: a coflow
-        run's decisions share the coflow's CCT, a flow run's their flow's
-        FCT.  Unjoined decisions of an earlier run are dropped (their
-        flows never complete in this run's fabric)."""
+    def begin_run(self, t, placement, network_policy, *_components) -> None:
+        """Label the run's decisions.  Unjoined decisions of an earlier run
+        are dropped (their flows never complete in this run's fabric)."""
         self._placement = placement
         self._network_policy = network_policy
         self._pending.clear()
-        if tracker is not None:
-            tracker.add_completion_listener(
-                lambda coflow, record: self.note_completed(
-                    record.tag, record.cct, record.completion_time
-                )
-            )
-        else:
-            fabric.add_completion_listener(
-                lambda flow, record: self.note_completed(
-                    record.tag, record.fct, record.completion_time
-                )
-            )
+
+    def on_flow_done(self, t, record) -> None:
+        """A bare flow's decision joins its FCT (a coflow's flows join
+        their coflow's CCT, :meth:`on_coflow_done`)."""
+        if record.coflow_id is None:
+            self.note_completed(record.tag, record.fct, record.completion_time)
+
+    def on_coflow_done(self, t, record) -> None:
+        """A coflow's decisions join its CCT."""
+        self.note_completed(record.tag, record.cct, record.completion_time)
 
     def on_decision(self, t, decision, data_node, candidates) -> None:
         """Record one policy's :class:`~repro.placement.base.PlacementDecision`."""

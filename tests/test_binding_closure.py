@@ -11,7 +11,8 @@ oracle installed where the scenario's own rates are exact, and a count
 of narrowed fills above zero, so no leg passes by never narrowing.
 
 * ``test_a_re_entering_listener_ends_narrowing``: a completion listener
-  that submits synchronously (the stale-survivor path of ROADMAP 2(i));
+  and an arrival listener that submit synchronously, under the oracle
+  (listeners run on a settled fabric, so narrowing goes on after them);
 * ``test_a_sub_floor_component_fills_whole``: links degraded until a
   share is below ``kernels.ARGMIN_FLOOR``: a pinned near-tie the closure
   alone would fill differently, and seeded runs with cancellations and
@@ -73,19 +74,21 @@ def count_fills(patch) -> List[str]:
     return kinds
 
 
-def both_ways(run, *, oracle=False):
+def both_ways(run, *, oracle=False, marked=False):
     """``run()`` with the declaration patched off, then on: returns both
-    results and the fill kinds counted on the narrowing side."""
+    results and the fill kinds counted on the narrowing side.  ``marked``:
+    ``run`` takes the list those kinds go to (``None`` on the other side)
+    and may add marks of its own to it."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(FairAllocator, "one_max_min_group", False)
         if oracle:
             full_recompute_oracle.install(patch)
-        whole = run()
+        whole = run(None) if marked else run()
     with pytest.MonkeyPatch.context() as patch:
         kinds = count_fills(patch)
         if oracle:
             full_recompute_oracle.install(patch)
-        narrowed = run()
+        narrowed = run(kinds) if marked else run()
     return whole, narrowed, kinds
 
 
@@ -100,11 +103,14 @@ def traced_fabric(topo):
 
 
 # ----------------------------------------------------------------------
-# A completion listener that re-enters the fabric
+# A listener that calls back into the fabric
 # ----------------------------------------------------------------------
-def re_entrant_run(seed: int):
+def re_entrant_run(seed: int, listener: str = "completion", marks=None):
     """25 seeded arrivals in the first 50 ms on a 16-host Clos, and a
-    completion listener that submits synchronously, at most 40 times."""
+    ``listener`` (``"completion"`` or ``"arrival"``) that submits
+    synchronously, at most 40 times, appending ``"submit"`` to ``marks``
+    first.  The arrival listener answers the seeded flows above 2e7 bits
+    only (its own are smaller), so it does not chain."""
     engine, fabric, telemetry, buf = traced_fabric(
         three_tier_clos(pods=2, racks_per_pod=2, hosts_per_rack=4)
     )
@@ -117,30 +123,45 @@ def re_entrant_run(seed: int):
             rng.uniform(0.0, 0.05),
             lambda s=src, d=dst, z=size: fabric.submit(s, d, z),
         )
-    budget = [40]
+    budget, arrival = [40], listener == "arrival"
 
-    def resubmit(flow, record):
-        if budget[0]:
+    def resubmit(flow, record=None):
+        if budget[0] and not (arrival and flow.size <= 2e7):
             budget[0] -= 1
-            fabric.submit(flow.dst, rng.choice(hosts), rng.uniform(1e6, 4e7))
+            if marks is not None:
+                marks.append("submit")
+            size = rng.uniform(1e6, 2e7 if arrival else 4e7)
+            fabric.submit(flow.dst, rng.choice(hosts), size)
 
-    fabric.add_completion_listener(resubmit)
+    if arrival:
+        fabric.add_arrival_listener(resubmit)
+    else:
+        fabric.add_completion_listener(resubmit)
     engine.run()
     telemetry.close()
     return fabric.records, buf.getvalue()
 
 
 def test_a_re_entering_listener_ends_narrowing():
-    """From the first submit a completion listener makes while the fabric
-    settles, every fill is the whole settled component: the outer recompute
-    then re-allocates a survivor list the nested one has already changed,
-    and only the whole fill does that exactly as it always has."""
-    narrowed_fills = 0
-    for seed in range(30):
-        whole, narrowed, kinds = both_ways(lambda: re_entrant_run(seed))
-        assert narrowed == whole, f"seed {seed}"
-        narrowed_fills += kinds.count("narrowed")
-    assert narrowed_fills > 0
+    """Listeners run on a settled fabric (DESIGN.md §5.1, "Listeners"): a
+    completion listener after the recompute that settled its flow, an
+    arrival listener after its own flow's recompute, so a listener that
+    submits starts a fresh recompute and nothing it does ends narrowing.
+    Under the full-recompute oracle, both kinds of listener give the
+    whole fills' records and trace, and fills keep narrowing after the
+    first listener submit."""
+    for listener in ("completion", "arrival"):
+        narrowed_fills = 0
+        for seed in range(30):
+            whole, narrowed, kinds = both_ways(
+                lambda marks: re_entrant_run(seed, listener, marks),
+                oracle=True,
+                marked=True,
+            )
+            assert narrowed == whole, f"{listener} listener, seed {seed}"
+            assert "submit" in kinds, f"{listener} listener, seed {seed}"
+            narrowed_fills += kinds[kinds.index("submit"):].count("narrowed")
+        assert narrowed_fills > 0, f"{listener} listener"
 
 
 # ----------------------------------------------------------------------
@@ -377,13 +398,15 @@ class TestFairRecomputeCost:
     #: measured -> bound: Python and C calls inside ``_recompute``, per
     #: recompute (414.1 with every group on the scalar fills; 604.5 when
     #: large groups took the numpy fill, repro 1.11; 426.7 with a sync call
-    #: per flow, repro 1.15).
-    CALLS_PER_RECOMPUTE = (410.5, 469.0)
+    #: per flow, repro 1.15; 410.5 before a completion was queued for the
+    #: listeners, one append and one notify call each, repro 1.16).
+    CALLS_PER_RECOMPUTE = (411.5, 469.0)
     #: policy -> (recomputes, calls per recompute measured -> bound) of the
     #: hinting policies: one sorted sweep per change-point hint and one sync
     #: frame per recompute (617.6 and 1,094.5 with the tracked-list mover
-    #: scan and a sync call per flow, repro 1.15).
-    HINTING_RECOMPUTES = {"srpt": (615, 501.5, 552.0), "las": (769, 840.7, 925.0)}
+    #: scan and a sync call per flow, repro 1.15; LAS 840.7 with the
+    #: re-entrant hint cancel, repro 1.16).
+    HINTING_RECOMPUTES = {"srpt": (615, 501.5, 552.0), "las": (769, 840.5, 925.0)}
     #: measured -> bound: calls inside ``MinLoadPolicy.place`` per decision
     #: of the SRPT replay, one batched read (337.0 with a
     #: ``host_queued_bits`` call per candidate, repro 1.15).

@@ -13,7 +13,9 @@ from repro.network.policies.registry import make_allocator
 from repro.placement.base import PlacementRequest
 from repro.placement.baselines import MinLoadPolicy
 from repro.sim.engine import Engine
-from repro.topology.fabrics import single_switch
+from repro.topology.fabrics import single_switch, three_tier_clos
+
+from tests.test_fabric import assert_within_capacity
 
 
 def fresh(policy="fair", hosts=4):
@@ -115,6 +117,60 @@ class TestFabricReentrancy:
         engine.run()
         assert len(fabric.records) == 2
         assert spawned[0].fct() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("policy", ["fair", "srpt", "las"])
+    def test_a_resubmitting_listener_keeps_rates_within_capacity(self, policy):
+        """A completion listener that resubmits runs after the recompute
+        that settled its flow, so the fabric never splices rates computed
+        on a stale survivor list: after every event, no link carries more
+        than its capacity (12 seeded arrivals on a 16-host Clos, up to 20
+        resubmits, ten seeds)."""
+        for seed in range(10):
+            engine = Engine()
+            fabric = NetworkFabric(
+                engine,
+                three_tier_clos(pods=2, racks_per_pod=2, hosts_per_rack=4),
+                make_allocator(policy),
+            )
+            hosts = list(fabric.topology.hosts)
+            rng = random.Random(seed)
+            for _ in range(12):
+                src, dst = rng.sample(hosts, 2)
+                size = rng.uniform(1e6, 4e7)
+                engine.schedule_at(
+                    rng.uniform(0.0, 0.05),
+                    lambda s=src, d=dst, z=size: fabric.submit(s, d, z),
+                )
+            budget = [20]
+
+            def resubmit(flow, record):
+                if budget[0]:
+                    budget[0] -= 1
+                    fabric.submit(flow.dst, rng.choice(hosts), rng.uniform(1e6, 4e7))
+
+            fabric.add_completion_listener(resubmit)
+            while engine.step():
+                assert_within_capacity(fabric)
+            assert not fabric._active and len(fabric.records) == 32
+
+    @pytest.mark.parametrize("policy", ["fair", "fcfs", "las", "srpt"])
+    def test_a_submit_between_simultaneous_completions(self, policy):
+        """Two equal flows finish at the same instant and the first one's
+        listener submits into their component: the second is settled once,
+        and the run ends on an empty fabric with three records."""
+        engine, fabric = fresh(policy)
+        submitted = []
+
+        def listener(flow, record):
+            if not submitted:
+                submitted.append(fabric.submit("h002", "h001", 1e9))
+
+        fabric.add_completion_listener(listener)
+        fabric.submit("h000", "h001", 1e9)
+        fabric.submit("h000", "h001", 1e9)
+        engine.run()
+        assert not fabric._active and len(fabric.records) == 3
+        assert [r.completion_time for r in fabric.records] == [2.0, 2.0, 3.0]
 
     def test_many_simultaneous_arrivals(self):
         engine, fabric = fresh(hosts=8)

@@ -469,8 +469,46 @@ _fabric_op = st.one_of(
     ),
     st.tuples(st.just("fail_link"), st.sampled_from(_FABRIC_LINKS)),
     st.tuples(st.just("fail_host"), st.sampled_from(_HOSTS)),
+    st.tuples(st.just("resubmit"), st.integers(1, 3)),
 )
 _fabric_ops = st.lists(_fabric_op, min_size=1, max_size=14)
+
+
+def assert_within_capacity(fabric, tolerance=1e-9):
+    """No link carries more allocated rate than its capacity (relative)."""
+    for link_id, members in fabric._by_link.items():
+        used = 0.0
+        for flow in members.values():
+            used += fabric.current_rate(flow)
+        capacity = fabric.link_capacity(link_id)
+        assert used <= capacity * (1 + tolerance), (
+            f"{link_id} at t={fabric.engine.now!r}: {used!r} > {capacity!r}"
+        )
+
+
+class _CheckedEngine(Engine):
+    """An engine that checks its ``fabric``'s rates after every event."""
+
+    def step(self) -> bool:
+        ran = super().step()
+        if ran:
+            assert_within_capacity(self.fabric)
+        return ran
+
+
+def _resubmitter(fabric, budget):
+    """A completion listener that, while ``budget[0]`` lasts, submits half
+    the finished flow's size from its destination to a host picked by its
+    id, both up: a listener that calls back into the fabric."""
+
+    def resubmit(flow, record):
+        src = flow.dst
+        dst = _HOSTS[(_HOSTS.index(src) + 1 + flow.flow_id % 7) % len(_HOSTS)]
+        if budget[0] and fabric.host_is_up(src) and fabric.host_is_up(dst):
+            budget[0] -= 1
+            fabric.submit(src, dst, max(flow.size / 2, 1e6))
+
+    return resubmit
 
 
 def _driven(ops, policy, after_op=None):
@@ -478,11 +516,18 @@ def _driven(ops, policy, after_op=None):
     mid-flight and unsynced, as a placement query finds them);
     ``after_op(fabric)`` runs after every op.  A submit that touches a
     failed host is skipped; ``cancel_flow`` picks among the active
-    flows by index."""
-    engine = Engine()
-    fabric = NetworkFabric(engine, _clos(), _allocator(policy))
+    flows by index; ``resubmit`` adds to the budget of a completion
+    listener that submits (:func:`_resubmitter`).  Rates stay within
+    every link's capacity after every op and every event, the drain's
+    included."""
+    engine = _CheckedEngine()
+    fabric = engine.fabric = NetworkFabric(engine, _clos(), _allocator(policy))
+    budget = [0]
+    fabric.add_completion_listener(_resubmitter(fabric, budget))
     for op in ops:
-        if op[0] == "submit":
+        if op[0] == "resubmit":
+            budget[0] += op[1]
+        elif op[0] == "submit":
             if op[1] != op[2] and all(map(fabric.host_is_up, op[1:3])):
                 fabric.submit(op[1], op[2], op[3])
         elif op[0] == "advance":
@@ -493,6 +538,7 @@ def _driven(ops, policy, after_op=None):
                 fabric.cancel_flow(fabric._active[active[op[1] % len(active)]])
         else:  # degrade_link / fail_link / fail_host
             getattr(fabric, op[0])(*op[1:])
+        assert_within_capacity(fabric)
         if after_op is not None:
             after_op(fabric)
     return fabric
@@ -706,10 +752,10 @@ def test_reroute_moves_the_flow_between_tracked_lists(policy, monkeypatch):
 
 @pytest.mark.parametrize("policy", ["las", "srpt"])
 def test_a_hint_after_a_re_entrant_submit_sees_every_flow(policy, monkeypatch):
-    """ROADMAP 2(i)'s re-entrant submit: a completion listener submits
-    while the fabric settles, so the outer recompute's survivor list is
-    stale.  That settle removed a flow, so each component left is hinted
-    over its own flows, which are whole."""
+    """A completion listener that submits runs after the recompute that
+    settled its flow (DESIGN.md §5.1, "Listeners"), so no recompute hints
+    a stale survivor list: every hint, the resubmits' included, is handed
+    whole sharing components."""
     hints = _check_whole_hints(monkeypatch, policy)
     for seed in range(10):
         engine = Engine()
