@@ -98,14 +98,6 @@ class Coflow:
                 total += f.size
         return total
 
-    def remaining_on_link(self, link_id: LinkId) -> float:
-        """Residual counterpart of :meth:`size_on_link`."""
-        total = 0
-        for f in self.flows:
-            if link_id in f.path:
-                total += f.remaining
-        return total
-
     def link_demands(self) -> Dict[LinkId, float]:
         """Remaining bits per link over all constituent flows."""
         demands: Dict[LinkId, float] = {}

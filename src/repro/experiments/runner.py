@@ -351,8 +351,9 @@ def replay_coflow_trace(
                     injector.note_task_dropped(arrival.tag)
                     return
             span = probe.enter_place() if probe is not None else None
-            try:
-                place_coflow(tracker, arrival.transfers, pool, tag=arrival.tag)
+            try:  # a coflow's submits share one allocation (DESIGN §5.2.1)
+                with fabric.batch():
+                    place_coflow(tracker, arrival.transfers, pool, tag=arrival.tag)
             except RoutingError:
                 if injector is None:
                     raise

@@ -25,11 +25,13 @@ This module is the stand-in for the paper's ns2 substrate.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
     Callable,
     Collection,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -117,6 +119,7 @@ class NetworkFabric:
         self._listeners: List[CompletionListener] = []
         self._settled: List[Tuple[Flow, FlowRecord]] = []  # not yet notified
         self._arrival_listeners: List[Callable[[Flow], None]] = []
+        self._batch: Optional[Dict[LinkId, None]] = None  # see :meth:`batch`
         self._next_flow_id = 0
         # Fault-injection state: failed links stay in the capacity map at
         # 0.0 (no flow crosses them — they are evacuated first), and
@@ -155,7 +158,7 @@ class NetworkFabric:
         return tuple(self._records)
 
     def _sync_members(self, members: Dict[FlowId, Flow]) -> Collection[Flow]:
-        """:meth:`_sync_flow` over ``members`` in one frame; their values."""
+        """``members`` advanced to now at their cached rates, in one frame."""
         now = self._engine.now
         synced_at = self._synced_at
         for flow_id, flow in members.items():
@@ -356,8 +359,24 @@ class NetworkFabric:
 
     def add_arrival_listener(self, listener: Callable[[Flow], None]) -> None:
         """Register a callback fired once a (non-local) flow has entered the
-        network and been allocated (network daemons' incremental state)."""
+        network and been allocated, or only registered inside a :meth:`batch`
+        (network daemons' incremental state)."""
         self._arrival_listeners.append(listener)
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Recompute once, on leaving (by an exception too), for every
+        submit made inside: each still syncs and settles its scope and fires
+        the arrival listeners, but the allocation, rate splice and hints wait
+        for the union of their scopes (DESIGN.md §5.2.1, "One allocation per
+        instant").  No simulated time may pass inside."""
+        outer, self._batch = self._batch, {}
+        try:
+            yield
+        finally:
+            dirty, self._batch = self._batch, outer
+            if dirty:
+                self._recompute(dirty)
 
     def submit(
         self,
@@ -470,14 +489,11 @@ class NetworkFabric:
             return
         self._failed_links.add(link_id)
         self._router.fail_link(link_id)
-        now = self._engine.now
         dirty: Set[LinkId] = {link_id}
         victims = sorted(self._by_link.get(link_id, {}))
         for flow_id in victims:
-            flow = self._active.get(flow_id)
-            if flow is None:  # pragma: no cover - defensive
-                continue
-            self._sync_flow(flow, now)
+            flow = self._active[flow_id]
+            self._sync_members({flow_id: flow})
             dirty.update(flow.path)
             if flow.finished:
                 self._drop_flow(flow)
@@ -574,16 +590,6 @@ class NetworkFabric:
     # ------------------------------------------------------------------
     # Internals: progress bookkeeping
     # ------------------------------------------------------------------
-    def _sync_flow(self, flow: Flow, now: float) -> None:
-        """Apply linear progress to one flow since its last sync."""
-        flow_id = flow.flow_id
-        dt = now - self._synced_at[flow_id]
-        if dt > 0:
-            rate = self._rates.get(flow_id, 0.0)
-            if rate > RATE_EPSILON:
-                flow.advance(rate * dt)
-            self._synced_at[flow_id] = now
-
     def _drop_flow(self, flow: Flow) -> None:
         """Remove a flow from every index (completion or cancellation)."""
         flow_id = flow.flow_id
@@ -743,6 +749,8 @@ class NetworkFabric:
         (``scope``, when the caller holds them already).  For an
         allocator that is not ``incremental_safe`` everything is dirty.
         ``departed`` (the flows it took away) marks an arrival or removal.
+        Inside a :meth:`batch` it syncs and settles only, and leaves its
+        scope's links to the batch.
         """
         probe = self._probe
         now = self._engine.now
@@ -787,7 +795,9 @@ class NetworkFabric:
                     departed.append(flow)
             else:
                 survivors.append(flow)
-        if survivors:
+        if self._batch is not None:  # the batch allocates once, on leaving
+            self._batch.update(dict.fromkeys(comp_links))
+        elif survivors:
             fill = self._binding_closure(survivors, dirty_links, comp_links, departed)
             self._reallocate(fill, comp_links, len(comp_flows), now)
             if self._hinting:
@@ -869,7 +879,8 @@ class NetworkFabric:
         component_size: int,
         now: float,
     ) -> None:
-        """Allocate the settled component and splice the rates in
+        """Allocate the settled component, splice the rates in and
+        reschedule the completion of every flow whose rate changed
         (``component_size`` counts the flows that finished while settling
         too)."""
         probe = self._probe
@@ -886,19 +897,6 @@ class NetworkFabric:
             probe.exit_alloc(span)
 
         span = probe.enter_splice() if probe is not None else None
-        self._splice_rates(comp_flows, rates, now)
-        if span is not None:
-            probe.exit_splice(span)
-
-    def _splice_rates(
-        self,
-        comp_flows: Sequence[Flow],
-        rates: Dict[FlowId, float],
-        now: float,
-    ) -> None:
-        """Apply a fresh rate map into the cached rates and reschedule
-        the completion events of every flow whose rate changed."""
-        probe = self._probe
         progressed = False
         for flow in comp_flows:
             flow_id = flow.flow_id
@@ -919,6 +917,8 @@ class NetworkFabric:
                 "no flow is making progress; allocator "
                 f"{self._allocator.name!r} is not work-conserving"
             )
+        if span is not None:
+            probe.exit_splice(span)
 
     def _reschedule_completion(self, flow: Flow, rate: float, now: float) -> None:
         flow_id = flow.flow_id
@@ -940,7 +940,7 @@ class NetworkFabric:
         # change reschedules).  Whatever residue float time arithmetic
         # leaves is dust — clamp it, or a sub-ulp reschedule could fire
         # at this same timestamp forever.
-        self._sync_flow(flow, self._engine.now)
+        self._sync_members({flow.flow_id: flow})
         if not flow.finished:
             flow.advance(flow.remaining)
         self._recompute(flow.path, departed=[])

@@ -53,7 +53,9 @@ def place_coflow_sequential(
     coflow = tracker.new_coflow(tag=tag)
     remaining_candidates: List[NodeId] = list(candidates)
     ordered = sorted(transfers, key=lambda t: (-t[1], t[0]))
-    coflow_total = sum(size for _node, size in transfers)
+    coflow_total = 0  # a left fold: the same bits on every CPython
+    for _node, size in transfers:
+        coflow_total += size
     # NEAT scores with the scheme's CCT model when the policy exposes it
     # (§6.1: "for CCT prediction we use the prediction models
     # corresponding to each evaluated coflow scheduling scheme").
@@ -124,7 +126,9 @@ def place_coflow_joint(
         )
     fabric = tracker.fabric
     topo = fabric.topology
-    total = sum(size for _node, size in transfers)
+    total = 0
+    for _node, size in transfers:
+        total += size
 
     # Read every potentially involved edge link once: capacity + raw triples.
     links = {}

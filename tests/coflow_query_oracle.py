@@ -12,7 +12,8 @@ fabric's flows in, is claimed to be what these bodies produce:
 (no tolerance).  The bodies below are the per-host chain's
 ``coflow_link_state``, ``NetworkDaemon.coflow_node_state`` and
 ``predict_coflow``, ``NetworkFabric._synced`` and ``flows_on_link`` /
-``flows_at_host`` (over the fabric's unchanged ``_sync_flow``),
+``flows_at_host`` (over the fabric's per-flow ``_sync_flow``, kept here
+since 1.18 folded it into ``_sync_members``),
 ``Coflow.remaining_total``, ``PermutationPredictor.cct`` / ``delta_sum``,
 ``CoflowFairPredictor.cct`` / ``delta_sum`` and
 ``CoflowFCFSPredictor.cct``, with ``self.`` calls into them turned into
@@ -30,6 +31,7 @@ from typing import Dict, List
 
 from repro.daemons.messages import PredictionReply
 from repro.errors import DaemonError
+from repro.network.policies.base import RATE_EPSILON
 from repro.predictor.coflow_cct import (
     CoflowFairPredictor,
     CoflowFCFSPredictor,
@@ -40,8 +42,13 @@ from repro.predictor.state import CoflowLinkState, CoflowOnLink, unchecked
 
 def _synced(fabric, members) -> list:
     now = fabric._engine.now
-    for flow in members.values():
-        fabric._sync_flow(flow, now)
+    for flow_id, flow in members.items():  # ``_sync_flow``, flow by flow
+        dt = now - fabric._synced_at[flow_id]
+        if dt > 0:
+            rate = fabric._rates.get(flow_id, 0.0)
+            if rate > RATE_EPSILON:
+                flow.advance(rate * dt)
+            fabric._synced_at[flow_id] = now
     return list(members.values())
 
 

@@ -23,8 +23,8 @@ of narrowed fills above zero, so no leg passes by never narrowing.
 * ``TestFairRecomputeCost``: a ``sys.setprofile`` budget on calls per fair
   recompute of a pinned 40-host replay, and the mean flows per fill
   against the mean sharing component, so a closure that silently stops
-  narrowing fails tier-1; the same budget per SRPT and LAS recompute and
-  per minLoad decision.
+  narrowing fails tier-1; the same budget per SRPT and LAS recompute, per
+  minLoad decision and per coflow allocation.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from typing import List
 import pytest
 
 from repro.errors import FlowError
-from repro.experiments.runner import replay_flow_trace
+from repro.coflow.policies.base import CoflowAllocator
+from repro.experiments.runner import replay_coflow_trace, replay_flow_trace
 from repro.faults import FaultPlan, LinkDegrade, LinkDown
 from repro.network.fabric import NetworkFabric
 from repro.network.kernels import ARGMIN_FLOOR
@@ -48,7 +49,11 @@ from repro.sim.engine import Engine
 from repro.telemetry import JsonlTraceSink, MetricsRegistry, Telemetry
 from repro.topology.base import Topology, TopoNode
 from repro.topology.fabrics import three_tier_clos
-from repro.workloads import generate_flow_trace, make_distribution
+from repro.workloads import (
+    generate_coflow_trace,
+    generate_flow_trace,
+    make_distribution,
+)
 
 from tests import full_recompute_oracle
 from tests.conftest import FILLS, pin_fill
@@ -348,6 +353,20 @@ def pinned_replay(policy="fair"):
     replay_flow_trace(trace, topo, network_policy=policy, placement="minload")
 
 
+def pinned_coflow_replay():
+    """A pinned Varys + minLoad replay of 100 coflows on the same Clos."""
+    topo = three_tier_clos(pods=2, racks_per_pod=2, hosts_per_rack=10)
+    trace = generate_coflow_trace(
+        hosts=topo.hosts,
+        distribution=make_distribution("hadoop"),
+        load=0.7,
+        edge_capacity=1e9,
+        num_arrivals=100,
+        seed=1,
+    )
+    replay_coflow_trace(trace, topo, network_policy="varys", placement="minload")
+
+
 def calls_per_frame(function, run):
     """Python and C calls made inside ``function`` (nested ones included)
     per outermost call of it during ``run()``, and those calls' count."""
@@ -411,6 +430,11 @@ class TestFairRecomputeCost:
     #: of the SRPT replay, one batched read (337.0 with a
     #: ``host_queued_bits`` call per candidate, repro 1.15).
     CALLS_PER_MINLOAD_DECISION = (182.2, 200.0)
+    #: (allocations, calls per allocation measured -> bound) inside
+    #: ``CoflowAllocator.allocate`` on the pinned coflow replay: one
+    #: allocation per placed coflow and per completion recompute (724
+    #: allocations of 1,350.9 calls, one per submit, repro 1.17).
+    COFLOW_ALLOCATIONS = (410, 1316.5, 1448.0)
     #: measured -> bound: flows handed to the allocator per recompute,
     #: against 23.27 flows in the sharing component it settles.
     FLOWS_PER_FILL = (3.694, 4.06)
@@ -435,6 +459,13 @@ class TestFairRecomputeCost:
             MinLoadPolicy.place, lambda: pinned_replay("srpt")
         )
         assert decisions == 300 and calls <= bound
+
+    def test_calls_per_coflow_allocation_stay_bounded(self):
+        allocations, measured, bound = self.COFLOW_ALLOCATIONS
+        calls, frames = calls_per_frame(
+            CoflowAllocator.allocate, pinned_coflow_replay
+        )
+        assert frames == allocations and calls <= bound
 
     def test_a_fill_is_a_fraction_of_its_component(self, monkeypatch):
         fill, component = fill_and_component_sizes(pinned_replay, monkeypatch)

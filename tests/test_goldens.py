@@ -17,18 +17,30 @@ The *observed* corpus pins what the telemetry channels write for NEAT
 flow, coflow and faulted runs (trace, causal stream, decision log and
 registry snapshot): the proof that a change to how events reach the
 channels changed no output.
+
+Since 1.18 a coflow's transfers are placed inside one
+``NetworkFabric.batch``; placed one allocation per submit instead, the
+coflow runs still write the 1.17 files (pinned by sha256), and the rule
+in ``tests/trace_oracle.py`` maps them to the committed ones.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
+from repro.network.fabric import NetworkFabric
 from tests.conftest import FILLS, pin_fill
-from tests.trace_oracle import expand_bus_rounds
+from tests.trace_oracle import (
+    batch_coflow_arrivals,
+    batch_coflow_rates,
+    batch_recompute_counts,
+    expand_bus_rounds,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
@@ -91,18 +103,21 @@ def test_observed_corpus_byte_identical(name, fill, monkeypatch):
 #: sha256 of the 1.14 observed traces, one ``bus_message`` line per
 #: delivered message (the goldens before ``bus_round``), lines sorted:
 #: since 1.17 completion listeners run after the recompute that settled
-#: their flow, which moved lines but changed none.
+#: their flow, which moved lines but changed none.  ``varys_neat`` is the
+#: 1.17 expansion mapped through :func:`batch_coflow_arrivals` (1.18: 43
+#: superseded ``rate_recompute`` lines fewer; 1.17 ``c3ce74ff...``).
 BUS_MESSAGE_DIGESTS = {
     "fair_neat": "e66f664a70101e4e3d5875d87384b916148592e50a7d1d5dec70cde634457877",
     "faulted_neat": "714919880aba6cd61f2c2196002d4d35742d9be8dcf2ee614390903823965269",
-    "varys_neat": "c3ce74ffe99566108ee8f190ef23f84daa771c586c146bd3137754e8c2337fcc",
+    "varys_neat": "b59a261284df20962373770ef667d691dfe2958ebd085ab52993af489b87a3e3",
 }
 
-#: sha256 of the same expansion of the 1.17 observed traces, in order.
+#: sha256 of the same expansion of the observed traces, in order
+#: (``varys_neat`` mapped as above; 1.17 ``54f83645...``).
 EXPANDED_DIGESTS = {
     "fair_neat": "76990a8d6aac72be4044e774fa02eea5afc54fd4198a227baa904f8bf32dcb3f",
     "faulted_neat": "2b487550ed39aefd84230acede7ec47ce00c0c56064c642025e526e562847d53",
-    "varys_neat": "54f83645c824ed6e524fe05e679b795c7eb9eb73f34c6e3f2b8f709b61c4d0dc",
+    "varys_neat": "c5342bc2a4af9ab6e0bf16bdaebdd7575dec6ffc750b6a306255c94def6f50ff",
 }
 
 
@@ -119,3 +134,47 @@ def test_bus_rounds_expand_to_the_per_message_traces(name):
     assert hashlib.sha256(lines).hexdigest() == BUS_MESSAGE_DIGESTS[name]
     digest = hashlib.sha256(expanded.encode("utf-8")).hexdigest()
     assert digest == EXPANDED_DIGESTS[name]
+
+
+#: sha256 of the 1.17 files that batched coflow arrivals moved, as the
+#: per-submit placement still writes them.
+PER_SUBMIT_DIGESTS = {
+    "varys": {"trace.jsonl": "85a8a8902de888e3ad46171cccad27027b15356a769b168e2942c967a0447a43"},
+    "scf": {"trace.jsonl": "a33cb3c4eca4c250edc4bb8a5ab30e8bee29b6df60dee4544e4f8ac8d841efa7"},
+    "coflow-fcfs": {"trace.jsonl": "f0183c47fd141f8ac2716ddec78c807f7eb28425a2c34048820d4d226031c0e1"},
+    "coflow-las": {"trace.jsonl": "aa6b67fc812b98bd71d276df979db515142c93a68a85a3156d10addd08406957"},
+    "coflow-fair": {"trace.jsonl": "f9a460ec2dff3f1c9128d38281ca6cadf558c44c83b598d9398d08045c204c84"},
+    "varys_neat": {
+        "trace.jsonl": "a43a49d7b7867798188906d3282333687f043cd47908fa65fea89a2614cf56bf",
+        "causal.jsonl": "87e943ebca66d2213ce9061dabb5a8ecca31aac1e1ffc1fb46e1d8fbf030462b",
+        "registry.json": "c6220a103283607e7af7589993a2e60561acfe0f71b42d3e5023ae6a21ff468e",
+    },
+}
+
+
+def _artifacts(name):
+    """The files one golden scenario writes, by suffix."""
+    if name in regen_goldens.OBSERVED:
+        return regen_goldens.generate_observed(name)
+    return dict(zip(("records.jsonl", "trace.jsonl"), regen_goldens.generate(name)))
+
+
+@pytest.mark.parametrize("name", sorted(PER_SUBMIT_DIGESTS))
+def test_batched_arrivals_move_the_goldens_by_the_rule(name, monkeypatch):
+    """A coflow's submits share one allocation (1.18).  Without the batch
+    the run writes the 1.17 files byte for byte; the rule maps them to the
+    1.18 ones, and every other file (records, decisions) does not move."""
+    batched = _artifacts(name)
+    monkeypatch.setattr(NetworkFabric, "batch", lambda self: nullcontext())
+    per_submit = _artifacts(name)
+    for suffix, digest in PER_SUBMIT_DIGESTS[name].items():
+        text = per_submit.pop(suffix)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        if suffix == "trace.jsonl":
+            assert batch_coflow_arrivals(text) == batched[suffix]
+        elif suffix == "causal.jsonl":
+            assert batch_coflow_rates(text) == batched[suffix]
+        else:
+            mapped = batch_recompute_counts(text, batched["trace.jsonl"])
+            assert mapped == batched[suffix]
+    assert per_submit == {suffix: batched[suffix] for suffix in per_submit}
