@@ -72,23 +72,6 @@ class Coflow:
             total += f.size
         return total
 
-    @property
-    def remaining_total(self) -> float:
-        """Bits still to transfer across all constituent flows (a left
-        fold from ``sum``'s 0: 3.12 compensates a float ``sum``)."""
-        total = 0
-        for f in self.flows:
-            total += f.remaining
-        return total
-
-    @property
-    def attained_total(self) -> float:
-        """Bits transferred so far across all constituent flows."""
-        total = 0
-        for f in self.flows:
-            total += f.attained
-        return total
-
     def size_on_link(self, link_id: LinkId) -> float:
         """s_{c,l}: total (original) size of this coflow's flows crossing
         ``link_id``."""

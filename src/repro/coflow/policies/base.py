@@ -58,6 +58,14 @@ def collect_coflows(flows: Sequence[Flow]) -> List[Tuple[Optional[Coflow], List[
     return [groups[key] for key in order]
 
 
+def unit_arrival(coflow: Optional[Coflow], members: Sequence[Flow]) -> float:
+    """A scheduling unit's arrival: its coflow's, or a bare flow group's
+    earliest flow's."""
+    if coflow is not None:
+        return coflow.arrival_time
+    return min(f.arrival_time for f in members)
+
+
 def column_demand(
     members: Sequence[Flow], cols_of: Mapping[FlowId, List[int]]
 ) -> Dict[int, float]:

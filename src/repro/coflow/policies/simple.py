@@ -13,7 +13,11 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.coflow.coflow import Coflow
-from repro.coflow.policies.base import CoflowAllocator, collect_coflows
+from repro.coflow.policies.base import (
+    CoflowAllocator,
+    collect_coflows,
+    unit_arrival,
+)
 from repro.network.flow import Flow, FlowId
 from repro.network.kernels import backfill, link_columns
 from repro.network.policies.base import RATE_EPSILON, RateAllocator
@@ -32,12 +36,10 @@ class SCFAllocator(CoflowAllocator):
         demand: Mapping[int, float],
         capacity: Sequence[float],
     ) -> Tuple:
-        remaining = sum(f.remaining for f in members)
-        arrival = (
-            coflow.arrival_time if coflow is not None
-            else min(f.arrival_time for f in members)
-        )
-        return (remaining, arrival)
+        remaining = 0  # a left fold: the same bits on every CPython
+        for f in members:
+            remaining += f.remaining
+        return (remaining, unit_arrival(coflow, members))
 
 
 class CoflowFCFSAllocator(CoflowAllocator):
@@ -52,11 +54,7 @@ class CoflowFCFSAllocator(CoflowAllocator):
         demand: Mapping[int, float],
         capacity: Sequence[float],
     ) -> Tuple:
-        arrival = (
-            coflow.arrival_time if coflow is not None
-            else min(f.arrival_time for f in members)
-        )
-        return (arrival,)
+        return (unit_arrival(coflow, members),)
 
 
 class CoflowLASAllocator(CoflowAllocator):
@@ -77,12 +75,10 @@ class CoflowLASAllocator(CoflowAllocator):
         demand: Mapping[int, float],
         capacity: Sequence[float],
     ) -> Tuple:
-        attained = sum(f.attained for f in members)
-        arrival = (
-            coflow.arrival_time if coflow is not None
-            else min(f.arrival_time for f in members)
-        )
-        return (attained, arrival)
+        attained = 0
+        for f in members:
+            attained += f.attained
+        return (attained, unit_arrival(coflow, members))
 
 
 class CoflowFairAllocator(RateAllocator):
@@ -118,7 +114,9 @@ class CoflowFairAllocator(RateAllocator):
         totals: List[float] = []
         active: Dict[int, Sequence[Flow]] = {}
         for index, (_coflow, members) in enumerate(groups):
-            total = sum(f.remaining for f in members)
+            total = 0
+            for flow in members:
+                total += flow.remaining
             w: Dict[int, float] = {}
             if total > 0:
                 for flow in members:

@@ -12,7 +12,11 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.coflow.coflow import Coflow
-from repro.coflow.policies.base import CoflowAllocator, column_bottleneck
+from repro.coflow.policies.base import (
+    CoflowAllocator,
+    column_bottleneck,
+    unit_arrival,
+)
 from repro.network.flow import Flow
 
 
@@ -31,8 +35,4 @@ class VarysAllocator(CoflowAllocator):
         # Effective bottleneck on *full* capacities (not residual): this is
         # the coflow's intrinsic length, independent of current contention.
         gamma = column_bottleneck(demand, capacity)
-        arrival = (
-            coflow.arrival_time if coflow is not None
-            else min(f.arrival_time for f in members)
-        )
-        return (gamma, arrival)
+        return (gamma, unit_arrival(coflow, members))

@@ -185,12 +185,7 @@ class NetworkDaemon:
         """Predicted CCT contribution of this node's edge link, with the
         node state at coflow granularity (the smallest residual coflow
         total at the host; the preferred-host filter's input when the
-        scheduling unit is the coflow).
-
-        The order is part of the answer: the link's flows are synced and
-        read before the rest of the host's, so ``Coflow.remaining_total``
-        in the link state sees the coflow's flows elsewhere as of their
-        last sync (:meth:`NetworkFabric.coflow_edge_states`)."""
+        scheduling unit is the coflow)."""
         return self.handle(
             CoflowPredictionRequest(total_size, size_on_link, direction)
         )

@@ -464,7 +464,11 @@ class TaskPlacementDaemon:
             raise PlacementError("place_reducer needs at least one source")
         if not candidates:
             raise PlacementError("place_reducer needs at least one candidate")
-        total = sum(size for _node, size in sources)
+        # Left folds from int 0 (``sum``'s, compensated on CPython 3.12).
+        total, local = 0, {}
+        for node, size in sources:
+            total += size
+            local[node] = local.get(node, 0) + size
 
         # Source uplink contributions are candidate-independent except for
         # the bytes that become local; query once per distinct source (a
@@ -474,15 +478,14 @@ class TaskPlacementDaemon:
         for node, _size in sources:
             if node not in uplinks:
                 request = CoflowPredictionRequest(
-                    total_size=total,
-                    size_on_link=sum(s for n, s in sources if n == node),
-                    direction="out",
+                    total_size=total, size_on_link=local[node], direction="out"
                 )
                 uplinks.update(self._query((node,), request))
-        incoming = {
-            host: sum(size for node, size in sources if node != host)
-            for host in candidates
-        }
+        incoming = dict.fromkeys(candidates, 0)
+        for host in incoming:
+            for node, size in sources:
+                if node != host:
+                    incoming[host] += size
         answers: Dict[NodeId, Any] = {}
         for host in candidates:  # one-host rounds, in candidate order
             if incoming[host] > 0:

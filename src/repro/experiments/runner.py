@@ -368,7 +368,7 @@ def replay_coflow_trace(
         "coflow",
         make_place_task,
         lambda arrival: (
-            sum(size for _node, size in arrival.transfers),
+            arrival.total_size,
             max(arrival.transfers, key=lambda ts: ts[1])[0],
         ),
         fabric,

@@ -96,7 +96,7 @@ class TimelineSampler:
             TimelineSample(
                 time=fabric.engine.now,
                 active_flows=len(flows),
-                total_queued_bits=sum(f.remaining for f in flows),
+                total_queued_bits=sum(map(fabric.residual, flows)),
                 links=links,
             )
         )

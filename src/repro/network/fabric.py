@@ -111,8 +111,8 @@ class NetworkFabric:
         self._by_host: Dict[NodeId, Dict[FlowId, Flow]] = {}
         self._rates: Dict[FlowId, float] = {}
         # Per-flow progress bookkeeping: the time each flow's (remaining,
-        # attained) pair was last brought up to date.  Progress is applied
-        # lazily — untouched components pay nothing per foreign event.
+        # attained) pair was last brought up to date, by an event of its
+        # component (reads compute residuals and write nothing).
         self._synced_at: Dict[FlowId, float] = {}
         self._completion_events: Dict[FlowId, Event] = {}
         self._records: List[FlowRecord] = []
@@ -157,30 +157,55 @@ class NetworkFabric:
         """Completion records, in completion order."""
         return tuple(self._records)
 
-    def _sync_members(self, members: Dict[FlowId, Flow]) -> Collection[Flow]:
-        """``members`` advanced to now at their cached rates, in one frame."""
-        now = self._engine.now
-        synced_at = self._synced_at
+    def _sync_members(self, members: Dict[FlowId, Flow]) -> None:
+        """Advance ``members`` to now at their cached rates (events only)."""
+        now, synced_at, rates = self._engine.now, self._synced_at, self._rates
         for flow_id, flow in members.items():
             dt = now - synced_at[flow_id]
             if dt > 0:
-                rate = self._rates.get(flow_id, 0.0)
+                rate = rates.get(flow_id, 0.0)
                 if rate > RATE_EPSILON:
                     flow.advance(rate * dt)
                 synced_at[flow_id] = now
-        return members.values()
+
+    def _residuals(self, groups: Sequence[Collection[Flow]]) -> Dict[FlowId, float]:
+        """The remaining bits now of every flow in ``groups``, by id, in one
+        frame and stored nowhere: the float :meth:`_sync_members` would leave
+        in ``remaining`` (``remaining - min(rate * dt, remaining)``, spelled
+        without a call).  A flow no longer active reads as it ended."""
+        now, synced_at, rates = self._engine.now, self._synced_at, self._rates
+        residuals: Dict[FlowId, float] = {}
+        for flows in groups:
+            for flow in flows:
+                flow_id = flow.flow_id
+                if flow_id in residuals:
+                    continue
+                remaining = flow.remaining
+                dt = now - synced_at.get(flow_id, now)
+                if dt > 0:
+                    rate = rates.get(flow_id, 0.0)
+                    if rate > RATE_EPSILON:
+                        moved = rate * dt
+                        remaining = remaining - moved if moved < remaining else 0.0
+                residuals[flow_id] = remaining
+        return residuals
+
+    def residual(self, flow: Flow) -> float:
+        """``flow``'s remaining bits now.  Only events write progress, so
+        ``flow.remaining`` is as of the last event that touched it."""
+        return self._residuals(((flow,),))[flow.flow_id]
 
     def active_flows(self) -> List[Flow]:
-        """Currently active flows (progress synced to *now*)."""
-        return list(self._sync_members(self._active))
+        """Currently active flows (their residuals: :meth:`residual`)."""
+        return list(self._active.values())
 
     def flows_on_link(self, link_id: LinkId) -> List[Flow]:
-        """Active flows whose path crosses ``link_id`` (progress synced)."""
-        return list(self._sync_members(self._by_link.get(link_id, {})))
+        """Active flows whose path crosses ``link_id``."""
+        return list(self._by_link.get(link_id, {}).values())
 
     def flows_at_host(self, host: NodeId) -> List[Flow]:
         """Active flows sourced at or destined to ``host``."""
-        return list(self._sync_members(self._by_host.get(host, {})))
+        return list(self._by_host.get(host, {}).values())
 
     def host_edge_states(
         self, reads: Sequence[Tuple[NodeId, LinkId]]
@@ -188,25 +213,20 @@ class NetworkFabric:
         """The network daemons' read of each ``(host, edge link)``, in order:
         the residual sizes on the link (:meth:`flows_on_link` order) and the
         node state of §5.1.1 (the smallest residual size at the host, inf
-        when idle), from one pass syncing the host's flows, which include
-        the edge link's.  The sync is :meth:`_sync_members` inlined: one
-        more frame per host made a fig5 decision 13% dearer."""
+        when idle), from the residuals of the host's flows, which include
+        the edge link's."""
         by_host, by_link = self._by_host, self._by_link
-        now, synced_at, rates = self._engine.now, self._synced_at, self._rates
+        at_hosts = [by_host.get(host, {}).values() for host, _ in reads]
+        residuals = self._residuals(at_hosts)
         states = []
-        for host, link_id in reads:
+        for (_, link_id), flows in zip(reads, at_hosts):
             node_state = _INF
-            for flow_id, flow in by_host.get(host, {}).items():
-                dt = now - synced_at[flow_id]
-                if dt > 0:
-                    rate = rates.get(flow_id, 0.0)
-                    if rate > RATE_EPSILON:
-                        flow.advance(rate * dt)
-                    synced_at[flow_id] = now
-                if flow.remaining < node_state:
-                    node_state = flow.remaining
+            for flow in flows:
+                bits = residuals[flow.flow_id]
+                if bits < node_state:
+                    node_state = bits
             on_link = by_link.get(link_id)
-            sizes = [flow.remaining for flow in on_link.values()] if on_link else []
+            sizes = [residuals[flow_id] for flow_id in on_link] if on_link else []
             states.append((sizes, node_state))
         return states
 
@@ -218,48 +238,38 @@ class NetworkFabric:
         link (a bare flow is its own; link-index order; a coflow's total at
         least 1e-9; ``0 < on_link <= total``) and the node state at coflow
         granularity (the smallest residual coflow total at the host, inf when
-        idle; a host of ``None`` reads the link alone).  The link's flows are
-        synced and grouped before the host's others are synced, so a total
-        sees the coflow's flows elsewhere as last synced.  The syncs are
-        :meth:`_sync_members` inlined, as in :meth:`host_edge_states`."""
+        idle; a host of ``None`` reads the link alone).  A coflow's total is
+        its members' residuals summed left."""
         by_host, by_link = self._by_host, self._by_link
-        now, synced_at, rates = self._engine.now, self._synced_at, self._rates
+        pairs = [(by_link.get(link_id), by_host.get(host)) for host, link_id in reads]
+        # The host's flows include its edge link's.
+        touched = [(at_host or on_link).values()
+                   for on_link, at_host in pairs if at_host or on_link]
+        totals = {flow.coflow: 0 for flows in touched for flow in flows
+                  if flow.coflow is not None}
+        residuals = self._residuals([*touched, *[unit.flows for unit in totals]])
+        for unit in totals:
+            total = 0
+            for flow in unit.flows:
+                total += residuals[flow.flow_id]
+            totals[unit] = total
         states = []
-        for host, link_id in reads:
-            on_link, coflows = by_link.get(link_id) or {}, []
-            for flow_id, flow in on_link.items():
-                dt = now - synced_at[flow_id]
-                if dt > 0:
-                    rate = rates.get(flow_id, 0.0)
-                    if rate > RATE_EPSILON:
-                        flow.advance(rate * dt)
-                    synced_at[flow_id] = now
+        for on_link, at_host in pairs:
+            coflows, node_state = [], _INF
             if on_link:
                 groups: Dict[object, List[float]] = {}
-                for flow in on_link.values():
-                    unit = flow.coflow or flow
+                for flow_id, flow in on_link.items():
+                    unit, bits = flow.coflow or flow, residuals[flow_id]
                     entry = groups.get(unit)
                     if entry is None:
-                        total = (flow.remaining if unit is flow
-                                 else max(unit.remaining_total, 1e-9))
+                        total = bits if unit is flow else max(totals[unit], 1e-9)
                         entry = groups[unit] = [total, 0.0, unit.arrival_time]
-                    entry[1] += flow.remaining
+                    entry[1] += bits
                 coflows = [(total, bits if bits < total else total, arrival)
                            for total, bits, arrival in groups.values() if bits > 0]
-            node_state, units = _INF, {}
-            for flow_id, flow in by_host.get(host, {}).items():
-                dt = now - synced_at[flow_id]
-                if dt > 0:
-                    rate = rates.get(flow_id, 0.0)
-                    if rate > RATE_EPSILON:
-                        flow.advance(rate * dt)
-                    synced_at[flow_id] = now
-                if flow.coflow is not None:
-                    units[flow.coflow] = None
-                elif flow.remaining < node_state:
-                    node_state = flow.remaining
-            for unit in units:  # once every flow at the host is synced
-                total = unit.remaining_total
+            for flow_id, flow in at_host.items() if at_host else ():
+                unit = flow.coflow
+                total = residuals[flow_id] if unit is None else totals[unit]
                 if total < node_state:
                     node_state = total
             states.append((coflows, node_state))
@@ -270,35 +280,24 @@ class NetworkFabric:
         return self._rates.get(flow.flow_id, 0.0)
 
     def link_queued_bits(self, link_id: LinkId) -> float:
-        """Total remaining bits of flows crossing ``link_id``."""
+        """Total residual bits of flows crossing ``link_id``."""
         total = 0.0
-        for flow in self._sync_members(self._by_link.get(link_id, {})):
-            total += flow.remaining
+        for bits in self._residuals((self.flows_on_link(link_id),)).values():
+            total += bits
         return total
 
-    def host_queued_bits(self, host: NodeId) -> float:
-        """Total remaining bits of flows sourced at or destined to ``host``:
-        :meth:`hosts_queued_bits` of one host."""
-        return self.hosts_queued_bits((host,))[0]
-
     def hosts_queued_bits(self, hosts: Sequence[NodeId]) -> List[float]:
-        """minLoad's read of each host's load, in order: the remaining bits
+        """minLoad's read of each host's load, in order: the residual bits
         of its flows, summed left from int 0 in :meth:`flows_at_host` order
-        (0 when idle).  The sync is :meth:`_sync_members` inlined, as in
-        :meth:`host_edge_states`."""
+        (0 when idle)."""
         by_host = self._by_host
-        now, synced_at, rates = self._engine.now, self._synced_at, self._rates
+        at_hosts = [by_host.get(host, {}).values() for host in hosts]
+        residuals = self._residuals(at_hosts)
         totals = []
-        for host in hosts:
+        for flows in at_hosts:
             total = 0
-            for flow_id, flow in by_host.get(host, {}).items():
-                dt = now - synced_at[flow_id]
-                if dt > 0:
-                    rate = rates.get(flow_id, 0.0)
-                    if rate > RATE_EPSILON:
-                        flow.advance(rate * dt)
-                    synced_at[flow_id] = now
-                total += flow.remaining
+            for flow in flows:
+                total += residuals[flow.flow_id]
             totals.append(total)
         return totals
 

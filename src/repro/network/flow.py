@@ -39,8 +39,8 @@ class Flow:
         size: transfer size in bits (must be positive).
         path: link ids traversed, in order (empty for host-local transfers).
         arrival_time: simulation time the flow entered the network.
-        remaining: bits left to transfer.
-        attained: bits transferred so far.
+        remaining: bits left at the last sync (now: ``NetworkFabric.residual``).
+        attained: bits transferred by the last sync.
         completion_time: set when the flow finishes.
         coflow: owning coflow, if scheduled as part of one.
         tag: free-form label used by experiments (e.g. job id).

@@ -28,7 +28,7 @@ from repro.topology.base import NodeId
 
 def host_queued_bits(fabric: NetworkFabric, host: NodeId) -> float:
     """Total residual bits of flows sourced at or destined to ``host``."""
-    return fabric.host_queued_bits(host)
+    return fabric.hosts_queued_bits((host,))[0]
 
 
 class MinLoadPolicy(PlacementPolicy):
@@ -152,8 +152,9 @@ class MinFCTPolicy(PlacementPolicy):
     def _predicted_fct(self, request: PlacementRequest, host: NodeId) -> float:
         if host == request.data_node:
             return 0.0  # full locality: no network transfer
-        link = self._fabric.topology.host_downlink(host)
-        sizes = [f.remaining for f in self._fabric.flows_on_link(link.link_id)]
+        fabric = self._fabric
+        link = fabric.topology.host_downlink(host)
+        sizes = [fabric.residual(f) for f in fabric.flows_on_link(link.link_id)]
         return self._predictor.predict_fct(request.size, link.capacity, sizes)
 
     def place(self, request: PlacementRequest) -> NodeId:

@@ -79,10 +79,11 @@ class PathAwareNEATPolicy(PlacementPolicy):
     # Node state (same quantity the daemons report)
     # ------------------------------------------------------------------
     def _node_state(self, host: NodeId) -> float:
-        flows = self._fabric.flows_at_host(host)
-        if not flows:
-            return float("inf")
-        return min(f.remaining for f in flows)
+        fabric = self._fabric
+        return min(
+            (fabric.residual(f) for f in fabric.flows_at_host(host)),
+            default=float("inf"),
+        )
 
     def _preferred(self, request: PlacementRequest) -> Tuple[List[NodeId], bool]:
         """Algorithm 1's filter, and whether it emptied (then every

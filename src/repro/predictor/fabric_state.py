@@ -30,7 +30,7 @@ def flow_link_state(fabric: NetworkFabric, link_id: LinkId) -> LinkState:
     return link_state_from_flows(
         link_id,
         link.capacity,
-        (f.remaining for f in fabric.flows_on_link(link_id)),
+        (fabric.residual(f) for f in fabric.flows_on_link(link_id)),
     )
 
 

@@ -44,8 +44,12 @@ class LinkState:
 
     @property
     def total_bits(self) -> float:
-        """Total queued bits on the link."""
-        return sum(self.flow_sizes)
+        """Total queued bits on the link (a left fold: the same bits on
+        every CPython)."""
+        total = 0
+        for size in self.flow_sizes:
+            total += size
+        return total
 
     @property
     def num_flows(self) -> int:

@@ -43,7 +43,10 @@ class CoflowArrival:
 
     @property
     def total_size(self) -> float:
-        return sum(size for _node, size in self.transfers)
+        total = 0  # a left fold: the same bits on every CPython
+        for _node, size in self.transfers:
+            total += size
+        return total
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,21 @@
 """Test-only oracle: the coflow CCT query as it stood before a coflow
-decision became one query round, host by host.
+decision became one query round, host by host, over residuals read
+without a write.
 
 ``NetworkDaemon.answer_round`` now answers a coflow round from one
 ``NetworkFabric.coflow_edge_states`` read (per host the edge link's flows
-synced and grouped by coflow, then the rest of the host's flows synced for
-the node state) and one ``CoflowCCTPredictor.predict_link_objective`` per
+grouped by coflow, and the host's for the node state, every flow at its
+residual now) and one ``CoflowCCTPredictor.predict_link_objective`` per
 host over raw ``(total, on_link, arrival)`` triples; ``predict_coflow`` is
-a round of one.  Every reply, and the state each query leaves the
-fabric's flows in, is claimed to be what these bodies produce:
-``tests/test_coflow_query_differential.py`` checks that claim with ``==``
+a round of one.  Every reply is claimed to be what these bodies produce,
+and no query moves any flow's progress:
+``tests/test_coflow_query_differential.py`` checks both with ``==``
 (no tolerance).  The bodies below are the per-host chain's
 ``coflow_link_state``, ``NetworkDaemon.coflow_node_state`` and
-``predict_coflow``, ``NetworkFabric._synced`` and ``flows_on_link`` /
-``flows_at_host`` (over the fabric's per-flow ``_sync_flow``, kept here
-since 1.18 folded it into ``_sync_members``),
-``Coflow.remaining_total``, ``PermutationPredictor.cct`` / ``delta_sum``,
-``CoflowFairPredictor.cct`` / ``delta_sum`` and
-``CoflowFCFSPredictor.cct``, with ``self.`` calls into them turned into
+``predict_coflow``, a flow's residual as ``Flow.advance`` would store
+it, the deleted ``Coflow.remaining_total`` over residuals,
+``PermutationPredictor.cct`` / ``delta_sum``, ``CoflowFairPredictor.cct``
+/ ``delta_sum`` and ``CoflowFCFSPredictor.cct``, with ``self.`` calls into them turned into
 calls of this module, so no predictor or grouping arithmetic here runs
 through the code under test (a custom predictor answers for itself).
 Float sums are left folds from ``sum``'s 0: the same bits as the
@@ -40,33 +39,34 @@ from repro.predictor.coflow_cct import (
 from repro.predictor.state import CoflowLinkState, CoflowOnLink, unchecked
 
 
-def _synced(fabric, members) -> list:
-    now = fabric._engine.now
-    for flow_id, flow in members.items():  # ``_sync_flow``, flow by flow
-        dt = now - fabric._synced_at[flow_id]
-        if dt > 0:
-            rate = fabric._rates.get(flow_id, 0.0)
-            if rate > RATE_EPSILON:
-                flow.advance(rate * dt)
-            fabric._synced_at[flow_id] = now
-    return list(members.values())
+def residual(fabric, flow) -> float:
+    """``flow.remaining`` once a sync brought it to now: ``Flow.advance``
+    by the bits its cached rate moved since its last sync (none for a flow
+    no longer active), stored nowhere."""
+    remaining = flow.remaining
+    synced = fabric._synced_at.get(flow.flow_id)
+    if synced is not None and fabric._engine.now - synced > 0:
+        rate = fabric._rates.get(flow.flow_id, 0.0)
+        if rate > RATE_EPSILON:
+            remaining -= min(rate * (fabric._engine.now - synced), remaining)
+    return remaining
 
 
 def flows_on_link(fabric, link_id) -> list:
-    """Active flows whose path crosses ``link_id`` (progress synced)."""
-    return _synced(fabric, fabric._by_link.get(link_id, {}))
+    """Active flows whose path crosses ``link_id``."""
+    return list(fabric._by_link.get(link_id, {}).values())
 
 
 def flows_at_host(fabric, host) -> list:
     """Active flows sourced at or destined to ``host``."""
-    return _synced(fabric, fabric._by_host.get(host, {}))
+    return list(fabric._by_host.get(host, {}).values())
 
 
-def remaining_total(coflow) -> float:
-    """Bits still to transfer across all constituent flows."""
+def remaining_total(fabric, coflow) -> float:
+    """Residual bits across all constituent flows."""
     total = 0
     for f in coflow.flows:
-        total += f.remaining
+        total += residual(fabric, f)
     return total
 
 
@@ -79,19 +79,19 @@ def coflow_link_state(fabric, link_id) -> CoflowLinkState:
     """
     link = fabric.topology.link(link_id)
     groups: Dict[object, List[float]] = {}
-    # flows_on_link syncs before the loop, so a coflow's residual total is
-    # the same at each of its flows: sum it (O(flows in coflow)) once.
+    # A coflow's residual total is the same at each of its flows: sum it
+    # (O(flows in coflow)) once.
     for flow in flows_on_link(fabric, link_id):
         unit = flow.coflow or flow  # a bare flow is its own coflow
         entry = groups.get(unit)
         if entry is None:
             total = (
-                flow.remaining
+                residual(fabric, flow)
                 if unit is flow
-                else max(remaining_total(unit), 1e-9)
+                else max(remaining_total(fabric, unit), 1e-9)
             )
             entry = groups[unit] = [total, 0.0, unit.arrival_time]
-        entry[1] += flow.remaining
+        entry[1] += residual(fabric, flow)
     # total > 0 and 0 < on-link <= total hold by construction here.
     return CoflowLinkState(
         link_id=link_id,
@@ -114,14 +114,17 @@ def coflow_node_state(self) -> float:
     size among coflows touching this node (bare flows count as
     singleton coflows).  Used by the preferred-host filter when the
     scheduling unit is the coflow."""
-    # flows_at_host syncs first, so a coflow's total is the same at each
-    # of its flows: sum it (O(flows in coflow)) once per coflow.
+    # A coflow's total is the same at each of its flows: sum it
+    # (O(flows in coflow)) once per coflow.
+    fabric = self._fabric
     totals = {}
-    for flow in flows_at_host(self._fabric, self._host):
+    for flow in flows_at_host(fabric, self._host):
         unit = flow.coflow or flow  # a bare flow is its own coflow
         if unit not in totals:
             totals[unit] = (
-                flow.remaining if unit is flow else remaining_total(unit)
+                residual(fabric, flow)
+                if unit is flow
+                else remaining_total(fabric, unit)
             )
     return min(totals.values(), default=float("inf"))
 

@@ -14,8 +14,10 @@ and placement decisions:
   ``submit`` raise ``RoutingError`` after others of its coflow went in, so
   the batch ends by the exception;
 * the pinned 150-coflow replay (seed 2, SCF + NEAT) on which deferring the
-  in-batch sync too moves flow 155 from h004 to h010 (a NEAT read saw a
-  stale coflow total) and coflow 38's CCT by 0.9 ms.
+  in-batch sync too once moved flow 155 (a NEAT read saw a stale coflow
+  total) and coflow 38's CCT by 0.9 ms; batched, it equals the replay whose
+  CCT queries the host-by-host oracle answers
+  (``tests/coflow_query_oracle.py``).
 
 The count guard, on the pinned replay: batched, the allocations are the
 placed coflows plus the completion recomputes; per submit, the submitted
@@ -33,11 +35,15 @@ import pytest
 
 from repro.coflow.policies import available_coflow_policies, make_coflow_allocator
 from repro.coflow.policies.base import CoflowAllocator
+from repro.daemons.messages import CoflowPredictionRequest
+from repro.daemons.network_daemon import NetworkDaemon
 from repro.errors import RoutingError
 from repro.experiments import MacroConfig, replay_coflow_trace
 from repro.faults import FaultPlan, HostDown, LinkDown
 from repro.network.fabric import NetworkFabric
 from repro.telemetry import DecisionLog, Telemetry
+
+from tests import coflow_query_oracle
 
 #: One name per coflow allocator (``sebf``, ``tcf``, ... are aliases).
 POLICIES = sorted({make_coflow_allocator(n).name for n in available_coflow_policies()})
@@ -172,11 +178,30 @@ def pinned(batched):
 
 def test_the_pinned_stale_read_case_equals_per_submit():
     """The replay a batch that skipped the sync of unqueried links got
-    wrong: flow 155 belongs on h004."""
+    wrong: batched, per submit and with every CCT query answered by the
+    residual-semantics oracle host by host, flow 155 goes to h005."""
     batched, per_submit = pinned(True)[0], pinned(False)[0]
     assert batched == per_submit
+    answer_round = NetworkDaemon.answer_round
+
+    def oracle_round(daemons, payload):
+        if not isinstance(payload, CoflowPredictionRequest):
+            return answer_round(daemons, payload)
+        return [
+            coflow_query_oracle.predict_coflow(
+                daemon, payload.total_size, payload.size_on_link,
+                payload.direction,
+            )
+            for daemon in daemons
+        ]
+
+    oracle, _ = replay(
+        "scf", "neat", 2, batched=True, arrivals=150,
+        patch=lambda mp: mp.setattr(NetworkDaemon, "answer_round", oracle_round),
+    )
+    assert batched == oracle
     flows = {row["flow_id"]: row for row in map(json.loads, batched[0].splitlines())}
-    assert flows[155]["dst"] == "h004"
+    assert flows[155]["dst"] == "h005"
 
 
 def test_one_allocation_per_placed_coflow_and_completion():

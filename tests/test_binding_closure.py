@@ -418,18 +418,22 @@ class TestFairRecomputeCost:
     #: recompute (414.1 with every group on the scalar fills; 604.5 when
     #: large groups took the numpy fill, repro 1.11; 426.7 with a sync call
     #: per flow, repro 1.15; 410.5 before a completion was queued for the
-    #: listeners, one append and one notify call each, repro 1.16).
-    CALLS_PER_RECOMPUTE = (411.5, 469.0)
+    #: listeners, one append and one notify call each, repro 1.16; 411.5
+    #: while reads synced, repro 1.18: a recompute now advances the flows
+    #: a decision's read used to).
+    CALLS_PER_RECOMPUTE = (439.8, 469.0)
     #: policy -> (recomputes, calls per recompute measured -> bound) of the
     #: hinting policies: one sorted sweep per change-point hint and one sync
     #: frame per recompute (617.6 and 1,094.5 with the tracked-list mover
     #: scan and a sync call per flow, repro 1.15; LAS 840.7 with the
-    #: re-entrant hint cancel, repro 1.16).
-    HINTING_RECOMPUTES = {"srpt": (615, 501.5, 552.0), "las": (769, 840.5, 925.0)}
+    #: re-entrant hint cancel, repro 1.16; 501.5 and 840.5 over 615 and 769
+    #: recomputes while reads synced, repro 1.18).
+    HINTING_RECOMPUTES = {"srpt": (615, 515.3, 552.0), "las": (768, 858.0, 925.0)}
     #: measured -> bound: calls inside ``MinLoadPolicy.place`` per decision
     #: of the SRPT replay, one batched read (337.0 with a
-    #: ``host_queued_bits`` call per candidate, repro 1.15).
-    CALLS_PER_MINLOAD_DECISION = (182.2, 200.0)
+    #: ``host_queued_bits`` call per candidate, repro 1.15; 182.2 while the
+    #: read synced, repro 1.18).
+    CALLS_PER_MINLOAD_DECISION = (175.4, 193.0)
     #: (allocations, calls per allocation measured -> bound) inside
     #: ``CoflowAllocator.allocate`` on the pinned coflow replay: one
     #: allocation per placed coflow and per completion recompute (724

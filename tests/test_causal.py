@@ -47,12 +47,14 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
 #: sha256 of ``json.dumps(to_perfetto(events), sort_keys=True,
 #: separators=(",", ":"))`` per golden causal stream, recorded at the
-#: commit before PR 21.
+#: commit before PR 21.  1.19 regenerated the ``fair_neat`` and
+#: ``faulted_neat`` streams (reads write no progress: a few completion
+#: times moved in the last bit; 1.18 ``8669d94e...`` and ``19e275ff...``).
 PERFETTO_DIGESTS = {
     "fair_neat":
-        "8669d94eb16af902ce62dcebbc0075762d843892e0bcd8ea816c566e290ef5bc",
+        "2dcf53d17282c5584abd10742de08f46ac3452f2b7e825dc871e65df1c7b827f",
     "faulted_neat":
-        "19e275ffe2fda34928d1e899b9c03648cf0926e02a136b71dfb905da073d1630",
+        "792f93497b5a4c1de38956365cf0dadaad16263e911ae33471304ae436b5a877",
     "varys_neat":
         "64e53ec6a3926566aaa98a596da586ec6dd87f95c2c7773c2d1b809080d3475b",
 }

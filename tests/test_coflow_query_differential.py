@@ -1,9 +1,10 @@
 """Exact differential: the coflow CCT query against the bodies it
-replaced (``tests/coflow_query_oracle.py``).
+replaced, over residuals read without a write
+(``tests/coflow_query_oracle.py``).
 
-``==`` on every ``PredictionReply`` and on the state each query leaves
-every flow in (``remaining``, ``attained`` and its sync time), no
-tolerance, for every coflow predictor: TCF (Varys / SEBF / SCF use it),
+``==`` on every ``PredictionReply``, and every flow's ``remaining``,
+``attained`` and sync time unchanged by the query, no tolerance, for
+every coflow predictor: TCF (Varys / SEBF / SCF use it),
 FIFO (a permutation over arrival times), coflow-fair and coflow-FCFS.
 Two identical fabrics run one generated history in lock-step, one
 queried through ``NetworkDaemon.predict_coflow``, the other through the
@@ -146,13 +147,14 @@ class World:
 
 def query_both(new: World, old: World, host, direction, total, on_link,
                predictor) -> None:
+    before = new.state()
     got = new.daemon(host, predictor).predict_coflow(total, on_link, direction)
     want = coflow_query_oracle.predict_coflow(
         old.daemon(host, predictor), total, on_link, direction
     )
     context = f"{predictor} at {host} ({direction})"
     assert got == want, context
-    assert new.state() == old.state(), context
+    assert new.state() == old.state() == before, context
 
 
 HOST = st.sampled_from(HOSTS)
@@ -218,8 +220,8 @@ def test_every_query_equals_the_oracle(allocator, history, pause, sweep_order):
         else:
             assert new.apply(step) == old.apply(step), step
             assert new.state() == old.state(), step
-    # Then, mid-flight, every host, both directions, every predictor: the
-    # order the queries sync in is part of what is compared.
+    # Then, mid-flight, every host, both directions, every predictor, in
+    # a drawn order: no query may see another's trace.
     for predictor in sweep_order:
         for host in HOSTS:
             for direction in ("in", "out"):
@@ -273,13 +275,14 @@ def test_dust_below_the_coflow_floor_is_floored_for_coflows_only():
     for predictor in PREDICTORS:
         for direction in ("in", "out"):
             query_both(new, old, "h000", direction, 2e9, 5e8, predictor)
-    assert 0 < bare.remaining < 1e-9 and 0 < member.remaining < 1e-9
+    bare_left, member_left = map(new.fabric.residual, (bare, member))
+    assert 0 < bare_left < 1e-9 and 0 < member_left < 1e-9
     (down,) = coflow_link_state(new.fabric, "tor0->h000").coflows
     (up,) = coflow_link_state(new.fabric, "h000->tor0").coflows
-    assert down.total_size == down.size_on_link == bare.remaining
-    assert up.total_size == 1e-9 and up.size_on_link == member.remaining
+    assert down.total_size == down.size_on_link == bare_left
+    assert up.total_size == 1e-9 and up.size_on_link == member_left
     ((_, node_state),) = new.fabric.coflow_edge_states([("h000", "h000->tor0")])
-    assert node_state == min(bare.remaining, member.remaining)
+    assert node_state == min(bare_left, member_left)
 
 
 def _compensated_sum(iterable, start=0):
@@ -321,7 +324,7 @@ def test_a_compensated_sum_changes_no_answer(monkeypatch):
     # The scenario bites: a coflow's total, and the bytes ahead on h000's
     # downlink (every coflow, under TCF), differ between the two sums.
     coflows = dict.fromkeys(f.coflow for f in new.flows)
-    residuals = [[f.remaining for f in c.flows] for c in coflows]
+    residuals = [[new.fabric.residual(f) for f in c.flows] for c in coflows]
     assert [sum(r) for r in residuals] != [reduce(add, r, 0) for r in residuals]
     # And eq. (14)'s bytes ahead, on a link whose on-link bits part the sums.
     bits = (0.1, 0.2, 0.3)
@@ -345,10 +348,9 @@ def _flow_state(fabric, flows: Dict) -> Dict:
 @pytest.mark.slow
 @pytest.mark.parametrize("faulted", [False, True], ids=["plain", "faulted"])
 def test_every_cct_query_of_a_clos_160_varys_replay(faulted, monkeypatch):
-    """Each query round is answered by the oracle first, host by host, its
-    flows are put back as they were, then the round answers: each host's
-    reply and the state the two leave the queried links' and hosts' flows
-    in must be equal."""
+    """Each query round is answered by the oracle first, host by host, then
+    the round answers: each host's reply must be equal, and neither may
+    move any of the queried links' and hosts' flows."""
     answer_round = NetworkDaemon.answer_round
     busy_links: List[int] = []
 
@@ -370,14 +372,9 @@ def test_every_cct_query_of_a_clos_160_varys_replay(faulted, monkeypatch):
             )
             for daemon in daemons
         ]
-        after = _flow_state(fabric, touched)
-        for fid, (remaining, attained, synced) in before.items():
-            flow = touched[fid]
-            flow.remaining, flow.attained = remaining, attained
-            fabric._synced_at[fid] = synced
         got = answer_round(daemons, payload)
         assert got == want
-        assert _flow_state(fabric, touched) == after
+        assert _flow_state(fabric, touched) == before
         busy_links.extend(len(fabric._by_link.get(link, ())) for link in links)
         return got
 

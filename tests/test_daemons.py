@@ -502,8 +502,9 @@ class TestQueryChain:
         """The structural guard on the host cost of a decision: function
         calls (Python and C) per queried candidate, decision overhead
         amortised over the 15 candidates of the pinned fabrics.  A query
-        round answered in one pass makes 16.3 per flow query and 22.7 per
-        coflow query (CPython 3.11); a coflow round answered host by host
+        round answered in one pass over residuals makes 15.4 per flow query
+        and 20.9 per coflow query (CPython 3.11; 16.3 and 22.7 while the
+        round synced the flows it read); a coflow round answered host by host
         made 48.5, the per-host call chain before rounds 25.6 and 46.9, the
         coflow query 64.9 before it read the link and the node state in
         one lean pass each, and the loop before the shared query chain
@@ -515,7 +516,7 @@ class TestQueryChain:
         )
         calls = calls_made(lambda: daemon.place_flow(request))
         assert daemon.decisions[-1].queried_hosts == CANDIDATES
-        assert calls / len(CANDIDATES) <= 18
+        assert calls / len(CANDIDATES) <= 17
 
         engine, fabric = busy_coflow_fabric()
         daemon = neat_on(fabric, coflow_predictor="tcf").daemon
@@ -523,15 +524,14 @@ class TestQueryChain:
             lambda: daemon.place_coflow_flow(5e8, 1e9, "h000", CANDIDATES)
         )
         assert daemon.decisions[-1].queried_hosts == CANDIDATES
-        assert calls / len(CANDIDATES) <= 25
+        assert calls / len(CANDIDATES) <= 23
 
     def test_predict_coflow_reads_the_link_before_syncing_the_host(self):
-        """The order a CCT query touches the fabric in is part of its
-        answer: it syncs the flows on the edge link, reads the link state
-        (``Coflow.remaining_total`` then sees the coflow's *other* flows
-        as of their last sync), and only then syncs the rest of the
-        host's flows for the node state.  Syncing the whole host first,
-        as the flow path's one-pass read does, changes the score."""
+        """No read is part of another's answer: a CCT query's link state
+        is the link-only read's (a coflow's total counts its flows at
+        other hosts at their residuals now), and reading the whole host
+        first, as the flow path's one-pass read does, changes no bit of
+        the reply (it used to sync the host's flows)."""
         from repro.predictor.fabric_state import coflow_link_state
 
         def scenario():
@@ -562,8 +562,8 @@ class TestQueryChain:
         assert reply.predicted_time == expected
 
         fabric, daemon = scenario()
-        fabric.flows_at_host("h001")  # the merged pass, made by hand
-        assert daemon.predict_coflow(4e9, 1e9, "in").predicted_time != expected
+        fabric.host_edge_states([("h001", "sw0->h001")])  # the host, first
+        assert daemon.predict_coflow(4e9, 1e9, "in") == reply
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.metrics.report import gap_by_bin_table
 from repro.network.fabric import NetworkFabric
 from repro.network.flow import FlowRecord
@@ -183,3 +184,43 @@ class TestFabricReentrancy:
             )
         engine.run()
         assert len(fabric.records) == 20
+
+
+class TestChangePointLivelock:
+    """The change-point livelock (DESIGN.md §5.1, "Change-point hints"):
+    LAS + NEAT on the 16-host quick copy of the fig5 benchmark trace (40
+    arrivals, seed 42) with every size and capacity scaled by 2**32.  The
+    fluid model is scale-free, and unscaled, or at 2**30, the replay takes
+    89 events; from 2**31 a hint re-fires at one instant until the engine's
+    cap.  Pinned as a bounded-event failure, not a timeout."""
+
+    @pytest.mark.xfail(strict=True, raises=SimulationError)
+    def test_las_neat_at_2_to_the_32_finishes(self, monkeypatch):
+        import dataclasses
+        import functools
+
+        from repro.experiments import MacroConfig, runner
+        from repro.units import gbps
+
+        scale = 2.0 ** 32
+        config = MacroConfig(
+            pods=2, racks_per_pod=2, hosts_per_rack=4, workload="websearch",
+            load=0.7, num_arrivals=40, seed=42,
+        )
+        trace = config.build_trace(config.build_topology())
+        trace = dataclasses.replace(trace, arrivals=tuple(
+            dataclasses.replace(arrival, size=arrival.size * scale)
+            for arrival in trace.arrivals
+        ))
+        topology = three_tier_clos(
+            pods=2, racks_per_pod=2, hosts_per_rack=4,
+            edge_capacity=gbps(1) * scale, fabric_capacity=gbps(10) * scale,
+        )
+        monkeypatch.setattr(
+            runner, "Engine", functools.partial(Engine, max_events=2_000)
+        )
+        run = runner.replay_flow_trace(
+            trace, topology, network_policy="las", placement="neat",
+            seed=trace.seed,
+        )
+        assert len(run.records) == len(trace.arrivals)

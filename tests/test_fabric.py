@@ -11,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import TopologyError
 from repro.network.fabric import NetworkFabric
 from repro.network.policies.registry import make_allocator
+from repro.placement.baselines import host_queued_bits
+from repro.predictor.fabric_state import flow_link_state
 from repro.sim.engine import Engine
 from repro.topology.fabrics import single_switch, three_tier_clos
 
 from tests import full_recompute_oracle
+from tests.coflow_query_oracle import residual
 from tests.conftest import FILLS, pin_fill
 
 
@@ -213,6 +216,7 @@ class TestClosFabric:
 # The sharing components the fabric keeps, and the hints they own
 # ----------------------------------------------------------------------
 from repro.coflow.policies import make_coflow_allocator  # noqa: E402
+from repro.coflow.tracking import CoflowTracker  # noqa: E402
 
 
 def _allocator(policy):
@@ -511,17 +515,20 @@ def _resubmitter(fabric, budget):
     return resubmit
 
 
-def _driven(ops, policy, after_op=None):
+def _driven(ops, policy, after_op=None, reader=None):
     """A fabric after ``ops``, stopped between events (so flows are
     mid-flight and unsynced, as a placement query finds them);
     ``after_op(fabric)`` runs after every op.  A submit that touches a
-    failed host is skipped; ``cancel_flow`` picks among the active
+    failed host is skipped; ``cancel_flow`` picks among the active bare
     flows by index; ``resubmit`` adds to the budget of a completion
-    listener that submits (:func:`_resubmitter`).  Rates stay within
-    every link's capacity after every op and every event, the drain's
-    included."""
+    listener that submits (:func:`_resubmitter`); ``shuffle`` submits a
+    coflow from the sources that are up; ``read`` schedules
+    ``reader(fabric, host, link)`` an op's delay from now.  Rates stay
+    within every link's capacity after every op and every event, the
+    drain's included."""
     engine = _CheckedEngine()
     fabric = engine.fabric = NetworkFabric(engine, _clos(), _allocator(policy))
+    fabric.tracker = CoflowTracker(fabric)
     budget = [0]
     fabric.add_completion_listener(_resubmitter(fabric, budget))
     for op in ops:
@@ -530,10 +537,22 @@ def _driven(ops, policy, after_op=None):
         elif op[0] == "submit":
             if op[1] != op[2] and all(map(fabric.host_is_up, op[1:3])):
                 fabric.submit(op[1], op[2], op[3])
+        elif op[0] == "shuffle":
+            _, sources, dst, size = op
+            transfers = [(src, dst, size) for src in sources
+                         if src != dst and fabric.host_is_up(src)]
+            if transfers and fabric.host_is_up(dst):
+                fabric.tracker.submit_coflow(transfers)
+        elif op[0] == "read":
+            _, host, link_id, delay = op
+            engine.schedule(delay, lambda at=(fabric, host, link_id): reader(*at))
         elif op[0] == "advance":
             engine.run(until=engine.now + op[1])
         elif op[0] == "cancel_flow":
-            active = sorted(fabric._active)
+            active = sorted(
+                flow_id for flow_id, flow in fabric._active.items()
+                if flow.coflow is None
+            )
             if active:
                 fabric.cancel_flow(fabric._active[active[op[1] % len(active)]])
         else:  # degrade_link / fail_link / fail_host
@@ -572,32 +591,32 @@ def _progress(fabric):
 @given(_fabric_ops, st.sampled_from(("fair", "srpt")))
 @settings(max_examples=60, deadline=None)
 def test_host_edge_state_equals_the_two_reads_it_replaced(ops, policy):
-    """``host_edge_states`` is ``flows_on_link`` + ``flows_at_host`` bit
-    for bit: the sizes and their order (which follows the link index,
-    not the host index: a reroute re-inserts a flow into the former
-    only), the node state, and what the call leaves behind in every
-    flow.  Both directions of every host, one read each and then all of
-    them in one call, after arbitrary histories."""
-    one_pass, two_reads = _driven(ops, policy), _driven(ops, policy)
-    topology = one_pass.topology
+    """``host_edge_states`` is ``flows_on_link`` + ``flows_at_host`` at
+    their residuals (each flow's ``remaining`` as a sync now would leave
+    it, spelled in ``tests/coflow_query_oracle.py``) bit for bit: the sizes
+    and their order (which follows the link index, not the host index: a
+    reroute re-inserts a flow into the former only) and the node state.
+    Both directions of every host, one read each and then all of them in
+    one call, after arbitrary histories; no read writes any flow."""
+    fabric = _driven(ops, policy)
+    before = _progress(fabric)
+    topology = fabric.topology
     reads = [
         (host, link.link_id)
         for host in _HOSTS
         for link in (topology.host_downlink(host), topology.host_uplink(host))
     ]
     for read in reads:
-        ((sizes, node_state),) = one_pass.host_edge_states([read])
+        ((sizes, node_state),) = fabric.host_edge_states([read])
         host, link_id = read
-        on_link = [f.remaining for f in two_reads.flows_on_link(link_id)]
-        at_host = [f.remaining for f in two_reads.flows_at_host(host)]
+        on_link = [residual(fabric, f) for f in fabric.flows_on_link(link_id)]
+        at_host = [residual(fabric, f) for f in fabric.flows_at_host(host)]
         assert sizes == on_link
         assert node_state == (min(at_host) if at_host else float("inf"))
-        assert _progress(one_pass) == _progress(two_reads)
-    batched = _driven(ops, policy)
-    assert batched.host_edge_states(reads) == [
-        one_pass.host_edge_states([read])[0] for read in reads
+    assert fabric.host_edge_states(reads) == [
+        fabric.host_edge_states([read])[0] for read in reads
     ]
-    assert _progress(batched) == _progress(one_pass)
+    assert _progress(fabric) == before
 
 
 def test_host_edge_state_orders_sizes_by_the_link_index_after_a_reroute():
@@ -621,14 +640,16 @@ def test_host_edge_state_orders_sizes_by_the_link_index_after_a_reroute():
 @given(_fabric_ops, st.sampled_from(("fair", "srpt")))
 @settings(max_examples=60, deadline=None)
 def test_host_queued_bits_equals_the_sum_it_replaced(ops, policy):
-    """``host_queued_bits`` is ``sum`` over ``flows_at_host`` bit for
-    bit (an idle host reads 0), and leaves every flow as that read did."""
-    one_pass, summed = _driven(ops, policy), _driven(ops, policy)
+    """A host's queued bits are ``sum`` over ``flows_at_host`` of their
+    residuals bit for bit (an idle host reads 0), and the read writes no
+    flow."""
+    fabric = _driven(ops, policy)
+    before = _progress(fabric)
     for host in _HOSTS:
-        assert one_pass.host_queued_bits(host) == sum(
-            f.remaining for f in summed.flows_at_host(host)
-        )
-        assert _progress(one_pass) == _progress(summed)
+        assert fabric.hosts_queued_bits([host]) == [sum(
+            residual(fabric, f) for f in fabric.flows_at_host(host)
+        )]
+    assert _progress(fabric) == before
 
 
 @given(
@@ -643,9 +664,111 @@ def test_hosts_queued_bits_is_one_read_per_host(ops, policy, hosts):
     leaves every flow as those reads did, after faulted histories too."""
     batched, one_by_one = _driven(ops, policy), _driven(ops, policy)
     assert batched.hosts_queued_bits(hosts) == [
-        one_by_one.host_queued_bits(host) for host in hosts
+        host_queued_bits(one_by_one, host) for host in hosts
     ]
     assert _progress(batched) == _progress(one_by_one)
+
+
+def _read_everything(fabric, host, link_id):
+    """Every read the fabric serves, at one instant: the daemons' edge
+    reads (flow and coflow), minLoad's, a sampler's and the predictors'."""
+    topology = fabric.topology
+    edges = [
+        (host, topology.host_downlink(host).link_id),
+        (host, topology.host_uplink(host).link_id),
+    ]
+    fabric.host_edge_states(edges)
+    fabric.coflow_edge_states([*edges, (None, link_id)])
+    fabric.hosts_queued_bits([host, *_HOSTS])
+    fabric.link_queued_bits(link_id)
+    flow_link_state(fabric, link_id)
+    for flow in fabric.active_flows():
+        fabric.residual(flow)
+
+
+_read_op = st.tuples(
+    st.just("read"),
+    st.sampled_from(_HOSTS),
+    st.sampled_from(_EVERY_LINK),
+    st.floats(1e-3, 1.5),
+)
+_read_ops = st.lists(
+    st.one_of(
+        _fabric_op,
+        st.tuples(
+            st.just("shuffle"),
+            st.lists(st.sampled_from(_HOSTS), min_size=1, max_size=4),
+            st.sampled_from(_HOSTS),
+            st.floats(1e6, 4e9),
+        ),
+        _read_op,
+        _read_op,
+    ),
+    min_size=4,
+    max_size=24,
+)
+
+
+@given(_read_ops, st.sampled_from(("fair", "fcfs", "las", "srpt", "varys")))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_reads_at_any_instant_leave_the_trajectory_alone(ops, policy):
+    """Reads of random hosts and links at random instants of a generated
+    history (coflows, faults and a listener that submits included) write
+    nothing: each flow's ``remaining``, ``attained`` and sync time at each
+    read and after every op, and every flow and coflow record after the
+    drain, equal those of the same history whose read events only look."""
+    runs = []
+    for read in (_read_everything, None):
+        seen = []
+
+        def reader(fabric, host, link_id):
+            if read is not None:
+                read(fabric, host, link_id)
+            seen.append(_progress(fabric))
+
+        fabric = _driven(
+            ops, policy, lambda f: seen.append(_progress(f)), reader
+        )
+        fabric.engine.run()
+        runs.append((seen, fabric.records, fabric.tracker.records))
+    read_runs, looked = runs
+    assert read_runs == looked
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("policy", ["fair", "srpt", "las"])
+def test_a_read_of_every_host_before_every_submit_moves_no_record(
+    policy, monkeypatch
+):
+    """ROADMAP M6 on the 160-host fig5 trace (websearch, load 0.7, 1,000
+    arrivals, seed 42) under NEAT: ``hosts_queued_bits`` over every host
+    before every submit leaves every record bit-identical (123 / 104 / 148
+    fair / SRPT / LAS records moved while reads synced)."""
+    from repro.experiments import MacroConfig, replay_flow_trace
+
+    config = MacroConfig(
+        pods=4, racks_per_pod=4, hosts_per_rack=10, workload="websearch",
+        load=0.7, num_arrivals=1000, seed=42,
+    )
+    topology = config.build_topology()
+    trace = config.build_trace(topology)
+
+    def records():
+        run = replay_flow_trace(
+            trace, topology, network_policy=policy, placement="neat",
+            seed=trace.seed,
+        )
+        return run.records
+
+    plain = records()
+    submit = NetworkFabric.submit
+
+    def read_then_submit(fabric, *args, **kwargs):
+        fabric.hosts_queued_bits(fabric.topology.hosts)
+        return submit(fabric, *args, **kwargs)
+
+    monkeypatch.setattr(NetworkFabric, "submit", read_then_submit)
+    assert records() == plain
 
 
 # ----------------------------------------------------------------------

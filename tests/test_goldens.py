@@ -105,18 +105,22 @@ def test_observed_corpus_byte_identical(name, fill, monkeypatch):
 #: since 1.17 completion listeners run after the recompute that settled
 #: their flow, which moved lines but changed none.  ``varys_neat`` is the
 #: 1.17 expansion mapped through :func:`batch_coflow_arrivals` (1.18: 43
-#: superseded ``rate_recompute`` lines fewer; 1.17 ``c3ce74ff...``).
+#: superseded ``rate_recompute`` lines fewer; 1.17 ``c3ce74ff...``).  1.19:
+#: reads write no progress, which moved the last bits of a few completion
+#: times and scores in ``fair_neat`` (1.18 ``e66f664a...``) and
+#: ``faulted_neat`` (1.18 ``71491988...``).
 BUS_MESSAGE_DIGESTS = {
-    "fair_neat": "e66f664a70101e4e3d5875d87384b916148592e50a7d1d5dec70cde634457877",
-    "faulted_neat": "714919880aba6cd61f2c2196002d4d35742d9be8dcf2ee614390903823965269",
+    "fair_neat": "8afbd017f61b2f565d6ec8aa863484280b6196301863ef7512e4aa28bf16d92f",
+    "faulted_neat": "c0b7423989e91b342a5e925cc97e0a43ec8e41878319fb1088b27f21be9df196",
     "varys_neat": "b59a261284df20962373770ef667d691dfe2958ebd085ab52993af489b87a3e3",
 }
 
 #: sha256 of the same expansion of the observed traces, in order
-#: (``varys_neat`` mapped as above; 1.17 ``54f83645...``).
+#: (``varys_neat`` mapped as above; 1.17 ``54f83645...``; 1.18 ``76990a8d...``
+#: and ``2b487550...`` for the other two).
 EXPANDED_DIGESTS = {
-    "fair_neat": "76990a8d6aac72be4044e774fa02eea5afc54fd4198a227baa904f8bf32dcb3f",
-    "faulted_neat": "2b487550ed39aefd84230acede7ec47ce00c0c56064c642025e526e562847d53",
+    "fair_neat": "1a85b75b10dd2e86b78d7b9e59293714aa399bf64591209becde57e97c68feac",
+    "faulted_neat": "9243540af72911dd12ff38eca21d9f8a3cb7854b9b43e3a32145c21012679328",
     "varys_neat": "c5342bc2a4af9ab6e0bf16bdaebdd7575dec6ffc750b6a306255c94def6f50ff",
 }
 

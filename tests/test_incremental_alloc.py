@@ -268,7 +268,7 @@ def test_oracle_reports_the_las_near_tie_chain(monkeypatch):
     engine.run(until=0.6e-9)
     fabric.submit("h003", "h004", 1e9)
     engine.run(until=1.2e-9)
-    fabric.active_flows()  # a placement query syncs every flow
+    fabric.degrade_link("h003->sw0", 1.0)  # an event: syncs h003's flow
     with pytest.raises(AssertionError, match=re.escape(
         "flow 0: scoped=0.0 full=500000000.0; "
         "flow 2: scoped=1000000000.0 full=500000000.0"

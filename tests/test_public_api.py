@@ -114,12 +114,14 @@ REMOVED_SYMBOLS = {
 #: channel whose ``begin_run`` labels the run and joins its completions, and
 #: the rollup store's unused introspection is gone.  1.13.0: the daemons
 #: read their edge state in one batched call, ``host_edge_states``; 1.14.0:
-#: their coflow state too, ``coflow_edge_states``.
+#: their coflow state too, ``coflow_edge_states``.  1.19.0: reads write no
+#: progress, and one host's load is ``hosts_queued_bits`` of one host.
 REMOVED_METHODS = {
     ("repro.telemetry", "DecisionLog"): ("set_context", "bind", "bind_coflows"),
     ("repro.telemetry", "TimeseriesStore"): ("series_names", "span"),
     ("repro.network", "NetworkFabric"): (
         "host_edge_state", "host_coflow_state", "coflows_on_link",
+        "host_queued_bits",
     ),
 }
 
@@ -127,6 +129,8 @@ REMOVED_METHODS = {
 #: round, answered in one pass over raw residual sizes; 1.14.0: a coflow
 #: decision's too, over raw ``(total, on_link, arrival)`` triples.
 #: 1.16.0: a minLoad decision reads its candidates' loads in one call.
+#: 1.19.0: a reader outside the fabric reads a flow's residual bits through
+#: ``residual`` (only events write ``remaining``).
 PUBLIC_METHODS = {
     ("repro.daemons", "MessageBus"): (
         "call", "call_round", "register_round", "push",
@@ -140,7 +144,7 @@ PUBLIC_METHODS = {
     ),
     ("repro.network", "NetworkFabric"): (
         "host_edge_states", "coflow_edge_states", "hosts_queued_bits",
-        "host_queued_bits",
+        "residual",
     ),
 }
 

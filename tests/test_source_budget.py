@@ -69,13 +69,18 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: One coflow allocation per arrival (``NetworkFabric.batch``, net of the
 #: fabric's one-flow sync and separate splice, both folded into their
 #: callers, and the unused ``Coflow.remaining_on_link``) left ``network``
-#: at 1,944 and took the whole tree to 21,529.
+#: at 1,944 and took the whole tree to 21,529.  Reads that do not write
+#: (one residual pass per read in place of five inlined sync loops, the
+#: one-host ``host_queued_bits`` and ``Coflow.remaining_total`` /
+#: ``attained_total`` deleted; the left folds of ROADMAP 9's last sums and
+#: one coflow arrival-time helper) took ``network`` to 1,943 and the
+#: whole tree to 21,524.
 #: label -> (packages under ``src/repro``, budget); ``""`` is the whole tree.
 BUDGETS = {
     "telemetry+metrics": (("telemetry", "metrics"), 5485),
     "service": (("service",), 1589),
-    "network": (("network",), 1944),
-    "repro": (("",), 21529),
+    "network": (("network",), 1943),
+    "repro": (("",), 21524),
 }
 
 NULL_LAYER = re.compile(
@@ -185,22 +190,38 @@ def test_telemetry_reads_the_wall_clock_in_the_profiler_only():
 
 def test_flow_predictors_fold_their_sums_left():
     """Interpreter-independent floats: the flow FCT and coflow CCT
-    predictors, the fabric's reads, the coflow aggregates and the coflow
-    placers' totals add with an explicit left fold (``+=``).  A bare float
-    ``sum(`` is that same fold on CPython 3.11 but compensated on 3.12, so
-    the two would disagree."""
+    predictors and the link snapshot's total, the fabric's reads, the coflow
+    aggregates, the coflow ordering keys and totals, the coflow placers' and
+    ``place_reducer``'s totals and a coflow arrival's size add with an
+    explicit left fold (``+=``).  A bare float ``sum(`` is that same fold on
+    CPython 3.11 but compensated on 3.12, so the two would disagree."""
     bare_sum = re.compile(r"\bsum\(")
     assert [
         f"{module.name}:{number}: {line.strip()}"
         for module in (
             SRC / "predictor" / "flow_fct.py",
             SRC / "predictor" / "coflow_cct.py",
+            SRC / "predictor" / "state.py",
             SRC / "network" / "fabric.py",
             SRC / "coflow" / "coflow.py",
+            SRC / "coflow" / "policies" / "simple.py",
             SRC / "placement" / "coflow_placement.py",
+            SRC / "daemons" / "placement_daemon.py",
+            SRC / "experiments" / "runner.py",
+            SRC / "workloads" / "traces.py",
         )
         for number, line in enumerate(
             module.read_text(encoding="utf-8").splitlines(), 1
         )
         if bare_sum.search(line)
     ] == []
+
+
+def test_readers_outside_the_fabric_read_residuals():
+    """Only events write a flow's progress; a read computes it.  So the
+    placement policies, daemons, predictors and metrics read a flow's
+    residual bits through ``NetworkFabric.residual`` (or a batched edge
+    read), never ``remaining`` / ``attained``, which hold the flow's
+    progress as of its last event."""
+    stale = re.compile(r"\.(remaining|attained)\b")
+    assert _matches(stale, "predictor", "placement", "daemons", "metrics") == []
