@@ -187,12 +187,13 @@ class TestPredictorVsSimulation:
         for i, size in enumerate(existing):
             fabric.submit(f"h{i:03d}", "h007", size)
         engine.run(until=1e-9)
-        # Predict from the daemon's view of the downlink.
+        # Predict from the daemon's view of the downlink: residuals now,
+        # not each flow's ``remaining`` as of its last event.
         link = topo.host_downlink("h007")
         link_state = link_state_from_flows(
             link.link_id,
             link.capacity,
-            (f.remaining for f in fabric.flows_on_link(link.link_id)),
+            (fabric.residual(f) for f in fabric.flows_on_link(link.link_id)),
         )
         predicted = make_flow_predictor(predictor).fct(new, link_state)
         flow = fabric.submit("h006", "h007", new)
@@ -212,7 +213,7 @@ class TestPredictorVsSimulation:
         link_state = link_state_from_flows(
             link.link_id,
             link.capacity,
-            (f.remaining for f in fabric.flows_on_link(link.link_id)),
+            (fabric.residual(f) for f in fabric.flows_on_link(link.link_id)),
         )
         predicted = make_flow_predictor("las").fct(3e9, link_state)
         flow = fabric.submit("h004", "h005", 3e9)
