@@ -36,26 +36,35 @@ from repro.topology.base import LinkId
 _INF = float("inf")
 
 
-def collect_coflows(flows: Sequence[Flow]) -> List[Tuple[Optional[Coflow], List[Flow]]]:
-    """Group active flows by owning coflow, preserving first-seen order.
+def collect_coflows(
+    flows: Sequence[Flow], cols_of: Mapping[FlowId, List[int]]
+) -> List[list]:
+    """Group active flows by owning coflow, preserving first-seen order, in
+    one pass over ``flows``.
 
-    Returns a list of ``(coflow_or_None, member_flows)``; bare flows appear
-    as their own singleton group with ``None``.
+    Returns one ``[coflow_or_None, members, demand, tie]`` per group:
+    ``demand`` is its remaining bits per column of ``cols_of`` (member by
+    member along each path) and ``tie`` its smallest member flow id.  A
+    bare flow is a singleton group with ``None``.
     """
-    groups: Dict[int, Tuple[Optional[Coflow], List[Flow]]] = {}
-    order: List[int] = []
+    groups: List[list] = []
+    by_coflow: Dict[int, list] = {}
     for flow in flows:
-        if flow.coflow is None:
-            key = -1 - flow.flow_id  # unique singleton key
-            groups[key] = (None, [flow])
-            order.append(key)
+        flow_id, coflow = flow.flow_id, flow.coflow
+        if coflow is None:
+            group = [None, [flow], {}, flow_id]
+            groups.append(group)
+        elif (group := by_coflow.get(coflow.coflow_id)) is None:
+            group = by_coflow[coflow.coflow_id] = [coflow, [flow], {}, flow_id]
+            groups.append(group)
         else:
-            key = flow.coflow.coflow_id
-            if key not in groups:
-                groups[key] = (flow.coflow, [])
-                order.append(key)
-            groups[key][1].append(flow)
-    return [groups[key] for key in order]
+            group[1].append(flow)
+            if flow_id < group[3]:
+                group[3] = flow_id
+        demand, bits = group[2], flow.remaining
+        for col in cols_of[flow_id]:
+            demand[col] = demand.get(col, 0.0) + bits
+    return groups
 
 
 def unit_arrival(coflow: Optional[Coflow], members: Sequence[Flow]) -> float:
@@ -66,21 +75,10 @@ def unit_arrival(coflow: Optional[Coflow], members: Sequence[Flow]) -> float:
     return min(f.arrival_time for f in members)
 
 
-def column_demand(
-    members: Sequence[Flow], cols_of: Mapping[FlowId, List[int]]
-) -> Dict[int, float]:
-    """Remaining bits per column, member by member along each path."""
-    demand: Dict[int, float] = {}
-    for flow in members:
-        for col in cols_of[flow.flow_id]:
-            demand[col] = demand.get(col, 0.0) + flow.remaining
-    return demand
-
-
 def column_bottleneck(
     demand: Mapping[int, float], capacity: Sequence[float]
 ) -> float:
-    """Gamma of a :func:`column_demand`: the group's completion time if it
+    """Gamma of a :func:`collect_coflows` demand: the group's completion time if it
     alone used ``capacity``; ``inf`` behind a saturated column (blocked at
     this priority level, left to the back-fill)."""
     gamma = 0.0
@@ -116,8 +114,8 @@ class CoflowAllocator(RateAllocator):
         capacity: Sequence[float],
     ) -> Tuple:
         """Sort key for a coflow group (smaller = higher priority), given
-        its :func:`column_demand` and the full capacity per column; the
-        same ``demand`` later yields its Gamma on the residual."""
+        its :func:`collect_coflows` demand and the full capacity per column;
+        the same ``demand`` later yields its Gamma on the residual."""
 
     def allocate(
         self,
@@ -125,13 +123,12 @@ class CoflowAllocator(RateAllocator):
         capacities: Mapping[LinkId, float],
     ) -> Dict[FlowId, float]:
         cols_of, crossing, capacity = link_columns(flows, capacities)
-        keyed = []
-        for coflow, members in collect_coflows(flows):
-            demand = column_demand(members, cols_of)
-            key = self.priority_key(coflow, members, demand, capacity)
-            # deterministic tie-break by smallest member flow id
-            tie = min(f.flow_id for f in members)
-            keyed.append((key, tie, members, demand))
+        priority = self.priority_key
+        # deterministic tie-break by smallest member flow id
+        keyed = [
+            (priority(coflow, members, demand, capacity), tie, members, demand)
+            for coflow, members, demand, tie in collect_coflows(flows, cols_of)
+        ]
         keyed.sort(key=itemgetter(0, 1))
         residual = list(capacity)
         rates: Dict[FlowId, float] = {flow.flow_id: 0.0 for flow in flows}

@@ -106,14 +106,14 @@ class CoflowFairAllocator(RateAllocator):
         capacities: Mapping[LinkId, float],
     ) -> Dict[FlowId, float]:
         cols_of, crossing, capacity = link_columns(flows, capacities)
-        groups = collect_coflows(flows)
+        groups = collect_coflows(flows, cols_of)
         rates: Dict[FlowId, float] = {flow.flow_id: 0.0 for flow in flows}
 
         # Per-group link weights w_{c,l} = rem_{c,l} / rem_c, by column.
         weights: List[Dict[int, float]] = []
         totals: List[float] = []
         active: Dict[int, Sequence[Flow]] = {}
-        for index, (_coflow, members) in enumerate(groups):
+        for index, (_coflow, members, _demand, _tie) in enumerate(groups):
             total = 0
             for flow in members:
                 total += flow.remaining

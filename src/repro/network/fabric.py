@@ -158,14 +158,18 @@ class NetworkFabric:
         return tuple(self._records)
 
     def _sync_members(self, members: Dict[FlowId, Flow]) -> None:
-        """Advance ``members`` to now at their cached rates (events only)."""
+        """Advance ``members`` to now at their cached rates (events only), in
+        place: ``Flow.advance``'s ``min(bits, remaining)`` without a call."""
         now, synced_at, rates = self._engine.now, self._synced_at, self._rates
         for flow_id, flow in members.items():
             dt = now - synced_at[flow_id]
             if dt > 0:
                 rate = rates.get(flow_id, 0.0)
                 if rate > RATE_EPSILON:
-                    flow.advance(rate * dt)
+                    moved, remaining = rate * dt, flow.remaining
+                    moved = remaining if remaining < moved else moved
+                    flow.remaining = remaining - moved
+                    flow.attained += moved
                 synced_at[flow_id] = now
 
     def _residuals(self, groups: Sequence[Collection[Flow]]) -> Dict[FlowId, float]:
@@ -759,9 +763,10 @@ class NetworkFabric:
             if probe is not None else None
         )
         if component_on is None:
-            members = self._active
-            comp_flows = [members[fid] for fid in sorted(members)]
-            comp_links = {
+            members = self._active  # ids rise at submit: in flow-id order
+            comp_flows = list(members.values())
+            # Only a probe reports every occupied link; a batch needs one.
+            comp_links = set(dirty_links) if probe is None else {
                 link_id for link_id, on_link in self._by_link.items() if on_link
             }
         else:

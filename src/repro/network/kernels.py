@@ -31,8 +31,8 @@ drain ``max(0.0, residual - share * k)`` and the freeze ``rate = share`` —
 and :func:`backfill` evaluates them on the same operands in the same
 order: columns in first-seen order, crossers in flow order, one drain per
 touched column per round.  Its two extra branches (a level at or below
-``RATE_EPSILON`` credits nothing; the rounds at share exactly 0.0
-collapse) cannot fire once every share is at least :data:`ARGMIN_FLOOR`,
+``RATE_EPSILON`` credits nothing; the entry sweep drops the flows behind
+0.0 shares) cannot fire once every share is at least :data:`ARGMIN_FLOOR`,
 which is the column fill's precondition.  Above it, one reduction makes
 the column fill cheaper than the reference without moving a float:
 
@@ -51,6 +51,9 @@ the contract: records and traces, ``==`` on rates.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
+from operator import truediv
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.network.flow import Flow, FlowId
@@ -188,19 +191,18 @@ def _fill_columns(
         for col, members in enumerate(crossing)
         if can_bind(capacity[col], map(bound.__getitem__, members))
     ]
-    # Slack columns are never the bottleneck: the rest, renumbered in order.
-    renumber = dict(zip(kept, range(len(kept))))
     for flow in flows:
         rates[flow.flow_id] = 0.0
-    backfill(
-        {
-            flow_id: [renumber[col] for col in cols if col in renumber]
-            for flow_id, cols in cols_of.items()
-        },
-        [crossing[col] for col in kept],
-        [capacity[col] for col in kept],
-        rates,
-    )
+    # Slack columns are never the bottleneck: fill the rest.
+    backfill(*_keep_columns(kept, cols_of, crossing, capacity), rates)
+
+
+def _keep_columns(kept: List[int], cols_of: Mapping, *columns: Sequence) -> tuple:
+    """``(cols_of, *columns)`` cut to the ``kept`` columns, renumbered in
+    their order: a flow's column list loses the columns not kept."""
+    new = dict(zip(kept, range(len(kept))))
+    cut = {f: [new[col] for col in cols if col in new] for f, cols in cols_of.items()}
+    return (cut, *([column[col] for col in kept] for column in columns))
 
 
 def link_columns(
@@ -237,14 +239,27 @@ def backfill(
     rates: Dict[FlowId, float],
 ) -> None:
     """Add the max-min fair share of ``residual`` to ``rates``, round for
-    round with ``water_fill`` over the call's flows.
+    round with ``water_fill`` over the call's flows (``residual`` is spent).
 
-    Equal shares are cached per column and refreshed where a freeze drains;
-    the rounds at share exactly 0.0 (which drain nothing) collapse into one
-    sweep when DESIGN.md's "Coflow allocation pass" precondition holds.
+    Equal shares are cached per column and refreshed where a freeze drains.
+    When DESIGN.md's entry-sweep precondition holds (every share is exactly
+    0.0 on a column whose residual is 0.0, or above ``RATE_EPSILON``), the
+    flows behind a 0.0 column keep their rates and the rounds run on the
+    columns the other flows cross.
     """
-    count = [len(members) for members in crossing]
-    share = [residual[col] / n for col, n in enumerate(count)]
+    count = list(map(len, crossing))
+    share = list(map(truediv, residual, count))
+    blocked = {col for col, level in enumerate(share) if level <= RATE_EPSILON}
+    if blocked and all(residual[col] == 0.0 for col in blocked):
+        # The entry sweep: the rounds run on the flows behind no 0.0 column and
+        # the columns they cross, in order (sorted column numbers); ``crossing``
+        # keeps the other flows, which the freeze skips.
+        cols_of = {f: c for f, c in cols_of.items() if c and blocked.isdisjoint(c)}
+        members = Counter(chain.from_iterable(cols_of.values()))
+        cols_of, crossing, residual, count = _keep_columns(
+            sorted(members), cols_of, crossing, residual, members
+        )
+        share = list(map(truediv, residual, count))
     unfrozen = {flow_id for flow_id, cols in cols_of.items() if cols}
     while unfrozen:
         # The epsilon chain: first-seen order, moving only on an improvement
@@ -256,22 +271,14 @@ def backfill(
         if bottleneck < 0:
             break
         level = max(share[bottleneck], 0.0)
-        frozen_cols = [bottleneck]
-        if level == 0.0:
-            # Every share exactly 0.0 (no residual) or above the epsilon:
-            # the chain keeps ending on a 0.0 column while one has flows.
-            zeros = [col for col, s in enumerate(share) if s <= RATE_EPSILON]
-            if all(residual[col] == 0.0 for col in zeros):
-                frozen_cols = zeros
         drained: Dict[int, int] = {}
-        for col in frozen_cols:
-            for flow_id in crossing[col]:
-                if flow_id in unfrozen:
-                    unfrozen.remove(flow_id)
-                    if level > RATE_EPSILON:
-                        rates[flow_id] += level
-                    for other in cols_of[flow_id]:
-                        drained[other] = drained.get(other, 0) + 1
+        for flow_id in crossing[bottleneck]:
+            if flow_id in unfrozen:
+                unfrozen.remove(flow_id)
+                if level > RATE_EPSILON:
+                    rates[flow_id] += level
+                for other in cols_of[flow_id]:
+                    drained[other] = drained.get(other, 0) + 1
         for col, k in drained.items():
             left = residual[col] - level * k
             residual[col] = left = left if left > 0.0 else 0.0

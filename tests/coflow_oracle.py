@@ -1,26 +1,52 @@
 """Test-only oracle: the coflow allocation bodies as they stood before the
-interned pass (PR 18), verbatim.
+interned pass, verbatim.
 
 ``repro.coflow.policies`` allocates over int link columns with cached
-shares and collapsed zero rounds; every float it produces is claimed to
-come from the same expression on the same operands in the same order as
-these LinkId-keyed dict bodies.  ``tests/test_coflow_differential.py``
-checks that claim with ``==`` on the rate dicts (no tolerance).  The
-bodies call the still-public :func:`collect_coflows` and
-:func:`water_fill`; ``bottleneck_duration`` and ``madd_rates`` are the
-parent's too (``src/`` no longer has them: the interned pass computes
-Gamma and the MADD rate inline), so no arithmetic here runs through the
-code under test.  Nothing under ``src/`` imports this module.
+shares and a back-fill that first sweeps out the flows behind 0.0
+columns; every float it produces is claimed to come from the same
+expression on the same operands in the same order as these LinkId-keyed
+dict bodies.  ``tests/test_coflow_differential.py`` checks that claim
+with ``==`` on the rate dicts (no tolerance).  The bodies call the
+still-public :func:`water_fill`; ``collect_coflows`` (as it was before it
+took columns), ``bottleneck_duration`` and ``madd_rates`` are the
+parent's too (``src/`` groups, accumulates demand and computes Gamma and
+the MADD rate inline, over int columns), so no arithmetic here runs
+through the code under test.  Nothing under ``src/`` imports this
+module.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.coflow.policies.base import collect_coflows
+from repro.coflow.coflow import Coflow
 from repro.network.flow import Flow, FlowId
 from repro.network.policies.base import RATE_EPSILON, water_fill
 from repro.topology.base import LinkId
+
+
+def collect_coflows(
+    flows: Sequence[Flow],
+) -> List[Tuple[Optional[Coflow], List[Flow]]]:
+    """Group active flows by owning coflow, preserving first-seen order.
+
+    Returns a list of ``(coflow_or_None, member_flows)``; bare flows appear
+    as their own singleton group with ``None``.
+    """
+    groups: Dict[int, Tuple[Optional[Coflow], List[Flow]]] = {}
+    order: List[int] = []
+    for flow in flows:
+        if flow.coflow is None:
+            key = -1 - flow.flow_id  # unique singleton key
+            groups[key] = (None, [flow])
+            order.append(key)
+        else:
+            key = flow.coflow.coflow_id
+            if key not in groups:
+                groups[key] = (flow.coflow, [])
+                order.append(key)
+            groups[key][1].append(flow)
+    return [groups[key] for key in order]
 
 
 def bottleneck_duration(

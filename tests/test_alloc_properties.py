@@ -390,11 +390,12 @@ def test_coflow_members_finish_together_before_backfill(scenario):
     rate`` across its members, i.e. they would all finish at Gamma."""
     flows, capacities = scenario
     no_backfill = lambda *args: None  # noqa: E731
+    cols_of = coflow_base.link_columns(flows, capacities)[0]
     with mock.patch.object(coflow_base, "backfill", no_backfill), \
             mock.patch.object(coflow_simple, "backfill", no_backfill):
         for name in COFLOW_ALLOCATOR_NAMES:
             rates = make_coflow_allocator(name).allocate(flows, capacities)
-            for _coflow, members in coflow_base.collect_coflows(flows):
+            for _coflow, members, *_ in coflow_base.collect_coflows(flows, cols_of):
                 served = [f for f in members if rates[f.flow_id] > 0.0]
                 if not served:
                     continue  # blocked behind a saturated link

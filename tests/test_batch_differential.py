@@ -21,7 +21,9 @@ and placement decisions:
 
 The count guard, on the pinned replay: batched, the allocations are the
 placed coflows plus the completion recomputes; per submit, the submitted
-flows plus the same.
+flows plus the same.  The settle inside a batch, on a hand-built fabric: a
+flow that ends exactly at a coflow's arrival leaves, and its completion
+listener fires, before the next in-batch placement reads.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from contextlib import nullcontext
 
 import pytest
 
+from repro.coflow.coflow import Coflow
 from repro.coflow.policies import available_coflow_policies, make_coflow_allocator
 from repro.coflow.policies.base import CoflowAllocator
 from repro.daemons.messages import CoflowPredictionRequest
@@ -41,7 +44,9 @@ from repro.errors import RoutingError
 from repro.experiments import MacroConfig, replay_coflow_trace
 from repro.faults import FaultPlan, HostDown, LinkDown
 from repro.network.fabric import NetworkFabric
+from repro.sim.engine import Engine
 from repro.telemetry import DecisionLog, Telemetry
+from repro.topology.fabrics import single_switch
 
 from tests import coflow_query_oracle
 
@@ -210,3 +215,38 @@ def test_one_allocation_per_placed_coflow_and_completion():
     per_submit, _, _, same_completions = pinned(False)[1]
     assert per_submit == submitted + same_completions
     assert same_completions == completions and allocations < per_submit
+
+
+def settle_at_the_batch_instant(batched):
+    """Flow 0 alone at 1 Gb/s ends at t = 1.0 exactly, when a two-flow
+    coflow arrives (arrival events run before completion events of the same
+    instant).  Each placement's read and each completion, in order."""
+    engine = Engine()
+    fabric = NetworkFabric(engine, single_switch(4), make_coflow_allocator("varys"))
+    log = []
+    fabric.add_completion_listener(
+        lambda flow, record: log.append(("done", flow.flow_id, engine.now))
+    )
+    fabric.submit("h000", "h001", 1e9)
+
+    def arrive():
+        coflow = Coflow(coflow_id=0, arrival_time=engine.now)
+        with fabric.batch() if batched else nullcontext():
+            for dst in ("h002", "h003"):
+                active = [flow.flow_id for flow in fabric.active_flows()]
+                log.append(("read", active, fabric.hosts_queued_bits(["h001"])))
+                fabric.submit("h001", dst, 1e9, coflow=coflow)
+
+    engine.schedule(1.0, arrive)
+    engine.run()
+    return log
+
+
+def test_a_flow_ending_at_the_batch_instant_settles_before_the_next_read():
+    log = settle_at_the_batch_instant(True)
+    assert log[:3] == [
+        ("read", [0], [0.0]),  # residual 0.0, not yet settled
+        ("done", 0, 1.0),  # settled by the first submit's sync
+        ("read", [1], [1e9]),
+    ]
+    assert log == settle_at_the_batch_instant(False)

@@ -420,15 +420,17 @@ class TestFairRecomputeCost:
     #: per flow, repro 1.15; 410.5 before a completion was queued for the
     #: listeners, one append and one notify call each, repro 1.16; 411.5
     #: while reads synced, repro 1.18: a recompute now advances the flows
-    #: a decision's read used to).
-    CALLS_PER_RECOMPUTE = (439.8, 469.0)
+    #: a decision's read used to; 439.8 with a ``Flow.advance`` call and
+    #: its ``min`` per synced flow, repro 1.19).
+    CALLS_PER_RECOMPUTE = (398.3, 439.0)
     #: policy -> (recomputes, calls per recompute measured -> bound) of the
     #: hinting policies: one sorted sweep per change-point hint and one sync
     #: frame per recompute (617.6 and 1,094.5 with the tracked-list mover
     #: scan and a sync call per flow, repro 1.15; LAS 840.7 with the
     #: re-entrant hint cancel, repro 1.16; 501.5 and 840.5 over 615 and 769
-    #: recomputes while reads synced, repro 1.18).
-    HINTING_RECOMPUTES = {"srpt": (615, 515.3, 552.0), "las": (768, 858.0, 925.0)}
+    #: recomputes while reads synced, repro 1.18; 515.3 and 858.0 with a
+    #: ``Flow.advance`` call per synced flow, repro 1.19).
+    HINTING_RECOMPUTES = {"srpt": (615, 497.2, 547.0), "las": (768, 825.6, 909.0)}
     #: measured -> bound: calls inside ``MinLoadPolicy.place`` per decision
     #: of the SRPT replay, one batched read (337.0 with a
     #: ``host_queued_bits`` call per candidate, repro 1.15; 182.2 while the
@@ -436,9 +438,11 @@ class TestFairRecomputeCost:
     CALLS_PER_MINLOAD_DECISION = (175.4, 193.0)
     #: (allocations, calls per allocation measured -> bound) inside
     #: ``CoflowAllocator.allocate`` on the pinned coflow replay: one
-    #: allocation per placed coflow and per completion recompute (724
-    #: allocations of 1,350.9 calls, one per submit, repro 1.17).
-    COFLOW_ALLOCATIONS = (410, 1316.5, 1448.0)
+    #: allocation per placed coflow and per completion recompute, the
+    #: back-fill's rounds over what MADD left unsaturated only (724
+    #: allocations of 1,350.9 calls, one per submit, repro 1.17; 1,332.5
+    #: with the 0.0 columns swept inside the rounds, repro 1.19).
+    COFLOW_ALLOCATIONS = (410, 1117.5, 1230.0)
     #: measured -> bound: flows handed to the allocator per recompute,
     #: against 23.27 flows in the sharing component it settles.
     FLOWS_PER_FILL = (3.694, 4.06)

@@ -8,7 +8,6 @@ from repro.coflow.coflow import Coflow
 from repro.coflow.policies.base import (
     collect_coflows,
     column_bottleneck,
-    column_demand,
     link_columns,
 )
 from repro.coflow.policies.registry import (
@@ -36,7 +35,11 @@ def coflow_fabric(policy="varys", hosts=6):
 def gamma_of(members, capacities):
     """A group's bottleneck duration alone on ``capacities``."""
     cols_of, _crossing, capacity = link_columns(members, capacities)
-    return column_bottleneck(column_demand(members, cols_of), capacity)
+    demand = {}
+    for flow in members:
+        for col in cols_of[flow.flow_id]:
+            demand[col] = demand.get(col, 0.0) + flow.remaining
+    return column_bottleneck(demand, capacity)
 
 
 def bare_flow(fid, path, size=1e9, arrival=0.0, coflow=None):
@@ -89,10 +92,14 @@ class TestCollectCoflows:
         f1 = bare_flow(0, ["a"], coflow=c)
         f2 = bare_flow(1, ["b"], coflow=c)
         lone = bare_flow(2, ["a"])
-        groups = collect_coflows([f1, lone, f2])
+        flows = [f1, lone, f2]
+        cols_of = link_columns(flows, {})[0]
+        groups = collect_coflows(flows, cols_of)
         assert len(groups) == 2
         coflow_group = next(g for g in groups if g[0] is c)
         assert {f.flow_id for f in coflow_group[1]} == {0, 1}
+        # Demand per column (a -> 0, b -> 1) and the smallest member id.
+        assert coflow_group[2:] == [{0: 1e9, 1: 1e9}, 0]
 
     def test_bottleneck_duration(self):
         flows = [bare_flow(0, ["a"], size=4e9), bare_flow(1, ["a", "b"], size=2e9)]

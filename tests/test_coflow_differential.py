@@ -7,8 +7,10 @@ bit to 1e13, failed (0.0) and sub-epsilon links, links the capacity map
 lacks, bare flows among coflow members, a link listed twice in a path,
 and a reroute between two calls.  One hand-built case holds a cached
 share in ``(0, RATE_EPSILON]`` beside exact-zero shares, where the
-back-fill may not collapse its zero rounds and must replay the epsilon
-chain.  The ``slow`` leg compares every allocation of 160-host replays.
+back-fill may not sweep the flows behind its 0.0 columns away and must
+replay the epsilon chain; a property holds ``backfill`` itself, entry
+sweep and rounds, against ``water_fill`` around such residuals.  The
+``slow`` leg compares every allocation of 160-host replays.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.coflow.coflow import Coflow
 from repro.coflow.policies import make_coflow_allocator
 from repro.experiments.runner import replay_coflow_trace
 from repro.network.flow import Flow
+from repro.network.kernels import backfill, link_columns
 from repro.network.policies.base import RATE_EPSILON
 from repro.topology.fabrics import three_tier_clos
 from repro.workloads import generate_coflow_trace, make_distribution
@@ -129,6 +132,53 @@ def test_dust_share_beside_zero_shares_replays_the_chain():
     assert_matches_oracle(flows, capacities)
     rates = make_coflow_allocator("varys").allocate(flows, capacities)
     assert rates == {0: 0.0, 1: 0.0, 2: 2.0**-18 - 2.0**-31, 3: 2.0**-20}
+
+
+#: Residuals MADD leaves: exactly 0.0 (a saturated link), dust from the
+#: smallest subnormal to 1e-8 (shares at or near the epsilon), and
+#: ordinary residuals whose shares clear it (1e-6 over at most 48
+#: members), some small enough that a dust drain moves them.
+ZERO = st.just(0.0)
+DUST = st.sampled_from((5e-324, 4e-10, RATE_EPSILON)) | st.floats(5e-324, 1e-8)
+ORDINARY = st.sampled_from((1e-6, 3e-6, 1.0)) | st.floats(1e-6, 1e10)
+
+
+@st.composite
+def backfill_cases(draw):
+    """Links at drawn residuals (no dust when ``clean``: then the entry
+    sweep's precondition holds), paths that are empty, repeat a link or
+    cross only 0.0 links, and MADD's rates to add to."""
+    clean = draw(st.booleans())
+    links = LINK_POOL[: draw(st.integers(1, len(LINK_POOL)))]
+    residuals = ZERO | ORDINARY if clean else ZERO | DUST | ORDINARY
+    residual = {link: draw(residuals) for link in links}
+    zeros = [link for link in links if residual[link] == 0.0]
+    flows = []
+    for flow_id in range(draw(st.integers(1, 12))):
+        blocked = zeros and not draw(st.integers(0, 3))  # on 0.0 links only
+        path = draw(st.lists(st.sampled_from(zeros if blocked else links), max_size=4))
+        flows.append(Flow(flow_id, "s", "d", 1.0, tuple(path), 0.0))
+    rates = {f.flow_id: draw(st.just(0.0) | st.floats(0.0, 1e9)) for f in flows}
+    return clean, flows, residual, rates
+
+
+@given(backfill_cases())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_backfill_equals_water_fill_around_zero_columns(case):
+    """``backfill`` over ``link_columns`` against the reference
+    ``water_fill`` plus the back-fill credit (a share above the epsilon),
+    from the same rates: ``==`` on every rate.  Without dust a flow that
+    crosses a 0.0 link keeps the rate it came with."""
+    clean, flows, residual, rates = case
+    want = dict(rates)
+    coflow_oracle.backfill(flows, dict(residual), want)
+    got = dict(rates)
+    backfill(*link_columns(flows, residual), got)
+    assert got == want
+    if clean:
+        for flow in flows:
+            if any(residual[link] == 0.0 for link in flow.path):
+                assert got[flow.flow_id] == rates[flow.flow_id]
 
 
 @pytest.mark.slow

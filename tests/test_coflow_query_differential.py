@@ -13,9 +13,10 @@ open and grow them later, route coflows through the queried host in
 both directions, stop the clock mid-flight, degrade links and fail them
 (a reroute re-inserts a flow in the link index but not in the host
 index, so the two orders part), under a coflow allocator and a flow
-allocator.  The ``slow`` leg checks every CCT query of 160-host Varys
-replays, plain and under a fault plan, each round of queries
-(``NetworkDaemon.answer_round``) against the oracle asked host by host.
+allocator; a pinned case aborts a member of a queried coflow.  The
+``slow`` leg checks every CCT query of 160-host Varys replays, plain and
+under a fault plan, each round of queries (``NetworkDaemon.answer_round``)
+against the oracle asked host by host.
 """
 
 from __future__ import annotations
@@ -283,6 +284,29 @@ def test_dust_below_the_coflow_floor_is_floored_for_coflows_only():
     assert up.total_size == 1e-9 and up.size_on_link == member_left
     ((_, node_state),) = new.fabric.coflow_edge_states([("h000", "h000->tor0")])
     assert node_state == min(bare_left, member_left)
+
+
+def test_an_aborted_member_still_counts_in_its_coflow_total():
+    """``fail_host`` aborts one member of a two-flow coflow: the aborted
+    flow leaves the fabric with its ``remaining`` kept, and the coflow's
+    total still counts it, as the oracle's sum over every member does (a
+    total over the active members alone would put the queried 2e9-bit
+    coflow ahead of it)."""
+    new, old = World("varys"), World("varys")
+    for step in (
+        ("coflow", [("h000", "h001", 1e9), ("h002", "h003", 4e9)], True),
+        ("advance", 0.1),
+    ):
+        assert new.apply(step) == old.apply(step) == "ok"
+    for world in (new, old):
+        world.fabric.fail_host("h003")
+    kept, aborted = new.flows
+    assert new.fabric.active_flows() == [kept] and aborted.remaining > 2e9
+    (coflow,) = coflow_link_state(new.fabric, "h000->tor0").coflows
+    assert coflow.total_size == new.fabric.residual(kept) + aborted.remaining
+    for predictor in PREDICTORS:
+        for direction in ("in", "out"):
+            query_both(new, old, "h000", direction, 2e9, 5e8, predictor)
 
 
 def _compensated_sum(iterable, start=0):

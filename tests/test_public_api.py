@@ -95,6 +95,8 @@ PUBLIC_SYMBOLS = {
 #: of ``read_trace`` and the service's wrapper of ``poisson_rate_for_load``
 #: are gone.  1.16.0: the change-point hint is one sorted sweep over the
 #: flows it is handed, so the mixin is ``CrossingHint`` and tracks nothing.
+#: 1.20.0: ``collect_coflows`` groups a coflow allocation's flows with each
+#: group's column demand and tie-break in one pass.
 REMOVED_SYMBOLS = {
     "repro.telemetry": [
         "NULL_TELEMETRY", "NullMetricsRegistry", "NULL_REGISTRY",
@@ -108,6 +110,7 @@ REMOVED_SYMBOLS = {
     "repro.errors": ["ShadowVerifyError"],
     "repro.network.fabric": ["SHADOW_TOLERANCE"],
     "repro.network.policies.base": ["LinkMembershipMixin"],
+    "repro.coflow.policies.base": ["column_demand"],
 }
 
 #: Methods removed (CHANGES.md).  1.10.0: the decision log is a plain probe
