@@ -53,7 +53,7 @@ from repro.errors import (
     WorkloadError,
 )
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "__version__",

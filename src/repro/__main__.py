@@ -32,25 +32,21 @@ import sys
 from dataclasses import replace
 
 from repro.errors import ConfigError, FaultError, WorkloadError
-from repro.experiments.comparative import figure3
-from repro.experiments.coflow_macro import figure7
-from repro.experiments.config import MacroConfig, testbed_config
-from repro.experiments.flow_macro import run_flow_macro
-from repro.experiments.micro import figure8, figure9, figure10
-from repro.experiments.motivating import render_figure1
-from repro.experiments.testbed import figure11
+from repro.experiments.config import MacroConfig
+from repro.experiments.figures import FIGURES
 
-FIGURES = {
-    "fig1": "motivating example table (exact)",
-    "fig3": "minDist vs minLoad comparative study",
-    "fig5": "flow placement under Fair (gap per size bin)",
-    "fig6": "flow placement under LAS or SRPT",
-    "fig7": "coflow placement under Varys or SCF",
-    "fig8": "Fair vs SRPT predictor under SRPT",
-    "fig9": "preferred hosts vs minFCT",
-    "fig10": "FCT prediction error",
-    "fig11": "10-node testbed (NEAT vs minLoad)",
+#: Figure command -> its figure-table row (Figure 6's first panel for
+#: ``fig6``, whose ``--network`` picks the panel).
+FIGURE_COMMANDS = {
+    name: next(f for f in FIGURES.values() if f.command == name)
+    for name in dict.fromkeys(f.command for f in FIGURES.values())
 }
+
+#: Observability flags: any of them arms the telemetry layer.
+OBSERVABILITY_FLAGS = (
+    "trace", "metrics_out", "timeline", "profile", "causal",
+)
+
 
 def _positive(convert):
     """An argparse ``type=``: ``convert`` the text, then insist on > 0."""
@@ -255,15 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(func=func, parser=sub, **defaults)
         return sub
 
-    # config_from_args reads the NEAT state knobs of every command it
-    # serves; those without the fault-injection group run the stock ones.
-    stock_state = {"state_ttl": None, "push_node_state": False}
     command("list", print_figure_list, "enumerate the figures")
     command(
         "all", run_all_summary,
         "fast one-line-per-figure summary, run as a cached ten-cell "
         "campaign (always the hadoop workload)", topology, size, execution,
-        workload="hadoop", **stock_state,
+        workload="hadoop",
     )
     run = command(
         "run", run_campaign_cli, "seed x network x load campaign sweep",
@@ -326,22 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
              "e.g. varys/scf)",
     )
 
-    command("fig1", print_figure1, FIGURES["fig1"], figure="fig1")
-    # Exactly what run_figure reads beyond the topology and observability.
-    for name, workload, extra in (
-        ("fig3", "datamining", [network]),
-        ("fig5", "hadoop", [fault_injection]),
-        ("fig6", "hadoop", [network, fault_injection]),
-        ("fig7", "hadoop", [network]),
-        ("fig8", "hadoop", []),
-        ("fig9", "hadoop", [network]),
-        ("fig10", "hadoop", [network]),
-    ):
-        state = {} if fault_injection in extra else stock_state
-        command(name, run_figure_cli, FIGURES[name], _workload(workload),
-                topology, size, *extra, observability, figure=name, **state)
-    command("fig11", run_figure_cli, FIGURES["fig11"], size, observability,
-            figure="fig11")
+    # Each figure command takes the option groups its table row names.
+    for name, figure in FIGURE_COMMANDS.items():
+        groups = {
+            "workload": _workload(figure.workload), "topology": topology,
+            "size": size, "network": network, "faults": fault_injection,
+            "observability": observability,
+        }
+        command(name, run_figure_cli, figure.description,
+                *(groups[option] for option in figure.options), figure=name)
 
     status = command(
         "status", run_status_cli,
@@ -684,26 +670,31 @@ def emit_telemetry_outputs(tele, args: argparse.Namespace) -> None:
         print(f"timeline written to {args.timeline}")
 
 
+#: Option (argparse dest) -> the MacroConfig field it sets.
+CONFIG_OPTIONS = {
+    "pods": "pods", "racks_per_pod": "racks_per_pod",
+    "hosts_per_rack": "hosts_per_rack", "workload": "workload",
+    "load": "load", "arrivals": "num_arrivals", "seed": "seed",
+    "oversubscription": "oversubscription", "state_ttl": "state_ttl",
+    "push_node_state": "push_node_state",
+}
+
+
 def config_from_args(args: argparse.Namespace) -> MacroConfig:
-    """The topology, workload and NEAT state options as a MacroConfig."""
-    return MacroConfig(
-        pods=args.pods,
-        racks_per_pod=args.racks_per_pod,
-        hosts_per_rack=args.hosts_per_rack,
-        workload=args.workload,
-        load=args.load,
-        num_arrivals=args.arrivals,
-        seed=args.seed,
-        oversubscription=args.oversubscription,
-        state_ttl=args.state_ttl,
-        push_node_state=args.push_node_state,
-    )
+    """The topology, workload, size and NEAT state options the command
+    takes, as a MacroConfig (the fields it has no option for keep their
+    defaults)."""
+    given = vars(args)
+    return MacroConfig(**{
+        field: given[option]
+        for option, field in CONFIG_OPTIONS.items() if option in given
+    })
 
 
 def _fault_plan(args: argparse.Namespace):
     """The ``--faults`` plan (None when not given); an unreadable or
     invalid plan raises FaultError, which ``main`` reports."""
-    if not args.faults:
+    if not getattr(args, "faults", None):
         return None
     from repro.faults import FaultPlan
 
@@ -748,8 +739,8 @@ def _run_campaign_from_args(
 
 
 def print_figure_list(args: argparse.Namespace) -> int:
-    for name in sorted(FIGURES):
-        print(f"{name:6s} {FIGURES[name]}")
+    for name in sorted(FIGURE_COMMANDS):
+        print(f"{name:6s} {FIGURE_COMMANDS[name].description}")
     return 0
 
 
@@ -761,10 +752,7 @@ def run_all_summary(args: argparse.Namespace) -> int:
     """
     from repro.campaign import build_all_campaign
 
-    cfg = config_from_args(args)
-    campaign = build_all_campaign(
-        cfg, arrivals=args.arrivals, seed=args.seed
-    )
+    campaign = build_all_campaign(config_from_args(args))
     report = _run_campaign_from_args(campaign, args)
     for payload in report.payloads():
         if payload is not None:
@@ -1161,17 +1149,11 @@ def run_campaign_worker_cli(args: argparse.Namespace) -> int:
     return 1 if summary.failed else 0
 
 
-def print_figure1(args: argparse.Namespace) -> int:
-    print(render_figure1())
-    return 0
-
-
 def run_figure_cli(args: argparse.Namespace) -> int:
     """A figure command: the run, under the telemetry its observability
     flags arm (none when no flag is given: zero overhead)."""
     tele = None
-    if (args.trace or args.metrics_out or args.timeline or args.profile
-            or args.causal):
+    if any(getattr(args, flag, None) for flag in OBSERVABILITY_FLAGS):
         from repro.telemetry import create_telemetry
 
         try:
@@ -1196,68 +1178,16 @@ def run_figure_cli(args: argparse.Namespace) -> int:
 
 
 def run_figure(args: argparse.Namespace, tele=None) -> int:
-    """Dispatch one figure (telemetry threaded when armed)."""
-    if args.figure == "fig11":
-        result = figure11(
-            testbed_config(num_arrivals=args.arrivals, seed=args.seed),
-            telemetry=tele,
-        )
-        for net in ("fair", "las"):
-            print(
-                f"{net.upper():5s} NEAT improvement over minLoad: "
-                f"{result.improvement_percent(net):.1f}%"
-            )
-        return 0
-    cfg = config_from_args(args)
-    if args.figure == "fig3":
-        if cfg.oversubscription == 1.0:
-            cfg = replace(cfg, oversubscription=4.0)
-        outcome = figure3(args.network or "fair", cfg, telemetry=tele)
-        print(outcome.table())
-        print(f"\noverall minDist/minLoad ratio: {outcome.overall_ratio():.2f}")
-    elif args.figure in ("fig5", "fig6"):
-        outcome = run_flow_macro(
-            network_policy=(
-                "fair" if args.figure == "fig5" else args.network or "las"
-            ),
-            config=cfg, telemetry=tele, faults=_fault_plan(args),
-        )
-        print(outcome.table())
-        gaps = outcome.average_gaps()
-        print("\nmean gaps: " + ", ".join(f"{k}={v:.2f}" for k, v in gaps.items()))
-        print(
-            f"NEAT improvement: {outcome.improvement_over('minload'):.2f}x vs "
-            f"minLoad, {outcome.improvement_over('mindist'):.2f}x vs minDist"
-        )
-    elif args.figure == "fig7":
-        result = figure7(
-            args.network or "varys", replace(cfg, coflows=True), telemetry=tele
-        )
-        print(result.table())
-        ccts = result.average_ccts()
-        print("\nmean CCTs: " + ", ".join(f"{k}={v:.3f}s" for k, v in ccts.items()))
-    elif args.figure == "fig8":
-        comparison = figure8(cfg, telemetry=tele)
-        fair, srpt = comparison.gaps()
-        print(f"NEAT + Fair predictor : mean gap = {fair:.3f}")
-        print(f"NEAT + SRPT predictor : mean gap = {srpt:.3f}")
-        print(f"relative difference   = {comparison.relative_difference():.3f}")
-    elif args.figure == "fig9":
-        result = figure9(
-            cfg, network_policy=args.network or "fair", telemetry=tele
-        )
-        for name, gap in result.average_gaps().items():
-            print(f"{name:8s} mean gap = {gap:.3f}")
-    else:  # fig10
-        short, long = figure10(
-            cfg, network_policy=args.network or "srpt", telemetry=tele
-        )
-        for summary in (short, long):
-            print(
-                f"{summary.label:5s} flows (n={summary.count}): "
-                f"mean |err| = {summary.mean_abs_error:.3f}, "
-                f"p95 |err| = {summary.p95_abs_error:.3f}"
-            )
+    """Run one figure command's table row and print its report
+    (telemetry threaded when armed)."""
+    figure = FIGURE_COMMANDS[args.figure]
+    panels = figure.run(
+        figure.configure(config_from_args(args)),
+        network=getattr(args, "network", None),
+        telemetry=tele,
+        faults=_fault_plan(args),
+    )
+    print(figure.report(panels))
     return 0
 
 

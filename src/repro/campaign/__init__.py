@@ -45,7 +45,6 @@ Quickstart::
 from repro.campaign.cache import CacheStats, ResultCache
 from repro.campaign.cells import execute_cell
 from repro.campaign.executor import run_campaign
-from repro.campaign.figures import build_all_campaign
 from repro.campaign.hashing import canonical_json, content_hash, spec_key
 from repro.campaign.queue import (
     DEFAULT_LEASE_TTL,
@@ -64,6 +63,7 @@ from repro.campaign.report import (
 from repro.campaign.spec import (
     Campaign,
     RunSpec,
+    build_all_campaign,
     derive_seeds,
     flow_grid,
     spec_from_json_dict,

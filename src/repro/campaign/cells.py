@@ -13,6 +13,8 @@ from typing import Callable, Dict, Optional
 
 from repro.campaign.spec import RunSpec
 from repro.campaign.status import StatusWriter
+from repro.errors import ConfigError
+from repro.experiments.figures import FIGURES
 from repro.metrics.stats import afct, average_gap
 
 
@@ -92,9 +94,19 @@ def execute_cell(spec: RunSpec) -> Dict[str, object]:
     """
     if spec.kind in ("flow_macro", "coflow_macro"):
         return _macro_payload(spec)
-    from repro.campaign.figures import execute_figure
-
     return execute_figure(spec)
+
+
+def execute_figure(spec: RunSpec) -> Dict[str, object]:
+    """Run one ``repro all`` cell: its figure-table row at the spec's
+    config, and the row's summary line as the payload."""
+    figure = FIGURES.get(spec.figure or "")
+    if figure is None:
+        raise ConfigError(f"unknown figure cell {spec.figure!r}")
+    verdict = figure.verdict(
+        figure.run(spec.config, network=spec.network_policy)
+    )
+    return {"figure": spec.figure, "line": f"{figure.id:5s} {verdict}"}
 
 
 def payload_events(payload) -> Optional[int]:

@@ -18,6 +18,7 @@ from repro.campaign.cache import CacheStats, ResultCache
 from repro.campaign.spec import Campaign, RunSpec
 from repro.campaign.streaming import CampaignAggregate
 from repro.errors import ConfigError
+from repro.experiments.figures import PlacementStats
 
 
 @dataclass
@@ -93,13 +94,11 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-class MacroSummary:
-    """A macro cell's payload wearing the ``MacroOutcome`` interface.
-
-    Campaign workers cannot ship full flow-record lists back through the
-    cache, so aggregate consumers (``repeat_flow_macro`` and friends)
-    get this thin adapter over the per-placement summary statistics.
-    """
+class MacroSummary(PlacementStats):
+    """A macro cell's payload read as a placement comparison: the
+    :class:`~repro.experiments.figures.MacroOutcome` statistics without
+    the flow records, which campaign workers do not ship through the
+    cache (``repeat_flow_macro`` and friends read it)."""
 
     __slots__ = ("payload",)
 
@@ -118,27 +117,6 @@ class MacroSummary:
     @property
     def per_placement(self) -> Dict[str, Dict[str, float]]:
         return self.payload["per_placement"]
-
-    def average_gaps(self) -> Dict[str, float]:
-        return {
-            name: stats["average_gap"]
-            for name, stats in self.per_placement.items()
-        }
-
-    def afcts(self) -> Dict[str, float]:
-        return {
-            name: stats["mean_completion"]
-            for name, stats in self.per_placement.items()
-        }
-
-    def improvement_over(
-        self, baseline: str, *, metric: str = "gap"
-    ) -> float:
-        values = self.average_gaps() if metric == "gap" else self.afcts()
-        neat = values["neat"]
-        if neat <= 0:
-            return float("inf")
-        return values[baseline] / neat
 
 
 def render_campaign_report(

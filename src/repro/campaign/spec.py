@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.experiments.config import MacroConfig
+from repro.experiments.figures import FIGURES
 from repro.faults.plan import FaultPlan
 from repro.sim.randomness import hash_seed
 
@@ -244,3 +245,21 @@ def flow_grid(
                         )
                     )
     return Campaign(name=name, cells=tuple(cells))
+
+
+def build_all_campaign(base: MacroConfig) -> Campaign:
+    """The ``repro all`` summary: one figure cell per figure-table row, at
+    the row's workload with its ``configure`` and ``summarize`` applied to
+    ``base`` (the CLI's size and topology)."""
+    return Campaign(name="repro-all", cells=tuple(
+        RunSpec(
+            kind="figure",
+            config=fig.summarize(fig.configure(
+                replace(base, workload=fig.workload)
+            )),
+            network_policy=fig.networks[0],
+            figure=fig.id,
+            label=fig.id,
+        )
+        for fig in FIGURES.values()
+    ))

@@ -1,18 +1,13 @@
 """Experiment harness reproducing every table and figure of the paper.
 
-One module per figure:
-
-* :mod:`repro.experiments.motivating`   — Figure 1 (exact).
-* :mod:`repro.experiments.comparative`  — Figure 3 (minDist vs minLoad).
-* :mod:`repro.experiments.config`       — Table 1 + shared MacroConfig.
-* :mod:`repro.experiments.flow_macro`   — Figures 5-6.
-* :mod:`repro.experiments.coflow_macro` — Figure 7.
-* :mod:`repro.experiments.micro`        — Figures 8-10.
-* :mod:`repro.experiments.testbed`      — Figure 11.
+* :mod:`repro.experiments.figures`     — the figure table: one row per
+  figure cell (Figures 1, 3, 5-11) with its runs, renderers and claims.
+* :mod:`repro.experiments.motivating`  — Figure 1's exact model.
+* :mod:`repro.experiments.config`      — Table 1 + shared MacroConfig.
+* :mod:`repro.experiments.runner`      — trace replays (one placement).
+* :mod:`repro.experiments.repetitions` — multi-seed aggregates.
 """
 
-from repro.experiments.comparative import ComparativeOutcome, figure3
-from repro.experiments.coflow_macro import CoflowOutcome, figure7
 from repro.experiments.config import (
     TABLE1_PARAMETERS,
     MacroConfig,
@@ -20,19 +15,12 @@ from repro.experiments.config import (
     full_scale_config,
     testbed_config,
 )
-from repro.experiments.flow_macro import (
+from repro.experiments.figures import (
+    FIGURES,
+    Claim,
+    Figure,
     MacroOutcome,
-    figure5,
-    figure6,
-    run_flow_macro,
-)
-from repro.experiments.micro import (
-    PredictorComparison,
     PredictionErrorSummary,
-    PreferredHostsOutcome,
-    figure8,
-    figure9,
-    figure10,
     prediction_errors,
 )
 from repro.experiments.motivating import (
@@ -54,7 +42,6 @@ from repro.experiments.runner import (
     replay_coflow_trace,
     replay_flow_trace,
 )
-from repro.experiments.testbed import TestbedOutcome, figure11
 
 __all__ = [
     "RunResult",
@@ -75,20 +62,10 @@ __all__ = [
     "EXPECTED_FIGURE1",
     "Figure1Row",
     "example_topology",
-    "figure3",
-    "ComparativeOutcome",
-    "figure5",
-    "figure6",
-    "run_flow_macro",
+    "FIGURES",
+    "Figure",
+    "Claim",
     "MacroOutcome",
-    "figure7",
-    "CoflowOutcome",
-    "figure8",
-    "figure9",
-    "figure10",
     "prediction_errors",
-    "PredictorComparison",
-    "PreferredHostsOutcome",
     "PredictionErrorSummary",
-    "TestbedOutcome",
 ]

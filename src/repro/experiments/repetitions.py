@@ -12,8 +12,8 @@ declarative front-end over it: each seed is one
 on supervised worker processes with ``jobs > 1``, and against the
 content-addressed cache when ``cache`` is given.  Per-seed results come
 back as :class:`~repro.campaign.report.MacroSummary` adapters, which
-expose the same ``average_gaps`` / ``improvement_over`` surface as
-:class:`~repro.experiments.flow_macro.MacroOutcome`.
+share the ``average_gaps`` / ``improvement_over`` surface of
+:class:`~repro.experiments.figures.MacroOutcome`.
 """
 
 from __future__ import annotations

@@ -456,7 +456,7 @@ class TestAggregation:
 # ----------------------------------------------------------------------
 class TestFigureCampaignAndCli:
     def test_build_all_campaign_shape(self):
-        campaign = build_all_campaign(TINY, arrivals=120, seed=42)
+        campaign = build_all_campaign(TINY)
         assert [c.figure for c in campaign.cells] == [
             "fig1", "fig3", "fig5", "fig6a", "fig6b",
             "fig7", "fig8", "fig9", "fig10", "fig11",

@@ -1,9 +1,8 @@
-"""Tests for the CLI entry point and trace serialization."""
+"""Tests for the CLI entry point."""
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import shlex
 from pathlib import Path
@@ -11,81 +10,27 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import build_parser, config_from_args, main
-from repro.errors import WorkloadError
-from repro.workloads.distributions import make_distribution
-from repro.workloads.serialization import (
-    dump_trace,
-    load_trace,
-    trace_from_dict,
-    trace_to_dict,
-)
-from repro.workloads.traces import (
-    Trace,
-    generate_coflow_trace,
-    generate_flow_trace,
-)
 
-HOSTS = [f"h{i}" for i in range(6)]
-
-
-def flow_trace(n=20, seed=5):
-    return generate_flow_trace(
-        hosts=HOSTS,
-        distribution=make_distribution("websearch"),
-        load=0.5, edge_capacity=1e9, num_arrivals=n, seed=seed,
-    )
-
-
-def coflow_trace(n=10, seed=5):
-    return generate_coflow_trace(
-        hosts=HOSTS,
-        distribution=make_distribution("websearch"),
-        load=0.5, edge_capacity=1e9, num_arrivals=n, seed=seed,
-        min_width=2, max_width=3,
-    )
-
-
-class TestTraceSerialization:
-    def test_flow_roundtrip(self):
-        trace = flow_trace()
-        restored = trace_from_dict(trace_to_dict(trace))
-        assert restored.arrivals == trace.arrivals
-        assert restored.seed == trace.seed
-        assert restored.description == trace.description
-
-    def test_coflow_roundtrip(self):
-        trace = coflow_trace()
-        restored = trace_from_dict(trace_to_dict(trace))
-        assert restored.arrivals == trace.arrivals
-
-    def test_file_roundtrip(self, tmp_path):
-        trace = flow_trace()
-        path = tmp_path / "trace.json"
-        dump_trace(trace, str(path))
-        assert load_trace(str(path)).arrivals == trace.arrivals
-
-    def test_json_is_plain(self, tmp_path):
-        path = tmp_path / "trace.json"
-        dump_trace(flow_trace(n=3), str(path))
-        payload = json.loads(path.read_text())
-        assert payload["version"] == 1
-        assert len(payload["arrivals"]) == 3
-        assert payload["arrivals"][0]["kind"] == "flow"
-
-    def test_bad_version_rejected(self):
-        with pytest.raises(WorkloadError):
-            trace_from_dict({"version": 99, "arrivals": []})
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(WorkloadError):
-            trace_from_dict(
-                {"version": 1, "arrivals": [{"kind": "mystery"}]}
-            )
-
-    def test_unserialisable_arrival_rejected(self):
-        bogus = Trace(arrivals=(object(),), seed=0)
-        with pytest.raises(WorkloadError):
-            trace_to_dict(bogus)
+#: ``repro all --arrivals 80 --hosts-per-rack 4``, one line per figure cell.
+ALL_SUMMARY_LINES = [
+    "fig1  motivating example: EXACT match",
+    "fig3  minDist/minLoad overall FCT ratio under Fair: 0.98 [ctrl msgs: 0]",
+    "fig5  FAIR: NEAT 1.00x vs minLoad, 1.21x vs minDist "
+    "[ctrl msgs: neat=2016]",
+    "fig6a LAS : NEAT 1.00x vs minLoad, 1.14x vs minDist "
+    "[ctrl msgs: neat=2016]",
+    "fig6b SRPT: NEAT 1.00x vs minLoad, 1.03x vs minDist "
+    "[ctrl msgs: neat=2016]",
+    "fig7  Varys coflows: mean CCT neat=0.281s minload=0.252s "
+    "mindist=0.302s [ctrl msgs: neat=5428]",
+    "fig8  Fair-vs-SRPT predictor relative difference: 0.39 "
+    "[ctrl msgs: neat-fair=2016, neat-srpt=1980]",
+    "fig9  minFCT degradation without node states (Fair): 0% "
+    "[ctrl msgs: neat=2016]",
+    "fig10 prediction error: short 0.000, long 0.013 (mean |err|)",
+    "fig11 testbed: NEAT vs minLoad -2.6% (Fair), -3.0% (LAS) "
+    "[ctrl msgs: neat/fair=1082, neat/las=1042]",
+]
 
 
 class TestCLI:
@@ -166,6 +111,17 @@ class TestCLI:
         rerun = capsys.readouterr().out
         assert "hits=10" in rerun and "misses=0" in rerun
         assert "fig11" in rerun
+
+    def test_all_summary_lines_are_pinned(self, capsys):
+        """Every figure line of ``repro all`` at a pinned size, verbatim:
+        the lines are rendered from the figure table, so a row that drifts
+        (its config, placements, networks or format) fails here."""
+        assert main([
+            "all", "--arrivals", "80", "--hosts-per-rack", "4", "--no-cache",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:10] == ALL_SUMMARY_LINES
+        assert lines[10:] == ["cache: hits=0 misses=10 writes=10"]
 
     def test_fig6_network_override(self, capsys):
         assert main([

@@ -1,38 +1,35 @@
 """Tests for the experiment harness: Figure 1 exactness, runner mechanics,
 and small-scale shape checks for the macro figures.
 
-The full-scale figure reproductions live in benchmarks/; here we use small
-configurations that finish in seconds and assert the *direction* of each
-paper claim.
+Each figure's claims live in its row of ``repro.experiments.figures``;
+here every row's sweep runs on a small configuration that finishes in
+seconds and its claims are asserted at their small-scale bounds
+(``benchmarks/bench_figures.py`` asserts them at the bench scale).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.comparative import figure3
 from repro.experiments.config import (
     TABLE1_PARAMETERS,
     MacroConfig,
     full_scale_config,
 )
 from repro.experiments.config import testbed_config as make_testbed_config
-from repro.experiments.flow_macro import run_flow_macro
-from repro.experiments.micro import figure8, figure9, figure10
+from repro.experiments.figures import FIGURES
 from repro.experiments.motivating import (
     EXPECTED_FIGURE1,
     figure1_table,
     render_figure1,
 )
 from repro.experiments.runner import (
-    compare_policies,
     replay_coflow_trace,
     replay_flow_trace,
 )
-from repro.experiments.coflow_macro import figure7
-from repro.experiments.testbed import figure11
-from repro.metrics.stats import average_gap
 from repro.workloads.distributions import make_distribution
 from repro.workloads.traces import generate_coflow_trace, generate_flow_trace
 
@@ -163,95 +160,69 @@ class TestRunnerMechanics:
         assert len(run.records) == 30
 
 
+#: The 16-host Hadoop setup of the micro figures' small-scale checks.
+HADOOP16 = MacroConfig(
+    pods=1, racks_per_pod=2, hosts_per_rack=8,
+    workload="hadoop", num_arrivals=300, seed=11,
+)
+
+
+def small_sweep(figure_id, config):
+    """Run a row's sweep at ``config`` and assert its small-scale claims."""
+    figure = FIGURES[figure_id]
+    panels = figure.sweep(figure.configure(config))
+    assert figure.failures(panels, "small") == []
+    return panels
+
+
 class TestFigureShapesSmall:
     """Direction-of-effect checks for every macro claim (small scale)."""
 
     def test_neat_beats_baselines_under_fair(self):
-        outcome = run_flow_macro(network_policy="fair", config=SMALL)
-        gaps = outcome.average_gaps()
-        assert gaps["neat"] < gaps["minload"]
-        assert gaps["neat"] < gaps["mindist"]
+        small_sweep("fig5", SMALL)
 
     def test_neat_beats_baselines_under_las(self):
-        outcome = run_flow_macro(network_policy="las", config=SMALL)
-        gaps = outcome.average_gaps()
-        assert gaps["neat"] < gaps["minload"]
-        assert gaps["neat"] < gaps["mindist"]
+        small_sweep("fig6a", SMALL)
 
     def test_srpt_leaves_less_room(self):
         """The paper: SRPT is near-optimal, so every placement's gap is
-        smaller under SRPT than under Fair."""
-        fair = run_flow_macro(network_policy="fair", config=SMALL)
-        srpt = run_flow_macro(network_policy="srpt", config=SMALL)
-        assert average_gap(srpt.results["neat"].records) <= average_gap(
-            fair.results["neat"].records
-        )
-        assert srpt.improvement_over("minload") <= fair.improvement_over(
-            "minload"
-        ) * 1.5  # SRPT improvement is not dramatically larger
+        smaller under SRPT than under LAS and Fair."""
+        small_sweep("fig6b", SMALL)
 
     def test_macro_outcome_table_renders(self):
-        outcome = run_flow_macro(network_policy="fair", config=SMALL)
+        (outcome,) = FIGURES["fig5"].run(SMALL).values()
         text = outcome.table()
         assert "neat" in text and "minload" in text
 
     def test_figure8_predictor_invariance(self):
-        cfg = MacroConfig(
-            pods=1, racks_per_pod=2, hosts_per_rack=8,
-            workload="hadoop", num_arrivals=300, seed=11,
-        )
-        comparison = figure8(cfg)
         # Proposition 4.1: the two predictors place nearly identically.
-        assert comparison.relative_difference() < 0.35
+        small_sweep("fig8", HADOOP16)
 
     def test_figure9_minfct_never_beats_neat(self):
         # Under Fair the preferred-hosts benefit is robust even at small
-        # scale; the SRPT variant needs datacenter scale (see the bench).
-        cfg = MacroConfig(
-            pods=1, racks_per_pod=2, hosts_per_rack=8,
-            workload="hadoop", num_arrivals=300, seed=11,
-        )
-        outcome = figure9(cfg, network_policy="fair")
-        gaps = outcome.average_gaps()
-        assert gaps["neat"] <= gaps["minfct"] * 1.05
-        assert gaps["neat"] < gaps["mindist"]
+        # scale; the SRPT claim needs datacenter scale (see the bench).
+        small_sweep("fig9", HADOOP16)
 
     def test_figure10_error_grows_with_size(self):
-        cfg = MacroConfig(
-            pods=1, racks_per_pod=2, hosts_per_rack=8,
-            workload="hadoop", num_arrivals=400, seed=11,
-        )
-        short, long = figure10(cfg)
-        assert short.count > 0 and long.count > 0
-        assert short.mean_abs_error <= long.mean_abs_error * 1.25
+        small_sweep("fig10", replace(HADOOP16, num_arrivals=400))
 
     def test_figure3_runs_both_policies(self):
-        cfg = MacroConfig(
-            pods=1, racks_per_pod=2, hosts_per_rack=8,
-            workload="datamining", num_arrivals=300, seed=11,
-            oversubscription=4.0,
-        )
-        outcome = figure3("srpt", cfg)
-        assert outcome.overall_ratio() > 0
-        assert outcome.table()
+        figure = FIGURES["fig3"]
+        panels = small_sweep("fig3", replace(
+            HADOOP16, workload="datamining", oversubscription=4.0,
+        ))
+        assert set(panels) == {"srpt", "fair"}
+        assert figure.report(panels)
 
     def test_figure7_coflow_placement(self):
-        cfg = MacroConfig(
+        panels = small_sweep("fig7", MacroConfig(
             pods=2, racks_per_pod=2, hosts_per_rack=8,
             workload="hadoop", coflows=True, num_arrivals=120, seed=11,
-        )
-        outcome = figure7("varys", cfg)
-        ccts = outcome.average_ccts()
-        assert set(ccts) == {"neat", "minload", "mindist"}
-        # At this small scale NEAT ties minLoad within noise and clearly
-        # beats minDist; the full-shape claim is checked in the bench.
-        assert ccts["neat"] <= ccts["minload"] * 1.10
-        assert ccts["neat"] < ccts["mindist"]
+        ))
+        for outcome in panels.values():
+            assert set(outcome.afcts()) == {"neat", "minload", "mindist"}
 
     def test_figure11_testbed_runs(self):
-        cfg = make_testbed_config(num_arrivals=250)
-        outcome = figure11(cfg)
-        for policy in ("fair", "las"):
-            assert set(outcome.average_gaps(policy)) == {"neat", "minload"}
-            # Small-scale gains, but NEAT should not lose badly.
-            assert outcome.improvement_percent(policy) > -15.0
+        panels = small_sweep("fig11", make_testbed_config(num_arrivals=250))
+        for outcome in panels.values():
+            assert set(outcome.average_gaps()) == {"neat", "minload"}

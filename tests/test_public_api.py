@@ -60,9 +60,8 @@ PUBLIC_SYMBOLS = {
     ],
     "repro.experiments": [
         "MacroConfig", "replay_flow_trace", "replay_coflow_trace",
-        "compare_policies", "figure1_table", "figure3", "figure5",
-        "figure6", "figure7", "figure8", "figure9", "figure10", "figure11",
-        "repeat_flow_macro",
+        "compare_policies", "figure1_table", "FIGURES", "Figure", "Claim",
+        "MacroOutcome", "repeat_flow_macro",
     ],
     "repro.campaign": [
         "Campaign", "RunSpec", "flow_grid", "derive_seeds",
@@ -96,8 +95,16 @@ PUBLIC_SYMBOLS = {
 #: are gone.  1.16.0: the change-point hint is one sorted sweep over the
 #: flows it is handed, so the mixin is ``CrossingHint`` and tracks nothing.
 #: 1.20.0: ``collect_coflows`` groups a coflow allocation's flows with each
-#: group's column demand and tie-break in one pass.
+#: group's column demand and tie-break in one pass.  1.21.0: each paper
+#: figure is one row of ``repro.experiments.FIGURES`` (``row.run`` replaces
+#: the per-figure functions, ``MacroOutcome`` the per-figure outcomes).
 REMOVED_SYMBOLS = {
+    "repro.experiments": [
+        "figure3", "figure5", "figure6", "figure7", "figure8", "figure9",
+        "figure10", "figure11", "run_flow_macro", "ComparativeOutcome",
+        "CoflowOutcome", "PredictorComparison", "PreferredHostsOutcome",
+        "TestbedOutcome",
+    ],
     "repro.telemetry": [
         "NULL_TELEMETRY", "NullMetricsRegistry", "NULL_REGISTRY",
         "NULL_TRACE", "NULL_DECISIONS", "NULL_CAUSAL", "NullProfiler",

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.experiments.config import MacroConfig
-from repro.experiments.flow_macro import run_flow_macro
+from repro.experiments.figures import FIGURES
 from repro.experiments.runner import (
     compare_policies,
     replay_coflow_trace,
@@ -75,7 +75,7 @@ class TestFCFSPlacement:
 
 class TestSummaryExport:
     def test_summary_dict_is_json_safe(self):
-        outcome = run_flow_macro(network_policy="fair", config=CFG)
+        (outcome,) = FIGURES["fig5"].run(CFG).values()
         payload = outcome.summary_dict()
         text = json.dumps(payload)
         restored = json.loads(text)
@@ -84,7 +84,7 @@ class TestSummaryExport:
         assert restored["improvement_vs_minload"] >= 0
 
     def test_summary_counts_match(self):
-        outcome = run_flow_macro(network_policy="fair", config=CFG)
+        (outcome,) = FIGURES["fig5"].run(CFG).values()
         payload = outcome.summary_dict()
         assert all(
             count == CFG.num_arrivals
