@@ -15,10 +15,14 @@ from repro.errors import ConfigError
 
 
 def mean(values: Sequence[float]) -> float:
-    """Arithmetic mean (raises on empty input)."""
+    """Arithmetic mean (raises on empty input), summed left from int 0 so
+    that no interpreter's float ``sum`` changes it."""
     if not values:
         raise ConfigError("mean of empty sequence")
-    return sum(values) / len(values)
+    total = 0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -28,8 +32,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     if not 0 <= q <= 100:
         raise ConfigError(f"percentile q must be in [0,100], got {q!r}")
     ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
     rank = (q / 100) * (len(ordered) - 1)
     lower = int(math.floor(rank))
     upper = int(math.ceil(rank))
@@ -47,9 +49,7 @@ def afct(records) -> float:
 def average_gap(records) -> float:
     """Mean gap-from-optimal over records with a positive optimum."""
     gaps = [r.gap_from_optimal for r in records if _optimal_of(r) > 0]
-    if not gaps:
-        return 0.0
-    return mean(gaps)
+    return mean(gaps) if gaps else 0.0
 
 
 def average_slowdown(records) -> float:

@@ -1,16 +1,14 @@
-"""Shared fixtures for the repro test suite."""
+"""Shared helpers for the repro test suite."""
 
 from __future__ import annotations
 
 import sys
 
-import pytest
-
 from repro.network import kernels
 from repro.network.fabric import NetworkFabric
 from repro.network.policies.registry import make_allocator
 from repro.sim.engine import Engine
-from repro.topology.fabrics import single_rack, single_switch, three_tier_clos
+from repro.topology.fabrics import single_switch
 
 
 #: The legs every whole-run proof of the allocator runs: ``python`` pins
@@ -30,26 +28,23 @@ def pin_fill(monkeypatch, fill: str) -> None:
         monkeypatch.setattr(kernels, "GROUP_CUTOFF", cutoff)
 
 
-@pytest.fixture
-def engine() -> Engine:
-    return Engine()
-
-
-@pytest.fixture
-def star4(engine: Engine):
-    """A 4-host single switch with 1 Gbps edges."""
-    return single_switch(4)
-
-
-@pytest.fixture
-def rack10():
-    return single_rack(10)
-
-
-@pytest.fixture
-def small_clos():
-    """A 20-host two-pod Clos (fast enough for unit tests)."""
-    return three_tier_clos(pods=2, racks_per_pod=1, hosts_per_rack=10)
+def compensated_sum(iterable, start=0):
+    """CPython 3.12's ``sum``, for a run on an older interpreter: patch it
+    over ``builtins.sum``.  Ints add exactly (so an empty or all-int sum
+    stays an int); once the total is a float, floats add with Neumaier
+    compensation."""
+    total, compensation = start, 0.0
+    for x in iterable:
+        if not (isinstance(total, float) and isinstance(x, float)):
+            total += x
+            continue
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation else total
 
 
 def make_fabric(policy: str = "fair", hosts: int = 4):

@@ -6,11 +6,12 @@ replaced, over residuals read without a write
 ``attained`` and sync time unchanged by the query, no tolerance, for
 every coflow predictor: TCF (Varys / SEBF / SCF use it),
 FIFO (a permutation over arrival times), coflow-fair and coflow-FCFS.
-Two identical fabrics run one generated history in lock-step, one
-queried through ``NetworkDaemon.predict_coflow``, the other through the
-oracle.  The histories mix bare flows with coflow members, leave coflows
-open and grow them later, route coflows through the queried host in
-both directions, stop the clock mid-flight, degrade links and fail them
+Two identical fabrics run one generated history in lock-step
+(``tests/fabric_history.py``), one queried through
+``NetworkDaemon.predict_coflow``, the other through the oracle.  The
+histories mix bare flows with coflow members, leave coflows open and
+grow them later, route coflows through the queried host in both
+directions, stop the clock mid-flight, degrade links and fail them
 (a reroute re-inserts a flow in the link index but not in the host
 index, so the two orders part), under a coflow allocator and a flow
 allocator; a pinned case aborts a member of a queried coflow.  The
@@ -26,34 +27,24 @@ from typing import Dict, List
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coflow.policies.registry import make_coflow_allocator
-from repro.coflow.tracking import CoflowTracker
 from repro.daemons.messages import CoflowPredictionRequest
 from repro.daemons.network_daemon import NetworkDaemon
-from repro.errors import RoutingError
 from repro.experiments.runner import replay_coflow_trace
 from repro.faults import FaultPlan, LinkDown
 from repro.faults.plan import LinkDegrade
-from repro.network.fabric import NetworkFabric
-from repro.network.policies.registry import make_allocator
 from repro.predictor.coflow_cct import PermutationPredictor
 from repro.predictor.fabric_state import coflow_link_state
 from repro.predictor.registry import make_coflow_predictor, make_flow_predictor
 from repro.predictor.state import CoflowLinkState, CoflowOnLink
-from repro.sim.engine import Engine
 from repro.topology.fabrics import three_tier_clos
 from repro.workloads import generate_coflow_trace, make_distribution
 
 from tests import coflow_query_oracle
-
-SMALL_CLOS = dict(
-    pods=2, racks_per_pod=2, hosts_per_rack=2, aggs_per_pod=2, cores=2
+from tests.conftest import compensated_sum
+from tests.fabric_history import (
+    CORE_LINKS, HOSTS, LINKS, Run, a_host, a_link, coflows, drive, histories,
+    op,
 )
-_TOPOLOGY = three_tier_clos(**SMALL_CLOS)
-HOSTS = _TOPOLOGY.hosts
-LINKS = tuple(link.link_id for link in _TOPOLOGY.links())
-#: Links between switches: failing one reroutes the flows on it.
-CORE_LINKS = tuple(link for link in LINKS if "h" not in link)
 
 PREDICTORS = {
     "tcf": make_coflow_predictor("tcf"),
@@ -65,168 +56,67 @@ PREDICTORS = {
 }
 FAIR = make_flow_predictor("fair")
 
-ALLOCATORS = {
-    "varys": lambda: make_coflow_allocator("varys"),
-    "fair": lambda: make_allocator("fair"),
-}
+
+def _daemon(run, host, predictor):
+    return NetworkDaemon(
+        host, run.fabric, FAIR, coflow_predictor=PREDICTORS[predictor]
+    )
 
 
-class World:
-    """One fabric plus everything a history touches in it."""
-
-    def __init__(self, allocator: str) -> None:
-        self.engine = Engine()
-        self.fabric = NetworkFabric(
-            self.engine, three_tier_clos(**SMALL_CLOS),
-            ALLOCATORS[allocator](),
-        )
-        self.tracker = CoflowTracker(self.fabric)
-        self.open: List = []  # coflows still taking flows
-        self.flows: List = []
-
-    def apply(self, op) -> str:
-        """Run one history step; the outcome's name, for lock-step."""
-        kind, *args = op
-        if kind == "shuffle":  # several sources into one reducer
-            sources, dst, size = args
-            kind, args = "coflow", ([(src, dst, size) for src in sources], True)
-        try:
-            if kind == "bare":
-                src, dst, size = args
-                self.flows.append(self.fabric.submit(src, dst, size))
-            elif kind == "coflow":
-                transfers, sealed = args
-                coflow = self.tracker.new_coflow()
-                for src, dst, size in transfers:
-                    self.flows.append(
-                        self.tracker.submit_flow(coflow, src, dst, size)
-                    )
-                if sealed:
-                    self.tracker.seal(coflow)
-                else:
-                    self.open.append(coflow)
-            elif kind == "grow":
-                index, src, dst, size = args
-                if self.open:
-                    coflow = self.open[index % len(self.open)]
-                    self.flows.append(
-                        self.tracker.submit_flow(coflow, src, dst, size)
-                    )
-            elif kind == "through":  # one coflow into and out of ``via``
-                src, via, dst, size_in, size_out = args
-                coflow = self.tracker.new_coflow()
-                self.flows.append(
-                    self.tracker.submit_flow(coflow, src, via, size_in)
-                )
-                self.flows.append(
-                    self.tracker.submit_flow(coflow, via, dst, size_out)
-                )
-                self.tracker.seal(coflow)
-            elif kind == "advance":
-                self.engine.run(until=self.engine.now + args[0])
-            elif kind == "fail":
-                self.fabric.fail_link(args[0])
-            elif kind == "degrade":
-                link, factor = args
-                self.fabric.degrade_link(link, factor)
-        except RoutingError as exc:
-            return type(exc).__name__
-        return "ok"
-
-    def daemon(self, host: str, predictor: str) -> NetworkDaemon:
-        return NetworkDaemon(
-            host, self.fabric, FAIR, coflow_predictor=PREDICTORS[predictor]
-        )
-
-    def state(self) -> List:
-        synced_at = self.fabric._synced_at
-        return [
-            (f.flow_id, f.remaining, f.attained, synced_at.get(f.flow_id))
-            for f in self.flows
-        ]
-
-
-def query_both(new: World, old: World, host, direction, total, on_link,
-               predictor) -> None:
-    before = new.state()
-    got = new.daemon(host, predictor).predict_coflow(total, on_link, direction)
+def check_query(new, old, host, direction, total, share, predictor):
+    """The query (``share`` of the ``total`` on the link), asked of ``new``
+    and of the oracle over ``old``, its lock-step twin: the same reply,
+    and no flow moved."""
+    before, on_link = new.state(), total * share
+    got = _daemon(new, host, predictor).predict_coflow(total, on_link, direction)
     want = coflow_query_oracle.predict_coflow(
-        old.daemon(host, predictor), total, on_link, direction
+        _daemon(old, host, predictor), total, on_link, direction
     )
     context = f"{predictor} at {host} ({direction})"
     assert got == want, context
     assert new.state() == old.state() == before, context
 
 
-HOST = st.sampled_from(HOSTS)
-SIZE = st.one_of(
+_size = st.one_of(
     st.sampled_from((1.0, 1e6, 1e9, 1e9, 3e9)),
     st.floats(min_value=1.0, max_value=1e11),
 )
-QUERY = st.tuples(
-    st.just("query"),
-    HOST,
-    st.sampled_from(("in", "out")),
-    SIZE,
-    st.sampled_from((0.0, 0.25, 1.0)),  # share of the total on the link
-    st.sampled_from(tuple(PREDICTORS)),
+_query = op(
+    "query", a_host, st.sampled_from(("in", "out")), _size,
+    st.sampled_from((0.0, 0.25, 1.0)), st.sampled_from(tuple(PREDICTORS)),
 )
-STEP = st.one_of(
-    st.tuples(st.just("bare"), HOST, HOST, SIZE),
-    st.tuples(
-        st.just("coflow"),
-        st.lists(st.tuples(HOST, HOST, SIZE), min_size=1, max_size=4),
-        st.booleans(),
-    ),
-    st.tuples(
-        st.just("shuffle"), st.lists(HOST, min_size=2, max_size=4), HOST, SIZE
-    ),
-    st.tuples(st.just("grow"), st.integers(0, 5), HOST, HOST, SIZE),
-    st.tuples(st.just("through"), HOST, HOST, HOST, SIZE, SIZE),
-    st.tuples(
-        st.just("advance"),
-        st.one_of(
-            st.sampled_from((1e-4, 1e-3, 0.01, 0.5)),
-            st.floats(min_value=1e-6, max_value=2.0),
-        ),
-    ),
-    st.tuples(
-        st.just("fail"),
-        st.one_of(st.sampled_from(CORE_LINKS), st.sampled_from(LINKS)),
-    ),
-    st.tuples(
-        st.just("degrade"),
-        st.sampled_from(LINKS),
-        st.sampled_from((0.5, 0.25, 2.0)),
-    ),
-    QUERY,
-    QUERY,
+_histories = histories(
+    op("submit", a_host, a_host, _size),
+    *coflows(_size),
+    op("shuffle", st.lists(a_host, min_size=2, max_size=4), a_host, _size),
+    op("advance", st.one_of(
+        st.sampled_from((1e-4, 1e-3, 0.01, 0.5)),
+        st.floats(min_value=1e-6, max_value=2.0),
+    )),
+    op("fail_link", st.sampled_from(CORE_LINKS) | st.sampled_from(LINKS)),
+    op("degrade_link", a_link, st.sampled_from((0.5, 0.25, 2.0))),
+    _query,
+    _query,
+    max_size=25,
 )
 
 
 @given(
-    st.sampled_from(tuple(ALLOCATORS)),
-    st.lists(STEP, min_size=1, max_size=25),
+    st.sampled_from(("varys", "fair")),
+    _histories,
     st.sampled_from((1e-3, 0.01, 0.1)),
     st.permutations(tuple(PREDICTORS)),
 )
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_every_query_equals_the_oracle(allocator, history, pause, sweep_order):
-    new, old = World(allocator), World(allocator)
-    for step in [*history, ("advance", pause)]:
-        if step[0] == "query":
-            _, host, direction, total, share, predictor = step
-            query_both(new, old, host, direction, total, total * share,
-                       predictor)
-        else:
-            assert new.apply(step) == old.apply(step), step
-            assert new.state() == old.state(), step
+    new, old = Run(allocator), Run(allocator)
+    drive([*history, ("advance", pause)], new, old, query=check_query)
     # Then, mid-flight, every host, both directions, every predictor, in
     # a drawn order: no query may see another's trace.
     for predictor in sweep_order:
         for host in HOSTS:
             for direction in ("in", "out"):
-                query_both(new, old, host, direction, 2e9, 5e8, predictor)
+                check_query(new, old, host, direction, 2e9, 0.25, predictor)
 
 
 def test_a_reroute_reorders_the_link_index_and_the_answer_still_matches():
@@ -240,12 +130,11 @@ def test_a_reroute_reorders_the_link_index_and_the_answer_still_matches():
         ("through", "h007", "h000", "h002", 3e9, 5e9),
         ("advance", 0.3),
     ]
-    new, old = World("varys"), World("varys")
-    for step in history:
-        assert new.apply(step) == old.apply(step) == "ok"
+    new, old = Run("varys"), Run("varys")
+    drive(history, new, old)
     first = new.flows[0]
     core_link = next(link for link in first.path if "core" in link)
-    assert new.apply(("fail", core_link)) == old.apply(("fail", core_link))
+    drive([("fail_link", core_link)], new, old)
     on_link = list(new.fabric._by_link["tor0->h000"])
     at_host = [
         fid for fid in new.fabric._by_host["h000"] if fid in on_link
@@ -253,8 +142,8 @@ def test_a_reroute_reorders_the_link_index_and_the_answer_still_matches():
     assert on_link != at_host  # the two indexes now disagree on order
     for predictor in PREDICTORS:
         for direction in ("in", "out"):
-            query_both(new, old, "h000", direction, 2e9, 5e8, predictor)
-            query_both(new, old, "h000", direction, 2e9, 0.0, predictor)
+            check_query(new, old, "h000", direction, 2e9, 0.25, predictor)
+            check_query(new, old, "h000", direction, 2e9, 0.0, predictor)
 
 
 def test_dust_below_the_coflow_floor_is_floored_for_coflows_only():
@@ -263,19 +152,19 @@ def test_dust_below_the_coflow_floor_is_floored_for_coflows_only():
     left: the link state raises the coflow's total to the 1e-9 floor and
     leaves the bare flow's as it is, the node state floors neither, and
     every predictor still answers as the oracle does."""
-    new, old = World("fair"), World("fair")
-    for step in (
-        ("bare", "h001", "h000", 1.0),
+    new, old = Run("fair"), Run("fair")
+    history = [
+        ("submit", "h001", "h000", 1.0),
         ("coflow", [("h000", "h002", 1.0)], True),
-    ):
-        assert new.apply(step) == old.apply(step) == "ok"
+    ]
+    drive(history, new, old)
     bare, member = new.flows
     assert new.fabric.current_rate(bare) == new.fabric.current_rate(member)
-    pause = ("advance", (1.0 / new.fabric.current_rate(bare)) * (1 - 2**-33))
-    assert new.apply(pause) == old.apply(pause) == "ok"
+    pause = (1.0 / new.fabric.current_rate(bare)) * (1 - 2**-33)
+    drive([("advance", pause)], new, old)
     for predictor in PREDICTORS:
         for direction in ("in", "out"):
-            query_both(new, old, "h000", direction, 2e9, 5e8, predictor)
+            check_query(new, old, "h000", direction, 2e9, 0.25, predictor)
     bare_left, member_left = map(new.fabric.residual, (bare, member))
     assert 0 < bare_left < 1e-9 and 0 < member_left < 1e-9
     (down,) = coflow_link_state(new.fabric, "tor0->h000").coflows
@@ -292,34 +181,20 @@ def test_an_aborted_member_still_counts_in_its_coflow_total():
     total still counts it, as the oracle's sum over every member does (a
     total over the active members alone would put the queried 2e9-bit
     coflow ahead of it)."""
-    new, old = World("varys"), World("varys")
-    for step in (
+    new, old = Run("varys"), Run("varys")
+    history = [
         ("coflow", [("h000", "h001", 1e9), ("h002", "h003", 4e9)], True),
         ("advance", 0.1),
-    ):
-        assert new.apply(step) == old.apply(step) == "ok"
-    for world in (new, old):
-        world.fabric.fail_host("h003")
+        ("fail_host", "h003"),
+    ]
+    drive(history, new, old)
     kept, aborted = new.flows
     assert new.fabric.active_flows() == [kept] and aborted.remaining > 2e9
     (coflow,) = coflow_link_state(new.fabric, "h000->tor0").coflows
     assert coflow.total_size == new.fabric.residual(kept) + aborted.remaining
     for predictor in PREDICTORS:
         for direction in ("in", "out"):
-            query_both(new, old, "h000", direction, 2e9, 5e8, predictor)
-
-
-def _compensated_sum(iterable, start=0):
-    """CPython 3.12's float ``sum`` (Neumaier compensation), for a 3.11 run."""
-    total, compensation = float(start), 0.0
-    for x in iterable:
-        t = total + x
-        if abs(total) >= abs(x):
-            compensation += (total - t) + x
-        else:
-            compensation += (x - t) + total
-        total = t
-    return total + compensation if compensation else total
+            check_query(new, old, "h000", direction, 2e9, 0.25, predictor)
 
 
 def test_a_compensated_sum_changes_no_answer(monkeypatch):
@@ -332,19 +207,19 @@ def test_a_compensated_sum_changes_no_answer(monkeypatch):
     from functools import reduce
     from operator import add
 
-    new, old = World("fair"), World("fair")
+    new, old = Run("fair"), Run("fair")
     sizes = (1e9 / 3, 1e9 / 7, 1e9 / 11)
-    for i in range(4):
-        sources = [HOSTS[2 + (i + k) % 6] for k in range(3)]
-        step = ("coflow", [(src, "h000", size * (i + 1))
-                           for src, size in zip(sources, sizes)], True)
-        assert new.apply(step) == old.apply(step) == "ok"
-    assert new.apply(("advance", 0.1)) == old.apply(("advance", 0.1))
-    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    history = [
+        ("coflow", [(HOSTS[2 + (i + k) % 6], "h000", size * (i + 1))
+                    for k, size in enumerate(sizes)], True)
+        for i in range(4)
+    ]
+    drive([*history, ("advance", 0.1)], new, old)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
     for predictor in PREDICTORS:
         for host in ("h000", HOSTS[2]):
-            for direction, on_link in itertools.product(("in", "out"), (0, 3e9)):
-                query_both(new, old, host, direction, 9e9, on_link, predictor)
+            for direction, share in itertools.product(("in", "out"), (0, 1 / 3)):
+                check_query(new, old, host, direction, 9e9, share, predictor)
     # The scenario bites: a coflow's total, and the bytes ahead on h000's
     # downlink (every coflow, under TCF), differ between the two sums.
     coflows = dict.fromkeys(f.coflow for f in new.flows)

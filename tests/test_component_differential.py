@@ -3,12 +3,12 @@ come and go (``NetworkFabric._join`` / ``_leave`` / ``_split``) against
 the walk-per-event expansion they replaced (``tests/component_oracle.py``).
 
 After every step of a generated history (submit / advance / cancel_flow /
-degrade_link / fail_link / fail_host on a 16-host Clos, so reroutes,
-aborts, merges and bridge removals all occur) and under every scoped
-allocator, each occupied link's component must be the oracle's expansion
-from that link: same flow ids, same link set.  The bookkeeping around it
-is checked at the same points: components are pairwise disjoint and
-never empty, only occupied links are labelled, and the pending
+degrade_link / fail_link / fail_host on the 8-host Clos of
+``tests/fabric_history.py``, so reroutes, aborts, merges and bridge
+removals all occur) and under every scoped allocator, each occupied
+link's component must be the oracle's expansion from that link: same
+flow ids, same link set.  The bookkeeping around it is checked at the
+same points: components are pairwise disjoint and never empty, only occupied links are labelled, and the pending
 ``fabric-hint`` events are exactly the live components' own.  A coflow
 allocator (not ``incremental_safe``) keeps no component at all.  The
 ``slow`` leg checks the same after every recompute of faulted 160-host
@@ -25,13 +25,10 @@ from repro.network.fabric import NetworkFabric, _Component
 from repro.topology.fabrics import three_tier_clos
 
 from tests import component_oracle
-from tests.test_fabric import (
-    _HOSTS,
-    _driven,
-    _fabric_op,
-    _fabric_ops,
-    _pending_hints,
+from tests.fabric_history import (
+    FAULTED, RACK_PAIRS, Run, a_host, drive, histories, op,
 )
+from tests.test_fabric import _pending_hints
 from tests.test_hint_differential import _clos_replay
 
 SCOPED = ("fair", "fcfs", "las", "srpt")
@@ -73,60 +70,45 @@ def assert_components_match_the_oracle(fabric, every_link=True):
 
 #: Histories that get to split a component: long enough for a bridge to
 #: arrive between two components and leave before them, with rack-local
-#: flows (which keep components apart; h2k and h2k+1 share a rack) and
-#: short ones (which leave first) mixed into the other suites' steps.
-_long_histories = st.lists(
-    st.one_of(
-        _fabric_op,
-        st.builds(
-            lambda rack, flip, size: (
-                "submit", _HOSTS[2 * rack + flip], _HOSTS[2 * rack + 1 - flip], size
-            ),
-            st.integers(0, len(_HOSTS) // 2 - 1),
-            st.integers(0, 1),
-            st.floats(1e8, 4e9),
-        ),
-        st.tuples(
-            st.just("submit"),
-            st.sampled_from(_HOSTS),
-            st.sampled_from(_HOSTS),
-            st.floats(1e5, 1e7),
-        ),
-    ),
+#: flows (which keep components apart) and short ones (which leave
+#: first) mixed into the other suites' steps.
+_splitting = histories(
+    *FAULTED,
+    st.builds(lambda pair, size: ("submit", *pair, size),
+              st.sampled_from(RACK_PAIRS), st.floats(1e8, 4e9)),
+    op("submit", a_host, a_host, st.floats(1e5, 1e7)),
     min_size=12,
     max_size=40,
 )
 
 
 @pytest.mark.parametrize("policy", SCOPED)
-@given(_long_histories)
+@given(_splitting)
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_kept_components_equal_the_oracle_after_every_step(policy, ops):
-    fabric = _driven(ops, policy, assert_components_match_the_oracle)
-    fabric.engine.run()
+    run = drive(ops, Run(policy), after_op=assert_components_match_the_oracle)
+    fabric = run.drain()
     assert fabric._component_on == {} and not _pending_hints(fabric.engine)
 
 
-@given(_fabric_ops)
+@given(histories(*FAULTED))
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_coflow_allocator_keeps_no_component(ops):
     def check(fabric):
         assert fabric._component_on is None
         assert not _pending_hints(fabric.engine)
 
-    _driven(ops, "varys", check)
+    drive(ops, Run("varys"), after_op=check)
 
 
 def _bridged(policy):
     """Flows 0 and 1 share nothing until flow 2 bridges them."""
-    fabric = _driven(
-        [
-            ("submit", "h000", "h001", 4e9),
-            ("submit", "h002", "h003", 4e9),
-            ("submit", "h000", "h003", 4e9),
-        ],
-        policy,
-    )
+    history = [
+        ("submit", "h000", "h001", 4e9),
+        ("submit", "h002", "h003", 4e9),
+        ("submit", "h000", "h003", 4e9),
+    ]
+    fabric = drive(history, Run(policy)).fabric
     return fabric, fabric._active[2]
 
 

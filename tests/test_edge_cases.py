@@ -14,15 +14,10 @@ from repro.network.policies.registry import make_allocator
 from repro.placement.base import PlacementRequest
 from repro.placement.baselines import MinLoadPolicy
 from repro.sim.engine import Engine
-from repro.topology.fabrics import single_switch, three_tier_clos
+from repro.topology.fabrics import three_tier_clos
 
-from tests.test_fabric import assert_within_capacity
-
-
-def fresh(policy="fair", hosts=4):
-    engine = Engine()
-    fabric = NetworkFabric(engine, single_switch(hosts), make_allocator(policy))
-    return engine, fabric
+from tests.conftest import make_fabric as fresh
+from tests.fabric_history import assert_within_capacity, seeded_resubmits
 
 
 class TestMinLoadMeasures:
@@ -133,23 +128,7 @@ class TestFabricReentrancy:
                 three_tier_clos(pods=2, racks_per_pod=2, hosts_per_rack=4),
                 make_allocator(policy),
             )
-            hosts = list(fabric.topology.hosts)
-            rng = random.Random(seed)
-            for _ in range(12):
-                src, dst = rng.sample(hosts, 2)
-                size = rng.uniform(1e6, 4e7)
-                engine.schedule_at(
-                    rng.uniform(0.0, 0.05),
-                    lambda s=src, d=dst, z=size: fabric.submit(s, d, z),
-                )
-            budget = [20]
-
-            def resubmit(flow, record):
-                if budget[0]:
-                    budget[0] -= 1
-                    fabric.submit(flow.dst, rng.choice(hosts), rng.uniform(1e6, 4e7))
-
-            fabric.add_completion_listener(resubmit)
+            seeded_resubmits(engine, fabric, seed)
             while engine.step():
                 assert_within_capacity(fabric)
             assert not fabric._active and len(fabric.records) == 32

@@ -8,23 +8,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import TopologyError
 from repro.network.fabric import NetworkFabric
 from repro.network.policies.registry import make_allocator
 from repro.placement.baselines import host_queued_bits
-from repro.predictor.fabric_state import flow_link_state
 from repro.sim.engine import Engine
 from repro.topology.fabrics import single_switch, three_tier_clos
 
 from tests import full_recompute_oracle
 from tests.coflow_query_oracle import residual
-from tests.conftest import FILLS, pin_fill
-
-
-def fresh(policy="fair", hosts=4):
-    engine = Engine()
-    fabric = NetworkFabric(engine, single_switch(hosts), make_allocator(policy))
-    return engine, fabric
+from tests.conftest import FILLS, make_fabric as fresh, pin_fill
+from tests.fabric_history import (
+    FAULTED, FLOW_SIZE, HOSTS, READ, SHUFFLE, Run, any_allocator, clos,
+    coflows, drive, histories, read_everything, seeded_resubmits,
+)
 
 
 class TestBasics:
@@ -199,7 +195,6 @@ class TestClosFabric:
 
     def test_many_flows_all_complete(self):
         engine, fabric = fresh("fair", hosts=8)
-        import random
         rng = random.Random(3)
         hosts = fabric.topology.hosts
         for i in range(60):
@@ -215,17 +210,6 @@ class TestClosFabric:
 # ----------------------------------------------------------------------
 # The sharing components the fabric keeps, and the hints they own
 # ----------------------------------------------------------------------
-from repro.coflow.policies import make_coflow_allocator  # noqa: E402
-from repro.coflow.tracking import CoflowTracker  # noqa: E402
-
-
-def _allocator(policy):
-    return (
-        make_coflow_allocator(policy) if policy == "varys"
-        else make_allocator(policy)
-    )
-
-
 def _two_components(allocator):
     """Two disjoint sharing components on one switch, each an old flow
     caught up by a younger one: {0, 2} into h001 and {1, 3} into h004."""
@@ -272,7 +256,7 @@ def test_only_a_removal_walks_the_sharing_graph(policy, monkeypatch):
     bridge walks once.  Fair and FCFS keep the same components LAS and
     SRPT do but never ask for a hint; a coflow allocator keeps none."""
     walks = _count_walks(monkeypatch)
-    engine, fabric = _two_components(_allocator(policy))
+    engine, fabric = _two_components(any_allocator(policy))
     bridge = fabric.submit("h000", "h004", 4e9)
     assert walks == []
     if policy == "varys":
@@ -306,7 +290,7 @@ def test_both_modes_hand_the_allocator_the_one_capacity_map(
     """Scoped (a flow policy) or full (a coflow allocator), the allocator
     is handed the fabric's own map (it only looks links up), never a
     per-event copy of the scope's links."""
-    allocator, handed = _allocator("fair" if scoped else "varys"), []
+    allocator, handed = any_allocator("fair" if scoped else "varys"), []
     allocate = allocator.allocate
     monkeypatch.setattr(
         allocator,
@@ -437,134 +421,14 @@ def test_only_a_removal_splits_scopes(policy, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# host_edge_states: the daemons' one-pass read
+# Generated histories (tests/fabric_history.py): the full recompute, and
+# host_edge_states, the daemons' one-pass read
 # ----------------------------------------------------------------------
-def _clos():
-    return three_tier_clos(pods=2, racks_per_pod=2, hosts_per_rack=2, cores=2)
-
-
-_HOSTS = tuple(_clos().hosts)
-# Failable links: all but the tor <-> agg*_1 <-> core1 plane, so every
-# host pair keeps a route and ``submit`` cannot raise RoutingError.
-_FABRIC_LINKS = tuple(
-    sorted(
-        link.link_id
-        for link in _clos().links()
-        if not link.is_edge
-        and not ("_1" in link.link_id and "core0" not in link.link_id)
-    )
-)
-
-_EVERY_LINK = tuple(sorted(link.link_id for link in _clos().links()))
-
-_fabric_op = st.one_of(
-    st.tuples(
-        st.just("submit"),
-        st.sampled_from(_HOSTS),
-        st.sampled_from(_HOSTS),
-        st.floats(1e6, 4e9),
-    ),
-    st.tuples(st.just("advance"), st.floats(1e-4, 1.5)),
-    st.tuples(st.just("cancel_flow"), st.integers(0, 63)),
-    st.tuples(
-        st.just("degrade_link"),
-        st.sampled_from(_EVERY_LINK),
-        st.sampled_from((0.25, 0.5, 2.0, 4.0)),
-    ),
-    st.tuples(st.just("fail_link"), st.sampled_from(_FABRIC_LINKS)),
-    st.tuples(st.just("fail_host"), st.sampled_from(_HOSTS)),
-    st.tuples(st.just("resubmit"), st.integers(1, 3)),
-)
-_fabric_ops = st.lists(_fabric_op, min_size=1, max_size=14)
-
-
-def assert_within_capacity(fabric, tolerance=1e-9):
-    """No link carries more allocated rate than its capacity (relative)."""
-    for link_id, members in fabric._by_link.items():
-        used = 0.0
-        for flow in members.values():
-            used += fabric.current_rate(flow)
-        capacity = fabric.link_capacity(link_id)
-        assert used <= capacity * (1 + tolerance), (
-            f"{link_id} at t={fabric.engine.now!r}: {used!r} > {capacity!r}"
-        )
-
-
-class _CheckedEngine(Engine):
-    """An engine that checks its ``fabric``'s rates after every event."""
-
-    def step(self) -> bool:
-        ran = super().step()
-        if ran:
-            assert_within_capacity(self.fabric)
-        return ran
-
-
-def _resubmitter(fabric, budget):
-    """A completion listener that, while ``budget[0]`` lasts, submits half
-    the finished flow's size from its destination to a host picked by its
-    id, both up: a listener that calls back into the fabric."""
-
-    def resubmit(flow, record):
-        src = flow.dst
-        dst = _HOSTS[(_HOSTS.index(src) + 1 + flow.flow_id % 7) % len(_HOSTS)]
-        if budget[0] and fabric.host_is_up(src) and fabric.host_is_up(dst):
-            budget[0] -= 1
-            fabric.submit(src, dst, max(flow.size / 2, 1e6))
-
-    return resubmit
-
-
-def _driven(ops, policy, after_op=None, reader=None):
-    """A fabric after ``ops``, stopped between events (so flows are
-    mid-flight and unsynced, as a placement query finds them);
-    ``after_op(fabric)`` runs after every op.  A submit that touches a
-    failed host is skipped; ``cancel_flow`` picks among the active bare
-    flows by index; ``resubmit`` adds to the budget of a completion
-    listener that submits (:func:`_resubmitter`); ``shuffle`` submits a
-    coflow from the sources that are up; ``read`` schedules
-    ``reader(fabric, host, link)`` an op's delay from now.  Rates stay
-    within every link's capacity after every op and every event, the
-    drain's included."""
-    engine = _CheckedEngine()
-    fabric = engine.fabric = NetworkFabric(engine, _clos(), _allocator(policy))
-    fabric.tracker = CoflowTracker(fabric)
-    budget = [0]
-    fabric.add_completion_listener(_resubmitter(fabric, budget))
-    for op in ops:
-        if op[0] == "resubmit":
-            budget[0] += op[1]
-        elif op[0] == "submit":
-            if op[1] != op[2] and all(map(fabric.host_is_up, op[1:3])):
-                fabric.submit(op[1], op[2], op[3])
-        elif op[0] == "shuffle":
-            _, sources, dst, size = op
-            transfers = [(src, dst, size) for src in sources
-                         if src != dst and fabric.host_is_up(src)]
-            if transfers and fabric.host_is_up(dst):
-                fabric.tracker.submit_coflow(transfers)
-        elif op[0] == "read":
-            _, host, link_id, delay = op
-            engine.schedule(delay, lambda at=(fabric, host, link_id): reader(*at))
-        elif op[0] == "advance":
-            engine.run(until=engine.now + op[1])
-        elif op[0] == "cancel_flow":
-            active = sorted(
-                flow_id for flow_id, flow in fabric._active.items()
-                if flow.coflow is None
-            )
-            if active:
-                fabric.cancel_flow(fabric._active[active[op[1] % len(active)]])
-        else:  # degrade_link / fail_link / fail_host
-            getattr(fabric, op[0])(*op[1:])
-        assert_within_capacity(fabric)
-        if after_op is not None:
-            after_op(fabric)
-    return fabric
+_histories = histories(*FAULTED)
 
 
 @pytest.mark.parametrize("fill", FILLS)
-@given(_fabric_ops, st.sampled_from(("fair", "fcfs", "las", "srpt")))
+@given(_histories, st.sampled_from(("fair", "fcfs", "las", "srpt")))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_every_recompute_of_a_history_is_the_full_allocation(
     fill, ops, policy
@@ -575,20 +439,29 @@ def test_every_recompute_of_a_history_is_the_full_allocation(
     with pytest.MonkeyPatch.context() as patch:
         pin_fill(patch, fill)
         checked = full_recompute_oracle.install(patch)
-        fabric = _driven(ops, policy)
-        fabric.engine.run()
-    assert not fabric._active
+        fabric = drive(ops, Run(policy)).drain()
     assert len(checked) >= len(fabric.records)
 
 
-def _progress(fabric):
-    return {
-        flow_id: (flow.remaining, flow.attained, fabric._synced_at[flow_id])
-        for flow_id, flow in fabric._active.items()
-    }
+@pytest.mark.slow
+@pytest.mark.parametrize("policy", ["fair", "fcfs", "las", "srpt", "varys"])
+@pytest.mark.parametrize("fill", FILLS)
+@given(histories(
+    *FAULTED, SHUFFLE, READ, *coflows(FLOW_SIZE), min_size=4, max_size=40
+))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_every_history_holds_the_driver_invariants(fill, policy, ops):
+    """The soak of tests/fabric_history.py: every op but the query, under
+    every fill and every flow and coflow policy, with the full-recompute
+    oracle after every recompute and the driver's checks after every op
+    and every event of the history and its drain."""
+    with pytest.MonkeyPatch.context() as patch:
+        pin_fill(patch, fill)
+        full_recompute_oracle.install(patch)
+        drive(ops, Run(policy)).drain()
 
 
-@given(_fabric_ops, st.sampled_from(("fair", "srpt")))
+@given(_histories, st.sampled_from(("fair", "srpt")))
 @settings(max_examples=60, deadline=None)
 def test_host_edge_state_equals_the_two_reads_it_replaced(ops, policy):
     """``host_edge_states`` is ``flows_on_link`` + ``flows_at_host`` at
@@ -598,12 +471,12 @@ def test_host_edge_state_equals_the_two_reads_it_replaced(ops, policy):
     reroute re-inserts a flow into the former only) and the node state.
     Both directions of every host, one read each and then all of them in
     one call, after arbitrary histories; no read writes any flow."""
-    fabric = _driven(ops, policy)
-    before = _progress(fabric)
+    run = drive(ops, Run(policy))
+    fabric, before = run.fabric, run.state()
     topology = fabric.topology
     reads = [
         (host, link.link_id)
-        for host in _HOSTS
+        for host in HOSTS
         for link in (topology.host_downlink(host), topology.host_uplink(host))
     ]
     for read in reads:
@@ -616,7 +489,7 @@ def test_host_edge_state_equals_the_two_reads_it_replaced(ops, policy):
     assert fabric.host_edge_states(reads) == [
         fabric.host_edge_states([read])[0] for read in reads
     ]
-    assert _progress(fabric) == before
+    assert run.state() == before
 
 
 def test_host_edge_state_orders_sizes_by_the_link_index_after_a_reroute():
@@ -624,7 +497,7 @@ def test_host_edge_state_orders_sizes_by_the_link_index_after_a_reroute():
     has rerouted the older of two flows into h000, the link index lists
     it last while the host index still lists it first."""
     engine = Engine()
-    fabric = NetworkFabric(engine, _clos(), make_allocator("fair"))
+    fabric = NetworkFabric(engine, clos(), make_allocator("fair"))
     old = fabric.submit("h007", "h000", 3e9)
     new = fabric.submit("h005", "h000", 1e9)
     engine.run(until=0.5)
@@ -637,102 +510,71 @@ def test_host_edge_state_orders_sizes_by_the_link_index_after_a_reroute():
     assert node_state == new.remaining
 
 
-@given(_fabric_ops, st.sampled_from(("fair", "srpt")))
+@given(_histories, st.sampled_from(("fair", "srpt")))
 @settings(max_examples=60, deadline=None)
 def test_host_queued_bits_equals_the_sum_it_replaced(ops, policy):
     """A host's queued bits are ``sum`` over ``flows_at_host`` of their
     residuals bit for bit (an idle host reads 0), and the read writes no
     flow."""
-    fabric = _driven(ops, policy)
-    before = _progress(fabric)
-    for host in _HOSTS:
+    run = drive(ops, Run(policy))
+    fabric, before = run.fabric, run.state()
+    for host in HOSTS:
         assert fabric.hosts_queued_bits([host]) == [sum(
             residual(fabric, f) for f in fabric.flows_at_host(host)
         )]
-    assert _progress(fabric) == before
+    assert run.state() == before
 
 
 @given(
-    _fabric_ops,
+    _histories,
     st.sampled_from(("fair", "srpt")),
-    st.lists(st.sampled_from(_HOSTS), max_size=12),
+    st.lists(st.sampled_from(HOSTS), max_size=12),
 )
 @settings(max_examples=60, deadline=None)
 def test_hosts_queued_bits_is_one_read_per_host(ops, policy, hosts):
     """minLoad's batched read equals one ``host_queued_bits`` per host with
     ``==`` (int 0 for an idle host, repeats and any order included), and
     leaves every flow as those reads did, after faulted histories too."""
-    batched, one_by_one = _driven(ops, policy), _driven(ops, policy)
-    assert batched.hosts_queued_bits(hosts) == [
-        host_queued_bits(one_by_one, host) for host in hosts
+    batched, one_by_one = Run(policy), Run(policy)
+    drive(ops, batched, one_by_one)
+    assert batched.fabric.hosts_queued_bits(hosts) == [
+        host_queued_bits(one_by_one.fabric, host) for host in hosts
     ]
-    assert _progress(batched) == _progress(one_by_one)
+    assert batched.state() == one_by_one.state()
 
 
-def _read_everything(fabric, host, link_id):
-    """Every read the fabric serves, at one instant: the daemons' edge
-    reads (flow and coflow), minLoad's, a sampler's and the predictors'."""
-    topology = fabric.topology
-    edges = [
-        (host, topology.host_downlink(host).link_id),
-        (host, topology.host_uplink(host).link_id),
-    ]
-    fabric.host_edge_states(edges)
-    fabric.coflow_edge_states([*edges, (None, link_id)])
-    fabric.hosts_queued_bits([host, *_HOSTS])
-    fabric.link_queued_bits(link_id)
-    flow_link_state(fabric, link_id)
-    for flow in fabric.active_flows():
-        fabric.residual(flow)
+_read_histories = histories(*FAULTED, SHUFFLE, READ, READ, min_size=4, max_size=24)
 
 
-_read_op = st.tuples(
-    st.just("read"),
-    st.sampled_from(_HOSTS),
-    st.sampled_from(_EVERY_LINK),
-    st.floats(1e-3, 1.5),
+@given(
+    _read_histories, st.sampled_from(("fair", "fcfs", "las", "srpt", "varys"))
 )
-_read_ops = st.lists(
-    st.one_of(
-        _fabric_op,
-        st.tuples(
-            st.just("shuffle"),
-            st.lists(st.sampled_from(_HOSTS), min_size=1, max_size=4),
-            st.sampled_from(_HOSTS),
-            st.floats(1e6, 4e9),
-        ),
-        _read_op,
-        _read_op,
-    ),
-    min_size=4,
-    max_size=24,
-)
-
-
-@given(_read_ops, st.sampled_from(("fair", "fcfs", "las", "srpt", "varys")))
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_reads_at_any_instant_leave_the_trajectory_alone(ops, policy):
     """Reads of random hosts and links at random instants of a generated
     history (coflows, faults and a listener that submits included) write
     nothing: each flow's ``remaining``, ``attained`` and sync time at each
     read and after every op, and every flow and coflow record after the
-    drain, equal those of the same history whose read events only look."""
-    runs = []
-    for read in (_read_everything, None):
-        seen = []
+    drain, equal those of the same history whose read events only look
+    (the two run in lock-step)."""
+    seen = ([], [])
 
-        def reader(fabric, host, link_id):
-            if read is not None:
-                read(fabric, host, link_id)
-            seen.append(_progress(fabric))
+    def reader(read, into):
+        def at(run, host, link_id):
+            read(run, host, link_id)
+            into.append(run.state())
 
-        fabric = _driven(
-            ops, policy, lambda f: seen.append(_progress(f)), reader
-        )
-        fabric.engine.run()
-        runs.append((seen, fabric.records, fabric.tracker.records))
-    read_runs, looked = runs
-    assert read_runs == looked
+        return at
+
+    runs = [
+        Run(policy, reader(read, into))
+        for read, into in zip((read_everything, lambda *_: None), seen)
+    ]
+    drive(ops, *runs)
+    read_run, looked = [
+        (run.drain().records, run.tracker.records) for run in runs
+    ]
+    assert seen[0] == seen[1] and read_run == looked
 
 
 @pytest.mark.slow
@@ -826,7 +668,7 @@ def _check_whole_hints(patch, policy):
     return hints
 
 
-@given(_fabric_ops, st.sampled_from(("las", "srpt")))
+@given(_histories, st.sampled_from(("las", "srpt")))
 @settings(max_examples=60, deadline=None)
 def test_tracked_member_lists_follow_the_link_index(ops, policy):
     """At every hint of a generated history (reroutes included) and of
@@ -836,9 +678,7 @@ def test_tracked_member_lists_follow_the_link_index(ops, policy):
     network drains."""
     with pytest.MonkeyPatch.context() as patch:
         _check_whole_hints(patch, policy)
-        fabric = _driven(ops, policy)
-        fabric.engine.run()
-    assert not fabric._active
+        fabric = drive(ops, Run(policy)).drain()
     assert not any(fabric._by_link.values())
 
 
@@ -849,7 +689,7 @@ def test_reroute_moves_the_flow_between_tracked_lists(policy, monkeypatch):
     on none of the old ones, which the link index no longer lists it on."""
     hints = _check_whole_hints(monkeypatch, policy)
     engine = Engine()
-    fabric = NetworkFabric(engine, _clos(), make_allocator(policy))
+    fabric = NetworkFabric(engine, clos(), make_allocator(policy))
     flow = fabric.submit("h000", "h007", 8e9)
     engine.run(until=0.5)
     old_path = flow.path
@@ -867,9 +707,7 @@ def test_reroute_moves_the_flow_between_tracked_lists(policy, monkeypatch):
     assert len(fabric.records) == 1 and not any(fabric._by_link.values())
 
     del hints[:]
-    fabric = _driven(_REROUTED, policy)
-    fabric.engine.run()
-    assert not fabric._active
+    fabric = drive(_REROUTED, Run(policy)).drain()
     assert fabric.flows_rerouted == 4 and len(hints) >= 5
 
 
@@ -882,24 +720,8 @@ def test_a_hint_after_a_re_entrant_submit_sees_every_flow(policy, monkeypatch):
     hints = _check_whole_hints(monkeypatch, policy)
     for seed in range(10):
         engine = Engine()
-        fabric = NetworkFabric(engine, _clos(), make_allocator(policy))
-        rng = random.Random(seed)
-        for _ in range(12):
-            src, dst = rng.sample(_HOSTS, 2)
-            size = rng.uniform(1e6, 4e7)
-            engine.schedule_at(
-                rng.uniform(0.0, 0.05),
-                lambda s=src, d=dst, z=size: fabric.submit(s, d, z),
-            )
-        budget = [20]
-
-        def resubmit(flow, record):
-            if budget[0]:
-                budget[0] -= 1
-                dst = rng.choice(_HOSTS)
-                fabric.submit(flow.dst, dst, rng.uniform(1e6, 4e7))
-
-        fabric.add_completion_listener(resubmit)
+        fabric = NetworkFabric(engine, clos(), make_allocator(policy))
+        seeded_resubmits(engine, fabric, seed)
         engine.run()
         assert not fabric._active and len(fabric.records) == 32
     assert len(hints) > 100

@@ -13,13 +13,13 @@ from repro.coflow.policies.registry import make_coflow_allocator
 from repro.coflow.tracking import CoflowTracker
 from repro.errors import FlowError
 from repro.network.fabric import NetworkFabric
-from repro.network.policies.registry import make_allocator
 from repro.placement.base import PlacementRequest
 from repro.placement.neat import build_neat
 from repro.sim.engine import Engine
 from repro.topology.fabrics import single_switch
 
 from tests import full_recompute_oracle
+from tests.conftest import make_fabric as fresh
 
 
 @pytest.fixture
@@ -38,12 +38,6 @@ def incremental(request, monkeypatch):
     if not request.param:
         full_recompute_oracle.install(monkeypatch)
     return request.param
-
-
-def fresh(policy="fair", hosts=4):
-    engine = Engine()
-    fabric = NetworkFabric(engine, single_switch(hosts), make_allocator(policy))
-    return engine, fabric
 
 
 class TestCancelFlow:

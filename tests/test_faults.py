@@ -37,14 +37,10 @@ from repro.network.policies.registry import make_allocator
 from repro.sim.engine import Engine
 from repro.telemetry import create_telemetry
 from repro.topology.base import TopoNode, Topology
-from repro.topology.fabrics import single_switch, three_tier_clos
+from repro.topology.fabrics import single_switch
 from repro.units import gbps
 
-
-def make_fabric(policy: str = "fair", hosts: int = 4):
-    engine = Engine()
-    topo = single_switch(hosts)
-    return engine, NetworkFabric(engine, topo, make_allocator(policy))
+from tests.conftest import make_fabric
 
 
 def two_path_topology() -> Topology:

@@ -26,6 +26,7 @@ in ``tests/trace_oracle.py`` maps them to the committed ones.
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import importlib.util
 from contextlib import nullcontext
@@ -34,7 +35,8 @@ from pathlib import Path
 import pytest
 
 from repro.network.fabric import NetworkFabric
-from tests.conftest import FILLS, pin_fill
+from tests.conftest import FILLS, compensated_sum, pin_fill
+from tests.test_service import SERVE_DIGESTS, serve_digests
 from tests.trace_oracle import (
     batch_coflow_arrivals,
     batch_coflow_rates,
@@ -83,6 +85,26 @@ def test_coflow_corpus_byte_identical(policy):
             "intentional, regenerate via `PYTHONPATH=src python "
             "tests/goldens/regen_goldens.py` and review"
         )
+
+
+def test_a_compensated_sum_moves_no_golden(monkeypatch, tmp_path):
+    """ROADMAP 9: with ``sum`` compensated, as on CPython 3.12, every golden
+    (flow, coflow and observed) and both serve digests come out as
+    committed.  The payloads no golden holds (``experiments/repetitions.py``'s
+    statistics, ``telemetry/causal.py``'s blame shares) are not covered."""
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    produced = {}
+    for policy in regen_goldens.POLICIES + regen_goldens.COFLOW_POLICIES:
+        produced[f"{policy}.records.jsonl"], produced[f"{policy}.trace.jsonl"] = (
+            regen_goldens.generate(policy)
+        )
+    for name in regen_goldens.OBSERVED:
+        for suffix, text in regen_goldens.generate_observed(name).items():
+            produced[f"{name}.{suffix}"] = text
+    for file, text in produced.items():
+        assert text == (GOLDEN_DIR / file).read_text(encoding="utf-8"), file
+    for case, digests in SERVE_DIGESTS.items():
+        assert serve_digests(case, tmp_path) == digests, case
 
 
 @pytest.mark.parametrize("name", regen_goldens.OBSERVED)

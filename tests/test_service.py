@@ -296,8 +296,8 @@ def _digest(value) -> str:
     return hashlib.sha256(value.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(SERVE_DIGESTS))
-def test_serve_outputs_are_pinned(case, tmp_path):
+def serve_digests(case, tmp_path):
+    """The digests :data:`SERVE_DIGESTS` pins, of a session run now."""
     scenario = dataclasses.replace(
         ServiceScenario.from_json_file(str(EXAMPLES / "service_diurnal.json")),
         duration=3.0,
@@ -317,12 +317,17 @@ def test_serve_outputs_are_pinned(case, tmp_path):
     snapshot["histograms"].pop(WALL_HISTOGRAM)
     rollups = server.last_rollups.to_dict()
     rollups["histograms"].pop(WALL_HISTOGRAM)
-    assert {
+    return {
         "report": _digest(report.to_dict()),
         "decisions": _digest(decisions_as_jsonl(server.last_daemon)),
         "registry": _digest(snapshot),
         "rollups": _digest(rollups),
-    } == SERVE_DIGESTS[case]
+    }
+
+
+@pytest.mark.parametrize("case", sorted(SERVE_DIGESTS))
+def test_serve_outputs_are_pinned(case, tmp_path):
+    assert serve_digests(case, tmp_path) == SERVE_DIGESTS[case]
 
 
 def test_serve_session_joins_decision_outcomes():

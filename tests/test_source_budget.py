@@ -205,8 +205,8 @@ def test_flow_predictors_fold_their_sums_left():
     """Interpreter-independent floats: the flow FCT and coflow CCT
     predictors and the link snapshot's total, the fabric's reads, the coflow
     aggregates, the coflow ordering keys and totals, the coflow placers' and
-    ``place_reducer``'s totals and a coflow arrival's size add with an
-    explicit left fold (``+=``).  A bare float ``sum(`` is that same fold on
+    ``place_reducer``'s totals, a coflow arrival's size and the reports'
+    means add with an explicit left fold (``+=``).  A bare float ``sum(`` is that same fold on
     CPython 3.11 but compensated on 3.12, so the two would disagree."""
     bare_sum = re.compile(r"\bsum\(")
     assert [
@@ -222,6 +222,7 @@ def test_flow_predictors_fold_their_sums_left():
             SRC / "daemons" / "placement_daemon.py",
             SRC / "experiments" / "runner.py",
             SRC / "workloads" / "traces.py",
+            SRC / "metrics" / "stats.py",
         )
         for number, line in enumerate(
             module.read_text(encoding="utf-8").splitlines(), 1
