@@ -453,8 +453,8 @@ def test_every_recompute_of_a_history_is_the_full_allocation(
 def test_every_history_holds_the_driver_invariants(fill, policy, ops):
     """The soak of tests/fabric_history.py: every op but the query, under
     every fill and every flow and coflow policy, with the full-recompute
-    oracle after every recompute and the driver's checks after every op
-    and every event of the history and its drain."""
+    oracle after every recompute and the checks ``drive`` makes after
+    every op and every event of the history and its drain."""
     with pytest.MonkeyPatch.context() as patch:
         pin_fill(patch, fill)
         full_recompute_oracle.install(patch)
