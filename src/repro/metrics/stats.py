@@ -49,7 +49,9 @@ def afct(records) -> float:
 def average_gap(records) -> float:
     """Mean gap-from-optimal over records with a positive optimum."""
     gaps = [r.gap_from_optimal for r in records if _optimal_of(r) > 0]
-    return mean(gaps) if gaps else 0.0
+    if not gaps:
+        return 0.0
+    return mean(gaps)
 
 
 def average_slowdown(records) -> float:

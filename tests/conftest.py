@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 
 from repro.network import kernels
@@ -32,7 +33,7 @@ def compensated_sum(iterable, start=0):
     """CPython 3.12's ``sum``, for a run on an older interpreter: patch it
     over ``builtins.sum``.  Ints add exactly (so an empty or all-int sum
     stays an int); once the total is a float, floats add with Neumaier
-    compensation."""
+    compensation, whose term is dropped once it is not finite."""
     total, compensation = start, 0.0
     for x in iterable:
         if not (isinstance(total, float) and isinstance(x, float)):
@@ -44,7 +45,8 @@ def compensated_sum(iterable, start=0):
         else:
             compensation += (x - t) + total
         total = t
-    return total + compensation if compensation else total
+    finite = compensation and math.isfinite(compensation)
+    return total + compensation if finite else total
 
 
 def make_fabric(policy: str = "fair", hosts: int = 4):

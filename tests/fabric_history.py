@@ -307,17 +307,20 @@ class Run:
         ]
 
 
-def drive(history, *runs, after_op=None, query=None):
+def drive(history, *runs, after_op=None, query=None, expect=None):
     """Apply ``history`` to ``runs``: one, or two in lock-step (every op's
-    outcome and every flow's progress after it must agree).  A query op
-    goes to ``query``; ``after_op(fabric)`` runs after every other op.
-    Returns the first run."""
+    outcome and every flow's progress after it must agree; with
+    ``expect``, every outcome must be it).  A query op goes to ``query``;
+    ``after_op(fabric)`` runs after every other op.  Returns the first
+    run."""
     for step in history:
         if step[0] == "query":
             query(*runs, *step[1:])
         else:
             outcomes = [run.apply(step) for run in runs]
-            assert outcomes.count(outcomes[0]) == len(runs), (step, outcomes)
+            assert outcomes.count(expect or outcomes[0]) == len(runs), (
+                step, outcomes
+            )
             if len(runs) > 1:
                 assert all(run.state() == runs[0].state() for run in runs), step
         for run in runs:

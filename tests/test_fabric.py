@@ -461,6 +461,17 @@ def test_every_history_holds_the_driver_invariants(fill, policy, ops):
         drive(ops, Run(policy)).drain()
 
 
+def test_a_victim_the_evacuation_sync_finishes_leaves_a_record():
+    """``fail_link`` syncs each flow on the link first; one that the sync
+    finishes (1e9 bits at 1e9 bit/s, 2**-53 s before its completion)
+    ends there, with its record, instead of being rerouted."""
+    run = drive([("submit", "h000", "h004", 1e9), ("advance", 1 - 2**-53)],
+                Run("fair"), expect="ok")
+    drive([("fail_link", run.flows[0].path[2])], run, expect="ok")
+    fabric = run.drain()
+    assert fabric.flows_rerouted == 0 and len(fabric.records) == 1
+
+
 @given(_histories, st.sampled_from(("fair", "srpt")))
 @settings(max_examples=60, deadline=None)
 def test_host_edge_state_equals_the_two_reads_it_replaced(ops, policy):

@@ -92,6 +92,8 @@ def test_a_compensated_sum_moves_no_golden(monkeypatch, tmp_path):
     (flow, coflow and observed) and both serve digests come out as
     committed.  The payloads no golden holds (``experiments/repetitions.py``'s
     statistics, ``telemetry/causal.py``'s blame shares) are not covered."""
+    inf = float("inf")  # 3.12 keeps an overflowed sum's inf, not a nan
+    assert compensated_sum([0.1] * 10) == 1.0 and compensated_sum([inf, 1.0]) == inf
     monkeypatch.setattr(builtins, "sum", compensated_sum)
     produced = {}
     for policy in regen_goldens.POLICIES + regen_goldens.COFLOW_POLICIES:

@@ -57,12 +57,9 @@ from repro.topology.fabrics import three_tier_clos
 from repro.workloads import generate_flow_trace, make_distribution
 from tests.conftest import FILLS, pin_fill
 from tests.test_goldens import regen_goldens
+from tests.test_incremental_alloc import small_clos
 
 POLICIES = ("fair", "fcfs", "las", "srpt")
-
-
-def small_clos():
-    return three_tier_clos(pods=2, racks_per_pod=2, hosts_per_rack=5)
 
 
 def degrade_plan(topo) -> FaultPlan:

@@ -14,8 +14,6 @@ import time
 
 import pytest
 
-from repro.experiments.config import MacroConfig
-from repro.experiments.runner import replay_flow_trace
 from repro.telemetry import (
     DecisionLog,
     JsonlTraceSink,
@@ -26,25 +24,7 @@ from repro.telemetry import (
     render_report,
 )
 from repro.telemetry.profiler import current_profiler, set_current_profiler
-
-
-def small_config(**overrides) -> MacroConfig:
-    defaults = dict(
-        pods=2, racks_per_pod=2, hosts_per_rack=4,
-        num_arrivals=60, workload="hadoop", seed=11,
-    )
-    defaults.update(overrides)
-    return MacroConfig(**defaults)
-
-
-def replay_small(telemetry=None):
-    cfg = small_config()
-    topo = cfg.build_topology()
-    trace = cfg.build_trace(topo)
-    return replay_flow_trace(
-        trace, topo, network_policy="fair", placement="neat",
-        seed=cfg.seed, max_candidates=6, telemetry=telemetry,
-    )
+from tests.test_telemetry import replay_small
 
 
 # ----------------------------------------------------------------------

@@ -87,13 +87,15 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: ``campaign/figures.py`` renderers, ``run_figure``'s per-figure branches
 #: and ``MacroSummary``'s copy of the statistics are deleted, and so is
 #: ``repro.workloads.serialization`` (JSON trace save / load no command
-#: used).
+#: used).  The reports' ``mean`` folded left from int 0 (ROADMAP 9), net of
+#: ``percentile``'s one-element branch, took ``telemetry+metrics`` to
+#: 5,487 and the whole tree to 21,255.
 #: label -> (packages under ``src/repro``, budget); ``""`` is the whole tree.
 BUDGETS = {
-    "telemetry+metrics": (("telemetry", "metrics"), 5485),
+    "telemetry+metrics": (("telemetry", "metrics"), 5487),
     "service": (("service",), 1589),
     "network": (("network",), 1924),
-    "repro": (("",), 21253),
+    "repro": (("",), 21255),
 }
 
 NULL_LAYER = re.compile(
