@@ -140,25 +140,33 @@ class MessageBus:
         run of delivered hosts between losses once), then answer them in one
         round (:meth:`register_round`).  Returns ``(delivered hosts, their
         replies)``; a lost message leaves its host out, or raises when
-        ``strict``."""
+        ``strict``.  With no fault model, no host down and every host
+        registered, admission draws nothing: the round is counted at once."""
         admit, endpoints = self._admit, self._endpoints
-        run = [] if self._probe is not None else None
-        delivered = []
-        for host in hosts:
-            try:
-                self._delay_accrued += admit(host, payload, endpoints, run)
-            except (DaemonUnreachable, MessageDropped):
-                if strict:
-                    raise
-                if run:
-                    run = []
-                continue
-            self._messages_sent += 2
-            self._calls += 1
-            delivered.append(host)
-            if run is not None:
-                run.append(host)
-        if run:
+        if self._fault_model is None and not self._down_hosts and all(
+            map(endpoints.__contains__, hosts)
+        ):
+            delivered = run = list(hosts)
+            self._messages_sent += 2 * len(run)
+            self._calls += len(run)
+        else:
+            run = [] if self._probe is not None else None
+            delivered = []
+            for host in hosts:
+                try:
+                    self._delay_accrued += admit(host, payload, endpoints, run)
+                except (DaemonUnreachable, MessageDropped):
+                    if strict:
+                        raise
+                    if run:
+                        run = []
+                    continue
+                self._messages_sent += 2
+                self._calls += 1
+                delivered.append(host)
+                if run is not None:
+                    run.append(host)
+        if run and self._probe is not None:
             self._probe.note_bus_round(self._engine.now, run, payload, self._rtt)
         if self._round is not None:
             return delivered, self._round(delivered, payload)

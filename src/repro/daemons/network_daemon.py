@@ -82,9 +82,10 @@ class NetworkDaemon:
                 lambda flow, record: self._on_flow_done(flow)
             )
         self._compressed_up, self._compressed_down = compressed
-        # (link id, capacity, compressed state), by ``direction == "in"``
+        # ((host, link id), capacity, compressed state), by
+        # ``direction == "in"``: the fabric read, then the predictor's inputs
         self._edges = [
-            (link.link_id, link.capacity, state)
+            ((host, link.link_id), link.capacity, state)
             for link, state in zip(links, compressed)
         ]
 
@@ -119,7 +120,7 @@ class NetworkDaemon:
         probe = daemons[0]._probe
         span = probe.enter_predict(coflow) if probe is not None else None
         inbound = payload.direction == "in"
-        reads = [(daemon._host, daemon._edges[inbound][0]) for daemon in daemons]
+        reads = [daemon._edges[inbound][0] for daemon in daemons]
         new = tuple.__new__  # a reply, without the named tuple's Python __new__
         replies = []
         if coflow:
@@ -138,12 +139,13 @@ class NetworkDaemon:
             size = payload.size
             states = daemons[0]._fabric.host_edge_states(reads)
             for daemon, (sizes, node_state) in zip(daemons, states):
-                _, capacity, compressed = daemon._edges[inbound]
-                if compressed is None:
-                    predicted = daemon._flow_predictor.predict_fct(size, capacity, sizes)
-                else:
-                    predicted = compressed.fair_fct(size)
-                replies.append(new(PredictionReply, (daemon._host, predicted, node_state)))
+                (host, _), capacity, compressed = daemon._edges[inbound]
+                replies.append(new(PredictionReply, (
+                    host,
+                    daemon._flow_predictor.predict_fct(size, capacity, sizes)
+                    if compressed is None else compressed.fair_fct(size),
+                    node_state,
+                )))
         if span is not None:
             probe.exit_predict(span)
         return replies

@@ -241,15 +241,12 @@ class TaskPlacementDaemon:
         self._query_failures += lost
         if lost and self._probe is not None:
             self._probe.on_query_failure(lost)
-        cache = self._node_state_cache
-        seen_at = self._state_seen_at if self._state_ttl is not None else None
-        now = self._engine.now
-        answers: Dict[NodeId, Any] = {}
+        cache, answers = self._node_state_cache, {}
         for host, reply in zip(delivered, replies):
-            cache[host] = reply.node_state
-            if seen_at is not None:
-                seen_at[host] = now
             answers[host] = reply
+            cache[host] = reply.node_state
+        if self._state_ttl is not None:
+            self._state_seen_at.update(dict.fromkeys(delivered, self._engine.now))
         return answers
 
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.experiments.config import MacroConfig
-from repro.metrics.stats import percentile
+from repro.metrics.stats import mean as left_mean, percentile
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,14 @@ def aggregate(values: Sequence[float]) -> Aggregate:
     if not values:
         raise ConfigError("cannot aggregate zero repetitions")
     values = list(values)
-    mean = sum(values) / len(values)
+    mean = left_mean(values)  # sums folded left from int 0 (ROADMAP 9)
     if len(values) == 1:
         stdev = 0.0
     else:
-        var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-        stdev = math.sqrt(var)
+        squares = 0
+        for value in values:
+            squares += (value - mean) ** 2
+        stdev = math.sqrt(squares / (len(values) - 1))
     return Aggregate(
         mean=mean,
         stdev=stdev,

@@ -214,23 +214,36 @@ class NetworkFabric:
     def host_edge_states(
         self, reads: Sequence[Tuple[NodeId, LinkId]]
     ) -> List[Tuple[List[float], float]]:
-        """The network daemons' read of each ``(host, edge link)``, in order:
-        the residual sizes on the link (:meth:`flows_on_link` order) and the
-        node state of §5.1.1 (the smallest residual size at the host, inf
-        when idle), from the residuals of the host's flows, which include
-        the edge link's."""
+        """The network daemons' read of each ``(host, its edge link)``, in
+        order: the residual sizes on the link (:meth:`flows_on_link` order)
+        and the node state of §5.1.1 (the smallest residual size at the
+        host, inf when idle).  One pass over each host's flows, which
+        include the link's (an idle host is one lookup), each residual the
+        float :meth:`_residuals` gives, and no map kept across hosts."""
+        now, synced_at, rates = self._engine.now, self._synced_at, self._rates
         by_host, by_link = self._by_host, self._by_link
-        at_hosts = [by_host.get(host, {}).values() for host, _ in reads]
-        residuals = self._residuals(at_hosts)
         states = []
-        for (_, link_id), flows in zip(reads, at_hosts):
-            node_state = _INF
-            for flow in flows:
-                bits = residuals[flow.flow_id]
-                if bits < node_state:
-                    node_state = bits
-            on_link = by_link.get(link_id)
-            sizes = [residuals[flow_id] for flow_id in on_link] if on_link else []
+        for host, link_id in reads:
+            at_host = by_host.get(host)
+            if not at_host:
+                states.append(([], _INF))
+                continue
+            on_link, node_state, sizes = by_link.get(link_id, ()), _INF, []
+            for flow_id, flow in at_host.items():
+                remaining = flow.remaining
+                dt = now - synced_at[flow_id]
+                if dt > 0:
+                    rate = rates.get(flow_id, 0.0)
+                    if rate > RATE_EPSILON:
+                        moved = rate * dt
+                        remaining = remaining - moved if moved < remaining else 0.0
+                if remaining < node_state:
+                    node_state = remaining
+                if flow_id in on_link:
+                    sizes.append(remaining)
+            if len(sizes) > 1:  # a reroute re-inserts a flow into the link only
+                bits = dict(zip(filter(on_link.__contains__, at_host), sizes))
+                sizes = [bits[flow_id] for flow_id in on_link]
             states.append((sizes, node_state))
         return states
 
@@ -292,16 +305,22 @@ class NetworkFabric:
 
     def hosts_queued_bits(self, hosts: Sequence[NodeId]) -> List[float]:
         """minLoad's read of each host's load, in order: the residual bits
-        of its flows, summed left from int 0 in :meth:`flows_at_host` order
-        (0 when idle)."""
+        of its flows (as :meth:`host_edge_states` computes them), summed
+        left from int 0 in :meth:`flows_at_host` order (0 when idle)."""
+        now, synced_at, rates = self._engine.now, self._synced_at, self._rates
         by_host = self._by_host
-        at_hosts = [by_host.get(host, {}).values() for host in hosts]
-        residuals = self._residuals(at_hosts)
         totals = []
-        for flows in at_hosts:
-            total = 0
-            for flow in flows:
-                total += residuals[flow.flow_id]
+        for host in hosts:
+            total, at_host = 0, by_host.get(host)
+            for flow_id, flow in at_host.items() if at_host else ():
+                remaining = flow.remaining
+                dt = now - synced_at[flow_id]
+                if dt > 0:
+                    rate = rates.get(flow_id, 0.0)
+                    if rate > RATE_EPSILON:
+                        moved = rate * dt
+                        remaining = remaining - moved if moved < remaining else 0.0
+                total += remaining
             totals.append(total)
         return totals
 
@@ -341,16 +360,10 @@ class NetworkFabric:
         return self._flows_rerouted
 
     def optimal_fct(self, src: NodeId, dst: NodeId, size: float) -> float:
-        """Empty-network transfer time: size over the path's bottleneck.
-
-        Host-local transfers are free (zero network time), which is exactly
-        how data locality pays off in the model.
-        """
-        path = self._router.path(src, dst)
-        if not path.links:
-            return 0.0
-        bottleneck = min(self._capacities[link] for link in path.links)
-        return size / bottleneck
+        """Empty-network transfer time: size over the path's bottleneck, 0.0
+        when host-local (how data locality pays off in the model)."""
+        links = self._router.path(src, dst).links
+        return size / min(map(self._capacities.get, links), default=_INF)
 
     # ------------------------------------------------------------------
     # Flow lifecycle
@@ -427,7 +440,6 @@ class NetworkFabric:
         self._by_host.setdefault(flow.dst, {})[flow.flow_id] = flow
         if self._component_on is not None:
             self._join(flow)
-        self._allocator.note_arrival(flow)
         self._recompute(flow.path, departed=[])
         for listener in self._arrival_listeners:
             listener(flow)
@@ -505,12 +517,10 @@ class NetworkFabric:
             try:
                 new_path = self._router.path(flow.src, flow.dst)
             except RoutingError:
-                new_path = None
-            if new_path is None:
                 self._abort_flow(flow)
-            else:
-                self._reroute_flow(flow, new_path.links)
-                dirty.update(flow.path)
+                continue
+            self._reroute_flow(flow, new_path.links)
+            dirty.update(flow.path)
         self._set_capacity(
             link_id, 0.0, tuple(sorted(dirty)), victims=len(victims)
         )
@@ -555,10 +565,8 @@ class NetworkFabric:
         self.fail_link(self._topology.host_downlink(host).link_id)
 
     def _reroute_flow(self, flow: Flow, new_links: Tuple[LinkId, ...]) -> None:
-        """Move an active flow onto a new path (indexes + path swap); the
-        allocator sees it leave the old path and arrive on the new one."""
+        """Move an active flow onto a new path (indexes + path swap)."""
         flow_id = flow.flow_id
-        self._allocator.note_removal(flow)
         for link_id in flow.path:
             self._by_link[link_id].pop(flow_id, None)
         if self._component_on is not None:
@@ -569,7 +577,6 @@ class NetworkFabric:
             self._by_link.setdefault(link_id, {})[flow_id] = flow
         if self._component_on is not None:
             self._join(flow)
-        self._allocator.note_arrival(flow)
         self._flows_rerouted += 1
         probe = self._probe
         if probe is not None:
@@ -608,7 +615,6 @@ class NetworkFabric:
             self._leave(flow)
         self._by_host[flow.src].pop(flow_id, None)
         self._by_host[flow.dst].pop(flow_id, None)
-        self._allocator.note_removal(flow)
 
     def _finish_flow(self, flow: Flow) -> None:
         flow.completion_time = self._engine.now

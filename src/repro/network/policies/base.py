@@ -73,20 +73,6 @@ class RateAllocator(ABC):
         """
         return None
 
-    def note_arrival(self, flow: Flow) -> None:
-        """Fabric hook: ``flow`` entered the network.
-
-        Stateful allocators (FCFS's sorted arrival index) maintain their
-        caches here instead of rebuilding from scratch each
-        :meth:`allocate` call.  Default: no-op.
-        """
-
-    def note_removal(self, flow: Flow) -> None:
-        """Fabric hook: ``flow`` left the network (completed or cancelled).
-
-        Default: no-op; see :meth:`note_arrival`.
-        """
-
 
 class CrossingHint:
     """Change-point hints for policies whose priority key moves between

@@ -136,8 +136,8 @@ def build_neat(
         )
         bus.register(host, daemon.handle)
         daemons[host] = daemon
-    answer = NetworkDaemon.answer_round
-    bus.register_round(lambda hosts, ask: answer([daemons[h] for h in hosts], ask))
+    answer, daemon_at = NetworkDaemon.answer_round, daemons.__getitem__
+    bus.register_round(lambda hosts, ask: answer([*map(daemon_at, hosts)], ask))
     placement = TaskPlacementDaemon(
         fabric.topology,
         bus,

@@ -107,11 +107,6 @@ class CausalTracer:
     def events_recorded(self) -> int:
         return len(self._events)
 
-    @property
-    def current_trace(self) -> Optional[int]:
-        """The open task's trace id (None outside a task context)."""
-        return self._current
-
     # ------------------------------------------------------------------
     # Run boundaries
     # ------------------------------------------------------------------
@@ -388,7 +383,8 @@ class FlowBlame:
 
     @property
     def residual(self) -> float:
-        """``sum(components) - fct`` — float dust when the invariant holds."""
+        """The components added left, less ``fct``: float dust when the
+        invariant holds."""
         return (
             self.serialization + self.queueing + self.contention + self.fault
         ) - self.fct
@@ -713,7 +709,9 @@ def _attribute_contention(
     if best_link is None:  # pragma: no cover - paths are never empty here
         return
     link_blame[best_link] = link_blame.get(best_link, 0.0) + seconds
-    total = sum(rate for _, rate in best_others)
+    total = 0  # folded left, as ``sum`` is before CPython 3.12
+    for _, rate in best_others:
+        total += rate
     if total > 0.0:
         for label, rate in best_others:
             contender_seconds[label] = (

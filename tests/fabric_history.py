@@ -13,7 +13,9 @@ and each test mixes its own (:func:`histories`):
 * ``("through", src, via, dst, size_in, size_out)``: a sealed coflow into
   and out of ``via``;
 * ``("advance", dt)``, ``("cancel_flow", index)`` (of the active bare
-  flows), ``("degrade_link", link, factor)``, ``("fail_link", link)``,
+  flows), ``("degrade_link", link, factor)``, ``("fail_link", link)``
+  (an int ``link`` picks among the :data:`FAILABLE` links that carry a
+  flow, so that the failure reroutes; among all of them when none does),
   ``("fail_host", host)``;
 * ``("resubmit", n)``: ``n`` more submits for the listener that resubmits;
 * ``("read", host, link, delay)``: ``reader(run, host, link)``, ``delay``
@@ -79,13 +81,15 @@ def coflows(size):
     )
 
 
+#: A link failure that reroutes whenever a flow crosses a failable link.
+FAIL_LINK = op("fail_link", st.integers(0, 63))
 #: Bare flows under every fault, and a listener that submits.
 FAULTED = (
     op("submit", a_host, a_host, FLOW_SIZE),
     op("advance", st.floats(1e-4, 1.5)),
     op("cancel_flow", st.integers(0, 63)),
     op("degrade_link", a_link, st.sampled_from((0.25, 0.5, 2.0, 4.0))),
-    op("fail_link", st.sampled_from(FAILABLE)),
+    FAIL_LINK,
     op("fail_host", a_host),
     op("resubmit", st.integers(1, 3)),
 )
@@ -236,6 +240,10 @@ class Run:
                     self.cancelled += 1
             elif kind == "resubmit":
                 self.budget += args[0]
+            elif kind == "fail_link" and isinstance(args[0], int):
+                busy = [link for link in FAILABLE if fabric.flows_on_link(link)]
+                links = busy or FAILABLE
+                fabric.fail_link(links[args[0] % len(links)])
             elif kind == "read":
                 host, link_id, delay = args
                 self.engine.schedule(

@@ -421,21 +421,24 @@ class TestFairRecomputeCost:
     #: listeners, one append and one notify call each, repro 1.16; 411.5
     #: while reads synced, repro 1.18: a recompute now advances the flows
     #: a decision's read used to; 439.8 with a ``Flow.advance`` call and
-    #: its ``min`` per synced flow, repro 1.19).
-    CALLS_PER_RECOMPUTE = (398.3, 439.0)
+    #: its ``min`` per synced flow, repro 1.19; 398.3 with a call to the
+    #: allocator's no-op removal hook per finished flow, repro 1.21).
+    CALLS_PER_RECOMPUTE = (397.8, 437.6)
     #: policy -> (recomputes, calls per recompute measured -> bound) of the
     #: hinting policies: one sorted sweep per change-point hint and one sync
     #: frame per recompute (617.6 and 1,094.5 with the tracked-list mover
     #: scan and a sync call per flow, repro 1.15; LAS 840.7 with the
     #: re-entrant hint cancel, repro 1.16; 501.5 and 840.5 over 615 and 769
     #: recomputes while reads synced, repro 1.18; 515.3 and 858.0 with a
-    #: ``Flow.advance`` call per synced flow, repro 1.19).
-    HINTING_RECOMPUTES = {"srpt": (615, 497.2, 547.0), "las": (768, 825.6, 909.0)}
+    #: ``Flow.advance`` call per synced flow, repro 1.19; 497.2 and 825.6
+    #: with the allocator's no-op removal hook, repro 1.21).
+    HINTING_RECOMPUTES = {"srpt": (615, 496.7, 546.4), "las": (768, 825.2, 907.7)}
     #: measured -> bound: calls inside ``MinLoadPolicy.place`` per decision
-    #: of the SRPT replay, one batched read (337.0 with a
-    #: ``host_queued_bits`` call per candidate, repro 1.15; 182.2 while the
-    #: read synced, repro 1.18).
-    CALLS_PER_MINLOAD_DECISION = (175.4, 193.0)
+    #: of the SRPT replay, one batched read of one pass per host (337.0 with
+    #: a ``host_queued_bits`` call per candidate, repro 1.15; 182.2 while the
+    #: read synced, repro 1.18; 175.4 with a residual map per read, repro
+    #: 1.21).
+    CALLS_PER_MINLOAD_DECISION = (162.3, 178.5)
     #: (allocations, calls per allocation measured -> bound) inside
     #: ``CoflowAllocator.allocate`` on the pinned coflow replay: one
     #: allocation per placed coflow and per completion recompute, the

@@ -502,9 +502,11 @@ class TestQueryChain:
         """The structural guard on the host cost of a decision: function
         calls (Python and C) per queried candidate, decision overhead
         amortised over the 15 candidates of the pinned fabrics.  A query
-        round answered in one pass over residuals makes 15.4 per flow query
-        and 20.9 per coflow query (CPython 3.11; 16.3 and 22.7 while the
-        round synced the flows it read); a coflow round answered host by host
+        round admitted at once and answered in one pass per host makes 12.4
+        per flow query and 18.9 per coflow query (CPython 3.11; 15.4 and
+        20.9 with a residual map per round and an admission call per host,
+        16.3 and 22.7 while the round synced the flows it read); a coflow
+        round answered host by host
         made 48.5, the per-host call chain before rounds 25.6 and 46.9, the
         coflow query 64.9 before it read the link and the node state in
         one lean pass each, and the loop before the shared query chain
@@ -516,7 +518,7 @@ class TestQueryChain:
         )
         calls = calls_made(lambda: daemon.place_flow(request))
         assert daemon.decisions[-1].queried_hosts == CANDIDATES
-        assert calls / len(CANDIDATES) <= 17
+        assert calls / len(CANDIDATES) <= 13.7
 
         engine, fabric = busy_coflow_fabric()
         daemon = neat_on(fabric, coflow_predictor="tcf").daemon
@@ -524,7 +526,7 @@ class TestQueryChain:
             lambda: daemon.place_coflow_flow(5e8, 1e9, "h000", CANDIDATES)
         )
         assert daemon.decisions[-1].queried_hosts == CANDIDATES
-        assert calls / len(CANDIDATES) <= 23
+        assert calls / len(CANDIDATES) <= 20.8
 
     def test_predict_coflow_reads_the_link_before_syncing_the_host(self):
         """No read is part of another's answer: a CCT query's link state
@@ -884,6 +886,56 @@ class TestQueryRound:
         )
         assert rounds == decide()
         assert all(d["queried_hosts"] == CANDIDATES for d in rounds[0])
+
+    @pytest.mark.parametrize("hosts", [CANDIDATES, ("h001", "h002", "ghost", "h003")])
+    def test_a_fault_free_round_is_admitted_as_per_host(self, hosts):
+        """With no fault model and no host down, admission draws nothing and
+        ``call_round`` counts the round at once: the same delivered hosts,
+        replies, counters and ``bus_round`` lines as the per-host admission
+        a fault model that never drops takes.  An unregistered host raises
+        ``DaemonError`` after the hosts before it were counted (two calls,
+        four messages), and no ``bus_round`` line goes out."""
+        import io
+
+        from repro.telemetry import JsonlTraceSink
+
+        class NeverDrops:
+            def should_drop(self, kind):
+                return False
+
+            def message_delay(self):
+                return 0.0
+
+        def round_trip(model):
+            buf = io.StringIO()
+            telemetry = Telemetry(registry=MetricsRegistry(), trace=JsonlTraceSink(buf))
+            engine, fabric = busy_flow_fabric()
+            neat = neat_on(fabric, telemetry=telemetry, control_rtt=0.001)
+            if model is not None:
+                neat.bus.install_fault_model(model)
+            try:
+                outcome = neat.bus.call_round(hosts, FlowPredictionRequest(5e8, "in"))
+            except DaemonError as error:
+                outcome = str(error)
+            bus = neat.bus
+            telemetry.close()
+            return (
+                outcome,
+                (bus.messages_sent, bus.calls, bus.messages_dropped,
+                 bus.estimated_control_latency),
+                telemetry.registry.as_dict()["counters"],
+                [line for line in buf.getvalue().splitlines() if "bus_round" in line],
+            )  # fmt: skip
+
+        fault_free = round_trip(None)
+        assert fault_free == round_trip(NeverDrops())
+        outcome, counters, _, lines = fault_free
+        if "ghost" in hosts:
+            assert outcome == "no daemon registered at 'ghost'"
+            assert counters[:3] == (4, 2, 0) and lines == []
+        else:
+            assert outcome[0] == list(CANDIDATES) and len(outcome[1]) == 15
+            assert counters[:3] == (30, 15, 0) and len(lines) == 1
 
     @pytest.mark.slow
     def test_round_matches_per_host_calls_clos_160(self, monkeypatch):

@@ -18,7 +18,7 @@ from tests import full_recompute_oracle
 from tests.coflow_query_oracle import residual
 from tests.conftest import FILLS, make_fabric as fresh, pin_fill
 from tests.fabric_history import (
-    FAULTED, FLOW_SIZE, HOSTS, READ, SHUFFLE, Run, any_allocator, clos,
+    FAIL_LINK, FAULTED, FLOW_SIZE, HOSTS, READ, SHUFFLE, Run, any_allocator, clos,
     coflows, drive, histories, read_everything, seeded_resubmits,
 )
 
@@ -472,7 +472,10 @@ def test_a_victim_the_evacuation_sync_finishes_leaves_a_record():
     assert fabric.flows_rerouted == 0 and len(fabric.records) == 1
 
 
-@given(_histories, st.sampled_from(("fair", "srpt")))
+@given(
+    histories(*FAULTED, SHUFFLE, FAIL_LINK, min_size=4),
+    st.sampled_from(("fair", "srpt")),
+)
 @settings(max_examples=60, deadline=None)
 def test_host_edge_state_equals_the_two_reads_it_replaced(ops, policy):
     """``host_edge_states`` is ``flows_on_link`` + ``flows_at_host`` at
@@ -481,7 +484,9 @@ def test_host_edge_state_equals_the_two_reads_it_replaced(ops, policy):
     and their order (which follows the link index, not the host index: a
     reroute re-inserts a flow into the former only) and the node state.
     Both directions of every host, one read each and then all of them in
-    one call, after arbitrary histories; no read writes any flow."""
+    one call, after arbitrary histories (shuffles crowd a host's links and
+    link failures come twice as often, so the two orders end apart in
+    about 1 history in 10); no read writes any flow."""
     run = drive(ops, Run(policy))
     fabric, before = run.fabric, run.state()
     topology = fabric.topology

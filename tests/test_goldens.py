@@ -90,8 +90,7 @@ def test_coflow_corpus_byte_identical(policy):
 def test_a_compensated_sum_moves_no_golden(monkeypatch, tmp_path):
     """ROADMAP 9: with ``sum`` compensated, as on CPython 3.12, every golden
     (flow, coflow and observed) and both serve digests come out as
-    committed.  The payloads no golden holds (``experiments/repetitions.py``'s
-    statistics, ``telemetry/causal.py``'s blame shares) are not covered."""
+    committed.  The payloads no golden holds are pinned by the next test."""
     inf = float("inf")  # 3.12 keeps an overflowed sum's inf, not a nan
     assert compensated_sum([0.1] * 10) == 1.0 and compensated_sum([inf, 1.0]) == inf
     monkeypatch.setattr(builtins, "sum", compensated_sum)
@@ -107,6 +106,42 @@ def test_a_compensated_sum_moves_no_golden(monkeypatch, tmp_path):
         assert text == (GOLDEN_DIR / file).read_text(encoding="utf-8"), file
     for case, digests in SERVE_DIGESTS.items():
         assert serve_digests(case, tmp_path) == digests, case
+
+
+@pytest.mark.parametrize("patched", [False, True])
+def test_a_compensated_sum_moves_no_statistic_or_blame_share(monkeypatch, patched):
+    """ROADMAP 9: what no golden holds, bit for bit with ``sum`` as on
+    CPython 3.11 and compensated as on 3.12: a repetition aggregate's mean
+    and sample stdev (values whose compensated mean is 0.36666666666666664)
+    and the causal blame's contender shares of a link (rates summing to
+    0.6 compensated, 0.6000000000000001 left)."""
+    from repro.experiments.repetitions import aggregate
+    from repro.telemetry.causal import _attribute_contention, _FlowState
+
+    if patched:
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+    spread = aggregate([0.1, 0.3, 0.7])
+    assert (spread.mean, spread.stdev) == (0.3666666666666667, 0.30550504633038933)
+
+    def on_link(flow, rate):
+        state = _FlowState(dict(
+            flow=flow, src="h000", dst="h001", size=1e9, t=0.0, optimal=1.0,
+            path=["L"],
+        ))  # fmt: skip
+        state.rate_steps.append((0.5, rate))
+        return state
+
+    members = [on_link(flow, rate) for flow, rate in enumerate((0.05, 0.1, 0.2, 0.3))]
+    link_blame, shares = {}, {}
+    _attribute_contention(
+        members[0], ("L",), 1.0, 1.0, {"L": [(0.0, 1.0)]}, {"L": members},
+        link_blame, shares,
+    )  # fmt: skip
+    assert link_blame == {"L": 1.0} and shares == {
+        "flow#1": 0.16666666666666666,
+        "flow#2": 0.3333333333333333,
+        "flow#3": 0.4999999999999999,
+    }
 
 
 @pytest.mark.parametrize("name", regen_goldens.OBSERVED)

@@ -221,17 +221,15 @@ def test_per_message_bus_probe_point_stays_removed():
 
 
 def test_hinting_policies_track_no_members():
-    """1.16.0: LAS and SRPT keep no per-link member lists, so the fabric's
-    arrival and removal hooks are the base class's no-ops for them."""
+    """1.16.0: LAS and SRPT keep no per-link member lists; since no
+    allocator kept any state between calls, the fabric's arrival and
+    removal hooks (the base class's no-ops) are gone too."""
     from repro.network.policies import RateAllocator, make_allocator
     from repro.network.policies.base import CrossingHint
 
     for hook in ("note_arrival", "note_removal"):
-        assert not hasattr(CrossingHint, hook), f"CrossingHint.{hook} is back"
-        for policy in ("las", "srpt"):
-            assert getattr(type(make_allocator(policy)), hook) is getattr(
-                RateAllocator, hook
-            ), f"{policy}: {hook} is back"
+        for owner in (RateAllocator, CrossingHint, make_allocator("las")):
+            assert not hasattr(owner, hook), f"{owner}.{hook} is back"
     assert not hasattr(make_allocator("srpt"), "_link_members")
 
 
