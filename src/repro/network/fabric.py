@@ -42,7 +42,7 @@ from typing import (
 from repro.errors import FlowError, RoutingError
 from repro.network.flow import Flow, FlowId, FlowRecord
 from repro.network.policies.base import RATE_EPSILON, RateAllocator
-from repro.network.kernels import ARGMIN_FLOOR, can_bind  # after policies
+from repro.network.kernels import ARGMIN_FLOOR, GroupFill, can_bind  # after policies
 from repro.sim.engine import Engine
 from repro.sim.events import RECOMPUTE_PRIORITY, Event
 from repro.topology.base import LinkId, NodeId, Topology
@@ -81,10 +81,10 @@ class NetworkFabric:
         router: Optional[Router] = None,
         telemetry: Optional["Telemetry"] = None,
     ) -> None:
-        self._engine = engine
-        self._topology = topology
-        self._allocator = allocator
-        self._router = router or Router(topology)
+        self.engine = engine
+        self.topology = topology
+        self.allocator = allocator
+        self.router = router or Router(topology)
         # Occupied link -> its sharing component; None for an allocator
         # that cannot be scoped (its scope is always the full active set).
         self._component_on: Optional[Dict[LinkId, _Component]] = (
@@ -110,6 +110,12 @@ class NetworkFabric:
         self._by_link: Dict[LinkId, Dict[FlowId, Flow]] = {}
         self._by_host: Dict[NodeId, Dict[FlowId, Flow]] = {}
         self._rates: Dict[FlowId, float] = {}
+        # The priority closure (DESIGN.md §5.1): each flow's rank and entry
+        # residuals in its last one-flow fill, and the links changed since.
+        closure = type(allocator).allocate is GroupFill.allocate
+        self._fills: Optional[Dict[FlowId, list]] = {} if closure and (
+            self._component_on is not None and not self._narrowing) else None
+        self._changed: Set[LinkId] = set()
         # Per-flow progress bookkeeping: the time each flow's (remaining,
         # attained) pair was last brought up to date, by an event of its
         # component (reads compute residuals and write nothing).
@@ -128,30 +134,10 @@ class NetworkFabric:
         self._down_hosts: Set[NodeId] = set()
         self._flows_aborted = 0
         self._flows_rerouted = 0
-        # Optimal FCTs are frozen at submit time: completion records must
-        # not shift when a fault later degrades or fails a path link (and
-        # the empty-network baseline is only well defined pre-fault).
-        self._optimal_on_submit: Dict[FlowId, float] = {}
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def engine(self) -> Engine:
-        return self._engine
-
-    @property
-    def topology(self) -> Topology:
-        return self._topology
-
-    @property
-    def router(self) -> Router:
-        return self._router
-
-    @property
-    def allocator(self) -> RateAllocator:
-        return self._allocator
-
     @property
     def records(self) -> Sequence[FlowRecord]:
         """Completion records, in completion order."""
@@ -160,7 +146,7 @@ class NetworkFabric:
     def _sync_members(self, members: Dict[FlowId, Flow]) -> None:
         """Advance ``members`` to now at their cached rates (events only), in
         place: ``Flow.advance``'s ``min(bits, remaining)`` without a call."""
-        now, synced_at, rates = self._engine.now, self._synced_at, self._rates
+        now, synced_at, rates = self.engine.now, self._synced_at, self._rates
         for flow_id, flow in members.items():
             dt = now - synced_at[flow_id]
             if dt > 0:
@@ -177,7 +163,7 @@ class NetworkFabric:
         frame and stored nowhere: the float :meth:`_sync_members` would leave
         in ``remaining`` (``remaining - min(rate * dt, remaining)``, spelled
         without a call).  A flow no longer active reads as it ended."""
-        now, synced_at, rates = self._engine.now, self._synced_at, self._rates
+        now, synced_at, rates = self.engine.now, self._synced_at, self._rates
         residuals: Dict[FlowId, float] = {}
         for flows in groups:
             for flow in flows:
@@ -220,7 +206,7 @@ class NetworkFabric:
         host, inf when idle).  One pass over each host's flows, which
         include the link's (an idle host is one lookup), each residual the
         float :meth:`_residuals` gives, and no map kept across hosts."""
-        now, synced_at, rates = self._engine.now, self._synced_at, self._rates
+        now, synced_at, rates = self.engine.now, self._synced_at, self._rates
         by_host, by_link = self._by_host, self._by_link
         states = []
         for host, link_id in reads:
@@ -292,10 +278,6 @@ class NetworkFabric:
             states.append((coflows, node_state))
         return states
 
-    def current_rate(self, flow: Flow) -> float:
-        """The flow's instantaneous allocated rate (bits/sec)."""
-        return self._rates.get(flow.flow_id, 0.0)
-
     def link_queued_bits(self, link_id: LinkId) -> float:
         """Total residual bits of flows crossing ``link_id``."""
         total = 0.0
@@ -307,7 +289,7 @@ class NetworkFabric:
         """minLoad's read of each host's load, in order: the residual bits
         of its flows (as :meth:`host_edge_states` computes them), summed
         left from int 0 in :meth:`flows_at_host` order (0 when idle)."""
-        now, synced_at, rates = self._engine.now, self._synced_at, self._rates
+        now, synced_at, rates = self.engine.now, self._synced_at, self._rates
         by_host = self._by_host
         totals = []
         for host in hosts:
@@ -335,16 +317,6 @@ class NetworkFabric:
         """Current (possibly degraded) capacity of ``link_id``."""
         return self._capacities[link_id]
 
-    @property
-    def failed_links(self) -> Set[LinkId]:
-        """Links taken down by fault injection (capacity pinned at 0)."""
-        return set(self._failed_links)
-
-    @property
-    def down_hosts(self) -> Set[NodeId]:
-        """Hosts taken down by fault injection."""
-        return set(self._down_hosts)
-
     def host_is_up(self, host: NodeId) -> bool:
         """False once :meth:`fail_host` has taken ``host`` down."""
         return host not in self._down_hosts
@@ -362,7 +334,7 @@ class NetworkFabric:
     def optimal_fct(self, src: NodeId, dst: NodeId, size: float) -> float:
         """Empty-network transfer time: size over the path's bottleneck, 0.0
         when host-local (how data locality pays off in the model)."""
-        links = self._router.path(src, dst).links
+        links = self.router.path(src, dst).links
         return size / min(map(self._capacities.get, links), default=_INF)
 
     # ------------------------------------------------------------------
@@ -404,28 +376,28 @@ class NetworkFabric:
         coflow=None,
     ) -> Flow:
         """Inject a new flow into the network at the current time."""
-        path = self._router.path(src, dst)
+        path = self.router.path(src, dst)
         flow = Flow(
             flow_id=self._next_flow_id,
             src=src,
             dst=dst,
             size=size,
             path=path.links,
-            arrival_time=self._engine.now,
+            arrival_time=self.engine.now,
             coflow=coflow,
             tag=tag,
         )
         self._next_flow_id += 1
-        # A path's bottleneck capacity; inf (optimal FCT 0.0) when local.
+        # A path's bottleneck capacity; inf (optimal FCT 0.0) when local.  The
+        # optimal FCT is frozen here: a record must not shift when a fault
+        # later degrades a path link (the empty network is pre-fault).
         flow._bottleneck = min(map(self._capacities.get, path.links), default=_INF)
-        self._optimal_on_submit[flow.flow_id] = size / flow._bottleneck
+        flow._optimal = size / flow._bottleneck
         if coflow is not None:
             coflow.attach_flow(flow)
         probe = self._probe
         if probe is not None:
-            probe.on_flow_submit(
-                self._engine.now, flow, self._optimal_on_submit[flow.flow_id]
-            )
+            probe.on_flow_submit(self.engine.now, flow, flow._optimal)
         if flow.is_local:
             # Data is already on the destination host: finishes instantly.
             flow.advance(flow.remaining)
@@ -433,7 +405,7 @@ class NetworkFabric:
             self._notify_settled()
             return flow
         self._active[flow.flow_id] = flow
-        self._synced_at[flow.flow_id] = self._engine.now
+        self._synced_at[flow.flow_id] = self.engine.now
         for link_id in flow.path:
             self._by_link.setdefault(link_id, {})[flow.flow_id] = flow
         self._by_host.setdefault(flow.src, {})[flow.flow_id] = flow
@@ -462,7 +434,6 @@ class NetworkFabric:
             )
         if flow.flow_id not in self._active:
             raise FlowError(f"flow {flow.flow_id} is not active")
-        self._optimal_on_submit.pop(flow.flow_id, None)
         self._drop_flow(flow)
         self._recompute(flow.path, departed=[flow])
 
@@ -477,7 +448,7 @@ class NetworkFabric:
         Degrading an already-failed link is a no-op (its capacity is
         pinned at zero until the run ends).
         """
-        self._topology.link(link_id)  # raises TopologyError on bad ids
+        self.topology.link(link_id)  # raises TopologyError on bad ids
         if factor <= 0.0:
             raise FlowError(
                 f"degrade factor must be > 0, got {factor!r} "
@@ -499,11 +470,11 @@ class NetworkFabric:
         allocator therefore never sees a flow on a zero-capacity link
         (which would violate work conservation).  Idempotent.
         """
-        self._topology.link(link_id)
+        self.topology.link(link_id)
         if link_id in self._failed_links:
             return
         self._failed_links.add(link_id)
-        self._router.fail_link(link_id)
+        self.router.fail_link(link_id)
         dirty: Set[LinkId] = {link_id}
         victims = sorted(self._by_link.get(link_id, {}))
         for flow_id in victims:
@@ -515,7 +486,7 @@ class NetworkFabric:
                 self._finish_flow(flow)
                 continue
             try:
-                new_path = self._router.path(flow.src, flow.dst)
+                new_path = self.router.path(flow.src, flow.dst)
             except RoutingError:
                 self._abort_flow(flow)
                 continue
@@ -543,7 +514,7 @@ class NetworkFabric:
         probe = self._probe
         if probe is not None:
             probe.on_capacity(
-                self._engine.now, link_id, capacity, factor, victims
+                self.engine.now, link_id, capacity, factor, victims
             )
         self._recompute(dirty_links)
 
@@ -553,16 +524,16 @@ class NetworkFabric:
         Flows touching the host abort (no alternate path reaches a dead
         host); other flows transiting its links reroute where possible.
         """
-        if host not in self._topology.hosts:
+        if host not in self.topology.hosts:
             raise FlowError(f"fail_host: {host!r} is not a host")
         if host in self._down_hosts:
             return
         self._down_hosts.add(host)
         probe = self._probe
         if probe is not None:
-            probe.on_host_down(self._engine.now, host)
-        self.fail_link(self._topology.host_uplink(host).link_id)
-        self.fail_link(self._topology.host_downlink(host).link_id)
+            probe.on_host_down(self.engine.now, host)
+        self.fail_link(self.topology.host_uplink(host).link_id)
+        self.fail_link(self.topology.host_downlink(host).link_id)
 
     def _reroute_flow(self, flow: Flow, new_links: Tuple[LinkId, ...]) -> None:
         """Move an active flow onto a new path (indexes + path swap)."""
@@ -580,7 +551,7 @@ class NetworkFabric:
         self._flows_rerouted += 1
         probe = self._probe
         if probe is not None:
-            probe.on_reroute(self._engine.now, flow)
+            probe.on_reroute(self.engine.now, flow)
 
     def _abort_flow(self, flow: Flow) -> None:
         """Drop a flow that lost its only path.
@@ -590,12 +561,11 @@ class NetworkFabric:
         never completes — the failed job shows up in the abort counters,
         not in the CCT statistics.
         """
-        self._optimal_on_submit.pop(flow.flow_id, None)
         self._drop_flow(flow)
         self._flows_aborted += 1
         probe = self._probe
         if probe is not None:
-            probe.on_abort(self._engine.now, flow)
+            probe.on_abort(self.engine.now, flow)
 
     # ------------------------------------------------------------------
     # Internals: progress bookkeeping
@@ -608,7 +578,7 @@ class NetworkFabric:
         self._synced_at.pop(flow_id, None)
         event = self._completion_events.pop(flow_id, None)
         if event is not None:
-            self._engine.cancel(event)
+            self.engine.cancel(event)
         for link_id in flow.path:
             self._by_link[link_id].pop(flow_id, None)
         if self._component_on is not None:
@@ -617,8 +587,7 @@ class NetworkFabric:
         self._by_host[flow.dst].pop(flow_id, None)
 
     def _finish_flow(self, flow: Flow) -> None:
-        flow.completion_time = self._engine.now
-        optimal = self._optimal_on_submit.pop(flow.flow_id)  # set by submit
+        flow.completion_time = self.engine.now
         record = FlowRecord(
             flow_id=flow.flow_id,
             src=flow.src,
@@ -626,16 +595,16 @@ class NetworkFabric:
             size=flow.size,
             arrival_time=flow.arrival_time,
             completion_time=flow.completion_time,
-            optimal_fct=optimal,
+            optimal_fct=flow._optimal,
             tag=flow.tag,
             coflow_id=flow.coflow.coflow_id if flow.coflow is not None else None,
         )
         self._records.append(record)
         probe = self._probe
         if probe is not None:
-            probe.on_flow_done(self._engine.now, record)
+            probe.on_flow_done(self.engine.now, record)
         if flow.coflow is not None:
-            flow.coflow.note_flow_finished(flow, self._engine.now)
+            flow.coflow.note_flow_finished(flow, self.engine.now)
         self._settled.append((flow, record))
 
     def _notify_settled(self) -> None:
@@ -651,7 +620,7 @@ class NetworkFabric:
     # ------------------------------------------------------------------
     def _cancel_hint(self, component: _Component) -> None:
         if component.hint_event is not None:
-            self._engine.cancel(component.hint_event)
+            self.engine.cancel(component.hint_event)
             component.hint_event = None
 
     def _join(self, flow: Flow) -> None:
@@ -691,6 +660,8 @@ class NetworkFabric:
         component = component_on[flow.path[0]]
         self._cancel_hint(component)
         del component.flows[flow.flow_id]
+        if self._fills is not None:
+            self._fills.pop(flow.flow_id, None)
         shared: List[LinkId] = []
         self._recount(flow.path)
         for link_id in flow.path:
@@ -703,7 +674,10 @@ class NetworkFabric:
             self._split(component, shared)
 
     def _recount(self, links: Collection[LinkId]) -> None:
-        if self._narrowing:  # only the binding closure reads ``_crowded``
+        """``links`` changed members or capacity."""
+        if self._fills is not None:
+            self._changed.update(links)
+        elif self._narrowing:  # only the binding closure reads ``_crowded``
             for link_id in links:
                 count = len(self._by_link.get(link_id, ()))
                 if self._capacities[link_id] < ARGMIN_FLOOR * count:
@@ -762,7 +736,7 @@ class NetworkFabric:
         scope's links to the batch.
         """
         probe = self._probe
-        now = self._engine.now
+        now = self.engine.now
         component_on = self._component_on
         span = (
             probe.enter_recompute(component_on is not None)
@@ -873,9 +847,9 @@ class NetworkFabric:
             members = survivors if intact else [
                 component.flows[fid] for fid in sorted(component.flows)
             ]
-            hint = self._allocator.next_change_hint(members, self._rates)
+            hint = self.allocator.next_change_hint(members, self._rates)
             if hint is not None and 0 < hint < _INF:
-                component.hint_event = self._engine.schedule(
+                component.hint_event = self.engine.schedule(
                     hint,
                     lambda component=component: self._on_hint(component),
                     priority=RECOMPUTE_PRIORITY,
@@ -900,9 +874,11 @@ class NetworkFabric:
                 now, len(self._active), component_size, len(comp_links),
                 self._component_on is not None,
             )
-            span = probe.enter_alloc(self._allocator.name)
+            span = probe.enter_alloc(self.allocator.name)
         # Allocators only look links up, so they are handed the map itself.
-        rates = self._allocator.allocate(comp_flows, self._capacities)
+        memo = () if self._fills is None else (
+            (self._fills, self._rates, self._changed, comp_links),)
+        rates = self.allocator.allocate(comp_flows, self._capacities, *memo)
         if span is not None:
             probe.exit_alloc(span)
 
@@ -910,7 +886,9 @@ class NetworkFabric:
         progressed = False
         for flow in comp_flows:
             flow_id = flow.flow_id
-            new_rate = rates.get(flow_id, 0.0)
+            if flow_id not in rates:
+                continue  # a flow the allocation leaves out keeps its rate
+            new_rate = rates[flow_id]
             changed = new_rate != self._rates.get(flow_id, 0.0)
             if new_rate > RATE_EPSILON:
                 progressed = True
@@ -921,27 +899,25 @@ class NetworkFabric:
                 new_rate > RATE_EPSILON
                 and flow_id not in self._completion_events
             ):
-                self._reschedule_completion(flow, new_rate, now)
-        if comp_flows and not progressed:
+                event = self._completion_events.pop(flow_id, None)
+                if event is not None:
+                    self.engine.cancel(event)
+                if new_rate > RATE_EPSILON:
+                    self._completion_events[flow_id] = self.engine.schedule(
+                        max(flow.remaining / new_rate, 0.0),
+                        lambda f=flow: self._on_completion(f),
+                        priority=RECOMPUTE_PRIORITY,
+                        label="fabric-completion",
+                    )
+        if comp_flows and not progressed and not any(
+            self._rates.get(flow.flow_id, 0.0) > RATE_EPSILON for flow in comp_flows
+        ):
             raise FlowError(
                 "no flow is making progress; allocator "
-                f"{self._allocator.name!r} is not work-conserving"
+                f"{self.allocator.name!r} is not work-conserving"
             )
         if span is not None:
             probe.exit_splice(span)
-
-    def _reschedule_completion(self, flow: Flow, rate: float, now: float) -> None:
-        flow_id = flow.flow_id
-        event = self._completion_events.pop(flow_id, None)
-        if event is not None:
-            self._engine.cancel(event)
-        if rate > RATE_EPSILON:
-            self._completion_events[flow_id] = self._engine.schedule(
-                max(flow.remaining / rate, 0.0),
-                lambda f=flow: self._on_completion(f),
-                priority=RECOMPUTE_PRIORITY,
-                label="fabric-completion",
-            )
 
     def _on_completion(self, flow: Flow) -> None:
         self._completion_events.pop(flow.flow_id, None)

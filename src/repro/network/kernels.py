@@ -7,11 +7,10 @@ LinkId-keyed reference :func:`~repro.network.policies.base.water_fill`
 (in ``policies.base``) and the int-column :func:`backfill` — and the
 strict-priority cascade the flow policies hand their groups to.
 
-:func:`priority_fill` is the bit-identical twin of
-:func:`~repro.network.policies.base.greedy_priority_fill`: same ordered
-priority groups and link capacities in, the same rate map out.  It is
-the one place that knows how a group is filled, and it picks from what it
-can see:
+:func:`priority_fill` gives the rate map of ``water_fill`` run on each
+priority group in order (the test-side reference cascade), bit for bit.
+It is the one place that knows how a group is filled, and it picks from
+what it can see:
 
 * the *last* group, when it has at least :data:`GROUP_CUTOFF` flows, takes
   the column fill (:func:`_fill_columns`): :func:`link_columns` interns its
@@ -22,7 +21,9 @@ can see:
 * every other group takes ``water_fill``.
 
 All three share one residual map, so groups can mix fills within an
-allocation.  Nothing selects a fill from outside this module.
+allocation.  Nothing selects a fill from outside this module.  Given the
+fabric's memo, a cascade of one-flow groups re-fills only the flows an
+event reaches (:func:`refill`), with :func:`_fill_one`.
 
 Byte-identity is by construction.  Every float the reference produces
 comes from the same four scalar expressions — ``residual / count``, the
@@ -34,16 +35,10 @@ touched column per round.  Its two extra branches (a level at or below
 ``RATE_EPSILON`` credits nothing; the entry sweep drops the flows behind
 0.0 shares) cannot fire once every share is at least :data:`ARGMIN_FLOOR`,
 which is the column fill's precondition.  Above it, one reduction makes
-the column fill cheaper than the reference without moving a float:
-
-* *Slack links.*  No flow's rate exceeds the tightest entry residual on
-  its path (its bound), so a link whose residual clears, by
-  :data:`_SLACK_MARGIN`, the sum of its members' bounds keeps a share
-  strictly above that of the tightest link of one of its own unfrozen
-  members: it is never the first minimum, and at shares of at least
-  ``2**24`` the epsilon chain ends at the first minimum.  Its column is
-  dropped; flows joined only through slack links fill as if apart.  Only
-  a last group may drop them: a later group would read their residuals.
+the column fill cheaper than the reference without moving a float: a
+*slack* link, whose residual clears its members' demand (:func:`can_bind`),
+is never the first minimum, so a last group drops its column (the argument
+is DESIGN.md §5.2's, "Slack links").
 
 ``tests/test_kernel_differential.py`` and ``tests/test_goldens.py`` lock
 the contract: records and traces, ``==`` on rates.
@@ -52,9 +47,9 @@ the contract: records and traces, ``==`` on rates.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from itertools import accumulate, chain
 from operator import truediv
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from repro.network.flow import Flow, FlowId
 from repro.network.policies.base import RATE_EPSILON, RateAllocator, water_fill
@@ -102,8 +97,7 @@ def priority_fill(
     capacities: Mapping[LinkId, float],
 ) -> Dict[FlowId, float]:
     """Strict-priority water-filling, each group on its fastest fill
-    (bit-identical twin of
-    :func:`~repro.network.policies.base.greedy_priority_fill`).
+    (bit-identical to ``water_fill`` on each group in turn).
 
     ``groups`` must be ordered highest priority first; equal-priority
     flows (same group) share fairly, lower groups water-fill the
@@ -126,12 +120,67 @@ def priority_fill(
 
 class GroupFill(RateAllocator):
     """A flow policy that names its priority groups, highest first, as
-    ``_groups(flows)``: its allocation is their :func:`priority_fill`."""
+    ``_groups(flows)``: its allocation is their :func:`priority_fill`, or,
+    given the fabric's ``memo`` and one flow per group, their :func:`refill`."""
 
     def allocate(
-        self, flows: Sequence[Flow], capacities: Mapping[LinkId, float]
+        self, flows: Sequence[Flow], capacities: Mapping[LinkId, float], memo=None
     ) -> Dict[FlowId, float]:
-        return priority_fill(self._groups(flows), capacities)
+        groups = self._groups(flows)
+        if memo is not None:
+            if len(groups) == len(flows):
+                return refill(groups, capacities, *memo)
+            memo[2].update(memo[3])  # a group fills jointly: all live next
+        return priority_fill(groups, capacities)
+
+
+def refill(
+    groups: Sequence[Sequence[Flow]], capacities: Mapping[LinkId, float],
+    fills: Dict[FlowId, list], rates: Mapping[FlowId, float],
+    changed: Set[LinkId], links: Set[LinkId],
+) -> Dict[FlowId, float]:
+    """The priority closure (DESIGN.md §5.1): the rates of the one-flow
+    ``groups`` a change can reach, the floats :func:`priority_fill` gives.
+    ``fills``: each flow's ``[rank, entry residuals]`` in its last fill;
+    ``rates``: its rate; ``changed``: links whose members or capacity
+    changed since (the scope's ``links`` leave it here).  A link is live
+    from rank 1 when it changed, carries a flow ``fills`` lacks or two
+    flows on it swapped ranks; a flow on a live link is re-filled, its
+    other links entering at its cached entries, and one whose rate moves
+    makes its links live."""
+    olds = [fills.get(flow.flow_id) for (flow,) in groups]
+    live = changed & links
+    changed -= links
+    if None in olds:
+        live.update(*[flow.path for (flow,), old in zip(groups, olds) if old is None])
+    ranks = [old[0] for old in olds if old]
+    if ranks != sorted(ranks):  # two flows swapped ranks: on a shared link?
+        paths = [flow.path for (flow,), old in zip(groups, olds) if old]
+        lows = [*[*accumulate(reversed(ranks), min)][-2::-1], _INF]
+        ahead: Dict[LinkId, int] = {}
+        for path, rank, low, high in zip(
+            paths, ranks, lows, accumulate(ranks, max, initial=0)
+        ):
+            if high > rank:  # passed: by a flow ahead on one of its links?
+                live.update(link for link in path if ahead.get(link, 0) > rank)
+            if low < rank:  # passing: the highest such rank on each link
+                ahead.update((link, max(ahead.get(link, 0), rank)) for link in path)
+    residual = {link_id: capacities.get(link_id, 0.0) for link_id in live}
+    filled: Dict[FlowId, float] = {}
+    for rank, ((flow,), old) in enumerate(zip(groups, olds), 1):
+        path = flow.path
+        if old is not None:
+            if live.isdisjoint(path):
+                old[0] = rank
+                continue
+            for link_id, entry in zip(path, old[1]):
+                if link_id not in live:
+                    residual[link_id] = entry
+        fills[flow.flow_id] = [rank, tuple(map(residual.__getitem__, path))]
+        _fill_one(flow, residual, filled)
+        if filled[flow.flow_id] != rates.get(flow.flow_id, 0.0):
+            live.update(path)
+    return filled
 
 
 def _fill_one(

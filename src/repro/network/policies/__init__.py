@@ -1,12 +1,6 @@
 """Flow scheduling policies (rate allocators) for the fluid simulator."""
 
-from repro.network.policies.base import (
-    RATE_EPSILON,
-    RateAllocator,
-    greedy_priority_fill,
-    group_by_key,
-    water_fill,
-)
+from repro.network.policies.base import RateAllocator
 from repro.network.policies.fair import FairAllocator
 from repro.network.policies.fcfs import FCFSAllocator
 from repro.network.policies.las import LASAllocator
@@ -26,8 +20,4 @@ __all__ = [
     "make_allocator",
     "register_policy",
     "available_policies",
-    "water_fill",
-    "greedy_priority_fill",
-    "group_by_key",
-    "RATE_EPSILON",
 ]

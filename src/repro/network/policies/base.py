@@ -225,24 +225,6 @@ def water_fill(
         members.pop(bottleneck, None)
 
 
-def greedy_priority_fill(
-    groups: Iterable[Sequence[Flow]],
-    capacities: Mapping[LinkId, float],
-) -> Dict[FlowId, float]:
-    """Strict-priority allocation: water-fill each group in order on the
-    residual capacity left by higher-priority groups.
-
-    ``groups`` must be ordered highest priority first.  Equal-priority flows
-    (same group) share fairly; lower groups are preempted on contended links
-    but still backfill idle capacity elsewhere (work conservation).
-    """
-    residual: Dict[LinkId, float] = dict(capacities)
-    rates: Dict[FlowId, float] = {}
-    for group in groups:
-        water_fill(group, residual, rates)
-    return rates
-
-
 def group_by_key(
     flows: Sequence[Flow],
     key_values: Mapping[FlowId, float],

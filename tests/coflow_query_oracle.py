@@ -45,10 +45,10 @@ def residual(fabric, flow) -> float:
     no longer active), stored nowhere."""
     remaining = flow.remaining
     synced = fabric._synced_at.get(flow.flow_id)
-    if synced is not None and fabric._engine.now - synced > 0:
+    if synced is not None and fabric.engine.now - synced > 0:
         rate = fabric._rates.get(flow.flow_id, 0.0)
         if rate > RATE_EPSILON:
-            remaining -= min(rate * (fabric._engine.now - synced), remaining)
+            remaining -= min(rate * (fabric.engine.now - synced), remaining)
     return remaining
 
 

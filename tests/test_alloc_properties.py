@@ -43,9 +43,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.network import kernels
 from repro.network.flow import Flow
-from repro.network.policies.base import greedy_priority_fill
 from repro.network.policies.registry import make_allocator
 from tests.conftest import FILLS, pin_fill
+from tests.priority_oracle import greedy_priority_fill
 from tests.test_kernel_differential import clos_case
 
 ALLOCATOR_NAMES = ("fair", "fcfs", "las", "srpt")
@@ -480,7 +480,7 @@ def _chaos_run(n_hosts, submissions, events) -> None:
         usage: Dict[str, float] = {}
         active = fabric.active_flows()
         for flow in active:
-            rate = fabric.current_rate(flow)
+            rate = fabric._rates.get(flow.flow_id, 0.0)
             assert rate >= 0.0
             for link_id in flow.path:
                 usage[link_id] = usage.get(link_id, 0.0) + rate

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.network.flow import Flow
 from repro.network.policies.base import (
     RATE_EPSILON,
-    greedy_priority_fill,
     group_by_key,
     water_fill,
 )

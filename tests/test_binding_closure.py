@@ -24,7 +24,8 @@ of narrowed fills above zero, so no leg passes by never narrowing.
   recompute of a pinned 40-host replay, and the mean flows per fill
   against the mean sharing component, so a closure that silently stops
   narrowing fails tier-1; the same budget per SRPT and LAS recompute, per
-  minLoad decision and per coflow allocation.
+  minLoad decision and per coflow allocation, and the mean flows the
+  priority closure re-fills per SRPT refill against its cascade.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.coflow.policies.base import CoflowAllocator
 from repro.experiments.runner import replay_coflow_trace, replay_flow_trace
 from repro.faults import FaultPlan, LinkDegrade, LinkDown
 from repro.network.fabric import NetworkFabric
+from repro.network import kernels
 from repro.network.kernels import ARGMIN_FLOOR
 from repro.network.policies.fair import FairAllocator
 from repro.network.policies.registry import make_allocator
@@ -407,6 +409,23 @@ def fill_and_component_sizes(run, patch):
     return sum(fills) / len(fills), sum(components) / len(components)
 
 
+def refill_sizes(run, patch):
+    """Mean flows the priority closure re-fills and mean flows in the
+    one-flow cascade it is handed, per refill of ``run()``."""
+    refill = kernels.refill
+    refilled, handed = [], []
+
+    def sized(groups, *args):
+        rates = refill(groups, *args)
+        refilled.append(len(rates))
+        handed.append(len(groups))
+        return rates
+
+    patch.setattr(kernels, "refill", sized)
+    run()
+    return sum(refilled) / len(refilled), sum(handed) / len(handed)
+
+
 class TestFairRecomputeCost:
     """Structural guards on the host cost of a recompute and of a minLoad
     decision, read off the pinned replay (CPython 3.11, shipped dispatch;
@@ -422,8 +441,11 @@ class TestFairRecomputeCost:
     #: while reads synced, repro 1.18: a recompute now advances the flows
     #: a decision's read used to; 439.8 with a ``Flow.advance`` call and
     #: its ``min`` per synced flow, repro 1.19; 398.3 with a call to the
-    #: allocator's no-op removal hook per finished flow, repro 1.21).
-    CALLS_PER_RECOMPUTE = (397.8, 437.6)
+    #: allocator's no-op removal hook per finished flow, repro 1.21; 397.8
+    #: with a completion rescheduled through its own method call and a
+    #: rate read through ``dict.get`` per spliced flow, before the priority
+    #: closure).
+    CALLS_PER_RECOMPUTE = (392.0, 431.2)
     #: policy -> (recomputes, calls per recompute measured -> bound) of the
     #: hinting policies: one sorted sweep per change-point hint and one sync
     #: frame per recompute (617.6 and 1,094.5 with the tracked-list mover
@@ -431,8 +453,10 @@ class TestFairRecomputeCost:
     #: re-entrant hint cancel, repro 1.16; 501.5 and 840.5 over 615 and 769
     #: recomputes while reads synced, repro 1.18; 515.3 and 858.0 with a
     #: ``Flow.advance`` call per synced flow, repro 1.19; 497.2 and 825.6
-    #: with the allocator's no-op removal hook, repro 1.21).
-    HINTING_RECOMPUTES = {"srpt": (615, 496.7, 546.4), "las": (768, 825.2, 907.7)}
+    #: with the allocator's no-op removal hook, repro 1.21; 496.7 and 825.2
+    #: before the priority closure, when every SRPT recompute re-filled its
+    #: whole one-flow cascade).
+    HINTING_RECOMPUTES = {"srpt": (615, 378.8, 416.7), "las": (768, 800.3, 880.3)}
     #: measured -> bound: calls inside ``MinLoadPolicy.place`` per decision
     #: of the SRPT replay, one batched read of one pass per host (337.0 with
     #: a ``host_queued_bits`` call per candidate, repro 1.15; 182.2 while the
@@ -450,6 +474,11 @@ class TestFairRecomputeCost:
     #: against 23.27 flows in the sharing component it settles.
     FLOWS_PER_FILL = (3.694, 4.06)
     FILL_SHARE_OF_COMPONENT = (3.694 / 23.268, 0.175)
+    #: measured -> bound: flows the priority closure re-fills per SRPT
+    #: refill, against 16.27 flows in the cascade it is handed (before the
+    #: closure every recompute re-filled them all).
+    REFILLS_PER_SRPT_FILL = (4.46, 4.91)
+    REFILL_SHARE_OF_CASCADE = (4.46 / 16.27, 0.30)
 
     def test_calls_per_fair_recompute_stay_bounded(self):
         measured, bound = self.CALLS_PER_RECOMPUTE
@@ -482,3 +511,8 @@ class TestFairRecomputeCost:
         fill, component = fill_and_component_sizes(pinned_replay, monkeypatch)
         assert fill <= self.FLOWS_PER_FILL[1]
         assert fill / component <= self.FILL_SHARE_OF_COMPONENT[1]
+
+    def test_an_srpt_refill_is_a_fraction_of_its_cascade(self, monkeypatch):
+        refilled, handed = refill_sizes(lambda: pinned_replay("srpt"), monkeypatch)
+        assert refilled <= self.REFILLS_PER_SRPT_FILL[1]
+        assert refilled / handed <= self.REFILL_SHARE_OF_CASCADE[1]

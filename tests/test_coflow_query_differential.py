@@ -162,8 +162,8 @@ def test_dust_below_the_coflow_floor_is_floored_for_coflows_only():
     ]
     drive(history, new, old, expect="ok")
     bare, member = new.flows
-    assert new.fabric.current_rate(bare) == new.fabric.current_rate(member)
-    pause = (1.0 / new.fabric.current_rate(bare)) * (1 - 2**-33)
+    assert new.fabric._rates[bare.flow_id] == new.fabric._rates[member.flow_id]
+    pause = (1.0 / new.fabric._rates[bare.flow_id]) * (1 - 2**-33)
     drive([("advance", pause)], new, old, expect="ok")
     for predictor in PREDICTORS:
         for direction in ("in", "out"):

@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.network import kernels
 from repro.network.fabric import NetworkFabric
 from repro.network.policies.registry import make_allocator
 from repro.placement.baselines import host_queued_bits
@@ -18,8 +19,9 @@ from tests import full_recompute_oracle
 from tests.coflow_query_oracle import residual
 from tests.conftest import FILLS, make_fabric as fresh, pin_fill
 from tests.fabric_history import (
-    FAIL_LINK, FAULTED, FLOW_SIZE, HOSTS, READ, SHUFFLE, Run, any_allocator, clos,
-    coflows, drive, histories, read_everything, seeded_resubmits,
+    FAIL_LINK, FAULTED, FLOW_SIZE, HOSTS, NEAR_TIES, READ, SHUFFLE, Run,
+    any_allocator, clos, coflows, drive, histories, read_everything,
+    seeded_resubmits,
 )
 
 
@@ -741,3 +743,85 @@ def test_a_hint_after_a_re_entrant_submit_sees_every_flow(policy, monkeypatch):
         engine.run()
         assert not fabric._active and len(fabric.records) == 32
     assert len(hints) > 100
+
+
+# ----------------------------------------------------------------------
+# The priority closure: a swap no hint reports
+# ----------------------------------------------------------------------
+def test_an_unhinted_swap_re_fills_both_flows(monkeypatch):
+    """Two SRPT flows on ``sw0->h002``, 0.5 bit apart (inside
+    ``SIZE_TIE_TOLERANCE``) and arrived at different times, are neither
+    one priority group nor a hinted pair: the one behind moves three
+    times as fast and passes the other with no event.  The next arrival
+    touches neither flow's links, yet the per-link rank check makes the
+    link they share live, so both are re-filled (DESIGN.md §5.1,
+    "Priority closure"), under the full-recompute oracle."""
+    checked = full_recompute_oracle.install(monkeypatch)
+    refilled, refill = [], kernels.refill
+
+    def spy(groups, *args):
+        rates = refill(groups, *args)
+        refilled.append(set(rates))
+        return rates
+
+    monkeypatch.setattr(kernels, "refill", spy)
+    engine = Engine()
+    fabric = NetworkFabric(engine, single_switch(5), make_allocator("srpt"))
+    fabric.degrade_link("h000->sw0", 0.25)
+    ahead = fabric.submit("h000", "h002", 1e8)  # 0.25 Gbps, its uplink's
+    held = fabric.submit("h000", "h003", 1e9)  # behind it on that uplink
+    engine.run(until=1e-3)
+    behind = fabric.submit("h001", "h002", fabric.residual(ahead) + 0.5)
+    recomputes = len(checked)
+    engine.run(until=2e-3)
+    assert len(checked) == recomputes  # no hint, no event
+    assert fabric.residual(behind) < fabric.residual(ahead) - 1e5
+    fabric.submit("h004", "h003", 2e9)  # on held's downlink only
+    assert {ahead.flow_id, behind.flow_id, held.flow_id} <= refilled[-1]
+    rates = fabric._rates
+    assert (rates[behind.flow_id], rates[ahead.flow_id]) == (1e9, 0.0)
+    assert rates[held.flow_id] == 0.25e9
+    engine.run()
+    assert len(fabric.records) == 4
+
+
+def _swaps(patch):
+    """Wrap the priority closure's refill: the list gains a flow id for
+    each refill in which that flow, known from the last cascade, now comes
+    after a flow ranked behind it there on one of its links."""
+    swaps, refill = [], kernels.refill
+
+    def spying(groups, capacities, fills, *rest):
+        highest = {}
+        for (flow,) in groups:
+            rank = fills[flow.flow_id][0] if flow.flow_id in fills else 0
+            if rank and any(highest.get(link, 0) > rank for link in flow.path):
+                swaps.append(flow.flow_id)
+                break
+            for link_id in flow.path:
+                highest[link_id] = max(highest.get(link_id, 0), rank)
+        return refill(groups, capacities, fills, *rest)
+
+    patch.setattr(kernels, "refill", spying)
+    return swaps
+
+
+def test_near_ties_swap_with_no_hint_under_the_oracle():
+    """Generated near ties (``NEAR_TIE``: half a bit apart, the second
+    arrived 1 us later, some slowed by a degraded link) under SRPT, with
+    the full-recompute oracle after every recompute.  Enough histories
+    reach a swap no event reports that a closure without the per-link
+    rank check fails here."""
+    reached = []
+
+    @given(histories(*NEAR_TIES, min_size=6, max_size=20))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def one(ops):
+        with pytest.MonkeyPatch.context() as patch:
+            full_recompute_oracle.install(patch)
+            swaps = _swaps(patch)
+            drive(ops, Run("srpt")).drain()
+        reached.append(bool(swaps))
+
+    one()
+    assert sum(reached) >= 3, f"{sum(reached)} of {len(reached)} histories"

@@ -204,7 +204,7 @@ class TestFabricFaults:
         assert fabric.flows_aborted == 1
         assert fabric.flows_rerouted == 0
         assert len(fabric.records) == 0
-        assert "h000->sw0" in fabric.failed_links
+        assert "h000->sw0" in fabric._failed_links
         # idempotent: failing the same link again changes nothing
         fabric.fail_link("h000->sw0")
         assert fabric.flows_aborted == 1
@@ -241,8 +241,8 @@ class TestFabricFaults:
         engine.run()
         assert not fabric.host_is_up("h001")
         assert fabric.host_is_up("h000")
-        assert "h001" in fabric.down_hosts
-        assert {"h001->sw0", "sw0->h001"} <= fabric.failed_links
+        assert "h001" in fabric._down_hosts
+        assert {"h001->sw0", "sw0->h001"} <= fabric._failed_links
         # the h000->h001 flow died with the host; the other one finished
         assert fabric.flows_aborted == 1
         assert len(fabric.records) == 1
@@ -326,7 +326,7 @@ class TestInjector:
         engine.run()
         assert injector.applied_faults == 2
         assert fabric.link_capacity("h000->sw0") == pytest.approx(gbps(0.5))
-        assert "h001->sw0" in fabric.failed_links
+        assert "h001->sw0" in fabric._failed_links
 
     def test_window_model_activation(self):
         engine, fabric = make_fabric()

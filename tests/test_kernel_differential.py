@@ -16,7 +16,7 @@ column fill):
 * the same matrix under an injected fault plan (degrade + down), since
   capacity mutations hit the drain clamp where float dust lives;
 * a direct randomized fuzz of :func:`repro.network.kernels.priority_fill`
-  against :func:`repro.network.policies.base.greedy_priority_fill`
+  against :func:`tests.priority_oracle.greedy_priority_fill`
   comparing rate maps with exact ``==`` (no tolerance), plus the pinned
   adjacent-float case in ``[2**23, 2**24)``, where the epsilon chain and
   a plain minimum part ways (the hypothesis fuzz over that band is
@@ -46,7 +46,6 @@ from repro.experiments.runner import replay_flow_trace
 from repro.faults import FaultPlan, LinkDegrade, LinkDown
 from repro.network import kernels
 from repro.network.flow import Flow
-from repro.network.policies.base import greedy_priority_fill
 from repro.telemetry import (
     CausalTracer,
     JsonlTraceSink,
@@ -56,6 +55,7 @@ from repro.telemetry import (
 from repro.topology.fabrics import three_tier_clos
 from repro.workloads import generate_flow_trace, make_distribution
 from tests.conftest import FILLS, pin_fill
+from tests.priority_oracle import greedy_priority_fill
 from tests.test_goldens import regen_goldens
 from tests.test_incremental_alloc import small_clos
 
@@ -430,8 +430,10 @@ def test_clos_shaped_fuzz_exact(monkeypatch):
 def test_srpt_cascade_enters_water_fill_only_for_real_groups(monkeypatch):
     """On the pinned golden SRPT scenario the scalar ``water_fill`` (and
     its four per-call dicts) is entered only for groups of two or more
-    flows: one-flow groups are filled in place.  Counted, not timed."""
-    entered, in_place = [], []
+    flows: one-flow groups are filled in place, each by the fabric's
+    priority closure (``kernels.refill``), which re-fills fewer flows than
+    its cascades hold.  Counted, not timed."""
+    entered, in_place, refilled, handed = [], [], [], []
 
     def spy(flows, residual, rates, _fill=kernels.water_fill):
         entered.append(len(flows))
@@ -441,10 +443,18 @@ def test_srpt_cascade_enters_water_fill_only_for_real_groups(monkeypatch):
         in_place.append(flow.flow_id)
         return _fill(flow, residual, rates)
 
+    def spy_refill(groups, *args, _refill=kernels.refill):
+        rates = _refill(groups, *args)
+        refilled.extend(rates)
+        handed.extend(flow.flow_id for (flow,) in groups)
+        return rates
+
     monkeypatch.setattr(kernels, "water_fill", spy)
     monkeypatch.setattr(kernels, "_fill_one", spy_one)
+    monkeypatch.setattr(kernels, "refill", spy_refill)
     regen_goldens.generate("srpt")
-    assert len(in_place) > 100
+    assert in_place == refilled and len(refilled) > 100
+    assert len(handed) > len(refilled)
     assert all(size >= 2 for size in entered)
 
 

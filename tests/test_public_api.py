@@ -98,6 +98,9 @@ PUBLIC_SYMBOLS = {
 #: group's column demand and tie-break in one pass.  1.21.0: each paper
 #: figure is one row of ``repro.experiments.FIGURES`` (``row.run`` replaces
 #: the per-figure functions, ``MacroOutcome`` the per-figure outcomes).
+#: After 1.21.0: the plain-``water_fill`` priority cascade is the test-side
+#: reference ``tests/priority_oracle.py``, and ``repro.network.policies``
+#: no longer re-exports what its ``base`` module defines.
 REMOVED_SYMBOLS = {
     "repro.experiments": [
         "figure3", "figure5", "figure6", "figure7", "figure8", "figure9",
@@ -116,7 +119,12 @@ REMOVED_SYMBOLS = {
     "repro.service.workload": ["rate_for_load"],
     "repro.errors": ["ShadowVerifyError"],
     "repro.network.fabric": ["SHADOW_TOLERANCE"],
-    "repro.network.policies.base": ["LinkMembershipMixin"],
+    "repro.network.policies": [
+        "greedy_priority_fill", "water_fill", "group_by_key", "RATE_EPSILON",
+    ],
+    "repro.network.policies.base": [
+        "LinkMembershipMixin", "greedy_priority_fill",
+    ],
     "repro.coflow.policies.base": ["column_demand"],
 }
 
@@ -126,12 +134,13 @@ REMOVED_SYMBOLS = {
 #: read their edge state in one batched call, ``host_edge_states``; 1.14.0:
 #: their coflow state too, ``coflow_edge_states``.  1.19.0: reads write no
 #: progress, and one host's load is ``hosts_queued_bits`` of one host.
+#: After 1.21.0: ``current_rate``, which nothing in the package called.
 REMOVED_METHODS = {
     ("repro.telemetry", "DecisionLog"): ("set_context", "bind", "bind_coflows"),
     ("repro.telemetry", "TimeseriesStore"): ("series_names", "span"),
     ("repro.network", "NetworkFabric"): (
         "host_edge_state", "host_coflow_state", "coflows_on_link",
-        "host_queued_bits",
+        "host_queued_bits", "current_rate",
     ),
 }
 
